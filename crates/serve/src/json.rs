@@ -187,6 +187,7 @@ impl Value {
     /// A [`JsonError`] with the byte offset of the first violation.
     pub fn parse(text: &str) -> Result<Value, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -254,23 +255,74 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    use std::fmt::Write as _;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Per-byte JSON string escape: 0 for a byte copied verbatim, else the
+/// letter after the backslash (`u` for the `\u00XX` form). Every byte
+/// that needs escaping is ASCII, so runs of plain bytes always end on a
+/// UTF-8 character boundary.
+const ESCAPE: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 0x20 {
+        table[b] = b'u';
+        b += 1;
+    }
+    table[b'"' as usize] = b'"';
+    table[b'\\' as usize] = b'\\';
+    table[b'\n' as usize] = b'n';
+    table[b'\r' as usize] = b'r';
+    table[b'\t' as usize] = b't';
+    table[0x08] = b'b';
+    table[0x0C] = b'f';
+    table
+};
+
+/// Length of the leading run of `bytes` that JSON strings carry verbatim
+/// (no quote, backslash or control byte), scanned eight bytes a word.
+fn plain_run(bytes: &[u8]) -> usize {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGH: u64 = u64::from_ne_bytes([0x80; 8]);
+    // Nonzero iff some byte of `word` is below `n`. A borrow may also
+    // flag lanes past the first hit, so the byte scan below finds it.
+    let below = |word: u64, n: u8| word.wrapping_sub(ONES * u64::from(n)) & !word & HIGH;
+    let mut done = 0;
+    for chunk in bytes.chunks_exact(8) {
+        let word = u64::from_ne_bytes(chunk.try_into().expect("8-byte chunk"));
+        let special = below(word, 0x20)
+            | below(word ^ (ONES * u64::from(b'"')), 1)
+            | below(word ^ (ONES * u64::from(b'\\')), 1);
+        if special != 0 {
+            break;
         }
+        done += 8;
+    }
+    done + bytes[done..]
+        .iter()
+        .position(|&b| ESCAPE[usize::from(b)] != 0)
+        .unwrap_or(bytes.len() - done)
+}
+
+fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    out.reserve(bytes.len() + 2);
+    out.push('"');
+    let mut start = 0;
+    loop {
+        let end = start + plain_run(&bytes[start..]);
+        out.push_str(&s[start..end]);
+        let Some(&b) = bytes.get(end) else { break };
+        match ESCAPE[usize::from(b)] {
+            b'u' => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xF)]));
+            }
+            letter => {
+                out.push('\\');
+                out.push(char::from(letter));
+            }
+        }
+        start = end + 1;
     }
     out.push('"');
 }
@@ -281,9 +333,10 @@ const PACK_ALPHABET: &[u8; 64] =
     b"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz-_";
 
 /// Inverse of [`PACK_ALPHABET`]: byte → value, 255 for invalid bytes.
-/// One array index per decoded character (decoding runs twice per
-/// request on the predictions gate's hot path and once per journalled
-/// op at restart replay).
+/// The predictions route decodes each vector once per request, and
+/// restart replay once per journalled op: one table lookup per
+/// character, then one OR over the result (valid values are below 64)
+/// to tell whether any byte was invalid.
 const PACK_DECODE: [u8; 256] = {
     let mut table = [255u8; 256];
     let mut i = 0;
@@ -304,10 +357,10 @@ const PACK_DECODE: [u8; 256] = {
 #[must_use]
 pub fn encode_u32_vec(items: &[u32]) -> String {
     if items.iter().all(|&v| v < 64) {
-        let mut out = String::with_capacity(items.len() + 1);
-        out.push('#');
-        out.extend(items.iter().map(|&v| PACK_ALPHABET[v as usize] as char));
-        out
+        let mut packed = Vec::with_capacity(items.len() + 1);
+        packed.push(b'#');
+        packed.extend(items.iter().map(|&v| PACK_ALPHABET[(v & 63) as usize]));
+        String::from_utf8(packed).expect("the packed alphabet is ASCII")
     } else {
         let mut out = String::new();
         for (i, v) in items.iter().enumerate() {
@@ -329,13 +382,18 @@ pub fn encode_u32_vec(items: &[u32]) -> String {
 /// items.
 pub fn decode_u32_vec(text: &str) -> Result<Vec<u32>, String> {
     if let Some(packed) = text.strip_prefix('#') {
-        packed
+        let items: Vec<u32> = packed
             .bytes()
-            .map(|b| match PACK_DECODE[b as usize] {
-                255 => Err(format!("invalid packed-vector character `{}`", b as char)),
-                v => Ok(u32::from(v)),
-            })
-            .collect()
+            .map(|b| u32::from(PACK_DECODE[usize::from(b)]))
+            .collect();
+        if items.iter().fold(0, |acc, &v| acc | v) < 64 {
+            return Ok(items);
+        }
+        let bad = packed
+            .bytes()
+            .find(|&b| PACK_DECODE[usize::from(b)] == 255)
+            .expect("an item decoded out of range");
+        Err(format!("invalid packed-vector character `{}`", bad as char))
     } else if text.is_empty() {
         Ok(Vec::new())
     } else {
@@ -394,11 +452,12 @@ impl std::error::Error for JsonError {}
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -506,22 +565,25 @@ impl Parser<'_> {
         }
     }
 
+    /// The text between `start` and the end of the run of plain bytes
+    /// there, leaving the position after it. Runs end on an ASCII byte or
+    /// at the end of input — always a character boundary of the source.
+    fn plain_run(&mut self, start: usize) -> &'a str {
+        let text: &'a str = self.text;
+        self.pos = start + plain_run(&self.bytes[start..]);
+        &text[start..self.pos]
+    }
+
     fn string(&mut self) -> Result<String, JsonError> {
         self.eat(b'"', "expected `\"`")?;
-        let mut out = String::new();
+        // Most strings hold no escape: one scan, one exact-size copy.
+        let run = self.plain_run(self.pos);
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(run.to_owned());
+        }
+        let mut out = String::from(run);
         loop {
-            let start = self.pos;
-            // Fast path: run of plain bytes.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?,
-            );
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -541,11 +603,12 @@ impl Parser<'_> {
                         Some(b'u') => {
                             let code = self.unicode_escape()?;
                             out.push(code);
+                            out.push_str(self.plain_run(self.pos));
                             continue;
                         }
                         _ => return Err(self.err("invalid escape sequence")),
                     }
-                    self.pos += 1;
+                    out.push_str(self.plain_run(self.pos + 1));
                 }
                 _ => return Err(self.err("unterminated string")),
             }
@@ -624,6 +687,219 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Reference escaper, one `char` at a time: [`write_escaped`] must
+    /// match it byte for byte.
+    fn write_escaped_reference(out: &mut String, s: &str) {
+        use std::fmt::Write as _;
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0C}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// Reference encoder, one `char` push per packed item:
+    /// [`encode_u32_vec`] must match it byte for byte.
+    fn encode_u32_vec_reference(items: &[u32]) -> String {
+        if items.iter().all(|&v| v < 64) {
+            let mut out = String::with_capacity(items.len() + 1);
+            out.push('#');
+            out.extend(items.iter().map(|&v| PACK_ALPHABET[v as usize] as char));
+            out
+        } else {
+            items
+                .iter()
+                .map(u32::to_string)
+                .collect::<Vec<_>>()
+                .join(",")
+        }
+    }
+
+    /// Reference decoder, one `Result` per item: [`decode_u32_vec`] must
+    /// return the same values, or the same error naming the first bad
+    /// character or item.
+    fn decode_u32_vec_reference(text: &str) -> Result<Vec<u32>, String> {
+        if let Some(packed) = text.strip_prefix('#') {
+            packed
+                .bytes()
+                .map(|b| match PACK_DECODE[b as usize] {
+                    255 => Err(format!("invalid packed-vector character `{}`", b as char)),
+                    v => Ok(u32::from(v)),
+                })
+                .collect()
+        } else if text.is_empty() {
+            Ok(Vec::new())
+        } else {
+            text.split(',')
+                .map(|item| {
+                    item.parse::<u32>()
+                        .map_err(|_| format!("invalid vector item `{item}`"))
+                })
+                .collect()
+        }
+    }
+
+    /// Characters the escaper and the parser treat specially, and
+    /// UTF-8 of every width.
+    const SPECIAL: &[char] = &[
+        '"',
+        '\\',
+        '/',
+        '\u{7f}',
+        'é',
+        '€',
+        '\u{2028}',
+        '😀',
+        '\u{10FFFF}',
+    ];
+
+    /// Strings where, at density `d` of 8, an item is a [`SPECIAL`]
+    /// character or a control byte, else printable ASCII — so both long
+    /// plain runs and dense escapes occur.
+    fn text() -> impl Strategy<Value = String> {
+        (1u32..8).prop_flat_map(|density| {
+            prop::collection::vec(
+                (0u32..8, 0u32..0x20, 0u32..95, 0usize..SPECIAL.len()),
+                0..80,
+            )
+            .prop_map(move |items| {
+                items
+                    .into_iter()
+                    .map(|(roll, control, ascii, special)| match roll {
+                        r if r >= density => char::from_u32(0x20 + ascii).expect("ascii"),
+                        r if r % 2 == 0 => char::from_u32(control).expect("control"),
+                        _ => SPECIAL[special],
+                    })
+                    .collect::<String>()
+            })
+        })
+    }
+
+    fn value() -> impl Strategy<Value = Value> {
+        let leaf = prop_oneof![
+            Just(Value::Null),
+            (0u8..2).prop_map(|b| Value::Bool(b == 1)),
+            (0u64..(1 << 53)).prop_map(Value::from),
+            (-1e9f64..1e9).prop_map(Value::Number),
+            (-1e300f64..1e300).prop_map(Value::Number),
+            text().prop_map(Value::String),
+        ];
+        leaf.boxed().prop_recursive(4, 32, 4, |inner| {
+            prop_oneof![
+                prop::collection::vec(inner.clone(), 0..5).prop_map(Value::Array),
+                prop::collection::vec((text(), inner), 0..5).prop_map(Value::Object),
+            ]
+        })
+    }
+
+    /// Inputs for the vector decoder: packed alphabet, digits, commas,
+    /// a leading `#` half the time, and bytes it must refuse.
+    fn vector_text() -> impl Strategy<Value = String> {
+        const POOL: &[char] = &[
+            '0', '1', '9', 'A', 'Z', 'a', 'z', '-', '_', ',', '#', '+', ' ', '!', '"', 'é', '😀',
+            '\u{0}', '\u{ff}',
+        ];
+        (0u8..2, prop::collection::vec(0usize..POOL.len(), 0..40)).prop_map(|(hash, picks)| {
+            let body: String = picks.into_iter().map(|i| POOL[i]).collect();
+            if hash == 1 {
+                format!("#{body}")
+            } else {
+                body
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn escaper_matches_the_char_at_a_time_reference(s in text()) {
+            let (mut fast, mut reference) = (String::new(), String::new());
+            write_escaped(&mut fast, &s);
+            write_escaped_reference(&mut reference, &s);
+            prop_assert_eq!(fast, reference);
+        }
+
+        #[test]
+        fn strings_round_trip_through_escape_and_parse(s in text()) {
+            let encoded = Value::from(s.as_str()).encode();
+            prop_assert_eq!(Value::parse(&encoded), Ok(Value::String(s)));
+        }
+
+        #[test]
+        fn values_round_trip_through_both_serializations(v in value()) {
+            prop_assert_eq!(Value::parse(&v.encode()), Ok(v.clone()));
+            prop_assert_eq!(Value::parse(&v.pretty()), Ok(v));
+        }
+
+        #[test]
+        fn parse_never_panics_on_spliced_documents(
+            v in value(),
+            cut in 0usize..4096,
+            noise in text(),
+        ) {
+            // A document cut at a random character boundary with noise
+            // spliced in: any `Result` is fine, a panic is not.
+            let doc = v.encode();
+            let at = doc.char_indices().map(|(i, _)| i).nth(cut % (doc.chars().count() + 1));
+            let at = at.unwrap_or(doc.len());
+            let _ = Value::parse(&format!("{}{noise}{}", &doc[..at], &doc[at..]));
+            let _ = Value::parse(&doc[..at]);
+            let _ = Value::parse(&noise);
+        }
+
+        #[test]
+        fn vector_decoder_matches_the_per_item_reference(text in vector_text()) {
+            prop_assert_eq!(decode_u32_vec(&text), decode_u32_vec_reference(&text));
+        }
+
+        #[test]
+        fn packed_vectors_round_trip(items in prop::collection::vec(0u32..64, 0..300)) {
+            let encoded = encode_u32_vec(&items);
+            prop_assert!(encoded.starts_with('#'));
+            prop_assert_eq!(&encoded, &encode_u32_vec_reference(&items));
+            prop_assert_eq!(decode_u32_vec(&encoded), Ok(items));
+        }
+
+        #[test]
+        fn csv_vectors_round_trip(
+            items in prop::collection::vec(0u32..=u32::MAX, 0..40),
+            wide in 64u32..=u32::MAX,
+            at in 0usize..40,
+        ) {
+            let mut items = items;
+            items.insert(at.min(items.len()), wide);
+            let encoded = encode_u32_vec(&items);
+            prop_assert!(!encoded.starts_with('#'));
+            prop_assert_eq!(&encoded, &encode_u32_vec_reference(&items));
+            prop_assert_eq!(decode_u32_vec(&encoded), Ok(items));
+        }
+    }
+
+    #[test]
+    fn every_control_byte_escapes_like_the_reference() {
+        for b in 0u8..0x20 {
+            let s = format!("ab{}cd", char::from(b));
+            let (mut fast, mut reference) = (String::new(), String::new());
+            write_escaped(&mut fast, &s);
+            write_escaped_reference(&mut reference, &s);
+            assert_eq!(fast, reference, "control byte {b:#04x}");
+        }
+    }
 
     #[test]
     fn round_trips_a_nested_document() {

@@ -118,6 +118,8 @@ pub struct MeasuredTestset {
     /// class count exceeds [`ClassBitmaps::MAX_CLASSES`] (the per-item
     /// path then serves every measurement).
     truth_bits: Option<ClassBitmaps>,
+    /// [`TestsetSpec::digest`] of the spec, computed once at build.
+    digest: u64,
 }
 
 impl MeasuredTestset {
@@ -128,6 +130,7 @@ impl MeasuredTestset {
     /// Validation failures from [`TestsetSpec::validate`].
     pub fn from_spec(spec: TestsetSpec) -> Result<MeasuredTestset, ServeError> {
         spec.validate()?;
+        let digest = spec.digest();
         let pool = if spec.lazy {
             Testset::unlabeled(spec.truth.len())
         } else {
@@ -140,6 +143,7 @@ impl MeasuredTestset {
             classes: spec.classes,
             lazy: spec.lazy,
             truth_bits,
+            digest,
         })
     }
 
@@ -157,7 +161,7 @@ impl MeasuredTestset {
     /// Content digest of the era's testset (see [`TestsetSpec::digest`]).
     #[must_use]
     pub fn digest(&self) -> u64 {
-        self.spec().digest()
+        self.digest
     }
 
     /// Pool size.
@@ -518,16 +522,43 @@ pub struct PredictionsSubmission {
 }
 
 impl PredictionsSubmission {
-    /// Content digest of the prediction pair — the redelivery-dedup key
-    /// (the *vectors* identify a resubmission; derived counts may drift
-    /// as the label pool fills between delivery attempts).
+    /// Both vectors in their canonical wire form.
+    #[must_use]
+    pub fn packed(&self) -> PackedPredictions {
+        PackedPredictions {
+            old: encode_u32_vec(&self.old),
+            new: encode_u32_vec(&self.new),
+        }
+    }
+
+    /// Content digest of the prediction pair (see
+    /// [`PackedPredictions::digest`]).
     #[must_use]
     pub fn digest(&self) -> u64 {
-        fnv1a64(&[
-            encode_u32_vec(&self.old).as_bytes(),
-            b"|",
-            encode_u32_vec(&self.new).as_bytes(),
-        ])
+        self.packed().digest()
+    }
+}
+
+/// The two vectors of a [`PredictionsSubmission`] as
+/// [`encode_u32_vec`] writes them. A served predictions commit encodes
+/// each vector exactly once: the same bytes key redelivery dedup and
+/// are what its `commit_predictions` journal op records.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackedPredictions {
+    /// The accepted (old) model's packed predictions.
+    pub old: String,
+    /// The candidate (new) model's packed predictions.
+    pub new: String,
+}
+
+impl PackedPredictions {
+    /// Content digest of the prediction pair, `fnv1a64(old | "|" | new)`
+    /// over the packed bytes — the redelivery-dedup key (the *vectors*
+    /// identify a resubmission; derived counts may drift as the label
+    /// pool fills between delivery attempts).
+    #[must_use]
+    pub fn digest(&self) -> u64 {
+        fnv1a64(&[self.old.as_bytes(), b"|", self.new.as_bytes()])
     }
 }
 
@@ -724,9 +755,9 @@ impl Project {
     }
 
     /// [`Project::submit_predictions`] with the vector digest already
-    /// computed (the serving layer computes it once for the dedup probe
-    /// and reuses it here — encoding two 1 k-item vectors per call is
-    /// measurable on the gate's hot path).
+    /// computed: the serving layer encodes each vector once per request
+    /// ([`PackedPredictions`]), and that one encoding feeds the dedup
+    /// probe, this gate and the journal op.
     pub(crate) fn submit_predictions_keyed(
         &mut self,
         submission: &PredictionsSubmission,
@@ -1565,6 +1596,32 @@ mod tests {
         assert_ne!(ok.digest(), full.digest());
         assert_ne!(ok.digest(), wide.digest());
         assert_eq!(ok.digest(), ok.clone().digest());
+    }
+
+    /// Known answers: both digests are on disk (journal, snapshot,
+    /// `project.json`), so their values must never move.
+    #[test]
+    fn digests_match_known_answers() {
+        let packed = PredictionsSubmission {
+            commit_id: "kat".into(),
+            old: (0..300u32).map(|i| (i * 7) % 64).collect(),
+            new: (0..300u32).map(|i| i % 4).collect(),
+        };
+        let csv = PredictionsSubmission {
+            commit_id: "kat".into(),
+            old: vec![0, 64, 7, 100_000, u32::MAX],
+            new: Vec::new(),
+        };
+        let spec = TestsetSpec {
+            truth: (0..257u32).map(|i| i % 5).collect(),
+            classes: 5,
+            lazy: true,
+        };
+        assert_eq!(packed.digest(), 0xccb9_89fb_021f_86c8);
+        assert_eq!(csv.digest(), 0x71aa_aaed_341f_c777);
+        assert_eq!(spec.digest(), 0x48c0_2a93_7c9e_f04d);
+        let measured = MeasuredTestset::from_spec(spec.clone()).unwrap();
+        assert_eq!(measured.digest(), spec.digest());
     }
 
     #[test]

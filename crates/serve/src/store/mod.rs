@@ -55,8 +55,8 @@ use crate::error::ServeError;
 use crate::json::{decode_u32_vec, encode_u32_vec, Value};
 use crate::obs::trace::{self, Stage};
 use crate::registry::{
-    CommitSubmission, EvalCounts, GateReceipt, MeasuredTestset, PredictionsSubmission, Project,
-    TestsetSpec,
+    CommitSubmission, EvalCounts, GateReceipt, MeasuredTestset, PackedPredictions,
+    PredictionsSubmission, Project, TestsetSpec,
 };
 use crate::vfs::{write_atomic, RealVfs, Vfs};
 use easeml_ci_core::{
@@ -262,7 +262,7 @@ impl ProjectStore {
                         Value::from(if spec.lazy { "lazy" } else { "full" }),
                     ),
                     ("classes", Value::from(spec.classes)),
-                    ("digest", Value::from(digest_hex(spec.digest()))),
+                    ("digest", Value::from(digest_hex(measured.digest()))),
                 ]),
             ));
         }
@@ -474,23 +474,25 @@ impl ProjectStore {
     /// Journal one accepted predictions submission: the vectors (replay
     /// re-measures them), the derived counts, and the outcome (both are
     /// cross-checked at replay — a tampered prediction blob or testset
-    /// blob diverges and fails the boot).
+    /// blob diverges and fails the boot). The vectors arrive already
+    /// packed: the bytes the request's dedup digest was computed over.
     ///
     /// # Errors
     ///
     /// I/O failures.
     pub fn append_commit_predictions(
         &mut self,
-        submission: &PredictionsSubmission,
+        commit_id: &str,
+        packed: PackedPredictions,
         counts: &EvalCounts,
         receipt: &GateReceipt,
         project: &Project,
     ) -> Result<(), ServeError> {
         let mut fields = vec![
             ("op", Value::from("commit_predictions")),
-            ("id", Value::from(submission.commit_id.as_str())),
-            ("old", Value::from(encode_u32_vec(&submission.old))),
-            ("new", Value::from(encode_u32_vec(&submission.new))),
+            ("id", Value::from(commit_id)),
+            ("old", Value::from(packed.old)),
+            ("new", Value::from(packed.new)),
             ("samples", Value::from(counts.samples)),
             ("new_correct", Value::from(counts.new_correct)),
             ("old_correct", Value::from(counts.old_correct)),
@@ -768,18 +770,16 @@ fn load_snapshot(
             .and_then(Value::as_str)
             .and_then(parse_digest_hex)
             .ok_or_else(|| corrupt(path, "missing or bad `testset_digest`"))?;
-        let spec = read_testset_blob(vfs, dir, era)?;
-        if spec.digest() != recorded {
+        let measured = MeasuredTestset::from_spec(read_testset_blob(vfs, dir, era)?)
+            .map_err(|e| corrupt(path, format!("invalid testset: {e}")))?;
+        if measured.digest() != recorded {
             return Err(corrupt(
                 &dir.join(testset_blob_name(era)),
                 "testset blob does not match the snapshot's digest",
             ));
         }
-        let lazy = spec.lazy;
-        project.set_measured(Some(
-            MeasuredTestset::from_spec(spec)
-                .map_err(|e| corrupt(path, format!("invalid testset: {e}")))?,
-        ));
+        let lazy = measured.lazy();
+        project.set_measured(Some(measured));
         // Fully-labelled pools are complete from construction; only lazy
         // pools carry (and require) the spent-label record.
         if lazy {
@@ -1062,7 +1062,9 @@ impl ProjectSlot {
     /// vectors + counts + outcome. Redelivery of identical vectors for
     /// the same commit returns the recorded receipt without spending a
     /// budget step, labels, or journal bytes — the dedup key is the
-    /// vector digest, checked *before* any measurement.
+    /// vector digest, checked *before* any measurement. Each vector is
+    /// encoded once: the packed bytes feed both the digest and the
+    /// journal op.
     ///
     /// A failed journal append rolls back the gate counters *and* the
     /// label pool (labels the failed measurement pulled would otherwise
@@ -1075,7 +1077,8 @@ impl ProjectSlot {
         &mut self,
         submission: &PredictionsSubmission,
     ) -> Result<(GateReceipt, EvalCounts), ServeError> {
-        let digest = submission.digest();
+        let packed = submission.packed();
+        let digest = packed.digest();
         if let Some(hit) = self.project.duplicate_predictions_keyed(submission, digest) {
             return Ok(hit);
         }
@@ -1096,10 +1099,13 @@ impl ProjectSlot {
                 return Err(e);
             }
         };
-        if let Err(e) =
-            self.store
-                .append_commit_predictions(submission, &counts, &receipt, &self.project)
-        {
+        if let Err(e) = self.store.append_commit_predictions(
+            &submission.commit_id,
+            packed,
+            &counts,
+            &receipt,
+            &self.project,
+        ) {
             roll_back(&mut self.project);
             return Err(e);
         }
@@ -1148,7 +1154,6 @@ impl ProjectSlot {
                 "project gates on client counts; POST an empty body to start a fresh era".into(),
             ));
         }
-        let digest = spec.digest();
         let next_era = self
             .project
             .era()
@@ -1160,10 +1165,8 @@ impl ProjectSlot {
         let mark = self.project.gate_mark();
         let prev = self.project.measured_clone();
         let era = self.project.install_testset(spec)?;
-        if let Err(e) = self
-            .store
-            .append_fresh_testset(era, Some(digest), &self.project)
-        {
+        let digest = self.project.testset_digest();
+        if let Err(e) = self.store.append_fresh_testset(era, digest, &self.project) {
             self.project.rollback_to(mark);
             self.project.set_measured(prev);
             return Err(e);
@@ -1352,8 +1355,8 @@ impl Registry {
         script_text: &str,
         testset: Option<TestsetSpec>,
     ) -> Result<Arc<Mutex<ProjectSlot>>, ServeError> {
-        let testset_digest = testset.as_ref().map(TestsetSpec::digest);
         let project = Project::register_with_testset(name, script_text, &self.estimator, testset)?;
+        let testset_digest = project.testset_digest();
         // Reserve the name. The `registering` set covers the window in
         // which the store is created on disk; the map is the long-term
         // record. Only the map lookup happens under the reservation lock
@@ -2045,6 +2048,88 @@ mod tests {
             Err(ServeError::Conflict(_))
         ));
     }
+
+    /// The exact journal line and testset blob of two fixed one-commit
+    /// projects — one whose vectors take the packed `#` form, one wide
+    /// enough (70 classes) to fall back to decimal CSV. Restart replay
+    /// reads these bytes back, so they must never move. The commit id
+    /// carries every kind of byte the escaper treats specially.
+    #[test]
+    fn commit_predictions_journal_bytes_are_pinned() {
+        let dir = temp_dir("pred-golden");
+        let script = SCRIPT.replace("n > 0.6 +/- 0.2", "n - o > 0.0 +/- 0.2");
+        let registry = Registry::open(&dir, serving_estimator()).unwrap();
+        for (name, classes) in [("packed", 4u32), ("csv", 70)] {
+            let truth: Vec<u32> = (0..64u32).map(|i| (i * 5) % classes).collect();
+            let flip = |every: u32| -> Vec<u32> {
+                (0..64u32)
+                    .zip(&truth)
+                    .map(|(i, &t)| if i % every == 0 { (t + 1) % classes } else { t })
+                    .collect()
+            };
+            let spec = TestsetSpec {
+                truth: truth.clone(),
+                classes,
+                lazy: true,
+            };
+            let slot = registry.register(name, &script, Some(spec)).unwrap();
+            slot.lock()
+                .unwrap()
+                .submit_predictions(&PredictionsSubmission {
+                    commit_id: "kat \"1\"\\\t\u{1}\u{1f}\u{e9}/\u{1F600}".into(),
+                    old: flip(3),
+                    new: flip(5),
+                })
+                .unwrap();
+            let project_dir = dir.join("projects").join(name);
+            let journal = std::fs::read_to_string(project_dir.join("journal.log")).unwrap();
+            let blob = std::fs::read_to_string(project_dir.join("testset.0.json")).unwrap();
+            let (want_journal, want_blob) = if name == "packed" {
+                (GOLDEN_PACKED_JOURNAL, GOLDEN_PACKED_BLOB)
+            } else {
+                (GOLDEN_CSV_JOURNAL, GOLDEN_CSV_BLOB)
+            };
+            assert_eq!(journal, want_journal, "{name} journal line moved");
+            assert_eq!(blob, want_blob, "{name} testset blob moved");
+        }
+    }
+
+    const GOLDEN_PACKED_JOURNAL: &str = concat!(
+        r##"{"op":"commit_predictions","id":"kat \"1\"\\\t\u0001\u001fé/😀","##,
+        r##""old":"#1120013302231120013302231120013302231120013302231120013302231120","##,
+        r##""new":"#1123022301330120012311230223013301200123112302230133012001231123","##,
+        r##""samples":64,"new_correct":56,"old_correct":47,"changed":25,"labels":25,"##,
+        r##""passed":false,"step":1,"era":0}"##,
+        "\n"
+    );
+    const GOLDEN_PACKED_BLOB: &str = r##"{
+  "version": 1,
+  "era": 0,
+  "labeling": "lazy",
+  "classes": 4,
+  "labels": "#0123012301230123012301230123012301230123012301230123012301230123"
+}
+"##;
+    const GOLDEN_CSV_JOURNAL: &str = concat!(
+        r##"{"op":"commit_predictions","id":"kat \"1\"\\\t\u0001\u001fé/😀","##,
+        r##""old":"1,5,10,16,20,25,31,35,40,46,50,55,61,65,0,6,10,15,21,25,30,36,40,45,51,55,"##,
+        r##"60,66,0,5,11,15,20,26,30,35,41,45,50,56,60,65,1,5,10,16,20,25,31,35,40,46,50,55,"##,
+        r##"61,65,0,6,10,15,21,25,30,36","##,
+        r##""new":"1,5,10,15,20,26,30,35,40,45,51,55,60,65,0,6,10,15,20,25,31,35,40,45,50,56,"##,
+        r##"60,65,0,5,11,15,20,25,30,36,40,45,50,55,61,65,0,5,10,16,20,25,30,35,41,45,50,55,"##,
+        r##"60,66,0,5,10,15,21,25,30,35","##,
+        r##""samples":64,"new_correct":56,"old_correct":47,"changed":25,"labels":25,"##,
+        r##""passed":false,"step":1,"era":0}"##,
+        "\n"
+    );
+    const GOLDEN_CSV_BLOB: &str = r##"{
+  "version": 1,
+  "era": 0,
+  "labeling": "lazy",
+  "classes": 70,
+  "labels": "0,5,10,15,20,25,30,35,40,45,50,55,60,65,0,5,10,15,20,25,30,35,40,45,50,55,60,65,0,5,10,15,20,25,30,35,40,45,50,55,60,65,0,5,10,15,20,25,30,35,40,45,50,55,60,65,0,5,10,15,20,25,30,35"
+}
+"##;
 
     #[test]
     fn automatic_snapshot_cadence() {
