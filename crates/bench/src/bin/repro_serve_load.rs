@@ -37,6 +37,7 @@ use easeml_serve::obs::expo::Exposition;
 use easeml_serve::obs::hist::{fmt_seconds, Edges, HistogramSnapshot, Unit};
 use easeml_serve::obs::trace::STAGES;
 use easeml_serve::server::{ServeConfig, Server};
+use easeml_serve::store::SNAPSHOT_EVERY;
 use easeml_serve::Client;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -186,7 +187,7 @@ fn stage_breakdown(expo: &Exposition) -> Vec<StageQuantiles> {
 /// Counters the scrape must show as non-zero after the load phases —
 /// the CI bench-smoke contract (it greps the dumped artifact for the
 /// same names).
-const CURATED_NONZERO: [(&str, &[(&str, &str)]); 9] = [
+const CURATED_NONZERO: [(&str, &[(&str, &str)]); 11] = [
     ("easeml_requests_total", &[("route", "commit")]),
     ("easeml_requests_total", &[("route", "commit_predictions")]),
     ("easeml_requests_total", &[("route", "register")]),
@@ -198,6 +199,13 @@ const CURATED_NONZERO: [(&str, &[(&str, &str)]); 9] = [
     // Every gate decision lands here — the F1 leg included — so the
     // artifact proves submissions reached actual verdicts.
     ("easeml_gate_outcomes_total", &[]),
+    // The counts leg runs past the snapshot cadence, so the commit path
+    // wrote at least one cadence snapshot and timed it.
+    ("easeml_snapshot_writes_total", &[]),
+    (
+        "easeml_request_stage_seconds_count",
+        &[("stage", "snapshot")],
+    ),
 ];
 
 /// One client's lifecycle; returns (cold_register_ns, warm_register_ns,
@@ -814,6 +822,9 @@ fn main() {
         }
     }
     let (clients, commits_per_client): (u64, u64) = if quick { (4, 25) } else { (8, 200) };
+    // Each counts project runs past the snapshot cadence, so the smoke
+    // covers the commit that rewrites `snapshot.json`.
+    let counts_commits_per_client = commits_per_client.max(SNAPSHOT_EVERY + 16);
 
     let data_dir: PathBuf = std::env::temp_dir().join(format!(
         "easeml-serve-load-{}-{}",
@@ -832,7 +843,7 @@ fn main() {
     let server_thread = std::thread::spawn(move || server.run().expect("server run"));
 
     println!(
-        "== serve load test ({durability} durability): {clients} clients x {commits_per_client} commits on {} ({} pool threads) ==",
+        "== serve load test ({durability} durability): {clients} clients x {counts_commits_per_client} counts + {commits_per_client} predictions + {commits_per_client} f1 commits on {} ({} pool threads) ==",
         addr,
         easeml_par::Pool::global().threads(),
     );
@@ -841,7 +852,7 @@ fn main() {
     let workers: Vec<_> = (0..clients)
         .map(|c| {
             let addr = addr.clone();
-            std::thread::spawn(move || drive_client(&addr, c, commits_per_client))
+            std::thread::spawn(move || drive_client(&addr, c, counts_commits_per_client))
         })
         .collect();
     let mut register_ns = Vec::new();
@@ -995,7 +1006,7 @@ fn main() {
                 .get("budget")
                 .and_then(|b| b.get("used"))
                 .and_then(Value::as_u64),
-            Some(commits_per_client),
+            Some(counts_commits_per_client),
             "project load-{c} lost commits across restart"
         );
     }
@@ -1222,6 +1233,10 @@ fn main() {
         ),
         ("clients", Value::from(clients)),
         ("commits_per_client", Value::from(commits_per_client)),
+        (
+            "counts_commits_per_client",
+            Value::from(counts_commits_per_client),
+        ),
         ("total_requests", Value::from(total_requests)),
         ("wall_ms", Value::from(wall_ms)),
         ("throughput_rps", Value::from(rps)),

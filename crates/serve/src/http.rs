@@ -274,9 +274,15 @@ impl Response {
     /// A JSON response.
     #[must_use]
     pub fn json(status: u16, value: &Value) -> Response {
+        Response::json_text(status, value.encode())
+    }
+
+    /// A JSON response from an already rendered document.
+    #[must_use]
+    pub fn json_text(status: u16, body: String) -> Response {
         Response {
             status,
-            body: value.encode().into_bytes(),
+            body: body.into_bytes(),
             content_type: "application/json",
             close: false,
             retry_after: None,

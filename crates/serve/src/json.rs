@@ -2,17 +2,18 @@
 //!
 //! The workspace builds fully offline (no serde), so this module provides
 //! the small JSON subset the serving layer and the bench writers need: a
-//! [`Value`] tree, a strict recursive-descent parser, and compact/pretty
-//! serializers. Objects preserve insertion order, so serialization is
-//! deterministic — a property the journal format and the restart tests
-//! rely on.
+//! [`Value`] tree, a strict recursive-descent parser, and one streaming
+//! writer (`JsonWriter`) behind the compact and pretty serializers and
+//! behind the store's snapshots and journal lines. Objects preserve
+//! insertion order, so serialization is deterministic — a property the
+//! journal format and the restart tests rely on.
 //!
 //! Numbers are stored as `f64` and rendered without a fractional part
 //! when they are integral (`3`, not `3.0`), which keeps sample sizes and
 //! step counters round-trippable: every integer with magnitude below
 //! 2⁵³ survives encode → parse → encode byte-identically.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,77 +105,41 @@ impl Value {
     /// Compact serialization (no whitespace).
     #[must_use]
     pub fn encode(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
+        let mut w = JsonWriter::compact();
+        self.write(&mut w);
+        w.finish()
     }
 
     /// Pretty serialization with two-space indentation and a trailing
     /// newline — the house style of the `results/*.json` files.
     #[must_use]
     pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out.push('\n');
-        out
+        let mut w = JsonWriter::pretty(0);
+        self.write(&mut w);
+        w.finish()
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        use std::fmt::Write as _;
+    /// Stream this value through `w`.
+    pub(crate) fn write(&self, w: &mut JsonWriter) {
         match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(true) => out.push_str("true"),
-            Value::Bool(false) => out.push_str("false"),
-            Value::Number(n) => {
-                if n.is_finite() {
-                    if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
-                        let _ = write!(out, "{n:.0}");
-                    } else {
-                        let _ = write!(out, "{n}");
-                    }
-                } else {
-                    // JSON has no NaN/Infinity; degrade to null rather
-                    // than emit an unparsable token.
-                    out.push_str("null");
-                }
-            }
-            Value::String(s) => write_escaped(out, s),
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::Number(n) => w.number(*n),
+            Value::String(s) => w.string(s),
             Value::Array(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
+                w.begin_array();
+                for item in items {
+                    item.write(w);
                 }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline_indent(out, indent, depth + 1);
-                    item.write(out, indent, depth + 1);
-                }
-                newline_indent(out, indent, depth);
-                out.push(']');
+                w.end_array();
             }
             Value::Object(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
+                w.begin_object();
+                for (key, value) in pairs {
+                    w.key(key);
+                    value.write(w);
                 }
-                out.push('{');
-                for (i, (key, value)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline_indent(out, indent, depth + 1);
-                    write_escaped(out, key);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    value.write(out, indent, depth + 1);
-                }
-                newline_indent(out, indent, depth);
-                out.push('}');
+                w.end_object();
             }
         }
     }
@@ -248,12 +213,187 @@ impl fmt::Display for Value {
     }
 }
 
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        out.extend(std::iter::repeat_n(' ', width * depth));
+/// A streaming JSON writer: objects, arrays, keys, numbers and strings
+/// go straight into one buffer, compact or pretty (two-space indent,
+/// `": "` after keys, a trailing newline). [`Value::encode`] and
+/// [`Value::pretty`] are a recursion over it, and callers that own their
+/// data (snapshots, `/history` bodies, journal lines) write through it
+/// without building a [`Value`] tree, so the number, escape and indent
+/// rules exist once.
+///
+/// Members and elements are separated automatically: a value written
+/// right after [`JsonWriter::key`] follows the key, any other value
+/// inside a container starts a new member. An opening bracket is the
+/// last byte written exactly when its container is still empty (every
+/// complete value ends in `"`, `]`, `}`, a digit or a letter), which is
+/// all the state separators and empty containers need.
+#[derive(Debug)]
+pub(crate) struct JsonWriter {
+    out: String,
+    pretty: bool,
+    depth: usize,
+    after_key: bool,
+}
+
+impl JsonWriter {
+    /// A compact writer (no whitespace).
+    #[must_use]
+    pub(crate) fn compact() -> JsonWriter {
+        JsonWriter {
+            out: String::new(),
+            pretty: false,
+            depth: 0,
+            after_key: false,
+        }
+    }
+
+    /// A pretty writer (the layout of [`Value::pretty`]) with `capacity`
+    /// bytes reserved.
+    #[must_use]
+    pub(crate) fn pretty(capacity: usize) -> JsonWriter {
+        JsonWriter {
+            out: String::with_capacity(capacity),
+            pretty: true,
+            ..JsonWriter::compact()
+        }
+    }
+
+    /// The finished document; pretty documents end in a newline.
+    #[must_use]
+    pub(crate) fn finish(mut self) -> String {
+        debug_assert_eq!(self.depth, 0, "unclosed container");
+        if self.pretty {
+            self.out.push('\n');
+        }
+        self.out
+    }
+
+    /// Open an object.
+    pub(crate) fn begin_object(&mut self) {
+        self.open('{');
+    }
+
+    /// Close the innermost object.
+    pub(crate) fn end_object(&mut self) {
+        self.close(b'{', '}');
+    }
+
+    /// Open an array.
+    pub(crate) fn begin_array(&mut self) {
+        self.open('[');
+    }
+
+    /// Close the innermost array.
+    pub(crate) fn end_array(&mut self) {
+        self.close(b'[', ']');
+    }
+
+    /// Start an object member: the next value written is its value.
+    pub(crate) fn key(&mut self, key: &str) -> &mut JsonWriter {
+        self.member();
+        write_escaped(&mut self.out, key);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+        self.after_key = true;
+        self
+    }
+
+    /// `null`.
+    pub(crate) fn null(&mut self) {
+        self.value();
+        self.out.push_str("null");
+    }
+
+    /// `true` / `false`.
+    pub(crate) fn bool(&mut self, b: bool) {
+        self.value();
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// A string, escaped.
+    pub(crate) fn string(&mut self, s: &str) {
+        self.value();
+        write_escaped(&mut self.out, s);
+    }
+
+    /// A number. Integral values of magnitude at most 2⁵³ render as
+    /// integers (`3`, not `3.0`; `-0.0` as `-0`), other finite values in
+    /// Rust's shortest round-trip form, and NaN/±∞ — which JSON cannot
+    /// carry — as `null` rather than an unparsable token.
+    pub(crate) fn number(&mut self, n: f64) {
+        self.value();
+        if !n.is_finite() {
+            self.out.push_str("null");
+        } else if n.fract() == 0.0 && n.abs() <= EXACT_INT {
+            // Exact: the value is an integer of at most 54 bits, and
+            // integer formatting skips the float digit generation.
+            if n.is_sign_negative() {
+                self.out.push('-');
+            }
+            let _ = write!(self.out, "{}", n.abs() as u64);
+        } else {
+            let _ = write!(self.out, "{n}");
+        }
+    }
+
+    /// An unsigned integer, rendered exactly as [`JsonWriter::number`]
+    /// renders `n as f64`.
+    pub(crate) fn u64(&mut self, n: u64) {
+        if n <= 1 << 53 {
+            self.value();
+            let _ = write!(self.out, "{n}");
+        } else {
+            self.number(n as f64);
+        }
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.value();
+        self.out.push(bracket);
+        self.depth += 1;
+    }
+
+    fn close(&mut self, open: u8, bracket: char) {
+        debug_assert!(self.depth > 0 && !self.after_key, "unbalanced close");
+        self.depth -= 1;
+        if self.out.as_bytes().last() != Some(&open) {
+            self.newline_indent();
+        }
+        self.out.push(bracket);
+    }
+
+    /// Separate a value from what came before it: nothing after a key,
+    /// a new member or element inside a container.
+    fn value(&mut self) {
+        if self.after_key {
+            self.after_key = false;
+        } else if self.depth > 0 {
+            self.member();
+        }
+    }
+
+    fn member(&mut self) {
+        if !matches!(self.out.as_bytes().last(), Some(b'{' | b'[')) {
+            self.out.push(',');
+        }
+        self.newline_indent();
+    }
+
+    fn newline_indent(&mut self) {
+        const SPACES: &str = "                                ";
+        if self.pretty {
+            self.out.push('\n');
+            let mut width = 2 * self.depth;
+            while width > 0 {
+                let run = width.min(SPACES.len());
+                self.out.push_str(&SPACES[..run]);
+                width -= run;
+            }
+        }
     }
 }
+
+/// 2⁵³: every integer up to this magnitude is exact in an `f64`.
+const EXACT_INT: f64 = 9_007_199_254_740_992.0;
 
 /// Per-byte JSON string escape: 0 for a byte copied verbatim, else the
 /// letter after the backslash (`u` for the `\u00XX` form). Every byte
@@ -712,6 +852,120 @@ mod tests {
         out.push('"');
     }
 
+    /// Reference serializer: the tree walk that rendered every value
+    /// before [`JsonWriter`] existed. [`Value::encode`] and
+    /// [`Value::pretty`] must match it byte for byte.
+    fn write_reference(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
+        use std::fmt::Write as _;
+        let newline_indent = |out: &mut String, depth: usize| {
+            if let Some(width) = indent {
+                out.push('\n');
+                out.extend(std::iter::repeat_n(' ', width * depth));
+            }
+        };
+        match v {
+            Value::Null => out.push_str("null"),
+            Value::Bool(true) => out.push_str("true"),
+            Value::Bool(false) => out.push_str("false"),
+            Value::Number(n) => {
+                if n.is_finite() {
+                    if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
+                        let _ = write!(out, "{n:.0}");
+                    } else {
+                        let _ = write!(out, "{n}");
+                    }
+                } else {
+                    out.push_str("null");
+                }
+            }
+            Value::String(s) => write_escaped_reference(out, s),
+            Value::Array(items) => {
+                if items.is_empty() {
+                    out.push_str("[]");
+                    return;
+                }
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline_indent(out, depth + 1);
+                    write_reference(item, out, indent, depth + 1);
+                }
+                newline_indent(out, depth);
+                out.push(']');
+            }
+            Value::Object(pairs) => {
+                if pairs.is_empty() {
+                    out.push_str("{}");
+                    return;
+                }
+                out.push('{');
+                for (i, (key, value)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline_indent(out, depth + 1);
+                    write_escaped_reference(out, key);
+                    out.push(':');
+                    if indent.is_some() {
+                        out.push(' ');
+                    }
+                    write_reference(value, out, indent, depth + 1);
+                }
+                newline_indent(out, depth);
+                out.push('}');
+            }
+        }
+    }
+
+    fn encode_reference(v: &Value) -> String {
+        let mut out = String::new();
+        write_reference(v, &mut out, None, 0);
+        out
+    }
+
+    fn pretty_reference(v: &Value) -> String {
+        let mut out = String::new();
+        write_reference(v, &mut out, Some(2), 0);
+        out.push('\n');
+        out
+    }
+
+    /// Numbers where an integer fast path can go wrong: signed zeros,
+    /// the edges of exact `f64` integers, huge integral values,
+    /// subnormals and the values JSON cannot carry.
+    const EDGE_NUMBERS: &[f64] = &[
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        9.0,
+        10.0,
+        99.0,
+        100.0,
+        0.5,
+        -0.5,
+        9_007_199_254_740_991.0,
+        9_007_199_254_740_992.0,
+        -9_007_199_254_740_992.0,
+        9_007_199_254_740_994.0,
+        -9_007_199_254_740_994.0,
+        18_446_744_073_709_551_616.0,
+        1e300,
+        -1e300,
+        f64::MAX,
+        f64::MIN,
+        f64::MIN_POSITIVE,
+        5e-324,
+        -5e-324,
+        2.225_073_858_507_201e-308,
+        f64::EPSILON,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+
     /// Reference encoder, one `char` push per packed item:
     /// [`encode_u32_vec`] must match it byte for byte.
     fn encode_u32_vec_reference(items: &[u32]) -> String {
@@ -806,6 +1060,17 @@ mod tests {
         })
     }
 
+    /// Any `f64` bit pattern, with the exponents of zeros, subnormals,
+    /// NaN/±∞ and of integers on both sides of 2^53 drawn often.
+    fn float_bits() -> impl Strategy<Value = f64> {
+        (
+            0u64..2,
+            prop_oneof![Just(0u64), Just(0x7ff), 1020u64..1090, 0u64..0x800],
+            prop_oneof![Just(0u64), 0u64..(1 << 52)],
+        )
+            .prop_map(|(sign, exp, mantissa)| f64::from_bits(sign << 63 | exp << 52 | mantissa))
+    }
+
     /// Inputs for the vector decoder: packed alphabet, digits, commas,
     /// a leading `#` half the time, and bytes it must refuse.
     fn vector_text() -> impl Strategy<Value = String> {
@@ -863,6 +1128,29 @@ mod tests {
         }
 
         #[test]
+        fn writer_matches_the_tree_reference(v in value()) {
+            prop_assert_eq!(v.encode(), encode_reference(&v));
+            prop_assert_eq!(v.pretty(), pretty_reference(&v));
+        }
+
+        #[test]
+        fn numbers_match_the_reference(
+            float in float_bits(),
+            int in -(1i64 << 55)..(1i64 << 55),
+            uint in 0u64..=u64::MAX,
+        ) {
+            for n in [float, int as f64] {
+                let v = Value::Number(n);
+                prop_assert_eq!(v.encode(), encode_reference(&v));
+            }
+            for u in [uint, uint >> 9, uint >> 11, uint >> 40] {
+                let mut w = JsonWriter::compact();
+                w.u64(u);
+                prop_assert_eq!(w.finish(), encode_reference(&Value::from(u)));
+            }
+        }
+
+        #[test]
         fn vector_decoder_matches_the_per_item_reference(text in vector_text()) {
             prop_assert_eq!(decode_u32_vec(&text), decode_u32_vec_reference(&text));
         }
@@ -898,6 +1186,62 @@ mod tests {
             write_escaped(&mut fast, &s);
             write_escaped_reference(&mut reference, &s);
             assert_eq!(fast, reference, "control byte {b:#04x}");
+        }
+    }
+
+    #[test]
+    fn edge_numbers_render_like_the_reference() {
+        for &n in EDGE_NUMBERS {
+            let v = Value::Number(n);
+            assert_eq!(v.encode(), encode_reference(&v), "{n:e}");
+            let nested = Value::array([v.clone(), Value::object([("n", v)])]);
+            assert_eq!(nested.pretty(), pretty_reference(&nested), "{n:e}");
+        }
+        assert_eq!(Value::Number(-0.0).encode(), "-0");
+        assert_eq!(
+            Value::Number(-9_007_199_254_740_992.0).encode(),
+            "-9007199254740992"
+        );
+        for u in [0, 9, 10, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, u64::MAX] {
+            let mut w = JsonWriter::compact();
+            w.u64(u);
+            assert_eq!(w.finish(), encode_reference(&Value::from(u)), "{u}");
+        }
+    }
+
+    #[test]
+    fn writer_streams_what_the_tree_renders() {
+        let doc = Value::object([
+            ("empty_obj", Value::object::<&str, _>([])),
+            ("empty_arr", Value::array([])),
+            (
+                "nested",
+                Value::array([Value::array([]), Value::object([("k", Value::Null)])]),
+            ),
+            ("s", Value::from("a\"b")),
+        ]);
+        for pretty in [false, true] {
+            let mut w = if pretty {
+                JsonWriter::pretty(0)
+            } else {
+                JsonWriter::compact()
+            };
+            w.begin_object();
+            w.key("empty_obj").begin_object();
+            w.end_object();
+            w.key("empty_arr").begin_array();
+            w.end_array();
+            w.key("nested").begin_array();
+            w.begin_array();
+            w.end_array();
+            w.begin_object();
+            w.key("k").null();
+            w.end_object();
+            w.end_array();
+            w.key("s").string("a\"b");
+            w.end_object();
+            let want = if pretty { doc.pretty() } else { doc.encode() };
+            assert_eq!(w.finish(), want);
         }
     }
 

@@ -54,7 +54,7 @@
 
 use crate::error::ServeError;
 use crate::http::{Request, Response};
-use crate::json::{u32_vec_from_value, Value};
+use crate::json::{u32_vec_from_value, JsonWriter, Value};
 use crate::net::{NetConfig, ReqMeta, WakeHub};
 use crate::obs::trace::{self, Stage, TraceRec};
 use crate::obs::{Counter, ServeObs};
@@ -63,8 +63,8 @@ use crate::registry::{
     PredictionsSubmission, TestsetSpec,
 };
 use crate::store::{
-    entry_json, group, tribool_str, Durability, GroupMetrics, Registry, BOUNDS_CACHE_FILE,
-    PLAN_CACHE_FILE,
+    group, tribool_str, write_history_entry_fields, Durability, GroupMetrics, Registry,
+    BOUNDS_CACHE_FILE, PLAN_CACHE_FILE,
 };
 use crate::vfs::{MeteredVfs, RealVfs, Vfs};
 use easeml_ci_core::{
@@ -1153,26 +1153,30 @@ fn receipt_json(receipt: &GateReceipt, budget: &Value) -> Value {
     ])
 }
 
-fn project_history(registry: &Registry, name: &str) -> Result<Response, ServeError> {
+pub(crate) fn project_history(registry: &Registry, name: &str) -> Result<Response, ServeError> {
     with_project(registry, name, |slot| {
-        let entries: Vec<Value> = slot
-            .project
-            .history()
-            .entries()
-            .iter()
-            .map(entry_json)
-            .collect();
-        Ok(Response::json(
-            200,
-            &Value::object([
-                ("project", Value::from(name)),
-                ("entries", Value::Array(entries)),
-            ]),
-        ))
+        Ok(Response::json_text(200, history_body(name, &slot.project)))
     })
 }
 
-fn project_budget(registry: &Registry, name: &str) -> Result<Response, ServeError> {
+/// The `/projects/{name}/history` body, rendered in one pass.
+pub(crate) fn history_body(name: &str, project: &crate::registry::Project) -> String {
+    let entries = project.history().entries();
+    let mut w = JsonWriter::compact();
+    w.begin_object();
+    w.key("project").string(name);
+    w.key("entries").begin_array();
+    for e in entries {
+        w.begin_object();
+        write_history_entry_fields(&mut w, e);
+        w.end_object();
+    }
+    w.end_array();
+    w.end_object();
+    w.finish()
+}
+
+pub(crate) fn project_budget(registry: &Registry, name: &str) -> Result<Response, ServeError> {
     with_project(registry, name, |slot| {
         let project = &slot.project;
         Ok(Response::json(

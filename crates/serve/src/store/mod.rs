@@ -52,7 +52,7 @@
 pub mod group;
 
 use crate::error::ServeError;
-use crate::json::{decode_u32_vec, encode_u32_vec, Value};
+use crate::json::{decode_u32_vec, encode_u32_vec, JsonWriter, Value};
 use crate::obs::trace::{self, Stage};
 use crate::registry::{
     CommitSubmission, EvalCounts, GateReceipt, MeasuredTestset, PackedPredictions,
@@ -451,24 +451,13 @@ impl ProjectStore {
         receipt: &GateReceipt,
         project: &Project,
     ) -> Result<(), ServeError> {
-        let c = &submission.counts;
-        let mut fields = vec![
-            ("op", Value::from("commit")),
-            ("id", Value::from(submission.commit_id.as_str())),
-            ("samples", Value::from(c.samples)),
-            ("new_correct", Value::from(c.new_correct)),
-            ("old_correct", Value::from(c.old_correct)),
-            ("changed", Value::from(c.changed)),
-            ("labels", Value::from(c.labels)),
-            ("passed", Value::from(receipt.passed)),
-            ("step", Value::from(receipt.step)),
-            ("era", Value::from(receipt.era)),
-        ];
-        if let Some(pc) = &c.per_class {
-            fields.push(("per_class", per_class_json(pc)));
-        }
-        let op = Value::object(fields);
-        self.append(&op, project)
+        let mut w = JsonWriter::compact();
+        w.begin_object();
+        w.key("op").string("commit");
+        w.key("id").string(&submission.commit_id);
+        write_outcome_fields(&mut w, &submission.counts, receipt);
+        w.end_object();
+        self.append(w.finish(), project)
     }
 
     /// Journal one accepted predictions submission: the vectors (replay
@@ -488,25 +477,15 @@ impl ProjectStore {
         receipt: &GateReceipt,
         project: &Project,
     ) -> Result<(), ServeError> {
-        let mut fields = vec![
-            ("op", Value::from("commit_predictions")),
-            ("id", Value::from(commit_id)),
-            ("old", Value::from(packed.old)),
-            ("new", Value::from(packed.new)),
-            ("samples", Value::from(counts.samples)),
-            ("new_correct", Value::from(counts.new_correct)),
-            ("old_correct", Value::from(counts.old_correct)),
-            ("changed", Value::from(counts.changed)),
-            ("labels", Value::from(counts.labels)),
-            ("passed", Value::from(receipt.passed)),
-            ("step", Value::from(receipt.step)),
-            ("era", Value::from(receipt.era)),
-        ];
-        if let Some(pc) = &counts.per_class {
-            fields.push(("per_class", per_class_json(pc)));
-        }
-        let op = Value::object(fields);
-        self.append(&op, project)
+        let mut w = JsonWriter::compact();
+        w.begin_object();
+        w.key("op").string("commit_predictions");
+        w.key("id").string(commit_id);
+        w.key("old").string(&packed.old);
+        w.key("new").string(&packed.new);
+        write_outcome_fields(&mut w, counts, receipt);
+        w.end_object();
+        self.append(w.finish(), project)
     }
 
     /// Journal a fresh-testset installation. `testset_digest` is present
@@ -522,15 +501,15 @@ impl ProjectStore {
         testset_digest: Option<u64>,
         project: &Project,
     ) -> Result<(), ServeError> {
-        let mut fields = vec![
-            ("op", Value::from("fresh_testset")),
-            ("era", Value::from(era)),
-        ];
+        let mut w = JsonWriter::compact();
+        w.begin_object();
+        w.key("op").string("fresh_testset");
+        w.key("era").u64(era.into());
         if let Some(digest) = testset_digest {
-            fields.push(("testset_digest", Value::from(digest_hex(digest))));
+            w.key("testset_digest").string(&digest_hex(digest));
         }
-        let op = Value::object(fields);
-        self.append(&op, project)
+        w.end_object();
+        self.append(w.finish(), project)
     }
 
     /// Persist the blob for a new era's server-side testset (atomic;
@@ -548,8 +527,8 @@ impl ProjectStore {
         Ok(())
     }
 
-    fn append(&mut self, op: &Value, project: &Project) -> Result<(), ServeError> {
-        let mut line = op.encode().into_bytes();
+    fn append(&mut self, op: String, project: &Project) -> Result<(), ServeError> {
+        let mut line = op.into_bytes();
         line.push(b'\n');
         #[cfg(test)]
         if self.fail_next_append {
@@ -605,99 +584,133 @@ impl ProjectStore {
     /// I/O failures.
     pub fn write_snapshot(&self, project: &Project) -> Result<(), ServeError> {
         self.journal.sync_inline()?;
-        let history: Vec<Value> = project
-            .history()
-            .entries()
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                let Value::Object(mut fields) = entry_json(e) else {
-                    unreachable!("entry_json builds an object")
-                };
-                // The predictions-redelivery dedup key must survive the
-                // snapshot (entries it covers are never replayed).
-                fields.push((
-                    "pred_digest".into(),
-                    Value::from(project.pred_digest(i).map(digest_hex)),
-                ));
-                // Same for the per-class confusion counts behind an
-                // F1/top-k verdict.
-                if let Some(pc) = project.per_class_at(i) {
-                    fields.push(("per_class".into(), per_class_json(pc)));
-                }
-                Value::Object(fields)
-            })
-            .collect();
-        let mut fields = vec![
-            ("version", Value::from(1u64)),
-            ("journal_ops", Value::from(self.ops_written)),
-            ("steps_used", Value::from(project.steps_used())),
-            ("era", Value::from(project.era())),
-            ("retired", Value::from(project.is_retired())),
-        ];
-        if let Some(measured) = project.measured() {
-            fields.push(("testset_digest", Value::from(digest_hex(measured.digest()))));
-            // Which labels the era has spent so far: restart recovery
-            // rebuilds the pool to exactly this state before replaying
-            // the journal suffix, so replayed measurements spend the
-            // same labels the originals did. Only lazy pools need this —
-            // a fully-labelled pool never changes, and serializing its
-            // complete 0..n index list would bloat every snapshot.
-            if measured.lazy() {
-                fields.push((
-                    "labeled",
-                    Value::Array(
-                        measured
-                            .labeled_indices()
-                            .into_iter()
-                            .map(Value::from)
-                            .collect(),
-                    ),
-                ));
-            }
-        }
-        fields.push(("history", Value::Array(history)));
-        let snap = Value::object(fields);
         write_atomic(
             self.vfs.as_ref(),
             &self.dir.join("snapshot.json"),
-            snap.pretty().as_bytes(),
+            render_snapshot(self.ops_written, project).as_bytes(),
         )?;
         Ok(())
     }
 }
 
-/// Serialize one history entry — the shared shape of `snapshot.json`
-/// and the `/projects/{name}/history` endpoint.
-pub(crate) fn entry_json(e: &HistoryEntry) -> Value {
-    Value::object([
-        ("id", Value::from(e.commit_id.as_str())),
-        ("step", Value::from(e.step)),
-        ("era", Value::from(e.era)),
-        ("outcome", Value::from(tribool_str(e.outcome))),
-        ("passed", Value::from(e.passed)),
-        ("accepted", Value::from(e.accepted)),
-        ("d", Value::from(e.estimates.d)),
-        ("n", Value::from(e.estimates.n)),
-        ("o", Value::from(e.estimates.o)),
-        ("diff", Value::from(e.estimates.diff)),
-        ("labels", Value::from(e.estimates.labels_requested)),
-    ])
+/// Bytes reserved per history entry of a snapshot; a counts entry
+/// renders to about 260. The header takes under 256 bytes and each
+/// indented `labeled` index under 12.
+const SNAPSHOT_ENTRY_BYTES: usize = 320;
+
+/// Render `snapshot.json` in one pass: header, the spent-label record
+/// of a lazy pool, and every history entry with its dedup digest and
+/// per-class counts.
+fn render_snapshot(journal_ops: u64, project: &Project) -> String {
+    let entries = project.history().entries();
+    let labeled = project
+        .measured()
+        .filter(|m| m.lazy())
+        .map(MeasuredTestset::labeled_indices);
+    let labeled_len = labeled.as_ref().map_or(0, Vec::len);
+    let mut w = JsonWriter::pretty(256 + 12 * labeled_len + SNAPSHOT_ENTRY_BYTES * entries.len());
+    w.begin_object();
+    w.key("version").u64(1);
+    w.key("journal_ops").u64(journal_ops);
+    w.key("steps_used").u64(project.steps_used().into());
+    w.key("era").u64(project.era().into());
+    w.key("retired").bool(project.is_retired());
+    if let Some(measured) = project.measured() {
+        w.key("testset_digest")
+            .string(&digest_hex(measured.digest()));
+    }
+    // Which labels a lazy pool has spent so far: restart recovery
+    // rebuilds the pool to exactly this state before replaying the
+    // journal suffix, so replayed measurements spend the same labels the
+    // originals did. A fully-labelled pool never changes, and listing
+    // its complete 0..n index range would bloat every snapshot.
+    if let Some(labeled) = labeled {
+        w.key("labeled").begin_array();
+        for i in labeled {
+            w.u64(i as u64);
+        }
+        w.end_array();
+    }
+    w.key("history").begin_array();
+    for (i, e) in entries.iter().enumerate() {
+        w.begin_object();
+        write_history_entry_fields(&mut w, e);
+        // The predictions-redelivery dedup key and the per-class counts
+        // behind an F1/top-k verdict must survive the snapshot: entries
+        // it covers are never replayed.
+        match project.pred_digest(i) {
+            Some(digest) => w.key("pred_digest").string(&digest_hex(digest)),
+            None => w.key("pred_digest").null(),
+        }
+        if let Some(pc) = project.per_class_at(i) {
+            w.key("per_class");
+            write_per_class(&mut w, pc);
+        }
+        w.end_object();
+    }
+    w.end_array();
+    w.end_object();
+    w.finish()
 }
 
-/// Serialize per-class confusion counts — the shared shape of the
-/// journal's `commit`/`commit_predictions` ops and the snapshot's
-/// history entries for F1/top-k conditions.
-pub(crate) fn per_class_json(pc: &PerClassCounts) -> Value {
-    let vec = |v: &[u64]| Value::Array(v.iter().map(|&x| Value::from(x)).collect());
-    Value::object([
-        ("classes", Value::from(pc.classes)),
-        ("support", vec(&pc.support)),
-        ("new_tp", vec(&pc.new_tp)),
-        ("old_tp", vec(&pc.old_tp)),
-        ("new_pred", vec(&pc.new_pred)),
-        ("old_pred", vec(&pc.old_pred)),
-    ])
+/// The fields of one history entry — the shared shape of
+/// `snapshot.json` (which appends its own fields) and the
+/// `/projects/{name}/history` endpoint.
+pub(crate) fn write_history_entry_fields(w: &mut JsonWriter, e: &HistoryEntry) {
+    let estimate = |w: &mut JsonWriter, key: &str, value: Option<f64>| match value {
+        Some(x) => w.key(key).number(x),
+        None => w.key(key).null(),
+    };
+    w.key("id").string(&e.commit_id);
+    w.key("step").u64(e.step.into());
+    w.key("era").u64(e.era.into());
+    w.key("outcome").string(tribool_str(e.outcome));
+    w.key("passed").bool(e.passed);
+    w.key("accepted").bool(e.accepted);
+    estimate(w, "d", e.estimates.d);
+    estimate(w, "n", e.estimates.n);
+    estimate(w, "o", e.estimates.o);
+    estimate(w, "diff", e.estimates.diff);
+    w.key("labels").u64(e.estimates.labels_requested);
+}
+
+/// The counts and outcome fields every journalled commit ends with,
+/// shared by the `commit` and `commit_predictions` ops.
+fn write_outcome_fields(w: &mut JsonWriter, counts: &EvalCounts, receipt: &GateReceipt) {
+    w.key("samples").u64(counts.samples);
+    w.key("new_correct").u64(counts.new_correct);
+    w.key("old_correct").u64(counts.old_correct);
+    w.key("changed").u64(counts.changed);
+    w.key("labels").u64(counts.labels);
+    w.key("passed").bool(receipt.passed);
+    w.key("step").u64(receipt.step.into());
+    w.key("era").u64(receipt.era.into());
+    if let Some(pc) = &counts.per_class {
+        w.key("per_class");
+        write_per_class(w, pc);
+    }
+}
+
+/// Per-class confusion counts — the shared shape of the journal's
+/// `commit`/`commit_predictions` ops and the snapshot's history entries
+/// for F1/top-k conditions.
+fn write_per_class(w: &mut JsonWriter, pc: &PerClassCounts) {
+    w.begin_object();
+    w.key("classes").u64(pc.classes.into());
+    for (key, values) in [
+        ("support", &pc.support),
+        ("new_tp", &pc.new_tp),
+        ("old_tp", &pc.old_tp),
+        ("new_pred", &pc.new_pred),
+        ("old_pred", &pc.old_pred),
+    ] {
+        w.key(key).begin_array();
+        for &x in values {
+            w.u64(x);
+        }
+        w.end_array();
+    }
+    w.end_object();
 }
 
 /// Parse the optional `per_class` field of a journal op or snapshot
@@ -1477,6 +1490,7 @@ impl Registry {
 mod tests {
     use super::*;
     use crate::registry::serving_estimator;
+    use proptest::prelude::*;
 
     const SCRIPT: &str = "ml:\n\
         \x20 - condition  : n > 0.6 +/- 0.2\n\
@@ -2130,6 +2144,410 @@ mod tests {
   "labels": "0,5,10,15,20,25,30,35,40,45,50,55,60,65,0,5,10,15,20,25,30,35,40,45,50,55,60,65,0,5,10,15,20,25,30,35,40,45,50,55,60,65,0,5,10,15,20,25,30,35,40,45,50,55,60,65,0,5,10,15,20,25,30,35"
 }
 "##;
+
+    /// Reference history entry: the `Value` tree that the snapshot and
+    /// `/history` were built from before both streamed.
+    fn entry_json_reference(e: &HistoryEntry) -> Value {
+        Value::object([
+            ("id", Value::from(e.commit_id.as_str())),
+            ("step", Value::from(e.step)),
+            ("era", Value::from(e.era)),
+            ("outcome", Value::from(tribool_str(e.outcome))),
+            ("passed", Value::from(e.passed)),
+            ("accepted", Value::from(e.accepted)),
+            ("d", Value::from(e.estimates.d)),
+            ("n", Value::from(e.estimates.n)),
+            ("o", Value::from(e.estimates.o)),
+            ("diff", Value::from(e.estimates.diff)),
+            ("labels", Value::from(e.estimates.labels_requested)),
+        ])
+    }
+
+    fn per_class_json_reference(pc: &PerClassCounts) -> Value {
+        let vec = |v: &[u64]| Value::Array(v.iter().map(|&x| Value::from(x)).collect());
+        Value::object([
+            ("classes", Value::from(pc.classes)),
+            ("support", vec(&pc.support)),
+            ("new_tp", vec(&pc.new_tp)),
+            ("old_tp", vec(&pc.old_tp)),
+            ("new_pred", vec(&pc.new_pred)),
+            ("old_pred", vec(&pc.old_pred)),
+        ])
+    }
+
+    /// Reference snapshot: the tree builder [`render_snapshot`]
+    /// replaced. The streamed bytes must match it exactly.
+    fn snapshot_reference(journal_ops: u64, project: &Project) -> String {
+        let history: Vec<Value> = project
+            .history()
+            .entries()
+            .iter()
+            .enumerate()
+            .map(|(i, e)| {
+                let Value::Object(mut fields) = entry_json_reference(e) else {
+                    unreachable!("entry_json_reference builds an object")
+                };
+                fields.push((
+                    "pred_digest".into(),
+                    Value::from(project.pred_digest(i).map(digest_hex)),
+                ));
+                if let Some(pc) = project.per_class_at(i) {
+                    fields.push(("per_class".into(), per_class_json_reference(pc)));
+                }
+                Value::Object(fields)
+            })
+            .collect();
+        let mut fields = vec![
+            ("version", Value::from(1u64)),
+            ("journal_ops", Value::from(journal_ops)),
+            ("steps_used", Value::from(project.steps_used())),
+            ("era", Value::from(project.era())),
+            ("retired", Value::from(project.is_retired())),
+        ];
+        if let Some(measured) = project.measured() {
+            fields.push(("testset_digest", Value::from(digest_hex(measured.digest()))));
+            if measured.lazy() {
+                fields.push((
+                    "labeled",
+                    Value::array(measured.labeled_indices().into_iter().map(Value::from)),
+                ));
+            }
+        }
+        fields.push(("history", Value::Array(history)));
+        Value::object(fields).pretty()
+    }
+
+    /// Reference `/history` body, built as a tree.
+    fn history_reference(name: &str, project: &Project) -> String {
+        Value::object([
+            ("project", Value::from(name)),
+            (
+                "entries",
+                Value::array(project.history().entries().iter().map(entry_json_reference)),
+            ),
+        ])
+        .encode()
+    }
+
+    /// Estimates as the gate records them, plus the shapes only a
+    /// restored snapshot or a degenerate count can hold.
+    fn estimate() -> impl Strategy<Value = Option<f64>> {
+        const EDGES: &[f64] = &[
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.1,
+            -0.020_000_000_000_000_018,
+            1e-7,
+            9_007_199_254_740_992.0,
+            9_007_199_254_740_994.0,
+            1e300,
+            5e-324,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        prop_oneof![
+            Just(None),
+            (0u64..=1000, 1u64..=1000).prop_map(|(k, n)| Some(k as f64 / n as f64)),
+            (-1.0f64..1.0).prop_map(Some),
+            (0usize..EDGES.len()).prop_map(|i| Some(EDGES[i])),
+        ]
+    }
+
+    fn commit_id() -> impl Strategy<Value = String> {
+        const IDS: &[&str] = &["c", "", ESCAPED_ID, "\u{2028}\u{7f}", "0123456789abcdef"];
+        (0usize..IDS.len(), 0u32..1000).prop_map(|(i, n)| format!("{}{n}", IDS[i]))
+    }
+
+    fn per_class() -> impl Strategy<Value = Option<PerClassCounts>> {
+        let counts = |classes: usize| prop::collection::vec(0u64..5000, classes..classes + 1);
+        prop_oneof![
+            Just(None),
+            (1usize..6).prop_flat_map(move |classes| {
+                (
+                    counts(classes),
+                    counts(classes),
+                    counts(classes),
+                    counts(classes),
+                    counts(classes),
+                )
+                    .prop_map(
+                        move |(support, new_tp, old_tp, new_pred, old_pred)| {
+                            Some(PerClassCounts {
+                                classes: classes as u32,
+                                support,
+                                new_tp,
+                                old_tp,
+                                new_pred,
+                                old_pred,
+                            })
+                        },
+                    )
+            }),
+        ]
+    }
+
+    type Row = (HistoryEntry, Option<u64>, Option<PerClassCounts>);
+
+    fn history_row() -> impl Strategy<Value = Row> {
+        (
+            commit_id(),
+            (0u32..=u32::MAX, 0u32..=u32::MAX, 0u32..3, 0u32..4),
+            (estimate(), estimate(), estimate(), estimate()),
+            prop_oneof![0u64..20_000, 0u64..=u64::MAX],
+            prop_oneof![Just(None), (0u64..=u64::MAX).prop_map(Some)],
+            per_class(),
+        )
+            .prop_map(
+                |(commit_id, (step, era, outcome, flags), (d, n, o, diff), labels, digest, pc)| {
+                    let outcome =
+                        [Tribool::True, Tribool::False, Tribool::Unknown][outcome as usize];
+                    let entry = HistoryEntry {
+                        commit_id,
+                        step,
+                        era,
+                        estimates: CommitEstimates {
+                            d,
+                            n,
+                            o,
+                            diff,
+                            labels_requested: labels,
+                        },
+                        outcome,
+                        passed: flags & 1 == 1,
+                        accepted: flags & 2 == 2,
+                    };
+                    (entry, digest, pc)
+                },
+            )
+    }
+
+    /// A counts project, a lazy and a fully-labelled predictions project.
+    fn base_project(kind: u32) -> Project {
+        let estimator = serving_estimator();
+        let spec = |lazy| TestsetSpec {
+            truth: (0..40u32).map(|i| i % 3).collect(),
+            classes: 3,
+            lazy,
+        };
+        let testset = match kind {
+            0 => None,
+            1 => Some(spec(true)),
+            _ => Some(spec(false)),
+        };
+        Project::register_with_testset("proj", SCRIPT, &estimator, testset).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn streamed_snapshot_and_history_match_the_tree_reference(
+            kind in 0u32..3,
+            rows in prop::collection::vec(history_row(), 0..24),
+            counters in (0u64..=u64::MAX, 0u32..=u32::MAX, 0u32..=u32::MAX, 0u32..2),
+            labeled in prop::collection::vec(0usize..40, 0..40),
+        ) {
+            let (journal_ops, steps_used, era, retired) = counters;
+            let mut project = base_project(kind);
+            let mut history = CommitHistory::new();
+            let (mut digests, mut per_class) = (Vec::new(), Vec::new());
+            for (entry, digest, pc) in rows {
+                history.push(entry);
+                digests.push(digest);
+                per_class.push(pc);
+            }
+            project.restore(steps_used, era, retired == 1, history, digests, per_class);
+            if let Some(measured) = project.measured_mut() {
+                measured.restore_labels(&labeled).unwrap();
+            }
+            prop_assert_eq!(
+                render_snapshot(journal_ops, &project),
+                snapshot_reference(journal_ops, &project)
+            );
+            prop_assert_eq!(
+                crate::server::history_body("proj \"x\"", &project),
+                history_reference("proj \"x\"", &project)
+            );
+        }
+    }
+
+    /// Commit id carrying every kind of byte the escaper treats
+    /// specially.
+    const ESCAPED_ID: &str = "kat \"1\"\\\t\u{1}\u{1f}\u{e9}/\u{1F600}";
+
+    /// Drive the two pinned projects and collect, in order, every byte
+    /// stream they leave behind: snapshots, journals and the `/history`
+    /// and `/budget` bodies.
+    ///
+    /// - `f1`: a lazy 4-class F1 predictions project, snapshotted empty
+    ///   right after registration and again after three commits.
+    /// - `counts`: 70 counts commits (a cadence snapshot at op 64), a
+    ///   fresh testset era, 60 more (a second cadence snapshot at op
+    ///   128). The live gate records every estimate, so `null` ones are
+    ///   planted in the last snapshot (as a snapshot from an older
+    ///   writer could hold them) and carried through a restart into the
+    ///   next snapshot and `/history`.
+    fn pinned_artifacts(dir: &Path) -> Vec<(&'static str, Vec<u8>)> {
+        let read = |project: &str, file: &str| {
+            std::fs::read(dir.join("projects").join(project).join(file)).unwrap()
+        };
+        let body = |resp: Result<crate::http::Response, ServeError>| resp.unwrap().body;
+        let mut out = Vec::new();
+        let registry = Registry::open(dir, serving_estimator()).unwrap();
+
+        let script = SCRIPT
+            .replace("n > 0.6 +/- 0.2", "f1(n) - f1(o) > -0.5 +/- 0.2")
+            .replace("steps      : 3", "steps      : 10");
+        let truth: Vec<u32> = (0..48u32).map(|i| (i * 7) % 4).collect();
+        let spec = TestsetSpec {
+            truth: truth.clone(),
+            classes: 4,
+            lazy: true,
+        };
+        let slot = registry.register("f1", &script, Some(spec)).unwrap();
+        let mut slot = slot.lock().unwrap();
+        slot.snapshot().unwrap();
+        out.push(("f1.snapshot.empty.json", read("f1", "snapshot.json")));
+        let flip = |every: u32| -> Vec<u32> {
+            truth
+                .iter()
+                .zip(0u32..)
+                .map(|(&t, i)| if i % every == 0 { (t + 1) % 4 } else { t })
+                .collect()
+        };
+        for (k, (id, old, new)) in [("p", 3, 5), (ESCAPED_ID, 5, 2), ("p", 2, 7)]
+            .into_iter()
+            .enumerate()
+        {
+            let submission = PredictionsSubmission {
+                commit_id: format!("{id}{k}"),
+                old: flip(old),
+                new: flip(new),
+            };
+            slot.submit_predictions(&submission).unwrap();
+        }
+        slot.snapshot().unwrap();
+        drop(slot);
+        out.push(("f1.snapshot.json", read("f1", "snapshot.json")));
+        out.push(("f1.journal.log", read("f1", "journal.log")));
+        out.push((
+            "f1.history.json",
+            body(crate::server::project_history(&registry, "f1")),
+        ));
+        out.push((
+            "f1.budget.json",
+            body(crate::server::project_budget(&registry, "f1")),
+        ));
+
+        let script = SCRIPT.replace("steps      : 3", "steps      : 200");
+        let slot = registry.register("counts", &script, None).unwrap();
+        let mut slot = slot.lock().unwrap();
+        for i in 0..130u64 {
+            if i == 70 {
+                slot.fresh_testset().unwrap();
+            }
+            let id = if i % 41 == 5 {
+                format!("{ESCAPED_ID}{i}")
+            } else {
+                format!("c{i}")
+            };
+            slot.submit(&submission(&id, (i * 37 + 11) % 101)).unwrap();
+            if i == 63 {
+                out.push(("counts.snapshot.64.json", read("counts", "snapshot.json")));
+            }
+        }
+        drop(slot);
+        drop(registry);
+        let snapshot = read("counts", "snapshot.json");
+        out.push(("counts.snapshot.128.json", snapshot.clone()));
+        out.push(("counts.journal.log", read("counts", "journal.log")));
+
+        let planted = String::from_utf8(snapshot)
+            .unwrap()
+            .replacen("\"d\": 0.3,", "\"d\": null,", 1)
+            .replacen("\"diff\": 0.35,", "\"diff\": null,", 1)
+            .replacen(
+                "\"n\": 0.48,\n      \"o\": 0.5,",
+                "\"n\": null,\n      \"o\": null,",
+                1,
+            );
+        std::fs::write(dir.join("projects/counts/snapshot.json"), planted).unwrap();
+        let registry = Registry::open(dir, serving_estimator()).unwrap();
+        registry
+            .get("counts")
+            .unwrap()
+            .lock()
+            .unwrap()
+            .snapshot()
+            .unwrap();
+        out.push(("counts.snapshot.json", read("counts", "snapshot.json")));
+        out.push((
+            "counts.history.json",
+            body(crate::server::project_history(&registry, "counts")),
+        ));
+        out.push((
+            "counts.budget.json",
+            body(crate::server::project_budget(&registry, "counts")),
+        ));
+        out
+    }
+
+    /// The bytes of [`pinned_artifacts`], captured before snapshots and
+    /// `/history` moved to the streaming writer. Restart recovery reads
+    /// snapshots and journals back, and clients diff `/history`, so none
+    /// of them may move.
+    const PINNED: &[(&str, &str)] = &[
+        (
+            "f1.snapshot.empty.json",
+            include_str!("testdata/f1.snapshot.empty.json"),
+        ),
+        (
+            "f1.snapshot.json",
+            include_str!("testdata/f1.snapshot.json"),
+        ),
+        ("f1.journal.log", include_str!("testdata/f1.journal.log")),
+        ("f1.history.json", include_str!("testdata/f1.history.json")),
+        ("f1.budget.json", include_str!("testdata/f1.budget.json")),
+        (
+            "counts.snapshot.64.json",
+            include_str!("testdata/counts.snapshot.64.json"),
+        ),
+        (
+            "counts.snapshot.128.json",
+            include_str!("testdata/counts.snapshot.128.json"),
+        ),
+        (
+            "counts.journal.log",
+            include_str!("testdata/counts.journal.log"),
+        ),
+        (
+            "counts.snapshot.json",
+            include_str!("testdata/counts.snapshot.json"),
+        ),
+        (
+            "counts.history.json",
+            include_str!("testdata/counts.history.json"),
+        ),
+        (
+            "counts.budget.json",
+            include_str!("testdata/counts.budget.json"),
+        ),
+    ];
+
+    #[test]
+    fn snapshot_history_and_journal_bytes_are_pinned() {
+        let dir = temp_dir("pins");
+        let got = pinned_artifacts(&dir);
+        assert_eq!(
+            got.iter().map(|(name, _)| *name).collect::<Vec<_>>(),
+            PINNED.iter().map(|(name, _)| *name).collect::<Vec<_>>()
+        );
+        for ((name, bytes), (_, want)) in got.iter().zip(PINNED) {
+            assert_eq!(std::str::from_utf8(bytes).unwrap(), *want, "{name} moved");
+        }
+    }
 
     #[test]
     fn automatic_snapshot_cadence() {
