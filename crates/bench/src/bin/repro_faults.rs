@@ -14,7 +14,7 @@
 //! (strided) mode across an `EASEML_THREADS` matrix.
 //!
 //! Usage: `cargo run --release --bin repro_faults [--quick] [--threads N]
-//! [--durability strict|group|relaxed]`
+//! [--durability group|relaxed]` (default group)
 
 use easeml_bench::{init_threads_from_args, results_dir, write_text, Table};
 use easeml_serve::fault::{run_matrix, MatrixOptions};
@@ -26,13 +26,13 @@ use std::time::Instant;
 fn main() {
     let threads = init_threads_from_args();
     let quick = std::env::args().any(|a| a == "--quick");
-    let mut durability = Durability::Strict;
+    let mut durability = Durability::default();
     let mut args = std::env::args();
     while let Some(arg) = args.next() {
         if arg == "--durability" {
             let value = args.next().unwrap_or_default();
             durability = Durability::parse(&value).unwrap_or_else(|| {
-                eprintln!("error: --durability expects strict|group|relaxed, got `{value}`");
+                eprintln!("error: --durability expects group|relaxed, got `{value}`");
                 std::process::exit(2);
             });
         }

@@ -477,13 +477,13 @@ fn sweep_level(addr: &str, clients: usize, commits: u64) -> (Vec<f64>, f64) {
 }
 
 // ---------------------------------------------------------------------
-// Durability phase (strict vs group vs relaxed)
+// Durability phase (group vs relaxed)
 // ---------------------------------------------------------------------
 
 /// Counts projects shared per durability level: clients are spread over
 /// this many journals, so one group-commit flusher round retires many
 /// commits with at most this many fsyncs — the batching the mode exists
-/// for. (Strict pays one fsync per commit regardless of sharing.)
+/// for.
 const DUR_PROJECTS: usize = 4;
 
 /// Server-side latency of one route, reconstructed from the scrape's
@@ -761,14 +761,14 @@ fn run_durability_level(
     }
 }
 
-/// The durability sweep — strict, group, and relaxed over the same
-/// client levels — reporting client- and server-side gate latency plus
+/// The durability sweep — group and relaxed over the same client
+/// levels — reporting client- and server-side gate latency plus
 /// the fsyncs-per-commit ratio that group commit exists to shrink
 /// (relaxed anchors the floor: acks that never wait on an fsync).
 fn run_durability_phase(quick: bool) -> Vec<DurabilityMode> {
     use easeml_serve::Durability;
     let levels: &[usize] = if quick { &[8, 64] } else { &[8, 64, 256] };
-    [Durability::Strict, Durability::Group, Durability::Relaxed]
+    [Durability::Group, Durability::Relaxed]
         .into_iter()
         .map(|durability| {
             let mut register_ns = Vec::new();
@@ -806,17 +806,15 @@ fn main() {
     let threads = init_threads_from_args();
     let quick = std::env::args().any(|a| a == "--quick");
     // `--durability` sets the *main-phase* server's mode (default:
-    // group, the server default) — CI runs the smoke under strict AND
-    // group so every phase (gate modes, restart recovery, sweep,
-    // metrics-artifact check) is exercised in both ack disciplines.
-    // The durability comparison phase below always measures all modes.
+    // group, the server default). The durability comparison phase
+    // below always measures both modes.
     let mut durability = easeml_serve::Durability::default();
     let mut flags = std::env::args();
     while let Some(arg) = flags.next() {
         if arg == "--durability" {
             let value = flags.next().unwrap_or_default();
             durability = easeml_serve::Durability::parse(&value).unwrap_or_else(|| {
-                eprintln!("error: --durability expects strict|group|relaxed, got `{value}`");
+                eprintln!("error: --durability expects group|relaxed, got `{value}`");
                 std::process::exit(2);
             });
         }
@@ -1107,8 +1105,8 @@ fn main() {
     }
 
     // Durability phase: the same commit workloads against fresh servers
-    // in `strict` (fsync per commit) and `group` (batched fsync,
-    // ack-after-durable) modes, across client levels. Group must hold
+    // in `group` (batched fsync, ack-after-durable) and `relaxed` (ack
+    // before any fsync) modes, across client levels. Group must hold
     // the gate's µs-scale server-side latency while collapsing the
     // fsync-per-commit ratio.
     let durability_modes = run_durability_phase(quick);
@@ -1373,7 +1371,7 @@ fn main() {
                 ),
             ]),
         ),
-        // Strict-vs-group durability sweep: client- and server-side
+        // Group-vs-relaxed durability sweep: client- and server-side
         // commit latency plus the fsync-per-commit ratio at each client
         // level, and the plan-warm registration percentile per mode.
         (

@@ -78,7 +78,7 @@ fn print_usage() {
          \x20                                [--event-threads N] [--idle-timeout-ms MS]\n\
          \x20                                [--request-timeout-ms MS] [--max-inflight N]\n\
          \x20                                [--degraded-after N] [--slow-request-ms MS]\n\
-         \x20                                [--durability strict|group|relaxed]\n\
+         \x20                                [--durability group|relaxed]\n\
          \n\
          OPTIONS:\n\
          \x20 --threads N   worker threads for the parallel execution layer\n\
@@ -105,11 +105,11 @@ fn print_usage() {
          \x20                         ring entry) when its traced end-to-end time\n\
          \x20                         exceeds MS; 0 traces everything (default 250)\n\
          \x20 --durability MODE       when acknowledgements become durable (default group):\n\
-         \x20                         strict  = fsync inside every mutating handler\n\
          \x20                         group   = one batched fsync per flusher round;\n\
          \x20                                   responses released when their round lands\n\
-         \x20                         relaxed = acknowledge before the fsync (crash may\n\
-         \x20                                   lose the tail of acked work)\n\
+         \x20                         relaxed = acknowledge commits before any fsync (a\n\
+         \x20                                   power cut may lose acked commits since\n\
+         \x20                                   the last snapshot)\n\
          \n\
          Stop the service gracefully with `POST /admin/shutdown` (flushes\n\
          snapshots + the bounds cache). A hard kill loses only cache\n\
@@ -308,9 +308,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             }
             "--durability" => {
                 let value = next_value(args, &mut i)?;
-                config.durability = easeml_serve::Durability::parse(value).ok_or_else(|| {
-                    format!("--durability expects strict|group|relaxed, got `{value}`")
-                })?;
+                config.durability = easeml_serve::Durability::parse(value)
+                    .ok_or_else(|| format!("--durability expects group|relaxed, got `{value}`"))?;
             }
             other => return Err(format!("unknown option `{other}`")),
         }

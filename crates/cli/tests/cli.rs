@@ -171,6 +171,10 @@ fn serve_rejects_bad_arguments() {
     let out = run(&["serve", "--bogus"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option"));
+    // `strict` is not a durability mode: the error names the ones that are.
+    let out = run(&["serve", "--durability", "strict"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("group|relaxed"));
     // An unbindable address is a clean error, not a panic.
     let out = run(&["serve", "--addr", "definitely-not-an-address"]);
     assert!(!out.status.success());

@@ -21,11 +21,11 @@
 //!   at-least-once semantics — but an id the client never sent, or a
 //!   reorder, is corruption);
 //! * **no acked loss** — a process kill or `ENOSPC` never loses an
-//!   acked commit; a power cut or torn write never loses one acked
-//!   after its covering fsync (in `strict`/`group` durability every
-//!   ack is fsync-covered, so *no* acked commit may be lost — in
-//!   `strict` the fsync is inline, in `group` it is the flusher's
-//!   batched sync the response waited on);
+//!   acked registration or commit; a power cut or torn write never
+//!   loses a commit acked after its covering fsync (in `group`
+//!   durability every ack waited on the flusher's batched sync, so *no*
+//!   acked commit may be lost; in `relaxed` only a completed snapshot
+//!   covers the commits acked before it);
 //! * **byte-faithful history** — for halting faults the survivor's
 //!   journal, after torn-tail repair, is byte-for-byte a prefix of the
 //!   fault-free baseline journal (journal lines carry no timestamps);
@@ -80,7 +80,7 @@ impl Default for MatrixOptions {
         MatrixOptions {
             quick: false,
             seed: 7,
-            durability: Durability::Strict,
+            durability: Durability::Group,
         }
     }
 }
@@ -458,9 +458,9 @@ fn schedule(seed: u64) -> Vec<(String, Vec<Action>)> {
 /// What one project's driver observed: every commit id *attempted* (in
 /// schedule order), labels for every *acked* (successfully returned)
 /// action, and the number of commits known fsync-covered at ack time —
-/// the power-cut durability watermark. Under `strict`/`group` every
-/// ack is fsync-covered; under other modes only a completed snapshot
-/// raises the watermark.
+/// the power-cut durability watermark. Under `group` every ack is
+/// fsync-covered; under `relaxed` only a completed snapshot raises the
+/// watermark.
 #[derive(Debug, Default, Clone)]
 struct ProjectLog {
     attempted: Vec<String>,
@@ -481,7 +481,7 @@ impl ProjectLog {
     }
 }
 
-/// Drive one action and — under group durability — wait for its
+/// Drive one action and — under `group` durability — wait for its
 /// deferred durable ack, exactly as the route layer holds the HTTP
 /// response until the waiter resolves. The waiter is drained
 /// unconditionally so no thread-local state leaks across actions.
@@ -538,10 +538,10 @@ fn run_schedule(
         durability,
         None,
     )?;
-    // Every ack in strict/group mode is fsync-covered, so the power-cut
-    // watermark advances per acked commit; otherwise only a completed
-    // snapshot (which fsyncs the journal first) advances it.
-    let ack_is_synced = matches!(durability, Durability::Strict | Durability::Group);
+    // Every ack in group mode is fsync-covered, so the power-cut
+    // watermark advances per acked commit; in relaxed mode only a
+    // completed snapshot (which fsyncs the journal first) advances it.
+    let ack_is_synced = durability == Durability::Group;
     let streams = schedule(seed);
     let logs: Mutex<BTreeMap<String, ProjectLog>> = Mutex::new(BTreeMap::new());
     pool.scope(|scope| {
@@ -662,8 +662,7 @@ fn run_case(
         // have landed (its record was written before the fault stopped
         // the ack) — legitimate at-least-once ambiguity — but every
         // such record must be an actually attempted id, in attempt
-        // order. A one-shot injected failure in strict mode must leave
-        // no trace at all: the inline rollback truncates the record.
+        // order.
         if surviving.len() > acked_ids.len() {
             let extras: Vec<&str> = surviving[acked_ids.len()..]
                 .iter()
@@ -674,15 +673,6 @@ fn run_case(
                     "{name}: phantom commits {extras:?} survived that were never attempted \
                      (attempted {:?})",
                     log.attempted
-                ));
-                return result;
-            }
-            if durability == Durability::Strict && matches!(fault, Fault::Fail(_)) {
-                result.failure = Some(format!(
-                    "{name}: rolled-back op left a journal record under strict durability \
-                     ({} acked, {} survived)",
-                    acked_ids.len(),
-                    surviving.len()
                 ));
                 return result;
             }
@@ -802,8 +792,10 @@ fn probe_submit(slot: &mut crate::store::ProjectSlot) -> Result<(), ServeError> 
 mod tests {
     use super::*;
 
-    /// One cell end-to-end: kill at the very first journal append of
-    /// `alpha` — registration acked, every commit unacked and absent.
+    /// The quick cell sweep under relaxed durability: acks never wait
+    /// on a journal fsync, yet a kill must still lose no acked
+    /// registration or commit, and a power cut none the last completed
+    /// snapshot covered.
     #[test]
     fn single_kill_cell_holds_invariants() {
         let report = run_matrix_on(
@@ -811,7 +803,7 @@ mod tests {
             &MatrixOptions {
                 quick: true,
                 seed: 3,
-                durability: Durability::Strict,
+                durability: Durability::Relaxed,
             },
         );
         assert!(
@@ -833,10 +825,9 @@ mod tests {
     }
 
     /// The same cell sweep under group-commit durability: every fault
-    /// address now also lands at the flusher's deferred sync and at the
-    /// staged-registration install, and the invariants must still hold
-    /// — in particular no acked (fsync-covered) commit may be lost even
-    /// to a power cut.
+    /// address also lands at the flusher's deferred journal syncs, and
+    /// the invariants must still hold — in particular no acked
+    /// (fsync-covered) commit may be lost even to a power cut.
     #[test]
     fn group_mode_matrix_holds_invariants() {
         let report = run_matrix_on(
@@ -873,7 +864,7 @@ mod tests {
         let fvfs = FaultVfs::new(Path::new(FAULT_ROOT), FaultPlan::new());
         let vfs: Arc<dyn Vfs> = Arc::new(fvfs.clone());
         let pool = Pool::new(1);
-        run_schedule(&vfs, &pool, 7, Durability::Strict).expect("baseline");
+        run_schedule(&vfs, &pool, 7, Durability::Group).expect("baseline");
         let disk = fvfs.disk().kill_view();
         // The schedule ends in a snapshot, whose covered journal prefix
         // is skipped (not re-parsed) at boot; drop it so the journal

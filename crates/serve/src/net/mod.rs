@@ -36,16 +36,17 @@
 //!
 //! Durability ordering depends on the configured
 //! [`crate::store::Durability`] mode, but the invariant the event core
-//! enforces is the same in all of them: response bytes are only queued
-//! once the completion is handed back. Under `strict` the journal
-//! append inside the handler fsyncs before the handler returns. Under
-//! `group` the handler returns immediately with a
-//! [`crate::store::Waiter`] attached to the response
+//! enforces is the same in both: response bytes are only queued once
+//! the completion is handed back. Under `group` the handler returns
+//! immediately with a [`crate::store::Waiter`] attached to the response
 //! ([`Response::pending`]); the completion is deferred until the
 //! group-commit flusher reports the batched fsync durable, and a failed
 //! flush turns the acknowledgement into a 500 — a client never sees
 //! success for state that could be lost. Under `relaxed` no waiter is
-//! attached and the acknowledgement intentionally races the fsync.
+//! attached: the acknowledgement precedes any fsync of the journal,
+//! which only the snapshot cadence syncs. Registrations block inside
+//! the handler until the flusher has installed `project.json`, in both
+//! modes.
 //!
 //! # Stale-event discipline
 //!
@@ -202,15 +203,15 @@ impl LoopShared {
 
 /// Queue `response` for its connection once it is safe to release.
 ///
-/// With nothing pending (strict/relaxed durability, reads, errors) the
-/// completion is pushed immediately — `wake` says whether the caller is
-/// off the event thread and must poke the wake pipe. With a group-commit
-/// [`crate::store::Waiter`] attached, the push is deferred into the
-/// waiter's completion callback: the flusher thread runs it once the
-/// batched fsync covering this request's journal bytes has returned, and
-/// a failed flush converts the acknowledgement into a 500 (feeding the
-/// durable-failure streak) — the client must never see success for state
-/// the disk did not accept.
+/// With nothing pending (relaxed durability, registrations, reads,
+/// errors) the completion is pushed immediately — `wake` says whether
+/// the caller is off the event thread and must poke the wake pipe. With
+/// a group-commit [`crate::store::Waiter`] attached, the push is
+/// deferred into the waiter's completion callback: the flusher thread
+/// runs it once the batched fsync covering this request's journal bytes
+/// has returned, and a failed flush converts the acknowledgement into a
+/// 500 (feeding the durable-failure streak) — the client must never see
+/// success for state the disk did not accept.
 fn release_when_durable(
     shared: Arc<LoopShared>,
     stats: Arc<ServeStats>,

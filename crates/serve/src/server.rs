@@ -188,11 +188,12 @@ pub struct ServeConfig {
     /// dumps are neither loaded nor saved — the core caches do their own
     /// real-filesystem I/O, which an in-memory fault disk cannot host.
     pub vfs: Option<Arc<dyn Vfs>>,
-    /// When acknowledgements become durable: `strict` fsyncs inside
-    /// every mutating handler, `group` (the default) batches fsyncs on a
-    /// dedicated flusher and releases responses once their round lands,
-    /// `relaxed` acknowledges before the fsync. See
-    /// [`crate::store::Durability`].
+    /// When acknowledgements become durable: `group` (the default)
+    /// batches fsyncs on a dedicated flusher and releases responses once
+    /// their round lands; `relaxed` acknowledges commits before any
+    /// fsync and leaves the journal to the snapshot cadence's sync, so a
+    /// power cut may lose acked commits. Registrations wait for the
+    /// flusher in both modes. See [`crate::store::Durability`].
     pub durability: Durability,
 }
 
@@ -353,15 +354,7 @@ impl Server {
         let meter = |base: Arc<dyn Vfs>| -> Arc<dyn Vfs> {
             Arc::new(MeteredVfs::new(base, obs.metrics.vfs.clone()))
         };
-        // The group-commit flusher's metric series only exist when a
-        // flusher will run; a strict server's scrape shows none, rather
-        // than a misleading all-zeros batch histogram.
-        let group_metrics = match config.durability {
-            Durability::Strict => None,
-            Durability::Group | Durability::Relaxed => {
-                Some(GroupMetrics::register(&obs.metrics.registry))
-            }
-        };
+        let group_metrics = Some(GroupMetrics::register(&obs.metrics.registry));
         let registry = match &config.vfs {
             None => {
                 std::fs::create_dir_all(&config.data_dir)?;

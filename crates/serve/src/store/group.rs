@@ -6,20 +6,24 @@
 //!
 //! Journal *bytes* are always written inline, under the project slot
 //! lock, in every durability mode — so the byte stream of a journal is
-//! identical across modes by construction. What varies is when the
-//! bytes are forced to stable storage and when the client is told:
+//! identical across modes by construction. Registrations always ride
+//! the flusher: the temp `project.json` is staged as an install, and the
+//! registering request waits for its fsync + rename in every mode. What
+//! varies is when a journal append is forced to stable storage and when
+//! the client is told:
 //!
-//! * [`Durability::Strict`] — `sync_data` inline after every append;
-//!   the response is written only once the record is durable.
 //! * [`Durability::Group`] — the append *stages* a sync request on the
 //!   shared [`GroupCommit`] queue and the response is deferred via a
 //!   [`Waiter`]; the flusher drains the queue, issues **one**
 //!   `sync_data` per distinct journal in the batch, and completes the
 //!   waiters. Concurrent commits to the same project (or to different
 //!   projects on the same round) share a single fsync.
-//! * [`Durability::Relaxed`] — the response is released immediately;
-//!   syncs still flow through the flusher (and the snapshot cadence)
-//!   but nothing waits for them. A crash may lose acknowledged work.
+//! * [`Durability::Relaxed`] — the append stages nothing and the
+//!   response is released immediately. The journal is synced only by
+//!   the snapshot cadence (every [`super::SNAPSHOT_EVERY`] ops) and the
+//!   shutdown snapshot, so a power cut may lose acknowledged commits; a
+//!   process kill loses nothing, because the bytes are already in the
+//!   file.
 //!
 //! # Failure containment
 //!
@@ -32,8 +36,7 @@
 //! The journal file itself is left intact — every record that reached
 //! memory is still in the file, so replay after restart converges with
 //! (or ahead of) what clients observed, never behind an acknowledged
-//! commit. In strict mode a sync failure is handled inline with a
-//! truncate-and-refuse, so no poisoning is needed.
+//! commit.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -50,22 +53,19 @@ use crate::vfs::{Vfs, VfsFile};
 /// When a mutating request is acknowledged relative to its `fsync`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Durability {
-    /// One `sync_data` per append, inline; ack after durable.
-    Strict,
     /// Appends stage onto the group-commit queue; ack after the batched
     /// `fsync` covers the record. The default.
     #[default]
     Group,
-    /// Ack before `fsync`; a crash may lose acknowledged work.
+    /// Ack before `fsync`; a power cut may lose acknowledged commits.
     Relaxed,
 }
 
 impl Durability {
-    /// Parse a CLI spelling (`strict` / `group` / `relaxed`).
+    /// Parse a CLI spelling (`group` / `relaxed`).
     #[must_use]
     pub fn parse(s: &str) -> Option<Durability> {
         match s {
-            "strict" => Some(Durability::Strict),
             "group" => Some(Durability::Group),
             "relaxed" => Some(Durability::Relaxed),
             _ => None,
@@ -76,7 +76,6 @@ impl Durability {
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
-            Durability::Strict => "strict",
             Durability::Group => "group",
             Durability::Relaxed => "relaxed",
         }
@@ -139,27 +138,6 @@ impl SharedJournal {
             let _ = inner.file.set_len(offset);
             return Err(e.into());
         }
-        Ok(())
-    }
-
-    /// Append `line` and `sync_data` inline (strict mode). On a failed
-    /// sync the record is truncated away and the caller is expected to
-    /// roll its in-memory state back, leaving no trace of the op.
-    pub(crate) fn append_synced(&self, line: &[u8]) -> Result<(), ServeError> {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.poisoned {
-            return Err(Self::poisoned_err());
-        }
-        let offset = inner.file.len()?;
-        if let Err(e) = inner.file.write_all(line) {
-            let _ = inner.file.set_len(offset);
-            return Err(e.into());
-        }
-        if let Err(e) = inner.file.sync_data() {
-            let _ = inner.file.set_len(offset);
-            return Err(e.into());
-        }
-        inner.synced_len = offset + line.len() as u64;
         Ok(())
     }
 
@@ -246,15 +224,6 @@ impl Waiter {
                 cv: Condvar::new(),
             }),
         }
-    }
-
-    /// A waiter that is already resolved (used by non-deferring modes
-    /// so callers can treat every mode uniformly).
-    #[must_use]
-    pub fn resolved(result: Result<(), String>) -> Waiter {
-        let w = Waiter::new();
-        w.complete(result);
-        w
     }
 
     fn complete(&self, result: Result<(), String>) {

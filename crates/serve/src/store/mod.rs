@@ -19,12 +19,13 @@
 //! Every accepted mutation is appended to the owning project's journal
 //! *before* the response is sent, under the project lock. *When* the
 //! appended bytes are forced to stable storage — and when the client is
-//! told — is governed by [`Durability`]: `strict` fsyncs inline per op,
-//! `group` (the default) batches many ops into one fsync per journal
-//! per flusher round and defers the ack until the fsync covers the op,
-//! and `relaxed` acks immediately (see [`group`]). Journal *bytes* are
-//! written inline in every mode, so the byte stream is identical across
-//! modes. Restart
+//! told — is governed by [`Durability`]: `group` (the default) batches
+//! many ops into one fsync per journal per flusher round and defers the
+//! ack until the fsync covers the op, while `relaxed` acks immediately
+//! and leaves the journal to the snapshot cadence's inline sync (see
+//! [`group`]). Journal *bytes* are written inline in every mode, so the
+//! byte stream is identical across modes. Registrations wait for the
+//! flusher's fsync + rename of `project.json` in both modes. Restart
 //! recovery loads `snapshot.json` (if present), then replays the journal
 //! suffix past the snapshot's watermark through the same gate code that
 //! served the original requests; each replayed op's recorded outcome
@@ -182,8 +183,7 @@ pub struct ProjectStore {
     dir: PathBuf,
     journal: Arc<SharedJournal>,
     durability: Durability,
-    /// Shared flusher; `Some` in `group`/`relaxed` modes.
-    group: Option<Arc<GroupCommit>>,
+    group: Arc<GroupCommit>,
     ops_written: u64,
     /// Test seam: make the next append fail without touching the disk,
     /// so the rollback path is exercisable.
@@ -204,18 +204,16 @@ impl ProjectStore {
     /// write leaves an empty husk that a retry simply claims (and that
     /// [`Registry::open`] skips rather than refusing to boot over).
     ///
-    /// Under `group`/`relaxed` durability the registration record is
-    /// written to its temp sibling inline but the fsync + rename into
-    /// place ride the group-commit queue; the returned [`Waiter`]
-    /// resolves when the record is durable (`None` in strict mode,
-    /// where `write_atomic` already fsynced inline).
+    /// The registration record is written to its temp sibling inline
+    /// but the fsync + rename into place ride the group-commit queue;
+    /// the returned [`Waiter`] resolves when the record is durable.
     pub fn create(
         vfs: &Arc<dyn Vfs>,
         dir: &Path,
         project: &Project,
         durability: Durability,
-        group: Option<&Arc<GroupCommit>>,
-    ) -> Result<(ProjectStore, Option<Waiter>), ServeError> {
+        group: &Arc<GroupCommit>,
+    ) -> Result<(ProjectStore, Waiter), ServeError> {
         if vfs.exists(&dir.join("project.json")) {
             return Err(ServeError::Conflict(format!(
                 "project `{}` already exists",
@@ -268,26 +266,18 @@ impl ProjectStore {
         }
         let record = Value::object(fields);
         let record_path = dir.join("project.json");
-        // The testset blob above was fsynced inline in every mode, so
-        // the digest the record anchors always points at durable bytes
-        // by the time the record's rename lands.
-        let registration = match (durability, group) {
-            (Durability::Strict, _) | (_, None) => {
-                write_atomic(vfs.as_ref(), &record_path, record.pretty().as_bytes())?;
-                None
-            }
-            (_, Some(group)) => {
-                let tmp = record_path.with_extension("tmp");
-                let mut file = vfs.create(&tmp)?;
-                file.write_all(record.pretty().as_bytes())?;
-                Some(group.stage(StagedOp::Install {
-                    vfs: Arc::clone(vfs),
-                    file,
-                    from: tmp,
-                    to: record_path,
-                }))
-            }
-        };
+        // The testset blob above was fsynced inline, so the digest the
+        // record anchors always points at durable bytes by the time the
+        // record's rename lands.
+        let tmp = record_path.with_extension("tmp");
+        let mut file = vfs.create(&tmp)?;
+        file.write_all(record.pretty().as_bytes())?;
+        let registration = group.stage(StagedOp::Install {
+            vfs: Arc::clone(vfs),
+            file,
+            from: tmp,
+            to: record_path,
+        });
         let journal = Arc::new(SharedJournal::new(
             vfs.open_append(&dir.join("journal.log"))?,
         )?);
@@ -297,7 +287,7 @@ impl ProjectStore {
                 dir: dir.to_owned(),
                 journal,
                 durability,
-                group: group.map(Arc::clone),
+                group: Arc::clone(group),
                 ops_written: 0,
                 #[cfg(test)]
                 fail_next_append: false,
@@ -326,7 +316,7 @@ impl ProjectStore {
         dir: &Path,
         estimator: &SampleSizeEstimator,
         durability: Durability,
-        group: Option<&Arc<GroupCommit>>,
+        group: &Arc<GroupCommit>,
     ) -> Result<(Project, ProjectStore), ServeError> {
         let record_path = dir.join("project.json");
         let text = vfs.read_to_string(&record_path)?;
@@ -431,7 +421,7 @@ impl ProjectStore {
                 dir: dir.to_owned(),
                 journal,
                 durability,
-                group: group.map(Arc::clone),
+                group: Arc::clone(group),
                 ops_written: ops,
                 #[cfg(test)]
                 fail_next_append: false,
@@ -540,19 +530,12 @@ impl ProjectStore {
         // A failed append must leave the journal exactly as it was: a
         // half-written line would corrupt the op that lands after it
         // (the shared journal truncates back on error; the caller rolls
-        // the in-memory mutation back either way). Strict mode also
-        // fsyncs inline — its sync failure truncates the record away so
-        // the refused op leaves no trace. Group mode stages a deferred
-        // sync and parks the waiter for the route layer to pick up;
-        // relaxed mode acks with the bytes still unsynced.
-        trace::time(Stage::JournalAppend, || match self.durability {
-            Durability::Strict => self.journal.append_synced(&line),
-            Durability::Group | Durability::Relaxed => self.journal.append(&line),
-        })?;
+        // the in-memory mutation back either way). Group mode stages a
+        // deferred sync and parks the waiter for the route layer to pick
+        // up; relaxed mode acks with the bytes still unsynced.
+        trace::time(Stage::JournalAppend, || self.journal.append(&line))?;
         if self.durability == Durability::Group {
-            if let Some(group) = &self.group {
-                group::set_pending(group.stage(StagedOp::Sync(Arc::clone(&self.journal))));
-            }
+            group::set_pending(self.group.stage(StagedOp::Sync(Arc::clone(&self.journal))));
         }
         self.ops_written += 1;
         if self.ops_written.is_multiple_of(SNAPSHOT_EVERY) {
@@ -577,7 +560,8 @@ impl ProjectStore {
     /// the (synced) snapshot but not the journal tail would otherwise
     /// make restart recovery reject the directory (`ops < skip_ops`).
     /// This inline sync runs in every durability mode — under `group` it
-    /// simply makes the flusher's next covering sync a no-op.
+    /// simply makes the flusher's next covering sync a no-op, and under
+    /// `relaxed` it is the only sync a journal gets while serving.
     ///
     /// # Errors
     ///
@@ -1211,9 +1195,9 @@ pub struct Registry {
     projects_dir: PathBuf,
     estimator: SampleSizeEstimator,
     durability: Durability,
-    /// The shared group-commit flusher; `Some` in `group`/`relaxed`
-    /// modes. Dropped (drained + joined) with the registry.
-    group: Option<Arc<GroupCommit>>,
+    /// The shared group-commit flusher. Dropped (drained + joined) with
+    /// the registry.
+    group: Arc<GroupCommit>,
     projects: RwLock<HashMap<String, Arc<Mutex<ProjectSlot>>>>,
     /// Names with a registration in flight: reserved before the durable
     /// store is created so the fsync happens outside the `projects` lock.
@@ -1263,7 +1247,7 @@ impl Registry {
 
     /// [`Registry::open`] with an injected filesystem — the seam the
     /// fault-injection harness and degraded-mode tests drive. Opens in
-    /// [`Durability::Strict`].
+    /// [`Durability::Group`].
     ///
     /// # Errors
     ///
@@ -1273,12 +1257,12 @@ impl Registry {
         estimator: SampleSizeEstimator,
         vfs: Arc<dyn Vfs>,
     ) -> Result<Registry, ServeError> {
-        Registry::open_with_durability(data_dir, estimator, vfs, Durability::Strict, None)
+        Registry::open_with_durability(data_dir, estimator, vfs, Durability::Group, None)
     }
 
-    /// [`Registry::open_with`] with an explicit durability mode. For
-    /// `group`/`relaxed` this spawns the shared group-commit flusher
-    /// (recording into `metrics` when given).
+    /// [`Registry::open_with`] with an explicit durability mode. Spawns
+    /// the shared group-commit flusher (recording into `metrics` when
+    /// given).
     ///
     /// # Errors
     ///
@@ -1290,10 +1274,7 @@ impl Registry {
         durability: Durability,
         metrics: Option<GroupMetrics>,
     ) -> Result<Registry, ServeError> {
-        let group = match durability {
-            Durability::Strict => None,
-            Durability::Group | Durability::Relaxed => Some(Arc::new(GroupCommit::new(metrics))),
-        };
+        let group = Arc::new(GroupCommit::new(metrics));
         let projects_dir = data_dir.join("projects");
         vfs.create_dir_all(&projects_dir)?;
         let mut projects = HashMap::new();
@@ -1308,8 +1289,7 @@ impl Registry {
                 );
                 continue;
             }
-            let (project, store) =
-                ProjectStore::open(&vfs, &path, &estimator, durability, group.as_ref())?;
+            let (project, store) = ProjectStore::open(&vfs, &path, &estimator, durability, &group)?;
             projects.insert(
                 project.name().to_owned(),
                 Arc::new(Mutex::new(ProjectSlot { project, store })),
@@ -1392,37 +1372,21 @@ impl Registry {
             &self.projects_dir.join(name),
             &project,
             self.durability,
-            self.group.as_ref(),
+            &self.group,
         );
-        let out = match result {
-            Ok((store, registration)) => {
-                // Group mode: the record's fsync + rename ride the
-                // flusher — wait for durability *before* the project
-                // becomes visible, so no commit can ever be journalled
-                // against a registration that might not survive a crash.
-                // Relaxed mode skips the wait (its whole point); a crash
-                // can then lose the acked registration, leaving only a
-                // reclaimable husk.
-                let durable = match (self.durability, registration) {
-                    (Durability::Group, Some(waiter)) => {
-                        waiter.wait().map_err(ServeError::Unavailable)
-                    }
-                    _ => Ok(()),
-                };
-                match durable {
-                    Ok(()) => {
-                        let slot = Arc::new(Mutex::new(ProjectSlot { project, store }));
-                        self.projects
-                            .write()
-                            .expect("registry poisoned")
-                            .insert(name.to_owned(), Arc::clone(&slot));
-                        Ok(slot)
-                    }
-                    Err(e) => Err(e),
-                }
-            }
-            Err(e) => Err(e),
-        };
+        // The record's fsync + rename ride the flusher: wait for them in
+        // every mode *before* the project becomes visible, so no commit
+        // is ever journalled (or acked) against a registration that a
+        // crash could undo.
+        let out = result.and_then(|(store, registration)| {
+            registration.wait().map_err(ServeError::Unavailable)?;
+            let slot = Arc::new(Mutex::new(ProjectSlot { project, store }));
+            self.projects
+                .write()
+                .expect("registry poisoned")
+                .insert(name.to_owned(), Arc::clone(&slot));
+            Ok(slot)
+        });
         self.registering
             .lock()
             .expect("registry poisoned")
@@ -1776,6 +1740,33 @@ mod tests {
             1,
             "stale journal must not leak into the reclaimed project"
         );
+    }
+
+    /// A registration is acknowledged only once `project.json` is in
+    /// place, in every mode: the process image taken the moment
+    /// `register` returns — flusher still running — boots with the
+    /// project, relaxed durability included.
+    #[test]
+    fn acked_registration_survives_a_kill_in_every_mode() {
+        let root = Path::new("/easeml-store-kill");
+        for durability in [Durability::Group, Durability::Relaxed] {
+            let disk = crate::vfs::MemVfs::new();
+            let registry = Registry::open_with_durability(
+                root,
+                serving_estimator(),
+                Arc::new(disk.clone()),
+                durability,
+                None,
+            )
+            .unwrap();
+            registry.register("alpha", SCRIPT, None).unwrap();
+            let rebooted =
+                Registry::open_with(root, serving_estimator(), Arc::new(disk.kill_view())).unwrap();
+            assert!(
+                rebooted.get("alpha").is_some(),
+                "{durability}: acked registration lost to a kill"
+            );
+        }
     }
 
     /// Deterministic prediction vectors over an all-zeros truth: `new`

@@ -12,13 +12,14 @@ use easeml_serve::Durability;
 /// past its durability class, no un-acked commit appears, survivor
 /// journals stay byte-faithful to the baseline. Runs on the global
 /// pool, so `EASEML_THREADS` (the CI matrix axis) varies the schedule's
-/// thread interleaving. Swept in `strict` and `group` — the group
-/// sweep kills the process at every flusher stage (record staged,
-/// batched, fsync issued, ack delivered) because each of those is an
-/// enumerated I/O operation of the baseline oplog.
+/// thread interleaving. Swept in `group` and `relaxed` — both kill the
+/// process at every flusher stage (registration staged, fsync issued,
+/// rename landed) because each of those is an enumerated I/O operation
+/// of the baseline oplog; the group sweep also hits every deferred
+/// journal sync.
 #[test]
 fn full_matrix_holds_durability_contract() {
-    for durability in [Durability::Strict, Durability::Group] {
+    for durability in [Durability::Group, Durability::Relaxed] {
         let report = run_matrix(&MatrixOptions {
             quick: false,
             seed: 7,
@@ -69,8 +70,8 @@ fn journal_bytes_identical_across_pool_widths() {
             .at("beta", 12, Fault::Fail(FaultKind::Enospc))
             .at("beta", 21, Fault::Fail(FaultKind::Eio))
             .at("", 2, Fault::Fail(FaultKind::Eio));
-        let narrow = journal_bytes_after_run(&Pool::new(1), seed, plan.clone(), Durability::Strict);
-        let wide = journal_bytes_after_run(&Pool::new(4), seed, plan, Durability::Strict);
+        let narrow = journal_bytes_after_run(&Pool::new(1), seed, plan.clone(), Durability::Group);
+        let wide = journal_bytes_after_run(&Pool::new(4), seed, plan, Durability::Group);
         assert_eq!(
             narrow.keys().collect::<Vec<_>>(),
             wide.keys().collect::<Vec<_>>(),
@@ -94,37 +95,37 @@ fn journal_bytes_identical_across_pool_widths() {
 /// machinery itself must not perturb the schedule).
 #[test]
 fn fault_free_run_identical_across_pool_widths() {
-    let narrow = journal_bytes_after_run(&Pool::new(1), 42, FaultPlan::new(), Durability::Strict);
-    let wide = journal_bytes_after_run(&Pool::new(4), 42, FaultPlan::new(), Durability::Strict);
+    let narrow = journal_bytes_after_run(&Pool::new(1), 42, FaultPlan::new(), Durability::Group);
+    let wide = journal_bytes_after_run(&Pool::new(4), 42, FaultPlan::new(), Durability::Group);
     assert_eq!(narrow, wide);
 }
 
 /// Group-commit changes *when* journal bytes become durable, never
 /// *which* bytes are written: records are serialized under the project
 /// lock in every mode, so the same schedule yields byte-identical
-/// journals in `strict` and `group` — at pool widths 1 and 4 alike.
+/// journals in `group` and `relaxed` — at pool widths 1 and 4 alike.
 /// This is the invariance that lets one fault-plan address space (and
 /// one baseline oplog) cover both modes.
 #[test]
 fn journal_bytes_identical_across_durability_modes() {
     for threads in [1usize, 4] {
         let pool = Pool::new(threads);
-        let strict = journal_bytes_after_run(&pool, 7, FaultPlan::new(), Durability::Strict);
         let group = journal_bytes_after_run(&pool, 7, FaultPlan::new(), Durability::Group);
+        let relaxed = journal_bytes_after_run(&pool, 7, FaultPlan::new(), Durability::Relaxed);
         assert_eq!(
-            strict.keys().collect::<Vec<_>>(),
             group.keys().collect::<Vec<_>>(),
+            relaxed.keys().collect::<Vec<_>>(),
             "{threads} threads: project sets differ across durability modes"
         );
-        for (project, bytes) in &strict {
+        for (project, bytes) in &group {
             assert!(
                 !bytes.is_empty(),
                 "{threads} threads: {project} journal empty"
             );
             assert_eq!(
                 Some(bytes),
-                group.get(project),
-                "{threads} threads: journal bytes for {project} differ between strict and group"
+                relaxed.get(project),
+                "{threads} threads: journal bytes for {project} differ between group and relaxed"
             );
         }
     }
