@@ -15,79 +15,6 @@ use crate::error::{CiError, EngineError, Result};
 use crate::eval::{VariableEstimates, MAX_TOPK_ESTIMATES};
 use std::ops::Range;
 
-/// A label (or prediction) vector bit-packed as per-class bitmaps: bit
-/// `i % 64` of word `i / 64` in class `c`'s bitmap is set iff item `i`
-/// carries class `c`. Equality tests between two vectors then become
-/// word-level AND + popcount instead of per-item compares — the
-/// measurement fast lane for `d`-only and disagreements-only conditions,
-/// where no (or few) oracle calls interrupt the scan.
-///
-/// Capped at [`ClassBitmaps::MAX_CLASSES`] classes to bound the packed
-/// size at 64 bits per item.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClassBitmaps {
-    len: usize,
-    words: usize,
-    classes: u32,
-    /// Class-major: class `c` occupies `bits[c*words .. (c+1)*words]`.
-    bits: Vec<u64>,
-}
-
-impl ClassBitmaps {
-    /// Maximum class count the packed representation accepts.
-    pub const MAX_CLASSES: u32 = 64;
-
-    /// Pack a vector of class labels. Returns `None` when the class
-    /// count is 0, exceeds [`ClassBitmaps::MAX_CLASSES`], or any label
-    /// falls outside `0..classes` (callers fall back to the per-item
-    /// path).
-    #[must_use]
-    pub fn from_labels(labels: &[u32], classes: u32) -> Option<ClassBitmaps> {
-        if classes == 0 || classes > Self::MAX_CLASSES {
-            return None;
-        }
-        let len = labels.len();
-        let words = len.div_ceil(64);
-        let mut bits = vec![0u64; classes as usize * words];
-        for (i, &label) in labels.iter().enumerate() {
-            if label >= classes {
-                return None;
-            }
-            bits[label as usize * words + i / 64] |= 1u64 << (i % 64);
-        }
-        Some(ClassBitmaps {
-            len,
-            words,
-            classes,
-            bits,
-        })
-    }
-
-    /// Items packed.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the packed vector is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Class count.
-    #[must_use]
-    pub fn classes(&self) -> u32 {
-        self.classes
-    }
-
-    /// The bitmap of class `c`.
-    fn class(&self, c: u32) -> &[u64] {
-        let c = c as usize;
-        &self.bits[c * self.words..(c + 1) * self.words]
-    }
-}
-
 /// How much ground-truth labelling a condition demands per testset item
 /// (§4.1.2). Ordered by cost: [`LabelDemand::Free`] <
 /// [`LabelDemand::Disagreements`] < [`LabelDemand::Full`].
@@ -142,7 +69,7 @@ pub fn formula_label_demand(formula: &Formula) -> LabelDemand {
 /// Evaluation counts derived by measuring prediction vectors against a
 /// (possibly partially labelled) testset — the wire currency of the
 /// serving layer's counts gate, produced server-side by
-/// [`Measurement::derive_counts`].
+/// [`Measurement::measure`].
 ///
 /// `new_correct` and `old_correct` credit *both* models on items whose
 /// label stayed unknown, so the pair is exact exactly where the formula's
@@ -343,12 +270,20 @@ pub struct CommitEstimates {
 
 /// Evaluation context for one commit: the testset (mutable: labels fill
 /// in lazily), an optional oracle, and the two prediction vectors.
+///
+/// [`Measurement::measure`] is the whole-pool entry the serving layer
+/// measures every predictions commit through; the range methods
+/// ([`Measurement::clause_lhs`] and friends) serve the engine's phased
+/// plans. Every fresh oracle pull is recorded
+/// ([`Measurement::fresh_labels`]), so a caller whose commit does not
+/// land can hand exactly those labels back ([`Testset::unset_label`]).
 pub struct Measurement<'a> {
     testset: &'a mut Testset,
     oracle: Option<&'a mut (dyn LabelOracle + 'static)>,
     old: &'a [u32],
     new: &'a [u32],
-    labels_requested: u64,
+    /// Items pulled from the oracle so far, in call order.
+    fresh: Vec<usize>,
 }
 
 impl std::fmt::Debug for Measurement<'_> {
@@ -356,10 +291,46 @@ impl std::fmt::Debug for Measurement<'_> {
         f.debug_struct("Measurement")
             .field("testset_len", &self.testset.len())
             .field("has_oracle", &self.oracle.is_some())
-            .field("labels_requested", &self.labels_requested)
+            .field("labels_requested", &self.fresh.len())
             .finish_non_exhaustive()
     }
 }
+
+/// The loud error for a label or prediction outside `0..classes`.
+fn out_of_class(what: &str, value: u32, item: usize, classes: u32) -> CiError {
+    CiError::Semantic(format!(
+        "{what} {value} for item {item} is outside the declared class range 0..{classes}"
+    ))
+}
+
+/// The first value at or above `bound`, if any. The in-range case costs
+/// one vectorised pass: an OR over the vector bounds every value from
+/// above, and when it does not settle the question (a bound that is not
+/// a power of two) the maximum does. Only a vector holding an offending
+/// value is scanned item by item.
+#[must_use]
+pub fn first_at_or_above(values: &[u32], bound: u32) -> Option<usize> {
+    if values.iter().fold(0, |any, &v| any | v) < bound
+        || values.iter().fold(0, |max, &v| max.max(v)) < bound
+    {
+        return None;
+    }
+    values.iter().position(|&v| v >= bound)
+}
+
+/// `LANE_BIT[j]` is bit `j` of a 32-bit half of the known mask. Testing
+/// `half & LANE_BIT[j]` is an AND and a compare per item, which
+/// vectorises on baseline x86-64 where a per-item variable shift does
+/// not.
+const LANE_BIT: [u32; 32] = {
+    let mut bits = [0; 32];
+    let mut j = 0;
+    while j < 32 {
+        bits[j] = 1 << j;
+        j += 1;
+    }
+    bits
+};
 
 impl<'a> Measurement<'a> {
     /// Create a measurement context.
@@ -394,14 +365,32 @@ impl<'a> Measurement<'a> {
             oracle,
             old,
             new,
-            labels_requested: 0,
+            fresh: Vec::new(),
         })
     }
 
     /// Fresh labels pulled from the oracle so far.
     #[must_use]
     pub fn labels_requested(&self) -> u64 {
-        self.labels_requested
+        self.fresh.len() as u64
+    }
+
+    /// The items pulled from the oracle so far, in call order — what a
+    /// rollback unsets. Also complete after an error: a pull that failed
+    /// labelled nothing.
+    #[must_use]
+    pub fn fresh_labels(&self) -> &[usize] {
+        &self.fresh
+    }
+
+    /// Item `i`'s label, pulled from the oracle (and recorded as fresh)
+    /// when the pool lacks it.
+    fn pull(&mut self, i: usize) -> Result<u32> {
+        let (label, fresh) = self.testset.require_label(i, self.oracle.as_deref_mut())?;
+        if fresh {
+            self.fresh.push(i);
+        }
+        Ok(label)
     }
 
     /// Label-free estimate of `d` over an index range.
@@ -437,10 +426,7 @@ impl<'a> Measurement<'a> {
         let len = range.len().max(1);
         let mut correct = 0usize;
         for i in range {
-            let (label, fresh) = self.testset.require_label(i, self.oracle.as_deref_mut())?;
-            if fresh {
-                self.labels_requested += 1;
-            }
+            let label = self.pull(i)?;
             let pred = if new { self.new[i] } else { self.old[i] };
             if pred == label {
                 correct += 1;
@@ -462,361 +448,211 @@ impl<'a> Measurement<'a> {
             if self.new[i] == self.old[i] {
                 continue; // contributes 0 regardless of the label
             }
-            let (label, fresh) = self.testset.require_label(i, self.oracle.as_deref_mut())?;
-            if fresh {
-                self.labels_requested += 1;
-            }
+            let label = self.pull(i)?;
             delta += i64::from(self.new[i] == label) - i64::from(self.old[i] == label);
         }
         Ok(delta as f64 / len as f64)
     }
 
-    /// Derive [`MeasuredCounts`] for a formula over a range, spending
-    /// only the labels the formula's [`LabelDemand`] requires:
+    /// Measure the whole pool for a formula in one pass, spending only
+    /// the labels the formula's [`LabelDemand`] requires:
     ///
     /// * [`LabelDemand::Free`]: no oracle calls;
     /// * [`LabelDemand::Disagreements`]: labels only where the two
     ///   models disagree (§4.1.2 difference trick);
-    /// * [`LabelDemand::Full`]: labels every item in the range.
+    /// * [`LabelDemand::Full`]: labels every item — always the case for
+    ///   metric formulas (`f1(...)`/`topk(...)`), which also get their
+    ///   [`PerClassCounts`]; plain formulas return `None` for them.
     ///
-    /// Items whose label is already cached in the testset are scored
-    /// exactly regardless of demand; items that stay unlabelled credit
-    /// both models (see [`MeasuredCounts`] for why this convention keeps
+    /// A pull pre-pass fetches the missing labels in ascending item
+    /// order; then one counting loop runs over the predictions, the
+    /// pool's label slots and its known mask. Items whose label is known
+    /// are scored exactly whatever the demand; items that stay unlabelled
+    /// credit both models (see [`MeasuredCounts`] for why this keeps
     /// every decision-relevant statistic exact).
     ///
     /// # Errors
     ///
-    /// Propagates label-acquisition failures. Rejects metric formulas
-    /// loudly: scalar counts cannot carry `f1(...)`/`topk(...)`
-    /// statistics, and measuring them here would silently produce counts
-    /// the gate cannot evaluate — use
-    /// [`Measurement::derive_counts_with_classes`].
-    pub fn derive_counts(
+    /// Propagates label-acquisition failures. Metric formulas are
+    /// checked against `classes` ([`validate_metric_formula`]), and a
+    /// label or prediction outside `0..classes` is refused at the first
+    /// such item, after the labels of the items before it (and its own)
+    /// were pulled. Plain formulas ignore `classes`.
+    pub fn measure(
         &mut self,
         formula: &Formula,
-        range: Range<usize>,
-    ) -> Result<MeasuredCounts> {
-        if formula.has_metric() {
-            return Err(CiError::Semantic(
-                "formula reads metric variables (f1/topk) that scalar counts cannot carry; \
-                 derive per-class confusion counts with derive_counts_with_classes"
-                    .into(),
-            ));
-        }
-        let demand = formula_label_demand(formula);
-        let spent_before = self.labels_requested;
-        let mut changed = 0u64;
-        let mut new_correct = 0u64;
-        let mut old_correct = 0u64;
-        for i in range.clone() {
-            let disagree = self.new[i] != self.old[i];
-            changed += u64::from(disagree);
-            let need = match demand {
-                LabelDemand::Free => false,
-                LabelDemand::Disagreements => disagree,
-                LabelDemand::Full => true,
-            };
-            let label = if need {
-                let (label, fresh) = self.testset.require_label(i, self.oracle.as_deref_mut())?;
-                if fresh {
-                    self.labels_requested += 1;
-                }
-                Some(label)
-            } else {
-                self.testset.label(i)
-            };
-            match label {
-                Some(label) => {
-                    new_correct += u64::from(self.new[i] == label);
-                    old_correct += u64::from(self.old[i] == label);
-                }
-                // Unknown label: identical credit to both models. The
-                // formula never reads the statistics this distorts (or
-                // the item would have been labelled above).
-                None => {
-                    new_correct += 1;
-                    old_correct += 1;
-                }
-            }
-        }
-        Ok(MeasuredCounts {
-            samples: range.len() as u64,
-            new_correct,
-            old_correct,
-            changed,
-            labels_spent: self.labels_requested - spent_before,
-        })
-    }
-
-    /// [`Measurement::derive_counts`] extended with the per-class
-    /// confusion counts metric formulas need. Plain formulas delegate to
-    /// the demand-driven path and return `None` for the per-class half;
-    /// metric formulas label every item in the range ([`LabelDemand::Full`])
-    /// and tally [`PerClassCounts`] alongside the scalar counts.
-    ///
-    /// # Errors
-    ///
-    /// Propagates label-acquisition failures; rejects formulas the
-    /// declared class count cannot back ([`validate_metric_formula`]) and
-    /// labels or predictions outside `0..classes`.
-    pub fn derive_counts_with_classes(
-        &mut self,
-        formula: &Formula,
-        range: Range<usize>,
         classes: u32,
     ) -> Result<(MeasuredCounts, Option<PerClassCounts>)> {
-        if !formula.has_metric() {
-            return Ok((self.derive_counts(formula, range)?, None));
+        let metric = formula.has_metric();
+        let demand = if metric {
+            validate_metric_formula(formula, classes)?;
+            LabelDemand::Full
+        } else {
+            formula_label_demand(formula)
+        };
+        let spent_before = self.fresh.len();
+        let len = self.testset.len();
+        // Per-class tallies index by class: stop at the first item out
+        // of range, after pulling its label, as the per-item order does.
+        let stop = if metric {
+            self.first_out_of_class(classes)
+        } else {
+            len
+        };
+        self.pull_needed(demand, (stop + 1).min(len), metric.then_some(classes))?;
+        if stop < len {
+            let label = self.testset.label(stop).expect("pulled above");
+            return Err(if label >= classes {
+                out_of_class("label", label, stop, classes)
+            } else if self.old[stop] >= classes {
+                out_of_class("old prediction", self.old[stop], stop, classes)
+            } else {
+                out_of_class("new prediction", self.new[stop], stop, classes)
+            });
         }
-        validate_metric_formula(formula, classes)?;
-        let spent_before = self.labels_requested;
-        let mut per_class = PerClassCounts::zeroed(classes);
-        let mut changed = 0u64;
-        let mut new_correct = 0u64;
-        let mut old_correct = 0u64;
-        for i in range.clone() {
-            changed += u64::from(self.new[i] != self.old[i]);
-            let (label, fresh) = self.testset.require_label(i, self.oracle.as_deref_mut())?;
-            if fresh {
-                self.labels_requested += 1;
+        let (mut counts, per_class) = if metric {
+            let (counts, per_class) = self.count_per_class(classes);
+            (counts, Some(per_class))
+        } else {
+            (self.count(), None)
+        };
+        counts.labels_spent = (self.fresh.len() - spent_before) as u64;
+        Ok((counts, per_class))
+    }
+
+    /// The first item whose prediction, or known label, falls outside
+    /// `0..classes` (`len` when none does). Unknown label slots hold 0.
+    fn first_out_of_class(&self, classes: u32) -> usize {
+        let len = self.testset.len();
+        let labels = self.testset.label_slots();
+        let flagged = [self.old, self.new, labels]
+            .iter()
+            .any(|values| first_at_or_above(values, classes).is_some());
+        if !flagged {
+            return len;
+        }
+        (0..len)
+            .find(|&i| {
+                self.old[i] >= classes
+                    || self.new[i] >= classes
+                    || self.testset.label(i).is_some_and(|l| l >= classes)
+            })
+            .unwrap_or(len)
+    }
+
+    /// Pull, in ascending item order, every label `demand` needs that
+    /// the pool lacks among items `0..end` — the oracle call sequence of
+    /// the per-item loop. With `classes` set, a pulled label outside
+    /// `0..classes` stops the pass with the loud error.
+    fn pull_needed(&mut self, demand: LabelDemand, end: usize, classes: Option<u32>) -> Result<()> {
+        if demand == LabelDemand::Free {
+            return Ok(());
+        }
+        for base in (0..end).step_by(32) {
+            let unknown = !(self.testset.known_mask()[base / 64] >> (base % 64)) as u32;
+            if unknown == 0 {
+                continue;
             }
-            for (what, value) in [
-                ("label", label),
-                ("old prediction", self.old[i]),
-                ("new prediction", self.new[i]),
-            ] {
-                if value >= classes {
-                    return Err(CiError::Semantic(format!(
-                        "{what} {value} for item {i} is outside the declared class range 0..{classes}"
-                    )));
+            let top = (base + 32).min(end);
+            let need = match demand {
+                LabelDemand::Disagreements => {
+                    let items = self.old[base..top].iter().zip(&self.new[base..top]);
+                    items.zip(&LANE_BIT).fold(0, |bits, ((o, n), &bit)| {
+                        bits | (u32::from(o != n).wrapping_neg() & bit)
+                    })
+                }
+                _ => !0u32 >> (32 - (top - base)),
+            };
+            let mut fresh = need & unknown;
+            while fresh != 0 {
+                let i = base + fresh.trailing_zeros() as usize;
+                fresh &= fresh - 1;
+                let label = self.pull(i)?;
+                if let Some(classes) = classes.filter(|&c| label >= c) {
+                    return Err(out_of_class("label", label, i, classes));
                 }
             }
-            new_correct += u64::from(self.new[i] == label);
-            old_correct += u64::from(self.old[i] == label);
-            per_class.support[label as usize] += 1;
-            per_class.new_pred[self.new[i] as usize] += 1;
-            per_class.old_pred[self.old[i] as usize] += 1;
-            if self.new[i] == label {
-                per_class.new_tp[label as usize] += 1;
-            }
-            if self.old[i] == label {
-                per_class.old_tp[label as usize] += 1;
-            }
         }
-        let counts = MeasuredCounts {
-            samples: range.len() as u64,
-            new_correct,
-            old_correct,
-            changed,
-            labels_spent: self.labels_requested - spent_before,
-        };
-        Ok((counts, Some(per_class)))
+        Ok(())
     }
 
-    /// [`Measurement::derive_counts`] over the whole pool through the
-    /// bit-packed fast lane: predictions are packed into per-class
-    /// bitmaps and compared against a pre-packed `truth` word-level, so
-    /// `changed` and the correctness credits are popcounts instead of
-    /// per-item loops. Oracle traffic is identical to the per-item path:
-    /// fresh labels are pulled in ascending item order, exactly for the
-    /// items the formula's [`LabelDemand`] requires — the two paths are
-    /// bit-identical in counts, pool state, and oracle spend.
-    ///
-    /// `truth` must pack the same ground truth the testset's cached
-    /// labels come from (label `i` known ⇒ it equals `truth[i]`), cover
-    /// exactly the pool, and span every class the prediction vectors
-    /// use; when any of that fails to hold structurally (length or class
-    /// range mismatch) this falls back to the per-item path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates label-acquisition failures. Rejects metric formulas
-    /// loudly, like [`Measurement::derive_counts`] — use
-    /// [`Measurement::derive_counts_packed_with_classes`].
-    pub fn derive_counts_packed(
-        &mut self,
-        formula: &Formula,
-        truth: &ClassBitmaps,
-    ) -> Result<MeasuredCounts> {
-        if formula.has_metric() {
-            return Err(CiError::Semantic(
-                "formula reads metric variables (f1/topk) that scalar counts cannot carry; \
-                 derive per-class confusion counts with derive_counts_packed_with_classes"
-                    .into(),
-            ));
-        }
-        let len = self.testset.len();
-        let (Some(old), Some(new)) = (
-            ClassBitmaps::from_labels(self.old, truth.classes()),
-            ClassBitmaps::from_labels(self.new, truth.classes()),
-        ) else {
-            return self.derive_counts(formula, 0..len);
-        };
-        if truth.len() != len {
-            return self.derive_counts(formula, 0..len);
-        }
-        let demand = formula_label_demand(formula);
-        let spent_before = self.labels_requested;
-        let words = len.div_ceil(64);
-        let tail_mask = |w: usize| -> u64 {
-            if w + 1 == words && !len.is_multiple_of(64) {
-                (1u64 << (len % 64)) - 1
-            } else {
-                !0
+    /// The counting loop of a plain formula: `changed` over every item,
+    /// exact credit where the known mask says the label is known, both
+    /// models credited where it is not. Branch-free per item.
+    fn count(&self) -> MeasuredCounts {
+        let labels = self.testset.label_slots();
+        let mask = self.testset.known_mask();
+        // One 32-bit half of the mask per 32 items.
+        let halves = mask.iter().flat_map(|&w| [w as u32, (w >> 32) as u32]);
+        let (mut changed, mut new_hits, mut old_hits) = (0u64, 0u64, 0u64);
+        let chunks = self.old.chunks(32).zip(self.new.chunks(32));
+        for ((old, new), (labels, half)) in chunks.zip(labels.chunks(32).zip(halves)) {
+            let (mut c, mut n_hit, mut o_hit) = (0u32, 0u32, 0u32);
+            let items = old.iter().zip(new).zip(labels).zip(&LANE_BIT);
+            for (((&o, &n), &l), &bit) in items {
+                let known = u32::from(half & bit != 0);
+                c += u32::from(o != n);
+                n_hit += u32::from(n == l) & known;
+                o_hit += u32::from(o == l) & known;
             }
-        };
-
-        // Agreement: per class, both models predict it; union over
-        // classes. Tail bits beyond `len` stay zero in every bitmap.
-        let mut disagree = vec![0u64; words];
-        for c in 0..truth.classes() {
-            let (o, n) = (old.class(c), new.class(c));
-            for w in 0..words {
-                disagree[w] |= o[w] & n[w];
-            }
+            changed += u64::from(c);
+            new_hits += u64::from(n_hit);
+            old_hits += u64::from(o_hit);
         }
-        let mut changed = 0u64;
-        for (w, word) in disagree.iter_mut().enumerate() {
-            *word = !*word & tail_mask(w);
-            changed += u64::from(word.count_ones());
-        }
-
-        // Pull the labels the demand requires, ascending — the same
-        // oracle call sequence the per-item path makes.
-        let mut known = self.testset.known_words();
-        for w in 0..words {
-            let need = match demand {
-                LabelDemand::Free => 0,
-                LabelDemand::Disagreements => disagree[w],
-                LabelDemand::Full => tail_mask(w),
-            };
-            let mut fresh = need & !known[w];
-            while fresh != 0 {
-                let bit = fresh.trailing_zeros() as usize;
-                let i = w * 64 + bit;
-                self.testset.require_label(i, self.oracle.as_deref_mut())?;
-                self.labels_requested += 1;
-                known[w] |= 1u64 << bit;
-                fresh &= fresh - 1;
-            }
-        }
-
-        // Correctness credit: exact where the label is known, both
-        // models credited where it is not (see `derive_counts`).
-        let mut unknown = 0u64;
-        let mut new_correct = 0u64;
-        let mut old_correct = 0u64;
-        for (w, word) in known.iter().enumerate() {
-            unknown += u64::from((!word & tail_mask(w)).count_ones());
-        }
-        for c in 0..truth.classes() {
-            let (t, o, n) = (truth.class(c), old.class(c), new.class(c));
-            for w in 0..words {
-                let scored = t[w] & known[w];
-                new_correct += u64::from((n[w] & scored).count_ones());
-                old_correct += u64::from((o[w] & scored).count_ones());
-            }
-        }
-        Ok(MeasuredCounts {
-            samples: len as u64,
-            new_correct: new_correct + unknown,
-            old_correct: old_correct + unknown,
+        let unknown = (self.testset.len() - self.testset.labeled_count()) as u64;
+        MeasuredCounts {
+            samples: self.testset.len() as u64,
+            new_correct: new_hits + unknown,
+            old_correct: old_hits + unknown,
             changed,
-            labels_spent: self.labels_requested - spent_before,
-        })
+            labels_spent: 0,
+        }
     }
 
-    /// [`Measurement::derive_counts_with_classes`] through the bit-packed
-    /// fast lane. Plain formulas delegate to
-    /// [`Measurement::derive_counts_packed`]; metric formulas pull every
-    /// label (ascending, same oracle sequence as the per-item path) and
-    /// read the per-class confusion counts off word-level popcounts —
-    /// bit-identical to the scalar lane in counts, pool state, and oracle
-    /// spend. Falls back to the per-item path when the predictions fail
-    /// to pack or `truth` does not cover the pool.
-    ///
-    /// # Errors
-    ///
-    /// Propagates label-acquisition failures; rejects formulas the class
-    /// count cannot back ([`validate_metric_formula`]).
-    pub fn derive_counts_packed_with_classes(
-        &mut self,
-        formula: &Formula,
-        truth: &ClassBitmaps,
-    ) -> Result<(MeasuredCounts, Option<PerClassCounts>)> {
-        if !formula.has_metric() {
-            return Ok((self.derive_counts_packed(formula, truth)?, None));
-        }
-        let len = self.testset.len();
-        let (Some(old), Some(new)) = (
-            ClassBitmaps::from_labels(self.old, truth.classes()),
-            ClassBitmaps::from_labels(self.new, truth.classes()),
-        ) else {
-            return self.derive_counts_with_classes(formula, 0..len, truth.classes());
-        };
-        if truth.len() != len {
-            return self.derive_counts_with_classes(formula, 0..len, truth.classes());
-        }
-        validate_metric_formula(formula, truth.classes())?;
-        let spent_before = self.labels_requested;
-        let words = len.div_ceil(64);
-        let tail_mask = |w: usize| -> u64 {
-            if w + 1 == words && !len.is_multiple_of(64) {
-                (1u64 << (len % 64)) - 1
-            } else {
-                !0
-            }
-        };
-
+    /// The counting loop of a metric formula, once every label is known
+    /// and every value lies in `0..classes`: the scalar counts plus the
+    /// per-class confusion tallies. Three tallies per item: predictions
+    /// per class for each model, and per true class a 4-way split by
+    /// which models got the item right (support, `new_tp` and `old_tp`
+    /// all read off it).
+    fn count_per_class(&self, classes: u32) -> (MeasuredCounts, PerClassCounts) {
+        let c = classes as usize;
+        let (mut by_label, mut new_pred, mut old_pred) =
+            (vec![0u64; 4 * c], vec![0; c], vec![0; c]);
         let mut changed = 0u64;
-        for w in 0..words {
-            let mut agree = 0u64;
-            for c in 0..truth.classes() {
-                agree |= old.class(c)[w] & new.class(c)[w];
-            }
-            changed += u64::from((!agree & tail_mask(w)).count_ones());
+        let items = self
+            .old
+            .iter()
+            .zip(self.new)
+            .zip(self.testset.label_slots());
+        for ((&o, &n), &l) in items {
+            changed += u64::from(o != n);
+            by_label[4 * l as usize + 2 * usize::from(n == l) + usize::from(o == l)] += 1;
+            new_pred[n as usize] += 1;
+            old_pred[o as usize] += 1;
         }
-
-        // Metric demand is Full: pull every missing label, ascending —
-        // the same oracle call sequence the per-item path makes.
-        let known = self.testset.known_words();
-        for (w, word) in known.iter().enumerate() {
-            let mut fresh = tail_mask(w) & !word;
-            while fresh != 0 {
-                let bit = fresh.trailing_zeros() as usize;
-                self.testset
-                    .require_label(w * 64 + bit, self.oracle.as_deref_mut())?;
-                self.labels_requested += 1;
-                fresh &= fresh - 1;
-            }
-        }
-
-        // Every item is labelled now, so the confusion counts are plain
-        // popcounts against the truth bitmaps (zero beyond `len`).
-        let mut per_class = PerClassCounts::zeroed(truth.classes());
-        let mut new_correct = 0u64;
-        let mut old_correct = 0u64;
-        for c in 0..truth.classes() {
-            let (t, o, n) = (truth.class(c), old.class(c), new.class(c));
-            let ci = c as usize;
-            for w in 0..words {
-                per_class.support[ci] += u64::from(t[w].count_ones());
-                per_class.new_pred[ci] += u64::from(n[w].count_ones());
-                per_class.old_pred[ci] += u64::from(o[w].count_ones());
-                per_class.new_tp[ci] += u64::from((n[w] & t[w]).count_ones());
-                per_class.old_tp[ci] += u64::from((o[w] & t[w]).count_ones());
-            }
-            new_correct += per_class.new_tp[ci];
-            old_correct += per_class.old_tp[ci];
-        }
-        let counts = MeasuredCounts {
-            samples: len as u64,
-            new_correct,
-            old_correct,
-            changed,
-            labels_spent: self.labels_requested - spent_before,
+        let split = |ways: [usize; 2]| -> Vec<u64> {
+            by_label
+                .chunks(4)
+                .map(|t| t[ways[0]] + t[ways[1]])
+                .collect()
         };
-        Ok((counts, Some(per_class)))
+        let pc = PerClassCounts {
+            classes,
+            support: by_label.chunks(4).map(|t| t.iter().sum()).collect(),
+            new_tp: split([2, 3]),
+            old_tp: split([1, 3]),
+            new_pred,
+            old_pred,
+        };
+        let counts = MeasuredCounts {
+            samples: self.testset.len() as u64,
+            new_correct: pc.new_tp.iter().sum(),
+            old_correct: pc.old_tp.iter().sum(),
+            changed,
+            labels_spent: 0,
+        };
+        (counts, pc)
     }
 
     /// Measure the left-hand side of a clause over a range, choosing the
@@ -838,7 +674,7 @@ impl<'a> Measurement<'a> {
         if form.has_metric() {
             return Err(CiError::Semantic(format!(
                 "clause `{clause}` reads metric variables (f1/topk); evaluate it from \
-                 per-class counts (derive_counts_with_classes), not clause_lhs"
+                 per-class counts (Measurement::measure), not clause_lhs"
             )));
         }
         let a_n = form.coefficient(Var::N);
@@ -1000,57 +836,54 @@ mod tests {
     fn derive_counts_spends_only_what_the_formula_demands() {
         use crate::dsl::parse_formula;
         let (labels, old, new) = fixture();
-        // d-only: zero labels, exact `changed`; unknown items credit both.
-        {
-            let mut testset = Testset::unlabeled(10);
-            let mut m = Measurement::new(&mut testset, None, &old, &new).unwrap();
-            let c = m
-                .derive_counts(&parse_formula("d < 0.2 +/- 0.05").unwrap(), 0..10)
+        let measure = |pool: &mut Testset, oracle: Option<&mut VecOracle>, text: &str| {
+            let oracle = oracle.map(|o| o as &mut (dyn LabelOracle + 'static));
+            let (counts, per_class) = Measurement::new(pool, oracle, &old, &new)
+                .unwrap()
+                .measure(&parse_formula(text).unwrap(), 2)
                 .unwrap();
-            assert_eq!((c.samples, c.changed, c.labels_spent), (10, 1, 0));
-            assert_eq!((c.new_correct, c.old_correct), (10, 10));
-        }
+            assert!(
+                per_class.is_none(),
+                "plain formulas carry no per-class counts"
+            );
+            counts
+        };
+        // d-only: zero labels, exact `changed`; unknown items credit both.
+        let c = measure(&mut Testset::unlabeled(10), None, "d < 0.2 +/- 0.05");
+        assert_eq!((c.samples, c.changed, c.labels_spent), (10, 1, 0));
+        assert_eq!((c.new_correct, c.old_correct), (10, 10));
         // n - o: only the single disagreement is labelled, and the
         // difference of the counts is the exact accuracy difference.
-        {
-            let mut testset = Testset::unlabeled(10);
-            let mut oracle = VecOracle::new(labels.clone());
-            let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
-            let c = m
-                .derive_counts(&parse_formula("n - o > 0.0 +/- 0.05").unwrap(), 0..10)
-                .unwrap();
-            assert_eq!(c.labels_spent, 1, "only item 8 disagrees");
-            assert_eq!(c.new_correct as i64 - c.old_correct as i64, 1);
-            assert_eq!(c.changed, 1);
-            assert_eq!(testset.labeled_count(), 1);
-        }
+        let mut testset = Testset::unlabeled(10);
+        let mut oracle = VecOracle::new(labels.clone());
+        let c = measure(&mut testset, Some(&mut oracle), "n - o > 0.0 +/- 0.05");
+        assert_eq!(c.labels_spent, 1, "only item 8 disagrees");
+        assert_eq!(c.new_correct as i64 - c.old_correct as i64, 1);
+        assert_eq!(c.changed, 1);
+        assert_eq!(testset.labeled_count(), 1);
         // Bare n: full labelling, exact confusion counts.
-        {
-            let mut testset = Testset::unlabeled(10);
-            let mut oracle = VecOracle::new(labels.clone());
-            let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
-            let c = m
-                .derive_counts(&parse_formula("n > 0.5 +/- 0.1").unwrap(), 0..10)
-                .unwrap();
-            assert_eq!(c.labels_spent, 10);
-            assert_eq!((c.new_correct, c.old_correct, c.changed), (9, 8, 1));
-        }
+        let mut oracle = VecOracle::new(labels.clone());
+        let c = measure(
+            &mut Testset::unlabeled(10),
+            Some(&mut oracle),
+            "n > 0.5 +/- 0.1",
+        );
+        assert_eq!(c.labels_spent, 10);
+        assert_eq!((c.new_correct, c.old_correct, c.changed), (9, 8, 1));
         // Fully labelled pool: counts are the true confusion counts and
         // nothing is spent, whatever the demand.
-        {
-            let mut testset = Testset::fully_labeled(labels);
-            let mut m = Measurement::new(&mut testset, None, &old, &new).unwrap();
-            let c = m
-                .derive_counts(&parse_formula("d < 0.2 +/- 0.05").unwrap(), 0..10)
-                .unwrap();
-            assert_eq!((c.new_correct, c.old_correct, c.labels_spent), (9, 8, 0));
-        }
+        let c = measure(
+            &mut Testset::fully_labeled(labels),
+            None,
+            "d < 0.2 +/- 0.05",
+        );
+        assert_eq!((c.new_correct, c.old_correct, c.labels_spent), (9, 8, 0));
     }
 
     #[test]
     fn derived_counts_reproduce_clause_lhs() {
         // The equivalence the serving gate rests on: evaluating a clause
-        // at the derived counts' point estimates gives exactly the value
+        // at the measured counts' point estimates gives exactly the value
         // the measurement layer would have measured for it.
         use crate::dsl::parse_formula;
         let (labels, old, new) = fixture();
@@ -1064,7 +897,7 @@ mod tests {
             let mut testset = Testset::unlabeled(10);
             let mut oracle = VecOracle::new(labels.clone());
             let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
-            let c = m.derive_counts(&formula, 0..10).unwrap();
+            let (c, _) = m.measure(&formula, 2).unwrap();
             let s = c.samples as f64;
             let est = crate::eval::VariableEstimates::new(
                 c.new_correct as f64 / s,
@@ -1092,12 +925,88 @@ mod tests {
         let mut testset = Testset::unlabeled(10);
         let mut m = Measurement::new(&mut testset, None, &old, &new).unwrap();
         assert!(m
-            .derive_counts(&parse_formula("n > 0.5 +/- 0.1").unwrap(), 0..10)
+            .measure(&parse_formula("n > 0.5 +/- 0.1").unwrap(), 2)
             .is_err());
     }
 
-    /// Deterministic xorshift generator for the packed-vs-scalar
-    /// property sweep.
+    /// The per-item measurement loop, one item at a time over any range:
+    /// the reference [`Measurement::measure`]'s equivalence tests pin
+    /// against.
+    fn derive_counts_with_classes(
+        m: &mut Measurement<'_>,
+        formula: &Formula,
+        range: Range<usize>,
+        classes: u32,
+    ) -> Result<(MeasuredCounts, Option<PerClassCounts>)> {
+        let metric = formula.has_metric();
+        if metric {
+            validate_metric_formula(formula, classes)?;
+        }
+        let demand = if metric {
+            LabelDemand::Full
+        } else {
+            formula_label_demand(formula)
+        };
+        let spent_before = m.fresh.len();
+        let mut per_class = metric.then(|| PerClassCounts::zeroed(classes));
+        let mut changed = 0u64;
+        let mut new_correct = 0u64;
+        let mut old_correct = 0u64;
+        for i in range.clone() {
+            let disagree = m.new[i] != m.old[i];
+            changed += u64::from(disagree);
+            let need = match demand {
+                LabelDemand::Free => false,
+                LabelDemand::Disagreements => disagree,
+                LabelDemand::Full => true,
+            };
+            let label = if need {
+                Some(m.pull(i)?)
+            } else {
+                m.testset.label(i)
+            };
+            let Some(label) = label else {
+                // Unknown label: identical credit to both models. The
+                // formula never reads the statistics this distorts (or
+                // the item would have been labelled above).
+                new_correct += 1;
+                old_correct += 1;
+                continue;
+            };
+            new_correct += u64::from(m.new[i] == label);
+            old_correct += u64::from(m.old[i] == label);
+            if let Some(pc) = per_class.as_mut() {
+                for (what, value) in [
+                    ("label", label),
+                    ("old prediction", m.old[i]),
+                    ("new prediction", m.new[i]),
+                ] {
+                    if value >= classes {
+                        return Err(out_of_class(what, value, i, classes));
+                    }
+                }
+                pc.support[label as usize] += 1;
+                pc.new_pred[m.new[i] as usize] += 1;
+                pc.old_pred[m.old[i] as usize] += 1;
+                if m.new[i] == label {
+                    pc.new_tp[label as usize] += 1;
+                }
+                if m.old[i] == label {
+                    pc.old_tp[label as usize] += 1;
+                }
+            }
+        }
+        let counts = MeasuredCounts {
+            samples: range.len() as u64,
+            new_correct,
+            old_correct,
+            changed,
+            labels_spent: (m.fresh.len() - spent_before) as u64,
+        };
+        Ok((counts, per_class))
+    }
+
+    /// Deterministic xorshift generator for the measurement sweeps.
     struct Rng(u64);
     impl Rng {
         fn next(&mut self) -> u64 {
@@ -1111,6 +1020,81 @@ mod tests {
         fn below(&mut self, bound: u64) -> u64 {
             self.next() % bound
         }
+        fn vec(&mut self, len: usize, bound: u32) -> Vec<u32> {
+            (0..len)
+                .map(|_| self.below(u64::from(bound)) as u32)
+                .collect()
+        }
+    }
+
+    /// A ground-truth oracle that records every call, index by index.
+    struct RecordingOracle {
+        truth: Vec<u32>,
+        calls: Vec<usize>,
+    }
+
+    impl LabelOracle for RecordingOracle {
+        fn label(&mut self, index: usize) -> Option<u32> {
+            self.calls.push(index);
+            self.truth.get(index).copied()
+        }
+    }
+
+    /// Everything one measurement leaves behind: its result (errors as
+    /// text), the pool, the oracle's calls and the recorded fresh pulls.
+    type Outcome = (
+        std::result::Result<(MeasuredCounts, Option<PerClassCounts>), String>,
+        Testset,
+        Vec<usize>,
+        Vec<usize>,
+    );
+
+    /// Measure `old`/`new` over a copy of `pool` (an oracle over `truth`
+    /// when `oracle` is set) through [`Measurement::measure`] and through
+    /// the per-item reference.
+    #[allow(clippy::too_many_arguments)]
+    fn measure_both(
+        formula: &Formula,
+        classes: u32,
+        pool: &Testset,
+        truth: &[u32],
+        oracle: bool,
+        old: &[u32],
+        new: &[u32],
+    ) -> [Outcome; 2] {
+        [false, true].map(|reference| {
+            let mut pool = pool.clone();
+            let mut recorder = RecordingOracle {
+                truth: truth.to_vec(),
+                calls: Vec::new(),
+            };
+            let dyn_oracle: Option<&mut (dyn LabelOracle + 'static)> =
+                if oracle { Some(&mut recorder) } else { None };
+            let mut m = Measurement::new(&mut pool, dyn_oracle, old, new).unwrap();
+            let result = if reference {
+                derive_counts_with_classes(&mut m, formula, 0..old.len(), classes)
+            } else {
+                m.measure(formula, classes)
+            };
+            let fresh = m.fresh_labels().to_vec();
+            (
+                result.map_err(|e| e.to_string()),
+                pool,
+                recorder.calls,
+                fresh,
+            )
+        })
+    }
+
+    /// Assert the one pass and the per-item reference agree on counts,
+    /// per-class counts, errors, pool state and the oracle's calls.
+    fn assert_same(outcomes: &[Outcome; 2], what: &str) {
+        let [(got, got_pool, got_calls, got_fresh), (want, want_pool, want_calls, want_fresh)] =
+            outcomes;
+        assert_eq!(got, want, "{what}: result");
+        assert_eq!(got_pool, want_pool, "{what}: label pool");
+        assert_eq!(got_calls, want_calls, "{what}: oracle calls");
+        assert_eq!(got_fresh, want_fresh, "{what}: fresh labels");
     }
 
     #[test]
@@ -1129,48 +1113,19 @@ mod tests {
         for trial in 0..40 {
             let len = 1 + rng.below(130) as usize; // crosses word boundaries
             let classes = 1 + rng.below(7) as u32;
-            let truth: Vec<u32> = (0..len)
-                .map(|_| rng.below(u64::from(classes)) as u32)
-                .collect();
-            let old: Vec<u32> = (0..len)
-                .map(|_| rng.below(u64::from(classes)) as u32)
-                .collect();
-            let new: Vec<u32> = (0..len)
-                .map(|_| rng.below(u64::from(classes)) as u32)
-                .collect();
+            let truth = rng.vec(len, classes);
+            let old = rng.vec(len, classes);
+            let new = rng.vec(len, classes);
             // Random partial pre-labelling (always consistent with truth).
-            let prelabeled: Vec<usize> = (0..len).filter(|_| rng.below(4) == 0).collect();
-            let truth_bits = ClassBitmaps::from_labels(&truth, classes).unwrap();
+            let mut pool = Testset::unlabeled(len);
+            for i in (0..len).filter(|_| rng.below(4) == 0) {
+                pool.set_label(i, truth[i]);
+            }
             for text in formulas {
                 let formula = parse_formula(text).unwrap();
-                let mut scalar_pool = Testset::unlabeled(len);
-                let mut packed_pool = Testset::unlabeled(len);
-                for &i in &prelabeled {
-                    scalar_pool.set_label(i, truth[i]);
-                    packed_pool.set_label(i, truth[i]);
-                }
-                let mut scalar_oracle = VecOracle::new(truth.clone());
-                let mut packed_oracle = VecOracle::new(truth.clone());
-                let scalar =
-                    Measurement::new(&mut scalar_pool, Some(&mut scalar_oracle), &old, &new)
-                        .unwrap()
-                        .derive_counts(&formula, 0..len)
-                        .unwrap();
-                let packed =
-                    Measurement::new(&mut packed_pool, Some(&mut packed_oracle), &old, &new)
-                        .unwrap()
-                        .derive_counts_packed(&formula, &truth_bits)
-                        .unwrap();
-                assert_eq!(packed, scalar, "trial {trial} formula {text}");
-                assert_eq!(
-                    packed_pool, scalar_pool,
-                    "label pools diverged: trial {trial} formula {text}"
-                );
-                assert_eq!(
-                    packed_oracle.labels_served(),
-                    scalar_oracle.labels_served(),
-                    "oracle spend diverged: trial {trial} formula {text}"
-                );
+                let outcomes = measure_both(&formula, classes, &pool, &truth, true, &old, &new);
+                assert!(outcomes[0].0.is_ok());
+                assert_same(&outcomes, &format!("trial {trial} formula {text}"));
             }
         }
     }
@@ -1178,26 +1133,50 @@ mod tests {
     #[test]
     fn packed_derive_counts_falls_back_and_errors_like_scalar() {
         use crate::dsl::parse_formula;
-        let (_, old, new) = fixture();
-        let formula = parse_formula("n > 0.5 +/- 0.1").unwrap();
+        let (labels, old, new) = fixture();
         // Missing oracle under Full demand errors exactly like the
-        // per-item path (ascending order ⇒ same first failing item).
-        let truth_bits = ClassBitmaps::from_labels(&[0u32; 10], 2).unwrap();
-        let mut pool = Testset::unlabeled(10);
-        let mut m = Measurement::new(&mut pool, None, &old, &new).unwrap();
-        assert!(m.derive_counts_packed(&formula, &truth_bits).is_err());
-        // A truth packing that does not cover the pool falls back to the
-        // per-item path rather than mis-counting.
-        let short = ClassBitmaps::from_labels(&[0u32; 4], 2).unwrap();
-        let mut pool = Testset::fully_labeled(vec![0u32; 10]);
-        let mut m = Measurement::new(&mut pool, None, &old, &new).unwrap();
-        let c = m.derive_counts_packed(&formula, &short).unwrap();
-        assert_eq!((c.new_correct, c.old_correct), (9, 8));
-        // Class counts outside the packable range refuse to pack.
-        assert!(ClassBitmaps::from_labels(&[0], 0).is_none());
-        assert!(ClassBitmaps::from_labels(&[0], 65).is_none());
-        assert!(ClassBitmaps::from_labels(&[7], 4).is_none());
-        assert!(ClassBitmaps::from_labels(&[63], 64).is_some());
+        // per-item path (ascending order ⇒ same first failing item), on
+        // an empty pool and on a partly labelled one.
+        let formula = parse_formula("n > 0.5 +/- 0.1").unwrap();
+        let mut partial = Testset::unlabeled(10);
+        partial.set_label(0, 0);
+        for pool in [Testset::unlabeled(10), partial] {
+            let outcomes = measure_both(&formula, 2, &pool, &labels, false, &old, &new);
+            assert!(outcomes[0].0.is_err());
+            assert_same(&outcomes, "no oracle");
+        }
+        // An oracle that runs dry mid-pass stops both at the same item,
+        // keeping the labels pulled before it.
+        let outcomes = measure_both(
+            &formula,
+            2,
+            &Testset::unlabeled(10),
+            &labels[..6],
+            true,
+            &old,
+            &new,
+        );
+        assert!(outcomes[0].0.as_ref().unwrap_err().contains("6"));
+        assert_eq!(outcomes[0].1.labeled_count(), 6);
+        assert_same(&outcomes, "short oracle");
+        // No class cap: 65 and 70 classes measure like 2 do.
+        let f1 = parse_formula("f1(n) - f1(o) > -0.1 +/- 0.1").unwrap();
+        let wide: Vec<u32> = (0..130u32).map(|i| i % 70).collect();
+        let shifted: Vec<u32> = wide.iter().map(|&v| (v + 1) % 70).collect();
+        for classes in [65, 70] {
+            let truth: Vec<u32> = wide.iter().map(|&v| v % classes).collect();
+            let outcomes = measure_both(
+                &f1,
+                classes,
+                &Testset::unlabeled(130),
+                &truth,
+                true,
+                &truth,
+                &shifted.iter().map(|&v| v % classes).collect::<Vec<_>>(),
+            );
+            assert!(outcomes[0].0.is_ok());
+            assert_same(&outcomes, &format!("{classes} classes"));
+        }
     }
 
     #[test]
@@ -1220,24 +1199,18 @@ mod tests {
 
     #[test]
     fn scalar_count_paths_reject_metric_formulas_loudly() {
-        use crate::dsl::{parse_clause, parse_formula};
+        use crate::dsl::parse_clause;
         let (labels, old, new) = fixture();
-        let formula = parse_formula("f1(n) - f1(o) > -0.02 +/- 0.01").unwrap();
-        let truth_bits = ClassBitmaps::from_labels(&labels, 2).unwrap();
         let mut testset = Testset::fully_labeled(labels);
         let mut m = Measurement::new(&mut testset, None, &old, &new).unwrap();
-        for err in [
-            m.derive_counts(&formula, 0..10).unwrap_err(),
-            m.derive_counts_packed(&formula, &truth_bits).unwrap_err(),
-            m.clause_lhs(&parse_clause("f1(n) > 0.8 +/- 0.05").unwrap(), 0..10)
-                .unwrap_err(),
-        ] {
-            let msg = err.to_string();
-            assert!(
-                msg.contains("metric"),
-                "error not loud about metrics: {msg}"
-            );
-        }
+        let err = m
+            .clause_lhs(&parse_clause("f1(n) > 0.8 +/- 0.05").unwrap(), 0..10)
+            .unwrap_err();
+        let msg = err.to_string();
+        assert!(
+            msg.contains("metric"),
+            "error not loud about metrics: {msg}"
+        );
     }
 
     #[test]
@@ -1274,7 +1247,7 @@ mod tests {
         let mut testset = Testset::unlabeled(8);
         let mut oracle = VecOracle::new(truth.clone());
         let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
-        let (counts, per_class) = m.derive_counts_with_classes(&formula, 0..8, 3).unwrap();
+        let (counts, per_class) = m.measure(&formula, 3).unwrap();
         let pc = per_class.expect("metric formula tallies per-class counts");
         assert_eq!(counts.labels_spent, 8, "metric demand labels everything");
         assert_eq!(pc.labeled(), counts.samples);
@@ -1310,24 +1283,26 @@ mod tests {
     fn derive_counts_with_classes_rejects_out_of_range_values() {
         use crate::dsl::parse_formula;
         let formula = parse_formula("f1(n) > 0.5 +/- 0.1").unwrap();
-        // Label 2 exceeds the declared 2 classes.
-        let truth = vec![0u32, 1, 2];
-        let old = vec![0u32, 1, 1];
-        let new = vec![0u32, 1, 1];
-        let mut testset = Testset::unlabeled(3);
-        let mut oracle = VecOracle::new(truth);
-        let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
-        let err = m.derive_counts_with_classes(&formula, 0..3, 2).unwrap_err();
-        assert!(err.to_string().contains("class range"), "{err}");
-        // Prediction out of range is equally loud.
-        let truth = vec![0u32, 1, 1];
-        let bad_new = vec![0u32, 1, 7];
-        let old = vec![0u32, 1, 1];
-        let mut testset = Testset::unlabeled(3);
-        let mut oracle = VecOracle::new(truth);
-        let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &bad_new).unwrap();
-        let err = m.derive_counts_with_classes(&formula, 0..3, 2).unwrap_err();
-        assert!(err.to_string().contains("class range"), "{err}");
+        // Label 2 exceeds the declared 2 classes; then a prediction out
+        // of range is equally loud. Both paths stop at the same item.
+        let cases = [
+            (vec![0u32, 1, 2], vec![0u32, 1, 1], vec![0u32, 1, 1]),
+            (vec![0u32, 1, 1], vec![0u32, 1, 1], vec![0u32, 1, 7]),
+        ];
+        for (truth, old, new) in cases {
+            let outcomes = measure_both(
+                &formula,
+                2,
+                &Testset::unlabeled(3),
+                &truth,
+                true,
+                &old,
+                &new,
+            );
+            let err = outcomes[0].0.as_ref().unwrap_err();
+            assert!(err.contains("class range"), "{err}");
+            assert_same(&outcomes, "out of range");
+        }
     }
 
     #[test]
@@ -1343,47 +1318,18 @@ mod tests {
         for trial in 0..40 {
             let len = 1 + rng.below(130) as usize;
             let classes = 3 + rng.below(5) as u32; // ≥ 3 so every k fits
-            let truth: Vec<u32> = (0..len)
-                .map(|_| rng.below(u64::from(classes)) as u32)
-                .collect();
-            let old: Vec<u32> = (0..len)
-                .map(|_| rng.below(u64::from(classes)) as u32)
-                .collect();
-            let new: Vec<u32> = (0..len)
-                .map(|_| rng.below(u64::from(classes)) as u32)
-                .collect();
-            let prelabeled: Vec<usize> = (0..len).filter(|_| rng.below(4) == 0).collect();
-            let truth_bits = ClassBitmaps::from_labels(&truth, classes).unwrap();
+            let truth = rng.vec(len, classes);
+            let old = rng.vec(len, classes);
+            let new = rng.vec(len, classes);
+            let mut pool = Testset::unlabeled(len);
+            for i in (0..len).filter(|_| rng.below(4) == 0) {
+                pool.set_label(i, truth[i]);
+            }
             for text in formulas {
                 let formula = parse_formula(text).unwrap();
-                let mut scalar_pool = Testset::unlabeled(len);
-                let mut packed_pool = Testset::unlabeled(len);
-                for &i in &prelabeled {
-                    scalar_pool.set_label(i, truth[i]);
-                    packed_pool.set_label(i, truth[i]);
-                }
-                let mut scalar_oracle = VecOracle::new(truth.clone());
-                let mut packed_oracle = VecOracle::new(truth.clone());
-                let scalar =
-                    Measurement::new(&mut scalar_pool, Some(&mut scalar_oracle), &old, &new)
-                        .unwrap()
-                        .derive_counts_with_classes(&formula, 0..len, classes)
-                        .unwrap();
-                let packed =
-                    Measurement::new(&mut packed_pool, Some(&mut packed_oracle), &old, &new)
-                        .unwrap()
-                        .derive_counts_packed_with_classes(&formula, &truth_bits)
-                        .unwrap();
-                assert_eq!(packed, scalar, "trial {trial} formula {text}");
-                assert_eq!(
-                    packed_pool, scalar_pool,
-                    "label pools diverged: trial {trial} formula {text}"
-                );
-                assert_eq!(
-                    packed_oracle.labels_served(),
-                    scalar_oracle.labels_served(),
-                    "oracle spend diverged: trial {trial} formula {text}"
-                );
+                let outcomes = measure_both(&formula, classes, &pool, &truth, true, &old, &new);
+                assert!(outcomes[0].0.as_ref().unwrap().1.is_some());
+                assert_same(&outcomes, &format!("trial {trial} formula {text}"));
             }
         }
     }
@@ -1393,21 +1339,89 @@ mod tests {
         use crate::dsl::parse_formula;
         let (labels, old, new) = fixture();
         let formula = parse_formula("n - o > 0.0 +/- 0.05").unwrap();
-        let truth_bits = ClassBitmaps::from_labels(&labels, 2).unwrap();
-        let mut testset = Testset::unlabeled(10);
-        let mut oracle = VecOracle::new(labels.clone());
-        let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
-        let (counts, pc) = m.derive_counts_with_classes(&formula, 0..10, 2).unwrap();
+        let outcomes = measure_both(
+            &formula,
+            2,
+            &Testset::unlabeled(10),
+            &labels,
+            true,
+            &old,
+            &new,
+        );
+        let (counts, pc) = outcomes[0].0.clone().unwrap();
         assert!(pc.is_none(), "plain formulas carry no per-class counts");
         assert_eq!(counts.labels_spent, 1);
-        let mut testset = Testset::unlabeled(10);
-        let mut oracle = VecOracle::new(labels);
-        let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
-        let (packed, pc) = m
-            .derive_counts_packed_with_classes(&formula, &truth_bits)
-            .unwrap();
-        assert!(pc.is_none());
-        assert_eq!(packed, counts);
+        assert_same(&outcomes, "plain formula");
+    }
+
+    /// One clause of a generated formula: `(template, coefficient)`.
+    fn clause_text((template, k): (usize, u32)) -> String {
+        match template {
+            0 => "d < 0.5 +/- 0.1".into(),
+            1 => format!("{k} * (n - o) > 0.0 +/- 0.1"),
+            2 => format!("n - o + {k} * d > 0.0 +/- 0.1"),
+            3 => "n > 0.5 +/- 0.1".into(),
+            4 => format!("n - {k}.5 * o > 0.0 +/- 0.1"),
+            5 => "o < 0.9 +/- 0.1".into(),
+            6 => "f1(n) - f1(o) > -0.1 +/- 0.1".into(),
+            7 => format!("topk(n, {k}) - topk(o, {k}) > 0.0 +/- 0.1"),
+            _ => format!("f1(o) + topk(n, {k}) > 0.5 +/- 0.1"),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// The one pass against the per-item reference: random formulas
+        /// of every demand (metric ones included), lazy, partial and full
+        /// pools (with and without an oracle), 1..=70 classes, lengths at
+        /// and around multiples of 64, and out-of-range values.
+        #[test]
+        fn measure_matches_the_per_item_reference(
+            clauses in proptest::collection::vec((0usize..9, 1u32..5), 1..4),
+            classes in 1u32..=70,
+            pool_kind in 0u32..4,
+            shape in (0usize..5, 0usize..3, 0u32..4, 0usize..200),
+            out_of_range in 0u32..3,
+            seed in 1u64..u64::MAX,
+        ) {
+            let text: Vec<String> = clauses.into_iter().map(clause_text).collect();
+            let formula = crate::dsl::parse_formula(&text.join(" /\\ ")).unwrap();
+            let (words, offset, exact, any) = shape;
+            let len = if exact == 0 { any } else { (words * 64 + offset).saturating_sub(1) };
+            let mut rng = Rng(seed);
+            // Values run past `classes` only when asked to, and rarely.
+            let value = |rng: &mut Rng| {
+                if out_of_range == 0 && rng.below(50) == 0 {
+                    classes + rng.below(3) as u32
+                } else {
+                    rng.below(u64::from(classes)) as u32
+                }
+            };
+            let truth: Vec<u32> = (0..len).map(|_| value(&mut rng)).collect();
+            let old: Vec<u32> = (0..len).map(|_| value(&mut rng)).collect();
+            // The new model agrees with the old one on about half the items.
+            let new: Vec<u32> = old
+                .iter()
+                .map(|&o| if rng.below(2) == 0 { o } else { value(&mut rng) })
+                .collect();
+            let (pool, oracle) = match pool_kind {
+                0 => (Testset::unlabeled(len), true),
+                1 | 2 => {
+                    let mut pool = Testset::unlabeled(len);
+                    for i in (0..len).filter(|_| rng.below(3) == 0) {
+                        pool.set_label(i, truth[i]);
+                    }
+                    (pool, pool_kind == 1)
+                }
+                _ => (Testset::fully_labeled(truth.clone()), false),
+            };
+            let outcomes = measure_both(&formula, classes, &pool, &truth, oracle, &old, &new);
+            assert_same(
+                &outcomes,
+                &format!("{} over {len} items, {classes} classes, pool {pool_kind}", text.join(" /\\ ")),
+            );
+        }
     }
 
     #[test]

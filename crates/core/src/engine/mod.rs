@@ -18,7 +18,7 @@ mod sink;
 mod testset;
 
 pub use evaluator::{
-    clause_label_demand, formula_label_demand, validate_metric_formula, ClassBitmaps,
+    clause_label_demand, first_at_or_above, formula_label_demand, validate_metric_formula,
     CommitEstimates, LabelDemand, MeasuredCounts, Measurement, PerClassCounts,
 };
 pub use history::{CommitHistory, HistoryEntry};

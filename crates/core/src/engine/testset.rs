@@ -5,13 +5,24 @@
 //! front and requests labels lazily (§4.1.2), so the testset tracks, per
 //! item, whether its ground-truth label is known yet. Class labels are
 //! `u32` indices; predictions are compared by equality only.
+//!
+//! A rolled-back commit hands its freshly pulled labels back through
+//! [`Testset::unset_label`], so the pool never needs copying to be
+//! restored.
 
 use crate::error::{EngineError, Result};
 
 /// A pool of test examples with (possibly partial) ground-truth labels.
+///
+/// Labels live in a plain `u32` vector beside a bit-packed known mask
+/// (bit `i % 64` of word `i / 64` is set iff item `i`'s label is known),
+/// which [`Testset::set_label`] and [`Testset::unset_label`] keep up to
+/// date, so the measurement pass reads both as they are. Unknown items
+/// hold label 0, so equal pools compare equal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Testset {
-    labels: Vec<Option<u32>>,
+    labels: Vec<u32>,
+    known_mask: Vec<u64>,
     known: usize,
 }
 
@@ -20,8 +31,15 @@ impl Testset {
     #[must_use]
     pub fn fully_labeled(labels: Vec<u32>) -> Self {
         let known = labels.len();
+        let mut known_mask = vec![!0u64; known.div_ceil(64)];
+        if let Some(last) = known_mask.last_mut() {
+            if !known.is_multiple_of(64) {
+                *last = (1u64 << (known % 64)) - 1;
+            }
+        }
         Testset {
-            labels: labels.into_iter().map(Some).collect(),
+            labels,
+            known_mask,
             known,
         }
     }
@@ -31,7 +49,8 @@ impl Testset {
     #[must_use]
     pub fn unlabeled(size: usize) -> Self {
         Testset {
-            labels: vec![None; size],
+            labels: vec![0; size],
+            known_mask: vec![0; size.div_ceil(64)],
             known: 0,
         }
     }
@@ -39,8 +58,13 @@ impl Testset {
     /// A pool with the given partial labelling.
     #[must_use]
     pub fn with_partial_labels(labels: Vec<Option<u32>>) -> Self {
-        let known = labels.iter().filter(|l| l.is_some()).count();
-        Testset { labels, known }
+        let mut pool = Testset::unlabeled(labels.len());
+        for (i, label) in labels.into_iter().enumerate() {
+            if let Some(label) = label {
+                pool.set_label(i, label);
+            }
+        }
+        pool
     }
 
     /// Number of items in the pool.
@@ -61,6 +85,17 @@ impl Testset {
         self.known
     }
 
+    /// Whether item `index`'s label is known.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of bounds.
+    #[must_use]
+    pub(crate) fn is_known(&self, index: usize) -> bool {
+        assert!(index < self.labels.len(), "index {index} out of bounds");
+        (self.known_mask[index / 64] >> (index % 64)) & 1 == 1
+    }
+
     /// The label of item `index`, if known.
     ///
     /// # Panics
@@ -68,7 +103,7 @@ impl Testset {
     /// Panics if `index` is out of bounds.
     #[must_use]
     pub fn label(&self, index: usize) -> Option<u32> {
-        self.labels[index]
+        self.is_known(index).then(|| self.labels[index])
     }
 
     /// Record a label for item `index`. Returns whether the label was new.
@@ -77,27 +112,44 @@ impl Testset {
     ///
     /// Panics if `index` is out of bounds.
     pub fn set_label(&mut self, index: usize, label: u32) -> bool {
-        let slot = &mut self.labels[index];
-        let fresh = slot.is_none();
+        let fresh = !self.is_known(index);
         if fresh {
             self.known += 1;
+            self.known_mask[index / 64] |= 1u64 << (index % 64);
         }
-        *slot = Some(label);
+        self.labels[index] = label;
         fresh
     }
 
-    /// Bit-packed known-label mask: bit `i` of word `i / 64` is set iff
-    /// item `i`'s label is cached. Feeds the word-level measurement fast
-    /// lane (see [`super::ClassBitmaps`]).
-    #[must_use]
-    pub fn known_words(&self) -> Vec<u64> {
-        let mut words = vec![0u64; self.labels.len().div_ceil(64)];
-        for (i, label) in self.labels.iter().enumerate() {
-            if label.is_some() {
-                words[i / 64] |= 1u64 << (i % 64);
-            }
+    /// Forget the label of item `index` (rolling back a label pulled by a
+    /// measurement whose commit did not land). Returns whether a label
+    /// was known.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of bounds.
+    pub fn unset_label(&mut self, index: usize) -> bool {
+        let was_known = self.is_known(index);
+        if was_known {
+            self.known -= 1;
+            self.known_mask[index / 64] &= !(1u64 << (index % 64));
         }
-        words
+        self.labels[index] = 0;
+        was_known
+    }
+
+    /// Every item's label slot (0 where the label is unknown), read
+    /// beside [`Testset::known_mask`].
+    #[must_use]
+    pub(crate) fn label_slots(&self) -> &[u32] {
+        &self.labels
+    }
+
+    /// The known mask: bit `i % 64` of word `i / 64` is set iff item
+    /// `i`'s label is known; bits past the pool stay clear.
+    #[must_use]
+    pub(crate) fn known_mask(&self) -> &[u64] {
+        &self.known_mask
     }
 
     /// Ensure item `index` is labelled, pulling from `oracle` when
@@ -113,7 +165,7 @@ impl Testset {
         index: usize,
         oracle: Option<&mut (dyn LabelOracle + 'static)>,
     ) -> Result<(u32, bool)> {
-        if let Some(label) = self.labels[index] {
+        if let Some(label) = self.label(index) {
             return Ok((label, false));
         }
         match oracle {
@@ -238,5 +290,29 @@ mod tests {
     fn partial_labels_counted() {
         let t = Testset::with_partial_labels(vec![Some(1), None, Some(0)]);
         assert_eq!(t.labeled_count(), 2);
+    }
+
+    #[test]
+    fn known_mask_tracks_set_and_unset() {
+        let mut t = Testset::unlabeled(70);
+        assert!(t.set_label(3, 9));
+        assert!(t.set_label(69, 1));
+        assert_eq!(t.known_mask(), &[1u64 << 3, 1u64 << 5]);
+        assert!(t.unset_label(69));
+        assert!(!t.unset_label(69), "already unknown");
+        assert_eq!((t.labeled_count(), t.label(69)), (1, None));
+        assert_eq!(t.known_mask(), &[1u64 << 3, 0]);
+        // Unsetting restores the exact pool state, label slot included.
+        assert!(t.unset_label(3));
+        assert_eq!(t, Testset::unlabeled(70));
+        // A full pool's mask has no bits past its end.
+        assert_eq!(
+            Testset::fully_labeled(vec![0; 65]).known_mask(),
+            &[!0u64, 1]
+        );
+        assert_eq!(
+            Testset::with_partial_labels(vec![Some(2); 65]),
+            Testset::fully_labeled(vec![2; 65])
+        );
     }
 }

@@ -74,8 +74,8 @@ pub use cache::{
     BoundKind, BoundsCache, CachePersistError, CachePolicy, CacheStats, PlanCache, PlanFingerprint,
 };
 pub use engine::{
-    clause_label_demand, formula_label_demand, validate_metric_formula, AlarmReason, CiEngine,
-    CiEvent, ClassBitmaps, CollectingSink, CommitEstimates, CommitHistory, CommitReceipt,
+    clause_label_demand, first_at_or_above, formula_label_demand, validate_metric_formula,
+    AlarmReason, CiEngine, CiEvent, CollectingSink, CommitEstimates, CommitHistory, CommitReceipt,
     HistoryEntry, LabelDemand, LabelOracle, MailboxSink, MeasuredCounts, Measurement, ModelCommit,
     NotificationSink, NullSink, PerClassCounts, Testset, VecOracle,
 };

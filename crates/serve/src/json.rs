@@ -54,6 +54,18 @@ impl Value {
         }
     }
 
+    /// Move the value under `key` out of an object, leaving `null` in
+    /// its place — the first match, as [`Value::get`] reads it.
+    pub(crate) fn take(&mut self, key: &str) -> Option<Value> {
+        match self {
+            Value::Object(pairs) => pairs
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| std::mem::replace(v, Value::Null)),
+            _ => None,
+        }
+    }
+
     /// The string payload, if this is a string.
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {
@@ -567,6 +579,28 @@ pub fn u32_vec_from_value(value: &Value, what: &str) -> Result<Vec<u32>, String>
         _ => Err(format!(
             "{what} must be an array of integers or a packed vector string"
         )),
+    }
+}
+
+/// Read a `u32` vector from an owned JSON value together with its
+/// canonical wire string ([`encode_u32_vec`]). A `#`-packed string that
+/// decodes cleanly already *is* that string, so it is moved out as
+/// received; arrays and decimal CSV strings are encoded.
+///
+/// # Errors
+///
+/// As [`u32_vec_from_value`].
+pub(crate) fn u32_vec_with_wire(value: Value, what: &str) -> Result<(Vec<u32>, String), String> {
+    match value {
+        Value::String(text) if text.starts_with('#') => {
+            let items = decode_u32_vec(&text).map_err(|e| format!("{what}: {e}"))?;
+            Ok((items, text))
+        }
+        value => {
+            let items = u32_vec_from_value(&value, what)?;
+            let wire = encode_u32_vec(&items);
+            Ok((items, wire))
+        }
     }
 }
 
@@ -1359,6 +1393,23 @@ mod tests {
                 .unwrap(),
             vec![3, 64]
         );
+        // Every input form yields the canonical wire string: `#` kept as
+        // received, arrays and CSV encoded to it.
+        for value in [
+            Value::from(packed.as_str()),
+            Value::array(small.iter().map(|&v| Value::from(u64::from(v)))),
+            Value::from("0,1,9,35,63,10,36,62"),
+        ] {
+            assert_eq!(
+                u32_vec_with_wire(value, "v").unwrap(),
+                (small.clone(), packed.clone())
+            );
+        }
+        assert_eq!(
+            u32_vec_with_wire(Value::from(csv.as_str()), "v").unwrap(),
+            (big, csv)
+        );
+        assert!(u32_vec_with_wire(Value::from("#0!"), "v").is_err());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   ([`TestsetSpec`]; ground truth fully labelled, or held back behind
 //!   the serving-side [`VecOracle`] in partial-labeling mode) and the
 //!   commit posts raw old/new prediction vectors, which the *server*
-//!   measures through [`easeml_ci_core::Measurement::derive_counts`],
+//!   measures in one pass through [`easeml_ci_core::Measurement::measure`],
 //!   spending labels only where the condition's
 //!   [`easeml_ci_core::LabelDemand`] requires them.
 //!
@@ -32,10 +32,10 @@ use crate::obs::trace::{self, Stage};
 use easeml_bounds::Adaptivity;
 use easeml_ci_core::dsl::Formula;
 use easeml_ci_core::{
-    decide, formula_label_demand, validate_metric_formula, AlarmReason, CiScript, ClassBitmaps,
-    CommitEstimates, CommitHistory, EstimatorConfig, HistoryEntry, LabelDemand, MeasuredCounts,
-    Measurement, PerClassCounts, SampleSizeEstimate, SampleSizeEstimator, Testset, Tribool,
-    VariableEstimates, VecOracle,
+    decide, first_at_or_above, validate_metric_formula, AlarmReason, CiScript, CommitEstimates,
+    CommitHistory, EstimatorConfig, HistoryEntry, LabelOracle, MeasuredCounts, Measurement,
+    PerClassCounts, SampleSizeEstimate, SampleSizeEstimator, Testset, Tribool, VariableEstimates,
+    VecOracle,
 };
 
 /// FNV-1a 64 over a sequence of byte slices — the digest primitive of
@@ -113,11 +113,6 @@ pub struct MeasuredTestset {
     pool: Testset,
     classes: u32,
     lazy: bool,
-    /// Ground truth bit-packed per class, cached per era — the
-    /// measurement fast lane's half of the comparison. `None` when the
-    /// class count exceeds [`ClassBitmaps::MAX_CLASSES`] (the per-item
-    /// path then serves every measurement).
-    truth_bits: Option<ClassBitmaps>,
     /// [`TestsetSpec::digest`] of the spec, computed once at build.
     digest: u64,
 }
@@ -136,13 +131,11 @@ impl MeasuredTestset {
         } else {
             Testset::fully_labeled(spec.truth.clone())
         };
-        let truth_bits = ClassBitmaps::from_labels(&spec.truth, spec.classes);
         Ok(MeasuredTestset {
             oracle: VecOracle::new(spec.truth),
             pool,
             classes: spec.classes,
             lazy: spec.lazy,
-            truth_bits,
             digest,
         })
     }
@@ -204,17 +197,24 @@ impl MeasuredTestset {
             .collect()
     }
 
-    /// Capture the label pool for a possible rollback. `None` for
-    /// fully-labelled pools — measurement never mutates those, so there
-    /// is nothing to restore and the hot path skips the O(n) clone.
-    pub(crate) fn label_mark(&self) -> Option<Testset> {
-        self.lazy.then(|| self.pool.clone())
+    /// The label pool (tests compare it across a rollback).
+    #[cfg(test)]
+    pub(crate) fn pool(&self) -> &Testset {
+        &self.pool
     }
 
-    /// Restore a pool captured by [`MeasuredTestset::label_mark`].
-    pub(crate) fn restore_label_mark(&mut self, mark: Option<Testset>) {
-        if let Some(pool) = mark {
-            self.pool = pool;
+    /// Labels the oracle has served this era.
+    #[cfg(test)]
+    pub(crate) fn oracle_spend(&self) -> u64 {
+        self.oracle.labels_served()
+    }
+
+    /// Forget the labels a measurement pulled (its
+    /// [`Measurement::fresh_labels`]) when its commit did not land.
+    /// Fully-labelled pools never pull, so there is nothing to undo.
+    pub(crate) fn unset_labels(&mut self, fresh: &[usize]) {
+        for &i in fresh {
+            self.pool.unset_label(i);
         }
     }
 
@@ -250,26 +250,20 @@ impl MeasuredTestset {
                 self.pool.len()
             )));
         }
-        if let Some(bad) = preds.iter().find(|&&p| p >= self.classes) {
+        if let Some(bad) = first_at_or_above(preds, self.classes) {
             return Err(ServeError::BadRequest(format!(
-                "{what} prediction {bad} out of class range 0..{}",
-                self.classes
+                "{what} prediction {} out of class range 0..{}",
+                preds[bad], self.classes
             )));
         }
         Ok(())
     }
 
-    /// Measure one commit: run the prediction vectors through the core
-    /// measurement layer, spending only the labels the condition's
-    /// [`easeml_ci_core::LabelDemand`] requires, and derive the
-    /// evaluation counts the gate consumes.
-    ///
-    /// Dispatches to the bit-packed fast lane (word-level popcount over
-    /// per-class bitmaps, see [`ClassBitmaps`]) whenever the cached
-    /// truth packing exists and the condition is not Full-demand over a
-    /// lazy pool — the one shape where per-item oracle traffic dominates
-    /// and packing buys nothing. Both lanes are bit-identical in counts,
-    /// pool state, and oracle spend (property-tested).
+    /// Measure one commit: validate both vectors, then one pass of the
+    /// core measurement layer ([`Measurement::measure`]) derives the
+    /// evaluation counts the gate consumes (and, for metric conditions,
+    /// the per-class counts), spending only the labels the condition's
+    /// [`easeml_ci_core::LabelDemand`] requires.
     ///
     /// # Errors
     ///
@@ -281,62 +275,32 @@ impl MeasuredTestset {
         old: &[u32],
         new: &[u32],
     ) -> Result<(MeasuredCounts, Option<PerClassCounts>), ServeError> {
-        let demand = formula_label_demand(condition);
-        if self.truth_bits.is_some() && (demand != LabelDemand::Full || !self.lazy) {
-            self.measure_packed(condition, old, new)
-        } else {
-            self.measure_scalar(condition, old, new)
-        }
+        self.measure_recording(condition, old, new, &mut Vec::new())
     }
 
-    /// The per-item measurement lane (always correct; the fast lane's
-    /// reference behavior).
-    pub(crate) fn measure_scalar(
+    /// [`MeasuredTestset::measure`], appending the items it pulled from
+    /// the oracle to `fresh` — also when it fails — so a commit that
+    /// does not land can hand them back
+    /// ([`MeasuredTestset::unset_labels`]).
+    pub(crate) fn measure_recording(
         &mut self,
         condition: &Formula,
         old: &[u32],
         new: &[u32],
+        fresh: &mut Vec<usize>,
     ) -> Result<(MeasuredCounts, Option<PerClassCounts>), ServeError> {
         self.validate_predictions("old", old)?;
         self.validate_predictions("new", new)?;
-        let classes = self.classes;
-        let oracle: Option<&mut (dyn easeml_ci_core::LabelOracle + 'static)> = if self.lazy {
+        let oracle: Option<&mut (dyn LabelOracle + 'static)> = if self.lazy {
             Some(&mut self.oracle)
         } else {
             None
         };
         let mut measurement = Measurement::new(&mut self.pool, oracle, old, new)
             .map_err(|e| ServeError::BadRequest(e.to_string()))?;
-        let len = old.len();
-        measurement
-            .derive_counts_with_classes(condition, 0..len, classes)
-            .map_err(|e| ServeError::BadRequest(format!("measurement failed: {e}")))
-    }
-
-    /// The bit-packed measurement lane. Requires `self.truth_bits`.
-    pub(crate) fn measure_packed(
-        &mut self,
-        condition: &Formula,
-        old: &[u32],
-        new: &[u32],
-    ) -> Result<(MeasuredCounts, Option<PerClassCounts>), ServeError> {
-        self.validate_predictions("old", old)?;
-        self.validate_predictions("new", new)?;
-        let MeasuredTestset {
-            oracle,
-            pool,
-            lazy,
-            truth_bits,
-            ..
-        } = self;
-        let truth_bits = truth_bits.as_ref().expect("fast lane requires truth_bits");
-        let oracle: Option<&mut (dyn easeml_ci_core::LabelOracle + 'static)> =
-            if *lazy { Some(oracle) } else { None };
-        let mut measurement = Measurement::new(pool, oracle, old, new)
-            .map_err(|e| ServeError::BadRequest(e.to_string()))?;
-        measurement
-            .derive_counts_packed_with_classes(condition, truth_bits)
-            .map_err(|e| ServeError::BadRequest(format!("measurement failed: {e}")))
+        let measured = measurement.measure(condition, self.classes);
+        fresh.extend_from_slice(measurement.fresh_labels());
+        measured.map_err(|e| ServeError::BadRequest(format!("measurement failed: {e}")))
     }
 }
 
@@ -525,10 +489,7 @@ impl PredictionsSubmission {
     /// Both vectors in their canonical wire form.
     #[must_use]
     pub fn packed(&self) -> PackedPredictions {
-        PackedPredictions {
-            old: encode_u32_vec(&self.old),
-            new: encode_u32_vec(&self.new),
-        }
+        PackedPredictions::new(encode_u32_vec(&self.old), encode_u32_vec(&self.new))
     }
 
     /// Content digest of the prediction pair (see
@@ -539,26 +500,47 @@ impl PredictionsSubmission {
     }
 }
 
-/// The two vectors of a [`PredictionsSubmission`] as
-/// [`encode_u32_vec`] writes them. A served predictions commit encodes
-/// each vector exactly once: the same bytes key redelivery dedup and
-/// are what its `commit_predictions` journal op records.
+/// The two vectors of a predictions commit as [`encode_u32_vec`] writes
+/// them, with their digest. A served predictions commit holds each
+/// vector in this form exactly once — a `#`-packed request string is
+/// moved in as received, only arrays and CSV strings are encoded — and
+/// the same bytes key redelivery dedup and are what its
+/// `commit_predictions` journal op records. Restart replay builds it
+/// from the journalled strings the same way.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedPredictions {
-    /// The accepted (old) model's packed predictions.
-    pub old: String,
-    /// The candidate (new) model's packed predictions.
-    pub new: String,
+    old: String,
+    new: String,
+    digest: u64,
 }
 
 impl PackedPredictions {
+    /// Wrap two canonical wire strings, digesting them once.
+    #[must_use]
+    pub(crate) fn new(old: String, new: String) -> PackedPredictions {
+        let digest = fnv1a64(&[old.as_bytes(), b"|", new.as_bytes()]);
+        PackedPredictions { old, new, digest }
+    }
+
+    /// The accepted (old) model's packed predictions.
+    #[must_use]
+    pub(crate) fn old_wire(&self) -> &str {
+        &self.old
+    }
+
+    /// The candidate (new) model's packed predictions.
+    #[must_use]
+    pub(crate) fn new_wire(&self) -> &str {
+        &self.new
+    }
+
     /// Content digest of the prediction pair, `fnv1a64(old | "|" | new)`
     /// over the packed bytes — the redelivery-dedup key (the *vectors*
     /// identify a resubmission; derived counts may drift as the label
     /// pool fills between delivery attempts).
     #[must_use]
     pub fn digest(&self) -> u64 {
-        fnv1a64(&[self.old.as_bytes(), b"|", self.new.as_bytes()])
+        self.digest
     }
 }
 
@@ -751,19 +733,31 @@ impl Project {
         &mut self,
         submission: &PredictionsSubmission,
     ) -> Result<(GateReceipt, EvalCounts), ServeError> {
-        self.submit_predictions_keyed(submission, submission.digest())
+        self.submit_packed_predictions(
+            &submission.commit_id,
+            &submission.packed(),
+            &submission.old,
+            &submission.new,
+            &mut Vec::new(),
+        )
     }
 
-    /// [`Project::submit_predictions`] with the vector digest already
-    /// computed: the serving layer encodes each vector once per request
-    /// ([`PackedPredictions`]), and that one encoding feeds the dedup
-    /// probe, this gate and the journal op.
-    pub(crate) fn submit_predictions_keyed(
+    /// [`Project::submit_predictions`] for vectors that arrive with
+    /// their wire strings — the one entry the served route (through
+    /// [`crate::store::ProjectSlot`]) and restart replay share. `packed`
+    /// must be the canonical form of `old`/`new`; its digest becomes the
+    /// entry's dedup key. The items the measurement pulled from the
+    /// oracle are appended to `fresh`, also on failure, so a caller can
+    /// roll them back ([`Project::unset_labels`]).
+    pub(crate) fn submit_packed_predictions(
         &mut self,
-        submission: &PredictionsSubmission,
-        digest: u64,
+        commit_id: &str,
+        packed: &PackedPredictions,
+        old: &[u32],
+        new: &[u32],
+        fresh: &mut Vec<usize>,
     ) -> Result<(GateReceipt, EvalCounts), ServeError> {
-        if submission.commit_id.is_empty() {
+        if commit_id.is_empty() {
             return Err(ServeError::BadRequest("commit_id must be non-empty".into()));
         }
         if self.measured.is_none() {
@@ -780,16 +774,16 @@ impl Project {
         let condition = self.script.condition();
         let measured = self.measured.as_mut().expect("checked above");
         let (measured_counts, per_class) = trace::time(Stage::Measure, || {
-            measured.measure(condition, &submission.old, &submission.new)
+            measured.measure_recording(condition, old, new, fresh)
         })?;
         let mut counts: EvalCounts = measured_counts.into();
         counts.per_class = per_class;
         let receipt = self.submit_with_digest(
             &CommitSubmission {
-                commit_id: submission.commit_id.clone(),
+                commit_id: commit_id.to_owned(),
                 counts: counts.clone(),
             },
-            Some(digest),
+            Some(packed.digest()),
         )?;
         Ok((receipt, counts))
     }
@@ -940,14 +934,14 @@ impl Project {
         &self,
         submission: &PredictionsSubmission,
     ) -> Option<(GateReceipt, EvalCounts)> {
-        self.duplicate_predictions_keyed(submission, submission.digest())
+        self.duplicate_predictions_keyed(&submission.commit_id, submission.digest())
     }
 
     /// [`Project::duplicate_predictions_receipt`] with the digest
     /// precomputed by the caller.
     pub(crate) fn duplicate_predictions_keyed(
         &self,
-        submission: &PredictionsSubmission,
+        commit_id: &str,
         digest: u64,
     ) -> Option<(GateReceipt, EvalCounts)> {
         let entries = self.history.entries();
@@ -957,7 +951,7 @@ impl Project {
             .rev()
             .take_while(|(_, e)| e.era == self.era)
             .find(|(i, e)| {
-                e.commit_id == submission.commit_id
+                e.commit_id == commit_id
                     && self.pred_digests.get(*i).copied().flatten() == Some(digest)
             })
             .map(|(i, _)| i)?;
@@ -1168,21 +1162,17 @@ impl Project {
 
     /// Clone of the measured-testset state (captured before mutations
     /// that may need rolling back — the rare install path only; the
-    /// per-commit path uses the cheaper [`Project::label_mark`]).
+    /// per-commit path hands back just its fresh labels,
+    /// [`Project::unset_labels`]).
     pub(crate) fn measured_clone(&self) -> Option<MeasuredTestset> {
         self.measured.clone()
     }
 
-    /// Capture the label pool ahead of a measurement that may need
-    /// rolling back ([`MeasuredTestset::label_mark`] semantics).
-    pub(crate) fn label_mark(&self) -> Option<Testset> {
-        self.measured.as_ref().and_then(MeasuredTestset::label_mark)
-    }
-
-    /// Restore a pool captured by [`Project::label_mark`].
-    pub(crate) fn restore_label_mark(&mut self, mark: Option<Testset>) {
+    /// Forget the labels a failed predictions commit pulled
+    /// ([`MeasuredTestset::unset_labels`]).
+    pub(crate) fn unset_labels(&mut self, fresh: &[usize]) {
         if let Some(measured) = self.measured.as_mut() {
-            measured.restore_label_mark(mark);
+            measured.unset_labels(fresh);
         }
     }
 
@@ -1463,37 +1453,49 @@ mod tests {
 
     #[test]
     fn measurement_lanes_agree_through_serving_state() {
-        // The dispatch in `measure` picks the packed lane for the
-        // serving-relevant shapes; force both lanes over identical
-        // cloned state and require identical counts AND identical
-        // label-pool/oracle state afterwards.
-        let conditions = ["d < 0.7 +/- 0.1", "n - o > 0.0 +/- 0.2", "n > 0.6 +/- 0.2"];
+        // The serving state measures through the one core pass; the core
+        // layer's own per-item loop checks it, so here it is enough that
+        // serving adds nothing: a direct `Measurement::measure` over a
+        // cloned pool gives identical counts AND an identical pool and
+        // oracle spend, at 2 classes and at 70.
+        let conditions = [
+            "d < 0.7 +/- 0.1",
+            "n - o > 0.0 +/- 0.2",
+            "n > 0.6 +/- 0.2",
+            "f1(n) - f1(o) > -0.1 +/- 0.2",
+        ];
         for lazy in [false, true] {
-            let (mut spec, old, new) = pred_fixture(100, 50, 90);
-            spec.lazy = lazy;
-            for text in conditions {
-                let script = SCRIPT.replace("n > 0.6 +/- 0.2", text);
-                let script = CiScript::parse(&script).unwrap();
-                let condition = script.condition();
-                let mut packed = MeasuredTestset::from_spec(spec.clone()).unwrap();
-                assert!(packed.truth_bits.is_some(), "2 classes pack");
-                let mut scalar = packed.clone();
-                let a = packed.measure_packed(condition, &old, &new).unwrap();
-                let b = scalar.measure_scalar(condition, &old, &new).unwrap();
-                assert_eq!(a, b, "lazy={lazy} condition={text}");
-                assert_eq!(packed.labeled_count(), scalar.labeled_count());
-                assert_eq!(packed.labeled_indices(), scalar.labeled_indices());
-                assert_eq!(packed.oracle.labels_served(), scalar.oracle.labels_served());
+            for classes in [2, 70] {
+                let (mut spec, old, new) = pred_fixture(100, 50, 90);
+                spec.lazy = lazy;
+                spec.classes = classes;
+                for text in conditions {
+                    let script = SCRIPT.replace("n > 0.6 +/- 0.2", text);
+                    let script = CiScript::parse(&script).unwrap();
+                    let condition = script.condition();
+                    let mut served = MeasuredTestset::from_spec(spec.clone()).unwrap();
+                    let mut direct = served.clone();
+                    let mut fresh = Vec::new();
+                    let a = served
+                        .measure_recording(condition, &old, &new, &mut fresh)
+                        .unwrap();
+                    let oracle: Option<&mut (dyn LabelOracle + 'static)> =
+                        lazy.then_some(&mut direct.oracle as _);
+                    let mut m = Measurement::new(&mut direct.pool, oracle, &old, &new).unwrap();
+                    let b = m.measure(condition, classes).unwrap();
+                    assert_eq!(fresh, m.fresh_labels(), "lazy={lazy} condition={text}");
+                    assert_eq!(a, b, "lazy={lazy} classes={classes} condition={text}");
+                    assert_eq!(served.pool, direct.pool);
+                    assert_eq!(served.oracle.labels_served(), direct.oracle.labels_served());
+                    // Handing the fresh labels back restores the pool.
+                    served.unset_labels(&fresh);
+                    assert_eq!(
+                        served.pool,
+                        MeasuredTestset::from_spec(spec.clone()).unwrap().pool
+                    );
+                }
             }
         }
-        // Wide class counts refuse to pack and fall back cleanly.
-        let wide = TestsetSpec {
-            truth: (0..100u32).collect(),
-            classes: 100,
-            lazy: false,
-        };
-        let m = MeasuredTestset::from_spec(wide).unwrap();
-        assert!(m.truth_bits.is_none());
     }
 
     #[test]

@@ -54,13 +54,13 @@
 
 use crate::error::ServeError;
 use crate::http::{Request, Response};
-use crate::json::{u32_vec_from_value, JsonWriter, Value};
+use crate::json::{u32_vec_from_value, u32_vec_with_wire, JsonWriter, Value};
 use crate::net::{NetConfig, ReqMeta, WakeHub};
 use crate::obs::trace::{self, Stage, TraceRec};
 use crate::obs::{Counter, ServeObs};
 use crate::registry::{
     serving_estimator, CommitSubmission, EvalCounts, GateReceipt, MeasuredTestset,
-    PredictionsSubmission, TestsetSpec,
+    PackedPredictions, TestsetSpec,
 };
 use crate::store::{
     group, tribool_str, write_history_entry_fields, Durability, GroupMetrics, Registry,
@@ -1081,23 +1081,25 @@ fn submit_commit(ctx: &Ctx, name: &str, request: &Request) -> Result<Response, S
 
 fn submit_predictions(ctx: &Ctx, name: &str, request: &Request) -> Result<Response, ServeError> {
     let registry: &Registry = &ctx.registry;
-    let body = request.json_body().map_err(ServeError::BadRequest)?;
-    let commit_id = body
-        .get("commit_id")
-        .and_then(Value::as_str)
-        .ok_or_else(|| ServeError::BadRequest("missing string field `commit_id`".into()))?;
-    let vector = |key: &str| -> Result<Vec<u32>, ServeError> {
-        body.get(key)
-            .ok_or_else(|| ServeError::BadRequest(format!("missing field `{key}`")))
-            .and_then(|v| u32_vec_from_value(v, key).map_err(ServeError::BadRequest))
+    let mut body = request.json_body().map_err(ServeError::BadRequest)?;
+    let Some(Value::String(commit_id)) = body.take("commit_id") else {
+        return Err(ServeError::BadRequest(
+            "missing string field `commit_id`".into(),
+        ));
     };
-    let submission = PredictionsSubmission {
-        commit_id: commit_id.to_owned(),
-        old: vector("old")?,
-        new: vector("new")?,
+    // Each vector moves out of the parsed body with its wire string: a
+    // `#`-packed one is journalled and digested as received.
+    let mut vector = |key: &str| -> Result<(Vec<u32>, String), ServeError> {
+        let value = body
+            .take(key)
+            .ok_or_else(|| ServeError::BadRequest(format!("missing field `{key}`")))?;
+        u32_vec_with_wire(value, key).map_err(ServeError::BadRequest)
     };
+    let (old, old_wire) = vector("old")?;
+    let (new, new_wire) = vector("new")?;
+    let packed = PackedPredictions::new(old_wire, new_wire);
     with_project(registry, name, |slot| {
-        let (receipt, counts) = slot.submit_predictions(&submission)?;
+        let (receipt, counts) = slot.submit_packed_predictions(&commit_id, &packed, &old, &new)?;
         ctx.obs
             .metrics
             .gate_outcome(name, gate_outcome_str(&receipt));

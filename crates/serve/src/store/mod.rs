@@ -53,7 +53,7 @@
 pub mod group;
 
 use crate::error::ServeError;
-use crate::json::{decode_u32_vec, encode_u32_vec, JsonWriter, Value};
+use crate::json::{decode_u32_vec, encode_u32_vec, u32_vec_with_wire, JsonWriter, Value};
 use crate::obs::trace::{self, Stage};
 use crate::registry::{
     CommitSubmission, EvalCounts, GateReceipt, MeasuredTestset, PackedPredictions,
@@ -454,7 +454,8 @@ impl ProjectStore {
     /// re-measures them), the derived counts, and the outcome (both are
     /// cross-checked at replay — a tampered prediction blob or testset
     /// blob diverges and fails the boot). The vectors arrive already
-    /// packed: the bytes the request's dedup digest was computed over.
+    /// packed: the bytes the request's dedup digest was computed over,
+    /// as the client sent them when they came `#`-packed.
     ///
     /// # Errors
     ///
@@ -462,7 +463,7 @@ impl ProjectStore {
     pub fn append_commit_predictions(
         &mut self,
         commit_id: &str,
-        packed: PackedPredictions,
+        packed: &PackedPredictions,
         counts: &EvalCounts,
         receipt: &GateReceipt,
         project: &Project,
@@ -471,8 +472,8 @@ impl ProjectStore {
         w.begin_object();
         w.key("op").string("commit_predictions");
         w.key("id").string(commit_id);
-        w.key("old").string(&packed.old);
-        w.key("new").string(&packed.new);
+        w.key("old").string(packed.old_wire());
+        w.key("new").string(packed.new_wire());
         write_outcome_fields(&mut w, counts, receipt);
         w.end_object();
         self.append(w.finish(), project)
@@ -893,7 +894,10 @@ fn replay_op(
     project: &mut Project,
 ) -> Result<(), ServeError> {
     let bad = |what: String| corrupt(path, format!("line {line_no}: {what}"));
-    let op = Value::parse(line).map_err(|e| bad(e.to_string()))?;
+    let mut op = Value::parse(line).map_err(|e| bad(e.to_string()))?;
+    // A predictions op's vectors move out as their wire strings before
+    // the field readers below borrow the op.
+    let (old_wire, new_wire) = (op.take("old"), op.take("new"));
     let field_u64 = |key: &str| -> Result<u64, ServeError> {
         op.get(key)
             .and_then(Value::as_u64)
@@ -946,20 +950,19 @@ fn replay_op(
             check_outcome(&receipt)
         }
         Some("commit_predictions") => {
-            let vector = |key: &str| -> Result<Vec<u32>, ServeError> {
-                op.get(key)
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| bad(format!("missing `{key}`")))
-                    .and_then(|text| decode_u32_vec(text).map_err(bad))
-            };
-            let submission = PredictionsSubmission {
-                commit_id: commit_id()?,
-                old: vector("old")?,
-                new: vector("new")?,
-            };
+            let vector =
+                |wire: Option<Value>, key: &str| -> Result<(Vec<u32>, String), ServeError> {
+                    match wire {
+                        Some(wire @ Value::String(_)) => u32_vec_with_wire(wire, key).map_err(bad),
+                        _ => Err(bad(format!("missing `{key}`"))),
+                    }
+                };
+            let (old, old_wire) = vector(old_wire, "old")?;
+            let (new, new_wire) = vector(new_wire, "new")?;
+            let packed = PackedPredictions::new(old_wire, new_wire);
             let recorded = recorded_counts()?;
             let (receipt, counts) = project
-                .submit_predictions(&submission)
+                .submit_packed_predictions(&commit_id()?, &packed, &old, &new, &mut Vec::new())
                 .map_err(|e| bad(format!("gate rejected replayed op: {e}")))?;
             if counts != recorded {
                 return Err(bad(format!(
@@ -1064,8 +1067,9 @@ impl ProjectSlot {
     /// journal op.
     ///
     /// A failed journal append rolls back the gate counters *and* the
-    /// label pool (labels the failed measurement pulled would otherwise
-    /// desynchronise replay).
+    /// labels the failed measurement pulled (they would otherwise
+    /// desynchronise replay): exactly those items are unset, so the pool
+    /// is never copied.
     ///
     /// # Errors
     ///
@@ -1074,39 +1078,55 @@ impl ProjectSlot {
         &mut self,
         submission: &PredictionsSubmission,
     ) -> Result<(GateReceipt, EvalCounts), ServeError> {
-        let packed = submission.packed();
-        let digest = packed.digest();
-        if let Some(hit) = self.project.duplicate_predictions_keyed(submission, digest) {
+        self.submit_packed_predictions(
+            &submission.commit_id,
+            &submission.packed(),
+            &submission.old,
+            &submission.new,
+        )
+    }
+
+    /// [`ProjectSlot::submit_predictions`] for vectors that arrive with
+    /// their canonical wire strings (the served route moves `#`-packed
+    /// request strings in as received). `packed` must encode
+    /// `old`/`new`.
+    ///
+    /// # Errors
+    ///
+    /// As [`ProjectSlot::submit_predictions`].
+    pub(crate) fn submit_packed_predictions(
+        &mut self,
+        commit_id: &str,
+        packed: &PackedPredictions,
+        old: &[u32],
+        new: &[u32],
+    ) -> Result<(GateReceipt, EvalCounts), ServeError> {
+        if let Some(hit) = self
+            .project
+            .duplicate_predictions_keyed(commit_id, packed.digest())
+        {
             return Ok(hit);
         }
         let mark = self.project.gate_mark();
-        // Lazy pools clone their label state (the only thing a
-        // measurement mutates); fully-labelled pools skip the copy.
-        let label_mark = self.project.label_mark();
-        let roll_back = |project: &mut Project| {
-            project.rollback_to(mark);
-            project.restore_label_mark(label_mark);
-        };
-        let (receipt, counts) = match self.project.submit_predictions_keyed(submission, digest) {
-            Ok(out) => out,
-            Err(e) => {
-                // Defensive: the gate rejects before measuring, but a
-                // partial label spend must never outlive a failed op.
-                roll_back(&mut self.project);
-                return Err(e);
-            }
-        };
-        if let Err(e) = self.store.append_commit_predictions(
-            &submission.commit_id,
-            packed,
-            &counts,
-            &receipt,
-            &self.project,
-        ) {
-            roll_back(&mut self.project);
-            return Err(e);
+        // The labels this measurement pulls, handed back if the op fails
+        // (fully-labelled pools pull none).
+        let mut fresh = Vec::new();
+        let result = self
+            .project
+            .submit_packed_predictions(commit_id, packed, old, new, &mut fresh)
+            .and_then(|(receipt, counts)| {
+                self.store
+                    .append_commit_predictions(commit_id, packed, &counts, &receipt, &self.project)
+                    .map(|()| (receipt, counts))
+            });
+        if result.is_err() {
+            // Defensive for gate errors too: the gate rejects before
+            // measuring, but a partial label spend must never outlive a
+            // failed op.
+            self.project.rollback_to(mark);
+            self.project.unset_labels(&fresh);
         }
-        Ok((receipt, counts))
+        result
     }
 
     /// Install a fresh testset and journal it (rolled back like
@@ -2010,25 +2030,43 @@ mod tests {
             .register("proj", &script, Some(lazy_spec(100)))
             .unwrap();
         let mut slot = slot.lock().unwrap();
+        // A first commit labels the disagreements 50..70, so the failed
+        // op lands on a partly filled pool whose labels must survive.
+        slot.submit_predictions(&pred_submission("c0", 100, 50, 70))
+            .unwrap();
+        let measured = slot.project.measured().unwrap();
+        let (pool_before, spend_before) = (measured.pool().clone(), measured.oracle_spend());
+        assert_eq!(pool_before.labeled_count(), 20);
+
+        // c1 disagrees on 50..90: 20 of those 40 labels are fresh.
+        let failing = pred_submission("c1", 100, 50, 90);
         slot.fail_next_append();
         assert!(matches!(
-            slot.submit_predictions(&pred_submission("c1", 100, 50, 90)),
+            slot.submit_predictions(&failing),
             Err(ServeError::Io(_))
         ));
-        assert_eq!(slot.project.steps_used(), 0);
-        assert_eq!(
-            slot.project.measured().unwrap().labeled_count(),
-            0,
-            "labels spent by the failed op must be rolled back — replay \
-             would otherwise spend a different amount than the journal records"
-        );
-        // The next successful submission replays cleanly after restart.
-        slot.submit_predictions(&pred_submission("c1", 100, 50, 90))
-            .unwrap();
+        assert_eq!(slot.project.steps_used(), 1);
+        let measured = slot.project.measured().unwrap();
+        // Labels, known mask and labeled_count: exactly the pool before.
+        // Replay would otherwise spend a different amount than the
+        // journal records.
+        assert_eq!(measured.pool(), &pool_before);
+        // The oracle did serve the failed op's 20 fresh labels; that
+        // spend is real and stays on its ledger.
+        assert_eq!(measured.oracle_spend(), spend_before + 20);
+
+        // The retry pulls exactly those 20 again and replays cleanly
+        // after a restart.
+        let (receipt, _) = slot.submit_predictions(&failing).unwrap();
+        assert_eq!(receipt.labels, 20);
+        let live_pool = slot.project.measured().unwrap().pool().clone();
+        assert_eq!(live_pool.labeled_count(), 40);
         drop(slot);
         let registry = Registry::open(&dir, serving_estimator()).unwrap();
         let slot = registry.get("proj").unwrap();
-        assert_eq!(slot.lock().unwrap().project.steps_used(), 1);
+        let slot = slot.lock().unwrap();
+        assert_eq!(slot.project.steps_used(), 2);
+        assert_eq!(slot.project.measured().unwrap().pool(), &live_pool);
     }
 
     #[test]

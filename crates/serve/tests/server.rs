@@ -977,6 +977,163 @@ fn predictions_upload_validation_over_http() {
     join.join().unwrap();
 }
 
+/// The same prediction vectors posted as a `#` string, a JSON array and
+/// a CSV string leave byte-identical receipts, journal lines and
+/// snapshots (which record each entry's `pred_digest`): a `#` string is
+/// journalled as received, the other two are encoded to exactly it. A
+/// redelivery in another encoding dedups, and a malformed `#` string is
+/// a 400 that journals nothing and spends no labels.
+#[test]
+fn predictions_wire_encodings_are_interchangeable() {
+    const SIZE: usize = 130; // crosses two 64-item mask words
+    let truth: Vec<u32> = (0..SIZE as u32).map(|i| (i * 7) % 4).collect();
+    let old: Vec<u32> = truth
+        .iter()
+        .enumerate()
+        .map(|(i, &t)| if i % 5 == 0 { (t + 1) % 4 } else { t })
+        .collect();
+    let new_for = |shift: usize| -> Vec<u32> {
+        old.iter()
+            .enumerate()
+            .map(|(i, &o)| {
+                if (i + shift).is_multiple_of(3) {
+                    (o + 2) % 4
+                } else {
+                    o
+                }
+            })
+            .collect()
+    };
+    type Encode = fn(&[u32]) -> Value;
+    let encodings: [(&str, Encode); 3] = [
+        ("hash", |v| {
+            Value::from(easeml_serve::json::encode_u32_vec(v))
+        }),
+        ("array", |v| {
+            Value::array(v.iter().map(|&x| Value::from(u64::from(x))))
+        }),
+        ("csv", |v| {
+            let items: Vec<String> = v.iter().map(u32::to_string).collect();
+            Value::from(items.join(","))
+        }),
+    ];
+    let body = |id: &str, encode: Encode, new: &[u32]| {
+        Value::object([
+            ("commit_id", Value::from(id)),
+            ("old", encode(&old)),
+            ("new", encode(new)),
+        ])
+    };
+
+    let dir = temp_dir("pred-encodings");
+    let (addr, handle, join) = start(&dir, 2);
+    let mut client = Client::new(addr);
+    let journal = |name: &str| std::fs::read(dir.join("projects").join(name).join("journal.log"));
+    let mut receipts: Vec<Vec<String>> = Vec::new();
+    for (name, encode) in encodings {
+        let register = Value::object([
+            ("name", Value::from(name)),
+            ("script", Value::from(DIFF_SCRIPT)),
+            (
+                "testset",
+                Value::object([
+                    (
+                        "labels",
+                        Value::from(easeml_serve::json::encode_u32_vec(&truth)),
+                    ),
+                    ("labeling", Value::from("lazy")),
+                    ("classes", Value::from(4u64)),
+                ]),
+            ),
+        ]);
+        let (status, reg) = client
+            .request("POST", "/projects", Some(&register))
+            .unwrap();
+        assert_eq!(status, 201, "{reg}");
+        let path = format!("/projects/{name}/commits/predictions");
+        let mut mine = Vec::new();
+        for (id, shift) in [("c1", 0), ("c2", 1)] {
+            let (status, receipt) = client
+                .request("POST", &path, Some(&body(id, encode, &new_for(shift))))
+                .unwrap();
+            assert_eq!(status, 200, "{name} {id}: {receipt}");
+            mine.push(receipt.encode());
+        }
+        receipts.push(mine);
+    }
+    assert_eq!(
+        receipts[0], receipts[1],
+        "array receipts differ from `#` ones"
+    );
+    assert_eq!(
+        receipts[0], receipts[2],
+        "CSV receipts differ from `#` ones"
+    );
+    let labels_spent = |receipt: &str| {
+        Value::parse(receipt)
+            .unwrap()
+            .get("labels")
+            .and_then(Value::as_u64)
+    };
+    assert!(
+        labels_spent(&receipts[0][0]).unwrap() > 0,
+        "the pool is lazy"
+    );
+
+    // Redelivering c2 in the other two encodings dedups: the recorded
+    // receipt, no second step, no labels, no journal bytes.
+    let before = journal("hash").unwrap();
+    for (_, encode) in &encodings[1..] {
+        let (status, again) = client
+            .request(
+                "POST",
+                "/projects/hash/commits/predictions",
+                Some(&body("c2", *encode, &new_for(1))),
+            )
+            .unwrap();
+        assert_eq!(status, 200, "{again}");
+        assert_eq!(again.encode(), receipts[0][1]);
+    }
+    // A `#` string with a byte outside the alphabet, or with a class
+    // past the testset's four, is refused before anything is spent.
+    let wire = easeml_serve::json::encode_u32_vec(&new_for(2));
+    for bad in [wire.replacen('1', "!", 1), wire.replacen('1', "9", 1)] {
+        let bad_body = Value::object([
+            ("commit_id", Value::from("c3")),
+            ("old", Value::from(easeml_serve::json::encode_u32_vec(&old))),
+            ("new", Value::from(bad)),
+        ]);
+        let (status, err) = client
+            .request(
+                "POST",
+                "/projects/hash/commits/predictions",
+                Some(&bad_body),
+            )
+            .unwrap();
+        assert_eq!(status, 400, "{err}");
+    }
+    assert_eq!(journal("hash").unwrap(), before, "nothing was journalled");
+    let (_, status) = client.request("GET", "/projects/hash", None).unwrap();
+    let (_, twin) = client.request("GET", "/projects/csv", None).unwrap();
+    for key in ["testset", "budget", "labels_total"] {
+        assert!(status.get(key).is_some(), "{status}");
+        assert_eq!(status.get(key), twin.get(key), "{key}: nothing spent");
+    }
+
+    drop(client);
+    handle.stop();
+    join.join().unwrap();
+    // The shutdown snapshot records every entry's `pred_digest`.
+    for file in ["journal.log", "snapshot.json"] {
+        let read = |name: &str| std::fs::read(dir.join("projects").join(name).join(file)).unwrap();
+        assert_eq!(read("array"), read("hash"), "{file}");
+        assert_eq!(read("csv"), read("hash"), "{file}");
+    }
+    let snapshot =
+        String::from_utf8(std::fs::read(dir.join("projects/hash/snapshot.json")).unwrap()).unwrap();
+    assert!(snapshot.contains("pred_digest"), "{snapshot}");
+}
+
 /// Drive a deterministic predictions-mode schedule against a server of
 /// the given width; returns each project's journal bytes.
 fn run_predictions_schedule(threads: usize, tag: &str) -> Vec<(String, Vec<u8>)> {
