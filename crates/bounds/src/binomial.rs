@@ -27,7 +27,7 @@
 //! used by the sample-size search in
 //! [`crate::exact_binomial_sample_size`]) hill-climb over jump indices —
 //! one breakpoint family for the one-sided case, both tails' families
-//! for the two-sided case (see [`crate::twosided`]).
+//! for the two-sided case (see `crate::twosided`).
 
 use crate::numeric::{ln_choose, log1m_exp, log_add_exp};
 use crate::tail::Tail;
@@ -274,7 +274,7 @@ pub fn worst_case_deviation_tail(n: u64, eps: f64, tail: Tail) -> f64 {
 /// The candidate envelope `j ↦ Pr_{p_j}[X ≥ j]` inherits the
 /// unimodality of the continuous worst-case envelope, so the maximum is
 /// found by a hill-climb over the jump index (a handful of `O(√n)` tail
-/// evaluations), hardened by a ±[`JUMP_PLATEAU`] window sweep against
+/// evaluations), hardened by a ±`JUMP_PLATEAU` window sweep against
 /// small sawtooth ripples.
 pub fn worst_case_deviation_one_sided_exact(n: u64, eps: f64) -> f64 {
     worst_case_one_sided_jump(n, eps, JumpHint::cold(), None).0

@@ -18,7 +18,7 @@
 //! Adaptivity accounting ([`Adaptivity`]) converts a whole-process failure
 //! budget into the per-test budget demanded by the interaction model
 //! (`δ/H` non-adaptive, `δ/2^H` fully adaptive, `δ/H` hybrid), and the
-//! [`union`] module splits budgets across compound conditions. Everything
+//! `union` module splits budgets across compound conditions. Everything
 //! can run in log space so that `δ/2^H` never underflows.
 //!
 //! # Performance architecture
@@ -51,7 +51,7 @@
 //!
 //! Measured on the paper's `(ε = 0.05, δ = 0.001)` two-sided inversion,
 //! this stack is ~100× faster than the preserved seed implementation
-//! ([`reference`]); see `results/BENCH_bounds.json` for the tracked
+//! ([`reference`](mod@reference)); see `results/BENCH_bounds.json` for the tracked
 //! trajectory. One layer up, `easeml-ci-core`'s `BoundsCache` memoizes
 //! whole inversions across commits and clauses, so steady-state serving
 //! degenerates to a sub-microsecond map lookup.

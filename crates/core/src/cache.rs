@@ -79,7 +79,9 @@ impl BoundKind {
     }
 }
 
-/// Why a persisted cache file was rejected by [`BoundsCache::load_from`].
+/// Why a persisted cache file was rejected by [`BoundsCache::load_from`]
+/// or [`PlanCache::load_from`]. The message does not name the cache; the
+/// caller knows which dump it was reading.
 #[derive(Debug)]
 pub enum CachePersistError {
     /// Reading or writing the file failed.
@@ -98,9 +100,9 @@ pub enum CachePersistError {
 impl fmt::Display for CachePersistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CachePersistError::Io(e) => write!(f, "bounds cache I/O error: {e}"),
+            CachePersistError::Io(e) => write!(f, "cache I/O error: {e}"),
             CachePersistError::Corrupt { line, reason } => {
-                write!(f, "bounds cache file corrupt at line {line}: {reason}")
+                write!(f, "cache file corrupt at line {line}: {reason}")
             }
         }
     }
@@ -1074,6 +1076,11 @@ mod tests {
             assert!(
                 matches!(err, Err(CachePersistError::Corrupt { .. })),
                 "{what}: expected Corrupt, got {err:?}"
+            );
+            let message = err.unwrap_err().to_string();
+            assert!(
+                !message.contains("bounds"),
+                "{what}: plan cache error names the bounds cache: {message}"
             );
             assert_eq!(fresh.stats().entries, 0, "{what}: must load nothing");
         }

@@ -229,7 +229,7 @@ impl PerClassCounts {
 ///
 /// * `f1(...)` over fewer than 2 classes (F1 is binary, positive = 1);
 /// * `topk(m, k)` with `k` exceeding the class count;
-/// * more than [`MAX_TOPK_ESTIMATES`] distinct `k`s in one formula.
+/// * more than `MAX_TOPK_ESTIMATES` distinct `k`s in one formula.
 pub fn validate_metric_formula(formula: &Formula, classes: u32) -> Result<()> {
     let vars = formula.variables();
     if vars.iter().any(|v| matches!(v, Var::F1N | Var::F1O)) && classes < 2 {

@@ -44,12 +44,8 @@ impl CommitHistory {
         self.entries.push(entry);
     }
 
-    /// Drop entries beyond `len` (no-op if the history is shorter).
-    ///
-    /// Exists for callers that must *undo* a just-pushed entry when a
-    /// durability step downstream of the evaluation fails — e.g. the
-    /// serving layer rolls an evaluation back if the journal append
-    /// errors, so in-memory state never diverges from the journal.
+    /// Drop entries beyond `len` (no-op if the history is shorter); see
+    /// [`crate::Gate::rollback`].
     pub fn truncate(&mut self, len: usize) {
         self.entries.truncate(len);
     }

@@ -7,12 +7,18 @@
 //! 1. measure the condition variables (lazily labelling through a
 //!    [`LabelOracle`] when one is installed);
 //! 2. evaluate the condition over confidence intervals into
-//!    `True`/`False`/`Unknown` and collapse by mode;
-//! 3. release (or withhold) the signal according to the adaptivity
-//!    policy, update the accepted model, and fire the new-testset alarm
-//!    when the era's statistical power is spent.
+//!    `True`/`False`/`Unknown`;
+//! 3. hand the outcome to the era's [`Gate`], which collapses it by
+//!    mode, spends a step, releases (or withholds) the signal according
+//!    to the adaptivity policy, and fires the new-testset alarm when the
+//!    era's statistical power is spent;
+//! 4. advance the accepted model on a pass.
+//!
+//! The serving layer's projects record their commits through the same
+//! [`Gate`], so the in-process engine and the served gate cannot drift.
 
 mod evaluator;
+mod gate;
 mod history;
 mod sink;
 mod testset;
@@ -21,6 +27,7 @@ pub use evaluator::{
     clause_label_demand, first_at_or_above, formula_label_demand, validate_metric_formula,
     CommitEstimates, LabelDemand, MeasuredCounts, Measurement, PerClassCounts,
 };
+pub use gate::{Gate, GateSavepoint};
 pub use history::{CommitHistory, HistoryEntry};
 pub use sink::{AlarmReason, CiEvent, CollectingSink, MailboxSink, NotificationSink, NullSink};
 pub use testset::{LabelOracle, Testset, VecOracle};
@@ -34,7 +41,6 @@ use crate::estimator::{
 use crate::eval::evaluate_clause_at;
 use crate::logic::Tribool;
 use crate::script::CiScript;
-use easeml_bounds::Adaptivity;
 use std::ops::Range;
 
 /// A committed model: an identifier plus its predictions on the current
@@ -80,6 +86,9 @@ pub struct CommitReceipt {
     pub estimates: CommitEstimates,
     /// Alarm raised by this evaluation, if any.
     pub alarm: Option<AlarmReason>,
+    /// Steps left in the era right after this evaluation (not collapsed
+    /// to 0 by retirement).
+    pub steps_remaining: u32,
 }
 
 /// How the testset pool is partitioned among measurement phases.
@@ -118,10 +127,7 @@ pub struct CiEngine {
     oracle: Option<Box<dyn LabelOracle>>,
     sink: Box<dyn NotificationSink>,
     old_predictions: Vec<u32>,
-    steps_used: u32,
-    era: u32,
-    retired: bool,
-    history: CommitHistory,
+    gate: Gate,
 }
 
 impl std::fmt::Debug for CiEngine {
@@ -129,9 +135,9 @@ impl std::fmt::Debug for CiEngine {
         f.debug_struct("CiEngine")
             .field("script", &self.script)
             .field("estimate", &self.estimate)
-            .field("steps_used", &self.steps_used)
-            .field("era", &self.era)
-            .field("retired", &self.retired)
+            .field("steps_used", &self.gate.steps_used())
+            .field("era", &self.gate.era())
+            .field("retired", &self.gate.is_retired())
             .field("testset_len", &self.testset.len())
             .finish_non_exhaustive()
     }
@@ -172,23 +178,9 @@ impl CiEngine {
         estimator: &SampleSizeEstimator,
     ) -> Result<Self> {
         let estimate = estimator.estimate(&script)?;
-        let want = estimate.total_samples();
-        if (testset.len() as u64) < want {
-            return Err(EngineError::TestsetTooSmall {
-                got: testset.len(),
-                want,
-            }
-            .into());
-        }
-        let layout = Self::build_layout(&script, &estimate, testset.len())?;
-        if old_predictions.len() != testset.len() {
-            return Err(EngineError::PredictionLengthMismatch {
-                got: old_predictions.len(),
-                want: testset.len(),
-            }
-            .into());
-        }
+        let layout = Self::check_pool(&script, &estimate, &testset, &old_predictions)?;
         Ok(CiEngine {
+            gate: Gate::new(&script),
             script,
             estimate,
             layout,
@@ -196,10 +188,6 @@ impl CiEngine {
             oracle: None,
             sink: Box::new(NullSink),
             old_predictions,
-            steps_used: 0,
-            era: 0,
-            retired: false,
-            history: CommitHistory::new(),
         })
     }
 
@@ -215,6 +203,32 @@ impl CiEngine {
     pub fn with_sink(mut self, sink: Box<dyn NotificationSink>) -> Self {
         self.sink = sink;
         self
+    }
+
+    /// Check that a pool meets the estimate and that the old model's
+    /// predictions cover it, then partition it ([`CiEngine::build_layout`]).
+    fn check_pool(
+        script: &CiScript,
+        estimate: &SampleSizeEstimate,
+        testset: &Testset,
+        old_predictions: &[u32],
+    ) -> Result<Layout> {
+        let want = estimate.total_samples();
+        if (testset.len() as u64) < want {
+            return Err(EngineError::TestsetTooSmall {
+                got: testset.len(),
+                want,
+            }
+            .into());
+        }
+        if old_predictions.len() != testset.len() {
+            return Err(EngineError::PredictionLengthMismatch {
+                got: old_predictions.len(),
+                want: testset.len(),
+            }
+            .into());
+        }
+        Self::build_layout(script, estimate, testset.len())
     }
 
     /// Partition the pool. Phase ranges use the estimator's sizes for
@@ -289,76 +303,27 @@ impl CiEngine {
     /// * [`EngineError::TestsetTooSmall`] when a Pattern-2 probe reveals
     ///   that more labelled data is needed than the pool holds.
     pub fn submit(&mut self, commit: &ModelCommit) -> Result<CommitReceipt> {
-        if self.retired {
-            return Err(EngineError::TestsetRetired.into());
-        }
-        if self.steps_used >= self.script.steps() {
-            return Err(EngineError::BudgetExhausted {
-                steps: self.script.steps(),
-            }
-            .into());
-        }
+        self.gate.ensure_open()?;
         let (outcome, estimates) = self.measure(commit)?;
-        let passed = self.script.mode().decide(outcome);
-        self.steps_used += 1;
-        let step = self.steps_used;
-
-        let adaptivity = self.script.adaptivity();
-        // Repository acceptance is what the *developer* observes: with
-        // `adaptivity: none` every commit lands. The *active* model — the
-        // `o` baseline of the condition — is what the integration team
-        // deploys, and it only advances when a commit truly passes.
-        let accepted = match adaptivity {
-            Adaptivity::None => true,
-            Adaptivity::Full | Adaptivity::FirstChange => passed,
-        };
-        let signal = adaptivity.releases_signal().then_some(passed);
-        if passed {
+        let receipt = self.gate.record(&commit.id, outcome, estimates)?;
+        // The `o` baseline the integration team deploys advances only on
+        // a true pass, even where `adaptivity: none` lands every commit.
+        if receipt.passed {
             self.old_predictions = commit.predictions.clone();
         }
-
-        let mut alarm = None;
-        if adaptivity.retires_on_pass() && passed {
-            alarm = Some(AlarmReason::PassedInHybrid);
-        } else if self.steps_used >= self.script.steps() {
-            alarm = Some(AlarmReason::BudgetExhausted);
-        }
-        if alarm.is_some() {
-            self.retired = true;
-        }
-
         self.sink.notify(&CiEvent::CommitTested {
             commit_id: commit.id.clone(),
             outcome,
-            passed,
-            step,
+            passed: receipt.passed,
+            step: receipt.step,
         });
-        if let Some(reason) = alarm {
+        if let Some(reason) = receipt.alarm {
             self.sink.notify(&CiEvent::NewTestsetAlarm {
                 reason,
-                steps_used: self.steps_used,
+                steps_used: receipt.step,
             });
         }
-        self.history.push(HistoryEntry {
-            commit_id: commit.id.clone(),
-            step,
-            era: self.era,
-            estimates,
-            outcome,
-            passed,
-            accepted,
-        });
-        Ok(CommitReceipt {
-            commit_id: commit.id.clone(),
-            step,
-            era: self.era,
-            signal,
-            accepted,
-            outcome,
-            passed,
-            estimates,
-            alarm,
-        })
+        Ok(receipt)
     }
 
     fn measure(&mut self, commit: &ModelCommit) -> Result<(Tribool, CommitEstimates)> {
@@ -464,23 +429,8 @@ impl CiEngine {
         testset: Testset,
         old_predictions: Vec<u32>,
     ) -> Result<Testset> {
-        let want = self.estimate.total_samples();
-        if (testset.len() as u64) < want {
-            return Err(EngineError::TestsetTooSmall {
-                got: testset.len(),
-                want,
-            }
-            .into());
-        }
-        if old_predictions.len() != testset.len() {
-            return Err(EngineError::PredictionLengthMismatch {
-                got: old_predictions.len(),
-                want: testset.len(),
-            }
-            .into());
-        }
         // Phase ranges depend on the pool size; rebuild for the new era.
-        self.layout = Self::build_layout(&self.script, &self.estimate, testset.len())?;
+        self.layout = Self::check_pool(&self.script, &self.estimate, &testset, &old_predictions)?;
         let released = std::mem::replace(&mut self.testset, testset);
         self.sink.notify(&CiEvent::TestsetReleased {
             size: released.len(),
@@ -489,9 +439,7 @@ impl CiEngine {
             size: self.testset.len(),
         });
         self.old_predictions = old_predictions;
-        self.steps_used = 0;
-        self.retired = false;
-        self.era += 1;
+        self.gate.fresh_era();
         Ok(released)
     }
 
@@ -510,35 +458,31 @@ impl CiEngine {
     /// Steps consumed in the current era.
     #[must_use]
     pub fn steps_used(&self) -> u32 {
-        self.steps_used
+        self.gate.steps_used()
     }
 
-    /// Steps remaining before the budget alarm.
+    /// Steps remaining before the budget alarm (0 when retired).
     #[must_use]
     pub fn steps_remaining(&self) -> u32 {
-        if self.retired {
-            0
-        } else {
-            self.script.steps() - self.steps_used
-        }
+        self.gate.steps_remaining()
     }
 
     /// Whether the current testset is retired (alarm fired).
     #[must_use]
     pub fn is_retired(&self) -> bool {
-        self.retired
+        self.gate.is_retired()
     }
 
     /// Current testset era (0-based; increments per fresh testset).
     #[must_use]
     pub fn era(&self) -> u32 {
-        self.era
+        self.gate.era()
     }
 
     /// The evaluation history.
     #[must_use]
     pub fn history(&self) -> &CommitHistory {
-        &self.history
+        self.gate.history()
     }
 
     /// Size of the current testset pool.

@@ -56,7 +56,7 @@ pub enum LeafBound {
 /// per-point sensitivity bound `β/n`:
 ///
 /// * binary F1 — `β = 2 / π₊` where `π₊` is the positive-class rate of
-///   the testset (see [`crate::extensions::f1::F1Sensitivity`]);
+///   the testset (see [`crate::extensions::F1Sensitivity`]);
 /// * top-k restricted accuracy — `β = 1 / ρ_k` where `ρ_k` is the
 ///   testset mass of the k most frequent classes (the statistic is a
 ///   mean over that `ρ_k` fraction of the points).

@@ -9,11 +9,12 @@
 //! * `Unknown` when the interval straddles it.
 //!
 //! A formula is the Kleene conjunction of its clauses, and the script's
-//! [`Mode`] collapses the three-valued result into the final pass/fail bit.
+//! [`crate::Mode`] collapses the three-valued result into the final
+//! pass/fail bit (the engine's [`crate::Gate`] does that collapse).
 
 use crate::dsl::{Clause, CmpOp, Expr, Formula};
 use crate::interval::Interval;
-use crate::logic::{Mode, Tribool};
+use crate::logic::Tribool;
 
 /// Point estimates of the condition variables for one commit.
 ///
@@ -22,7 +23,7 @@ use crate::logic::{Mode, Tribool};
 /// measurement over a per-class testset can produce them. Evaluating a
 /// metric expression without the matching estimate is a caller bug and
 /// panics loudly — the serve layer validates the measurement shape
-/// against the formula before calling [`decide`].
+/// against the formula before calling [`evaluate_formula`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct VariableEstimates {
     /// Estimated accuracy of the new model (`n̂`).
@@ -36,7 +37,7 @@ pub struct VariableEstimates {
     /// Estimated binary F1 of the old model, when measured.
     pub f1_o: Option<f64>,
     /// Estimated top-k accuracies of the new model as `(k, value)` pairs,
-    /// when measured. At most [`MAX_TOPK_ESTIMATES`] distinct `k`s.
+    /// when measured. At most `MAX_TOPK_ESTIMATES` distinct `k`s.
     pub topk_n: TopKEstimates,
     /// Estimated top-k accuracies of the old model, same shape.
     pub topk_o: TopKEstimates,
@@ -67,7 +68,7 @@ impl VariableEstimates {
     ///
     /// # Panics
     ///
-    /// Panics when more than [`MAX_TOPK_ESTIMATES`] distinct `k`s are
+    /// Panics when more than `MAX_TOPK_ESTIMATES` distinct `k`s are
     /// recorded for one model.
     pub fn set_topk(&mut self, is_new: bool, k: u32, value: f64) {
         let slots = if is_new {
@@ -198,21 +199,11 @@ pub fn evaluate_formula(formula: &Formula, est: &VariableEstimates) -> Tribool {
     Tribool::all(formula.clauses().iter().map(|c| evaluate_clause(c, est)))
 }
 
-/// Full decision: evaluate the formula and collapse `Unknown` by mode.
-///
-/// Returns the pass/fail bit together with the intermediate three-valued
-/// outcome (exposed because the engine logs it and the hybrid adaptivity
-/// policy needs it).
-#[must_use]
-pub fn decide(formula: &Formula, est: &VariableEstimates, mode: Mode) -> (bool, Tribool) {
-    let outcome = evaluate_formula(formula, est);
-    (mode.decide(outcome), outcome)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dsl::{parse_clause, parse_formula};
+    use crate::logic::Mode;
 
     fn est(n: f64, o: f64, d: f64) -> VariableEstimates {
         VariableEstimates::new(n, o, d)
@@ -265,11 +256,10 @@ mod tests {
     fn decide_applies_mode() {
         let f = parse_formula("n - o > 0.02 +/- 0.01").unwrap();
         let straddling = est(0.875, 0.85, 0.0);
-        let (pass_fp, out_fp) = decide(&f, &straddling, Mode::FpFree);
-        assert_eq!(out_fp, Tribool::Unknown);
-        assert!(!pass_fp, "fp-free must reject Unknown");
-        let (pass_fn, _) = decide(&f, &straddling, Mode::FnFree);
-        assert!(pass_fn, "fn-free must accept Unknown");
+        let outcome = evaluate_formula(&f, &straddling);
+        assert_eq!(outcome, Tribool::Unknown);
+        assert!(!Mode::FpFree.decide(outcome), "fp-free must reject Unknown");
+        assert!(Mode::FnFree.decide(outcome), "fn-free must accept Unknown");
     }
 
     #[test]

@@ -76,8 +76,8 @@ pub use cache::{
 pub use engine::{
     clause_label_demand, first_at_or_above, formula_label_demand, validate_metric_formula,
     AlarmReason, CiEngine, CiEvent, CollectingSink, CommitEstimates, CommitHistory, CommitReceipt,
-    HistoryEntry, LabelDemand, LabelOracle, MailboxSink, MeasuredCounts, Measurement, ModelCommit,
-    NotificationSink, NullSink, PerClassCounts, Testset, VecOracle,
+    Gate, GateSavepoint, HistoryEntry, LabelDemand, LabelOracle, MailboxSink, MeasuredCounts,
+    Measurement, ModelCommit, NotificationSink, NullSink, PerClassCounts, Testset, VecOracle,
 };
 pub use error::{CiError, EngineError, ParseError, Result, ScriptError};
 pub use estimator::{
@@ -85,8 +85,7 @@ pub use estimator::{
     SampleSizeEstimator,
 };
 pub use eval::{
-    clause_interval, decide, evaluate_clause, evaluate_clause_at, evaluate_formula,
-    VariableEstimates,
+    clause_interval, evaluate_clause, evaluate_clause_at, evaluate_formula, VariableEstimates,
 };
 pub use interval::Interval;
 pub use logic::{Mode, ParseModeError, Tribool};

@@ -502,7 +502,7 @@ const PACK_DECODE: [u8; 256] = {
 /// Encode a `u32` vector into the serving layer's canonical compact wire
 /// string. Class-label and prediction vectors are almost always small
 /// integers, so vectors whose every item is `< 64` pack to one
-/// [`PACK_ALPHABET`] character per item behind a `#` sentinel; anything
+/// `PACK_ALPHABET` character per item behind a `#` sentinel; anything
 /// else falls back to comma-separated decimal. The encoding is
 /// canonical: equal vectors encode to identical bytes (the journal's
 /// byte-determinism contract extends through it).

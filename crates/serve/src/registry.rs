@@ -3,8 +3,10 @@
 //! A *project* is one repository wired into the CI service: a validated
 //! [`CiScript`], the sample-size estimate its testset must satisfy, and
 //! the per-era gating state (step budget `H`, testset era, retirement
-//! flag, commit history). The gate mirrors the adaptivity semantics of
-//! [`easeml_ci_core::CiEngine::submit`] and is fed one of two ways:
+//! flag, commit history). That state is a core [`Gate`], the same state
+//! machine [`easeml_ci_core::CiEngine::submit`] records through, so the
+//! served decision and the engine's cannot drift. The gate is fed one of
+//! two ways:
 //!
 //! * **counts** — the developer's CI job measured its own predictions
 //!   and posts `(samples, new_correct, old_correct, changed)`;
@@ -17,10 +19,11 @@
 //!   [`easeml_ci_core::LabelDemand`] requires them.
 //!
 //! Both feeds converge on the same [`EvalCounts`] and the same gate code
-//! path: point estimates, condition over confidence intervals, mode
-//! collapse, budget decrement, and the new-testset alarm when the era's
-//! statistical power is spent — so counts↔predictions equivalence is
-//! structural, not a contract to maintain.
+//! path: point estimates, then the condition over confidence intervals,
+//! then [`Gate::record`] (mode collapse, budget decrement, and the
+//! new-testset alarm when the era's statistical power is spent) — so
+//! counts↔predictions equivalence is structural, not a contract to
+//! maintain.
 //!
 //! Every mutating operation happens under the project's lock, so
 //! concurrent submissions serialize into a well-defined step order — the
@@ -29,13 +32,12 @@
 use crate::error::ServeError;
 use crate::json::encode_u32_vec;
 use crate::obs::trace::{self, Stage};
-use easeml_bounds::Adaptivity;
 use easeml_ci_core::dsl::Formula;
 use easeml_ci_core::{
-    decide, first_at_or_above, validate_metric_formula, AlarmReason, CiScript, CommitEstimates,
-    CommitHistory, EstimatorConfig, HistoryEntry, LabelOracle, MeasuredCounts, Measurement,
-    PerClassCounts, SampleSizeEstimate, SampleSizeEstimator, Testset, Tribool, VariableEstimates,
-    VecOracle,
+    evaluate_formula, first_at_or_above, validate_metric_formula, AlarmReason, CiScript,
+    CommitEstimates, CommitHistory, CommitReceipt, EngineError, EstimatorConfig, Gate,
+    GateSavepoint, LabelOracle, MeasuredCounts, Measurement, PerClassCounts, SampleSizeEstimate,
+    SampleSizeEstimator, Testset, Tribool, VariableEstimates, VecOracle,
 };
 
 /// FNV-1a 64 over a sequence of byte slices — the digest primitive of
@@ -51,6 +53,11 @@ pub(crate) fn fnv1a64(parts: &[&[u8]]) -> u64 {
     }
     hash
 }
+
+/// The largest class count a testset may declare. Metric commits
+/// allocate per-class tables of this length, so an unbounded count would
+/// let one registration make every later commit allocate gigabytes.
+pub const MAX_CLASSES: u32 = 1 << 16;
 
 /// A server-side testset as uploaded at registration (or with a fresh
 /// era): the full ground truth, the class count, and whether the labels
@@ -73,14 +80,20 @@ impl TestsetSpec {
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadRequest`] for empty pools, zero classes, or
-    /// labels outside the class range.
+    /// [`ServeError::BadRequest`] for empty pools, zero classes or more
+    /// than [`MAX_CLASSES`], or labels outside the class range.
     pub fn validate(&self) -> Result<(), ServeError> {
         if self.truth.is_empty() {
             return Err(ServeError::BadRequest("testset must be non-empty".into()));
         }
         if self.classes == 0 {
             return Err(ServeError::BadRequest("classes must be positive".into()));
+        }
+        if self.classes > MAX_CLASSES {
+            return Err(ServeError::BadRequest(format!(
+                "classes {} exceeds the limit of {MAX_CLASSES}",
+                self.classes
+            )));
         }
         if let Some(bad) = self.truth.iter().find(|&&l| l >= self.classes) {
             return Err(ServeError::BadRequest(format!(
@@ -575,14 +588,33 @@ pub struct GateReceipt {
     pub labels: u64,
 }
 
-/// A point-in-time capture of the gate counters, used to roll back a
-/// mutation whose journal append failed.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct GateMark {
-    steps_used: u32,
-    era: u32,
-    retired: bool,
-    history_len: usize,
+impl From<CommitReceipt> for GateReceipt {
+    fn from(r: CommitReceipt) -> GateReceipt {
+        GateReceipt {
+            commit_id: r.commit_id,
+            step: r.step,
+            era: r.era,
+            signal: r.signal,
+            accepted: r.accepted,
+            outcome: r.outcome,
+            passed: r.passed,
+            alarm: r.alarm,
+            steps_remaining: r.steps_remaining,
+            labels: r.estimates.labels_requested,
+        }
+    }
+}
+
+/// The `Gone` answer for an era the gate refuses
+/// ([`Gate::ensure_open`]).
+fn gate_closed(e: EngineError) -> ServeError {
+    ServeError::Gone(match e {
+        EngineError::BudgetExhausted { steps } => {
+            format!("step budget H = {steps} exhausted; install a fresh testset")
+        }
+        // The gate refuses with nothing else.
+        _ => "testset era is retired; install a fresh testset".into(),
+    })
 }
 
 /// One registered project and its gating state.
@@ -592,23 +624,22 @@ pub struct Project {
     script_text: String,
     script: CiScript,
     estimate: SampleSizeEstimate,
-    steps_used: u32,
-    era: u32,
-    retired: bool,
-    history: CommitHistory,
+    gate: Gate,
     /// Server-side testset state — present iff the registration uploaded
     /// a testset (the project then accepts predictions submissions).
     measured: Option<MeasuredTestset>,
-    /// Per-history-entry predictions digest (`None` for counts-based
-    /// entries) — the redelivery-dedup key of the predictions gate.
-    /// Always exactly as long as `history`.
-    pred_digests: Vec<Option<u64>>,
-    /// Per-history-entry per-class confusion counts (`None` for plain
-    /// accuracy/difference conditions) — what restart-replay and
-    /// redelivery dedup re-check F1/top-k verdicts against. Always
-    /// exactly as long as `history`.
-    per_class_history: Vec<Option<PerClassCounts>>,
+    /// Per-history-entry redelivery keys, always exactly as long as the
+    /// gate's history: the predictions digest (`None` for counts-based
+    /// entries), the dedup key of the predictions gate, and the per-class
+    /// confusion counts (`None` for plain accuracy/difference
+    /// conditions) that restart replay and redelivery dedup re-check
+    /// F1/top-k verdicts against.
+    entry_keys: Vec<EntryKey>,
 }
+
+/// A history entry's predictions digest and per-class confusion counts
+/// (see [`Project`]'s `entry_keys`).
+pub(crate) type EntryKey = (Option<u64>, Option<PerClassCounts>);
 
 /// Project names become directory names and URL path segments, so they
 /// are restricted to a conservative slug alphabet.
@@ -679,15 +710,11 @@ impl Project {
         Ok(Project {
             name: name.to_owned(),
             script_text: script_text.to_owned(),
+            gate: Gate::new(&script),
             script,
             estimate,
-            steps_used: 0,
-            era: 0,
-            retired: false,
-            history: CommitHistory::new(),
             measured,
-            pred_digests: Vec::new(),
-            per_class_history: Vec::new(),
+            entry_keys: Vec::new(),
         })
     }
 
@@ -770,7 +797,7 @@ impl Project {
         // Gate preconditions first; vector validation happens inside
         // `measure` (before any oracle pull), so a refused or malformed
         // submission never spends labels.
-        self.ensure_gate_open()?;
+        self.gate.ensure_open().map_err(gate_closed)?;
         let condition = self.script.condition();
         let measured = self.measured.as_mut().expect("checked above");
         let (measured_counts, per_class) = trace::time(Stage::Measure, || {
@@ -788,96 +815,36 @@ impl Project {
         Ok((receipt, counts))
     }
 
-    fn ensure_gate_open(&self) -> Result<(), ServeError> {
-        if self.retired {
-            return Err(ServeError::Gone(
-                "testset era is retired; install a fresh testset".into(),
-            ));
-        }
-        if self.steps_used >= self.script.steps() {
-            return Err(ServeError::Gone(format!(
-                "step budget H = {} exhausted; install a fresh testset",
-                self.script.steps()
-            )));
-        }
-        Ok(())
-    }
-
+    /// The gate step both feeds share: validation, point estimates, the
+    /// condition over confidence intervals and [`Gate::record`], all in
+    /// the `gate` trace stage.
     fn submit_with_digest(
         &mut self,
         submission: &CommitSubmission,
         digest: Option<u64>,
     ) -> Result<GateReceipt, ServeError> {
-        trace::time(Stage::Gate, || self.gate_with_digest(submission, digest))
-    }
-
-    /// The gate body of [`Project::submit_with_digest`], split out so
-    /// the whole decision (validation, statistics, budget accounting,
-    /// history append) lands in the `gate` trace stage.
-    fn gate_with_digest(
-        &mut self,
-        submission: &CommitSubmission,
-        digest: Option<u64>,
-    ) -> Result<GateReceipt, ServeError> {
-        if submission.commit_id.is_empty() {
-            return Err(ServeError::BadRequest("commit_id must be non-empty".into()));
-        }
-        submission.counts.validate()?;
-        self.ensure_gate_open()?;
-        let est = submission.counts.estimates_for(self.script.condition())?;
-        let (passed, outcome) = decide(self.script.condition(), &est, self.script.mode());
-        self.steps_used += 1;
-        let step = self.steps_used;
-
-        let adaptivity = self.script.adaptivity();
-        // Same contract as the engine: with `adaptivity: none` every
-        // commit lands in the repository (the developer never sees the
-        // bit); the *accepted* baseline only advances on a true pass.
-        let accepted = match adaptivity {
-            Adaptivity::None => true,
-            Adaptivity::Full | Adaptivity::FirstChange => passed,
-        };
-        let signal = adaptivity.releases_signal().then_some(passed);
-
-        let mut alarm = None;
-        if adaptivity.retires_on_pass() && passed {
-            alarm = Some(AlarmReason::PassedInHybrid);
-        } else if self.steps_used >= self.script.steps() {
-            alarm = Some(AlarmReason::BudgetExhausted);
-        }
-        if alarm.is_some() {
-            self.retired = true;
-        }
-
-        self.history.push(HistoryEntry {
-            commit_id: submission.commit_id.clone(),
-            step,
-            era: self.era,
-            estimates: CommitEstimates {
+        trace::time(Stage::Gate, || {
+            if submission.commit_id.is_empty() {
+                return Err(ServeError::BadRequest("commit_id must be non-empty".into()));
+            }
+            submission.counts.validate()?;
+            self.gate.ensure_open().map_err(gate_closed)?;
+            let est = submission.counts.estimates_for(self.script.condition())?;
+            let outcome = evaluate_formula(self.script.condition(), &est);
+            let estimates = CommitEstimates {
                 d: Some(est.d),
                 n: Some(est.n),
                 o: Some(est.o),
                 diff: Some(est.n - est.o),
                 labels_requested: submission.counts.labels,
-            },
-            outcome,
-            passed,
-            accepted,
-        });
-        self.pred_digests.push(digest);
-        self.per_class_history
-            .push(submission.counts.per_class.clone());
-        Ok(GateReceipt {
-            commit_id: submission.commit_id.clone(),
-            step,
-            era: self.era,
-            signal,
-            accepted,
-            outcome,
-            passed,
-            alarm,
-            steps_remaining: self.script.steps() - self.steps_used,
-            labels: submission.counts.labels,
+            };
+            let receipt = self
+                .gate
+                .record(&submission.commit_id, outcome, estimates)
+                .map_err(gate_closed)?;
+            self.entry_keys
+                .push((digest, submission.counts.per_class.clone()));
+            Ok(receipt.into())
         })
     }
 
@@ -896,28 +863,26 @@ impl Project {
     /// so no statistical budget needs to be charged for it.
     #[must_use]
     pub fn duplicate_receipt(&self, submission: &CommitSubmission) -> Option<GateReceipt> {
+        // Trust model: a server-measured project refuses client counts
+        // (`Project::submit`), so a counts body never matches one of its
+        // predictions entries either.
+        if self.measured.is_some() {
+            return None;
+        }
         submission.counts.validate().ok()?;
         let est = submission.counts.estimates();
-        let index = self
-            .history
-            .entries()
-            .iter()
-            .enumerate()
-            .rev()
-            .take_while(|(_, e)| e.era == self.era)
-            .find(|(i, e)| {
-                e.commit_id == submission.commit_id
-                    && e.estimates.n == Some(est.n)
-                    && e.estimates.o == Some(est.o)
-                    && e.estimates.d == Some(est.d)
-                    && e.estimates.labels_requested == submission.counts.labels
-                    // Identical scalar triples can still carry different
-                    // per-class confusion shapes — and thus different
-                    // F1/top-k verdicts — so the dedup key includes them.
-                    && self.per_class_history.get(*i) == Some(&submission.counts.per_class)
-            })
-            .map(|(i, _)| i)?;
-        Some(self.receipt_for_entry(&self.history.entries()[index]))
+        let index = self.gate.find_in_era(|i, e| {
+            e.commit_id == submission.commit_id
+                && e.estimates.n == Some(est.n)
+                && e.estimates.o == Some(est.o)
+                && e.estimates.d == Some(est.d)
+                && e.estimates.labels_requested == submission.counts.labels
+                // Identical scalar triples can still carry different
+                // per-class confusion shapes — and thus different
+                // F1/top-k verdicts — so the dedup key includes them.
+                && self.entry_keys.get(i).is_some_and(|k| k.1 == submission.counts.per_class)
+        })?;
+        Some(self.gate.verdict_of(index).into())
     }
 
     /// If `submission` redelivers prediction vectors already evaluated in
@@ -944,64 +909,19 @@ impl Project {
         commit_id: &str,
         digest: u64,
     ) -> Option<(GateReceipt, EvalCounts)> {
-        let entries = self.history.entries();
-        let index = entries
-            .iter()
-            .enumerate()
-            .rev()
-            .take_while(|(_, e)| e.era == self.era)
-            .find(|(i, e)| {
-                e.commit_id == commit_id
-                    && self.pred_digests.get(*i).copied().flatten() == Some(digest)
-            })
-            .map(|(i, _)| i)?;
-        let entry = &entries[index];
-        Some((
-            self.receipt_for_entry(entry),
-            self.counts_from_entry(index, entry),
-        ))
+        let index = self.gate.find_in_era(|i, e| {
+            e.commit_id == commit_id && self.entry_keys.get(i).is_some_and(|k| k.0 == Some(digest))
+        })?;
+        Some((self.gate.verdict_of(index).into(), self.counts_at(index)))
     }
 
-    /// Reconstruct the receipt a recorded evaluation originally produced.
-    fn receipt_for_entry(&self, entry: &HistoryEntry) -> GateReceipt {
-        let adaptivity = self.script.adaptivity();
-        // Retirement can only have been triggered by the era's final
-        // evaluation, so only that entry's receipt carried an alarm.
-        let is_final = self
-            .history
-            .last()
-            .is_some_and(|last| last.era == entry.era && last.step == entry.step);
-        let alarm = if self.retired && is_final {
-            if adaptivity.retires_on_pass() && entry.passed {
-                Some(AlarmReason::PassedInHybrid)
-            } else {
-                Some(AlarmReason::BudgetExhausted)
-            }
-        } else {
-            None
-        };
-        GateReceipt {
-            commit_id: entry.commit_id.clone(),
-            step: entry.step,
-            era: entry.era,
-            signal: adaptivity.releases_signal().then_some(entry.passed),
-            accepted: entry.accepted,
-            outcome: entry.outcome,
-            passed: entry.passed,
-            alarm,
-            // As the original receipt computed it: the budget left right
-            // after this evaluation (NOT collapsed to 0 by retirement).
-            steps_remaining: self.script.steps() - entry.step,
-            labels: entry.estimates.labels_requested,
-        }
-    }
-
-    /// Reconstruct the derived counts a predictions-mode history entry
-    /// recorded. Point estimates are exact multiples of `1/samples`, so
-    /// rounding `estimate × samples` recovers the integer counts; the
-    /// per-class confusion counts are carried verbatim in
-    /// `per_class_history`.
-    fn counts_from_entry(&self, index: usize, entry: &HistoryEntry) -> EvalCounts {
+    /// Reconstruct the derived counts predictions-mode history entry
+    /// `index` recorded. Point estimates are exact multiples of
+    /// `1/samples`, so rounding `estimate × samples` recovers the integer
+    /// counts; the per-class confusion counts are carried verbatim in
+    /// `entry_keys`.
+    fn counts_at(&self, index: usize) -> EvalCounts {
+        let entry = &self.gate.history().entries()[index];
         let samples = self.measured.as_ref().map_or(0, |m| m.len() as u64);
         let s = samples as f64;
         let count = |est: Option<f64>| (est.unwrap_or(0.0) * s).round() as u64;
@@ -1011,7 +931,7 @@ impl Project {
             old_correct: count(entry.estimates.o),
             changed: count(entry.estimates.d),
             labels: entry.estimates.labels_requested,
-            per_class: self.per_class_history.get(index).cloned().flatten(),
+            per_class: self.entry_keys.get(index).and_then(|k| k.1.clone()),
         }
     }
 
@@ -1022,10 +942,7 @@ impl Project {
     /// Projects with a server-side testset must instead hand the new
     /// era's data over through [`Project::install_testset`].
     pub fn fresh_testset(&mut self) -> u32 {
-        self.era += 1;
-        self.steps_used = 0;
-        self.retired = false;
-        self.era
+        self.gate.fresh_era()
     }
 
     /// Install a fresh *server-side* testset: replace the measured pool
@@ -1074,35 +991,31 @@ impl Project {
     /// Steps consumed in the current era.
     #[must_use]
     pub fn steps_used(&self) -> u32 {
-        self.steps_used
+        self.gate.steps_used()
     }
 
     /// Steps remaining before the budget alarm (0 when retired).
     #[must_use]
     pub fn steps_remaining(&self) -> u32 {
-        if self.retired {
-            0
-        } else {
-            self.script.steps() - self.steps_used
-        }
+        self.gate.steps_remaining()
     }
 
     /// Current testset era.
     #[must_use]
     pub fn era(&self) -> u32 {
-        self.era
+        self.gate.era()
     }
 
     /// Whether the current era is retired (fresh testset required).
     #[must_use]
     pub fn is_retired(&self) -> bool {
-        self.retired
+        self.gate.is_retired()
     }
 
     /// The evaluation history across all eras.
     #[must_use]
     pub fn history(&self) -> &CommitHistory {
-        &self.history
+        self.gate.history()
     }
 
     /// The server-side testset state, when this project measures
@@ -1122,36 +1035,34 @@ impl Project {
     /// (`None` for counts-based entries).
     #[must_use]
     pub(crate) fn pred_digest(&self, index: usize) -> Option<u64> {
-        self.pred_digests.get(index).copied().flatten()
+        self.entry_keys.get(index).and_then(|k| k.0)
     }
 
     /// The per-class confusion counts recorded for history entry `index`
     /// (`None` for plain scalar conditions).
     #[must_use]
     pub(crate) fn per_class_at(&self, index: usize) -> Option<&PerClassCounts> {
-        self.per_class_history.get(index).and_then(Option::as_ref)
+        self.entry_keys.get(index).and_then(|k| k.1.as_ref())
     }
 
-    /// Restore gate counters from a snapshot (see [`crate::store`]).
-    /// `pred_digests` and `per_class_history` must be aligned with
-    /// `history`.
+    /// Restore the gate and its redelivery keys from a snapshot (see
+    /// [`crate::store`]). `entry_keys` must be aligned with `history`.
+    ///
+    /// # Errors
+    ///
+    /// The inconsistency [`Gate::restore`] found; nothing changes then.
     pub(crate) fn restore(
         &mut self,
         steps_used: u32,
         era: u32,
         retired: bool,
         history: CommitHistory,
-        pred_digests: Vec<Option<u64>>,
-        per_class_history: Vec<Option<PerClassCounts>>,
-    ) {
-        debug_assert_eq!(history.len(), pred_digests.len());
-        debug_assert_eq!(history.len(), per_class_history.len());
-        self.steps_used = steps_used;
-        self.era = era;
-        self.retired = retired;
-        self.history = history;
-        self.pred_digests = pred_digests;
-        self.per_class_history = per_class_history;
+        entry_keys: Vec<EntryKey>,
+    ) -> Result<(), String> {
+        debug_assert_eq!(history.len(), entry_keys.len());
+        self.gate.restore(steps_used, era, retired, history)?;
+        self.entry_keys = entry_keys;
+        Ok(())
     }
 
     /// Replace the measured-testset state wholesale (snapshot restore
@@ -1181,29 +1092,20 @@ impl Project {
         self.measured.as_mut()
     }
 
-    /// The gate counters that a mutation can change, captured so a
-    /// failed durability step can roll the mutation back (see
+    /// The gate state a mutation can change, captured so a failed
+    /// durability step can roll the mutation back (see
     /// [`crate::store::ProjectSlot`]).
-    pub(crate) fn gate_mark(&self) -> GateMark {
-        GateMark {
-            steps_used: self.steps_used,
-            era: self.era,
-            retired: self.retired,
-            history_len: self.history.len(),
-        }
+    pub(crate) fn mark(&self) -> GateSavepoint {
+        self.gate.mark()
     }
 
-    /// Undo every state change made since `mark` was captured. Only
-    /// valid for rolling back the single most recent mutation (the
-    /// history is truncated, never rebuilt). Label-pool and testset
-    /// state are restored separately (see [`crate::store::ProjectSlot`]).
-    pub(crate) fn rollback_to(&mut self, mark: GateMark) {
-        self.steps_used = mark.steps_used;
-        self.era = mark.era;
-        self.retired = mark.retired;
-        self.history.truncate(mark.history_len);
-        self.pred_digests.truncate(mark.history_len);
-        self.per_class_history.truncate(mark.history_len);
+    /// Undo the single most recent mutation ([`Gate::rollback`]) and the
+    /// dedup keys it appended. Label-pool and testset state are restored
+    /// separately (see [`crate::store::ProjectSlot`]).
+    pub(crate) fn rollback(&mut self, mark: GateSavepoint) {
+        self.gate.rollback(mark);
+        let len = self.gate.history().len();
+        self.entry_keys.truncate(len);
     }
 }
 

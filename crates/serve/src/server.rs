@@ -37,11 +37,11 @@
 //!
 //! # Concurrency
 //!
-//! Connections are owned by the event-driven core in [`crate::net`]:
+//! Connections are owned by the event-driven core in `crate::net`:
 //! one or more readiness loops (`--event-threads`) multiplex every
 //! keep-alive socket and parse requests incrementally. µs-scale
 //! requests (gate commits, status reads — see
-//! [`RouteHandler::inline`]) execute directly on the event thread;
+//! `RouteHandler::inline`) execute directly on the event thread;
 //! only expensive ones (registration's plan search, cache persistence)
 //! are spawned as jobs on one [`easeml_par::Pool::scope`] — so
 //! `--threads N` bounds concurrent *expensive* handlers exactly like it
@@ -959,7 +959,7 @@ fn project_status(registry: &Registry, name: &str) -> Result<Response, ServeErro
 
 /// The `easeml_gate_outcomes_total{outcome=...}` label for a decision.
 fn gate_outcome_str(receipt: &GateReceipt) -> &'static str {
-    if receipt.alarm == Some(AlarmReason::BudgetExhausted) {
+    if matches!(receipt.alarm, Some(AlarmReason::BudgetExhausted)) {
         "budget_exhausted"
     } else if receipt.passed {
         "pass"

@@ -373,7 +373,7 @@ impl fmt::Debug for GroupMetrics {
 
 /// The shared commit queue plus its dedicated flusher thread.
 ///
-/// Mutating requests stage [`StagedOp`]s and get a [`Waiter`] back;
+/// Mutating requests stage `StagedOp`s and get a [`Waiter`] back;
 /// the flusher drains the queue in rounds and issues one `sync_data`
 /// per distinct journal per round. Natural batching: while one round's
 /// fsync is in flight, later requests pile onto the queue and are

@@ -805,8 +805,7 @@ fn load_snapshot(
         .and_then(Value::as_array)
         .ok_or_else(|| corrupt(path, "missing `history`"))?;
     let mut history = CommitHistory::new();
-    let mut pred_digests: Vec<Option<u64>> = Vec::with_capacity(entries.len());
-    let mut per_class_history: Vec<Option<PerClassCounts>> = Vec::with_capacity(entries.len());
+    let mut entry_keys = Vec::with_capacity(entries.len());
     for (i, entry) in entries.iter().enumerate() {
         let bad = |what: &str| corrupt(path, format!("history[{i}]: {what}"));
         let commit_id = entry
@@ -841,15 +840,16 @@ fn load_snapshot(
             .and_then(Value::as_str)
             .and_then(tribool_parse)
             .ok_or_else(|| bad("bad `outcome`"))?;
-        pred_digests.push(match entry.get("pred_digest") {
+        let digest = match entry.get("pred_digest") {
             None | Some(Value::Null) => None,
             Some(v) => Some(
                 v.as_str()
                     .and_then(parse_digest_hex)
                     .ok_or_else(|| bad("bad `pred_digest`"))?,
             ),
-        });
-        per_class_history.push(per_class_from_value(entry.get("per_class")).map_err(|e| bad(&e))?);
+        };
+        let per_class = per_class_from_value(entry.get("per_class")).map_err(|e| bad(&e))?;
+        entry_keys.push((digest, per_class));
         history.push(HistoryEntry {
             commit_id,
             step: num_u32("step")?,
@@ -869,14 +869,9 @@ fn load_snapshot(
             accepted: flag("accepted")?,
         });
     }
-    project.restore(
-        steps_used,
-        era,
-        retired,
-        history,
-        pred_digests,
-        per_class_history,
-    );
+    project
+        .restore(steps_used, era, retired, history, entry_keys)
+        .map_err(|e| corrupt(path, e))?;
     Ok(journal_ops)
 }
 
@@ -1027,16 +1022,6 @@ impl ProjectSlot {
     ///
     /// Gate rejections and journal I/O failures.
     pub fn submit(&mut self, submission: &CommitSubmission) -> Result<GateReceipt, ServeError> {
-        // Trust model: a server-measured project refuses client counts
-        // outright (checked before dedup, so a counts body can never
-        // match a predictions entry's estimates either).
-        if self.project.measured().is_some() {
-            return Err(ServeError::Conflict(
-                "project holds a server-side testset; submit prediction vectors to \
-                 /commits/predictions"
-                    .into(),
-            ));
-        }
         if let Some(receipt) = self.project.duplicate_receipt(submission) {
             return Ok(receipt);
         }
@@ -1045,13 +1030,13 @@ impl ProjectSlot {
         // that lives in memory but not in the journal would make every
         // *later* journaled step number diverge from what a restart
         // recomputes, bricking recovery for the whole project.
-        let mark = self.project.gate_mark();
+        let mark = self.project.mark();
         let receipt = self.project.submit(submission)?;
         if let Err(e) = self
             .store
             .append_commit(submission, &receipt, &self.project)
         {
-            self.project.rollback_to(mark);
+            self.project.rollback(mark);
             return Err(e);
         }
         Ok(receipt)
@@ -1107,7 +1092,7 @@ impl ProjectSlot {
         {
             return Ok(hit);
         }
-        let mark = self.project.gate_mark();
+        let mark = self.project.mark();
         // The labels this measurement pulls, handed back if the op fails
         // (fully-labelled pools pull none).
         let mut fresh = Vec::new();
@@ -1123,7 +1108,7 @@ impl ProjectSlot {
             // Defensive for gate errors too: the gate rejects before
             // measuring, but a partial label spend must never outlive a
             // failed op.
-            self.project.rollback_to(mark);
+            self.project.rollback(mark);
             self.project.unset_labels(&fresh);
         }
         result
@@ -1147,10 +1132,10 @@ impl ProjectSlot {
                     .into(),
             ));
         }
-        let mark = self.project.gate_mark();
+        let mark = self.project.mark();
         let era = self.project.fresh_testset();
         if let Err(e) = self.store.append_fresh_testset(era, None, &self.project) {
-            self.project.rollback_to(mark);
+            self.project.rollback(mark);
             return Err(e);
         }
         Ok(era)
@@ -1179,12 +1164,12 @@ impl ProjectSlot {
         // An orphaned blob from a crash here is harmless: the journal
         // never references it, and a retry simply overwrites it.
         self.store.write_testset_blob(next_era, &spec)?;
-        let mark = self.project.gate_mark();
+        let mark = self.project.mark();
         let prev = self.project.measured_clone();
         let era = self.project.install_testset(spec)?;
         let digest = self.project.testset_digest();
         if let Err(e) = self.store.append_fresh_testset(era, digest, &self.project) {
-            self.project.rollback_to(mark);
+            self.project.rollback(mark);
             self.project.set_measured(prev);
             return Err(e);
         }
@@ -1594,6 +1579,61 @@ mod tests {
         // Garbage line: rejected too.
         std::fs::write(&journal, "not json\n").unwrap();
         assert!(Registry::open(&dir, serving_estimator()).is_err());
+    }
+
+    /// Snapshot one counts commit of an H = 3 project, apply `edit` to
+    /// `snapshot.json`, and return the boot error, which must name that
+    /// file.
+    fn boot_error_after_snapshot_edit(name: &str, edit: impl Fn(&str) -> String) -> String {
+        let dir = temp_dir(name);
+        {
+            let registry = Registry::open(&dir, serving_estimator()).unwrap();
+            let slot = registry.register("proj", SCRIPT, None).unwrap();
+            let mut slot = slot.lock().unwrap();
+            slot.submit(&submission("c1", 90)).unwrap();
+            slot.snapshot().unwrap();
+        }
+        let path = dir.join("projects/proj/snapshot.json");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let edited = edit(&text);
+        assert_ne!(edited, text, "the edit must change the snapshot");
+        std::fs::write(&path, edited).unwrap();
+        match Registry::open(&dir, serving_estimator()) {
+            Err(ServeError::Corrupt { path: bad, reason }) => {
+                assert!(bad.ends_with("snapshot.json"), "{}", bad.display());
+                reason
+            }
+            Err(e) => panic!("expected a corrupt snapshot, got {e}"),
+            Ok(_) => panic!("boot accepted a snapshot outside the step budget"),
+        }
+    }
+
+    #[test]
+    fn snapshot_steps_used_beyond_budget_fails_boot() {
+        let reason = boot_error_after_snapshot_edit("steps-over", |t| {
+            t.replace("\"steps_used\": 1,", "\"steps_used\": 7,")
+        });
+        assert!(reason.contains("steps_used 7"), "{reason}");
+    }
+
+    #[test]
+    fn snapshot_entry_step_outside_budget_fails_boot() {
+        let reason = boot_error_after_snapshot_edit("step-range", |t| {
+            t.replace("\"step\": 1,", "\"step\": 4,")
+        });
+        assert!(reason.contains("step 4"), "{reason}");
+        let reason = boot_error_after_snapshot_edit("step-zero", |t| {
+            t.replace("\"step\": 1,", "\"step\": 0,")
+        });
+        assert!(reason.contains("step 0"), "{reason}");
+    }
+
+    #[test]
+    fn snapshot_entry_from_a_later_era_fails_boot() {
+        let reason = boot_error_after_snapshot_edit("era-ahead", |t| {
+            t.replace("      \"era\": 0,", "      \"era\": 1,")
+        });
+        assert!(reason.contains("era 1"), "{reason}");
     }
 
     #[test]
@@ -2380,14 +2420,22 @@ mod tests {
         ) {
             let (journal_ops, steps_used, era, retired) = counters;
             let mut project = base_project(kind);
+            // Restore accepts only states the gate can reach: steps within
+            // the budget H, and no entry after the snapshot's era.
+            let h = project.script().steps();
             let mut history = CommitHistory::new();
-            let (mut digests, mut per_class) = (Vec::new(), Vec::new());
+            let mut keys = Vec::new();
             for (entry, digest, pc) in rows {
-                history.push(entry);
-                digests.push(digest);
-                per_class.push(pc);
+                history.push(HistoryEntry {
+                    step: 1 + entry.step % h,
+                    era: entry.era.min(era),
+                    ..entry
+                });
+                keys.push((digest, pc));
             }
-            project.restore(steps_used, era, retired == 1, history, digests, per_class);
+            project
+                .restore(steps_used % (h + 1), era, retired == 1, history, keys)
+                .unwrap();
             if let Some(measured) = project.measured_mut() {
                 measured.restore_labels(&labeled).unwrap();
             }

@@ -627,7 +627,7 @@ impl FaultVfs {
     /// halted. Computed from the live disk at call time — call only
     /// after all client threads have joined, so operations that were
     /// in flight at the halt (already past their fault check, about to
-    /// report success) are reflected; see [`HaltView`].
+    /// report success) are reflected; see `HaltView`.
     #[must_use]
     pub fn captured_disk(&self) -> Option<MemVfs> {
         let view = *self.state.halted_as.lock().expect("halt poisoned");

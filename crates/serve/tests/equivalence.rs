@@ -9,10 +9,20 @@
 //! shape). One server instance (on the process-wide pool, so the CI
 //! `EASEML_THREADS` matrix exercises widths 1 and 4) serves every
 //! case; each case registers a fresh pair of projects.
+//!
+//! A second proptest pins the served gate against the in-process
+//! `CiEngine`: both record through the core `Gate`, and across random
+//! scripts, adaptivity policies, modes and budgets they agree on every
+//! receipt, refusal and redelivery.
 
+use easeml_ci_core::{
+    CiEngine, CiError, CiScript, EngineError, EstimatorConfig, EstimatorStrategy, ModelCommit,
+    SampleSizeEstimator, Testset,
+};
 use easeml_serve::json::{encode_u32_vec, Value};
+use easeml_serve::registry::{serving_estimator, PredictionsSubmission, Project, TestsetSpec};
 use easeml_serve::server::{ServeConfig, Server, ServerHandle};
-use easeml_serve::Client;
+use easeml_serve::{Client, ServeError};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -289,4 +299,146 @@ fn partial_labeling_spends_strictly_fewer_labels_than_full() {
         labels_total,
         "history accounting agrees with the receipts"
     );
+}
+
+/// One random clause over `n`, `o`, `d` or `n - o`. Thresholds and
+/// tolerances sit on a 0.05 grid and the pools below have sizes coprime
+/// to 20, so no measured statistic lands on an interval edge, where the
+/// engine's and the server's floating-point routes could round apart.
+fn gate_clause() -> impl Strategy<Value = String> {
+    (0usize..4, 0u32..2, 0i32..=16, 2i32..=4).prop_map(|(var, gt, grid, tol)| {
+        let (name, hundredths) = match var {
+            0 => ("n", 10 + 5 * grid),
+            1 => ("o", 10 + 5 * grid),
+            2 => ("d", 10 + 5 * grid),
+            _ => ("n - o", 5 * grid - 40),
+        };
+        format!(
+            "{name} {} {:.2} +/- {:.2}",
+            if gt == 1 { ">" } else { "<" },
+            f64::from(hundredths) / 100.0,
+            f64::from(5 * tol) / 100.0
+        )
+    })
+}
+
+/// A pseudo-random vector over 3 classes: `truth` with each item wrong
+/// with probability `wrong_per_mille / 1000`.
+fn noisy(truth: &[u32], seed: u64, wrong_per_mille: u64) -> Vec<u32> {
+    truth
+        .iter()
+        .enumerate()
+        .map(|(j, &t)| {
+            let roll = easeml_par::splitmix64(seed, j as u64);
+            if roll % 1000 < wrong_per_mille {
+                (t + 1 + (roll >> 32) as u32 % 2) % 3
+            } else {
+                t
+            }
+        })
+        .collect()
+}
+
+/// The `Gone` text the server answers a refusal of the engine with.
+fn gone_text(refusal: &EngineError) -> String {
+    match refusal {
+        EngineError::TestsetRetired => "testset era is retired; install a fresh testset".into(),
+        EngineError::BudgetExhausted { steps } => {
+            format!("step budget H = {steps} exhausted; install a fresh testset")
+        }
+        other => panic!("the engine refused with a non-gate error: {other}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn served_gate_matches_engine_across_policies_and_eras(
+        clauses in prop::collection::vec(gate_clause(), 1..3),
+        adaptivity in 0usize..3,
+        mode in 0usize..2,
+        steps in 1u32..=6,
+        seed in 0u64..=u64::MAX,
+    ) {
+        let adaptivity = ["none", "full", "firstChange"][adaptivity];
+        let mode = ["fp-free", "fn-free"][mode];
+        let condition = clauses.join(" /\\ ");
+        let script_text = format!(
+            "ml:\n\
+             \x20 - condition  : {condition}\n\
+             \x20 - reliability: 0.99\n\
+             \x20 - mode       : {mode}\n\
+             \x20 - adaptivity : {adaptivity}\n\
+             \x20 - steps      : {steps}\n",
+        );
+        let script = CiScript::parse(&script_text).unwrap();
+        // Baseline-only: the engine measures every clause over the whole
+        // pool, as the server does.
+        let estimator = SampleSizeEstimator::with_config(EstimatorConfig {
+            strategy: EstimatorStrategy::BaselineOnly,
+            ..EstimatorConfig::default()
+        });
+        let want = estimator.estimate(&script).unwrap().total_samples().max(64);
+        let size = (want..).find(|n| n % 2 != 0 && n % 5 != 0).unwrap() as usize;
+        let truth: Vec<u32> = (0..size)
+            .map(|j| (easeml_par::splitmix64(seed, j as u64) % 3) as u32)
+            .collect();
+        let spec = TestsetSpec { truth: truth.clone(), classes: 3, lazy: false };
+        let mut engine = CiEngine::with_estimator(
+            script,
+            Testset::fully_labeled(truth.clone()),
+            noisy(&truth, seed ^ 1, seed % 1000),
+            &estimator,
+        )
+        .unwrap();
+        let mut project = Project::register_with_testset(
+            "gate-eq",
+            &script_text,
+            &serving_estimator(),
+            Some(spec.clone()),
+        )
+        .unwrap();
+
+        // Live receipts of the current era, for the redelivery check.
+        let mut era_receipts = Vec::new();
+        for i in 0..3 * u64::from(steps) + 2 {
+            let wrong = easeml_par::splitmix64(seed ^ 2, i) % 1001;
+            let new = noisy(&truth, seed.wrapping_add(i + 3), wrong);
+            let submission = PredictionsSubmission {
+                commit_id: format!("c{i}"),
+                old: engine.old_predictions().to_vec(),
+                new: new.clone(),
+            };
+            let live = engine.submit(&ModelCommit::new(submission.commit_id.clone(), new));
+            match (live, project.submit_predictions(&submission)) {
+                (Ok(e), Ok((s, counts))) => {
+                    prop_assert_eq!(
+                        (e.step, e.era, e.signal, e.accepted, e.outcome, e.passed, e.alarm),
+                        (s.step, s.era, s.signal, s.accepted, s.outcome, s.passed, s.alarm),
+                        "`{}` commit {}", condition, i
+                    );
+                    era_receipts.push((submission, s, counts));
+                }
+                (Err(CiError::Engine(refusal)), Err(ServeError::Gone(text))) => {
+                    prop_assert_eq!(text, gone_text(&refusal));
+                    let old = engine.old_predictions().to_vec();
+                    engine.install_testset(Testset::fully_labeled(truth.clone()), old).unwrap();
+                    project.install_testset(spec.clone()).unwrap();
+                    era_receipts.clear();
+                }
+                (e, s) => prop_assert!(false, "engine {:?} vs served {:?}", e, s),
+            }
+            for (submission, receipt, counts) in &era_receipts {
+                prop_assert_eq!(
+                    project.duplicate_predictions_receipt(submission),
+                    Some((receipt.clone(), counts.clone())),
+                    "redelivery of {}", submission.commit_id
+                );
+            }
+        }
+        prop_assert_eq!(engine.era(), project.era());
+        prop_assert_eq!(engine.steps_used(), project.steps_used());
+        prop_assert_eq!(engine.history().len(), project.history().len());
+    }
 }

@@ -977,6 +977,72 @@ fn predictions_upload_validation_over_http() {
     join.join().unwrap();
 }
 
+/// A testset's declared class count is capped: an F1 project over 80
+/// items declaring `u32::MAX` classes is refused before anything reaches
+/// disk, while the cap itself is accepted.
+#[test]
+fn testset_class_count_is_capped() {
+    const F1_SCRIPT: &str = "ml:\n\
+        \x20 - condition  : f1(n) > 0.6 +/- 0.2\n\
+        \x20 - reliability: 0.99\n\
+        \x20 - mode       : fp-free\n\
+        \x20 - adaptivity : full\n\
+        \x20 - steps      : 3\n";
+    let dir = temp_dir("class-cap");
+    let (addr, handle, join) = start(&dir, 2);
+    let mut client = Client::new(addr);
+    let body = |name: &str, classes: u64| {
+        Value::object([
+            ("name", Value::from(name)),
+            ("script", Value::from(F1_SCRIPT)),
+            (
+                "testset",
+                Value::object([
+                    (
+                        "labels",
+                        Value::array((0..80u64).map(|i| Value::from(i % 2))),
+                    ),
+                    ("labeling", Value::from("full")),
+                    ("classes", Value::from(classes)),
+                ]),
+            ),
+        ])
+    };
+    let (status, err) = client
+        .request(
+            "POST",
+            "/projects",
+            Some(&body("huge", u64::from(u32::MAX))),
+        )
+        .unwrap();
+    assert_eq!(status, 400, "{err}");
+    assert!(
+        err.get("error")
+            .and_then(Value::as_str)
+            .unwrap()
+            .contains("classes"),
+        "{err}"
+    );
+    assert!(
+        !dir.join("projects/huge").exists(),
+        "refused project left a directory"
+    );
+    let (status, reg) = client
+        .request("POST", "/projects", Some(&body("widest", 1 << 16)))
+        .unwrap();
+    assert_eq!(status, 201, "{reg}");
+    assert_eq!(
+        reg.get("testset")
+            .and_then(|t| t.get("classes"))
+            .and_then(Value::as_u64),
+        Some(1 << 16)
+    );
+
+    drop(client);
+    handle.stop();
+    join.join().unwrap();
+}
+
 /// The same prediction vectors posted as a `#` string, a JSON array and
 /// a CSV string leave byte-identical receipts, journal lines and
 /// snapshots (which record each entry's `pred_digest`): a `#` string is
