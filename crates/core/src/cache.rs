@@ -458,7 +458,8 @@ fn save_dump(path: &Path, magic: &str, lines: &[String]) -> Result<usize, CacheP
 
 /// Strictly parse a dump written by [`save_dump`]: a wrong magic/version
 /// line, a malformed entry (`decode` returns the reason), an entry-count
-/// mismatch, or a checksum failure rejects the whole file with
+/// mismatch, a checksum failure, or any line after the checksum line
+/// (trailing content, two dumps concatenated) rejects the whole file with
 /// [`CachePersistError::Corrupt`] — nothing is returned from a corrupt
 /// dump. The header's count is validated against the parsed entries, so
 /// it is never trusted for an allocation.
@@ -483,7 +484,7 @@ fn load_dump<E>(
     let mut body = String::new();
     let mut checksum: Option<u64> = None;
     let mut last_line = 1;
-    for (idx, line) in lines {
+    for (idx, line) in lines.by_ref() {
         last_line = idx + 1;
         if let Some(sum) = line.strip_prefix("checksum=") {
             checksum = Some(
@@ -497,6 +498,9 @@ fn load_dump<E>(
         let _ = writeln!(body, "{line}");
     }
     let checksum = checksum.ok_or_else(|| corrupt(last_line, "missing checksum line"))?;
+    if let Some((idx, _)) = lines.next() {
+        return Err(corrupt(idx + 1, "trailing content after the checksum line"));
+    }
     if entries.len() != count {
         return Err(corrupt(
             last_line,
@@ -915,6 +919,8 @@ mod tests {
                 good.lines().next().unwrap().to_owned() + "\n",
             ),
             ("truncated", good[..good.len() / 2].to_owned()),
+            ("trailing line", good.clone() + "extra\n"),
+            ("two dumps concatenated", good.repeat(2)),
             ("empty", String::new()),
         ];
         for (what, text) in corruptions {
@@ -925,6 +931,13 @@ mod tests {
                 matches!(err, Err(CachePersistError::Corrupt { .. })),
                 "{what}: expected Corrupt, got {err:?}"
             );
+            if matches!(*what, "trailing line" | "two dumps concatenated") {
+                let after = good.lines().count() + 1;
+                assert!(
+                    matches!(err, Err(CachePersistError::Corrupt { line, .. }) if line == after),
+                    "{what}: must name line {after}, got {err:?}"
+                );
+            }
             assert_eq!(fresh.stats().entries, 0, "{what}: must load nothing");
         }
         // A missing file is an I/O error, not a corruption.
@@ -1067,6 +1080,8 @@ mod tests {
                 good.lines().next().unwrap().to_owned() + "\n",
             ),
             ("truncated", good[..good.len() / 2].to_owned()),
+            ("trailing line", good.clone() + "extra\n"),
+            ("two dumps concatenated", good.repeat(2)),
             ("empty", String::new()),
         ];
         for (what, text) in corruptions {
@@ -1077,6 +1092,13 @@ mod tests {
                 matches!(err, Err(CachePersistError::Corrupt { .. })),
                 "{what}: expected Corrupt, got {err:?}"
             );
+            if matches!(*what, "trailing line" | "two dumps concatenated") {
+                let after = good.lines().count() + 1;
+                assert!(
+                    matches!(err, Err(CachePersistError::Corrupt { line, .. }) if line == after),
+                    "{what}: must name line {after}, got {err:?}"
+                );
+            }
             let message = err.unwrap_err().to_string();
             assert!(
                 !message.contains("bounds"),

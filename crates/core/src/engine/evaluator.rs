@@ -1,13 +1,17 @@
-//! Measurement layer of the engine: turns predictions + (lazily acquired)
-//! labels into clause-level estimates.
+//! Measurement layer: turns predictions + (lazily acquired) labels into
+//! the counts every gate decides on.
 //!
 //! The key optimization (Technical Observation 2, §4) is that the
 //! prediction difference `d` needs no labels at all, and a pure
 //! difference `n − o` only needs labels where the two models *disagree*:
-//! on agreeing points `nᵢ − oᵢ = 0` regardless of the label. The
-//! evaluator exploits both, requesting labels from the oracle only when a
-//! clause genuinely needs them and reporting how many fresh labels each
-//! evaluation consumed.
+//! on agreeing points `nᵢ − oᵢ = 0` regardless of the label. Every
+//! measurement, the served gate's and each phase of the engine's plans,
+//! runs through one core ([`Measurement::measure_range`]) that exploits
+//! both: it requests labels from the oracle only where a [`LabelDemand`]
+//! needs them, and reports how many fresh labels each call consumed.
+//! The counts become point estimates through
+//! [`MeasuredCounts::estimates`], the same arithmetic the served gate
+//! uses, so the engine and the server decide alike at interval edges.
 
 use super::testset::{LabelOracle, Testset};
 use crate::dsl::{Clause, Formula, LinearForm, Var};
@@ -93,6 +97,20 @@ pub struct MeasuredCounts {
     pub changed: u64,
     /// Fresh labels pulled from the oracle by this derivation.
     pub labels_spent: u64,
+}
+
+impl MeasuredCounts {
+    /// Point estimates of `n`, `o` and `d` over the measured items
+    /// ([`VariableEstimates::from_counts`]).
+    #[must_use]
+    pub fn estimates(&self) -> VariableEstimates {
+        VariableEstimates::from_counts(
+            self.samples,
+            self.new_correct,
+            self.old_correct,
+            self.changed,
+        )
+    }
 }
 
 /// Per-class confusion counts over the *labelled* portion of a measured
@@ -271,10 +289,12 @@ pub struct CommitEstimates {
 /// Evaluation context for one commit: the testset (mutable: labels fill
 /// in lazily), an optional oracle, and the two prediction vectors.
 ///
-/// [`Measurement::measure`] is the whole-pool entry the serving layer
-/// measures every predictions commit through; the range methods
-/// ([`Measurement::clause_lhs`] and friends) serve the engine's phased
-/// plans. Every fresh oracle pull is recorded
+/// [`Measurement::measure_range`] is the one counting core: a label
+/// demand, an index range, and a class count for metric formulas. The
+/// serving layer measures every predictions commit through its
+/// whole-pool form [`Measurement::measure`]; the engine measures each
+/// phase of its plan (filter, probe, test prefix, coarse, fine) through
+/// the core directly. Every fresh oracle pull is recorded
 /// ([`Measurement::fresh_labels`]), so a caller whose commit does not
 /// land can hand exactly those labels back ([`Testset::unset_label`]).
 pub struct Measurement<'a> {
@@ -331,6 +351,15 @@ const LANE_BIT: [u32; 32] = {
     }
     bits
 };
+
+/// Bits `base..base + 32` of a known mask: bit `j` says whether item
+/// `base + j` is labelled. An unaligned `base` reads the next word too;
+/// the double shift keeps `base % 64 == 0` free of a 64-bit shift.
+fn known_bits(mask: &[u64], base: usize) -> u32 {
+    let (word, shift) = (base / 64, base % 64);
+    let next = mask.get(word + 1).copied().unwrap_or(0);
+    ((mask[word] >> shift) | ((next << 1) << (63 - shift))) as u32
+}
 
 impl<'a> Measurement<'a> {
     /// Create a measurement context.
@@ -393,83 +422,12 @@ impl<'a> Measurement<'a> {
         Ok(label)
     }
 
-    /// Label-free estimate of `d` over an index range.
-    #[must_use]
-    pub fn difference(&self, range: Range<usize>) -> f64 {
-        let len = range.len().max(1);
-        let changed = range
-            .clone()
-            .filter(|&i| self.new[i] != self.old[i])
-            .count();
-        changed as f64 / len as f64
-    }
-
-    /// Accuracy of the *new* model over a range (labels every item).
-    ///
-    /// # Errors
-    ///
-    /// Propagates label-acquisition failures.
-    pub fn new_accuracy(&mut self, range: Range<usize>) -> Result<f64> {
-        self.accuracy_of(range, /* new */ true)
-    }
-
-    /// Accuracy of the *old* model over a range (labels every item).
-    ///
-    /// # Errors
-    ///
-    /// Propagates label-acquisition failures.
-    pub fn old_accuracy(&mut self, range: Range<usize>) -> Result<f64> {
-        self.accuracy_of(range, /* new */ false)
-    }
-
-    fn accuracy_of(&mut self, range: Range<usize>, new: bool) -> Result<f64> {
-        let len = range.len().max(1);
-        let mut correct = 0usize;
-        for i in range {
-            let label = self.pull(i)?;
-            let pred = if new { self.new[i] } else { self.old[i] };
-            if pred == label {
-                correct += 1;
-            }
-        }
-        Ok(correct as f64 / len as f64)
-    }
-
-    /// Directly measure `n − o` over a range via the disagreement trick:
-    /// only items where predictions differ are labelled (§4.1.2).
-    ///
-    /// # Errors
-    ///
-    /// Propagates label-acquisition failures.
-    pub fn accuracy_difference(&mut self, range: Range<usize>) -> Result<f64> {
-        let len = range.len().max(1);
-        let mut delta = 0i64;
-        for i in range {
-            if self.new[i] == self.old[i] {
-                continue; // contributes 0 regardless of the label
-            }
-            let label = self.pull(i)?;
-            delta += i64::from(self.new[i] == label) - i64::from(self.old[i] == label);
-        }
-        Ok(delta as f64 / len as f64)
-    }
-
     /// Measure the whole pool for a formula in one pass, spending only
-    /// the labels the formula's [`LabelDemand`] requires:
-    ///
-    /// * [`LabelDemand::Free`]: no oracle calls;
-    /// * [`LabelDemand::Disagreements`]: labels only where the two
-    ///   models disagree (§4.1.2 difference trick);
-    /// * [`LabelDemand::Full`]: labels every item — always the case for
-    ///   metric formulas (`f1(...)`/`topk(...)`), which also get their
-    ///   [`PerClassCounts`]; plain formulas return `None` for them.
-    ///
-    /// A pull pre-pass fetches the missing labels in ascending item
-    /// order; then one counting loop runs over the predictions, the
-    /// pool's label slots and its known mask. Items whose label is known
-    /// are scored exactly whatever the demand; items that stay unlabelled
-    /// credit both models (see [`MeasuredCounts`] for why this keeps
-    /// every decision-relevant statistic exact).
+    /// the labels the formula's [`LabelDemand`] requires — always
+    /// [`LabelDemand::Full`] for metric formulas (`f1(...)`/`topk(...)`),
+    /// which also get their [`PerClassCounts`]; plain formulas return
+    /// `None` for them. This is [`Measurement::measure_range`] over
+    /// `0..len`.
     ///
     /// # Errors
     ///
@@ -484,23 +442,57 @@ impl<'a> Measurement<'a> {
         classes: u32,
     ) -> Result<(MeasuredCounts, Option<PerClassCounts>)> {
         let metric = formula.has_metric();
-        let demand = if metric {
+        if metric {
             validate_metric_formula(formula, classes)?;
-            LabelDemand::Full
-        } else {
-            formula_label_demand(formula)
-        };
+        }
+        self.measure_range(
+            formula_label_demand(formula),
+            0..self.testset.len(),
+            metric.then_some(classes),
+        )
+    }
+
+    /// Measure items `range` in one pass, spending only the labels
+    /// `demand` requires there:
+    ///
+    /// * [`LabelDemand::Free`]: no oracle calls;
+    /// * [`LabelDemand::Disagreements`]: labels only where the two
+    ///   models disagree (§4.1.2 difference trick);
+    /// * [`LabelDemand::Full`]: labels every item. With `classes` set
+    ///   the demand is always full, and the per-class confusion counts
+    ///   of the range come back too.
+    ///
+    /// A pull pre-pass fetches the missing labels in ascending item
+    /// order; then one counting loop runs over the predictions, the
+    /// pool's label slots and its known mask. Items whose label is known
+    /// are scored exactly whatever the demand; items that stay unlabelled
+    /// credit both models (see [`MeasuredCounts`] for why this keeps
+    /// every decision-relevant statistic exact).
+    ///
+    /// # Errors
+    ///
+    /// Propagates label-acquisition failures. With `classes` set, a
+    /// label or prediction outside `0..classes` is refused at the first
+    /// such item of the range, after the labels of the items before it
+    /// (and its own) were pulled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches past the pool.
+    pub fn measure_range(
+        &mut self,
+        demand: LabelDemand,
+        range: Range<usize>,
+        classes: Option<u32>,
+    ) -> Result<(MeasuredCounts, Option<PerClassCounts>)> {
+        let demand = classes.map_or(demand, |_| LabelDemand::Full);
         let spent_before = self.fresh.len();
-        let len = self.testset.len();
+        let end = range.end;
         // Per-class tallies index by class: stop at the first item out
         // of range, after pulling its label, as the per-item order does.
-        let stop = if metric {
-            self.first_out_of_class(classes)
-        } else {
-            len
-        };
-        self.pull_needed(demand, (stop + 1).min(len), metric.then_some(classes))?;
-        if stop < len {
+        let stop = classes.map_or(end, |c| self.first_out_of_class(c, range.clone()));
+        self.pull_needed(demand, range.start..(stop + 1).min(end), classes)?;
+        if let Some(classes) = classes.filter(|_| stop < end) {
             let label = self.testset.label(stop).expect("pulled above");
             return Err(if label >= classes {
                 out_of_class("label", label, stop, classes)
@@ -510,46 +502,54 @@ impl<'a> Measurement<'a> {
                 out_of_class("new prediction", self.new[stop], stop, classes)
             });
         }
-        let (mut counts, per_class) = if metric {
-            let (counts, per_class) = self.count_per_class(classes);
-            (counts, Some(per_class))
-        } else {
-            (self.count(), None)
+        let (mut counts, per_class) = match classes {
+            Some(classes) => {
+                let (counts, per_class) = self.count_per_class(classes, range);
+                (counts, Some(per_class))
+            }
+            None => (self.count(range), None),
         };
         counts.labels_spent = (self.fresh.len() - spent_before) as u64;
         Ok((counts, per_class))
     }
 
-    /// The first item whose prediction, or known label, falls outside
-    /// `0..classes` (`len` when none does). Unknown label slots hold 0.
-    fn first_out_of_class(&self, classes: u32) -> usize {
-        let len = self.testset.len();
-        let labels = self.testset.label_slots();
-        let flagged = [self.old, self.new, labels]
+    /// The first item of `range` whose prediction, or known label, falls
+    /// outside `0..classes` (`range.end` when none does). Unknown label
+    /// slots hold 0.
+    fn first_out_of_class(&self, classes: u32, mut range: Range<usize>) -> usize {
+        let end = range.end;
+        let labels = &self.testset.label_slots()[range.clone()];
+        let flagged = [&self.old[range.clone()], &self.new[range.clone()], labels]
             .iter()
             .any(|values| first_at_or_above(values, classes).is_some());
         if !flagged {
-            return len;
+            return end;
         }
-        (0..len)
+        range
             .find(|&i| {
                 self.old[i] >= classes
                     || self.new[i] >= classes
                     || self.testset.label(i).is_some_and(|l| l >= classes)
             })
-            .unwrap_or(len)
+            .unwrap_or(end)
     }
 
     /// Pull, in ascending item order, every label `demand` needs that
-    /// the pool lacks among items `0..end` — the oracle call sequence of
+    /// the pool lacks among items `range` — the oracle call sequence of
     /// the per-item loop. With `classes` set, a pulled label outside
     /// `0..classes` stops the pass with the loud error.
-    fn pull_needed(&mut self, demand: LabelDemand, end: usize, classes: Option<u32>) -> Result<()> {
+    fn pull_needed(
+        &mut self,
+        demand: LabelDemand,
+        range: Range<usize>,
+        classes: Option<u32>,
+    ) -> Result<()> {
         if demand == LabelDemand::Free {
             return Ok(());
         }
-        for base in (0..end).step_by(32) {
-            let unknown = !(self.testset.known_mask()[base / 64] >> (base % 64)) as u32;
+        let end = range.end;
+        for base in range.step_by(32) {
+            let unknown = !known_bits(self.testset.known_mask(), base);
             if unknown == 0 {
                 continue;
             }
@@ -576,55 +576,56 @@ impl<'a> Measurement<'a> {
         Ok(())
     }
 
-    /// The counting loop of a plain formula: `changed` over every item,
-    /// exact credit where the known mask says the label is known, both
-    /// models credited where it is not. Branch-free per item.
-    fn count(&self) -> MeasuredCounts {
-        let labels = self.testset.label_slots();
-        let mask = self.testset.known_mask();
-        // One 32-bit half of the mask per 32 items.
-        let halves = mask.iter().flat_map(|&w| [w as u32, (w >> 32) as u32]);
+    /// The counting loop of a plain formula over `range`: `changed`
+    /// over every item, exact credit where the known mask says the label
+    /// is known, both models credited where it is not. Branch-free per
+    /// item.
+    fn count(&self, range: Range<usize>) -> MeasuredCounts {
+        let (mask, labels) = (self.testset.known_mask(), self.testset.label_slots());
         let (mut changed, mut new_hits, mut old_hits) = (0u64, 0u64, 0u64);
-        let chunks = self.old.chunks(32).zip(self.new.chunks(32));
-        for ((old, new), (labels, half)) in chunks.zip(labels.chunks(32).zip(halves)) {
+        for base in range.clone().step_by(32) {
+            let top = (base + 32).min(range.end);
+            let half = known_bits(mask, base);
             let (mut c, mut n_hit, mut o_hit) = (0u32, 0u32, 0u32);
-            let items = old.iter().zip(new).zip(labels).zip(&LANE_BIT);
-            for (((&o, &n), &l), &bit) in items {
-                let known = u32::from(half & bit != 0);
+            let items = self.old[base..top].iter().zip(&self.new[base..top]);
+            for (((&o, &n), &l), &bit) in items.zip(&labels[base..top]).zip(&LANE_BIT) {
+                let unknown = u32::from(half & bit == 0);
                 c += u32::from(o != n);
-                n_hit += u32::from(n == l) & known;
-                o_hit += u32::from(o == l) & known;
+                n_hit += u32::from(n == l) | unknown;
+                o_hit += u32::from(o == l) | unknown;
             }
             changed += u64::from(c);
             new_hits += u64::from(n_hit);
             old_hits += u64::from(o_hit);
         }
-        let unknown = (self.testset.len() - self.testset.labeled_count()) as u64;
         MeasuredCounts {
-            samples: self.testset.len() as u64,
-            new_correct: new_hits + unknown,
-            old_correct: old_hits + unknown,
+            samples: range.len() as u64,
+            new_correct: new_hits,
+            old_correct: old_hits,
             changed,
             labels_spent: 0,
         }
     }
 
-    /// The counting loop of a metric formula, once every label is known
-    /// and every value lies in `0..classes`: the scalar counts plus the
-    /// per-class confusion tallies. Three tallies per item: predictions
-    /// per class for each model, and per true class a 4-way split by
-    /// which models got the item right (support, `new_tp` and `old_tp`
-    /// all read off it).
-    fn count_per_class(&self, classes: u32) -> (MeasuredCounts, PerClassCounts) {
+    /// The counting loop of a metric formula over `range`, once every
+    /// label there is known and every value lies in `0..classes`: the
+    /// scalar counts plus the per-class confusion tallies. Three tallies
+    /// per item: predictions per class for each model, and per true
+    /// class a 4-way split by which models got the item right (support,
+    /// `new_tp` and `old_tp` all read off it).
+    fn count_per_class(
+        &self,
+        classes: u32,
+        range: Range<usize>,
+    ) -> (MeasuredCounts, PerClassCounts) {
         let c = classes as usize;
         let (mut by_label, mut new_pred, mut old_pred) =
             (vec![0u64; 4 * c], vec![0; c], vec![0; c]);
         let mut changed = 0u64;
-        let items = self
-            .old
+        let items = self.old[range.clone()]
             .iter()
-            .zip(self.new)
-            .zip(self.testset.label_slots());
+            .zip(&self.new[range.clone()])
+            .zip(&self.testset.label_slots()[range.clone()]);
         for ((&o, &n), &l) in items {
             changed += u64::from(o != n);
             by_label[4 * l as usize + 2 * usize::from(n == l) + usize::from(o == l)] += 1;
@@ -646,63 +647,13 @@ impl<'a> Measurement<'a> {
             old_pred,
         };
         let counts = MeasuredCounts {
-            samples: self.testset.len() as u64,
+            samples: range.len() as u64,
             new_correct: pc.new_tp.iter().sum(),
             old_correct: pc.old_tp.iter().sum(),
             changed,
             labels_spent: 0,
         };
         (counts, pc)
-    }
-
-    /// Measure the left-hand side of a clause over a range, choosing the
-    /// cheapest sufficient strategy:
-    ///
-    /// * `d`-only expressions: label-free;
-    /// * expressions where the `n` and `o` coefficients cancel
-    ///   (`α_n = −α_o`): disagreement labelling only;
-    /// * anything else: full labelling of the range.
-    ///
-    /// # Errors
-    ///
-    /// Propagates label-acquisition failures. Rejects metric clauses
-    /// loudly: `f1(...)`/`topk(...)` are not linear in the per-item
-    /// accuracy statistics this measures, so silently evaluating the
-    /// plain terms would report a wrong left-hand side.
-    pub fn clause_lhs(&mut self, clause: &Clause, range: Range<usize>) -> Result<f64> {
-        let form = LinearForm::from_expr(&clause.expr);
-        if form.has_metric() {
-            return Err(CiError::Semantic(format!(
-                "clause `{clause}` reads metric variables (f1/topk); evaluate it from \
-                 per-class counts (Measurement::measure), not clause_lhs"
-            )));
-        }
-        let a_n = form.coefficient(Var::N);
-        let a_o = form.coefficient(Var::O);
-        let a_d = form.coefficient(Var::D);
-        let d_part = if a_d != 0.0 {
-            a_d * self.difference(range.clone())
-        } else {
-            0.0
-        };
-        if a_n == 0.0 && a_o == 0.0 {
-            return Ok(d_part);
-        }
-        if a_n == -a_o {
-            let diff = self.accuracy_difference(range)?;
-            return Ok(a_n * diff + d_part);
-        }
-        let n_part = if a_n != 0.0 {
-            a_n * self.new_accuracy(range.clone())?
-        } else {
-            0.0
-        };
-        let o_part = if a_o != 0.0 {
-            a_o * self.old_accuracy(range)?
-        } else {
-            0.0
-        };
-        Ok(n_part + o_part + d_part)
     }
 }
 
@@ -725,13 +676,26 @@ mod tests {
         (labels, old, new)
     }
 
+    /// Measure `range` under `demand`: the point estimates and the
+    /// labels the call spent.
+    fn estimates_over(
+        m: &mut Measurement<'_>,
+        demand: LabelDemand,
+        range: Range<usize>,
+    ) -> (VariableEstimates, u64) {
+        let (counts, per_class) = m.measure_range(demand, range, None).unwrap();
+        assert!(per_class.is_none(), "no class count, no per-class counts");
+        (counts.estimates(), counts.labels_spent)
+    }
+
     #[test]
     fn difference_needs_no_labels() {
         let (_, old, new) = fixture();
         let mut testset = Testset::unlabeled(10);
-        let m = Measurement::new(&mut testset, None, &old, &new).unwrap();
-        assert!((m.difference(0..10) - 0.1).abs() < 1e-12);
-        assert_eq!(m.labels_requested(), 0);
+        let mut m = Measurement::new(&mut testset, None, &old, &new).unwrap();
+        let (at, spent) = estimates_over(&mut m, LabelDemand::Free, 0..10);
+        assert!((at.d - 0.1).abs() < 1e-12);
+        assert_eq!((spent, m.labels_requested()), (0, 0));
     }
 
     #[test]
@@ -740,10 +704,13 @@ mod tests {
         let mut testset = Testset::unlabeled(10);
         let mut oracle = VecOracle::new(labels);
         let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
-        assert!((m.new_accuracy(0..10).unwrap() - 0.9).abs() < 1e-12);
-        assert_eq!(m.labels_requested(), 10);
-        // Old accuracy reuses the cached labels.
-        assert!((m.old_accuracy(0..10).unwrap() - 0.8).abs() < 1e-12);
+        let (at, spent) = estimates_over(&mut m, LabelDemand::Full, 0..10);
+        assert!((at.n - 0.9).abs() < 1e-12);
+        assert!((at.o - 0.8).abs() < 1e-12);
+        assert_eq!(spent, 10);
+        // A second full pass reuses the cached labels.
+        let (again, spent) = estimates_over(&mut m, LabelDemand::Full, 0..10);
+        assert_eq!((again, spent), (at, 0));
         assert_eq!(m.labels_requested(), 10);
     }
 
@@ -753,48 +720,35 @@ mod tests {
         let mut testset = Testset::unlabeled(10);
         let mut oracle = VecOracle::new(labels);
         let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
-        let diff = m.accuracy_difference(0..10).unwrap();
+        let (at, spent) = estimates_over(&mut m, LabelDemand::Disagreements, 0..10);
+        let diff = at.n - at.o;
         assert!((diff - 0.1).abs() < 1e-12, "diff = {diff}");
-        assert_eq!(m.labels_requested(), 1, "only item 8 disagrees");
+        assert_eq!(spent, 1, "only item 8 disagrees");
     }
 
     #[test]
     fn clause_lhs_picks_cheapest_strategy() {
+        // Each clause measured under its own demand: `d` is free, a
+        // (scaled) pure difference labels the one disagreement, a bare
+        // `n` labels the whole range.
         let (labels, old, new) = fixture();
-        // d-only: free.
-        {
-            let mut testset = Testset::unlabeled(10);
-            let mut m = Measurement::new(&mut testset, None, &old, &new).unwrap();
-            let clause = parse_clause("d < 0.2 +/- 0.05").unwrap();
-            assert!((m.clause_lhs(&clause, 0..10).unwrap() - 0.1).abs() < 1e-12);
-            assert_eq!(m.labels_requested(), 0);
-        }
-        // n - o: disagreement labels only.
-        {
+        for (text, lhs, labels_spent) in [
+            ("d < 0.2 +/- 0.05", 0.1, 0),
+            ("n - o > 0.0 +/- 0.05", 0.1, 1),
+            ("2 * (n - o) > 0.0 +/- 0.05", 0.2, 1),
+            ("n > 0.5 +/- 0.1", 0.9, 10),
+        ] {
+            let clause = parse_clause(text).unwrap();
             let mut testset = Testset::unlabeled(10);
             let mut oracle = VecOracle::new(labels.clone());
-            let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
-            let clause = parse_clause("n - o > 0.0 +/- 0.05").unwrap();
-            assert!((m.clause_lhs(&clause, 0..10).unwrap() - 0.1).abs() < 1e-12);
-            assert_eq!(m.labels_requested(), 1);
-        }
-        // scaled difference 2*(n-o) still uses the trick.
-        {
-            let mut testset = Testset::unlabeled(10);
-            let mut oracle = VecOracle::new(labels.clone());
-            let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
-            let clause = parse_clause("2 * (n - o) > 0.0 +/- 0.05").unwrap();
-            assert!((m.clause_lhs(&clause, 0..10).unwrap() - 0.2).abs() < 1e-12);
-            assert_eq!(m.labels_requested(), 1);
-        }
-        // bare n: full labelling.
-        {
-            let mut testset = Testset::unlabeled(10);
-            let mut oracle = VecOracle::new(labels);
-            let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
-            let clause = parse_clause("n > 0.5 +/- 0.1").unwrap();
-            assert!((m.clause_lhs(&clause, 0..10).unwrap() - 0.9).abs() < 1e-12);
-            assert_eq!(m.labels_requested(), 10);
+            // The label-free clause runs without an oracle.
+            let oracle =
+                (labels_spent > 0).then_some(&mut oracle as &mut (dyn LabelOracle + 'static));
+            let mut m = Measurement::new(&mut testset, oracle, &old, &new).unwrap();
+            let (at, spent) = estimates_over(&mut m, clause_label_demand(&clause), 0..10);
+            let got = at.evaluate_expr(&clause.expr);
+            assert!((got - lhs).abs() < 1e-12, "{text}: {got}");
+            assert_eq!(spent, labels_spent, "{text}");
         }
     }
 
@@ -806,8 +760,9 @@ mod tests {
         let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
         let clause = parse_clause("n - o + d > 0.0 +/- 0.05").unwrap();
         // 0.1 + 0.1 = 0.2; still only one label (difference trick + free d).
-        assert!((m.clause_lhs(&clause, 0..10).unwrap() - 0.2).abs() < 1e-12);
-        assert_eq!(m.labels_requested(), 1);
+        let (at, spent) = estimates_over(&mut m, clause_label_demand(&clause), 0..10);
+        assert!((at.evaluate_expr(&clause.expr) - 0.2).abs() < 1e-12);
+        assert_eq!(spent, 1);
     }
 
     #[test]
@@ -882,9 +837,9 @@ mod tests {
 
     #[test]
     fn derived_counts_reproduce_clause_lhs() {
-        // The equivalence the serving gate rests on: evaluating a clause
-        // at the measured counts' point estimates gives exactly the value
-        // the measurement layer would have measured for it.
+        // The equivalence the serving gate rests on: a clause evaluated
+        // at the whole formula's measured estimates gives the value that
+        // measuring the clause alone, under its own demand, gives.
         use crate::dsl::parse_formula;
         let (labels, old, new) = fixture();
         for text in [
@@ -898,17 +853,13 @@ mod tests {
             let mut oracle = VecOracle::new(labels.clone());
             let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
             let (c, _) = m.measure(&formula, 2).unwrap();
-            let s = c.samples as f64;
-            let est = crate::eval::VariableEstimates::new(
-                c.new_correct as f64 / s,
-                c.old_correct as f64 / s,
-                c.changed as f64 / s,
-            );
-            // A fresh measurement context over the same (now labelled)
-            // pool measures each clause directly.
-            let mut m2 = Measurement::new(&mut testset, None, &old, &new).unwrap();
+            let est = c.estimates();
             for clause in formula.clauses() {
-                let lhs = m2.clause_lhs(clause, 0..10).unwrap();
+                let mut alone = Testset::unlabeled(10);
+                let mut oracle = VecOracle::new(labels.clone());
+                let mut m = Measurement::new(&mut alone, Some(&mut oracle), &old, &new).unwrap();
+                let (at, _) = estimates_over(&mut m, clause_label_demand(clause), 0..10);
+                let lhs = at.evaluate_expr(&clause.expr);
                 let from_counts = est.evaluate_expr(&clause.expr);
                 assert!(
                     (lhs - from_counts).abs() < 1e-12,
@@ -1052,7 +1003,6 @@ mod tests {
     /// Measure `old`/`new` over a copy of `pool` (an oracle over `truth`
     /// when `oracle` is set) through [`Measurement::measure`] and through
     /// the per-item reference.
-    #[allow(clippy::too_many_arguments)]
     fn measure_both(
         formula: &Formula,
         classes: u32,
@@ -1061,6 +1011,32 @@ mod tests {
         oracle: bool,
         old: &[u32],
         new: &[u32],
+    ) -> [Outcome; 2] {
+        measure_both_over(
+            formula,
+            classes,
+            pool,
+            truth,
+            oracle,
+            old,
+            new,
+            0..old.len(),
+        )
+    }
+
+    /// [`measure_both`] over items `range`: the whole pool goes through
+    /// [`Measurement::measure`], any other range through
+    /// [`Measurement::measure_range`] under the formula's demand.
+    #[allow(clippy::too_many_arguments)]
+    fn measure_both_over(
+        formula: &Formula,
+        classes: u32,
+        pool: &Testset,
+        truth: &[u32],
+        oracle: bool,
+        old: &[u32],
+        new: &[u32],
+        range: Range<usize>,
     ) -> [Outcome; 2] {
         [false, true].map(|reference| {
             let mut pool = pool.clone();
@@ -1071,10 +1047,19 @@ mod tests {
             let dyn_oracle: Option<&mut (dyn LabelOracle + 'static)> =
                 if oracle { Some(&mut recorder) } else { None };
             let mut m = Measurement::new(&mut pool, dyn_oracle, old, new).unwrap();
+            let metric = formula.has_metric();
             let result = if reference {
-                derive_counts_with_classes(&mut m, formula, 0..old.len(), classes)
-            } else {
+                derive_counts_with_classes(&mut m, formula, range.clone(), classes)
+            } else if range == (0..old.len()) {
                 m.measure(formula, classes)
+            } else {
+                validate_metric_formula(formula, classes).and_then(|()| {
+                    m.measure_range(
+                        formula_label_demand(formula),
+                        range.clone(),
+                        metric.then_some(classes),
+                    )
+                })
             };
             let fresh = m.fresh_labels().to_vec();
             (
@@ -1199,18 +1184,30 @@ mod tests {
 
     #[test]
     fn scalar_count_paths_reject_metric_formulas_loudly() {
-        use crate::dsl::parse_clause;
-        let (labels, old, new) = fixture();
-        let mut testset = Testset::fully_labeled(labels);
-        let mut m = Measurement::new(&mut testset, None, &old, &new).unwrap();
-        let err = m
-            .clause_lhs(&parse_clause("f1(n) > 0.8 +/- 0.05").unwrap(), 0..10)
-            .unwrap_err();
+        // The range core never sees a formula, so the engine is where a
+        // metric clause could be measured as plain terms: it refuses the
+        // script up front, naming the clause.
+        let script = crate::CiScript::builder()
+            .condition_str("f1(n) > 0.8 +/- 0.05")
+            .unwrap()
+            .build()
+            .unwrap();
+        let (labels, old, _) = fixture();
+        let err = crate::CiEngine::new(script, Testset::fully_labeled(labels), old).unwrap_err();
         let msg = err.to_string();
         assert!(
-            msg.contains("metric"),
+            msg.contains("metric") && msg.contains("f1(n)"),
             "error not loud about metrics: {msg}"
         );
+        // A class count makes the core label and tally every item,
+        // whatever demand it was given.
+        let (labels, old, new) = fixture();
+        let mut testset = Testset::unlabeled(10);
+        let mut oracle = VecOracle::new(labels);
+        let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
+        let (counts, per_class) = m.measure_range(LabelDemand::Free, 2..9, Some(2)).unwrap();
+        assert_eq!(counts.labels_spent, 7);
+        assert_eq!(per_class.unwrap().labeled(), 7);
     }
 
     #[test]
@@ -1375,7 +1372,9 @@ mod tests {
         /// The one pass against the per-item reference: random formulas
         /// of every demand (metric ones included), lazy, partial and full
         /// pools (with and without an oracle), 1..=70 classes, lengths at
-        /// and around multiples of 64, and out-of-range values.
+        /// and around multiples of 64, and out-of-range values; over the
+        /// whole pool and over a random sub-range whose ends sit off the
+        /// 32- and 64-item word boundaries.
         #[test]
         fn measure_matches_the_per_item_reference(
             clauses in proptest::collection::vec((0usize..9, 1u32..5), 1..4),
@@ -1384,6 +1383,7 @@ mod tests {
             shape in (0usize..5, 0usize..3, 0u32..4, 0usize..200),
             out_of_range in 0u32..3,
             seed in 1u64..u64::MAX,
+            sub in (0usize..8, 1usize..32, 0usize..8, 1usize..32),
         ) {
             let text: Vec<String> = clauses.into_iter().map(clause_text).collect();
             let formula = crate::dsl::parse_formula(&text.join(" /\\ ")).unwrap();
@@ -1416,11 +1416,16 @@ mod tests {
                 }
                 _ => (Testset::fully_labeled(truth.clone()), false),
             };
+            let what = format!("{} over {len} items, {classes} classes, pool {pool_kind}", text.join(" /\\ "));
             let outcomes = measure_both(&formula, classes, &pool, &truth, oracle, &old, &new);
-            assert_same(
-                &outcomes,
-                &format!("{} over {len} items, {classes} classes, pool {pool_kind}", text.join(" /\\ ")),
-            );
+            assert_same(&outcomes, &what);
+            // Start at 32a + r and end at 32(start / 32 + b) + r', both
+            // clamped into the pool.
+            let start = (32 * sub.0 + sub.1).min(len);
+            let end = (32 * (start / 32 + sub.2) + sub.3).clamp(start, len);
+            let outcomes =
+                measure_both_over(&formula, classes, &pool, &truth, oracle, &old, &new, start..end);
+            assert_same(&outcomes, &format!("{what}, items {start}..{end}"));
         }
     }
 
@@ -1441,11 +1446,14 @@ mod tests {
         let mut oracle = VecOracle::new(labels);
         let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
         // Range 0..8 excludes both wrong predictions: perfect agreement.
-        assert_eq!(m.difference(0..8), 0.0);
-        assert_eq!(m.accuracy_difference(0..8).unwrap(), 0.0);
+        let (at, _) = estimates_over(&mut m, LabelDemand::Free, 0..8);
+        assert_eq!(at.d, 0.0);
+        let (at, _) = estimates_over(&mut m, LabelDemand::Disagreements, 0..8);
+        assert_eq!(at.n - at.o, 0.0);
         assert_eq!(m.labels_requested(), 0);
         // Range 8..10: old wrong on both, new wrong on one.
-        assert!((m.new_accuracy(8..10).unwrap() - 0.5).abs() < 1e-12);
-        assert_eq!(m.old_accuracy(8..10).unwrap(), 0.0);
+        let (at, spent) = estimates_over(&mut m, LabelDemand::Full, 8..10);
+        assert!((at.n - 0.5).abs() < 1e-12);
+        assert_eq!((at.o, spent), (0.0, 2));
     }
 }

@@ -4,18 +4,26 @@
 //! A [`CiEngine`] is configured by a [`CiScript`], holds the current
 //! testset era, and evaluates [`ModelCommit`]s one at a time:
 //!
-//! 1. measure the condition variables (lazily labelling through a
-//!    [`LabelOracle`] when one is installed);
-//! 2. evaluate the condition over confidence intervals into
-//!    `True`/`False`/`Unknown`;
+//! 1. measure each phase of the estimator's plan (one shared range for
+//!    the baseline; filter/probe/coarse ranges before the test range for
+//!    Patterns 1–3) through [`Measurement::measure_range`], the counting
+//!    core the served gate measures through too, lazily labelling
+//!    through a [`LabelOracle`] when one is installed;
+//! 2. turn the counts into point estimates ([`MeasuredCounts::estimates`])
+//!    and evaluate the condition over confidence intervals into
+//!    `True`/`False`/`Unknown`, with the served gate's arithmetic;
 //! 3. hand the outcome to the era's [`Gate`], which collapses it by
 //!    mode, spends a step, releases (or withholds) the signal according
 //!    to the adaptivity policy, and fires the new-testset alarm when the
 //!    era's statistical power is spent;
 //! 4. advance the accepted model on a pass.
 //!
-//! The serving layer's projects record their commits through the same
-//! [`Gate`], so the in-process engine and the served gate cannot drift.
+//! The serving layer's projects measure through the same core and record
+//! their commits through the same [`Gate`], so the in-process engine and
+//! the served gate cannot drift, even where a statistic lands exactly on
+//! an interval edge. The engine measures `n`, `o` and `d` only: it
+//! refuses conditions over metric variables (`f1`/`topk`), whose
+//! per-class counts need the class count a served testset declares.
 
 mod evaluator;
 mod gate;
@@ -32,13 +40,13 @@ pub use history::{CommitHistory, HistoryEntry};
 pub use sink::{AlarmReason, CiEvent, CollectingSink, MailboxSink, NotificationSink, NullSink};
 pub use testset::{LabelOracle, Testset, VecOracle};
 
-use crate::dsl::{classify_clause, ClauseShape};
+use crate::dsl::{classify_clause, Clause, ClauseShape, LinearForm, Var};
 use crate::error::{CiError, EngineError, Result};
 use crate::estimator::{
     implicit_variance_test_phase, EstimateProvenance, ImplicitVariancePlan, OptimizedPlan,
     SampleSizeEstimate, SampleSizeEstimator,
 };
-use crate::eval::evaluate_clause_at;
+use crate::eval::{evaluate_clause, evaluate_formula, VariableEstimates};
 use crate::logic::Tribool;
 use crate::script::CiScript;
 use std::ops::Range;
@@ -154,9 +162,10 @@ impl CiEngine {
     /// # Errors
     ///
     /// Returns [`EngineError::TestsetTooSmall`] if the pool cannot
-    /// support the configured condition, and
+    /// support the configured condition,
     /// [`EngineError::PredictionLengthMismatch`] if the old model's
-    /// predictions do not cover the pool.
+    /// predictions do not cover the pool, and [`CiError::Semantic`] for a
+    /// condition over metric variables (`f1(...)`/`topk(...)`).
     pub fn new(script: CiScript, testset: Testset, old_predictions: Vec<u32>) -> Result<Self> {
         Self::with_estimator(
             script,
@@ -177,6 +186,14 @@ impl CiEngine {
         old_predictions: Vec<u32>,
         estimator: &SampleSizeEstimator,
     ) -> Result<Self> {
+        let clauses = script.condition().clauses();
+        if let Some(clause) = clauses.iter().find(|c| c.expr.has_metric()) {
+            return Err(CiError::Semantic(format!(
+                "clause `{clause}` reads metric variables (f1/topk), which the engine cannot \
+                 measure: metric conditions need the class count that a served project's \
+                 testset declares at registration"
+            )));
+        }
         let estimate = estimator.estimate(&script)?;
         let layout = Self::check_pool(&script, &estimate, &testset, &old_predictions)?;
         Ok(CiEngine {
@@ -326,27 +343,32 @@ impl CiEngine {
         Ok(receipt)
     }
 
+    /// Measure every phase of the plan through [`Measurement::measure_range`]
+    /// and decide on the resulting point estimates, as the served gate
+    /// does. Label-free phases (filter, probe) run under
+    /// [`LabelDemand::Free`]; labelled ones under the demand of the
+    /// clauses they measure.
     fn measure(&mut self, commit: &ModelCommit) -> Result<(Tribool, CommitEstimates)> {
-        let layout = self.layout.clone();
-        let mut measurement = Measurement::new(
+        let mut m = Measurement::new(
             &mut self.testset,
             self.oracle.as_deref_mut(),
             &self.old_predictions,
             &commit.predictions,
         )?;
-        let clauses = self.script.condition().clauses();
+        let mut phase = |demand, range: &Range<usize>| -> Result<VariableEstimates> {
+            Ok(m.measure_range(demand, range.clone(), None)?.0.estimates())
+        };
+        let condition = self.script.condition();
+        let clauses = condition.clauses();
         let mut est = CommitEstimates::default();
-        let outcome = match &layout {
+        let outcome = match &self.layout {
             Layout::Single { test } => {
-                let mut verdicts = Vec::with_capacity(clauses.len());
+                let at = phase(formula_label_demand(condition), test)?;
                 for clause in clauses {
-                    let lhs = measurement.clause_lhs(clause, test.clone())?;
-                    record_estimate(&mut est, clause, lhs);
-                    verdicts.push(evaluate_clause_at(clause, lhs));
+                    record_estimate(&mut est, clause, &at);
                 }
-                est.d
-                    .get_or_insert_with(|| measurement.difference(test.clone()));
-                Tribool::all(verdicts)
+                est.d.get_or_insert(at.d);
+                evaluate_formula(condition, &at)
             }
             Layout::FilterTest {
                 filter,
@@ -356,15 +378,16 @@ impl CiEngine {
             } => {
                 // Filter step: unlabeled d̂; a certain `False` here skips
                 // the labelling phase entirely.
-                let d_hat = measurement.difference(filter.clone());
-                est.d = Some(d_hat);
-                let d_verdict = evaluate_clause_at(&clauses[*diff_clause], d_hat);
+                let filtered = phase(LabelDemand::Free, filter)?;
+                est.d = Some(filtered.d);
+                let d_verdict = evaluate_clause(&clauses[*diff_clause], &filtered);
                 if d_verdict == Tribool::False {
                     Tribool::False
                 } else {
-                    let lhs = measurement.clause_lhs(&clauses[*improv_clause], test.clone())?;
-                    record_estimate(&mut est, &clauses[*improv_clause], lhs);
-                    d_verdict & evaluate_clause_at(&clauses[*improv_clause], lhs)
+                    let clause = &clauses[*improv_clause];
+                    let at = phase(clause_label_demand(clause), test)?;
+                    record_estimate(&mut est, clause, &at);
+                    d_verdict & evaluate_clause(clause, &at)
                 }
             }
             Layout::ProbeTest {
@@ -378,40 +401,42 @@ impl CiEngine {
                 // Either way the engine's ±ε interval semantics are
                 // two-sided.
                 let needed = if probe.is_empty() {
-                    est.d = Some(measurement.difference(test_full.clone()));
+                    est.d = Some(phase(LabelDemand::Free, test_full)?.d);
                     test_full.len() as u64
                 } else {
-                    let d_hat = measurement.difference(probe.clone());
+                    let d_hat = phase(LabelDemand::Free, probe)?.d;
                     est.d = Some(d_hat);
                     implicit_variance_test_phase(plan, d_hat, easeml_bounds::Tail::TwoSided)?
                         .samples
                 };
-                let needed_u64 = needed;
-                let needed = usize::try_from(needed).unwrap_or(usize::MAX);
-                if needed > test_full.len() {
+                let prefix = usize::try_from(needed).unwrap_or(usize::MAX);
+                if prefix > test_full.len() {
                     return Err(EngineError::TestsetTooSmall {
                         got: test_full.len(),
-                        want: needed_u64,
+                        want: needed,
                     }
                     .into());
                 }
-                let range = test_full.start..test_full.start + needed;
                 let clause = &clauses[0];
-                let lhs = measurement.clause_lhs(clause, range)?;
-                record_estimate(&mut est, clause, lhs);
-                evaluate_clause_at(clause, lhs)
+                let at = phase(
+                    clause_label_demand(clause),
+                    &(test_full.start..test_full.start + prefix),
+                )?;
+                record_estimate(&mut est, clause, &at);
+                evaluate_clause(clause, &at)
             }
             Layout::CoarseFine { coarse, fine } => {
                 let clause = &clauses[0];
+                let demand = clause_label_demand(clause);
                 // The coarse pass only justifies the fine pass's variance
                 // bound; the decision rests on the fine estimate.
-                let _coarse_n = measurement.new_accuracy(coarse.clone())?;
-                let fine_n = measurement.new_accuracy(fine.clone())?;
-                est.n = Some(fine_n);
-                evaluate_clause_at(clause, fine_n)
+                phase(demand, coarse)?;
+                let at = phase(demand, fine)?;
+                est.n = Some(at.n);
+                evaluate_clause(clause, &at)
             }
         };
-        est.labels_requested = measurement.labels_requested();
+        est.labels_requested = m.labels_requested();
         Ok((outcome, est))
     }
 
@@ -504,11 +529,11 @@ impl CiEngine {
     }
 }
 
-/// Record the measured LHS into the per-variable estimate slots when the
-/// clause is simple enough to attribute.
-fn record_estimate(est: &mut CommitEstimates, clause: &crate::dsl::Clause, lhs: f64) {
-    use crate::dsl::{LinearForm, Var};
+/// Record a clause's left-hand side at `at` into the per-variable
+/// estimate slots when the clause is simple enough to attribute.
+fn record_estimate(est: &mut CommitEstimates, clause: &Clause, at: &VariableEstimates) {
     let form = LinearForm::from_expr(&clause.expr);
+    let lhs = at.evaluate_expr(&clause.expr);
     let a_n = form.coefficient(Var::N);
     let a_o = form.coefficient(Var::O);
     let a_d = form.coefficient(Var::D);

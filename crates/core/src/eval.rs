@@ -64,6 +64,21 @@ impl VariableEstimates {
         }
     }
 
+    /// Point estimates of the plain variables from counts over `samples`
+    /// items: `n̂ = new_correct / samples`, `ô = old_correct / samples`,
+    /// `d̂ = changed / samples`. The served gate and every engine phase
+    /// form their estimates here, so the two round alike. An empty
+    /// sample reads as zero.
+    #[must_use]
+    pub fn from_counts(samples: u64, new_correct: u64, old_correct: u64, changed: u64) -> Self {
+        let s = samples.max(1) as f64;
+        VariableEstimates::new(
+            new_correct as f64 / s,
+            old_correct as f64 / s,
+            changed as f64 / s,
+        )
+    }
+
     /// Record a top-k estimate for the new (`is_new = true`) or old model.
     ///
     /// # Panics
@@ -163,11 +178,9 @@ pub fn evaluate_clause(clause: &Clause, est: &VariableEstimates) -> Tribool {
     evaluate_clause_at(clause, est.evaluate_expr(&clause.expr))
 }
 
-/// Evaluate a clause given a pre-computed left-hand-side point estimate.
-///
-/// This is the primitive the engine uses when the LHS is measured by a
-/// specialised estimator (e.g. the §4.1.2 difference trick measures
-/// `n − o` directly without separate `n̂` and `ô`).
+/// Evaluate a clause given its left-hand side's point estimate: the
+/// interval `lhs_estimate ± tolerance` against the threshold. The
+/// comparison primitive under [`evaluate_clause`].
 #[must_use]
 pub fn evaluate_clause_at(clause: &Clause, lhs_estimate: f64) -> Tribool {
     let interval = Interval::around(lhs_estimate, clause.tolerance);

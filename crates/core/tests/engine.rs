@@ -3,8 +3,8 @@
 
 use easeml_bounds::Adaptivity;
 use easeml_ci_core::{
-    AlarmReason, CiEngine, CiEvent, CiScript, CollectingSink, EngineError, Mode, ModelCommit,
-    SampleSizeEstimator, Testset, Tribool, VecOracle,
+    AlarmReason, CiEngine, CiError, CiEvent, CiScript, CollectingSink, EngineError, Mode,
+    ModelCommit, SampleSizeEstimator, Testset, Tribool, VecOracle,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -494,4 +494,34 @@ fn pattern1_test_phase_labels_only_disagreements() {
     let labeled_fraction = receipt.estimates.labels_requested as f64 / n as f64;
     assert!(labeled_fraction < 0.15, "fraction = {labeled_fraction}");
     assert!(receipt.estimates.labels_requested > 0);
+}
+
+#[test]
+fn metric_conditions_are_refused_at_construction() {
+    // The engine measures n, o and d only; before the refusal it built
+    // an engine for an f1 script whose every submit then failed.
+    for condition in [
+        "f1(n) > 0.5 +/- 0.1",
+        "n - o > 0.0 +/- 0.1 /\\ topk(n, 2) > 0.5 +/- 0.1",
+    ] {
+        let script = CiScript::builder()
+            .condition_str(condition)
+            .unwrap()
+            .reliability(0.9)
+            .adaptivity(Adaptivity::None)
+            .steps(1)
+            .build()
+            .unwrap();
+        let n = pool(&script);
+        let err = CiEngine::new(script, Testset::fully_labeled(vec![1; n]), vec![0; n])
+            .expect_err("a metric condition must be refused at construction");
+        let CiError::Semantic(message) = err else {
+            panic!("{condition}: expected a semantic error, got {err:?}");
+        };
+        let metric_clause = condition.rsplit("/\\ ").next().unwrap();
+        assert!(
+            message.contains(metric_clause) && message.contains("class count"),
+            "{condition}: the refusal must name the clause and the missing class count: {message}"
+        );
+    }
 }

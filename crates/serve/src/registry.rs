@@ -428,11 +428,11 @@ impl EvalCounts {
     /// Point estimates of the three condition variables.
     #[must_use]
     pub fn estimates(&self) -> VariableEstimates {
-        let n = self.samples as f64;
-        VariableEstimates::new(
-            self.new_correct as f64 / n,
-            self.old_correct as f64 / n,
-            self.changed as f64 / n,
+        VariableEstimates::from_counts(
+            self.samples,
+            self.new_correct,
+            self.old_correct,
+            self.changed,
         )
     }
 

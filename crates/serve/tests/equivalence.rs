@@ -17,7 +17,7 @@
 
 use easeml_ci_core::{
     CiEngine, CiError, CiScript, EngineError, EstimatorConfig, EstimatorStrategy, ModelCommit,
-    SampleSizeEstimator, Testset,
+    SampleSizeEstimator, Testset, Tribool,
 };
 use easeml_serve::json::{encode_u32_vec, Value};
 use easeml_serve::registry::{serving_estimator, PredictionsSubmission, Project, TestsetSpec};
@@ -302,9 +302,10 @@ fn partial_labeling_spends_strictly_fewer_labels_than_full() {
 }
 
 /// One random clause over `n`, `o`, `d` or `n - o`. Thresholds and
-/// tolerances sit on a 0.05 grid and the pools below have sizes coprime
-/// to 20, so no measured statistic lands on an interval edge, where the
-/// engine's and the server's floating-point routes could round apart.
+/// tolerances sit on a 0.05 grid, and half the pools below have sizes
+/// that are multiples of 20, so measured statistics land exactly on
+/// interval edges. The engine and the server form their estimates with
+/// the same arithmetic, so they must agree there too.
 fn gate_clause() -> impl Strategy<Value = String> {
     (0usize..4, 0u32..2, 0i32..=16, 2i32..=4).prop_map(|(var, gt, grid, tol)| {
         let (name, hundredths) = match var {
@@ -380,7 +381,8 @@ proptest! {
             ..EstimatorConfig::default()
         });
         let want = estimator.estimate(&script).unwrap().total_samples().max(64);
-        let size = (want..).find(|n| n % 2 != 0 && n % 5 != 0).unwrap() as usize;
+        let size = if seed % 2 == 0 { want.next_multiple_of(20) } else { want + seed % 20 };
+        let size = size as usize;
         let truth: Vec<u32> = (0..size)
             .map(|j| (easeml_par::splitmix64(seed, j as u64) % 3) as u32)
             .collect();
@@ -441,4 +443,63 @@ proptest! {
         prop_assert_eq!(engine.steps_used(), project.steps_used());
         prop_assert_eq!(engine.history().len(), project.history().len());
     }
+}
+
+/// A statistic exactly on an interval edge: n̂ = 0.4 and ô = 0.1 under
+/// `n - o > 0.2 +/- 0.1` put the interval's lower end at the threshold
+/// up to rounding. `0.4 - 0.1` rounds to 0.30000000000000004, just
+/// clear of the edge; a route that divided the count difference instead
+/// (3/10 = 0.3) would read Unknown. The engine and the served gate must
+/// decide alike.
+#[test]
+fn engine_and_server_agree_on_an_exact_interval_edge() {
+    let script_text = script_for("n - o > 0.2 +/- 0.1", 1);
+    let script = CiScript::parse(&script_text).unwrap();
+    let baseline = SampleSizeEstimator::with_config(EstimatorConfig {
+        strategy: EstimatorStrategy::BaselineOnly,
+        ..EstimatorConfig::default()
+    });
+    let want = [&baseline, &serving_estimator()]
+        .map(|e| e.estimate(&script).unwrap().total_samples())
+        .into_iter()
+        .max()
+        .unwrap();
+    let size = want.next_multiple_of(10) as usize;
+    let truth = vec![0u32; size];
+    // The old model is right on the first tenth, the new one on the
+    // first four tenths.
+    let old: Vec<u32> = (0..size).map(|i| u32::from(i >= size / 10)).collect();
+    let new: Vec<u32> = (0..size).map(|i| u32::from(i >= 4 * size / 10)).collect();
+    let mut engine = CiEngine::with_estimator(
+        script,
+        Testset::fully_labeled(truth.clone()),
+        old.clone(),
+        &baseline,
+    )
+    .unwrap();
+    let spec = TestsetSpec {
+        truth,
+        classes: 2,
+        lazy: false,
+    };
+    let mut project =
+        Project::register_with_testset("edge", &script_text, &serving_estimator(), Some(spec))
+            .unwrap();
+    let engine_receipt = engine
+        .submit(&ModelCommit::new("edge", new.clone()))
+        .unwrap();
+    let (served, counts) = project
+        .submit_predictions(&PredictionsSubmission {
+            commit_id: "edge".into(),
+            old,
+            new,
+        })
+        .unwrap();
+    assert_eq!(
+        (counts.samples, counts.new_correct, counts.old_correct),
+        (size as u64, 4 * size as u64 / 10, size as u64 / 10)
+    );
+    assert_eq!(served.outcome, Tribool::True);
+    assert_eq!(engine_receipt.outcome, served.outcome);
+    assert_eq!(engine_receipt.passed, served.passed);
 }

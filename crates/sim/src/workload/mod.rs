@@ -2,4 +2,3 @@
 
 pub mod imagenet;
 pub mod semeval;
-pub mod stream;

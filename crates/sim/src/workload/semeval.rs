@@ -269,8 +269,8 @@ pub fn decision_strip(
     out
 }
 
-/// Sample a `(correct, total)` window from a drifting distribution —
-/// used by the drift-monitor example rather than the CI experiments.
+/// Sample a `(correct, total)` window from a drifting distribution. The
+/// CI experiments do not use it.
 pub fn drifting_window<R: Rng>(
     base_accuracy: f64,
     drift_per_window: f64,
