@@ -273,9 +273,11 @@ pub fn worst_case_deviation_tail(n: u64, eps: f64, tail: Tail) -> f64 {
 ///
 /// The candidate envelope `j ↦ Pr_{p_j}[X ≥ j]` inherits the
 /// unimodality of the continuous worst-case envelope, so the maximum is
-/// found by a hill-climb over the jump index (a handful of `O(√n)` tail
-/// evaluations), hardened by a ±`JUMP_PLATEAU` window sweep against
-/// small sawtooth ripples.
+/// found by a hill-climb over the jump index, hardened by a
+/// ±`JUMP_PLATEAU` window sweep against small sawtooth ripples. The
+/// climb seeds at the Chernoff argmax `p ≈ ½ − ε/3`
+/// ([`one_sided_cold_fraction`]), a few jump indices from the sup, so
+/// a cold scan costs ~10–20 `O(√n)` tail evaluations at serving sizes.
 pub fn worst_case_deviation_one_sided_exact(n: u64, eps: f64) -> f64 {
     worst_case_one_sided_jump(n, eps, JumpHint::cold(), None).0
 }
@@ -297,8 +299,9 @@ pub(crate) const JUMP_PLATEAU: u64 = 4;
 /// climb resumes from its own previous argmax and typically settles
 /// after a couple of tail evaluations.
 ///
-/// `None` means cold: the climb seeds from the centre `p ≈ 0.5`
-/// heuristic.
+/// `None` means cold: the one-sided family seeds at the Chernoff
+/// argmax ([`one_sided_cold_fraction`]); the two-sided families seed
+/// at the centre `p ≈ 0.5`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct JumpHint {
     /// Maximizing fraction `j*/n` of the upper-tail family
@@ -310,7 +313,11 @@ pub struct JumpHint {
 }
 
 impl JumpHint {
-    /// Cold start: both climbs seed from the centre `p ≈ 0.5` heuristic.
+    /// Cold start: each climb seeds from its family's default — the
+    /// Chernoff argmax `p ≈ ½ − ε/3` for the one-sided family
+    /// ([`one_sided_cold_fraction`]), the centre `p ≈ 0.5` for both
+    /// two-sided families (whose candidates sum both tails and are
+    /// symmetric about ½).
     pub fn cold() -> JumpHint {
         JumpHint::default()
     }
@@ -323,6 +330,24 @@ impl JumpHint {
             None => (nf * frac0).round() as i128,
         }
     }
+}
+
+/// Cold-start jump fraction `j/n = ½ + 2ε/3` of the one-sided
+/// breakpoint climb, i.e. the breakpoint `p_j = j/n − ε = ½ − ε/3`.
+///
+/// By Chernoff, `Pr_p[X/n > p + ε] ≈ exp(−n·KL(p + ε ‖ p))`, so for the
+/// sizes the inversions probe the candidate envelope peaks where
+/// `g(p) = KL(p + ε ‖ p)` is smallest. Expanding,
+/// `g(p) = ε²/(2p(1−p)) − ε³(1−2p)/(6p²(1−p)²) + O(ε⁴)`; with
+/// `p = ½ + t` this is `2ε²(1 + 4t²) + (16/3)ε³t + …`, whose
+/// minimum sits at `t* = −ε/3` to leading order. Numerically the exact
+/// minimizer is `½ − 0.3333 ε` at `ε = 0.01` and `½ − 0.3358 ε` at
+/// `ε = 0.2`. A centre seed `p = ½` would leave a cold climb ~`nε/3`
+/// jump indices to walk, one tail evaluation each (hundreds at serving
+/// sizes), and at large `ε` can start it on a plateau where every tail
+/// underflows to zero, so the climb stops at once with a zero sup.
+pub(crate) fn one_sided_cold_fraction(eps: f64) -> f64 {
+    0.5 + 2.0 * eps / 3.0
 }
 
 /// Hinted, early-exiting form of the one-sided breakpoint scan (the
@@ -344,7 +369,7 @@ pub(crate) fn worst_case_one_sided_jump(
     // one index higher.
     let j_min = (strict_upper_cutoff(nf * eps).max(1) as u64).min(n);
     let p_at = |j: u64| (j as f64 / nf - eps).clamp(f64::MIN_POSITIVE, 1.0);
-    let start = JumpHint::start_index(hint.upper, nf, 0.5 + eps);
+    let start = JumpHint::start_index(hint.upper, nf, one_sided_cold_fraction(eps));
     let (best, best_j) = climb_envelope(j_min, n, start, JUMP_PLATEAU, stop_above, |j| {
         ln_upper_tail(n, p_at(j), j).exp()
     });
@@ -360,7 +385,10 @@ pub(crate) fn worst_case_one_sided_jump(
 /// jump scan and both families of the two-sided one
 /// ([`crate::twosided`]).
 ///
-/// Starts from `start` (clamped into range), carries neighbour values so
+/// Starts from `start` (clamped into range; callers seed a cold climb at
+/// their family's expected argmax — the Chernoff argmax for the
+/// one-sided family, the centre `p ≈ 0.5` for the two-sided ones — or
+/// at a carried [`JumpHint`]), carries neighbour values so
 /// each climb step costs one new envelope evaluation, and — because the
 /// envelope is only unimodal *up to* sawtooth ripples — sweeps a
 /// ±`plateau` window around every local maximum, resuming the climb from
@@ -376,6 +404,11 @@ pub(crate) fn climb_envelope(
     mut value: impl FnMut(u64) -> f64,
 ) -> (f64, u64) {
     debug_assert!(lo <= hi);
+    #[cfg(test)]
+    let mut value = |j: u64| {
+        tests::ENVELOPE_EVALS.with(|count| count.set(count.get() + 1));
+        value(j)
+    };
     let mut center = start.clamp(lo as i128, hi as i128) as u64;
     let mut cur = value(center);
     let mut best = cur;
@@ -521,6 +554,120 @@ pub fn worst_case_deviation_hinted(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Envelope evaluations made by [`climb_envelope`] on this thread
+        /// (each one is one `O(√n)` tail evaluation).
+        pub(super) static ENVELOPE_EVALS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Runs `f` and returns its result with the envelope evaluations it
+    /// made.
+    fn counting<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = ENVELOPE_EVALS.with(Cell::get);
+        let out = f();
+        (out, ENVELOPE_EVALS.with(Cell::get) - before)
+    }
+
+    /// The one-sided scan as it was before the Chernoff seed: a cold
+    /// climb from the centre breakpoint `p = ½` (`j/n = ½ + ε`). A
+    /// carried fraction starts the climb at exactly the index the old
+    /// cold fallback computed.
+    fn centre_seeded_one_sided(n: u64, eps: f64) -> f64 {
+        let centre = JumpHint {
+            upper: Some(0.5 + eps),
+            lower: None,
+        };
+        worst_case_one_sided_jump(n, eps, centre, None).0
+    }
+
+    /// The Chernoff seed changes where a cold one-sided climb starts,
+    /// never what it finds: bit-identical to the centre-seeded climb
+    /// wherever that one is a normal double, and never below it where
+    /// it underflowed to zero (or a subnormal) on a plateau.
+    fn assert_seed_keeps_bits(n: u64, eps: f64) {
+        let new = worst_case_deviation_tail(n, eps, Tail::OneSided);
+        let old = centre_seeded_one_sided(n, eps);
+        if old.is_normal() {
+            assert_eq!(
+                new.to_bits(),
+                old.to_bits(),
+                "n={n} eps={eps}: {new} vs {old}"
+            );
+        } else {
+            assert!(new >= old, "n={n} eps={eps}: {new} below {old}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn chernoff_seed_keeps_one_sided_bits(n in 1u64..=100_000, eps in 1e-9f64..0.5) {
+            assert_seed_keeps_bits(n, eps);
+        }
+    }
+
+    /// Every `n ≤ 20,000` at several tolerances, both tails (release
+    /// only: `cargo test --release -p easeml-bounds -- --ignored`). The
+    /// one-sided scan keeps the centre-seeded bits; the two-sided scan
+    /// keeps its bits when both families are seeded at the mirrored
+    /// Chernoff argmaxes, so its centre seeds cost time, not accuracy.
+    #[test]
+    #[ignore = "exhaustive; run in release with --ignored"]
+    fn chernoff_seed_sweep_every_n_up_to_20000() {
+        for eps in [0.005, 0.01, 0.03, 0.05, 0.1, 0.2, 0.45] {
+            let mirrored = JumpHint {
+                upper: Some(one_sided_cold_fraction(eps)),
+                lower: Some(1.0 - one_sided_cold_fraction(eps)),
+            };
+            for n in 1..=20_000 {
+                assert_seed_keeps_bits(n, eps);
+                let centre = worst_case_deviation_tail(n, eps, Tail::TwoSided);
+                let (seeded, _, _) =
+                    worst_case_deviation_jump(n, eps, Tail::TwoSided, mirrored, None);
+                if centre.is_normal() {
+                    assert_eq!(
+                        seeded.to_bits(),
+                        centre.to_bits(),
+                        "two-sided n={n} eps={eps}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The centre seed sat on a plateau where every tail underflows, so
+    /// the climb stopped at once and reported a zero sup; the Chernoff
+    /// seed starts inside the representable range and finds a positive
+    /// one. A larger sup can only make an inversion more conservative,
+    /// and no served tolerance reaches this regime.
+    #[test]
+    fn one_sided_sup_does_not_underflow_at_large_eps() {
+        assert_eq!(centre_seeded_one_sided(1513, 0.45), 0.0);
+        let sup = worst_case_deviation_tail(1513, 0.45, Tail::OneSided);
+        assert!(sup > 0.0, "sup = {sup}");
+        assert_seed_keeps_bits(1513, 0.45);
+    }
+
+    /// Work guard, counted rather than timed: a cold one-sided scan at
+    /// register-workload sizes settles within a couple of dozen tail
+    /// evaluations; the centre-seeded reference walks ~nε/3 jump indices
+    /// first.
+    #[test]
+    fn cold_one_sided_scan_evaluates_few_tails() {
+        for (n, eps) in [(20_000u64, 0.01), (60_000, 0.05)] {
+            let (_, evals) = counting(|| worst_case_deviation_tail(n, eps, Tail::OneSided));
+            assert!(evals <= 24, "n={n} eps={eps}: {evals} tail evaluations");
+            let (_, centre) = counting(|| centre_seeded_one_sided(n, eps));
+            assert!(
+                centre > 3 * evals,
+                "n={n} eps={eps}: centre seed {centre} vs {evals}"
+            );
+        }
+    }
 
     fn exact_pmf_brute(n: u64, p: f64, k: u64) -> f64 {
         // Direct product formulation for tiny n.

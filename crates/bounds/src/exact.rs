@@ -20,7 +20,14 @@
 //!    drifts only slightly between nearby `n`) and exits early as soon as
 //!    the probe provably exceeds `δ`. Probes are memoized, so the
 //!    galloping phase, the binary search, and the patch phase never
-//!    re-evaluate an `n`.
+//!    re-evaluate an `n`. Scans with nothing to carry — the Hoeffding
+//!    bracket check, the first probe, the first acceptance scan, and
+//!    the first step and final certification of
+//!    [`exact_binomial_epsilon`]'s bisection — start cold: one-sided
+//!    climbs at the Chernoff argmax `p ≈ ½ − ε/3` of the tail exponent
+//!    `KL(p + ε ‖ p)` (a few jump indices from the sup), two-sided
+//!    climbs at the centre `p ≈ ½`, where their symmetric two-tail
+//!    candidates peak.
 //! 3. **Sawtooth patch with reference acceptance.** The worst case is not
 //!    perfectly monotone in `n` (integer cut-offs create a sawtooth), so
 //!    the final answer must have a run of consecutive valid sizes. This

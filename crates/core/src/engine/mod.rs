@@ -119,10 +119,14 @@ enum Layout {
         test_full: Range<usize>,
         plan: ImplicitVariancePlan,
     },
-    /// Pattern 3: coarse labelled range, fine labelled range.
+    /// Pattern 3: coarse labelled range, fine labelled range. The fine
+    /// phase is sized for a variance bound that holds only when the true
+    /// accuracy is at least `floor − coarse_eps`.
     CoarseFine {
         coarse: Range<usize>,
         fine: Range<usize>,
+        floor: f64,
+        coarse_eps: f64,
     },
 }
 
@@ -304,6 +308,8 @@ impl CiEngine {
                 Ok(Layout::CoarseFine {
                     coarse: 0..c,
                     fine: c..pool_len,
+                    floor: plan.floor,
+                    coarse_eps: plan.coarse.epsilon,
                 })
             }
         }
@@ -425,15 +431,30 @@ impl CiEngine {
                 record_estimate(&mut est, clause, &at);
                 evaluate_clause(clause, &at)
             }
-            Layout::CoarseFine { coarse, fine } => {
+            Layout::CoarseFine {
+                coarse,
+                fine,
+                floor,
+                coarse_eps,
+            } => {
                 let clause = &clauses[0];
                 let demand = clause_label_demand(clause);
-                // The coarse pass only justifies the fine pass's variance
-                // bound; the decision rests on the fine estimate.
-                phase(demand, coarse)?;
-                let at = phase(demand, fine)?;
-                est.n = Some(at.n);
-                evaluate_clause(clause, &at)
+                // The coarse pass certifies the fine pass's variance
+                // bound (true n ≥ floor − ε_c) only when n̂_c ≥ floor.
+                // Below that it decides alone: `False` once its whole
+                // interval lies under the floor, `Unknown` otherwise.
+                let coarse_n = phase(demand, coarse)?.n;
+                if coarse_n + coarse_eps < *floor {
+                    est.n = Some(coarse_n);
+                    Tribool::False
+                } else if coarse_n < *floor {
+                    est.n = Some(coarse_n);
+                    Tribool::Unknown
+                } else {
+                    let at = phase(demand, fine)?;
+                    est.n = Some(at.n);
+                    evaluate_clause(clause, &at)
+                }
             }
         };
         est.labels_requested = m.labels_requested();

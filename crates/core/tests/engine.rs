@@ -448,9 +448,10 @@ fn pattern3_coarse_fine_layout() {
         )
     ));
     let n = est.total_samples() as usize;
-    // A model at 97%: certainly above the 0.94 pass bar.
+    // A model at 97%, its errors spread over the pool: certainly above
+    // the 0.94 pass bar, and the coarse pass certifies the floor.
     let mut preds = vec![1u32; n];
-    for p in preds.iter_mut().take(3 * n / 100) {
+    for p in preds.iter_mut().step_by(34) {
         *p = 0;
     }
     let mut engine = CiEngine::new(script, Testset::unlabeled(n), vec![0u32; n])
@@ -464,6 +465,73 @@ fn pattern3_coarse_fine_layout() {
     // Both phases label fully: the whole pool ends up labelled.
     assert_eq!(receipt.estimates.labels_requested as usize, n);
     assert!(receipt.estimates.n.is_some());
+}
+
+/// A Pattern-3 engine for `n > 0.9 ± 0.04` at reliability 0.95 (coarse
+/// phase 337 items at ε_c ≈ 0.093, fine phase 1,482 items), whose commit
+/// gets the first `coarse_wrong` items wrong and every other item right.
+fn pattern3_submit(coarse_wrong: usize, mode: Mode) -> (easeml_ci_core::CommitReceipt, usize) {
+    let script = CiScript::builder()
+        .condition_str("n > 0.9 +/- 0.04")
+        .unwrap()
+        .reliability(0.95)
+        .mode(mode)
+        .adaptivity(Adaptivity::None)
+        .steps(4)
+        .build()
+        .unwrap();
+    let est = SampleSizeEstimator::new().estimate(&script).unwrap();
+    let easeml_ci_core::EstimateProvenance::Optimized(
+        easeml_ci_core::estimator::OptimizedPlan::CoarseToFine(plan),
+    ) = &est.provenance
+    else {
+        panic!("expected a coarse-to-fine plan, got {:?}", est.provenance);
+    };
+    let coarse = plan.coarse.samples as usize;
+    assert!(coarse_wrong <= coarse);
+    let n = est.total_samples() as usize;
+    let mut preds = vec![1u32; n];
+    for p in preds.iter_mut().take(coarse_wrong) {
+        *p = 0;
+    }
+    let mut engine = CiEngine::new(script, Testset::unlabeled(n), vec![0u32; n])
+        .unwrap()
+        .with_oracle(Box::new(VecOracle::new(vec![1u32; n])));
+    let receipt = engine.submit(&ModelCommit::new("c", preds)).unwrap();
+    (receipt, coarse)
+}
+
+/// Pattern 3's fine phase is sized by a variance bound that holds only
+/// when the true accuracy is at least `floor − ε_c`. Here the pool's
+/// accuracy (1,619 / 1,819 ≈ 0.89) sits below the floor and the coarse
+/// pass shows it (n̂_c + ε_c ≈ 0.50 < 0.9); a fine range that happens
+/// to look perfect must not pass the commit.
+#[test]
+fn pattern3_coarse_pass_below_the_floor_decides_false() {
+    for mode in [Mode::FpFree, Mode::FnFree] {
+        let (receipt, coarse) = pattern3_submit(200, mode);
+        assert_eq!(receipt.outcome, Tribool::False, "{mode:?}");
+        assert!(!receipt.passed, "{mode:?}");
+        // The decision rests on the coarse estimate; the fine range is
+        // never labelled.
+        let n_hat = receipt.estimates.n.unwrap();
+        assert!((n_hat - (coarse - 200) as f64 / coarse as f64).abs() < 1e-12);
+        assert_eq!(receipt.estimates.labels_requested as usize, coarse);
+    }
+}
+
+/// A coarse estimate below the floor but within ε_c of it cannot certify
+/// the fine phase's premise either way: the outcome is `Unknown`, which
+/// each mode resolves conservatively.
+#[test]
+fn pattern3_coarse_pass_near_the_floor_decides_unknown() {
+    // 50 wrong of 337: n̂_c ≈ 0.852, in [0.9 − ε_c, 0.9).
+    for (mode, passed) in [(Mode::FpFree, false), (Mode::FnFree, true)] {
+        let (receipt, coarse) = pattern3_submit(50, mode);
+        assert_eq!(receipt.outcome, Tribool::Unknown, "{mode:?}");
+        assert_eq!(receipt.passed, passed, "{mode:?}");
+        assert_eq!(receipt.estimates.labels_requested as usize, coarse);
+    }
 }
 
 /// Pattern-1 layout: a gentle improvement passes the filter and labels

@@ -301,25 +301,72 @@ fn partial_labeling_spends_strictly_fewer_labels_than_full() {
     );
 }
 
+/// The statistic a generated clause bounds, with its threshold and
+/// tolerance in hundredths.
+#[derive(Debug, Clone, Copy)]
+struct ClauseEdge {
+    var: usize,
+    threshold: i64,
+    tolerance: i64,
+}
+
 /// One random clause over `n`, `o`, `d` or `n - o`. Thresholds and
 /// tolerances sit on a 0.05 grid, and half the pools below have sizes
-/// that are multiples of 20, so measured statistics land exactly on
-/// interval edges. The engine and the server form their estimates with
-/// the same arithmetic, so they must agree there too.
-fn gate_clause() -> impl Strategy<Value = String> {
-    (0usize..4, 0u32..2, 0i32..=16, 2i32..=4).prop_map(|(var, gt, grid, tol)| {
-        let (name, hundredths) = match var {
+/// that are multiples of 20, so the [`on_edge`] commits put measured
+/// statistics exactly on interval edges. The engine and the server form
+/// their estimates with the same arithmetic, so they must agree there
+/// too.
+fn gate_clause() -> impl Strategy<Value = (String, ClauseEdge)> {
+    (0usize..4, 0u32..2, 0i64..=16, 2i64..=4).prop_map(|(var, gt, grid, tol)| {
+        let (name, threshold) = match var {
             0 => ("n", 10 + 5 * grid),
             1 => ("o", 10 + 5 * grid),
             2 => ("d", 10 + 5 * grid),
             _ => ("n - o", 5 * grid - 40),
         };
-        format!(
+        let text = format!(
             "{name} {} {:.2} +/- {:.2}",
             if gt == 1 { ">" } else { "<" },
-            f64::from(hundredths) / 100.0,
-            f64::from(5 * tol) / 100.0
-        )
+            threshold as f64 / 100.0,
+            (5 * tol) as f64 / 100.0
+        );
+        let edge = ClauseEdge {
+            var,
+            threshold,
+            tolerance: 5 * tol,
+        };
+        (text, edge)
+    })
+}
+
+/// A new-model vector that puts the clause's statistic (n̂, d̂ or n̂ − ô
+/// against the deployed `old` model) on `threshold + side · tolerance`,
+/// exactly when the pool size is a multiple of 20 and to the nearest
+/// item otherwise. `None` for `o` clauses, which the new model cannot
+/// move, and for targets outside the pool.
+fn on_edge(truth: &[u32], old: &[u32], edge: ClauseEdge, side: i64) -> Option<Vec<u32>> {
+    let size = truth.len() as i64;
+    let target = (size * (edge.threshold + side * edge.tolerance) + 50).div_euclid(100);
+    let wrong = |t: u32| (t + 1) % 3;
+    let count = match edge.var {
+        0 | 2 => target,
+        3 => target + truth.iter().zip(old).filter(|(t, o)| t == o).count() as i64,
+        _ => return None,
+    };
+    let count = usize::try_from(count).ok().filter(|&c| c <= truth.len())?;
+    Some(if edge.var == 2 {
+        // Disagree with the old model on exactly `count` items.
+        old.iter()
+            .enumerate()
+            .map(|(j, &o)| if j < count { wrong(o) } else { o })
+            .collect()
+    } else {
+        // Right on exactly `count` items.
+        truth
+            .iter()
+            .enumerate()
+            .map(|(j, &t)| if j < count { t } else { wrong(t) })
+            .collect()
     })
 }
 
@@ -364,7 +411,8 @@ proptest! {
     ) {
         let adaptivity = ["none", "full", "firstChange"][adaptivity];
         let mode = ["fp-free", "fn-free"][mode];
-        let condition = clauses.join(" /\\ ");
+        let texts: Vec<&str> = clauses.iter().map(|(text, _)| text.as_str()).collect();
+        let condition = texts.join(" /\\ ");
         let script_text = format!(
             "ml:\n\
              \x20 - condition  : {condition}\n\
@@ -405,8 +453,15 @@ proptest! {
         // Live receipts of the current era, for the redelivery check.
         let mut era_receipts = Vec::new();
         for i in 0..3 * u64::from(steps) + 2 {
-            let wrong = easeml_par::splitmix64(seed ^ 2, i) % 1001;
-            let new = noisy(&truth, seed.wrapping_add(i + 3), wrong);
+            // One commit in three aims a clause's statistic at an end of
+            // its interval; the rest are noisy.
+            let roll = easeml_par::splitmix64(seed ^ 2, i);
+            let (_, edge) = clauses[(roll >> 8) as usize % clauses.len()];
+            let side = if roll & 16 == 0 { 1 } else { -1 };
+            let new = roll.is_multiple_of(3)
+                .then(|| on_edge(&truth, engine.old_predictions(), edge, side))
+                .flatten()
+                .unwrap_or_else(|| noisy(&truth, seed.wrapping_add(i + 3), roll % 1001));
             let submission = PredictionsSubmission {
                 commit_id: format!("c{i}"),
                 old: engine.old_predictions().to_vec(),
