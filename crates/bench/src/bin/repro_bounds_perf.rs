@@ -43,6 +43,11 @@ struct Case {
     eps: f64,
     delta: f64,
     tail: Tail,
+    /// `Some(n)` for a serving-size leaf inversion, pinned to its row of
+    /// `crates/bounds/tests/data/exact_sample_size.golden`: the answer is
+    /// asserted, and the seed implementation, far too slow at these
+    /// sizes, is not timed.
+    golden_n: Option<u64>,
 }
 
 const CASES: &[Case] = &[
@@ -51,24 +56,52 @@ const CASES: &[Case] = &[
         eps: 0.10,
         delta: 0.01,
         tail: Tail::TwoSided,
+        golden_n: None,
     },
     Case {
         name: "eps0.05_delta0.001",
         eps: 0.05,
         delta: 0.001,
         tail: Tail::TwoSided,
+        golden_n: None,
     },
     Case {
         name: "eps0.05_delta0.0001",
         eps: 0.05,
         delta: 1e-4,
         tail: Tail::TwoSided,
+        golden_n: None,
     },
     Case {
         name: "eps0.10_delta0.01_one_sided",
         eps: 0.10,
         delta: 0.01,
         tail: Tail::OneSided,
+        golden_n: None,
+    },
+    // One-sided leaves the serving estimator inverts for `register`-mix
+    // scripts (reliability 0.999..0.9999, up to 64 steps): cold climbs
+    // at these sizes are what a registration pays for.
+    Case {
+        name: "eps0.05_delta2.08e-6_one_sided",
+        eps: 0.05,
+        delta: f64::from_bits(0x3ec1_79ec_9cbd_7ffd),
+        tail: Tail::OneSided,
+        golden_n: Some(2_138),
+    },
+    Case {
+        name: "eps0.02_delta1.49e-10_one_sided",
+        eps: 0.02,
+        delta: f64::from_bits(0x3de4_7ae1_47ae_148a),
+        tail: Tail::OneSided,
+        golden_n: Some(24_853),
+    },
+    Case {
+        name: "eps0.01_delta5.42e-24_one_sided",
+        eps: 0.01,
+        delta: f64::from_bits(0x3b1a_36e2_eb1c_4005),
+        tail: Tail::OneSided,
+        golden_n: Some(251_781),
     },
 ];
 
@@ -338,47 +371,67 @@ fn main() {
             exact_binomial_sample_size(case.eps, case.delta, case.tail).unwrap(),
         );
         let cold_ns = cold_t.elapsed().as_nanos() as f64;
-        let n_ref = reference::exact_binomial_sample_size(case.eps, case.delta, case.tail).unwrap();
         let n_hoeff = hoeffding_sample_size(1.0, case.eps, case.delta, case.tail).unwrap();
-        // Acceptance is breakpoint-exact for both tails: it sees sawtooth
-        // teeth the seed's 64-point grid missed, so its answers may sit a
-        // few teeth above the seed's (never below).
-        assert!(
-            n_opt >= n_ref,
-            "{}: optimized {} below grid-accepted seed {}",
-            case.name,
-            n_opt,
-            n_ref
-        );
-        assert!(
-            n_opt.abs_diff(n_ref) as f64 <= (n_ref as f64 * 0.05).max(8.0),
-            "{}: optimized {} vs seed {} drifted apart",
-            case.name,
-            n_opt,
-            n_ref
-        );
         let opt_ns = time_ns(runs, || {
             exact_binomial_sample_size(case.eps, case.delta, case.tail).unwrap()
         });
-        let ref_runs = if quick { 1 } else { 3 };
-        let seed_ns = time_ns(ref_runs, || {
-            reference::exact_binomial_sample_size(case.eps, case.delta, case.tail).unwrap()
-        });
-        let speedup = seed_ns / opt_ns;
+        // (seed n, seed ns) where the seed implementation is timed.
+        let seed = match case.golden_n {
+            Some(golden) => {
+                assert_eq!(n_opt, golden, "{}: golden leaf row moved", case.name);
+                None
+            }
+            None => {
+                let n_ref =
+                    reference::exact_binomial_sample_size(case.eps, case.delta, case.tail).unwrap();
+                // Acceptance is breakpoint-exact for both tails: it sees
+                // sawtooth teeth the seed's 64-point grid missed, so its
+                // answers may sit a few teeth above the seed's (never
+                // below).
+                assert!(
+                    n_opt >= n_ref,
+                    "{}: optimized {} below grid-accepted seed {}",
+                    case.name,
+                    n_opt,
+                    n_ref
+                );
+                assert!(
+                    n_opt.abs_diff(n_ref) as f64 <= (n_ref as f64 * 0.05).max(8.0),
+                    "{}: optimized {} vs seed {} drifted apart",
+                    case.name,
+                    n_opt,
+                    n_ref
+                );
+                let ref_runs = if quick { 1 } else { 3 };
+                let seed_ns = time_ns(ref_runs, || {
+                    reference::exact_binomial_sample_size(case.eps, case.delta, case.tail).unwrap()
+                });
+                Some((n_ref, seed_ns))
+            }
+        };
         table.push_row([
             case.name.to_string(),
             n_opt.to_string(),
             n_hoeff.to_string(),
-            format_sig(seed_ns / 1e6),
+            seed.map_or("-".to_string(), |(_, ns)| format_sig(ns / 1e6)),
             format_sig(opt_ns / 1e3),
-            format!("{speedup:.0}x"),
+            seed.map_or("-".to_string(), |(_, ns)| format!("{:.0}x", ns / opt_ns)),
         ]);
+        // Untimed seed fields are JSON nulls.
+        let (n_ref, seed_ns, speedup) = match seed {
+            Some((n, ns)) => (
+                n.to_string(),
+                format!("{ns:.0}"),
+                format!("{:.1}", ns / opt_ns),
+            ),
+            None => ("null".into(), "null".into(), "null".into()),
+        };
         let _ = write!(
             json_cases,
-            "{}    {{\"case\": \"{}\", \"eps\": {}, \"delta\": {}, \"tail\": \"{}\", \
+            "{}    {{\"case\": \"{}\", \"eps\": {}, \"delta\": {:e}, \"tail\": \"{}\", \
              \"n_exact\": {}, \"n_seed_impl\": {}, \"n_hoeffding\": {}, \
-             \"seed_ns\": {:.0}, \"optimized_ns\": {:.0}, \"optimized_cold_ns\": {:.0}, \
-             \"speedup\": {:.1}}}",
+             \"seed_ns\": {}, \"optimized_ns\": {:.0}, \"optimized_cold_ns\": {:.0}, \
+             \"speedup\": {}}}",
             if json_cases.is_empty() { "" } else { ",\n" },
             case.name,
             case.eps,

@@ -72,40 +72,52 @@ fn mode(n: u64, p: f64) -> u64 {
 /// Requires `1 <= k <= n`, `0 < p < 1`, and `k` at or above the mode so
 /// the term sequence is non-increasing (no overflow in the linear-space
 /// relative sum).
+///
+/// The ratio `(n−i)/(i+1)` is carried as two `f64` counters stepped by
+/// ±1.0 rather than converted from integers for every term. Every
+/// integer below 2⁵³ is exact in an `f64`, so for `n < 2⁵³` each term
+/// sees the same operands, operations and order as the converted form
+/// and the result is bit-identical; beyond 2⁵³ neither form is exact.
 fn ln_upper_tail_direct(n: u64, p: f64, k: u64) -> f64 {
     let ln_base = ln_pmf(n, p, k);
     let odds = p / (1.0 - p);
     let mut term = 1.0f64; // relative to the boundary pmf
     let mut sum = 1.0f64;
-    let mut i = k;
-    while i < n {
-        term *= (n - i) as f64 / (i + 1) as f64 * odds;
+    let mut num = (n - k) as f64; // n − i
+    let mut den = (k + 1) as f64; // i + 1
+    while num > 0.0 {
+        term *= num / den * odds;
         sum += term;
         // Past the mode the ratio is < 1 and decreasing: geometric decay.
         if term <= sum * 1e-17 {
             break;
         }
-        i += 1;
+        num -= 1.0;
+        den += 1.0;
     }
     (ln_base + sum.ln()).min(0.0)
 }
 
 /// Lower tail `Pr[X <= k]` summed directly downward from the boundary.
 ///
-/// Requires `k < n`, `0 < p < 1`, and `k` at or below the mode.
+/// Requires `k < n`, `0 < p < 1`, and `k` at or below the mode. The
+/// ratio `i/(n−i+1)` is carried as `f64` counters, bit-identical to the
+/// converted form for `n < 2⁵³` (see [`ln_upper_tail_direct`]).
 fn ln_lower_tail_direct(n: u64, p: f64, k: u64) -> f64 {
     let ln_base = ln_pmf(n, p, k);
     let inv_odds = (1.0 - p) / p;
     let mut term = 1.0f64;
     let mut sum = 1.0f64;
-    let mut i = k;
-    while i > 0 {
-        term *= i as f64 / (n - i + 1) as f64 * inv_odds;
+    let mut num = k as f64; // i
+    let mut den = (n - k + 1) as f64; // n − i + 1
+    while num > 0.0 {
+        term *= num / den * inv_odds;
         sum += term;
         if term <= sum * 1e-17 {
             break;
         }
-        i -= 1;
+        num -= 1.0;
+        den += 1.0;
     }
     (ln_base + sum.ln()).min(0.0)
 }
@@ -666,6 +678,87 @@ mod tests {
                 centre > 3 * evals,
                 "n={n} eps={eps}: centre seed {centre} vs {evals}"
             );
+        }
+    }
+
+    /// [`ln_upper_tail_direct`] with both ratio factors converted from
+    /// integers for every term: the reference its counters must match
+    /// bit for bit.
+    fn converting_upper_direct(n: u64, p: f64, k: u64) -> f64 {
+        let ln_base = ln_pmf(n, p, k);
+        let odds = p / (1.0 - p);
+        let mut term = 1.0f64;
+        let mut sum = 1.0f64;
+        let mut i = k;
+        while i < n {
+            term *= (n - i) as f64 / (i + 1) as f64 * odds;
+            sum += term;
+            if term <= sum * 1e-17 {
+                break;
+            }
+            i += 1;
+        }
+        (ln_base + sum.ln()).min(0.0)
+    }
+
+    /// [`ln_lower_tail_direct`] with integer-converted factors.
+    fn converting_lower_direct(n: u64, p: f64, k: u64) -> f64 {
+        let ln_base = ln_pmf(n, p, k);
+        let inv_odds = (1.0 - p) / p;
+        let mut term = 1.0f64;
+        let mut sum = 1.0f64;
+        let mut i = k;
+        while i > 0 {
+            term *= i as f64 / (n - i + 1) as f64 * inv_odds;
+            sum += term;
+            if term <= sum * 1e-17 {
+                break;
+            }
+            i -= 1;
+        }
+        (ln_base + sum.ln()).min(0.0)
+    }
+
+    /// [`ln_upper_tail`]'s dispatch over the converting loops, for
+    /// `0 < p < 1` and `1 <= k <= n`.
+    fn converting_upper_tail(n: u64, p: f64, k: u64) -> f64 {
+        if k > mode(n, p) {
+            converting_upper_direct(n, p, k)
+        } else {
+            log1m_exp(converting_lower_direct(n, p, k - 1).min(0.0))
+        }
+    }
+
+    /// [`ln_lower_tail`]'s dispatch over the converting loops, for
+    /// `0 < p < 1` and `k < n`.
+    fn converting_lower_tail(n: u64, p: f64, k: u64) -> f64 {
+        if k < mode(n, p) {
+            converting_lower_direct(n, p, k)
+        } else {
+            log1m_exp(converting_upper_direct(n, p, k + 1).min(0.0))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The ratio counters change no bit of either tail: same
+        /// operands, operations and order as the converting loops for
+        /// every `n < 2⁵³`. Boundaries sit within ±10σ of the mean,
+        /// where the sums run longest and both dispatch arms are taken.
+        #[test]
+        fn ratio_counters_keep_tail_bits(n in 1u64..=1_000_000, p in 0.0f64..1.0, z in -10.0f64..10.0) {
+            prop_assume!(p > 0.0);
+            let mean = n as f64 * p;
+            let k = (mean + z * (mean * (1.0 - p)).sqrt()).round().clamp(0.0, n as f64) as u64;
+            if k >= 1 {
+                let (got, want) = (ln_upper_tail(n, p, k), converting_upper_tail(n, p, k));
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "upper n={} p={} k={}: {} vs {}", n, p, k, got, want);
+            }
+            if k < n {
+                let (got, want) = (ln_lower_tail(n, p, k), converting_lower_tail(n, p, k));
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "lower n={} p={} k={}: {} vs {}", n, p, k, got, want);
+            }
         }
     }
 

@@ -8,10 +8,12 @@
 //! [`BatchSize`], and [`Throughput`].
 //!
 //! Measurement model: each benchmark is calibrated with a short warm-up,
-//! then timed over enough iterations to fill a fixed measurement window;
-//! the mean ns/iter (plus min over measurement chunks) is printed. This is
-//! deliberately simpler than criterion's bootstrap statistics but stable
-//! enough to track order-of-magnitude perf changes in CI.
+//! then timed in chunks of equal iteration count until the chunks fill a
+//! fixed measurement window and number at least [`MIN_CHUNKS`]. The
+//! median ns/iter over the chunks is printed with its quartiles, so a
+//! reader can see how far one call's figure spreads. This is
+//! deliberately simpler than criterion's bootstrap statistics; compare
+//! two builds over repeated, interleaved calls.
 //!
 //! Passing `--test` (as `cargo bench -- --test` or criterion's own smoke
 //! mode) runs every routine exactly once without timing.
@@ -46,8 +48,8 @@ pub enum Throughput {
 #[derive(Debug)]
 pub struct Bencher {
     mode: Mode,
-    /// Filled in by the timing loop: (total duration, iterations).
-    result: Option<(Duration, u64)>,
+    /// Filled in by the timing loop: ns/iter of each measurement chunk.
+    result: Option<Vec<f64>>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,6 +63,32 @@ enum Mode {
 /// Measurement window per benchmark (split over calibration + chunks).
 const MEASURE_WINDOW: Duration = Duration::from_millis(200);
 
+/// Fewest measurement chunks a benchmark is timed over, so its quartiles
+/// rest on at least this many samples.
+pub const MIN_CHUNKS: usize = 10;
+
+/// Time `chunk` (which runs `per_chunk` iterations and returns its own
+/// elapsed time) until the chunks fill [`MEASURE_WINDOW`] and number at
+/// least [`MIN_CHUNKS`]; returns each chunk's ns/iter.
+fn measure_chunks(per_chunk: u64, mut chunk: impl FnMut() -> Duration) -> Vec<f64> {
+    let mut total = Duration::ZERO;
+    let mut samples = Vec::new();
+    while total < MEASURE_WINDOW || samples.len() < MIN_CHUNKS {
+        let elapsed = chunk();
+        total += elapsed;
+        samples.push(elapsed.as_nanos() as f64 / per_chunk as f64);
+    }
+    samples
+}
+
+/// The `q`-quantile of sorted `samples`, interpolated linearly between
+/// neighbouring ranks.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let rank = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo as f64)
+}
+
 impl Bencher {
     /// Time `routine` run back-to-back.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
@@ -73,19 +101,15 @@ impl Bencher {
                 let t0 = Instant::now();
                 black_box(routine());
                 let once = t0.elapsed().max(Duration::from_nanos(1));
-                let per_chunk =
-                    (MEASURE_WINDOW.as_nanos() / 10 / once.as_nanos()).clamp(1, 10_000_000) as u64;
-                let mut total = Duration::ZERO;
-                let mut iters = 0u64;
-                while total < MEASURE_WINDOW {
+                let per_chunk = (MEASURE_WINDOW.as_nanos() / MIN_CHUNKS as u128 / once.as_nanos())
+                    .clamp(1, 10_000_000) as u64;
+                self.result = Some(measure_chunks(per_chunk, || {
                     let t = Instant::now();
                     for _ in 0..per_chunk {
                         black_box(routine());
                     }
-                    total += t.elapsed();
-                    iters += per_chunk;
-                }
-                self.result = Some((total, iters));
+                    t.elapsed()
+                }));
             }
         }
     }
@@ -106,20 +130,16 @@ impl Bencher {
                 let t0 = Instant::now();
                 black_box(routine(input));
                 let once = t0.elapsed().max(Duration::from_nanos(1));
-                let per_chunk =
-                    (MEASURE_WINDOW.as_nanos() / 10 / once.as_nanos()).clamp(1, 1_000_000) as u64;
-                let mut total = Duration::ZERO;
-                let mut iters = 0u64;
-                while total < MEASURE_WINDOW {
+                let per_chunk = (MEASURE_WINDOW.as_nanos() / MIN_CHUNKS as u128 / once.as_nanos())
+                    .clamp(1, 1_000_000) as u64;
+                self.result = Some(measure_chunks(per_chunk, || {
                     let inputs: Vec<I> = (0..per_chunk).map(|_| setup()).collect();
                     let t = Instant::now();
                     for input in inputs {
                         black_box(routine(input));
                     }
-                    total += t.elapsed();
-                    iters += per_chunk;
-                }
-                self.result = Some((total, iters));
+                    t.elapsed()
+                }));
             }
         }
     }
@@ -225,18 +245,25 @@ fn run_one<F: FnMut(&mut Bencher)>(
     f(&mut b);
     match (mode, b.result) {
         (Mode::Smoke, _) => println!("{name}: ok (smoke)"),
-        (Mode::Measure, Some((total, iters))) => {
-            let ns = total.as_nanos() as f64 / iters as f64;
+        (Mode::Measure, Some(mut samples)) => {
+            samples.sort_by(f64::total_cmp);
+            let ns = quantile(&samples, 0.5);
+            let spread = format!(
+                "q1 {:.1}, q3 {:.1} over {} chunks",
+                quantile(&samples, 0.25),
+                quantile(&samples, 0.75),
+                samples.len()
+            );
             match throughput {
                 Some(Throughput::Bytes(bytes)) => {
                     let mbps = bytes as f64 / (ns / 1e9) / 1e6;
-                    println!("{name}: {ns:.1} ns/iter ({mbps:.1} MB/s)");
+                    println!("{name}: median {ns:.1} ns/iter ({spread}; {mbps:.1} MB/s)");
                 }
                 Some(Throughput::Elements(elems)) => {
                     let eps = elems as f64 / (ns / 1e9);
-                    println!("{name}: {ns:.1} ns/iter ({eps:.0} elem/s)");
+                    println!("{name}: median {ns:.1} ns/iter ({spread}; {eps:.0} elem/s)");
                 }
-                None => println!("{name}: {ns:.1} ns/iter"),
+                None => println!("{name}: median {ns:.1} ns/iter ({spread})"),
             }
         }
         (Mode::Measure, None) => println!("{name}: no measurement recorded"),
@@ -289,9 +316,29 @@ mod tests {
             result: None,
         };
         b.iter(|| black_box(3u64.wrapping_mul(5)));
-        let (total, iters) = b.result.expect("measured");
-        assert!(iters > 0);
-        assert!(total >= MEASURE_WINDOW);
+        let samples = b.result.expect("measured");
+        assert!(samples.len() >= MIN_CHUNKS);
+        assert!(samples.iter().all(|ns| ns.is_finite() && *ns >= 0.0));
+    }
+
+    /// Chunks keep coming until both the window and the chunk floor are
+    /// met, however long each one takes.
+    #[test]
+    fn measurement_fills_window_and_chunk_floor() {
+        let quick = measure_chunks(4, || Duration::from_millis(1));
+        assert_eq!(quick.len(), 200);
+        assert!(quick.iter().all(|&ns| ns == 250_000.0));
+        let slow = measure_chunks(1, || MEASURE_WINDOW);
+        assert_eq!(slow.len(), MIN_CHUNKS);
+    }
+
+    #[test]
+    fn quantiles_interpolate_between_ranks() {
+        let sorted = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0];
+        assert_eq!(quantile(&sorted, 0.5), 5.5);
+        assert_eq!(quantile(&sorted, 0.25), 3.25);
+        assert_eq!(quantile(&sorted, 0.75), 7.75);
+        assert_eq!(quantile(&[4.0], 0.25), 4.0);
     }
 
     #[test]

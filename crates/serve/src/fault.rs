@@ -22,10 +22,12 @@
 //!   reorder, is corruption);
 //! * **no acked loss** — a process kill or `ENOSPC` never loses an
 //!   acked registration or commit; a power cut or torn write never
-//!   loses a commit acked after its covering fsync (in `group`
-//!   durability every ack waited on the flusher's batched sync, so *no*
-//!   acked commit may be lost; in `relaxed` only a completed snapshot
-//!   covers the commits acked before it);
+//!   loses a registration (its record is fsynced and renamed on the
+//!   registering thread before the ack, in both modes) or a commit
+//!   acked after its covering fsync (in `group` durability every commit
+//!   ack waited on the flusher's batched journal sync, so *no* acked
+//!   commit may be lost; in `relaxed` only a completed snapshot covers
+//!   the commits acked before it);
 //! * **byte-faithful history** — for halting faults the survivor's
 //!   journal, after torn-tail repair, is byte-for-byte a prefix of the
 //!   fault-free baseline journal (journal lines carry no timestamps);

@@ -44,9 +44,9 @@
 //! flush turns the acknowledgement into a 500 — a client never sees
 //! success for state that could be lost. Under `relaxed` no waiter is
 //! attached: the acknowledgement precedes any fsync of the journal,
-//! which only the snapshot cadence syncs. Registrations block inside
-//! the handler until the flusher has installed `project.json`, in both
-//! modes.
+//! which only the snapshot cadence syncs. A registration attaches no
+//! waiter in either mode: its handler fsyncs and renames `project.json`
+//! itself before it returns.
 //!
 //! # Stale-event discipline
 //!

@@ -192,8 +192,9 @@ pub struct ServeConfig {
     /// batches fsyncs on a dedicated flusher and releases responses once
     /// their round lands; `relaxed` acknowledges commits before any
     /// fsync and leaves the journal to the snapshot cadence's sync, so a
-    /// power cut may lose acked commits. Registrations wait for the
-    /// flusher in both modes. See [`crate::store::Durability`].
+    /// power cut may lose acked commits. Registrations fsync and rename
+    /// their own record before answering, in both modes. See
+    /// [`crate::store::Durability`].
     pub durability: Durability,
 }
 

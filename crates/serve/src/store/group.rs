@@ -6,9 +6,10 @@
 //!
 //! Journal *bytes* are always written inline, under the project slot
 //! lock, in every durability mode — so the byte stream of a journal is
-//! identical across modes by construction. Registrations always ride
-//! the flusher: the temp `project.json` is staged as an install, and the
-//! registering request waits for its fsync + rename in every mode. What
+//! identical across modes by construction. The queue carries journal
+//! syncs only: a registration fsyncs and renames its own `project.json`
+//! on the registering thread (no other write ever shares that sync), so
+//! the `easeml_group_commit_*` series count journal syncs alone. What
 //! varies is when a journal append is forced to stable storage and when
 //! the client is told:
 //!
@@ -40,7 +41,6 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -48,7 +48,7 @@ use std::time::Instant;
 use crate::error::ServeError;
 use crate::obs::hist::{Edges, Histogram};
 use crate::obs::{Counter, Metrics};
-use crate::vfs::{Vfs, VfsFile};
+use crate::vfs::VfsFile;
 
 /// When a mutating request is acknowledged relative to its `fsync`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -295,24 +295,10 @@ impl PartialEq for Waiter {
 
 impl Eq for Waiter {}
 
-/// One staged durable operation.
-pub(crate) enum StagedOp {
-    /// Sync a journal so every record appended before staging is
-    /// durable.
-    Sync(Arc<SharedJournal>),
-    /// Finish a registration: force the temp `project.json` to disk,
-    /// then rename it into place (sync-before-rename is what makes the
-    /// rename a commit point).
-    Install {
-        vfs: Arc<dyn Vfs>,
-        file: Box<dyn VfsFile>,
-        from: PathBuf,
-        to: PathBuf,
-    },
-}
-
+/// One staged journal sync: once it retires, every record appended to
+/// `journal` before staging is durable.
 struct Staged {
-    op: StagedOp,
+    journal: Arc<SharedJournal>,
     waiter: Waiter,
 }
 
@@ -343,7 +329,7 @@ impl GroupMetrics {
         GroupMetrics {
             batch_size: metrics.histogram_with(
                 "easeml_group_commit_batch_size",
-                "Staged durable writes retired per flusher round.",
+                "Staged journal syncs retired per flusher round.",
                 Edges::pow2(10),
                 &[],
             ),
@@ -355,11 +341,11 @@ impl GroupMetrics {
             ),
             rounds: metrics.counter(
                 "easeml_group_commit_rounds_total",
-                "Flusher rounds that retired at least one staged write.",
+                "Flusher rounds that retired at least one staged journal sync.",
             ),
             commits: metrics.counter(
                 "easeml_group_commit_writes_total",
-                "Durable writes retired through the group-commit queue.",
+                "Journal syncs retired through the group-commit queue.",
             ),
         }
     }
@@ -373,9 +359,9 @@ impl fmt::Debug for GroupMetrics {
 
 /// The shared commit queue plus its dedicated flusher thread.
 ///
-/// Mutating requests stage `StagedOp`s and get a [`Waiter`] back;
-/// the flusher drains the queue in rounds and issues one `sync_data`
-/// per distinct journal per round. Natural batching: while one round's
+/// Journal appends stage a sync and get a [`Waiter`] back; the flusher
+/// drains the queue in rounds and issues one `sync_data` per distinct
+/// journal per round. Natural batching: while one round's
 /// fsync is in flight, later requests pile onto the queue and are
 /// retired together in the next round.
 pub struct GroupCommit {
@@ -411,9 +397,10 @@ impl GroupCommit {
         }
     }
 
-    /// Stage one durable operation; the returned waiter resolves when
-    /// the flusher has made it durable (or failed trying).
-    pub(crate) fn stage(&self, op: StagedOp) -> Waiter {
+    /// Stage a sync of `journal`; the returned waiter resolves when the
+    /// flusher has made every record appended so far durable (or failed
+    /// trying).
+    pub(crate) fn stage(&self, journal: Arc<SharedJournal>) -> Waiter {
         let waiter = Waiter::new();
         {
             let mut queue = self.shared.queue.lock().unwrap();
@@ -423,7 +410,7 @@ impl GroupCommit {
                 return waiter;
             }
             queue.staged.push_back(Staged {
-                op,
+                journal,
                 waiter: waiter.clone(),
             });
         }
@@ -462,35 +449,18 @@ fn flusher_loop(shared: &GroupShared, metrics: Option<&GroupMetrics>) {
         let start = Instant::now();
         let retired = batch.len() as u64;
 
-        // Registrations first: their rename is a commit point other
-        // staged work may assume exists after this round. All waiter
-        // completions are held until the round's metrics are recorded,
-        // so an observer woken by an ack sees the round accounted for.
+        // All waiter completions are held until the round's metrics are
+        // recorded, so an observer woken by an ack sees the round
+        // accounted for.
         let mut done: Vec<(Waiter, Result<(), String>)> = Vec::new();
         let mut syncs: Vec<(Arc<SharedJournal>, Vec<Waiter>)> = Vec::new();
-        for staged in batch {
-            match staged.op {
-                StagedOp::Install {
-                    vfs,
-                    file,
-                    from,
-                    to,
-                } => {
-                    let result = file
-                        .sync_data()
-                        .and_then(|()| vfs.rename(&from, &to))
-                        .map_err(|e| format!("registration install failed: {e}"));
-                    done.push((staged.waiter, result));
-                }
-                StagedOp::Sync(journal) => {
-                    match syncs
-                        .iter_mut()
-                        .find(|(existing, _)| Arc::ptr_eq(existing, &journal))
-                    {
-                        Some((_, waiters)) => waiters.push(staged.waiter),
-                        None => syncs.push((journal, vec![staged.waiter])),
-                    }
-                }
+        for Staged { journal, waiter } in batch {
+            match syncs
+                .iter_mut()
+                .find(|(existing, _)| Arc::ptr_eq(existing, &journal))
+            {
+                Some((_, waiters)) => waiters.push(waiter),
+                None => syncs.push((journal, vec![waiter])),
             }
         }
         for (journal, waiters) in syncs {
@@ -536,12 +506,27 @@ pub(crate) fn take_pending() -> Option<Waiter> {
 mod tests {
     use super::*;
     use crate::obs::Metrics;
-    use crate::vfs::{MemVfs, Vfs};
+    use crate::vfs::{FaultPlan, FaultVfs, MemVfs, OpRecord, Vfs};
     use std::path::Path;
 
-    fn mem_journal(vfs: &MemVfs, path: &str) -> Arc<SharedJournal> {
-        let file = vfs.open_append(Path::new(path)).unwrap();
-        Arc::new(SharedJournal::new(file).unwrap())
+    fn journal_on(vfs: &dyn Vfs, path: &str) -> Arc<SharedJournal> {
+        let path = Path::new(path);
+        vfs.create_dir_all(path.parent().expect("journal has a directory"))
+            .unwrap();
+        Arc::new(SharedJournal::new(vfs.open_append(path).unwrap()).unwrap())
+    }
+
+    /// A fault VFS without faults, recording every counted op.
+    fn recording_vfs() -> FaultVfs {
+        let vfs = FaultVfs::new(Path::new("/data"), FaultPlan::new());
+        vfs.start_recording();
+        vfs
+    }
+
+    fn syncs_of(log: &[OpRecord], path: &str) -> usize {
+        log.iter()
+            .filter(|op| op.kind == "sync" && op.path == Path::new(path))
+            .count()
     }
 
     #[test]
@@ -569,13 +554,12 @@ mod tests {
     #[test]
     fn flusher_batches_and_resolves_waiters() {
         let vfs = MemVfs::new();
-        vfs.create_dir_all(Path::new("/j")).unwrap();
-        let journal = mem_journal(&vfs, "/j/journal.log");
+        let journal = journal_on(&vfs, "/j/journal.log");
         let group = GroupCommit::new(None);
         journal.append(b"a\n").unwrap();
-        let w1 = group.stage(StagedOp::Sync(Arc::clone(&journal)));
+        let w1 = group.stage(Arc::clone(&journal));
         journal.append(b"b\n").unwrap();
-        let w2 = group.stage(StagedOp::Sync(Arc::clone(&journal)));
+        let w2 = group.stage(Arc::clone(&journal));
         assert_eq!(w1.wait(), Ok(()));
         assert_eq!(w2.wait(), Ok(()));
         // Both records survive a power cut: the sync covered them.
@@ -586,41 +570,46 @@ mod tests {
         );
     }
 
+    /// A failed deferred sync fails its waiters and poisons the
+    /// journal: later appends, flushes and inline syncs are refused
+    /// even once the disk works again.
     #[test]
     fn poisoned_journal_refuses_appends() {
-        let vfs = MemVfs::new();
-        vfs.create_dir_all(Path::new("/j")).unwrap();
-        let journal = mem_journal(&vfs, "/j/journal.log");
+        let vfs = recording_vfs();
+        let journal = journal_on(&vfs, "/j/journal.log");
+        let group = GroupCommit::new(None);
         journal.append(b"a\n").unwrap();
-        {
-            let mut inner = journal.inner.lock().unwrap();
-            inner.poisoned = true;
-        }
-        let err = journal.append(b"b\n").unwrap_err();
-        assert_eq!(err.status(), 503);
-        assert!(journal.flush().is_err());
+        vfs.set_deny_writes(true);
+        let err = group.stage(Arc::clone(&journal)).wait().unwrap_err();
+        assert!(err.starts_with("group sync failed: "), "{err}");
+        vfs.set_deny_writes(false);
+        assert_eq!(journal.append(b"b\n").unwrap_err().status(), 503);
+        assert_eq!(journal.sync_inline().unwrap_err().status(), 503);
+        assert!(group.stage(Arc::clone(&journal)).wait().is_err());
+        // Only the failed attempt reached the disk.
+        assert_eq!(syncs_of(&vfs.take_oplog(), "/j/journal.log"), 1);
     }
 
+    /// A staged sync whose records an inline (snapshot) sync already
+    /// covered retires without another fsync.
     #[test]
     fn flush_skips_fsync_when_already_covered() {
-        let vfs = MemVfs::new();
-        vfs.create_dir_all(Path::new("/j")).unwrap();
-        let journal = mem_journal(&vfs, "/j/journal.log");
+        let vfs = recording_vfs();
+        let journal = journal_on(&vfs, "/j/journal.log");
+        let group = GroupCommit::new(None);
         journal.append(b"a\n").unwrap();
         journal.sync_inline().unwrap();
-        // Nothing new since the inline sync: flush is a no-op success.
-        assert_eq!(journal.flush(), Ok(()));
+        assert_eq!(group.stage(Arc::clone(&journal)).wait(), Ok(()));
+        assert_eq!(syncs_of(&vfs.take_oplog(), "/j/journal.log"), 1);
     }
 
     #[test]
     fn one_round_batches_across_journals() {
         let metrics = Metrics::new();
         let gm = GroupMetrics::register(&metrics);
-        let vfs = MemVfs::new();
-        vfs.create_dir_all(Path::new("/a")).unwrap();
-        vfs.create_dir_all(Path::new("/b")).unwrap();
-        let ja = mem_journal(&vfs, "/a/journal.log");
-        let jb = mem_journal(&vfs, "/b/journal.log");
+        let vfs = recording_vfs();
+        let ja = journal_on(&vfs, "/a/journal.log");
+        let jb = journal_on(&vfs, "/b/journal.log");
         ja.append(b"a1\n").unwrap();
         ja.append(b"a2\n").unwrap();
         jb.append(b"b1\n").unwrap();
@@ -634,7 +623,7 @@ mod tests {
                 .map(|journal| {
                     let waiter = Waiter::new();
                     queue.staged.push_back(Staged {
-                        op: StagedOp::Sync(Arc::clone(journal)),
+                        journal: Arc::clone(journal),
                         waiter: waiter.clone(),
                     });
                     waiter
@@ -645,11 +634,14 @@ mod tests {
         for waiter in &waiters {
             assert_eq!(waiter.wait(), Ok(()));
         }
-        // One round retired all three commits with one fsync per
-        // journal, and both journals survive a power cut.
+        // One round retired all three syncs with one fsync per journal,
+        // and both journals survive a power cut.
         assert_eq!(gm.rounds.get(), 1);
         assert_eq!(gm.commits.get(), 3);
-        let cut = vfs.power_cut_view();
+        let log = vfs.take_oplog();
+        assert_eq!(syncs_of(&log, "/a/journal.log"), 1);
+        assert_eq!(syncs_of(&log, "/b/journal.log"), 1);
+        let cut = vfs.disk().power_cut_view();
         assert_eq!(
             cut.read_to_string(Path::new("/a/journal.log")).unwrap(),
             "a1\na2\n"
@@ -663,12 +655,17 @@ mod tests {
     #[test]
     fn shutdown_drains_staged_work() {
         let vfs = MemVfs::new();
-        vfs.create_dir_all(Path::new("/j")).unwrap();
-        let journal = mem_journal(&vfs, "/j/journal.log");
+        let journal = journal_on(&vfs, "/j/journal.log");
         let group = GroupCommit::new(None);
         journal.append(b"a\n").unwrap();
-        let w = group.stage(StagedOp::Sync(Arc::clone(&journal)));
+        let w = group.stage(Arc::clone(&journal));
         drop(group);
         assert_eq!(w.wait(), Ok(()));
+        assert_eq!(
+            vfs.power_cut_view()
+                .read_to_string(Path::new("/j/journal.log"))
+                .unwrap(),
+            "a\n"
+        );
     }
 }

@@ -24,8 +24,9 @@
 //! ack until the fsync covers the op, while `relaxed` acks immediately
 //! and leaves the journal to the snapshot cadence's inline sync (see
 //! [`group`]). Journal *bytes* are written inline in every mode, so the
-//! byte stream is identical across modes. Registrations wait for the
-//! flusher's fsync + rename of `project.json` in both modes. Restart
+//! byte stream is identical across modes. A registration fsyncs and
+//! renames its own `project.json` before it answers, in both modes, and
+//! never rides the flusher. Restart
 //! recovery loads `snapshot.json` (if present), then replays the journal
 //! suffix past the snapshot's watermark through the same gate code that
 //! served the original requests; each replayed op's recorded outcome
@@ -63,7 +64,7 @@ use crate::vfs::{write_atomic, RealVfs, Vfs};
 use easeml_ci_core::{
     CommitEstimates, CommitHistory, HistoryEntry, PerClassCounts, SampleSizeEstimator, Tribool,
 };
-use group::{SharedJournal, StagedOp};
+use group::SharedJournal;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
@@ -204,16 +205,18 @@ impl ProjectStore {
     /// write leaves an empty husk that a retry simply claims (and that
     /// [`Registry::open`] skips rather than refusing to boot over).
     ///
-    /// The registration record is written to its temp sibling inline
-    /// but the fsync + rename into place ride the group-commit queue;
-    /// the returned [`Waiter`] resolves when the record is durable.
+    /// The registration record is written, fsynced and renamed into
+    /// place on the calling thread, after the journal is open: the
+    /// rename is the registration's commit point and its last I/O op,
+    /// so the project is durable when this returns. A failure to write
+    /// the record is [`ServeError::Unavailable`].
     pub fn create(
         vfs: &Arc<dyn Vfs>,
         dir: &Path,
         project: &Project,
         durability: Durability,
         group: &Arc<GroupCommit>,
-    ) -> Result<(ProjectStore, Waiter), ServeError> {
+    ) -> Result<ProjectStore, ServeError> {
         if vfs.exists(&dir.join("project.json")) {
             return Err(ServeError::Conflict(format!(
                 "project `{}` already exists",
@@ -264,36 +267,28 @@ impl ProjectStore {
                 ]),
             ));
         }
-        let record = Value::object(fields);
-        let record_path = dir.join("project.json");
-        // The testset blob above was fsynced inline, so the digest the
-        // record anchors always points at durable bytes by the time the
-        // record's rename lands.
-        let tmp = record_path.with_extension("tmp");
-        let mut file = vfs.create(&tmp)?;
-        file.write_all(record.pretty().as_bytes())?;
-        let registration = group.stage(StagedOp::Install {
-            vfs: Arc::clone(vfs),
-            file,
-            from: tmp,
-            to: record_path,
-        });
         let journal = Arc::new(SharedJournal::new(
             vfs.open_append(&dir.join("journal.log"))?,
         )?);
-        Ok((
-            ProjectStore {
-                vfs: Arc::clone(vfs),
-                dir: dir.to_owned(),
-                journal,
-                durability,
-                group: Arc::clone(group),
-                ops_written: 0,
-                #[cfg(test)]
-                fail_next_append: false,
-            },
-            registration,
-        ))
+        // The testset blob above was fsynced inline, so the digest the
+        // record anchors always points at durable bytes by the time the
+        // record's rename lands.
+        write_atomic(
+            vfs.as_ref(),
+            &dir.join("project.json"),
+            Value::object(fields).pretty().as_bytes(),
+        )
+        .map_err(|e| ServeError::Unavailable(format!("registration install failed: {e}")))?;
+        Ok(ProjectStore {
+            vfs: Arc::clone(vfs),
+            dir: dir.to_owned(),
+            journal,
+            durability,
+            group: Arc::clone(group),
+            ops_written: 0,
+            #[cfg(test)]
+            fail_next_append: false,
+        })
     }
 
     /// Load a project directory: registration record, snapshot, journal
@@ -536,7 +531,7 @@ impl ProjectStore {
         // up; relaxed mode acks with the bytes still unsynced.
         trace::time(Stage::JournalAppend, || self.journal.append(&line))?;
         if self.durability == Durability::Group {
-            group::set_pending(self.group.stage(StagedOp::Sync(Arc::clone(&self.journal))));
+            group::set_pending(self.group.stage(Arc::clone(&self.journal)));
         }
         self.ops_written += 1;
         if self.ops_written.is_multiple_of(SNAPSHOT_EVERY) {
@@ -1372,25 +1367,24 @@ impl Registry {
         if let Some(existing) = existing {
             return existing_or_conflict(&existing, name, script_text, testset_digest);
         }
-        let result = ProjectStore::create(
+        // `create` returns once the record's rename landed, so the
+        // project becomes visible only when durable: no commit is ever
+        // journalled (or acked) against a registration a crash could
+        // undo.
+        let out = ProjectStore::create(
             &self.vfs,
             &self.projects_dir.join(name),
             &project,
             self.durability,
             &self.group,
-        );
-        // The record's fsync + rename ride the flusher: wait for them in
-        // every mode *before* the project becomes visible, so no commit
-        // is ever journalled (or acked) against a registration that a
-        // crash could undo.
-        let out = result.and_then(|(store, registration)| {
-            registration.wait().map_err(ServeError::Unavailable)?;
+        )
+        .map(|store| {
             let slot = Arc::new(Mutex::new(ProjectSlot { project, store }));
             self.projects
                 .write()
                 .expect("registry poisoned")
                 .insert(name.to_owned(), Arc::clone(&slot));
-            Ok(slot)
+            slot
         });
         self.registering
             .lock()
@@ -1804,8 +1798,8 @@ mod tests {
 
     /// A registration is acknowledged only once `project.json` is in
     /// place, in every mode: the process image taken the moment
-    /// `register` returns — flusher still running — boots with the
-    /// project, relaxed durability included.
+    /// `register` returns boots with the project, relaxed durability
+    /// included.
     #[test]
     fn acked_registration_survives_a_kill_in_every_mode() {
         let root = Path::new("/easeml-store-kill");
@@ -1827,6 +1821,61 @@ mod tests {
                 "{durability}: acked registration lost to a kill"
             );
         }
+    }
+
+    /// A registration writes its own record on the registering thread:
+    /// its last I/O op is the `project.tmp → project.json` rename, made
+    /// after `journal.log` exists. A failed record fsync answers the
+    /// 503 `registration install failed`, leaves no project visible
+    /// (live or after a reboot), and a retry under the name succeeds.
+    #[test]
+    fn registration_renames_its_own_record_last() {
+        use crate::vfs::{Fault, FaultKind, FaultPlan, FaultVfs};
+        let root = Path::new("/easeml-store-install");
+        let vfs = FaultVfs::new(root, FaultPlan::new());
+        let registry =
+            Registry::open_with(root, serving_estimator(), Arc::new(vfs.clone())).unwrap();
+        vfs.start_recording();
+        registry.register("alpha", SCRIPT, None).unwrap();
+        let log = vfs.take_oplog();
+        let dir = root.join("projects/alpha");
+        let last = log.last().expect("registration did I/O");
+        assert_eq!(
+            (last.kind, &last.path),
+            ("rename", &dir.join("project.tmp"))
+        );
+        assert!(vfs.disk().exists(&dir.join("project.json")));
+        let journal_at = log
+            .iter()
+            .position(|op| op.kind == "open_append" && op.path == dir.join("journal.log"))
+            .expect("journal opened");
+        let record_sync = log
+            .iter()
+            .position(|op| op.kind == "sync" && op.path == dir.join("project.tmp"))
+            .expect("record fsynced");
+        assert!(journal_at < record_sync, "{log:?}");
+
+        // The same op sequence under a fresh name, its record fsync failing.
+        let plan = FaultPlan::new().at("beta", log[record_sync].index, Fault::Fail(FaultKind::Eio));
+        let vfs = FaultVfs::new(root, plan);
+        let registry =
+            Registry::open_with(root, serving_estimator(), Arc::new(vfs.clone())).unwrap();
+        let err = registry.register("beta", SCRIPT, None).unwrap_err();
+        assert_eq!(err.status(), 503);
+        assert!(
+            err.to_string().starts_with("registration install failed: "),
+            "{err}"
+        );
+        assert!(registry.get("beta").is_none());
+        let rebooted =
+            Registry::open_with(root, serving_estimator(), Arc::new(vfs.disk().kill_view()))
+                .unwrap();
+        assert!(rebooted.get("beta").is_none());
+        registry.register("beta", SCRIPT, None).unwrap();
+        let rebooted =
+            Registry::open_with(root, serving_estimator(), Arc::new(vfs.disk().kill_view()))
+                .unwrap();
+        assert!(rebooted.get("beta").is_some());
     }
 
     /// Deterministic prediction vectors over an all-zeros truth: `new`
