@@ -2,9 +2,7 @@
 //! of each classifier on the shared blobs task.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use easeml_ml::models::{
-    AveragedPerceptron, Classifier, LogisticRegression, Mlp, MlpConfig, NaiveBayes,
-};
+use easeml_ml::models::{Classifier, LogisticRegression, Mlp, MlpConfig, NaiveBayes};
 use easeml_ml::synth::{blobs, BlobsConfig};
 use easeml_ml::Dataset;
 use rand::rngs::StdRng;
@@ -24,15 +22,6 @@ fn bench_training(c: &mut Criterion) {
     group.bench_function("naive_bayes", |b| {
         b.iter_batched(
             NaiveBayes::default,
-            |mut m| {
-                m.fit(black_box(&train)).unwrap();
-            },
-            BatchSize::SmallInput,
-        );
-    });
-    group.bench_function("averaged_perceptron", |b| {
-        b.iter_batched(
-            AveragedPerceptron::default,
             |mut m| {
                 m.fit(black_box(&train)).unwrap();
             },

@@ -8,14 +8,7 @@
 //! results to `results/BENCH_bounds.json` so future PRs can track the
 //! trajectory.
 //!
-//! Usage: `cargo run --release --bin repro_bounds_perf [--quick] [--threads N]
-//! [--cache-dir DIR]`
-//!
-//! With `--cache-dir`, the shared `BoundsCache` and `PlanCache` are
-//! loaded from `DIR` at startup (when dumps exist) and saved back on
-//! exit, so running the binary twice against the same directory measures
-//! the cold trajectory first and the persisted-warm-start trajectory
-//! second — the JSON records which one it was (`cache_warm_start`).
+//! Usage: `cargo run --release --bin repro_bounds_perf [--quick] [--threads N]`
 
 use easeml_bench::{format_sig, init_threads_from_args, results_dir, Table};
 use easeml_bounds::{
@@ -224,7 +217,7 @@ fn parallel_section(threads: usize, quick: bool, runs: usize) -> String {
     );
 
     // Serving path: the estimator's grid entry point consults the
-    // sharded BoundsCache first, so a warm table is pure lookups.
+    // shared BoundsCache first, so a warm table is pure lookups.
     let estimator = SampleSizeEstimator::new();
     let (_, grid_cold_ns) = time_once(|| {
         estimator
@@ -243,7 +236,7 @@ fn parallel_section(threads: usize, quick: bool, runs: usize) -> String {
         n_pool.threads()
     );
     println!(
-        "grid entry    : cold {:.1} ms, warm (sharded cache) {:.1} us per 25-cell table",
+        "grid entry    : cold {:.1} ms, warm (cache) {:.1} us per 25-cell table",
         grid_cold_ns / 1e6,
         grid_warm_ns / 1e3,
     );
@@ -292,64 +285,10 @@ fn parallel_section(threads: usize, quick: bool, runs: usize) -> String {
     )
 }
 
-/// `--cache-dir DIR` from the command line, if given.
-fn cache_dir_from_args() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == "--cache-dir" {
-            return Some(std::path::PathBuf::from(
-                args.next().expect("--cache-dir needs a directory"),
-            ));
-        }
-    }
-    None
-}
-
-/// Load both shared caches from `dir` (ignoring missing files); true if
-/// anything warm was loaded. The file names are the serving layer's, so
-/// a `--cache-dir` pointed at an `easeml-serve` data dir reuses its
-/// dumps directly.
-fn load_caches(dir: &std::path::Path) -> bool {
-    let mut warm = false;
-    let bounds = dir.join(easeml_serve::store::BOUNDS_CACHE_FILE);
-    if bounds.exists() {
-        warm |= BoundsCache::global()
-            .load_from(&bounds)
-            .expect("bounds cache dump")
-            > 0;
-    }
-    let plan = dir.join(easeml_serve::store::PLAN_CACHE_FILE);
-    if plan.exists() {
-        warm |= PlanCache::global()
-            .load_from(&plan)
-            .expect("plan cache dump")
-            > 0;
-    }
-    warm
-}
-
-fn save_caches(dir: &std::path::Path) {
-    std::fs::create_dir_all(dir).expect("create cache dir");
-    BoundsCache::global()
-        .save_to(&dir.join(easeml_serve::store::BOUNDS_CACHE_FILE))
-        .expect("save bounds cache");
-    PlanCache::global()
-        .save_to(&dir.join(easeml_serve::store::PLAN_CACHE_FILE))
-        .expect("save plan cache");
-}
-
 fn main() {
     let threads = init_threads_from_args();
     let quick = std::env::args().any(|a| a == "--quick");
     let runs = if quick { 3 } else { 9 };
-    let cache_dir = cache_dir_from_args();
-    let warm_start = cache_dir.as_deref().is_some_and(load_caches);
-    if cache_dir.is_some() {
-        println!(
-            "[cache] persisted caches: {} start",
-            if warm_start { "warm" } else { "cold" }
-        );
-    }
     let mut table = Table::new([
         "case",
         "n_exact",
@@ -472,7 +411,7 @@ fn main() {
         "warm estimates must hit the plan cache"
     );
     assert!(
-        stats.entries > 0 || warm_start,
+        stats.entries > 0,
         "the cold estimate must fill the bounds cache"
     );
     println!("exact-binomial inversion: seed vs optimized\n");
@@ -507,7 +446,6 @@ fn main() {
 
     let json = format!(
         "{{\n  \"bench\": \"bounds\",\n  \"unit\": \"ns\",\n  \"environment\": {environment},\n  \
-         \"cache_warm_start\": {warm_start},\n  \
          \"cases\": [\n{json_cases}\n  ],\n  \
          \"cached_estimator\": {{\"warm_estimate_ns\": {:.0}, \"cache_hits\": {}, \
          \"cache_misses\": {}, \"cache_entries\": {}, \"plan_cache_hits\": {}, \
@@ -524,9 +462,4 @@ fn main() {
     let path = results_dir().join("BENCH_bounds.json");
     std::fs::write(&path, json).expect("write BENCH_bounds.json");
     println!("[json] wrote {}", path.display());
-
-    if let Some(dir) = cache_dir {
-        save_caches(&dir);
-        println!("[cache] persisted caches under {}", dir.display());
-    }
 }

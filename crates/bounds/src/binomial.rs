@@ -288,7 +288,7 @@ pub fn worst_case_deviation_tail(n: u64, eps: f64, tail: Tail) -> f64 {
 /// found by a hill-climb over the jump index, hardened by a
 /// ±`JUMP_PLATEAU` window sweep against small sawtooth ripples. The
 /// climb seeds at the Chernoff argmax `p ≈ ½ − ε/3`
-/// ([`one_sided_cold_fraction`]), a few jump indices from the sup, so
+/// (`one_sided_cold_fraction`), a few jump indices from the sup, so
 /// a cold scan costs ~10–20 `O(√n)` tail evaluations at serving sizes.
 pub fn worst_case_deviation_one_sided_exact(n: u64, eps: f64) -> f64 {
     worst_case_one_sided_jump(n, eps, JumpHint::cold(), None).0
@@ -312,7 +312,7 @@ pub(crate) const JUMP_PLATEAU: u64 = 4;
 /// after a couple of tail evaluations.
 ///
 /// `None` means cold: the one-sided family seeds at the Chernoff
-/// argmax ([`one_sided_cold_fraction`]); the two-sided families seed
+/// argmax (`one_sided_cold_fraction`); the two-sided families seed
 /// at the centre `p ≈ 0.5`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct JumpHint {
@@ -327,7 +327,7 @@ pub struct JumpHint {
 impl JumpHint {
     /// Cold start: each climb seeds from its family's default — the
     /// Chernoff argmax `p ≈ ½ − ε/3` for the one-sided family
-    /// ([`one_sided_cold_fraction`]), the centre `p ≈ 0.5` for both
+    /// (`one_sided_cold_fraction`), the centre `p ≈ 0.5` for both
     /// two-sided families (whose candidates sum both tails and are
     /// symmetric about ½).
     pub fn cold() -> JumpHint {

@@ -39,25 +39,13 @@ impl Tail {
         }
     }
 
-    /// Stable single-byte wire code for on-disk formats (e.g. the
-    /// persisted `BoundsCache`). Codes are part of the serialization
-    /// contract: never renumber, only append.
+    /// Stable single-byte code, the tail's part of the estimator's plan
+    /// fingerprint. Distinct tails must keep distinct codes.
     #[must_use]
     pub fn code(self) -> u8 {
         match self {
             Tail::OneSided => 1,
             Tail::TwoSided => 2,
-        }
-    }
-
-    /// Inverse of [`Tail::code`]; `None` for unknown codes (a corrupt or
-    /// future-version file).
-    #[must_use]
-    pub fn from_code(code: u8) -> Option<Tail> {
-        match code {
-            1 => Some(Tail::OneSided),
-            2 => Some(Tail::TwoSided),
-            _ => None,
         }
     }
 }
@@ -89,13 +77,9 @@ mod tests {
     }
 
     #[test]
-    fn wire_codes_round_trip() {
-        for tail in [Tail::OneSided, Tail::TwoSided] {
-            assert_eq!(Tail::from_code(tail.code()), Some(tail));
-        }
-        assert_eq!(Tail::from_code(0), None);
-        assert_eq!(Tail::from_code(3), None);
-        assert_eq!(Tail::from_code(255), None);
+    fn codes_are_distinct() {
+        assert_eq!(Tail::OneSided.code(), 1);
+        assert_eq!(Tail::TwoSided.code(), 2);
     }
 
     #[test]

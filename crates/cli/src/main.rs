@@ -87,8 +87,7 @@ fn print_usage() {
          SERVE OPTIONS:\n\
          \x20 --addr HOST:PORT        bind address (default 127.0.0.1:8642; port 0 is ephemeral)\n\
          \x20 --data-dir DIR          durable state directory (default ./easeml-serve-data):\n\
-         \x20                         project registry, per-project journals + snapshots,\n\
-         \x20                         and the persisted bounds cache\n\
+         \x20                         project registry, per-project journals + snapshots\n\
          \x20 --event-threads N       event loops multiplexing connections (default 1;\n\
          \x20                         one loop handles thousands of keep-alive clients)\n\
          \x20 --idle-timeout-ms MS    close a keep-alive connection after this long\n\
@@ -111,9 +110,10 @@ fn print_usage() {
          \x20                                   power cut may lose acked commits since\n\
          \x20                                   the last snapshot)\n\
          \n\
-         Stop the service gracefully with `POST /admin/shutdown` (flushes\n\
-         snapshots + the bounds cache). A hard kill loses only cache\n\
-         warmth: gate state is journaled before every response.\n\
+         Stop the service gracefully with `POST /admin/shutdown` (snapshots\n\
+         every project). A hard kill loses no acknowledged gate state: it is\n\
+         journaled before every response (with --durability relaxed, a\n\
+         power cut may lose acked commits since the last snapshot).\n\
          \n\
          The script is a .travis.yml-style file with an `ml:` section, e.g.\n\
          \n\

@@ -92,24 +92,6 @@ impl Var {
             _ => None,
         }
     }
-
-    /// The compact wire token used by the estimator's leaf codec.
-    ///
-    /// Plain variables keep their single source letter; metric variables
-    /// get short alphanumeric tokens (`f1n`, `f1o`, `tkn<k>`, `tko<k>`)
-    /// that never collide with the plain letters.
-    #[must_use]
-    pub fn token(self) -> String {
-        match self {
-            Var::N => "n".to_string(),
-            Var::O => "o".to_string(),
-            Var::D => "d".to_string(),
-            Var::F1N => "f1n".to_string(),
-            Var::F1O => "f1o".to_string(),
-            Var::TopKN(k) => format!("tkn{k}"),
-            Var::TopKO(k) => format!("tko{k}"),
-        }
-    }
 }
 
 impl fmt::Display for Var {
@@ -478,8 +460,6 @@ mod tests {
     fn metric_var_display_and_tokens() {
         assert_eq!(Var::F1N.to_string(), "f1(n)");
         assert_eq!(Var::TopKO(5).to_string(), "topk(o, 5)");
-        assert_eq!(Var::F1O.token(), "f1o");
-        assert_eq!(Var::TopKN(12).token(), "tkn12");
         let e = Expr::sub(Expr::var(Var::F1N), Expr::var(Var::F1O));
         assert_eq!(e.to_string(), "f1(n) - f1(o)");
         assert!(e.has_metric());

@@ -14,7 +14,7 @@
 //! `εᵢ ∝ |αᵢ|`, which solves the paper's §3.1 min-max optimization
 //! exactly when every leaf uses the same bound.
 
-use crate::cache::{BoundKind, BoundsCache, CachePolicy};
+use crate::cache::{BoundsCache, BoundsKey, CachePolicy};
 use crate::dsl::{Clause, Expr, Formula, LinearForm, Var};
 use crate::error::{CiError, Result};
 use easeml_bounds::{
@@ -364,11 +364,8 @@ fn leaf_samples(
             if delta > 0.0 && effective_eps < 1.0 {
                 let invert = || exact_binomial_sample_size(effective_eps, delta, tail);
                 Ok(match cache {
-                    CachePolicy::Shared => BoundsCache::global().sample_size_with(
-                        BoundKind::ExactBinomialSampleSize,
-                        tail,
-                        effective_eps,
-                        ln_delta,
+                    CachePolicy::Shared => BoundsCache::global().get_or_try_insert_with(
+                        BoundsKey::new(tail, effective_eps, ln_delta),
                         invert,
                     )?,
                     CachePolicy::Bypass => invert()?,
@@ -383,134 +380,6 @@ fn leaf_samples(
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Wire encoding of the per-clause breakdown for the plan cache
-// (`crate::PlanCache`).
-//
-// A clause estimate is one `,`-separated token (no spaces, no `;`, no
-// `:`): the clause's rendered text as hex bytes, its sample count, then
-// its leaves as `.`-separated sub-tokens. Exact and strict, like the
-// plan encoding in `pattern.rs`.
-// ---------------------------------------------------------------------
-
-use super::{hex_f64, parse_hex_f64};
-
-fn hex_bytes(text: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(text.len() * 2);
-    for b in text.bytes() {
-        let _ = write!(out, "{b:02x}");
-    }
-    out
-}
-
-fn unhex_bytes(hex: &str) -> Option<String> {
-    if !hex.len().is_multiple_of(2) {
-        return None;
-    }
-    let mut bytes = Vec::with_capacity(hex.len() / 2);
-    for i in (0..hex.len()).step_by(2) {
-        bytes.push(u8::from_str_radix(hex.get(i..i + 2)?, 16).ok()?);
-    }
-    String::from_utf8(bytes).ok()
-}
-
-/// `<var_token>.<coefficient_bits>.<epsilon_bits>.<ln_delta_bits>.<samples>`.
-///
-/// Variable tokens are [`Var::token`]: the plain letters plus `f1n`,
-/// `f1o`, `tkn<k>`, `tko<k>` for metric leaves — all alphanumeric, so
-/// the `.`-separated field structure is unambiguous.
-fn encode_leaf(leaf: &LeafEstimate) -> String {
-    format!(
-        "{}.{}.{}.{}.{}",
-        leaf.var.token(),
-        hex_f64(leaf.coefficient),
-        hex_f64(leaf.epsilon),
-        hex_f64(leaf.ln_delta),
-        leaf.samples,
-    )
-}
-
-fn decode_var_token(token: &str) -> Option<Var> {
-    match token {
-        "n" => Some(Var::N),
-        "o" => Some(Var::O),
-        "d" => Some(Var::D),
-        "f1n" => Some(Var::F1N),
-        "f1o" => Some(Var::F1O),
-        _ => {
-            let (prefix, k) = token.split_at_checked(3)?;
-            let k: u32 = k.parse().ok()?;
-            if k == 0 {
-                return None;
-            }
-            match prefix {
-                "tkn" => Some(Var::TopKN(k)),
-                "tko" => Some(Var::TopKO(k)),
-                _ => None,
-            }
-        }
-    }
-}
-
-fn decode_leaf(s: &str) -> Option<LeafEstimate> {
-    let mut fields = s.split('.');
-    let var = decode_var_token(fields.next()?)?;
-    let coefficient = parse_hex_f64(fields.next()?)?;
-    let epsilon = parse_hex_f64(fields.next()?)?;
-    let ln_delta = parse_hex_f64(fields.next()?)?;
-    let samples = fields.next()?.parse().ok()?;
-    if fields.next().is_some() {
-        return None;
-    }
-    Some(LeafEstimate {
-        var,
-        coefficient,
-        epsilon,
-        ln_delta,
-        samples,
-    })
-}
-
-/// `<clause_text_hex>,<samples>,<leaf_count>(,<leaf>)*`.
-pub(crate) fn encode_clause_estimate(est: &ClauseEstimate) -> String {
-    use std::fmt::Write as _;
-    let mut out = format!(
-        "{},{},{}",
-        hex_bytes(&est.clause),
-        est.samples,
-        est.leaves.len()
-    );
-    for leaf in &est.leaves {
-        let _ = write!(out, ",{}", encode_leaf(leaf));
-    }
-    out
-}
-
-pub(crate) fn decode_clause_estimate(s: &str) -> Option<ClauseEstimate> {
-    let mut fields = s.split(',');
-    let clause = unhex_bytes(fields.next()?)?;
-    let samples = fields.next()?.parse().ok()?;
-    let count: usize = fields.next()?.parse().ok()?;
-    // A clause has at most a handful of leaves; reject absurd counts
-    // before trusting them for an allocation.
-    if count > 4_096 {
-        return None;
-    }
-    let mut leaves = Vec::with_capacity(count);
-    for _ in 0..count {
-        leaves.push(decode_leaf(fields.next()?)?);
-    }
-    if fields.next().is_some() {
-        return None;
-    }
-    Some(ClauseEstimate {
-        clause,
-        samples,
-        leaves,
-    })
 }
 
 type Leaf = (Var, f64, f64, f64); // var, |coef|, epsilon, ln_delta
@@ -878,38 +747,6 @@ mod tests {
             bad,
         )
         .is_err());
-    }
-
-    #[test]
-    fn metric_leaf_round_trips_through_wire_codec() {
-        let clause = parse_clause("f1(n) - f1(o) > -0.02 +/- 0.01").unwrap();
-        let est = clause_sample_size_with_options(
-            &clause,
-            (0.001f64).ln(),
-            Allocation::Proportional,
-            LeafBound::Hoeffding,
-            Tail::OneSided,
-            CachePolicy::Shared,
-            MetricSensitivity::default(),
-        )
-        .unwrap();
-        let wire = encode_clause_estimate(&est);
-        assert_eq!(decode_clause_estimate(&wire).unwrap(), est);
-
-        let topk = parse_clause("topk(n, 12) - topk(o, 12) > 0 +/- 0.02").unwrap();
-        let est = clause_sample_size_with_options(
-            &topk,
-            (0.001f64).ln(),
-            Allocation::EqualSplit,
-            LeafBound::Hoeffding,
-            Tail::OneSided,
-            CachePolicy::Shared,
-            MetricSensitivity::default(),
-        )
-        .unwrap();
-        let wire = encode_clause_estimate(&est);
-        assert_eq!(decode_clause_estimate(&wire).unwrap(), est);
-        assert!(wire.contains("tkn12") && wire.contains("tko12"));
     }
 
     #[test]

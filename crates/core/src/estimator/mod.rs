@@ -35,24 +35,17 @@ pub use pattern::{
     ImplicitVariancePlan, OptimizedPlan, Pattern1Options, Pattern2Options, PhaseEstimate,
 };
 
-use crate::cache::{BoundKind, BoundsCache, CachePolicy, PlanCache, PlanFingerprint};
+use crate::cache::{BoundsCache, BoundsKey, CachePolicy, PlanCache, PlanFingerprint};
 use crate::error::Result;
 use crate::logic::Mode;
 use crate::script::CiScript;
 use easeml_bounds::{Adaptivity, Tail};
 use easeml_par::Pool;
 
-/// Exact `f64` transport for the plan-cache wire format: 16 lowercase
-/// hex digits of the bit pattern (round-trips NaN/∞ and every payload).
-pub(crate) fn hex_f64(x: f64) -> String {
+/// Exact `f64` rendering for [`plan_fingerprint`]: 16 lowercase hex
+/// digits of the bit pattern, so distinct values never share a key.
+fn hex_f64(x: f64) -> String {
     format!("{:016x}", x.to_bits())
-}
-
-pub(crate) fn parse_hex_f64(s: &str) -> Option<f64> {
-    if s.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
 }
 
 /// Strategy the estimator is allowed to use.
@@ -127,69 +120,6 @@ impl SampleSizeEstimate {
     #[must_use]
     pub fn total_samples(&self) -> u64 {
         self.labeled_samples.saturating_add(self.unlabeled_samples)
-    }
-
-    /// One-token wire encoding for [`PlanCache`] persistence:
-    /// `labeled;unlabeled;ln_delta_bits;provenance;clause_count(;clause)*`
-    /// with the provenance either `B` (baseline) or `O=<plan>`
-    /// (optimized; see `pattern::encode_plan`). No spaces, every `f64`
-    /// as exact bits, so `decode_wire` reproduces a `==` estimate.
-    pub(crate) fn encode_wire(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = format!(
-            "{};{};{};",
-            self.labeled_samples,
-            self.unlabeled_samples,
-            hex_f64(self.ln_delta_per_test),
-        );
-        match &self.provenance {
-            EstimateProvenance::Baseline => out.push('B'),
-            EstimateProvenance::Optimized(plan) => {
-                out.push_str("O=");
-                out.push_str(&pattern::encode_plan(plan));
-            }
-        }
-        let _ = write!(out, ";{}", self.per_clause.len());
-        for clause in &self.per_clause {
-            out.push(';');
-            out.push_str(&baseline::encode_clause_estimate(clause));
-        }
-        out
-    }
-
-    /// Strict inverse of [`Self::encode_wire`]; `None` on any malformed
-    /// field (the plan cache rejects the whole dump in that case).
-    pub(crate) fn decode_wire(s: &str) -> Option<SampleSizeEstimate> {
-        let mut fields = s.split(';');
-        let labeled_samples = fields.next()?.parse().ok()?;
-        let unlabeled_samples = fields.next()?.parse().ok()?;
-        let ln_delta_per_test = parse_hex_f64(fields.next()?)?;
-        let prov = fields.next()?;
-        let provenance = if prov == "B" {
-            EstimateProvenance::Baseline
-        } else {
-            EstimateProvenance::Optimized(pattern::decode_plan(prov.strip_prefix("O=")?)?)
-        };
-        let count: usize = fields.next()?.parse().ok()?;
-        // Formulas have a handful of clauses; reject absurd counts
-        // before trusting them for an allocation.
-        if count > 4_096 {
-            return None;
-        }
-        let mut per_clause = Vec::with_capacity(count);
-        for _ in 0..count {
-            per_clause.push(baseline::decode_clause_estimate(fields.next()?)?);
-        }
-        if fields.next().is_some() {
-            return None;
-        }
-        Some(SampleSizeEstimate {
-            labeled_samples,
-            unlabeled_samples,
-            ln_delta_per_test,
-            provenance,
-            per_clause,
-        })
     }
 }
 
@@ -319,15 +249,10 @@ impl SampleSizeEstimator {
     /// cached.
     pub fn estimate(&self, script: &CiScript) -> Result<SampleSizeEstimate> {
         match self.config.cache {
-            CachePolicy::Shared => {
-                let fingerprint = plan_fingerprint(script, &self.config);
-                if let Some(estimate) = PlanCache::global().lookup(fingerprint) {
-                    return Ok(estimate);
-                }
-                let estimate = self.estimate_uncached(script)?;
-                PlanCache::global().store(fingerprint, estimate.clone());
-                Ok(estimate)
-            }
+            CachePolicy::Shared => PlanCache::global()
+                .get_or_try_insert_with(plan_fingerprint(script, &self.config), || {
+                    self.estimate_uncached(script)
+                }),
             CachePolicy::Bypass => self.estimate_uncached(script),
         }
     }
@@ -440,9 +365,7 @@ impl SampleSizeEstimator {
                 // Invalid δ skips the probe and surfaces its error from
                 // the batch dispatch below.
                 let hit = match cache {
-                    Some(c) if delta > 0.0 => {
-                        c.lookup(BoundKind::ExactBinomialSampleSize, tail, eps, delta.ln())
-                    }
+                    Some(c) if delta > 0.0 => c.lookup(&BoundsKey::new(tail, eps, delta.ln())),
                     _ => None,
                 };
                 match hit {
@@ -460,7 +383,7 @@ impl SampleSizeEstimator {
             for (((i, j), &(eps, delta)), &n) in miss_slots.iter().zip(&miss_cells).zip(&inverted) {
                 grid[*i][*j] = n;
                 if let Some(c) = cache {
-                    c.store(BoundKind::ExactBinomialSampleSize, tail, eps, delta.ln(), n);
+                    c.store(BoundsKey::new(tail, eps, delta.ln()), n);
                 }
             }
         }
@@ -606,48 +529,6 @@ mod tests {
             .is_err());
     }
 
-    /// The wire encoding reproduces every estimate shape the estimator
-    /// can emit — all three optimized plans and a multi-clause baseline
-    /// with per-leaf breakdowns — bit for bit.
-    #[test]
-    fn wire_encoding_round_trips_every_plan_shape() {
-        let estimator = SampleSizeEstimator::new();
-        let scripts = [
-            // Pattern 1 (hierarchical), Pattern 2 (implicit variance),
-            // Pattern 3 (coarse-to-fine), baseline with clauses.
-            script(
-                "d < 0.1 +/- 0.01 /\\ n - o > 0.02 +/- 0.01",
-                0.9999,
-                Adaptivity::None,
-                32,
-            ),
-            script("n - o > 0.02 +/- 0.01", 0.999, Adaptivity::Full, 16),
-            script("n > 0.9 +/- 0.02", 0.999, Adaptivity::None, 8),
-            script(
-                "n - 1.1 * o > 0.01 +/- 0.01 /\\ d < 0.1 +/- 0.01 /\\ n > 0.5 +/- 0.05",
-                0.99,
-                Adaptivity::FirstChange,
-                4,
-            ),
-        ];
-        for s in &scripts {
-            for est in [
-                estimator.estimate(s).unwrap(),
-                estimator.estimate_baseline(s).unwrap(),
-            ] {
-                let wire = est.encode_wire();
-                assert!(
-                    !wire.contains(' ') && !wire.contains('\n'),
-                    "wire token must fit one space-separated field: {wire}"
-                );
-                let back = SampleSizeEstimate::decode_wire(&wire).unwrap();
-                assert_eq!(back, est, "round trip changed the estimate: {wire}");
-            }
-        }
-        assert!(SampleSizeEstimate::decode_wire("garbage").is_none());
-        assert!(SampleSizeEstimate::decode_wire("").is_none());
-    }
-
     /// Plan-cache-served estimates are indistinguishable from fresh
     /// computation, and `estimate()` populates the shared cache under
     /// the fingerprint key.
@@ -676,7 +557,7 @@ mod tests {
             assert_eq!(warm, fresh, "{condition}");
             let fp = plan_fingerprint(&s, shared.config());
             assert_eq!(
-                PlanCache::global().lookup(fp),
+                PlanCache::global().lookup(&fp),
                 Some(fresh),
                 "{condition}: estimate() must have stored the plan"
             );
@@ -759,8 +640,8 @@ mod tests {
     #[test]
     fn metric_scripts_route_to_mcdiarmid_baseline_and_round_trip() {
         // Metric conditions never match a §4 pattern: they go through the
-        // baseline recursion with McDiarmid leaves, cache cleanly, and
-        // wire-encode losslessly.
+        // baseline recursion with McDiarmid leaves and round-trip
+        // through the plan cache bit for bit.
         for condition in [
             "f1(n) - f1(o) > -0.02 +/- 0.01",
             "topk(n, 5) - topk(o, 5) > -0.02 +/- 0.01",
@@ -774,12 +655,6 @@ mod tests {
                 "{condition}"
             );
             assert!(est.labeled_samples > 0, "{condition}");
-            let wire = est.encode_wire();
-            assert_eq!(
-                SampleSizeEstimate::decode_wire(&wire).unwrap(),
-                est,
-                "{condition}"
-            );
             // Cache round trip is bit-exact.
             let warm = estimator.estimate(&s).unwrap();
             assert_eq!(est, warm, "{condition}");

@@ -506,125 +506,6 @@ fn effective_variance_bound(difference: f64, probe_eps: f64) -> f64 {
     (difference + probe_eps).clamp(f64::MIN_POSITIVE, 1.0)
 }
 
-// ---------------------------------------------------------------------
-// Wire encoding for the plan cache (`crate::PlanCache`).
-//
-// Plans are persisted inside the plan cache's line-oriented dump, so the
-// encoding is a single token: no spaces, no `;` (the estimate-level
-// separator). Fields are exact — `f64`s travel as bit patterns — so a
-// decoded plan is `==` to the original. Decoding is strict: any
-// malformed field rejects the whole value (and, one level up, the whole
-// dump).
-// ---------------------------------------------------------------------
-
-use super::{hex_f64, parse_hex_f64};
-
-/// `samples,needs_labels,epsilon_bits,ln_delta_bits`.
-pub(crate) fn encode_phase(phase: &PhaseEstimate) -> String {
-    format!(
-        "{},{},{},{}",
-        phase.samples,
-        u8::from(phase.needs_labels),
-        hex_f64(phase.epsilon),
-        hex_f64(phase.ln_delta),
-    )
-}
-
-pub(crate) fn decode_phase(s: &str) -> Option<PhaseEstimate> {
-    let mut fields = s.split(',');
-    let samples = fields.next()?.parse().ok()?;
-    let needs_labels = match fields.next()? {
-        "0" => false,
-        "1" => true,
-        _ => return None,
-    };
-    let epsilon = parse_hex_f64(fields.next()?)?;
-    let ln_delta = parse_hex_f64(fields.next()?)?;
-    if fields.next().is_some() {
-        return None;
-    }
-    Some(PhaseEstimate {
-        samples,
-        needs_labels,
-        epsilon,
-        ln_delta,
-    })
-}
-
-/// Tagged, `:`-separated plan encoding: `H:…` (hierarchical),
-/// `I:…` (implicit variance), `C:…` (coarse-to-fine).
-pub(crate) fn encode_plan(plan: &OptimizedPlan) -> String {
-    match plan {
-        OptimizedPlan::Hierarchical(p) => format!(
-            "H:{}:{}:{}:{},{},{}",
-            encode_phase(&p.filter),
-            encode_phase(&p.test),
-            hex_f64(p.variance_bound),
-            p.active.pool_size,
-            p.active.labels_per_commit,
-            p.active.worst_case_total_labels,
-        ),
-        OptimizedPlan::ImplicitVariance(p) => format!(
-            "I:{}:{}:{}:{}",
-            encode_phase(&p.probe),
-            encode_phase(&p.test_upper_bound),
-            hex_f64(p.tolerance),
-            hex_f64(p.test_ln_delta),
-        ),
-        OptimizedPlan::CoarseToFine(p) => format!(
-            "C:{}:{}:{}",
-            encode_phase(&p.coarse),
-            encode_phase(&p.fine_upper_bound),
-            hex_f64(p.floor),
-        ),
-    }
-}
-
-pub(crate) fn decode_plan(s: &str) -> Option<OptimizedPlan> {
-    let mut fields = s.split(':');
-    let tag = fields.next()?;
-    let plan = match tag {
-        "H" => {
-            let filter = decode_phase(fields.next()?)?;
-            let test = decode_phase(fields.next()?)?;
-            let variance_bound = parse_hex_f64(fields.next()?)?;
-            let mut active = fields.next()?.split(',');
-            let pool_size = active.next()?.parse().ok()?;
-            let labels_per_commit = active.next()?.parse().ok()?;
-            let worst_case_total_labels = active.next()?.parse().ok()?;
-            if active.next().is_some() {
-                return None;
-            }
-            OptimizedPlan::Hierarchical(HierarchicalPlan {
-                filter,
-                test,
-                variance_bound,
-                active: ActiveLabelingSchedule {
-                    pool_size,
-                    labels_per_commit,
-                    worst_case_total_labels,
-                },
-            })
-        }
-        "I" => OptimizedPlan::ImplicitVariance(ImplicitVariancePlan {
-            probe: decode_phase(fields.next()?)?,
-            test_upper_bound: decode_phase(fields.next()?)?,
-            tolerance: parse_hex_f64(fields.next()?)?,
-            test_ln_delta: parse_hex_f64(fields.next()?)?,
-        }),
-        "C" => OptimizedPlan::CoarseToFine(CoarseToFinePlan {
-            coarse: decode_phase(fields.next()?)?,
-            fine_upper_bound: decode_phase(fields.next()?)?,
-            floor: parse_hex_f64(fields.next()?)?,
-        }),
-        _ => return None,
-    };
-    if fields.next().is_some() {
-        return None;
-    }
-    Some(plan)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -71,7 +71,7 @@ mod practicality;
 pub mod script;
 
 pub use cache::{
-    BoundKind, BoundsCache, CachePersistError, CachePolicy, CacheStats, PlanCache, PlanFingerprint,
+    BoundsCache, BoundsKey, Cache, CachePolicy, CacheStats, PlanCache, PlanFingerprint,
 };
 pub use engine::{
     clause_label_demand, first_at_or_above, formula_label_demand, validate_metric_formula,

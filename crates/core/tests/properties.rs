@@ -225,9 +225,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The `BoundsCache` global entry budget holds across the 16 shards
-    /// under arbitrary overflowing insertion streams — per-shard
-    /// enforcement must never let the *total* exceed
+    /// The `BoundsCache` entry budget holds under arbitrary overflowing
+    /// insertion streams — the total never exceeds
     /// `BoundsCache::MAX_ENTRIES` — and a lookup of an evicted key falls
     /// back to recomputation (and re-stores the fresh value) instead of
     /// serving anything stale.
@@ -236,8 +235,8 @@ proptest! {
         seed in 0u64..1_000_000,
         excess in 1usize..5_000,
     ) {
-        use easeml_ci_core::{BoundKind, BoundsCache};
-        let kind = BoundKind::ExactBinomialSampleSize;
+        use easeml_ci_core::{BoundsCache, BoundsKey};
+        let key = |eps: f64, ln_delta: f64| BoundsKey::new(Tail::TwoSided, eps, ln_delta);
         let cache = BoundsCache::new();
         let base = 0.05f64.to_bits();
         // Distinct quantized keys: bits differ above the bottom-8
@@ -246,7 +245,7 @@ proptest! {
         let ln_delta = -5.0 - (seed % 7) as f64;
         let total = BoundsCache::MAX_ENTRIES + excess;
         for i in 0..total {
-            cache.store(kind, Tail::TwoSided, eps_at(i), ln_delta, i as u64);
+            cache.store(key(eps_at(i), ln_delta), i as u64);
             if i % 4_096 == 0 {
                 let entries = cache.stats().entries;
                 prop_assert!(
@@ -264,16 +263,16 @@ proptest! {
         // it must recompute (not resurrect) and be cached again after.
         let evicted = (0..total)
             .map(eps_at)
-            .find(|&eps| cache.lookup(kind, Tail::TwoSided, eps, ln_delta).is_none());
+            .find(|&eps| cache.lookup(&key(eps, ln_delta)).is_none());
         let Some(eps) = evicted else {
             return Err(TestCaseError::fail("overflowing stream left no evicted key"));
         };
         let n = cache
-            .sample_size_with(kind, Tail::TwoSided, eps, ln_delta, || Ok(777_777))
+            .get_or_try_insert_with(key(eps, ln_delta), || Ok::<_, ()>(777_777))
             .unwrap();
         prop_assert_eq!(n, 777_777, "evicted key must recompute");
         prop_assert_eq!(
-            cache.lookup(kind, Tail::TwoSided, eps, ln_delta),
+            cache.lookup(&key(eps, ln_delta)),
             Some(777_777),
             "recomputed value must be re-stored"
         );

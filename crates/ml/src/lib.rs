@@ -11,8 +11,8 @@
 //! * [`Dataset`] — labelled examples with splits and batching;
 //! * [`synth`] — Gaussian blobs and a synthetic emotion-classification
 //!   corpus standing in for SemEval-2019 Task 3;
-//! * [`models`] — majority, naive Bayes, averaged perceptron, softmax
-//!   regression, and a one-hidden-layer MLP behind one
+//! * [`models`] — majority, naive Bayes, softmax regression, and a
+//!   one-hidden-layer MLP behind one
 //!   [`Classifier`](models::Classifier) trait;
 //! * [`metrics`] — accuracy, prediction difference (`d`), confusion,
 //!   and F1.
@@ -44,10 +44,8 @@ mod error;
 mod matrix;
 pub mod metrics;
 pub mod models;
-mod preprocess;
 pub mod synth;
 
 pub use dataset::Dataset;
 pub use error::{MlError, Result};
 pub use matrix::{argmax, dot, softmax_rows, Matrix};
-pub use preprocess::FeatureScaler;

@@ -1,25 +1,21 @@
-//! Classifiers: a common trait plus five classic implementations of
-//! increasing capacity (majority, naive Bayes, averaged perceptron,
-//! softmax regression, one-hidden-layer MLP).
+//! Classifiers: a common trait plus four classic implementations of
+//! increasing capacity (majority, naive Bayes, softmax regression,
+//! one-hidden-layer MLP).
 //!
 //! The spread of capacities matters for the CI reproduction: a commit
 //! history that climbs from a majority baseline through linear models to
 //! an MLP produces exactly the gradual-accuracy / small-prediction-diff
 //! trajectories the paper's conditions are designed to test.
 
-mod knn;
 mod logistic;
 mod majority;
 mod mlp;
 mod naive_bayes;
-mod perceptron;
 
-pub use knn::{Knn, KnnConfig};
 pub use logistic::{LogisticRegression, LogisticRegressionConfig};
 pub use majority::MajorityClassifier;
 pub use mlp::{Mlp, MlpConfig};
 pub use naive_bayes::{NaiveBayes, NaiveBayesConfig};
-pub use perceptron::{AveragedPerceptron, PerceptronConfig};
 
 use crate::dataset::Dataset;
 use crate::error::Result;

@@ -19,8 +19,8 @@
 //!   digest-anchored per-era testset blobs, restart recovery with
 //!   replay verification (predictions ops are re-*measured* from their
 //!   stored vectors);
-//! * [`server`] — routing, connection handling, warm-start/shutdown of
-//!   the persisted [`easeml_ci_core::BoundsCache`];
+//! * [`server`] — routing, connection handling, boot and graceful
+//!   shutdown;
 //! * [`obs`] — always-on observability: sharded metrics registry with
 //!   `GET /metrics` text exposition, and per-request stage tracing with
 //!   a slow-request ring at `GET /admin/trace`;

@@ -1111,7 +1111,7 @@ impl Project {
 
 /// The estimator configuration the serving layer registers projects
 /// with: exact-binomial leaves (§4.3) so estimates are tight and the
-/// expensive inversions flow through the shared, *persistable*
+/// expensive inversions flow through the shared
 /// [`easeml_ci_core::BoundsCache`].
 #[must_use]
 pub fn serving_estimator() -> SampleSizeEstimator {

@@ -1,5 +1,5 @@
 //! The HTTP service: routing, connection handling on the `easeml-par`
-//! pool, and lifecycle (warm-start, graceful stop, durable shutdown).
+//! pool, and lifecycle (boot replay, graceful stop, durable shutdown).
 //!
 //! # Endpoints
 //!
@@ -17,7 +17,7 @@
 //! | GET    | `/cache/stats`                          | per-cache (bounds vs. plan) hit/miss/entry counters |
 //! | GET    | `/metrics`                              | Prometheus-style text exposition of every serving metric |
 //! | GET    | `/admin/trace`                          | recent slow-request stage traces (see `--slow-request-ms`) |
-//! | POST   | `/admin/persist`                        | snapshot all projects + save both caches |
+//! | POST   | `/admin/persist`                        | snapshot all projects |
 //! | POST   | `/admin/shutdown`                       | graceful stop (flush durable state, then exit `run`) |
 //!
 //! # Trust model
@@ -64,7 +64,6 @@ use crate::registry::{
 };
 use crate::store::{
     group, tribool_str, write_history_entry_fields, Durability, GroupMetrics, Registry,
-    BOUNDS_CACHE_FILE, PLAN_CACHE_FILE,
 };
 use crate::vfs::{MeteredVfs, RealVfs, Vfs};
 use easeml_ci_core::{
@@ -184,9 +183,8 @@ pub struct ServeConfig {
     /// useful in tests, ruinous in production).
     pub slow_request_ms: u64,
     /// Injected filesystem for the durability layer (`None` = the real
-    /// filesystem). With an injected VFS the [`BoundsCache`]/[`PlanCache`]
-    /// dumps are neither loaded nor saved — the core caches do their own
-    /// real-filesystem I/O, which an in-memory fault disk cannot host.
+    /// filesystem). Every file the server reads or writes goes through
+    /// it.
     pub vfs: Option<Arc<dyn Vfs>>,
     /// When acknowledgements become durable: `group` (the default)
     /// batches fsyncs on a dedicated flusher and releases responses once
@@ -297,14 +295,10 @@ pub struct Server {
     registry: Arc<Registry>,
     stop: Arc<AtomicBool>,
     hub: Arc<WakeHub>,
-    data_dir: PathBuf,
     pool: Pool,
     net_cfg: NetConfig,
     stats: Arc<ServeStats>,
     obs: Arc<ServeObs>,
-    /// Whether the core caches persist to the real filesystem (false
-    /// under an injected VFS — see [`ServeConfig::vfs`]).
-    persist_caches: bool,
 }
 
 /// Remote control for a running [`Server`] (clonable, thread-safe).
@@ -335,14 +329,11 @@ impl ServerHandle {
 
 impl Server {
     /// Bind the listener and load durable state: the project registry
-    /// from `data_dir` and — when dumps exist — the shared
-    /// [`BoundsCache`] and [`PlanCache`], so sample-size inversions and
-    /// plan searches (registrations) start warm.
+    /// from `data_dir`. The shared [`BoundsCache`] and [`PlanCache`]
+    /// start cold; boot re-estimates every project through them.
     ///
-    /// A corrupt cache dump is reported to stderr and ignored (the
-    /// caches are performance artifacts; every entry is re-derivable),
-    /// while a corrupt *project* directory fails the boot — gate state
-    /// must never silently diverge.
+    /// A corrupt project directory fails the boot — gate state must
+    /// never silently diverge.
     ///
     /// # Errors
     ///
@@ -356,41 +347,17 @@ impl Server {
             Arc::new(MeteredVfs::new(base, obs.metrics.vfs.clone()))
         };
         let group_metrics = Some(GroupMetrics::register(&obs.metrics.registry));
-        let registry = match &config.vfs {
-            None => {
-                std::fs::create_dir_all(&config.data_dir)?;
-                let cache_path = config.data_dir.join(BOUNDS_CACHE_FILE);
-                if cache_path.exists() {
-                    if let Err(e) = BoundsCache::global().load_from(&cache_path) {
-                        eprintln!("warning: ignoring bounds cache dump: {e}");
-                    }
-                }
-                let plan_path = config.data_dir.join(PLAN_CACHE_FILE);
-                if plan_path.exists() {
-                    if let Err(e) = PlanCache::global().load_from(&plan_path) {
-                        eprintln!("warning: ignoring plan cache dump: {e}");
-                    }
-                }
-                Registry::open_with_durability(
-                    &config.data_dir,
-                    serving_estimator(),
-                    meter(Arc::new(RealVfs)),
-                    config.durability,
-                    group_metrics,
-                )?
-            }
-            // An injected filesystem skips the cache dumps entirely: the
-            // core caches read and write the real filesystem themselves,
-            // which an in-memory fault disk cannot host, and they are
-            // pure performance artifacts anyway.
-            Some(vfs) => Registry::open_with_durability(
-                &config.data_dir,
-                serving_estimator(),
-                meter(Arc::clone(vfs)),
-                config.durability,
-                group_metrics,
-            )?,
-        };
+        let vfs = config
+            .vfs
+            .clone()
+            .unwrap_or_else(|| Arc::new(RealVfs) as Arc<dyn Vfs>);
+        let registry = Registry::open_with_durability(
+            &config.data_dir,
+            serving_estimator(),
+            meter(vfs),
+            config.durability,
+            group_metrics,
+        )?;
         let listener = TcpListener::bind(&config.addr)?;
         let pool = if config.threads == 0 {
             *Pool::global()
@@ -410,7 +377,6 @@ impl Server {
             registry,
             stop: Arc::new(AtomicBool::new(false)),
             hub: Arc::new(WakeHub::new()),
-            data_dir: config.data_dir.clone(),
             pool,
             net_cfg: NetConfig {
                 event_threads: config.event_threads.max(1),
@@ -419,7 +385,6 @@ impl Server {
             },
             stats,
             obs,
-            persist_caches: config.vfs.is_none(),
         })
     }
 
@@ -444,8 +409,8 @@ impl Server {
         }
     }
 
-    /// Serve until [`ServerHandle::stop`] is called, then flush durable
-    /// state (snapshots + bounds cache) and return.
+    /// Serve until [`ServerHandle::stop`] is called, then snapshot every
+    /// project and return.
     ///
     /// # Errors
     ///
@@ -457,12 +422,10 @@ impl Server {
             registry,
             stop,
             hub,
-            data_dir,
             pool,
             net_cfg,
             stats,
             obs,
-            persist_caches,
         } = self;
         let ctx = Ctx {
             registry: Arc::clone(&registry),
@@ -471,7 +434,6 @@ impl Server {
             addr: listener.local_addr().expect("bound listener has addr"),
             stats: Arc::clone(&stats),
             obs: Arc::clone(&obs),
-            persist_caches,
         };
         let handler = RouteHandler { ctx };
         pool.scope(|scope| {
@@ -479,12 +441,8 @@ impl Server {
                 listener, &net_cfg, scope, &stop, &hub, &handler, &stats, &obs,
             )
         })?;
-        // Durable shutdown: compact every project and persist the warm
-        // caches for the next process.
+        // Durable shutdown: compact every project.
         registry.snapshot_all()?;
-        if persist_caches {
-            save_caches(&data_dir)?;
-        }
         Ok(())
     }
 }
@@ -555,34 +513,6 @@ fn register_derived_metrics(obs: &ServeObs, registry: &Arc<Registry>, stats: &Ar
     }
 }
 
-/// Persist the shared [`BoundsCache`] and [`PlanCache`] under
-/// `data_dir`; returns their entry counts as `(bounds, plan)`.
-/// Serialized process-wide: concurrent saves (two `/admin/persist`
-/// requests, or persist racing shutdown) would otherwise interleave
-/// writes into the same temp files and rename garbage into place.
-fn save_caches(data_dir: &std::path::Path) -> Result<(usize, usize), ServeError> {
-    static SAVE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _guard = SAVE_LOCK.lock().expect("cache save lock poisoned");
-    let persist_err = |path: PathBuf| {
-        move |e: easeml_ci_core::CachePersistError| match e {
-            easeml_ci_core::CachePersistError::Io(io) => ServeError::Io(io),
-            corrupt => ServeError::Corrupt {
-                path,
-                reason: corrupt.to_string(),
-            },
-        }
-    };
-    let bounds_path = data_dir.join(BOUNDS_CACHE_FILE);
-    let bounds = BoundsCache::global()
-        .save_to(&bounds_path)
-        .map_err(persist_err(bounds_path.clone()))?;
-    let plan_path = data_dir.join(PLAN_CACHE_FILE);
-    let plan = PlanCache::global()
-        .save_to(&plan_path)
-        .map_err(persist_err(plan_path.clone()))?;
-    Ok((bounds, plan))
-}
-
 /// Everything a request handler needs: the registry plus the stop flag,
 /// wake hub, and bound address (for the `/admin/shutdown` route).
 #[derive(Debug)]
@@ -593,7 +523,6 @@ struct Ctx {
     addr: SocketAddr,
     stats: Arc<ServeStats>,
     obs: Arc<ServeObs>,
-    persist_caches: bool,
 }
 
 /// Routes requests for the event core and classifies them for its
@@ -652,8 +581,10 @@ impl crate::net::Handler for RouteHandler {
     }
 
     /// Registration (`POST /projects`) runs the sample-size plan search
-    /// — tens of milliseconds cold — and `POST /admin/persist` rewrites
-    /// the cache dumps with an fsync; both belong on a pool worker.
+    /// and fsyncs its record (3.4 ms p50 cold in
+    /// `results/BENCH_serve.json`, `registration.cold`), and
+    /// `POST /admin/persist` snapshots every project with fsyncs; both
+    /// belong on a pool worker.
     /// Every other route is µs-scale work against precomputed plan
     /// state (gate arithmetic, buffered journal appends, status reads)
     /// and gains far more from skipping the pool round-trip than the
@@ -933,7 +864,7 @@ fn register_project(registry: &Registry, request: &Request) -> Result<Response, 
     Ok(Response::json(201, &Value::object(fields)))
 }
 
-fn project_status(registry: &Registry, name: &str) -> Result<Response, ServeError> {
+pub(crate) fn project_status(registry: &Registry, name: &str) -> Result<Response, ServeError> {
     with_project(registry, name, |slot| {
         let project = &slot.project;
         let mut fields = vec![
@@ -1243,19 +1174,8 @@ fn cache_stats() -> Response {
 
 fn persist_all(ctx: &Ctx) -> Result<Response, ServeError> {
     ctx.registry.snapshot_all()?;
-    // Under an injected VFS the cache dumps are skipped (see
-    // `ServeConfig::vfs`); entry counts report 0 rather than lying.
-    let (bounds_entries, plan_entries) = if ctx.persist_caches {
-        save_caches(ctx.registry.data_dir())?
-    } else {
-        (0, 0)
-    };
     Ok(Response::json(
         200,
-        &Value::object([
-            ("persisted", Value::from(true)),
-            ("bounds_cache_entries", Value::from(bounds_entries)),
-            ("plan_cache_entries", Value::from(plan_entries)),
-        ]),
+        &Value::object([("persisted", Value::from(true))]),
     ))
 }

@@ -5,14 +5,16 @@
 //!
 //! ```text
 //! <data-dir>/
-//!   bounds_cache.v1            persisted BoundsCache (see easeml-ci-core)
-//!   plan_cache.v1              persisted PlanCache (whole plan-search results)
 //!   projects/<name>/
 //!     project.json             registration record (written once)
 //!     testset.<era>.json       per-era server-side testset blob (predictions mode)
 //!     journal.log              one JSON op per line, append-only
 //!     snapshot.json            compacted state + journal watermark
 //! ```
+//!
+//! Boot reads only `projects/`. Other files in the data dir, such as the
+//! `bounds_cache.v1`/`plan_cache.v1` estimator-cache dumps older versions
+//! wrote there, are ignored: the estimator caches live in memory only.
 //!
 //! # Durability model
 //!
@@ -73,12 +75,6 @@ pub use group::{Durability, GroupCommit, GroupMetrics, Waiter};
 
 /// A snapshot is written every this many journalled ops.
 pub const SNAPSHOT_EVERY: u64 = 64;
-
-/// File name of the persisted bounds cache inside the data dir.
-pub const BOUNDS_CACHE_FILE: &str = "bounds_cache.v1";
-
-/// File name of the persisted plan cache inside the data dir.
-pub const PLAN_CACHE_FILE: &str = "plan_cache.v1";
 
 fn corrupt(path: &Path, reason: impl Into<String>) -> ServeError {
     ServeError::Corrupt {
@@ -1191,7 +1187,6 @@ impl ProjectSlot {
 #[derive(Debug)]
 pub struct Registry {
     vfs: Arc<dyn Vfs>,
-    data_dir: PathBuf,
     projects_dir: PathBuf,
     estimator: SampleSizeEstimator,
     durability: Durability,
@@ -1297,7 +1292,6 @@ impl Registry {
         }
         Ok(Registry {
             vfs,
-            data_dir: data_dir.to_owned(),
             projects_dir,
             estimator,
             durability,
@@ -1311,12 +1305,6 @@ impl Registry {
     #[must_use]
     pub fn durability(&self) -> Durability {
         self.durability
-    }
-
-    /// The data directory this registry persists under.
-    #[must_use]
-    pub fn data_dir(&self) -> &Path {
-        &self.data_dir
     }
 
     /// The filesystem facade this registry persists through.
@@ -1933,6 +1921,81 @@ mod tests {
         assert_eq!(again, receipt);
         assert_eq!(counts_again, counts);
         assert_eq!(slot.project.steps_used(), 2, "redelivery spends nothing");
+    }
+
+    /// Boot never depends on cache warmth: a directory written through
+    /// the shared estimator caches reopens under an estimator that
+    /// bypasses every cache and serves byte-identical status, history
+    /// and budget bodies. The mix covers a baseline and an optimized
+    /// plan, counts commits, and lazy and full predictions testsets.
+    #[test]
+    fn reopening_with_cold_caches_serves_identical_state() {
+        use easeml_ci_core::{CachePolicy, EstimatorConfig, SampleSizeEstimator};
+        let dir = temp_dir("cold-reopen");
+        let body = |resp: Result<crate::http::Response, ServeError>| resp.unwrap().body;
+        let bodies = |registry: &Registry| -> Vec<Vec<u8>> {
+            let mut out = Vec::new();
+            for name in registry.names() {
+                out.push(body(crate::server::project_status(registry, &name)));
+                out.push(body(crate::server::project_history(registry, &name)));
+                out.push(body(crate::server::project_budget(registry, &name)));
+            }
+            out
+        };
+        let difference = SCRIPT.replace("n > 0.6 +/- 0.2", "n - o > 0.0 +/- 0.2");
+        let hierarchical = SCRIPT
+            .replace(
+                "n > 0.6 +/- 0.2",
+                "d < 0.1 +/- 0.05 /\\ n - o > 0.02 +/- 0.05",
+            )
+            .replace("adaptivity : full", "adaptivity : none");
+        let before = {
+            let registry = Registry::open(&dir, serving_estimator()).unwrap();
+            let slot = registry.register("baseline", SCRIPT, None).unwrap();
+            let mut slot = slot.lock().unwrap();
+            slot.submit(&submission("c1", 90)).unwrap();
+            slot.submit(&submission("c2", 30)).unwrap();
+            drop(slot);
+            let slot = registry.register("optimized", &hierarchical, None).unwrap();
+            let mut slot = slot.lock().unwrap();
+            assert!(matches!(
+                slot.project.estimate().provenance,
+                easeml_ci_core::EstimateProvenance::Optimized(_)
+            ));
+            slot.submit(&submission("c1", 60)).unwrap();
+            drop(slot);
+            let slot = registry
+                .register("lazy", &difference, Some(lazy_spec(100)))
+                .unwrap();
+            let mut slot = slot.lock().unwrap();
+            slot.submit_predictions(&pred_submission("c1", 100, 50, 90))
+                .unwrap();
+            drop(slot);
+            let full = TestsetSpec {
+                lazy: false,
+                ..lazy_spec(100)
+            };
+            let slot = registry.register("full", &difference, Some(full)).unwrap();
+            let mut slot = slot.lock().unwrap();
+            slot.submit_predictions(&pred_submission("c1", 100, 40, 70))
+                .unwrap();
+            drop(slot);
+            bodies(&registry)
+        };
+        assert_eq!(before.len(), 12);
+        let bypass = SampleSizeEstimator::with_config(EstimatorConfig {
+            cache: CachePolicy::Bypass,
+            ..*serving_estimator().config()
+        });
+        let registry = Registry::open(&dir, bypass).unwrap();
+        let after = bodies(&registry);
+        for (before, after) in before.iter().zip(&after) {
+            assert_eq!(
+                std::str::from_utf8(after).unwrap(),
+                std::str::from_utf8(before).unwrap()
+            );
+        }
+        assert_eq!(after.len(), before.len());
     }
 
     #[test]

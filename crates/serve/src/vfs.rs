@@ -679,7 +679,7 @@ impl FaultVfs {
         };
         let mut comps = rel.components();
         // Project state lives under `projects/<name>/…`; everything else
-        // (cache dumps, the `projects` dir itself) is root-scoped.
+        // (the `projects` dir itself) is root-scoped.
         match (comps.next(), comps.next()) {
             (Some(first), Some(name)) if first.as_os_str() == "projects" => {
                 name.as_os_str().to_string_lossy().into_owned()

@@ -2,7 +2,6 @@
 //! TCP: registration, commit gating, durability across restarts, and the
 //! thread-count-invariance of the journal.
 
-use easeml_ci_core::BoundsCache;
 use easeml_par::splitmix64;
 use easeml_serve::json::Value;
 use easeml_serve::server::{ServeConfig, Server, ServerHandle};
@@ -45,6 +44,17 @@ fn start_with(config: ServeConfig) -> (String, ServerHandle, std::thread::JoinHa
     let handle = server.handle();
     let join = std::thread::spawn(move || server.run().expect("server run"));
     (addr, handle, join)
+}
+
+/// The entries of the data dir's top level, sorted: the server writes
+/// nothing there but `projects/`.
+fn top_level_entries(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
 }
 
 fn register_body(name: &str, script: &str) -> Value {
@@ -186,16 +196,12 @@ fn end_to_end_gate_then_restart_preserves_state() {
     );
     let (_, status_before) = client.request("GET", "/projects/vision", None).unwrap();
 
-    // Graceful stop persists snapshots + the bounds cache.
+    // Graceful stop snapshots the project and writes nothing else.
     drop(client);
     handle.stop();
     join.join().unwrap();
-    let cache_dump = dir.join("bounds_cache.v1");
-    assert!(cache_dump.exists(), "graceful stop saves the bounds cache");
-    assert!(
-        BoundsCache::new().load_from(&cache_dump).unwrap() > 0,
-        "the dump holds the registration's exact-binomial inversions"
-    );
+    assert!(dir.join("projects/vision/snapshot.json").exists());
+    assert_eq!(top_level_entries(&dir), ["projects"]);
 
     // Restart from the same data dir: identical state.
     let (addr, handle, join) = start(&dir, 2);
@@ -475,12 +481,101 @@ fn shutdown_endpoint_stops_server_and_flushes_state() {
     assert_eq!(body.get("stopping").and_then(Value::as_bool), Some(true));
     drop(client);
     join.join().unwrap();
-    assert!(dir.join("bounds_cache.v1").exists());
     assert!(dir.join("projects/p/snapshot.json").exists());
+    assert_eq!(top_level_entries(&dir), ["projects"]);
+}
+
+/// A data dir from a version that dumped its estimator caches next to
+/// `projects/` still boots: the stale dumps, well-formed or corrupt, are
+/// neither read nor rewritten, and the projects serve identical state.
+#[test]
+fn stale_cache_dumps_in_the_data_dir_are_ignored() {
+    let dir = temp_dir("stale-dumps");
+    let (addr, handle, join) = start(&dir, 2);
+    let mut client = Client::new(addr);
+    let (status, registered) = client
+        .request("POST", "/projects", Some(&register_body("p", SCRIPT)))
+        .unwrap();
+    assert_eq!(status, 201);
+    for (id, correct) in [("c1", 90), ("c2", 30)] {
+        let (status, _) = client
+            .request(
+                "POST",
+                "/projects/p/commits",
+                Some(&commit_body(id, correct)),
+            )
+            .unwrap();
+        assert_eq!(status, 200);
+    }
+    let state = |client: &mut Client| -> Vec<String> {
+        ["/projects/p", "/projects/p/history", "/projects/p/budget"]
+            .iter()
+            .map(|path| client.request("GET", path, None).unwrap().1.encode())
+            .collect()
+    };
+    let before = state(&mut client);
+    drop(client);
+    handle.stop();
+    join.join().unwrap();
+
+    // An empty dump in the old format (its checksum is the FNV-1a basis
+    // of an empty body), and dumps that are corrupt.
+    let stale: [(&str, &[u8]); 2] = [
+        (
+            "bounds_cache.v1",
+            b"easeml-bounds-cache v1 count=0\nchecksum=cbf29ce484222325\n",
+        ),
+        (
+            "plan_cache.v1",
+            b"easeml-plan-cache v1 count=3\n\xff\x00garbage",
+        ),
+    ];
+    for round in 0..2 {
+        for (i, (name, bytes)) in stale.iter().enumerate() {
+            // The second round swaps which dump is the corrupt one.
+            let bytes: &[u8] = if (i + round) % 2 == 0 {
+                bytes
+            } else {
+                b"\x00\x01 not a cache dump"
+            };
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+        let written: Vec<Vec<u8>> = stale
+            .iter()
+            .map(|(name, _)| std::fs::read(dir.join(name)).unwrap())
+            .collect();
+        let (addr, handle, join) = start(&dir, 2);
+        let mut client = Client::new(addr);
+        assert_eq!(state(&mut client), before, "round {round}");
+        let (status, again) = client
+            .request(
+                "POST",
+                "/projects",
+                Some(&register_body(&format!("q{round}"), SCRIPT)),
+            )
+            .unwrap();
+        assert_eq!(status, 201);
+        assert_eq!(
+            again.get("estimate").map(Value::encode),
+            registered.get("estimate").map(Value::encode)
+        );
+        let (status, _) = client.request("POST", "/admin/persist", None).unwrap();
+        assert_eq!(status, 200);
+        drop(client);
+        handle.stop();
+        join.join().unwrap();
+        for ((name, _), bytes) in stale.iter().zip(&written) {
+            assert_eq!(&std::fs::read(dir.join(name)).unwrap(), bytes, "{name}");
+        }
+        assert_eq!(
+            top_level_entries(&dir),
+            ["bounds_cache.v1", "plan_cache.v1", "projects"]
+        );
+    }
 }
 
 #[test]
-fn concurrent_persists_never_corrupt_the_cache_dump() {
+fn concurrent_persists_never_corrupt_snapshots() {
     let dir = temp_dir("persist-race");
     let (addr, handle, join) = start(&dir, 4);
     let mut client = Client::new(addr.clone());
@@ -488,17 +583,22 @@ fn concurrent_persists_never_corrupt_the_cache_dump() {
         .request("POST", "/projects", Some(&register_body("p", SCRIPT)))
         .unwrap();
     assert_eq!(status, 201);
+    let (status, _) = client
+        .request("POST", "/projects/p/commits", Some(&commit_body("c1", 80)))
+        .unwrap();
+    assert_eq!(status, 200);
 
-    // Hammer /admin/persist from several connections at once: the cache
-    // dump must stay loadable throughout (saves are serialized).
+    // Hammer /admin/persist from several connections at once: every
+    // request snapshots on a pool worker and answers the same body.
     let workers: Vec<_> = (0..4)
         .map(|_| {
             let addr = addr.clone();
             std::thread::spawn(move || {
                 let mut client = Client::new(addr);
                 for _ in 0..5 {
-                    let (status, _) = client.request("POST", "/admin/persist", None).unwrap();
+                    let (status, body) = client.request("POST", "/admin/persist", None).unwrap();
                     assert_eq!(status, 200);
+                    assert_eq!(body.encode(), r#"{"persisted":true}"#);
                 }
             })
         })
@@ -506,17 +606,27 @@ fn concurrent_persists_never_corrupt_the_cache_dump() {
     for worker in workers {
         worker.join().unwrap();
     }
-    assert!(BoundsCache::new()
-        .load_from(&dir.join("bounds_cache.v1"))
-        .is_ok());
+    let (_, history_before) = client.request("GET", "/projects/p/history", None).unwrap();
+    let (_, status_before) = client.request("GET", "/projects/p", None).unwrap();
+    drop(client);
+    handle.stop();
+    join.join().unwrap();
 
+    // The snapshots the racing persists left behind reboot to the same
+    // state.
+    let (addr, handle, join) = start(&dir, 2);
+    let mut client = Client::new(addr);
+    let (_, history_after) = client.request("GET", "/projects/p/history", None).unwrap();
+    let (_, status_after) = client.request("GET", "/projects/p", None).unwrap();
+    assert_eq!(history_after, history_before);
+    assert_eq!(status_after, status_before);
     drop(client);
     handle.stop();
     join.join().unwrap();
 }
 
 #[test]
-fn cache_stats_reports_per_cache_counters_and_plan_cache_persists() {
+fn cache_stats_reports_per_cache_counters() {
     // A script no other test registers, so its plan fingerprint is
     // guaranteed cold in the process-wide PlanCache when this test runs.
     const UNIQUE_SCRIPT: &str = "ml:\n\
@@ -580,42 +690,14 @@ fn cache_stats_reports_per_cache_counters_and_plan_cache_persists() {
     let (_, _, bounds_entries) = stats_of(&mut client, "bounds");
     assert!(bounds_entries >= 1, "registration fills the bounds cache");
 
-    // /admin/persist reports and writes both caches.
-    let (status, persisted) = client.request("POST", "/admin/persist", None).unwrap();
-    assert_eq!(status, 200);
-    assert!(
-        persisted
-            .get("bounds_cache_entries")
-            .and_then(Value::as_u64)
-            .unwrap()
-            >= 1
-    );
-    assert!(
-        persisted
-            .get("plan_cache_entries")
-            .and_then(Value::as_u64)
-            .unwrap()
-            >= 1
-    );
     drop(client);
     handle.stop();
     join.join().unwrap();
-    let plan_dump = dir.join("plan_cache.v1");
-    assert!(plan_dump.exists(), "graceful stop saves the plan cache");
-    assert!(
-        easeml_ci_core::PlanCache::new()
-            .load_from(&plan_dump)
-            .unwrap()
-            >= 1,
-        "the dump holds the registrations' plan-search results"
-    );
 
-    // A warm restart must accept the persisted dumps (a corrupt dump
-    // would print a warning and boot cold; this asserts the happy path
-    // still registers instantly against the same script).
+    // A restarted process re-derives the same plan for the same script.
     let (addr, handle, join) = start(&dir, 2);
     let mut client = Client::new(addr);
-    let (status, _) = client
+    let (status, reg_c) = client
         .request(
             "POST",
             "/projects",
@@ -623,6 +705,10 @@ fn cache_stats_reports_per_cache_counters_and_plan_cache_persists() {
         )
         .unwrap();
     assert_eq!(status, 201);
+    assert_eq!(
+        reg_c.get("estimate").map(Value::encode),
+        reg_a.get("estimate").map(Value::encode),
+    );
     drop(client);
     handle.stop();
     join.join().unwrap();

@@ -14,8 +14,7 @@
 //! * [`oracle`] — labelling oracles with person-hour cost ledgers;
 //! * [`montecarlo`] — Figure-4 style empirical-ε measurement and full
 //!   process-level violation-rate experiments against the real engine;
-//! * [`workload`] — the SemEval-2019 Task 3 commit history (Figures 5–6)
-//!   and the ImageNet-winners overlap family (§4.2).
+//! * [`workload`] — the SemEval-2019 Task 3 commit history (Figures 5–6).
 
 #![warn(missing_docs)]
 

@@ -1,4 +1,3 @@
 //! End-to-end experiment workloads reproducing the paper's §5 scenarios.
 
-pub mod imagenet;
 pub mod semeval;

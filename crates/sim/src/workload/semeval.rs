@@ -25,7 +25,7 @@ use easeml_ml::models::{
 };
 use easeml_ml::synth::text::{EmotionCorpus, EmotionCorpusConfig};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Size of the published SemEval-2019 Task 3 test set.
 pub const TEST_SIZE: usize = 5_509;
@@ -233,61 +233,6 @@ pub fn trained_history(seed: u64) -> Result<SemEvalWorkload> {
     })
 }
 
-/// Convenience: evaluate the scripted history's pass/fail strip for a
-/// threshold-style improvement query (`n − o > margin ± eps`), fp-free
-/// or fn-free, returning per-iteration `(passed, active_model_index)`.
-///
-/// The first submission seeds the active model and is not tested.
-#[must_use]
-pub fn decision_strip(
-    workload: &SemEvalWorkload,
-    margin: f64,
-    eps: f64,
-    fn_free: bool,
-) -> Vec<(bool, usize)> {
-    let mut active = 0usize;
-    let mut out = Vec::new();
-    for k in 1..workload.submissions.len() {
-        let n_hat = workload.realized_accuracy(k);
-        let o_hat = workload.realized_accuracy(active);
-        let lhs = n_hat - o_hat;
-        let passed = if fn_free {
-            // fn-free: reject only when certainly below (NaN-safe form).
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            {
-                !(lhs < margin - eps)
-            }
-        } else {
-            // fp-free: accept only when certainly above.
-            lhs > margin + eps
-        };
-        if passed {
-            active = k;
-        }
-        out.push((passed, active));
-    }
-    out
-}
-
-/// Sample a `(correct, total)` window from a drifting distribution. The
-/// CI experiments do not use it.
-pub fn drifting_window<R: Rng>(
-    base_accuracy: f64,
-    drift_per_window: f64,
-    window: u32,
-    size: u64,
-    rng: &mut R,
-) -> (u64, u64) {
-    let acc = (base_accuracy - drift_per_window * f64::from(window)).clamp(0.0, 1.0);
-    let mut correct = 0u64;
-    for _ in 0..size {
-        if rng.random::<f64>() < acc {
-            correct += 1;
-        }
-    }
-    (correct, size)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,26 +266,6 @@ mod tests {
         assert_ne!(scripted_history(1).unwrap(), scripted_history(2).unwrap());
     }
 
-    /// The Figure 5 decision strips: all three queries end with the
-    /// second-to-last model active.
-    #[test]
-    fn figure5_decision_strips() {
-        let w = scripted_history(42).unwrap();
-        // Query I: n - o > 0.02 ± 0.02, fp-free.
-        let strip = decision_strip(&w, 0.02, 0.02, false);
-        let passes: Vec<bool> = strip.iter().map(|&(p, _)| p).collect();
-        assert_eq!(passes, [true, false, false, true, false, true, false]);
-        assert_eq!(strip.last().unwrap().1, 6, "active model is #7 (index 6)");
-        // Query II: fn-free accepts more commits but ends at the same place.
-        let strip = decision_strip(&w, 0.02, 0.02, true);
-        let passes: Vec<bool> = strip.iter().map(|&(p, _)| p).collect();
-        assert_eq!(passes, [true, false, true, true, true, true, false]);
-        assert_eq!(strip.last().unwrap().1, 6);
-        // Query III: n - o > 0.018 ± 0.022, fp-free (pass iff > 0.04).
-        let strip = decision_strip(&w, 0.018, 0.022, false);
-        assert_eq!(strip.last().unwrap().1, 6);
-    }
-
     #[test]
     fn figure6_shape_dev_up_test_dips() {
         // Dev accuracy strictly climbs; test accuracy peaks at 7.
@@ -368,15 +293,5 @@ mod tests {
     #[should_panic(expected = "one diff per consecutive pair")]
     fn mismatched_diffs_panic() {
         let _ = scripted_history_with(100, &[0.5, 0.6], &[0.1, 0.1], 0);
-    }
-
-    #[test]
-    fn drifting_window_drifts() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let (c0, t0) = drifting_window(0.9, 0.02, 0, 20_000, &mut rng);
-        let (c9, t9) = drifting_window(0.9, 0.02, 9, 20_000, &mut rng);
-        let a0 = c0 as f64 / t0 as f64;
-        let a9 = c9 as f64 / t9 as f64;
-        assert!(a0 > a9 + 0.1, "window 9 should have drifted: {a0} vs {a9}");
     }
 }
