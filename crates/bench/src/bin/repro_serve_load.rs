@@ -3,15 +3,17 @@
 //! Starts an in-process server on an ephemeral port with a scratch data
 //! directory, drives N concurrent clients — each registering its own
 //! project and pushing a deterministic stream of commit submissions —
-//! and reports latency percentiles, throughput, and warm-restart
-//! recovery time to `results/BENCH_serve.json`.
+//! and reports latency percentiles, throughput, and restart recovery
+//! time to `results/BENCH_serve.json`: once with the estimator caches
+//! still warm from serving (`warm_restart_ms`), once with them emptied,
+//! as a fresh process boots (`cold_restart_ms`).
 //!
 //! Registration latency is reported as its own cold-vs-warm section:
 //! every client uses a script *unique to it* (a distinct step budget),
 //! so its first registration runs the full plan search with cold caches,
 //! and then registers a second project against the same script, which
 //! the plan cache serves (the committed quick run, `registration` in
-//! `results/BENCH_serve.json`: 3.4 ms cold against 0.99 ms warm, p50).
+//! `results/BENCH_serve.json`: 2.8 ms cold against 1.3 ms warm, p50).
 //! Both include the registration record's fsync.
 //!
 //! A `predictions` section drives the server-measured gate: each client
@@ -32,6 +34,7 @@
 //! Usage: `cargo run --release --bin repro_serve_load [--quick] [--threads N]`
 
 use easeml_bench::{format_sig, init_threads_from_args, results_dir, Table};
+use easeml_ci_core::{BoundsCache, PlanCache};
 use easeml_par::splitmix64;
 use easeml_serve::json::Value;
 use easeml_serve::obs::expo::Exposition;
@@ -58,6 +61,21 @@ fn script_for(client_id: u64) -> String {
          \x20 - steps      : {}\n",
         1_000 + client_id
     )
+}
+
+/// Bind a server on `data_dir` and time it: snapshot loads, journal
+/// replay and boot re-estimation.
+fn timed_restart(
+    data_dir: &std::path::Path,
+    durability: easeml_serve::Durability,
+) -> (Server, f64) {
+    let t = Instant::now();
+    let server = Server::bind(&ServeConfig {
+        durability,
+        ..ServeConfig::new("127.0.0.1:0", data_dir)
+    })
+    .expect("restart");
+    (server, t.elapsed().as_nanos() as f64 / 1e6)
 }
 
 /// Latency percentiles over one request class.
@@ -200,8 +218,8 @@ const CURATED_NONZERO: [(&str, &[(&str, &str)]); 11] = [
     // Every gate decision lands here — the F1 leg included — so the
     // artifact proves submissions reached actual verdicts.
     ("easeml_gate_outcomes_total", &[]),
-    // The counts leg runs past the snapshot cadence, so the commit path
-    // wrote at least one cadence snapshot and timed it.
+    // The counts leg runs past two cadence snapshots per project, so
+    // the commit path wrote cadence snapshots and timed them.
     ("easeml_snapshot_writes_total", &[]),
     (
         "easeml_request_stage_seconds_count",
@@ -821,9 +839,11 @@ fn main() {
         }
     }
     let (clients, commits_per_client): (u64, u64) = if quick { (4, 25) } else { (8, 200) };
-    // Each counts project runs past the snapshot cadence, so the smoke
-    // covers the commit that rewrites `snapshot.json`.
-    let counts_commits_per_client = commits_per_client.max(SNAPSHOT_EVERY + 16);
+    // Each counts project runs until it has written two cadence
+    // snapshots: the first lands at op 64, the second once the journal
+    // past it outgrows it, near op 190 for these commit bodies (checked
+    // on disk before the graceful stop).
+    let counts_commits_per_client = commits_per_client.max(4 * SNAPSHOT_EVERY);
 
     let data_dir: PathBuf = std::env::temp_dir().join(format!(
         "easeml-serve-load-{}-{}",
@@ -940,19 +960,24 @@ fn main() {
         "core pipeline stages must have recorded samples"
     );
 
+    for c in 0..clients {
+        let path = data_dir.join(format!("projects/load-{c}/snapshot.json"));
+        let snapshot = Value::parse(&std::fs::read_to_string(&path).expect("cadence snapshot"))
+            .expect("snapshot json");
+        let watermark = snapshot.get("journal_ops").and_then(Value::as_u64);
+        assert!(
+            watermark.is_some_and(|ops| ops > SNAPSHOT_EVERY),
+            "project load-{c} wrote fewer than two cadence snapshots (last at op {watermark:?})"
+        );
+    }
+
     // Graceful stop snapshots every project.
     handle.stop();
     server_thread.join().expect("server thread");
 
     // Restart: snapshot load plus journal replay. The estimator caches
     // stay warm in this process, so boot re-estimation is map lookups.
-    let t = Instant::now();
-    let restarted = Server::bind(&ServeConfig {
-        durability,
-        ..ServeConfig::new("127.0.0.1:0", data_dir.clone())
-    })
-    .expect("warm restart");
-    let restart_ms = t.elapsed().as_nanos() as f64 / 1e6;
+    let (restarted, restart_ms) = timed_restart(&data_dir, durability);
     // Recovered state must reflect every journalled commit.
     let handle = restarted.handle();
     let restarted_addr = restarted.local_addr().to_string();
@@ -1011,6 +1036,16 @@ fn main() {
         );
     }
     drop(probe);
+    handle.stop();
+    restart_thread.join().expect("restart thread");
+
+    // Cold restart: a fresh process boots with empty estimator caches
+    // and re-derives every project's estimate.
+    BoundsCache::global().clear();
+    PlanCache::global().clear();
+    let (restarted, cold_restart_ms) = timed_restart(&data_dir, durability);
+    let handle = restarted.handle();
+    let restart_thread = std::thread::spawn(move || restarted.run().expect("restarted run"));
     handle.stop();
     restart_thread.join().expect("restart thread");
 
@@ -1189,8 +1224,8 @@ fn main() {
     println!("{}", stage_table.render());
 
     println!(
-        "wall {:.0} ms | {:.0} req/s | warm restart (snapshot + journal replay) {:.1} ms",
-        wall_ms, rps, restart_ms
+        "wall {:.0} ms | {:.0} req/s | restart (snapshot + journal replay) warm {:.1} ms, cold {:.1} ms",
+        wall_ms, rps, restart_ms, cold_restart_ms
     );
     println!(
         "registration p50: cold {:.0} us -> plan-cache-warm {:.1} us ({:.0}x)",
@@ -1314,6 +1349,7 @@ fn main() {
             ]),
         ),
         ("warm_restart_ms", Value::from(restart_ms)),
+        ("cold_restart_ms", Value::from(cold_restart_ms)),
         // Keep-alive concurrency sweep: per-level throughput + commit
         // latency with N connections simultaneously open.
         (

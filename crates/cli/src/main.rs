@@ -106,14 +106,14 @@ fn print_usage() {
          \x20 --durability MODE       when acknowledgements become durable (default group):\n\
          \x20                         group   = one batched fsync per flusher round;\n\
          \x20                                   responses released when their round lands\n\
-         \x20                         relaxed = acknowledge commits before any fsync (a\n\
-         \x20                                   power cut may lose acked commits since\n\
-         \x20                                   the last snapshot)\n\
+         \x20                         relaxed = acknowledge commits before any fsync (the\n\
+         \x20                                   journal is synced every 64 ops, so a\n\
+         \x20                                   power cut may lose up to 63 acked commits)\n\
          \n\
          Stop the service gracefully with `POST /admin/shutdown` (snapshots\n\
          every project). A hard kill loses no acknowledged gate state: it is\n\
          journaled before every response (with --durability relaxed, a\n\
-         power cut may lose acked commits since the last snapshot).\n\
+         power cut may lose the acked commits since the last 64-op sync).\n\
          \n\
          The script is a .travis.yml-style file with an `ml:` section, e.g.\n\
          \n\

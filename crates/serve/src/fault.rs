@@ -462,7 +462,9 @@ fn schedule(seed: u64) -> Vec<(String, Vec<Action>)> {
 /// action, and the number of commits known fsync-covered at ack time —
 /// the power-cut durability watermark. Under `group` every ack is
 /// fsync-covered; under `relaxed` only a completed snapshot raises the
-/// watermark.
+/// watermark. The schedule's projects journal far fewer than
+/// [`crate::store::SNAPSHOT_EVERY`] ops, so neither the cadence snapshot
+/// nor `relaxed`'s periodic journal sync ever fires in the matrix.
 #[derive(Debug, Default, Clone)]
 struct ProjectLog {
     attempted: Vec<String>,

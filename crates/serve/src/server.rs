@@ -189,9 +189,10 @@ pub struct ServeConfig {
     /// When acknowledgements become durable: `group` (the default)
     /// batches fsyncs on a dedicated flusher and releases responses once
     /// their round lands; `relaxed` acknowledges commits before any
-    /// fsync and leaves the journal to the snapshot cadence's sync, so a
-    /// power cut may lose acked commits. Registrations fsync and rename
-    /// their own record before answering, in both modes. See
+    /// fsync and syncs the journal inline every
+    /// [`crate::store::SNAPSHOT_EVERY`] ops, so a power cut may lose the
+    /// acked commits since the last such sync. Registrations fsync and
+    /// rename their own record before answering, in both modes. See
     /// [`crate::store::Durability`].
     pub durability: Durability,
 }
@@ -449,8 +450,9 @@ impl Server {
 
 /// Register the closure-backed series whose source of truth lives
 /// outside the registry: admission state, project count, degraded flag,
-/// and the core cache counters. `/healthz`, `/cache/stats`, and
-/// `/metrics` thereby report identical numbers by construction.
+/// what boot recovery replayed, and the core cache counters. `/healthz`,
+/// `/cache/stats`, and `/metrics` thereby report identical numbers by
+/// construction.
 fn register_derived_metrics(obs: &ServeObs, registry: &Arc<Registry>, stats: &Arc<ServeStats>) {
     let metrics = &obs.metrics.registry;
     {
@@ -486,6 +488,19 @@ fn register_derived_metrics(obs: &ServeObs, registry: &Arc<Registry>, stats: &Ar
             registry.len() as f64
         });
     }
+    let boot = registry.boot_replay();
+    metrics.func_counter(
+        "easeml_boot_replay_ops_total",
+        "Journal ops boot recovery replayed past snapshot watermarks.",
+        &[],
+        move || boot.ops as f64,
+    );
+    metrics.func_gauge(
+        "easeml_boot_replay_seconds",
+        "Wall time of boot recovery: records, snapshots, journal suffixes.",
+        &[],
+        move || boot.seconds,
+    );
     type CacheStatsFn = fn() -> easeml_ci_core::CacheStats;
     let caches: [(&str, CacheStatsFn); 2] = [
         ("bounds", || BoundsCache::global().stats()),
@@ -581,7 +596,7 @@ impl crate::net::Handler for RouteHandler {
     }
 
     /// Registration (`POST /projects`) runs the sample-size plan search
-    /// and fsyncs its record (3.4 ms p50 cold in
+    /// and fsyncs its record (2.8 ms p50 cold in
     /// `results/BENCH_serve.json`, `registration.cold`), and
     /// `POST /admin/persist` snapshots every project with fsyncs; both
     /// belong on a pool worker.

@@ -20,11 +20,12 @@
 //!   waiters. Concurrent commits to the same project (or to different
 //!   projects on the same round) share a single fsync.
 //! * [`Durability::Relaxed`] — the append stages nothing and the
-//!   response is released immediately. The journal is synced only by
-//!   the snapshot cadence (every [`super::SNAPSHOT_EVERY`] ops) and the
-//!   shutdown snapshot, so a power cut may lose acknowledged commits; a
-//!   process kill loses nothing, because the bytes are already in the
-//!   file.
+//!   response is released immediately. The journal is synced inline
+//!   every [`super::SNAPSHOT_EVERY`] ops (by the cadence snapshot when
+//!   one is due, which syncs first, else on its own), and by the
+//!   shutdown snapshot, so a power cut may lose at most the last
+//!   `SNAPSHOT_EVERY - 1` acknowledged ops; a process kill loses
+//!   nothing, because the bytes are already in the file.
 //!
 //! # Failure containment
 //!
@@ -141,9 +142,10 @@ impl SharedJournal {
         Ok(())
     }
 
-    /// Sync inline on behalf of the snapshot path (all modes). Does not
-    /// poison on failure — the unsynced suffix simply stays unsynced
-    /// and the snapshot attempt is aborted by the caller.
+    /// Sync inline on behalf of the snapshot path (all modes) and of
+    /// `relaxed`'s periodic sync. Does not poison on failure — the
+    /// unsynced suffix simply stays unsynced and the caller aborts its
+    /// snapshot attempt or logs the failed sync.
     pub(crate) fn sync_inline(&self) -> Result<(), ServeError> {
         let mut inner = self.inner.lock().unwrap();
         if inner.poisoned {

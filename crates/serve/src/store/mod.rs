@@ -40,9 +40,25 @@
 //! `project.json`, the `fresh_testset` journal op, or the snapshot) and
 //! cross-checks the derived counts, so tampering with a prediction blob,
 //! a testset blob, or a recorded outcome all fail the boot. Snapshots
-//! are written atomically (temp file + rename) every
-//! [`SNAPSHOT_EVERY`] ops, so the journal never needs truncation and
-//! stays a complete audit log.
+//! are written atomically (temp file + rename), so the journal never
+//! needs truncation and stays a complete audit log.
+//!
+//! # Snapshot cadence
+//!
+//! A snapshot holds the project's whole history, so writing one every
+//! fixed number of ops would cost each op O(history). Instead a cadence
+//! snapshot is written once at least [`SNAPSHOT_EVERY`] ops *and* at
+//! least as many journal bytes as the last snapshot holds have been
+//! appended since it. Snapshot bytes written then stay within the
+//! journal bytes appended plus the [`SNAPSHOT_EVERY`]-op floor, a
+//! constant cost per op; the first snapshot still lands at op
+//! [`SNAPSHOT_EVERY`]; and crash recovery replays a suffix of at most
+//! `SNAPSHOT_EVERY - 1` ops or at most one snapshot's worth of journal
+//! bytes. A failed cadence snapshot is retried [`SNAPSHOT_EVERY`] ops
+//! later, and an explicit snapshot (shutdown, `/admin/persist`) restarts
+//! the count. Under [`Durability::Relaxed`] the journal is still synced
+//! inline every [`SNAPSHOT_EVERY`] ops when no snapshot is due, so its
+//! power-cut window stays at most `SNAPSHOT_EVERY - 1` ops.
 //!
 //! # Determinism contract
 //!
@@ -67,13 +83,19 @@ use easeml_ci_core::{
     CommitEstimates, CommitHistory, HistoryEntry, PerClassCounts, SampleSizeEstimator, Tribool,
 };
 use group::SharedJournal;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
+use std::time::Instant;
 
 pub use group::{Durability, GroupCommit, GroupMetrics, Waiter};
 
-/// A snapshot is written every this many journalled ops.
+/// The least number of journalled ops between two cadence snapshots,
+/// and the op at which a project's first one lands. A later one also
+/// waits until the journal bytes appended since the last snapshot reach
+/// that snapshot's size (see the module docs). Under
+/// [`Durability::Relaxed`] it is also the journal's inline sync period.
 pub const SNAPSHOT_EVERY: u64 = 64;
 
 fn corrupt(path: &Path, reason: impl Into<String>) -> ServeError {
@@ -169,8 +191,26 @@ fn read_testset_blob(vfs: &dyn Vfs, dir: &Path, era: u32) -> Result<TestsetSpec,
     Ok(spec)
 }
 
+/// When the next cadence snapshot is due (see the module docs).
+#[derive(Debug, Clone, Copy, Default)]
+struct Cadence {
+    /// Journal ops at the last snapshot attempt. A failed attempt moves
+    /// it too, so the snapshot is retried [`SNAPSHOT_EVERY`] ops later.
+    snapshot_ops: u64,
+    /// Size of the last snapshot written.
+    snapshot_bytes: u64,
+    /// Journal bytes appended since the last snapshot written.
+    bytes_since: u64,
+}
+
+impl Cadence {
+    fn due(self, ops_written: u64) -> bool {
+        ops_written - self.snapshot_ops >= SNAPSHOT_EVERY && self.bytes_since >= self.snapshot_bytes
+    }
+}
+
 /// The persistence arm of one project: its directory, the open journal
-/// handle, and the op counter driving snapshot cadence. All file I/O
+/// handle, and the counters driving snapshot cadence. All file I/O
 /// goes through the injected [`Vfs`] (see [`crate::vfs`]), which is how
 /// the crash-consistency matrix drives scripted faults through the same
 /// code paths production runs.
@@ -182,6 +222,9 @@ pub struct ProjectStore {
     durability: Durability,
     group: Arc<GroupCommit>,
     ops_written: u64,
+    /// Reset by every snapshot written, the explicit ones through
+    /// `&self` included.
+    cadence: Cell<Cadence>,
     /// Test seam: make the next append fail without touching the disk,
     /// so the rollback path is exercisable.
     #[cfg(test)]
@@ -282,6 +325,7 @@ impl ProjectStore {
             durability,
             group: Arc::clone(group),
             ops_written: 0,
+            cadence: Cell::new(Cadence::default()),
             #[cfg(test)]
             fail_next_append: false,
         })
@@ -345,12 +389,15 @@ impl ProjectStore {
 
         // Snapshot, if any: restore state and skip the journal prefix.
         let snapshot_path = dir.join("snapshot.json");
-        let mut skip_ops: u64 = 0;
+        let mut cadence = Cadence::default();
         if vfs.exists(&snapshot_path) {
             let text = vfs.read_to_string(&snapshot_path)?;
             let snap = Value::parse(&text).map_err(|e| corrupt(&snapshot_path, e.to_string()))?;
-            skip_ops = load_snapshot(vfs.as_ref(), dir, &snapshot_path, &snap, &mut project)?;
+            cadence.snapshot_ops =
+                load_snapshot(vfs.as_ref(), dir, &snapshot_path, &snap, &mut project)?;
+            cadence.snapshot_bytes = text.len() as u64;
         }
+        let skip_ops = cadence.snapshot_ops;
 
         // Journal suffix: replay through the live gate.
         let journal_path = dir.join("journal.log");
@@ -385,6 +432,7 @@ impl ProjectStore {
                 if ops <= skip_ops {
                     continue;
                 }
+                cadence.bytes_since += piece.len() as u64;
                 replay_op(
                     vfs.as_ref(),
                     dir,
@@ -414,6 +462,7 @@ impl ProjectStore {
                 durability,
                 group: Arc::clone(group),
                 ops_written: ops,
+                cadence: Cell::new(cadence),
                 #[cfg(test)]
                 fail_next_append: false,
             },
@@ -530,14 +579,25 @@ impl ProjectStore {
             group::set_pending(self.group.stage(Arc::clone(&self.journal)));
         }
         self.ops_written += 1;
-        if self.ops_written.is_multiple_of(SNAPSHOT_EVERY) {
+        self.cadence.get_mut().bytes_since += line.len() as u64;
+        if self.cadence.get().due(self.ops_written) {
             // The journal is the source of truth and it has the op; a
             // failed snapshot is only lost compaction, never lost state,
             // and must NOT fail the request (the caller would roll back
             // an op the journal already holds).
             if let Err(e) = trace::time(Stage::Snapshot, || self.write_snapshot(project)) {
+                self.cadence.get_mut().snapshot_ops = self.ops_written;
                 eprintln!(
                     "warning: snapshot of {} failed (journal intact): {e}",
+                    self.dir.display()
+                );
+            }
+        } else if self.durability == Durability::Relaxed
+            && self.ops_written.is_multiple_of(SNAPSHOT_EVERY)
+        {
+            if let Err(e) = self.journal.sync_inline() {
+                eprintln!(
+                    "warning: journal sync of {} failed: {e}",
                     self.dir.display()
                 );
             }
@@ -553,18 +613,25 @@ impl ProjectStore {
     /// make restart recovery reject the directory (`ops < skip_ops`).
     /// This inline sync runs in every durability mode — under `group` it
     /// simply makes the flusher's next covering sync a no-op, and under
-    /// `relaxed` it is the only sync a journal gets while serving.
+    /// `relaxed` it joins the every-[`SNAPSHOT_EVERY`]-ops inline sync.
+    /// A written snapshot restarts the cadence count.
     ///
     /// # Errors
     ///
     /// I/O failures.
     pub fn write_snapshot(&self, project: &Project) -> Result<(), ServeError> {
         self.journal.sync_inline()?;
+        let snapshot = render_snapshot(self.ops_written, project);
         write_atomic(
             self.vfs.as_ref(),
             &self.dir.join("snapshot.json"),
-            render_snapshot(self.ops_written, project).as_bytes(),
+            snapshot.as_bytes(),
         )?;
+        self.cadence.set(Cadence {
+            snapshot_ops: self.ops_written,
+            snapshot_bytes: snapshot.len() as u64,
+            bytes_since: 0,
+        });
         Ok(())
     }
 }
@@ -1183,6 +1250,16 @@ impl ProjectSlot {
     }
 }
 
+/// What boot recovery did when a [`Registry`] opened.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct BootReplay {
+    /// Journal ops replayed past snapshot watermarks, over all projects.
+    pub ops: u64,
+    /// Wall time of loading every project: registration records,
+    /// snapshots and journal suffixes.
+    pub seconds: f64,
+}
+
 /// The process-wide project registry backed by a data directory.
 #[derive(Debug)]
 pub struct Registry {
@@ -1190,6 +1267,7 @@ pub struct Registry {
     projects_dir: PathBuf,
     estimator: SampleSizeEstimator,
     durability: Durability,
+    boot_replay: BootReplay,
     /// The shared group-commit flusher. Dropped (drained + joined) with
     /// the registry.
     group: Arc<GroupCommit>,
@@ -1269,10 +1347,12 @@ impl Registry {
         durability: Durability,
         metrics: Option<GroupMetrics>,
     ) -> Result<Registry, ServeError> {
+        let started = Instant::now();
         let group = Arc::new(GroupCommit::new(metrics));
         let projects_dir = data_dir.join("projects");
         vfs.create_dir_all(&projects_dir)?;
         let mut projects = HashMap::new();
+        let mut replayed_ops = 0;
         for path in vfs.list_dir(&projects_dir)? {
             if !vfs.is_dir(&path) {
                 continue;
@@ -1285,6 +1365,7 @@ impl Registry {
                 continue;
             }
             let (project, store) = ProjectStore::open(&vfs, &path, &estimator, durability, &group)?;
+            replayed_ops += store.ops_written - store.cadence.get().snapshot_ops;
             projects.insert(
                 project.name().to_owned(),
                 Arc::new(Mutex::new(ProjectSlot { project, store })),
@@ -1295,6 +1376,10 @@ impl Registry {
             projects_dir,
             estimator,
             durability,
+            boot_replay: BootReplay {
+                ops: replayed_ops,
+                seconds: started.elapsed().as_secs_f64(),
+            },
             group,
             projects: RwLock::new(projects),
             registering: Mutex::new(std::collections::HashSet::new()),
@@ -1305,6 +1390,12 @@ impl Registry {
     #[must_use]
     pub fn durability(&self) -> Durability {
         self.durability
+    }
+
+    /// What boot recovery did when this registry opened.
+    #[must_use]
+    pub(crate) fn boot_replay(&self) -> BootReplay {
+        self.boot_replay
     }
 
     /// The filesystem facade this registry persists through.
@@ -1441,6 +1532,7 @@ impl Registry {
 mod tests {
     use super::*;
     use crate::registry::serving_estimator;
+    use crate::vfs::{Fault, FaultKind, FaultPlan, FaultVfs, MemVfs};
     use proptest::prelude::*;
 
     const SCRIPT: &str = "ml:\n\
@@ -1792,7 +1884,7 @@ mod tests {
     fn acked_registration_survives_a_kill_in_every_mode() {
         let root = Path::new("/easeml-store-kill");
         for durability in [Durability::Group, Durability::Relaxed] {
-            let disk = crate::vfs::MemVfs::new();
+            let disk = MemVfs::new();
             let registry = Registry::open_with_durability(
                 root,
                 serving_estimator(),
@@ -1818,7 +1910,6 @@ mod tests {
     /// (live or after a reboot), and a retry under the name succeeds.
     #[test]
     fn registration_renames_its_own_record_last() {
-        use crate::vfs::{Fault, FaultKind, FaultPlan, FaultVfs};
         let root = Path::new("/easeml-store-install");
         let vfs = FaultVfs::new(root, FaultPlan::new());
         let registry =
@@ -1923,6 +2014,18 @@ mod tests {
         assert_eq!(slot.project.steps_used(), 2, "redelivery spends nothing");
     }
 
+    /// The status, `/history` and `/budget` bodies of every project.
+    fn bodies(registry: &Registry) -> Vec<Vec<u8>> {
+        let body = |resp: Result<crate::http::Response, ServeError>| resp.unwrap().body;
+        let mut out = Vec::new();
+        for name in registry.names() {
+            out.push(body(crate::server::project_status(registry, &name)));
+            out.push(body(crate::server::project_history(registry, &name)));
+            out.push(body(crate::server::project_budget(registry, &name)));
+        }
+        out
+    }
+
     /// Boot never depends on cache warmth: a directory written through
     /// the shared estimator caches reopens under an estimator that
     /// bypasses every cache and serves byte-identical status, history
@@ -1932,16 +2035,6 @@ mod tests {
     fn reopening_with_cold_caches_serves_identical_state() {
         use easeml_ci_core::{CachePolicy, EstimatorConfig, SampleSizeEstimator};
         let dir = temp_dir("cold-reopen");
-        let body = |resp: Result<crate::http::Response, ServeError>| resp.unwrap().body;
-        let bodies = |registry: &Registry| -> Vec<Vec<u8>> {
-            let mut out = Vec::new();
-            for name in registry.names() {
-                out.push(body(crate::server::project_status(registry, &name)));
-                out.push(body(crate::server::project_history(registry, &name)));
-                out.push(body(crate::server::project_budget(registry, &name)));
-            }
-            out
-        };
         let difference = SCRIPT.replace("n > 0.6 +/- 0.2", "n - o > 0.0 +/- 0.2");
         let hierarchical = SCRIPT
             .replace(
@@ -2573,8 +2666,10 @@ mod tests {
     /// - `f1`: a lazy 4-class F1 predictions project, snapshotted empty
     ///   right after registration and again after three commits.
     /// - `counts`: 70 counts commits (a cadence snapshot at op 64), a
-    ///   fresh testset era, 60 more (a second cadence snapshot at op
-    ///   128). The live gate records every estimate, so `null` ones are
+    ///   fresh testset era, 60 more (an explicit snapshot at op 128,
+    ///   which the cadence no longer reaches that early: the journal
+    ///   suffix past op 64 is still smaller than the op-64 snapshot).
+    ///   The live gate records every estimate, so `null` ones are
     ///   planted in the last snapshot (as a snapshot from an older
     ///   writer could hold them) and carried through a restart into the
     ///   next snapshot and `/history`.
@@ -2645,6 +2740,9 @@ mod tests {
             slot.submit(&submission(&id, (i * 37 + 11) % 101)).unwrap();
             if i == 63 {
                 out.push(("counts.snapshot.64.json", read("counts", "snapshot.json")));
+            }
+            if i == 126 {
+                slot.snapshot().unwrap();
             }
         }
         drop(slot);
@@ -2738,28 +2836,213 @@ mod tests {
         }
     }
 
+    /// [`SCRIPT`] with a budget for 1,000 commits.
+    fn long_script() -> String {
+        SCRIPT.replace("steps      : 3", "steps      : 1000")
+    }
+
+    /// Commit `op` of the long-running test projects: a counts commit,
+    /// or predictions over a 100-item lazy pool. Consecutive ops never
+    /// repeat, so none is taken for a redelivery.
+    fn commit_op(slot: &mut ProjectSlot, predictions: bool, op: u64) {
+        let correct = (op * 37 + 11) % 101;
+        if predictions {
+            let submission = pred_submission(&format!("p{op}"), 100, 50, correct as usize);
+            slot.submit_predictions(&submission).unwrap();
+        } else {
+            slot.submit(&submission(&format!("c{op}"), correct))
+                .unwrap();
+        }
+    }
+
+    /// The journal watermark of `snapshot.json` bytes.
+    fn watermark(snapshot: &[u8]) -> u64 {
+        let text = std::str::from_utf8(snapshot).unwrap();
+        let rest = text.split_once("\"journal_ops\": ").unwrap().1;
+        rest[..rest.find(',').unwrap()].parse().unwrap()
+    }
+
+    /// Over 600 counts commits, a cadence snapshot lands at op 64 and
+    /// then at the first op where both conditions hold: 64 ops since the
+    /// last one, and as many journal bytes since it as it holds. A
+    /// restart halfway picks the count up where it left off.
     #[test]
     fn automatic_snapshot_cadence() {
-        let dir = temp_dir("cadence");
-        let script = SCRIPT.replace("steps      : 3", "steps      : 200");
-        let registry = Registry::open(&dir, serving_estimator()).unwrap();
-        let slot = registry.register("proj", &script, None).unwrap();
-        {
-            let mut slot = slot.lock().unwrap();
-            for i in 0..SNAPSHOT_EVERY {
-                slot.submit(&submission(&format!("c{i}"), 90)).unwrap();
+        let disk = MemVfs::new();
+        let root = Path::new("/cadence");
+        let dir = root.join("projects/proj");
+        let open = || Registry::open_with(root, serving_estimator(), Arc::new(disk.clone()));
+        let mut registry = open().unwrap();
+        registry.register("proj", &long_script(), None).unwrap();
+        let (mut last_ops, mut last_journal, mut last_snapshot) = (0u64, 0usize, 0usize);
+        let (mut expected, mut written) = (Vec::new(), Vec::new());
+        for op in 1..=600u64 {
+            if op == 301 {
+                registry = open().unwrap();
+            }
+            commit_op(
+                &mut registry.get("proj").unwrap().lock().unwrap(),
+                false,
+                op,
+            );
+            let journal = disk.file_bytes(&dir.join("journal.log")).unwrap().len();
+            let snapshot = disk.file_bytes(&dir.join("snapshot.json"));
+            if let Some(snapshot) = &snapshot {
+                if written.last() != Some(&watermark(snapshot)) {
+                    written.push(watermark(snapshot));
+                }
+            }
+            if op - last_ops >= SNAPSHOT_EVERY && journal - last_journal >= last_snapshot {
+                expected.push(op);
+                (last_ops, last_journal) = (op, journal);
+                last_snapshot = snapshot.map_or(0, |s| s.len());
             }
         }
-        assert!(
-            dir.join("projects/proj/snapshot.json").exists(),
-            "snapshot must be written every {SNAPSHOT_EVERY} ops"
-        );
-        // And the snapshot+journal combination still restores.
-        let registry = Registry::open(&dir, serving_estimator()).unwrap();
-        let slot = registry.get("proj").unwrap();
+        assert_eq!(written, expected);
         assert_eq!(
-            slot.lock().unwrap().project.steps_used() as u64,
-            SNAPSHOT_EVERY
+            expected[0], SNAPSHOT_EVERY,
+            "the first snapshot lands at op 64"
         );
+        assert!(expected.len() >= 3, "{expected:?}");
+        // And the snapshot+journal combination still restores.
+        let registry = open().unwrap();
+        assert_eq!(registry.boot_replay().ops, 600 - expected.last().unwrap());
+        let slot = registry.get("proj").unwrap();
+        assert_eq!(slot.lock().unwrap().project.steps_used(), 600);
+    }
+
+    /// A cadence snapshot whose temp write hits `ENOSPC` is retried
+    /// `SNAPSHOT_EVERY` ops later, not on the next op. (Under `relaxed`
+    /// no flusher thread syncs the journal, so the project's op order,
+    /// which addresses the fault, is the same in every run.)
+    #[test]
+    fn failed_cadence_snapshot_is_retried_a_cadence_later() {
+        let root = Path::new("/retry");
+        let dir = root.join("projects/proj");
+        let run = |plan: FaultPlan, ops: u64, after_op: &mut dyn FnMut(u64, &FaultVfs)| {
+            let fvfs = FaultVfs::new(root, plan);
+            fvfs.start_recording();
+            let registry = Registry::open_with_durability(
+                root,
+                serving_estimator(),
+                Arc::new(fvfs.clone()),
+                Durability::Relaxed,
+                None,
+            )
+            .unwrap();
+            let slot = registry.register("proj", &long_script(), None).unwrap();
+            let mut slot = slot.lock().unwrap();
+            for op in 1..=ops {
+                commit_op(&mut slot, false, op);
+                after_op(op, &fvfs);
+            }
+            fvfs.take_oplog()
+        };
+        let temp_write = run(FaultPlan::new(), SNAPSHOT_EVERY, &mut |_, _| {})
+            .into_iter()
+            .find(|rec| rec.kind == "write" && rec.path == dir.join("snapshot.tmp"))
+            .expect("the op-64 snapshot writes its temp file");
+        let plan = FaultPlan::new().at(
+            &temp_write.scope,
+            temp_write.index,
+            Fault::Fail(FaultKind::Enospc),
+        );
+        run(plan, 3 * SNAPSHOT_EVERY, &mut |op, fvfs| {
+            let snapshot = fvfs.disk().file_bytes(&dir.join("snapshot.json"));
+            let want = (op >= 2 * SNAPSHOT_EVERY).then_some(2 * SNAPSHOT_EVERY);
+            assert_eq!(snapshot.as_deref().map(watermark), want, "after op {op}");
+        });
+    }
+
+    /// Kill the process (drop without a shutdown snapshot) after `k`
+    /// ops, for `k` over `0..=600` with a stride: every reboot serves
+    /// the bodies of the uninterrupted twin at `k` ops, and replays at
+    /// most `SNAPSHOT_EVERY - 1` ops or at most the last snapshot's
+    /// bytes of journal.
+    #[test]
+    fn killed_at_any_op_reboots_to_the_uninterrupted_state() {
+        let root = Path::new("/kill");
+        let dir = root.join("projects/proj");
+        for predictions in [false, true] {
+            let disk = MemVfs::new();
+            let twin =
+                Registry::open_with(root, serving_estimator(), Arc::new(disk.clone())).unwrap();
+            let slot = if predictions {
+                let script = long_script().replace("n > 0.6 +/- 0.2", "n - o > 0.0 +/- 0.2");
+                twin.register("proj", &script, Some(lazy_spec(100)))
+            } else {
+                twin.register("proj", &long_script(), None)
+            }
+            .unwrap();
+            for k in 0..=600u64 {
+                if k > 0 {
+                    commit_op(&mut slot.lock().unwrap(), predictions, k);
+                }
+                if k % 23 != 0 {
+                    continue;
+                }
+                let survivor = disk.kill_view();
+                let rebooted =
+                    Registry::open_with(root, serving_estimator(), Arc::new(survivor.clone()))
+                        .unwrap();
+                assert_eq!(bodies(&rebooted), bodies(&twin), "k = {k}");
+                let snapshot = survivor.file_bytes(&dir.join("snapshot.json"));
+                let replayed = rebooted.boot_replay().ops;
+                assert_eq!(replayed, k - snapshot.as_deref().map_or(0, watermark));
+                let journal = survivor.file_bytes(&dir.join("journal.log")).unwrap();
+                let suffix: usize = journal
+                    .split_inclusive(|&b| b == b'\n')
+                    .rev()
+                    .take(replayed as usize)
+                    .map(<[u8]>::len)
+                    .sum();
+                assert!(
+                    replayed < SNAPSHOT_EVERY || suffix <= snapshot.map_or(0, |s| s.len()),
+                    "k = {k}: replayed {replayed} ops, {suffix} bytes"
+                );
+            }
+        }
+    }
+
+    /// Under `relaxed`, a power cut after `64 m + r` commits, on a
+    /// project with no snapshot due at op `64 m`, keeps the first
+    /// `64 m` acked commits: the journal is synced every 64 ops even
+    /// when the cadence writes no snapshot.
+    #[test]
+    fn relaxed_power_cut_keeps_every_synced_cadence() {
+        let (m, r) = (2, 37);
+        let root = Path::new("/relaxed");
+        let dir = root.join("projects/proj");
+        let fvfs = FaultVfs::new(root, FaultPlan::new());
+        let registry = Registry::open_with_durability(
+            root,
+            serving_estimator(),
+            Arc::new(fvfs.clone()),
+            Durability::Relaxed,
+            None,
+        )
+        .unwrap();
+        let slot = registry.register("proj", &long_script(), None).unwrap();
+        for op in 1..=m * SNAPSHOT_EVERY + r {
+            commit_op(&mut slot.lock().unwrap(), false, op);
+        }
+        let snapshot = fvfs.disk().file_bytes(&dir.join("snapshot.json")).unwrap();
+        assert_eq!(
+            watermark(&snapshot),
+            SNAPSHOT_EVERY,
+            "no snapshot due since op 64"
+        );
+        let survivor = fvfs.disk().power_cut_view();
+        let rebooted = Registry::open_with(root, serving_estimator(), Arc::new(survivor)).unwrap();
+        let steps = u64::from(
+            rebooted
+                .get("proj")
+                .unwrap()
+                .lock()
+                .unwrap()
+                .project
+                .steps_used(),
+        );
+        assert!(steps >= m * SNAPSHOT_EVERY, "only {steps} commits survived");
     }
 }

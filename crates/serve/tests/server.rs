@@ -2096,3 +2096,87 @@ fn overload_sheds_with_retry_after_and_backoff_clients_converge() {
     drop(client);
     join.join().unwrap();
 }
+
+/// The boot-replay pair of an exposition:
+/// (`easeml_boot_replay_ops_total`, `easeml_boot_replay_seconds`).
+fn boot_replay(addr: &str) -> (f64, f64) {
+    let (status, text) = raw_round_trip(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    let exposition = text.split("\r\n\r\n").nth(1).expect("metrics body");
+    let expo = easeml_serve::obs::expo::parse(exposition).expect("parseable exposition");
+    (
+        expo.value("easeml_boot_replay_ops_total", &[]).unwrap(),
+        expo.value("easeml_boot_replay_seconds", &[]).unwrap(),
+    )
+}
+
+/// A server killed mid-run (its disk image taken before any shutdown
+/// snapshot) reboots by replaying the journal ops past each project's
+/// last snapshot, and `/metrics` says how many; after a graceful stop
+/// there is nothing left to replay.
+#[test]
+fn boot_replay_metrics_count_the_ops_past_the_last_snapshot() {
+    use easeml_serve::vfs::{MemVfs, Vfs};
+    use std::sync::Arc;
+    let data_dir = PathBuf::from("/boot-replay");
+    let config = |disk: &MemVfs| ServeConfig {
+        threads: 2,
+        vfs: Some(Arc::new(disk.clone()) as Arc<dyn Vfs>),
+        ..ServeConfig::new("127.0.0.1:0", &data_dir)
+    };
+    let disk = MemVfs::new();
+    let (addr, handle, join) = start_with(config(&disk));
+    assert_eq!(
+        boot_replay(&addr).0,
+        0.0,
+        "a fresh data dir replays nothing"
+    );
+    let mut client = Client::new(&addr);
+    let script = SCRIPT.replace("steps      : 3", "steps      : 1000");
+    let (status, _) = client
+        .request("POST", "/projects", Some(&register_body("p", &script)))
+        .unwrap();
+    assert_eq!(status, 201);
+    // The first cadence snapshot lands at op 64; the next is due only
+    // once the journal past it outgrows it, well after op 100.
+    for i in 0..100u64 {
+        let (status, _) = client
+            .request(
+                "POST",
+                "/projects/p/commits",
+                Some(&commit_body(&format!("c{i}"), (i * 37 + 11) % 101)),
+            )
+            .unwrap();
+        assert_eq!(status, 200);
+    }
+    let killed = disk.kill_view();
+    drop(client);
+    handle.stop();
+    join.join().unwrap();
+
+    let (addr, handle, join) = start_with(config(&killed));
+    let (ops, seconds) = boot_replay(&addr);
+    assert_eq!(ops, 36.0, "ops 65..=100 lie past the op-64 snapshot");
+    assert!(seconds > 0.0);
+    let (_, budget) = Client::new(&addr)
+        .request("GET", "/projects/p/budget", None)
+        .unwrap();
+    assert_eq!(
+        budget
+            .get("budget")
+            .and_then(|b| b.get("used"))
+            .and_then(Value::as_u64),
+        Some(100)
+    );
+    handle.stop();
+    join.join().unwrap();
+
+    let (addr, handle, join) = start_with(config(&killed));
+    assert_eq!(
+        boot_replay(&addr).0,
+        0.0,
+        "the shutdown snapshot covers all"
+    );
+    handle.stop();
+    join.join().unwrap();
+}
