@@ -2,19 +2,17 @@
 //!
 //! Times the optimized inversion against the preserved seed
 //! implementation (`easeml_bounds::reference`), the cached estimator
-//! path against the uncached one, and the parallel execution layer
-//! (batched table inversion and pooled Monte-Carlo trials) against the
-//! sequential per-cell/one-thread paths, then writes machine-readable
+//! path against the uncached one, and the parallel execution layer (a
+//! 5×5 table fanned out cell by cell with `Pool::par_map`, and pooled
+//! Monte-Carlo trials) against the sequential paths, then writes
+//! machine-readable
 //! results to `results/BENCH_bounds.json` so future PRs can track the
 //! trajectory.
 //!
 //! Usage: `cargo run --release --bin repro_bounds_perf [--quick] [--threads N]`
 
 use easeml_bench::{format_sig, init_threads_from_args, results_dir, Table};
-use easeml_bounds::{
-    exact_binomial_sample_size, exact_binomial_sample_size_batch_with_pool, hoeffding_sample_size,
-    reference, Tail,
-};
+use easeml_bounds::{exact_binomial_sample_size, hoeffding_sample_size, reference, Tail};
 use easeml_ci_core::{
     BoundsCache, CiScript, EstimatorConfig, Mode, PlanCache, SampleSizeEstimator,
 };
@@ -117,72 +115,34 @@ fn time_once<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, t.elapsed().as_nanos() as f64)
 }
 
-/// Measure the parallel execution layer: (a) the 5×5 table via
-/// `invert_batch` (threads 1 and N) against sequential per-cell
-/// inversion, (b) `violation_report` trials at threads 1 vs N. Returns
-/// the JSON fragment.
+/// Measure the parallel execution layer: (a) the 5×5 table inverted
+/// cell by cell in sequence against the same cells fanned out with
+/// `Pool::par_map` (threads N), (b) `violation_report` trials at
+/// threads 1 vs N. Returns the JSON fragment.
 fn parallel_section(threads: usize, quick: bool, runs: usize) -> String {
     // Measure at the requested width when one was given (so multicore
     // hosts can demonstrate their full fan-out); otherwise at the
     // acceptance-criterion default of 4.
     let n_pool = Pool::new(if threads >= 2 { threads } else { 4 });
-    // (a) Batched table inversion. Median-of-runs; every measurement
-    // re-inverts from scratch (no BoundsCache on this path).
-    let seq_ns = time_ns(runs, || {
-        let mut grid = Vec::with_capacity(TABLE_EPSILONS.len());
-        for &eps in &TABLE_EPSILONS {
-            let mut row = Vec::with_capacity(TABLE_DELTAS.len());
-            for &delta in &TABLE_DELTAS {
-                row.push(exact_binomial_sample_size(eps, delta, Tail::TwoSided).unwrap());
-            }
-            grid.push(row);
-        }
-        grid
-    });
-    let batch_t1_ns = time_ns(runs, || {
-        exact_binomial_sample_size_batch_with_pool(
-            &TABLE_EPSILONS,
-            &TABLE_DELTAS,
-            Tail::TwoSided,
-            &Pool::new(1),
-        )
-        .unwrap()
-    });
-    let batch_tn_ns = time_ns(runs, || {
-        exact_binomial_sample_size_batch_with_pool(
-            &TABLE_EPSILONS,
-            &TABLE_DELTAS,
-            Tail::TwoSided,
-            &n_pool,
-        )
-        .unwrap()
-    });
-    // Bit-identity across widths and against the per-cell inversion.
-    let per_cell: Vec<Vec<u64>> = TABLE_EPSILONS
+    // (a) Table inversion, one independent inversion per cell.
+    // Median-of-runs; every measurement re-inverts from scratch (no
+    // BoundsCache on this path).
+    let cells: Vec<(f64, f64)> = TABLE_EPSILONS
         .iter()
-        .map(|&eps| {
-            TABLE_DELTAS
-                .iter()
-                .map(|&delta| exact_binomial_sample_size(eps, delta, Tail::TwoSided).unwrap())
-                .collect()
-        })
+        .flat_map(|&eps| TABLE_DELTAS.iter().map(move |&delta| (eps, delta)))
         .collect();
-    let batch_t1 = exact_binomial_sample_size_batch_with_pool(
-        &TABLE_EPSILONS,
-        &TABLE_DELTAS,
-        Tail::TwoSided,
-        &Pool::new(1),
-    )
-    .unwrap();
-    let batch_tn = exact_binomial_sample_size_batch_with_pool(
-        &TABLE_EPSILONS,
-        &TABLE_DELTAS,
-        Tail::TwoSided,
-        &n_pool,
-    )
-    .unwrap();
-    assert_eq!(batch_t1, batch_tn, "batch must be thread-count invariant");
-    assert_eq!(batch_t1, per_cell, "batch must match per-cell inversion");
+    let invert = |&(eps, delta): &(f64, f64)| {
+        exact_binomial_sample_size(eps, delta, Tail::TwoSided).unwrap()
+    };
+    let sequential = || cells.iter().map(invert).collect::<Vec<u64>>();
+    let fanned = || n_pool.par_map(&cells, invert);
+    let seq_ns = time_ns(runs, sequential);
+    let par_ns = time_ns(runs, fanned);
+    assert_eq!(
+        sequential(),
+        fanned(),
+        "par_map table must match the sequential per-cell table"
+    );
 
     // (b) Pooled Monte-Carlo soundness trials against the real engine.
     let trials: u32 = if quick { 200 } else { 1_000 };
@@ -216,38 +176,17 @@ fn parallel_section(threads: usize, quick: bool, runs: usize) -> String {
         "violation_report must be thread-count invariant"
     );
 
-    // Serving path: the estimator's grid entry point consults the
-    // shared BoundsCache first, so a warm table is pure lookups.
-    let estimator = SampleSizeEstimator::new();
-    let (_, grid_cold_ns) = time_once(|| {
-        estimator
-            .exact_sample_size_grid(&TABLE_EPSILONS, &TABLE_DELTAS, Tail::TwoSided)
-            .unwrap()
-    });
-    let grid_warm_ns = time_ns(runs.max(5), || {
-        estimator
-            .exact_sample_size_grid(&TABLE_EPSILONS, &TABLE_DELTAS, Tail::TwoSided)
-            .unwrap()
-    });
-
     println!(
         "\n== parallel execution layer (pool: {} threads available, measured at {}) ==",
         threads,
         n_pool.threads()
     );
     println!(
-        "grid entry    : cold {:.1} ms, warm (cache) {:.1} us per 25-cell table",
-        grid_cold_ns / 1e6,
-        grid_warm_ns / 1e3,
-    );
-    println!(
-        "5x5 table     : per-cell {:.1} ms | batch t1 {:.1} ms ({:.2}x) | batch t{} {:.1} ms ({:.2}x)",
+        "5x5 table     : per-cell sequential {:.1} ms | par_map t{} {:.1} ms ({:.2}x), outputs identical",
         seq_ns / 1e6,
-        batch_t1_ns / 1e6,
-        seq_ns / batch_t1_ns,
         n_pool.threads(),
-        batch_tn_ns / 1e6,
-        seq_ns / batch_tn_ns,
+        par_ns / 1e6,
+        seq_ns / par_ns,
     );
     println!(
         "{} MC trials : t1 {:.0} ms | t{} {:.0} ms ({:.2}x), outputs bit-identical",
@@ -261,27 +200,21 @@ fn parallel_section(threads: usize, quick: bool, runs: usize) -> String {
     format!(
         "{{\n    \"threads_available\": {}, \"threads_measured\": {},\n    \
          \"table\": {{\"epsilons\": {}, \"deltas\": {}, \"tail\": \"two-sided\", \
-         \"sequential_per_cell_ns\": {:.0}, \"batch_t1_ns\": {:.0}, \"batch_tn_ns\": {:.0}, \
-         \"batch_speedup_t1\": {:.2}, \"batch_speedup_tn\": {:.2}, \"bit_identical\": true}},\n    \
+         \"sequential_per_cell_ns\": {:.0}, \"par_map_ns\": {:.0}, \
+         \"par_map_speedup\": {:.2}, \"bit_identical\": true}},\n    \
          \"violation_report\": {{\"trials\": {}, \"t1_ns\": {:.0}, \"tn_ns\": {:.0}, \
-         \"speedup\": {:.2}, \"bit_identical\": true}},\n    \
-         \"grid_entry\": {{\"cells\": {}, \"cold_ns\": {:.0}, \"warm_cached_ns\": {:.0}}}\n  }}",
+         \"speedup\": {:.2}, \"bit_identical\": true}}\n  }}",
         threads,
         n_pool.threads(),
         TABLE_EPSILONS.len(),
         TABLE_DELTAS.len(),
         seq_ns,
-        batch_t1_ns,
-        batch_tn_ns,
-        seq_ns / batch_t1_ns,
-        seq_ns / batch_tn_ns,
+        par_ns,
+        seq_ns / par_ns,
         trials,
         mc_t1_ns,
         mc_tn_ns,
         mc_t1_ns / mc_tn_ns,
-        TABLE_EPSILONS.len() * TABLE_DELTAS.len(),
-        grid_cold_ns,
-        grid_warm_ns,
     )
 }
 

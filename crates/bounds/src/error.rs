@@ -46,8 +46,6 @@ pub enum BoundsError {
         /// Name of the routine that failed.
         routine: &'static str,
     },
-    /// A batch inversion was asked for an empty `(ε, δ)` grid.
-    EmptyBatch,
 }
 
 impl fmt::Display for BoundsError {
@@ -80,12 +78,6 @@ impl fmt::Display for BoundsError {
             }
             BoundsError::NoConvergence { routine } => {
                 write!(f, "numeric routine `{routine}` failed to converge")
-            }
-            BoundsError::EmptyBatch => {
-                write!(
-                    f,
-                    "batch inversion requires at least one epsilon and one delta"
-                )
             }
         }
     }

@@ -18,9 +18,9 @@
 //!    [`crate::binomial::worst_case_deviation_hinted`]: a hill-climb that
 //!    starts from the maximizer `p*` of the previous probe (the maximizer
 //!    drifts only slightly between nearby `n`) and exits early as soon as
-//!    the probe provably exceeds `δ`. Probes are memoized, so the
-//!    galloping phase, the binary search, and the patch phase never
-//!    re-evaluate an `n`. Scans with nothing to carry — the Hoeffding
+//!    the probe provably exceeds `δ`. The galloping probes only climb and
+//!    every bisection midpoint lies strictly inside the open bracket, so
+//!    no `n` is probed twice. Scans with nothing to carry — the Hoeffding
 //!    bracket check, the first probe, the first acceptance scan, and
 //!    the first step and final certification of
 //!    [`exact_binomial_epsilon`]'s bisection — start cold: one-sided
@@ -40,13 +40,8 @@
 //!    so accepted sizes can sit a few sawtooth teeth above the seed's,
 //!    never below.)
 //!
-//! All per-`n` state lives in an [`InversionContext`] keyed by `(ε,
-//! tail)`. Probe values are stored, not just compared, so one context can
-//! serve a whole *column* of `δ` values: the batch API
-//! ([`crate::exact_binomial_sample_size_batch`]) walks each column in
-//! decreasing `δ` and re-uses every probe and every acceptance scan
-//! across the cells (the minimal `n` is antitone in `δ`, so each answer
-//! also floors the next search).
+//! All search state lives in an [`InversionContext`], which serves
+//! exactly one `(ε, δ, tail)` cell: a table is one inversion per cell.
 
 use crate::binomial::{
     deviation_probability, worst_case_deviation_jump, worst_case_deviation_tail, JumpHint,
@@ -58,47 +53,32 @@ use crate::tail::Tail;
 use std::cell::Cell;
 use std::collections::HashMap;
 
-/// Outcome of one memoized fast probe of `worst(n)`.
-///
-/// Values — not booleans — are stored so a probe computed against one
-/// `δ` can be re-used to decide another.
-#[derive(Debug, Clone, Copy)]
-enum Probe {
-    /// The full hinted search completed; the value is its supremum.
-    Exact(f64),
-    /// The search early-exited above some `δ`; the value is only a lower
-    /// bound on the true worst case (still decisive for any `δ` below
-    /// it).
-    AtLeast(f64),
-}
-
-/// Shared state of one or more minimal-`n` inversions at a fixed
-/// `(ε, tail)`: memoized worst-case probes, memoized reference
-/// acceptance scans, and the per-family maximizing jump indices
-/// threaded across probes.
-pub(crate) struct InversionContext {
+/// State of one minimal-`n` inversion at a fixed `(ε, δ, tail)`: the
+/// per-family maximizing jump indices threaded across probes and the
+/// memoized reference acceptance scans.
+struct InversionContext {
     eps: f64,
+    delta: f64,
     tail: Tail,
     /// Per-family maximizing jump indices carried across successive
     /// probes, so each breakpoint climb starts from the previous
     /// probe's argmax of *its own* family (~2–3 tail evaluations)
     /// instead of a fresh walk-in.
     jump: JumpHint,
-    probes: HashMap<u64, Probe>,
-    /// Full-grid reference scans backing the sawtooth acceptance.
+    /// Breakpoint-exact reference scans backing the sawtooth acceptance.
     reference: HashMap<u64, f64>,
     /// `(n, hint)` of the most recent reference scan, carried into the
     /// next one when it probes a nearby size. The acceptance window
-    /// walks consecutive sizes and adjacent batch cells land a handful
-    /// apart, so the maximizer fraction barely drifts — but a far-off
-    /// warm start can settle short of the sup, so the carry is gated
-    /// to `|n − last_n| ≤ 8` and the scan starts cold otherwise.
+    /// walks consecutive sizes, so the maximizer fraction barely drifts
+    /// — but a far-off warm start can settle short of the sup, so the
+    /// carry is gated to `|n − last_n| ≤ 8` and the scan starts cold
+    /// otherwise.
     ref_jump: Option<(u64, JumpHint)>,
 }
 
 impl InversionContext {
-    /// Validates `eps` and builds an empty context.
-    pub(crate) fn new(eps: f64, tail: Tail) -> Result<Self> {
+    /// Validates `eps` and `delta` and builds an empty context.
+    fn new(eps: f64, delta: f64, tail: Tail) -> Result<Self> {
         check_positive("eps", eps)?;
         if eps >= 1.0 {
             return Err(BoundsError::ToleranceExceedsRange {
@@ -106,36 +86,25 @@ impl InversionContext {
                 range: 1.0,
             });
         }
+        check_probability("delta", delta)?;
         Ok(InversionContext {
             eps,
+            delta,
             tail,
             jump: JumpHint::cold(),
-            probes: HashMap::new(),
             reference: HashMap::new(),
             ref_jump: None,
         })
     }
 
-    /// Does the worst-case deviation at `n` exceed `delta`?
-    fn exceeds(&mut self, n: u64, delta: f64) -> bool {
-        match self.probes.get(&n) {
-            Some(Probe::Exact(v)) => return *v > delta,
-            // A lower bound decides "exceeds" for any smaller budget; a
-            // lower bound *below* delta decides nothing and falls through
-            // to a fresh (early-exiting) search.
-            Some(Probe::AtLeast(v)) if *v > delta => return true,
-            _ => {}
-        }
+    /// Does the worst-case deviation at `n` exceed `δ`? The hinted
+    /// search exits early once it does, so its value is only decisive
+    /// against this `δ`.
+    fn exceeds(&mut self, n: u64) -> bool {
         let (worst, _, next) =
-            worst_case_deviation_jump(n, self.eps, self.tail, self.jump, Some(delta));
+            worst_case_deviation_jump(n, self.eps, self.tail, self.jump, Some(self.delta));
         self.jump = next;
-        let probe = if worst > delta {
-            Probe::AtLeast(worst)
-        } else {
-            Probe::Exact(worst)
-        };
-        self.probes.insert(n, probe);
-        worst > delta
+        worst > self.delta
     }
 
     /// Memoized breakpoint-exact reference scan (the acceptance
@@ -159,31 +128,24 @@ impl InversionContext {
         worst
     }
 
-    /// Smallest `n ≥ floor` whose worst case (and that of the next few
-    /// sizes) stays within `delta`. `floor` is a known valid lower bound
-    /// on the answer — `1` for a standalone inversion, the previous
-    /// (larger-`δ`) cell's answer when walking a batch column.
-    pub(crate) fn invert(&mut self, delta: f64, floor: u64) -> Result<u64> {
-        check_probability("delta", delta)?;
+    /// Smallest `n` whose worst case (and that of the next few sizes)
+    /// stays within `δ`.
+    fn invert(&mut self) -> Result<u64> {
         // Upper bracket: Hoeffding is a valid (conservative) answer.
-        let hoeffding = hoeffding_sample_size(1.0, self.eps, delta, self.tail)?;
-        if self.reference_worst(hoeffding) > delta {
+        let hoeffding = hoeffding_sample_size(1.0, self.eps, self.delta, self.tail)?;
+        if self.reference_worst(hoeffding) > self.delta {
             // Sawtooth pushed the boundary past Hoeffding (extremely
             // rare); fall back to the conservative answer.
             return Ok(hoeffding);
-        }
-        let floor = floor.max(1);
-        if floor >= hoeffding {
-            return Ok(self.accept_from(hoeffding, delta));
         }
 
         // Galloping bracket: start from a cheap lower bound (the exact
         // answer sits above ~0.7x Hoeffding empirically; 0.55x leaves
         // margin) and double the step until the constraint flips.
-        let mut lo = floor;
+        let mut lo = 1;
         let mut hi = hoeffding;
-        let start = ((hoeffding as f64 * 0.55) as u64).clamp(floor, hoeffding);
-        if self.exceeds(start, delta) {
+        let start = ((hoeffding as f64 * 0.55) as u64).clamp(1, hoeffding);
+        if self.exceeds(start) {
             lo = start + 1;
             let mut step = (hoeffding / 64).max(16);
             let mut at = start;
@@ -192,7 +154,7 @@ impl InversionContext {
                 if next >= hoeffding {
                     break;
                 }
-                if self.exceeds(next, delta) {
+                if self.exceeds(next) {
                     lo = next + 1;
                     at = next;
                     step = step.saturating_mul(2);
@@ -205,28 +167,28 @@ impl InversionContext {
             hi = start;
         }
 
-        // Binary search on the bracket with memoized, warm-started probes.
+        // Binary search on the bracket with warm-started probes.
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if self.exceeds(mid, delta) {
+            if self.exceeds(mid) {
                 lo = mid + 1;
             } else {
                 hi = mid;
             }
         }
-        Ok(self.accept_from(lo, delta))
+        Ok(self.accept_from(lo))
     }
 
     /// Patch the sawtooth: step forward from `from` until a run of
     /// consecutive sizes all satisfy the constraint (so slightly larger
     /// testsets remain valid). Acceptance uses the breakpoint-exact
-    /// reference scan, memoized because consecutive windows — and
-    /// adjacent batch cells — overlap.
-    fn accept_from(&mut self, from: u64, delta: f64) -> u64 {
+    /// reference scan, memoized so a window that reaches the Hoeffding
+    /// bracket re-uses its scan.
+    fn accept_from(&mut self, from: u64) -> u64 {
         let mut n = from;
         'outer: loop {
             for offset in 0..8u64 {
-                if self.reference_worst(n + offset) > delta {
+                if self.reference_worst(n + offset) > self.delta {
                     n += offset + 1;
                     continue 'outer;
                 }
@@ -249,9 +211,8 @@ impl InversionContext {
 /// the breakpoint-exact reference scan, so the warm-started fast probes
 /// only ever decide *where to look*, never what to accept.
 ///
-/// Inverting a whole `(ε, δ)` table? Use
-/// [`crate::exact_binomial_sample_size_batch`], which shares the search
-/// state across cells and runs columns in parallel.
+/// A whole `(ε, δ)` table is one call per cell; the cells share no
+/// search state, so a caller may fan them out across threads freely.
 ///
 /// # Errors
 ///
@@ -271,7 +232,7 @@ impl InversionContext {
 /// # }
 /// ```
 pub fn exact_binomial_sample_size(eps: f64, delta: f64, tail: Tail) -> Result<u64> {
-    InversionContext::new(eps, tail)?.invert(delta, 1)
+    InversionContext::new(eps, delta, tail)?.invert()
 }
 
 /// Exact Clopper–Pearson style confidence half-width: smallest `ε` such
@@ -411,25 +372,5 @@ mod tests {
         assert!(exact_binomial_sample_size(1.0, 0.01, Tail::TwoSided).is_err());
         assert!(exact_binomial_sample_size(0.1, 0.0, Tail::TwoSided).is_err());
         assert!(exact_binomial_epsilon(0, 0.01, Tail::TwoSided).is_err());
-    }
-
-    /// One context serving a falling-δ column must agree with fresh
-    /// standalone inversions cell by cell.
-    #[test]
-    fn shared_context_matches_standalone_inversions() {
-        for tail in [Tail::TwoSided, Tail::OneSided] {
-            let eps = 0.06;
-            let mut ctx = InversionContext::new(eps, tail).unwrap();
-            let mut floor = 1;
-            for delta in [0.05, 0.01, 0.001, 0.0001] {
-                let shared = ctx.invert(delta, floor).unwrap();
-                let standalone = exact_binomial_sample_size(eps, delta, tail).unwrap();
-                assert_eq!(
-                    shared, standalone,
-                    "{tail} delta={delta}: shared {shared} vs standalone {standalone}"
-                );
-                floor = shared;
-            }
-        }
     }
 }

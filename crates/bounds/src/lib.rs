@@ -56,7 +56,7 @@
 //! whole inversions across commits and clauses, so steady-state serving
 //! degenerates to a sub-microsecond map lookup.
 //!
-//! Two further layers serve table-shaped traffic:
+//! A fourth layer makes each worst-case probe exact as well as cheap:
 //!
 //! 4. **Breakpoint-exact worst-case scans**
 //!    ([`binomial::worst_case_deviation_one_sided_exact`],
@@ -66,12 +66,12 @@
 //!    breakpoint family one-sided, both tails' families two-sided —
 //!    replaces the grid scan entirely, cheaper and exact rather than
 //!    grid-resolution approximate.
-//! 5. **Batched table inversion** ([`exact_binomial_sample_size_batch`]):
-//!    a Figure-2-style `(ε, δ)` grid walks each `ε`-column in decreasing
-//!    `δ` through one shared search context (probe and acceptance memos,
-//!    floored brackets) and fans independent columns out across the
-//!    vendored `easeml_par` thread pool, bit-identical to per-cell
-//!    inversion at any thread count.
+//!
+//! Every inversion answers one `(ε, δ, tail)` cell. A Figure-2-style
+//! table is one inversion per cell; callers that want the cells in
+//! parallel fan them out themselves (the `repro_fig2` and
+//! `repro_bounds_perf` binaries use `easeml_par::Pool::par_map`), so this
+//! crate spawns no threads and depends on no other crate.
 //!
 //! # Examples
 //!
@@ -98,7 +98,6 @@
 #![allow(clippy::excessive_precision)]
 
 mod adaptivity;
-mod batch;
 mod bennett;
 mod bernstein;
 pub mod binomial;
@@ -113,10 +112,6 @@ mod twosided;
 mod union;
 
 pub use adaptivity::{trivial_strategy_total, Adaptivity, ParseAdaptivityError};
-pub use batch::{
-    exact_binomial_sample_size_batch, exact_binomial_sample_size_batch_with_pool,
-    exact_binomial_sample_size_cells, exact_binomial_sample_size_cells_with_pool,
-};
 pub use bennett::{
     active_labels_per_commit, bennett_delta, bennett_epsilon, bennett_epsilon_from_ln_delta,
     bennett_h, bennett_h_inv, bennett_h_prime, bennett_sample_size,

@@ -2,11 +2,10 @@
 
 use easeml_bounds::{
     bennett_epsilon, bennett_h, bennett_h_inv, bennett_sample_size, bernstein_sample_size,
-    binomial, exact_binomial_sample_size, exact_binomial_sample_size_batch_with_pool,
-    hoeffding_delta, hoeffding_epsilon, hoeffding_sample_size, mcdiarmid_sample_size, numeric,
-    reference, split_delta_weighted, Adaptivity, Tail,
+    binomial, exact_binomial_sample_size, hoeffding_delta, hoeffding_epsilon,
+    hoeffding_sample_size, mcdiarmid_sample_size, numeric, reference, split_delta_weighted,
+    Adaptivity, Tail,
 };
-use easeml_par::Pool;
 use proptest::prelude::*;
 
 fn eps_strategy() -> impl Strategy<Value = f64> {
@@ -203,30 +202,6 @@ proptest! {
             exact >= grid_max * (1.0 - 1e-12),
             "n={n} eps={eps}: exact {exact} below grid {grid_max}"
         );
-    }
-
-    /// Batch inversion is bit-identical across thread counts and to the
-    /// per-cell inversion, for random small grids.
-    #[test]
-    fn batch_inversion_deterministic_across_threads(
-        epsilons in prop::collection::vec(0.04f64..0.3, 1..4),
-        deltas in prop::collection::vec(1e-4f64..0.1, 1..4),
-        tail in prop_oneof![Just(Tail::OneSided), Just(Tail::TwoSided)],
-    ) {
-        let one = exact_binomial_sample_size_batch_with_pool(&epsilons, &deltas, tail, &Pool::new(1)).unwrap();
-        for threads in [2usize, 8] {
-            let wide = exact_binomial_sample_size_batch_with_pool(&epsilons, &deltas, tail, &Pool::new(threads)).unwrap();
-            prop_assert_eq!(&one, &wide, "threads={}", threads);
-        }
-        for (i, &eps) in epsilons.iter().enumerate() {
-            for (j, &delta) in deltas.iter().enumerate() {
-                prop_assert_eq!(
-                    one[i][j],
-                    exact_binomial_sample_size(eps, delta, tail).unwrap(),
-                    "eps={} delta={}", eps, delta
-                );
-            }
-        }
     }
 
     /// The per-family jump-index carry is pinned against the reference

@@ -149,44 +149,21 @@ pub fn clause_sample_size(
     leaf_bound: LeafBound,
     tail: Tail,
 ) -> Result<ClauseEstimate> {
-    clause_sample_size_with_cache(
-        clause,
-        ln_delta,
-        allocation,
-        leaf_bound,
-        tail,
-        CachePolicy::Shared,
-    )
-}
-
-/// [`clause_sample_size`] with explicit control over the shared
-/// [`BoundsCache`] (benches and property tests use
-/// [`CachePolicy::Bypass`] to measure/validate the uncached path).
-///
-/// # Errors
-///
-/// Same conditions as [`clause_sample_size`].
-pub fn clause_sample_size_with_cache(
-    clause: &Clause,
-    ln_delta: f64,
-    allocation: Allocation,
-    leaf_bound: LeafBound,
-    tail: Tail,
-    cache: CachePolicy,
-) -> Result<ClauseEstimate> {
     clause_sample_size_with_options(
         clause,
         ln_delta,
         allocation,
         leaf_bound,
         tail,
-        cache,
+        CachePolicy::Shared,
         MetricSensitivity::default(),
     )
 }
 
-/// [`clause_sample_size_with_cache`] with explicit metric sensitivities
-/// for McDiarmid leaves (metric-free clauses ignore them).
+/// [`clause_sample_size`] with explicit control over the shared
+/// [`BoundsCache`] ([`CachePolicy::Bypass`] measures or validates the
+/// uncached path) and explicit metric sensitivities for McDiarmid
+/// leaves (metric-free clauses ignore them).
 ///
 /// # Errors
 ///
@@ -247,43 +224,20 @@ pub fn formula_sample_size(
     leaf_bound: LeafBound,
     tail: Tail,
 ) -> Result<(u64, Vec<ClauseEstimate>)> {
-    formula_sample_size_with_cache(
-        formula,
-        ln_delta,
-        allocation,
-        leaf_bound,
-        tail,
-        CachePolicy::Shared,
-    )
-}
-
-/// [`formula_sample_size`] with explicit control over the shared
-/// [`BoundsCache`].
-///
-/// # Errors
-///
-/// Propagates the per-clause error conditions.
-pub fn formula_sample_size_with_cache(
-    formula: &Formula,
-    ln_delta: f64,
-    allocation: Allocation,
-    leaf_bound: LeafBound,
-    tail: Tail,
-    cache: CachePolicy,
-) -> Result<(u64, Vec<ClauseEstimate>)> {
     formula_sample_size_with_options(
         formula,
         ln_delta,
         allocation,
         leaf_bound,
         tail,
-        cache,
+        CachePolicy::Shared,
         MetricSensitivity::default(),
     )
 }
 
-/// [`formula_sample_size_with_cache`] with explicit metric sensitivities
-/// for McDiarmid leaves (metric-free formulas ignore them).
+/// [`formula_sample_size`] with explicit control over the shared
+/// [`BoundsCache`] and explicit metric sensitivities for McDiarmid
+/// leaves (metric-free formulas ignore them).
 ///
 /// # Errors
 ///

@@ -25,9 +25,9 @@ mod baseline;
 mod pattern;
 
 pub use baseline::{
-    clause_sample_size, clause_sample_size_with_cache, clause_sample_size_with_options,
-    formula_sample_size, formula_sample_size_with_cache, formula_sample_size_with_options,
-    Allocation, ClauseEstimate, LeafBound, LeafEstimate, MetricSensitivity,
+    clause_sample_size, clause_sample_size_with_options, formula_sample_size,
+    formula_sample_size_with_options, Allocation, ClauseEstimate, LeafBound, LeafEstimate,
+    MetricSensitivity,
 };
 pub use pattern::{
     coarse_to_fine_plan, hierarchical_plan, implicit_variance_plan, implicit_variance_test_phase,
@@ -35,12 +35,11 @@ pub use pattern::{
     ImplicitVariancePlan, OptimizedPlan, Pattern1Options, Pattern2Options, PhaseEstimate,
 };
 
-use crate::cache::{BoundsCache, BoundsKey, CachePolicy, PlanCache, PlanFingerprint};
+use crate::cache::{CachePolicy, PlanCache, PlanFingerprint};
 use crate::error::Result;
 use crate::logic::Mode;
 use crate::script::CiScript;
 use easeml_bounds::{Adaptivity, Tail};
-use easeml_par::Pool;
 
 /// Exact `f64` rendering for [`plan_fingerprint`]: 16 lowercase hex
 /// digits of the bit pattern, so distinct values never share a key.
@@ -314,81 +313,6 @@ impl SampleSizeEstimator {
         cfg.strategy = EstimatorStrategy::BaselineOnly;
         SampleSizeEstimator::with_config(cfg).estimate(script)
     }
-
-    /// Figure-2-style table of §4.3 exact-binomial sample sizes:
-    /// `result[i][j]` is the smallest `n` for `(epsilons[i], deltas[j])`
-    /// at the given tail convention.
-    ///
-    /// The batch entry point of the serving stack: each cell first
-    /// consults the shared [`BoundsCache`] (under the configured
-    /// [`CachePolicy`]), and only the misses are dispatched — as one
-    /// batch sharing search state per `ε`-column, columns in parallel on
-    /// [`Pool::global`] — to
-    /// [`easeml_bounds::exact_binomial_sample_size_batch`]'s cell API.
-    /// Fresh inversions are stored back, so a warm cache turns the whole
-    /// table into map lookups.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for any invalid `ε` or `δ`.
-    pub fn exact_sample_size_grid(
-        &self,
-        epsilons: &[f64],
-        deltas: &[f64],
-        tail: Tail,
-    ) -> Result<Vec<Vec<u64>>> {
-        self.exact_sample_size_grid_with_pool(epsilons, deltas, tail, Pool::global())
-    }
-
-    /// [`Self::exact_sample_size_grid`] on an explicit pool (benches and
-    /// determinism tests pin the thread count).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::exact_sample_size_grid`].
-    pub fn exact_sample_size_grid_with_pool(
-        &self,
-        epsilons: &[f64],
-        deltas: &[f64],
-        tail: Tail,
-        pool: &Pool,
-    ) -> Result<Vec<Vec<u64>>> {
-        let cache = match self.config.cache {
-            CachePolicy::Shared => Some(BoundsCache::global()),
-            CachePolicy::Bypass => None,
-        };
-        let mut grid = vec![vec![0u64; deltas.len()]; epsilons.len()];
-        let mut miss_cells: Vec<(f64, f64)> = Vec::new();
-        let mut miss_slots: Vec<(usize, usize)> = Vec::new();
-        for (i, &eps) in epsilons.iter().enumerate() {
-            for (j, &delta) in deltas.iter().enumerate() {
-                // Invalid δ skips the probe and surfaces its error from
-                // the batch dispatch below.
-                let hit = match cache {
-                    Some(c) if delta > 0.0 => c.lookup(&BoundsKey::new(tail, eps, delta.ln())),
-                    _ => None,
-                };
-                match hit {
-                    Some(n) => grid[i][j] = n,
-                    None => {
-                        miss_cells.push((eps, delta));
-                        miss_slots.push((i, j));
-                    }
-                }
-            }
-        }
-        if !miss_cells.is_empty() {
-            let inverted =
-                easeml_bounds::exact_binomial_sample_size_cells_with_pool(&miss_cells, tail, pool)?;
-            for (((i, j), &(eps, delta)), &n) in miss_slots.iter().zip(&miss_cells).zip(&inverted) {
-                grid[*i][*j] = n;
-                if let Some(c) = cache {
-                    c.store(BoundsKey::new(tail, eps, delta.ln()), n);
-                }
-            }
-        }
-        Ok(grid)
-    }
 }
 
 #[cfg(test)]
@@ -461,72 +385,6 @@ mod tests {
             est.total_samples(),
             est.labeled_samples + est.unlabeled_samples
         );
-    }
-
-    #[test]
-    fn grid_entry_point_matches_per_cell_and_fills_cache() {
-        let epsilons = [0.1, 0.05];
-        let deltas = [0.01, 0.001];
-        let estimator = SampleSizeEstimator::new();
-        let grid = estimator
-            .exact_sample_size_grid(&epsilons, &deltas, Tail::TwoSided)
-            .unwrap();
-        for (i, &eps) in epsilons.iter().enumerate() {
-            for (j, &delta) in deltas.iter().enumerate() {
-                let single =
-                    easeml_bounds::exact_binomial_sample_size(eps, delta, Tail::TwoSided).unwrap();
-                assert_eq!(grid[i][j], single, "eps={eps} delta={delta}");
-            }
-        }
-        // A second pass must be pure cache hits: bypassing the cache and
-        // hitting it must agree, and the shared map now holds the cells.
-        let again = estimator
-            .exact_sample_size_grid(&epsilons, &deltas, Tail::TwoSided)
-            .unwrap();
-        assert_eq!(grid, again);
-        let bypass = SampleSizeEstimator::with_config(EstimatorConfig {
-            cache: crate::cache::CachePolicy::Bypass,
-            ..EstimatorConfig::default()
-        })
-        .exact_sample_size_grid(&epsilons, &deltas, Tail::TwoSided)
-        .unwrap();
-        assert_eq!(grid, bypass);
-    }
-
-    #[test]
-    fn grid_entry_point_is_thread_count_invariant() {
-        let epsilons = [0.08, 0.06, 0.12];
-        let deltas = [0.02, 0.005];
-        // Bypass the shared cache so every width recomputes.
-        let estimator = SampleSizeEstimator::with_config(EstimatorConfig {
-            cache: crate::cache::CachePolicy::Bypass,
-            ..EstimatorConfig::default()
-        });
-        let one = estimator
-            .exact_sample_size_grid_with_pool(&epsilons, &deltas, Tail::OneSided, &Pool::new(1))
-            .unwrap();
-        for threads in [2, 8] {
-            let wide = estimator
-                .exact_sample_size_grid_with_pool(
-                    &epsilons,
-                    &deltas,
-                    Tail::OneSided,
-                    &Pool::new(threads),
-                )
-                .unwrap();
-            assert_eq!(one, wide, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn grid_entry_point_rejects_bad_cells() {
-        let estimator = SampleSizeEstimator::new();
-        assert!(estimator
-            .exact_sample_size_grid(&[0.1], &[0.0], Tail::TwoSided)
-            .is_err());
-        assert!(estimator
-            .exact_sample_size_grid(&[1.2], &[0.01], Tail::TwoSided)
-            .is_err());
     }
 
     /// Plan-cache-served estimates are indistinguishable from fresh

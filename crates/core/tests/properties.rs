@@ -278,26 +278,38 @@ proptest! {
         );
     }
 
-    /// Grid inversions with the shared caches enabled are bit-identical
-    /// to cache-bypassing sequential runs at threads ∈ {1, 2, 8}.
+    /// Exact-binomial leaf estimates over an `ε × δ` grid, fanned out
+    /// cell by cell with `Pool::par_map`, read the same through the
+    /// shared `BoundsCache` (concurrent fills and hits) as cache-bypassing
+    /// sequential runs, at threads ∈ {1, 2, 8}.
     #[test]
     fn shared_cache_grid_matches_bypass_at_any_width(
         epsilons in prop::collection::vec(0.05f64..0.3, 1..3),
         deltas in prop::collection::vec(1e-3f64..0.1, 1..3),
     ) {
+        use easeml_ci_core::estimator::{clause_sample_size_with_options, MetricSensitivity};
         use easeml_par::Pool;
-        let shared = SampleSizeEstimator::new();
-        let bypass = SampleSizeEstimator::with_config(EstimatorConfig {
-            cache: CachePolicy::Bypass,
-            ..EstimatorConfig::default()
-        });
-        let reference = bypass
-            .exact_sample_size_grid_with_pool(&epsilons, &deltas, Tail::TwoSided, &Pool::new(1))
-            .unwrap();
+        let cells: Vec<(f64, f64)> = epsilons
+            .iter()
+            .flat_map(|&eps| deltas.iter().map(move |&delta| (eps, delta)))
+            .collect();
+        let leaf = |&(eps, delta): &(f64, f64), cache: CachePolicy| {
+            let clause = Clause::new(Expr::Var(Var::N), CmpOp::Gt, 0.5, eps);
+            clause_sample_size_with_options(
+                &clause,
+                delta.ln(),
+                Allocation::EqualSplit,
+                LeafBound::ExactBinomial,
+                Tail::TwoSided,
+                cache,
+                MetricSensitivity::default(),
+            )
+            .unwrap()
+            .samples
+        };
+        let reference: Vec<u64> = cells.iter().map(|cell| leaf(cell, CachePolicy::Bypass)).collect();
         for threads in [1usize, 2, 8] {
-            let got = shared
-                .exact_sample_size_grid_with_pool(&epsilons, &deltas, Tail::TwoSided, &Pool::new(threads))
-                .unwrap();
+            let got = Pool::new(threads).par_map(&cells, |cell| leaf(cell, CachePolicy::Shared));
             prop_assert_eq!(&reference, &got, "threads={}", threads);
         }
     }

@@ -9,7 +9,8 @@
 //!   kernel returns only the ready ones;
 //! * on every other unix, portable **`poll(2)`** over a maintained
 //!   `pollfd` array — `O(fds)` per wait, fine at the scales a non-Linux
-//!   dev machine runs.
+//!   dev machine runs. Test builds compile it on Linux too, so the same
+//!   readiness tests run against both backends there.
 //!
 //! Both backends are level-triggered: a descriptor with unconsumed
 //! readiness is reported again on the next wait, so the event loop never
@@ -63,7 +64,7 @@ fn retry_eintr(mut call: impl FnMut() -> i32) -> io::Result<i32> {
 }
 
 #[cfg(target_os = "linux")]
-mod backend {
+mod epoll {
     use super::{retry_eintr, timeout_ms, Event};
     use std::io;
     use std::os::fd::RawFd;
@@ -214,8 +215,8 @@ mod backend {
     }
 }
 
-#[cfg(not(target_os = "linux"))]
-mod backend {
+#[cfg(any(test, not(target_os = "linux")))]
+mod poll {
     use super::{retry_eintr, timeout_ms, Event};
     use std::collections::HashMap;
     use std::io;
@@ -347,65 +348,93 @@ mod backend {
     }
 }
 
-pub(crate) use backend::Poller;
+#[cfg(target_os = "linux")]
+pub(crate) use epoll::Poller;
+#[cfg(not(target_os = "linux"))]
+pub(crate) use poll::Poller;
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use std::io::Write;
-    use std::os::fd::AsRawFd;
-    use std::os::unix::net::UnixStream;
-    use std::time::Instant;
+    /// The readiness checks, instantiated once per backend so the
+    /// `poll(2)` fallback runs on Linux next to epoll.
+    macro_rules! backend_checks {
+        ($backend:ident) => {
+            mod $backend {
+                use super::super::$backend::Poller;
+                use std::io::Write;
+                use std::os::fd::AsRawFd;
+                use std::os::unix::net::UnixStream;
+                use std::time::{Duration, Instant};
+
+                pub(super) fn readability_and_timeout() {
+                    let mut poller = Poller::new().unwrap();
+                    let (a, b) = UnixStream::pair().unwrap();
+                    a.set_nonblocking(true).unwrap();
+                    poller.register(a.as_raw_fd(), 7, true, false).unwrap();
+
+                    // Nothing pending: the wait honours its timeout.
+                    let mut events = Vec::new();
+                    let t = Instant::now();
+                    poller
+                        .wait(&mut events, Some(Duration::from_millis(30)))
+                        .unwrap();
+                    assert!(events.is_empty());
+                    assert!(t.elapsed() >= Duration::from_millis(25));
+
+                    // A byte arrives: readable, with the registered token.
+                    (&b).write_all(b"x").unwrap();
+                    poller
+                        .wait(&mut events, Some(Duration::from_secs(5)))
+                        .unwrap();
+                    assert_eq!(events.len(), 1);
+                    assert_eq!(events[0].token, 7);
+                    assert!(events[0].readable);
+
+                    poller.deregister(a.as_raw_fd()).unwrap();
+                    poller
+                        .wait(&mut events.split_off(0), Some(Duration::from_millis(1)))
+                        .unwrap();
+                }
+
+                pub(super) fn writability_only_when_asked() {
+                    let mut poller = Poller::new().unwrap();
+                    let (a, _b) = UnixStream::pair().unwrap();
+                    a.set_nonblocking(true).unwrap();
+                    poller.register(a.as_raw_fd(), 3, true, false).unwrap();
+                    let mut events = Vec::new();
+                    poller
+                        .wait(&mut events, Some(Duration::from_millis(5)))
+                        .unwrap();
+                    assert!(events.iter().all(|e| !e.writable));
+
+                    // An empty send buffer is immediately writable once
+                    // registered.
+                    poller.modify(a.as_raw_fd(), 3, true, true).unwrap();
+                    events.clear();
+                    poller
+                        .wait(&mut events, Some(Duration::from_secs(5)))
+                        .unwrap();
+                    assert!(events.iter().any(|e| e.token == 3 && e.writable));
+                }
+            }
+        };
+    }
+
+    #[cfg(target_os = "linux")]
+    backend_checks!(epoll);
+    backend_checks!(poll);
 
     #[test]
     fn poller_reports_readability_and_timeout() {
-        let mut poller = Poller::new().unwrap();
-        let (a, b) = UnixStream::pair().unwrap();
-        a.set_nonblocking(true).unwrap();
-        poller.register(a.as_raw_fd(), 7, true, false).unwrap();
-
-        // Nothing pending: the wait honours its timeout.
-        let mut events = Vec::new();
-        let t = Instant::now();
-        poller
-            .wait(&mut events, Some(Duration::from_millis(30)))
-            .unwrap();
-        assert!(events.is_empty());
-        assert!(t.elapsed() >= Duration::from_millis(25));
-
-        // A byte arrives: readable, with the registered token.
-        (&b).write_all(b"x").unwrap();
-        poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
-            .unwrap();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].token, 7);
-        assert!(events[0].readable);
-
-        poller.deregister(a.as_raw_fd()).unwrap();
-        poller
-            .wait(&mut events.split_off(0), Some(Duration::from_millis(1)))
-            .unwrap();
+        #[cfg(target_os = "linux")]
+        epoll::readability_and_timeout();
+        poll::readability_and_timeout();
     }
 
     #[test]
     fn poller_reports_writability_only_when_asked() {
-        let mut poller = Poller::new().unwrap();
-        let (a, _b) = UnixStream::pair().unwrap();
-        a.set_nonblocking(true).unwrap();
-        poller.register(a.as_raw_fd(), 3, true, false).unwrap();
-        let mut events = Vec::new();
-        poller
-            .wait(&mut events, Some(Duration::from_millis(5)))
-            .unwrap();
-        assert!(events.iter().all(|e| !e.writable));
-
-        // An empty send buffer is immediately writable once registered.
-        poller.modify(a.as_raw_fd(), 3, true, true).unwrap();
-        events.clear();
-        poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
-            .unwrap();
-        assert!(events.iter().any(|e| e.token == 3 && e.writable));
+        #[cfg(target_os = "linux")]
+        epoll::writability_only_when_asked();
+        poll::writability_only_when_asked();
     }
 }

@@ -450,9 +450,9 @@ impl Server {
 
 /// Register the closure-backed series whose source of truth lives
 /// outside the registry: admission state, project count, degraded flag,
-/// what boot recovery replayed, and the core cache counters. `/healthz`,
-/// `/cache/stats`, and `/metrics` thereby report identical numbers by
-/// construction.
+/// what boot recovery replayed, the stores' survived I/O failures, and
+/// the core cache counters. `/healthz`, `/cache/stats`, and `/metrics`
+/// thereby report identical numbers by construction.
 fn register_derived_metrics(obs: &ServeObs, registry: &Arc<Registry>, stats: &Arc<ServeStats>) {
     let metrics = &obs.metrics.registry;
     {
@@ -500,6 +500,20 @@ fn register_derived_metrics(obs: &ServeObs, registry: &Arc<Registry>, stats: &Ar
         "Wall time of boot recovery: records, snapshots, journal suffixes.",
         &[],
         move || boot.seconds,
+    );
+    let failures = Arc::clone(registry.store_failures());
+    metrics.func_counter(
+        "easeml_snapshot_failures_total",
+        "Cadence snapshots that failed to land (journal intact, retried later).",
+        &[],
+        move || failures.snapshots.load(Ordering::Relaxed) as f64,
+    );
+    let failures = Arc::clone(registry.store_failures());
+    metrics.func_counter(
+        "easeml_journal_sync_failures_total",
+        "Relaxed-mode inline journal syncs that failed (retried by the next).",
+        &[],
+        move || failures.journal_syncs.load(Ordering::Relaxed) as f64,
     );
     type CacheStatsFn = fn() -> easeml_ci_core::CacheStats;
     let caches: [(&str, CacheStatsFn); 2] = [

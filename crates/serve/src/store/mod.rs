@@ -60,6 +60,12 @@
 //! inline every [`SNAPSHOT_EVERY`] ops when no snapshot is due, so its
 //! power-cut window stays at most `SNAPSHOT_EVERY - 1` ops.
 //!
+//! Neither failure fails the request: a failed cadence snapshot loses
+//! only compaction (the journal holds the op), and a failed inline sync
+//! is retried by the next one. Both are counted in [`StoreFailures`],
+//! which `/metrics` exports as `easeml_snapshot_failures_total` and
+//! `easeml_journal_sync_failures_total`.
+//!
 //! # Determinism contract
 //!
 //! Ops from concurrent connections serialize under the project lock, and
@@ -86,6 +92,7 @@ use group::SharedJournal;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
@@ -209,6 +216,16 @@ impl Cadence {
     }
 }
 
+/// Commit-path I/O failures a [`Registry`]'s stores survive, counted
+/// for `/metrics` (see the module docs).
+#[derive(Debug, Default)]
+pub struct StoreFailures {
+    /// Cadence snapshots that failed to land.
+    pub snapshots: AtomicU64,
+    /// `relaxed` inline journal syncs that failed.
+    pub journal_syncs: AtomicU64,
+}
+
 /// The persistence arm of one project: its directory, the open journal
 /// handle, and the counters driving snapshot cadence. All file I/O
 /// goes through the injected [`Vfs`] (see [`crate::vfs`]), which is how
@@ -221,6 +238,7 @@ pub struct ProjectStore {
     journal: Arc<SharedJournal>,
     durability: Durability,
     group: Arc<GroupCommit>,
+    failures: Arc<StoreFailures>,
     ops_written: u64,
     /// Reset by every snapshot written, the explicit ones through
     /// `&self` included.
@@ -255,6 +273,7 @@ impl ProjectStore {
         project: &Project,
         durability: Durability,
         group: &Arc<GroupCommit>,
+        failures: &Arc<StoreFailures>,
     ) -> Result<ProjectStore, ServeError> {
         if vfs.exists(&dir.join("project.json")) {
             return Err(ServeError::Conflict(format!(
@@ -324,6 +343,7 @@ impl ProjectStore {
             journal,
             durability,
             group: Arc::clone(group),
+            failures: Arc::clone(failures),
             ops_written: 0,
             cadence: Cell::new(Cadence::default()),
             #[cfg(test)]
@@ -352,6 +372,7 @@ impl ProjectStore {
         estimator: &SampleSizeEstimator,
         durability: Durability,
         group: &Arc<GroupCommit>,
+        failures: &Arc<StoreFailures>,
     ) -> Result<(Project, ProjectStore), ServeError> {
         let record_path = dir.join("project.json");
         let text = vfs.read_to_string(&record_path)?;
@@ -461,6 +482,7 @@ impl ProjectStore {
                 journal,
                 durability,
                 group: Arc::clone(group),
+                failures: Arc::clone(failures),
                 ops_written: ops,
                 cadence: Cell::new(cadence),
                 #[cfg(test)]
@@ -587,6 +609,7 @@ impl ProjectStore {
             // an op the journal already holds).
             if let Err(e) = trace::time(Stage::Snapshot, || self.write_snapshot(project)) {
                 self.cadence.get_mut().snapshot_ops = self.ops_written;
+                self.failures.snapshots.fetch_add(1, Ordering::Relaxed);
                 eprintln!(
                     "warning: snapshot of {} failed (journal intact): {e}",
                     self.dir.display()
@@ -596,6 +619,7 @@ impl ProjectStore {
             && self.ops_written.is_multiple_of(SNAPSHOT_EVERY)
         {
             if let Err(e) = self.journal.sync_inline() {
+                self.failures.journal_syncs.fetch_add(1, Ordering::Relaxed);
                 eprintln!(
                     "warning: journal sync of {} failed: {e}",
                     self.dir.display()
@@ -1268,6 +1292,7 @@ pub struct Registry {
     estimator: SampleSizeEstimator,
     durability: Durability,
     boot_replay: BootReplay,
+    failures: Arc<StoreFailures>,
     /// The shared group-commit flusher. Dropped (drained + joined) with
     /// the registry.
     group: Arc<GroupCommit>,
@@ -1349,6 +1374,7 @@ impl Registry {
     ) -> Result<Registry, ServeError> {
         let started = Instant::now();
         let group = Arc::new(GroupCommit::new(metrics));
+        let failures = Arc::new(StoreFailures::default());
         let projects_dir = data_dir.join("projects");
         vfs.create_dir_all(&projects_dir)?;
         let mut projects = HashMap::new();
@@ -1364,7 +1390,8 @@ impl Registry {
                 );
                 continue;
             }
-            let (project, store) = ProjectStore::open(&vfs, &path, &estimator, durability, &group)?;
+            let (project, store) =
+                ProjectStore::open(&vfs, &path, &estimator, durability, &group, &failures)?;
             replayed_ops += store.ops_written - store.cadence.get().snapshot_ops;
             projects.insert(
                 project.name().to_owned(),
@@ -1380,6 +1407,7 @@ impl Registry {
                 ops: replayed_ops,
                 seconds: started.elapsed().as_secs_f64(),
             },
+            failures,
             group,
             projects: RwLock::new(projects),
             registering: Mutex::new(std::collections::HashSet::new()),
@@ -1396,6 +1424,11 @@ impl Registry {
     #[must_use]
     pub(crate) fn boot_replay(&self) -> BootReplay {
         self.boot_replay
+    }
+
+    /// Commit-path I/O failures this registry's stores survived.
+    pub(crate) fn store_failures(&self) -> &Arc<StoreFailures> {
+        &self.failures
     }
 
     /// The filesystem facade this registry persists through.
@@ -1456,6 +1489,7 @@ impl Registry {
             &project,
             self.durability,
             &self.group,
+            &self.failures,
         )
         .map(|store| {
             let slot = Arc::new(Mutex::new(ProjectSlot { project, store }));
@@ -1532,7 +1566,7 @@ impl Registry {
 mod tests {
     use super::*;
     use crate::registry::serving_estimator;
-    use crate::vfs::{Fault, FaultKind, FaultPlan, FaultVfs, MemVfs};
+    use crate::vfs::{Fault, FaultKind, FaultPlan, FaultVfs, MemVfs, OpRecord};
     use proptest::prelude::*;
 
     const SCRIPT: &str = "ml:\n\
@@ -2911,34 +2945,44 @@ mod tests {
         assert_eq!(slot.lock().unwrap().project.steps_used(), 600);
     }
 
+    /// Drive `ops` counts commits against one relaxed-mode project on a
+    /// [`FaultVfs`] under `plan`, calling `after_op` after each; returns
+    /// the recorded I/O ops. (Under `relaxed` no flusher thread syncs the
+    /// journal, so the project's op order, which addresses the faults,
+    /// is the same in every run.)
+    fn run_relaxed(
+        root: &Path,
+        plan: FaultPlan,
+        ops: u64,
+        after_op: &mut dyn FnMut(u64, &FaultVfs, &StoreFailures),
+    ) -> Vec<OpRecord> {
+        let fvfs = FaultVfs::new(root, plan);
+        fvfs.start_recording();
+        let registry = Registry::open_with_durability(
+            root,
+            serving_estimator(),
+            Arc::new(fvfs.clone()),
+            Durability::Relaxed,
+            None,
+        )
+        .unwrap();
+        let slot = registry.register("proj", &long_script(), None).unwrap();
+        let mut slot = slot.lock().unwrap();
+        for op in 1..=ops {
+            commit_op(&mut slot, false, op);
+            after_op(op, &fvfs, registry.store_failures());
+        }
+        fvfs.take_oplog()
+    }
+
     /// A cadence snapshot whose temp write hits `ENOSPC` is retried
-    /// `SNAPSHOT_EVERY` ops later, not on the next op. (Under `relaxed`
-    /// no flusher thread syncs the journal, so the project's op order,
-    /// which addresses the fault, is the same in every run.)
+    /// `SNAPSHOT_EVERY` ops later, not on the next op, and the failure
+    /// is counted once.
     #[test]
     fn failed_cadence_snapshot_is_retried_a_cadence_later() {
         let root = Path::new("/retry");
         let dir = root.join("projects/proj");
-        let run = |plan: FaultPlan, ops: u64, after_op: &mut dyn FnMut(u64, &FaultVfs)| {
-            let fvfs = FaultVfs::new(root, plan);
-            fvfs.start_recording();
-            let registry = Registry::open_with_durability(
-                root,
-                serving_estimator(),
-                Arc::new(fvfs.clone()),
-                Durability::Relaxed,
-                None,
-            )
-            .unwrap();
-            let slot = registry.register("proj", &long_script(), None).unwrap();
-            let mut slot = slot.lock().unwrap();
-            for op in 1..=ops {
-                commit_op(&mut slot, false, op);
-                after_op(op, &fvfs);
-            }
-            fvfs.take_oplog()
-        };
-        let temp_write = run(FaultPlan::new(), SNAPSHOT_EVERY, &mut |_, _| {})
+        let temp_write = run_relaxed(root, FaultPlan::new(), SNAPSHOT_EVERY, &mut |_, _, _| {})
             .into_iter()
             .find(|rec| rec.kind == "write" && rec.path == dir.join("snapshot.tmp"))
             .expect("the op-64 snapshot writes its temp file");
@@ -2947,10 +2991,42 @@ mod tests {
             temp_write.index,
             Fault::Fail(FaultKind::Enospc),
         );
-        run(plan, 3 * SNAPSHOT_EVERY, &mut |op, fvfs| {
+        run_relaxed(root, plan, 3 * SNAPSHOT_EVERY, &mut |op, fvfs, failures| {
             let snapshot = fvfs.disk().file_bytes(&dir.join("snapshot.json"));
             let want = (op >= 2 * SNAPSHOT_EVERY).then_some(2 * SNAPSHOT_EVERY);
             assert_eq!(snapshot.as_deref().map(watermark), want, "after op {op}");
+            assert_eq!(
+                failures.snapshots.load(Ordering::Relaxed),
+                u64::from(op >= SNAPSHOT_EVERY),
+                "snapshot failures after op {op}"
+            );
+            assert_eq!(failures.journal_syncs.load(Ordering::Relaxed), 0);
+        });
+    }
+
+    /// A failed `relaxed` inline journal sync (op 128: no snapshot is
+    /// due there) fails no request and is counted once.
+    #[test]
+    fn failed_relaxed_journal_sync_is_counted() {
+        let root = Path::new("/relaxed-sync");
+        let journal = root.join("projects/proj/journal.log");
+        let sync = run_relaxed(
+            root,
+            FaultPlan::new(),
+            2 * SNAPSHOT_EVERY,
+            &mut |_, _, _| {},
+        )
+        .into_iter()
+        .rfind(|rec| rec.kind == "sync" && rec.path == journal)
+        .expect("op 128 syncs the journal inline");
+        let plan = FaultPlan::new().at(&sync.scope, sync.index, Fault::Fail(FaultKind::Eio));
+        run_relaxed(root, plan, 3 * SNAPSHOT_EVERY, &mut |op, _, failures| {
+            assert_eq!(
+                failures.journal_syncs.load(Ordering::Relaxed),
+                u64::from(op >= 2 * SNAPSHOT_EVERY),
+                "journal sync failures after op {op}"
+            );
+            assert_eq!(failures.snapshots.load(Ordering::Relaxed), 0);
         });
     }
 
