@@ -75,9 +75,9 @@ fn print_usage() {
          \x20 easeml-ci [--threads N] table\n\
          \x20 easeml-ci [--threads N] simulate <script.yml> [--commits N] [--seed S] [--accuracy A]\n\
          \x20 easeml-ci [--threads N] serve [--addr HOST:PORT] [--data-dir DIR]\n\
-         \x20                                [--event-threads N] [--idle-timeout-ms MS]\n\
-         \x20                                [--request-timeout-ms MS] [--max-inflight N]\n\
-         \x20                                [--degraded-after N] [--slow-request-ms MS]\n\
+         \x20                                [--idle-timeout-ms MS] [--request-timeout-ms MS]\n\
+         \x20                                [--max-inflight N] [--degraded-after N]\n\
+         \x20                                [--slow-request-ms MS]\n\
          \x20                                [--durability group|relaxed]\n\
          \n\
          OPTIONS:\n\
@@ -88,8 +88,6 @@ fn print_usage() {
          \x20 --addr HOST:PORT        bind address (default 127.0.0.1:8642; port 0 is ephemeral)\n\
          \x20 --data-dir DIR          durable state directory (default ./easeml-serve-data):\n\
          \x20                         project registry, per-project journals + snapshots\n\
-         \x20 --event-threads N       event loops multiplexing connections (default 1;\n\
-         \x20                         one loop handles thousands of keep-alive clients)\n\
          \x20 --idle-timeout-ms MS    close a keep-alive connection after this long\n\
          \x20                         without a request (default 30000)\n\
          \x20 --request-timeout-ms MS budget for reading one request and for write\n\
@@ -279,10 +277,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         match args[i].as_str() {
             "--addr" => addr = next_value(args, &mut i)?.to_owned(),
             "--data-dir" => data_dir = next_value(args, &mut i)?.to_owned(),
-            "--event-threads" => {
-                config.event_threads =
-                    parse_positive(next_value(args, &mut i)?, "--event-threads")?;
-            }
             "--idle-timeout-ms" => {
                 config.idle_timeout_ms =
                     parse_positive(next_value(args, &mut i)?, "--idle-timeout-ms")? as u64;

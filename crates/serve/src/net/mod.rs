@@ -1,28 +1,26 @@
-//! Event-driven serving core: readiness loops that multiplex thousands
-//! of keep-alive connections onto one or two threads.
+//! Event-driven serving core: one readiness loop that multiplexes
+//! thousands of keep-alive connections onto one thread.
 //!
 //! # Architecture
 //!
 //! ```text
 //!                   ┌────────────────────────────────────────────┐
-//!  clients ──TCP──▶ │ event loop 0: epoll/poll + timer wheel     │
-//!                   │  listener ──▶ round-robin to loops         │
+//!  clients ──TCP──▶ │ event loop: epoll/poll + deadline heap     │
+//!                   │  listener ──▶ accept, adopt after batch    │
 //!                   │  conns: read → RequestParser → dispatch ─┐ │
 //!                   │  ▲ completions (wake pipe) ◀─────────────┼─┼── easeml-par
-//!                   │  └─ write responses as sockets allow     │ │   pool workers
-//!                   ├──────────────────────────────────────────┼─┤   (route/gate
-//!                   │ event loop 1..N (--event-threads)        └─┼──▶ work)
-//!                   └────────────────────────────────────────────┘
+//!                   │  └─ write responses as sockets allow     └─┼──▶ pool workers
+//!                   └────────────────────────────────────────────┘   (registration)
 //! ```
 //!
-//! Event threads own the sockets and never block: nonblocking reads feed
-//! the incremental parser, and complete requests go one of two ways,
+//! The event thread owns the sockets and never blocks: nonblocking reads
+//! feed the incremental parser, and complete requests go one of two ways,
 //! chosen by [`Handler::inline`]. µs-scale requests (the overwhelming
 //! majority: gate commits against a registered plan, status reads) run
 //! *inline on the event thread* — zero cross-thread hops, the same
 //! latency shape as a dedicated blocking thread. Expensive requests
 //! (registration's plan search) are spawned onto the [`easeml_par`]
-//! pool, and each worker hands its response back through a per-loop
+//! pool, and each worker hands its response back through the loop's
 //! completion queue plus a wake pipe (a nonblocking [`UnixStream`] pair
 //! — the self-pipe trick without declaring any extra syscalls).
 //! Responses are written opportunistically; what does not fit
@@ -30,7 +28,7 @@
 //! costs its own connection nothing but patience and other connections
 //! nothing at all.
 //!
-//! Idle and in-request deadlines live on a per-loop timer wheel; the
+//! Idle and in-request deadlines live on the loop's deadline heap; the
 //! loop sleeps in the poller exactly until the next deadline instead of
 //! polling on a 50 ms clock.
 //!
@@ -53,9 +51,10 @@
 //! Poller events carry plain slab tokens, so a token observed in the
 //! current batch could outlive its connection (closed by an earlier
 //! event in the same batch). Two rules make this safe: freed slots hold
-//! `None` until after the batch (newly accepted sockets are adopted only
-//! in the post-batch inbox sweep), and both timers and completions carry
-//! the slot generation, bumped on every close.
+//! `None` until after the batch (newly accepted sockets wait in a
+//! loop-local list and are adopted only after the batch), and both
+//! timers and completions carry the slot generation, bumped on every
+//! close.
 
 mod conn;
 mod sys;
@@ -72,10 +71,10 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use sys::Poller;
-use timer::TimerWheel;
+use timer::DeadlineHeap;
 
 /// Wire-level timing the event core hands to the handler alongside each
 /// request, feeding the parse and queue stages of the request trace.
@@ -105,7 +104,7 @@ pub(crate) trait Handler: Sync {
 
 /// Reserved poller token: the wake pipe's read end.
 const WAKE: usize = 0;
-/// Reserved poller token: the listening socket (loop 0 only).
+/// Reserved poller token: the listening socket.
 const LISTENER: usize = 1;
 /// First token usable for connections (`slab index + TOKEN_BASE`).
 const TOKEN_BASE: usize = 2;
@@ -129,9 +128,6 @@ const DRAIN_GRACE: Duration = Duration::from_secs(5);
 /// Tunables handed down from [`crate::ServeConfig`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct NetConfig {
-    /// Number of event loops (≥ 1). Loop 0 owns the listener and deals
-    /// accepted connections round-robin.
-    pub event_threads: usize,
     /// Close a keep-alive connection after this long without a request.
     pub idle_timeout: Duration,
     /// Budget from a request's first byte to its fully parsed form; also
@@ -139,12 +135,13 @@ pub(crate) struct NetConfig {
     pub request_timeout: Duration,
 }
 
-/// Wakes every event loop: used by [`crate::ServerHandle::stop`] and the
-/// `/admin/shutdown` route. Writers are registered by [`serve`] as loops
-/// start; waking before then is a no-op (covered by the connect poke).
+/// Wakes the event loop: used by [`crate::ServerHandle::stop`] and the
+/// `/admin/shutdown` route. The writer is registered by [`serve`] as the
+/// loop starts; waking before then is a no-op (covered by the connect
+/// poke).
 #[derive(Debug, Default)]
 pub(crate) struct WakeHub {
-    writers: Mutex<Vec<UnixStream>>,
+    writer: OnceLock<UnixStream>,
 }
 
 impl WakeHub {
@@ -152,15 +149,11 @@ impl WakeHub {
         WakeHub::default()
     }
 
-    fn register(&self, writer: UnixStream) {
-        self.writers.lock().expect("wake hub poisoned").push(writer);
-    }
-
-    /// Write one byte to every loop's wake pipe. Errors (full pipe =
-    /// wake already pending; closed pipe = loop already exited) are
-    /// exactly the cases where no wake is needed.
-    pub(crate) fn wake_all(&self) {
-        for writer in self.writers.lock().expect("wake hub poisoned").iter() {
+    /// Write one byte to the loop's wake pipe. Errors (full pipe = wake
+    /// already pending; closed pipe = loop already exited) are exactly
+    /// the cases where no wake is needed.
+    pub(crate) fn wake(&self) {
+        if let Some(writer) = self.writer.get() {
             let _ = (&*writer).write(&[1]);
         }
     }
@@ -177,13 +170,12 @@ struct Completion {
     response: Response,
 }
 
-/// The cross-thread face of one event loop: the completion queue workers
-/// push onto, the inbox loop 0 deals accepted sockets into, and the
-/// write end of the loop's wake pipe.
+/// The cross-thread face of the event loop: the completion queue pool
+/// workers and the group-commit flusher push onto, and the write end of
+/// the loop's wake pipe.
 #[derive(Debug)]
 struct LoopShared {
     completions: Mutex<Vec<Completion>>,
-    inbox: Mutex<Vec<TcpStream>>,
     waker: UnixStream,
 }
 
@@ -198,6 +190,10 @@ impl LoopShared {
             .lock()
             .expect("completions poisoned")
             .push(completion);
+    }
+
+    fn take_completions(&self) -> Vec<Completion> {
+        std::mem::take(&mut *self.completions.lock().expect("completions poisoned"))
     }
 }
 
@@ -288,78 +284,34 @@ pub(crate) fn serve<'env>(
     obs: &Arc<ServeObs>,
 ) -> io::Result<()> {
     listener.set_nonblocking(true)?;
-    let loops = cfg.event_threads.max(1);
-    let mut shared = Vec::with_capacity(loops);
-    let mut readers = Vec::with_capacity(loops);
-    for _ in 0..loops {
-        let (reader, writer) = UnixStream::pair()?;
-        reader.set_nonblocking(true)?;
-        writer.set_nonblocking(true)?;
-        hub.register(writer.try_clone()?);
-        shared.push(Arc::new(LoopShared {
-            completions: Mutex::new(Vec::new()),
-            inbox: Mutex::new(Vec::new()),
-            waker: writer,
-        }));
-        readers.push(reader);
-    }
-    let peers: Arc<[Arc<LoopShared>]> = shared.into();
-
-    // Build every loop up front so all fallible setup (poller creation,
-    // listener registration) happens before any thread exists — a setup
-    // error can simply propagate without stranding running loops.
-    let mut event_loops = Vec::with_capacity(loops);
-    let mut listener = Some(listener);
-    for (index, reader) in readers.into_iter().enumerate() {
-        let own_listener = if index == 0 { listener.take() } else { None };
-        event_loops.push(EventLoop::new(
-            index,
-            reader,
-            own_listener,
-            cfg,
-            &peers,
-            stats,
-            obs,
-        )?);
-    }
-
-    std::thread::scope(|ts| {
-        let secondary: Vec<_> = event_loops
-            .split_off(1)
-            .into_iter()
-            .map(|event_loop| ts.spawn(move || event_loop.run(scope, stop, handler)))
-            .collect();
-        let primary = event_loops.pop().expect("loop 0").run(scope, stop, handler);
-        // However loop 0 exited, make sure the others stop too so the
-        // thread scope's implicit join cannot hang.
-        stop.store(true, Ordering::SeqCst);
-        for peer in peers.iter() {
-            peer.wake();
-        }
-        for join in secondary {
-            if let Err(e) = join.join().expect("event loop panicked") {
-                eprintln!("warning: event loop exited with error: {e}");
-            }
-        }
-        primary
-    })
+    let (reader, writer) = UnixStream::pair()?;
+    reader.set_nonblocking(true)?;
+    writer.set_nonblocking(true)?;
+    let shared = Arc::new(LoopShared {
+        completions: Mutex::new(Vec::new()),
+        waker: writer.try_clone()?,
+    });
+    let event_loop = EventLoop::new(reader, listener, cfg, shared, stats, obs)?;
+    // Each server owns a fresh hub, so this is its only writer.
+    let _ = hub.writer.set(writer);
+    event_loop.run(scope, stop, handler)
 }
 
-/// One readiness loop: poller + timer wheel + connection slab.
-struct EventLoop<'p> {
-    index: usize,
+/// The readiness loop: poller + deadline heap + connection slab.
+struct EventLoop {
     poller: Poller,
-    wheel: TimerWheel,
+    timers: DeadlineHeap,
     slots: Vec<Slot>,
     free: Vec<usize>,
     live: usize,
     wake: UnixStream,
     listener: Option<TcpListener>,
     listener_paused: bool,
+    /// Sockets accepted during the current event batch, adopted after
+    /// it (see the module docs on stale events).
+    accepted: Vec<TcpStream>,
     cfg: NetConfig,
-    peers: &'p [Arc<LoopShared>],
-    /// Round-robin cursor for dealing accepted connections (loop 0).
-    next_peer: usize,
+    shared: Arc<LoopShared>,
     scratch: Vec<u8>,
     draining: bool,
     drain_deadline: Instant,
@@ -380,35 +332,31 @@ enum TimeoutAction {
     ProbeWrite,
 }
 
-impl<'p> EventLoop<'p> {
+impl EventLoop {
     fn new(
-        index: usize,
         wake: UnixStream,
-        listener: Option<TcpListener>,
+        listener: TcpListener,
         cfg: &NetConfig,
-        peers: &'p [Arc<LoopShared>],
+        shared: Arc<LoopShared>,
         stats: &Arc<ServeStats>,
         obs: &Arc<ServeObs>,
-    ) -> io::Result<EventLoop<'p>> {
+    ) -> io::Result<EventLoop> {
         let mut poller = Poller::new()?;
         poller.register(wake.as_raw_fd(), WAKE, true, false)?;
-        if let Some(listener) = &listener {
-            poller.register(listener.as_raw_fd(), LISTENER, true, false)?;
-        }
+        poller.register(listener.as_raw_fd(), LISTENER, true, false)?;
         let now = Instant::now();
         Ok(EventLoop {
-            index,
             poller,
-            wheel: TimerWheel::new(now),
+            timers: DeadlineHeap::new(now),
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
             wake,
-            listener,
+            listener: Some(listener),
             listener_paused: false,
+            accepted: Vec::new(),
             cfg: *cfg,
-            peers,
-            next_peer: 0,
+            shared,
             scratch: vec![0u8; 16 << 10],
             draining: false,
             drain_deadline: now,
@@ -434,7 +382,7 @@ impl<'p> EventLoop<'p> {
             if self.draining && (self.live == 0 || now >= self.drain_deadline) {
                 return Ok(());
             }
-            let mut timeout = self.wheel.next_deadline(now);
+            let mut timeout = self.timers.next_deadline(now);
             if self.draining {
                 let left = self.drain_deadline.saturating_duration_since(now);
                 timeout = Some(timeout.map_or(left, |t| t.min(left)));
@@ -472,12 +420,12 @@ impl<'p> EventLoop<'p> {
                 }
             }
             fired.clear();
-            self.wheel.expire(now, &mut fired);
+            self.timers.expire(now, &mut fired);
             for f in fired.drain(..) {
                 self.timer_fired(f, now, scope, handler);
             }
             self.apply_completions(now, scope, handler);
-            self.adopt_inbox(now);
+            self.adopt_accepted(now);
         }
     }
 
@@ -524,10 +472,10 @@ impl<'p> EventLoop<'p> {
         }
     }
 
-    /// Accept everything pending. Sockets go through the per-loop
-    /// inboxes — including this loop's own — so slab slots freed during
-    /// the current event batch are never refilled mid-batch (see the
-    /// module docs on stale events).
+    /// Accept everything pending. Sockets wait in `accepted` until the
+    /// batch is over, so slab slots freed during the current event batch
+    /// are never refilled mid-batch (see the module docs on stale
+    /// events).
     fn accept_ready(&mut self, stop: &AtomicBool) {
         loop {
             let Some(listener) = &self.listener else {
@@ -544,17 +492,7 @@ impl<'p> EventLoop<'p> {
                     }
                     let _ = stream.set_nodelay(true);
                     self.obs.metrics.connections_accepted_total.inc();
-                    let target = self.next_peer % self.peers.len();
-                    self.next_peer = self.next_peer.wrapping_add(1);
-                    self.peers[target]
-                        .inbox
-                        .lock()
-                        .expect("inbox poisoned")
-                        .push(stream);
-                    self.obs.metrics.loop_inbox_depth.add(1);
-                    if target != self.index {
-                        self.peers[target].wake();
-                    }
+                    self.accepted.push(stream);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -571,7 +509,7 @@ impl<'p> EventLoop<'p> {
                     // Likely fd exhaustion (EMFILE/ENFILE). Unhook the
                     // listener so level-triggered readiness stops firing
                     // — the alternative is a busy-spin at 100% CPU — and
-                    // let the timer wheel re-arm it once connections
+                    // let a deadline re-arm it once connections
                     // have freed descriptors. Consecutive failures back
                     // off exponentially up to [`ACCEPT_BACKOFF_MAX`].
                     if !self.listener_paused {
@@ -579,7 +517,7 @@ impl<'p> EventLoop<'p> {
                         let _ = self.poller.deregister(fd);
                         self.listener_paused = true;
                     }
-                    self.wheel
+                    self.timers
                         .insert(Instant::now() + self.accept_backoff, LISTENER, 0);
                     self.accept_backoff = (self.accept_backoff * 2).min(ACCEPT_BACKOFF_MAX);
                     return;
@@ -616,30 +554,15 @@ impl<'p> EventLoop<'p> {
         self.arm_timer(index);
     }
 
-    fn adopt_inbox(&mut self, now: Instant) {
-        let streams = std::mem::take(&mut *self.shared().inbox.lock().expect("inbox poisoned"));
-        if !streams.is_empty() {
-            let n = streams.len() as u64;
-            self.obs.metrics.loop_inbox_adopted_total.add(n);
-            self.obs
-                .metrics
-                .loop_inbox_depth
-                .add(-(streams.len() as i64));
-        }
-        for stream in streams {
+    fn adopt_accepted(&mut self, now: Instant) {
+        let mut accepted = std::mem::take(&mut self.accepted);
+        for stream in accepted.drain(..) {
             self.adopt(stream, now);
         }
+        self.accepted = accepted; // keep the capacity
     }
 
-    fn shared(&self) -> &LoopShared {
-        &self.peers[self.index]
-    }
-
-    fn shared_arc(&self) -> &Arc<LoopShared> {
-        &self.peers[self.index]
-    }
-
-    /// Insert a wheel entry if the connection's deadline moved earlier
+    /// Insert a deadline entry if the connection's deadline moved earlier
     /// than whatever is already armed. Stale entries cancel lazily.
     fn arm_timer(&mut self, index: usize) {
         let generation = self.slots[index].generation;
@@ -651,7 +574,7 @@ impl<'p> EventLoop<'p> {
         };
         if conn.armed.is_none_or(|armed| armed > deadline) {
             conn.armed = Some(deadline);
-            self.wheel.insert(deadline, index + TOKEN_BASE, generation);
+            self.timers.insert(deadline, index + TOKEN_BASE, generation);
         }
     }
 
@@ -752,7 +675,7 @@ impl<'p> EventLoop<'p> {
         {
             self.listener_paused = false;
         } else {
-            self.wheel.insert(now + self.accept_backoff, LISTENER, 0);
+            self.timers.insert(now + self.accept_backoff, LISTENER, 0);
             self.accept_backoff = (self.accept_backoff * 2).min(ACCEPT_BACKOFF_MAX);
         }
     }
@@ -917,7 +840,7 @@ impl<'p> EventLoop<'p> {
             let mut response = handler.handle(&request, &meta);
             response.close = close;
             release_when_durable(
-                Arc::clone(self.shared_arc()),
+                Arc::clone(&self.shared),
                 Arc::clone(&self.stats),
                 token,
                 generation,
@@ -941,19 +864,15 @@ impl<'p> EventLoop<'p> {
             )
             .with_retry_after(SHED_RETRY_AFTER_SECS);
             response.close = close;
-            self.shared()
-                .completions
-                .lock()
-                .expect("completions poisoned")
-                .push(Completion {
-                    token,
-                    generation,
-                    dispatch_gen,
-                    response,
-                });
+            self.shared.push_completion(Completion {
+                token,
+                generation,
+                dispatch_gen,
+                response,
+            });
             return;
         }
-        let shared = Arc::clone(&self.peers[self.index]);
+        let shared = Arc::clone(&self.shared);
         let stats = Arc::clone(&self.stats);
         // With a single-thread pool this runs inline, right here on the
         // event thread; the completion is applied in this same loop
@@ -984,13 +903,7 @@ impl<'p> EventLoop<'p> {
         handler: &'env dyn Handler,
     ) {
         loop {
-            let batch = std::mem::take(
-                &mut *self
-                    .shared()
-                    .completions
-                    .lock()
-                    .expect("completions poisoned"),
-            );
+            let batch = self.shared.take_completions();
             if batch.is_empty() {
                 return;
             }

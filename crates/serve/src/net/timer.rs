@@ -1,40 +1,33 @@
-//! Hashed timer wheel for connection deadlines.
+//! Deadline heap for connection timeouts.
 //!
 //! The old server enforced idle/request timeouts by waking every 50 ms
 //! per connection and checking the clock — fine for eight connections,
 //! pure overhead for a thousand. The event loop instead keeps one armed
-//! wheel entry per connection and sleeps in `epoll_wait` exactly until
-//! the earliest deadline.
+//! entry per connection and sleeps in `epoll_wait` exactly until the
+//! earliest deadline.
 //!
-//! Design choices, all in service of cheap arming:
+//! Design choices:
 //!
+//! * **One min-heap, not a hashed wheel.** A wheel still needs a
+//!   min-heap of its entries' ticks, or the next-deadline query scans
+//!   every slot on every loop iteration; with each arm paying that heap
+//!   push anyway, the heap alone does the whole job. Its top is the next
+//!   deadline, and expiry pops entries until the top is in the future.
 //! * **Coarse ticks** (16 ms). Timeouts here are hundreds of
-//!   milliseconds to tens of seconds; firing one tick late is harmless,
-//!   and a coarse tick keeps the wheel small (256 slots ≈ 4 s horizon).
+//!   milliseconds to tens of seconds; firing one tick late is harmless.
 //! * **Lazy cancellation.** Entries carry the connection's slab
 //!   generation; a stale entry (connection closed or its deadline
-//!   re-armed) is dropped when its slot comes up instead of being
-//!   searched for at cancel time. The caller re-checks the *actual*
-//!   deadline on fire, so a premature fire (entry armed before the
-//!   deadline was pushed out by new activity) just re-inserts.
-//! * **Far deadlines park in the overflow list** and are re-hashed into
-//!   the wheel as their slot horizon arrives.
+//!   re-armed) is dropped when it comes due instead of being searched
+//!   for at cancel time. The caller re-checks the *actual* deadline on
+//!   fire, so a premature fire (entry armed before the deadline was
+//!   pushed out by new activity) just re-inserts.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
-/// Width of one wheel slot. Deadlines fire at most one tick late.
+/// Deadline granularity. Deadlines fire at most one tick late.
 pub(crate) const TICK: Duration = Duration::from_millis(16);
-
-const SLOTS: usize = 256;
-
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    tick: u64,
-    token: usize,
-    generation: u64,
-}
 
 /// A fired deadline: the caller compares `generation` against the live
 /// slab slot and ignores the fire if they disagree.
@@ -46,34 +39,18 @@ pub(crate) struct Fired {
     pub generation: u64,
 }
 
-/// Hashed wheel: 256 slots of [`TICK`] width plus an overflow list.
+/// Min-heap of `(tick, token, generation)` entries.
 #[derive(Debug)]
-pub(crate) struct TimerWheel {
+pub(crate) struct DeadlineHeap {
     origin: Instant,
-    /// Tick currently being swept; every earlier tick is fully swept.
-    /// Kept *on* (not past) the latest swept tick so a deadline armed
-    /// mid-tick still lands in a sweepable slot.
-    cursor: u64,
-    slots: Vec<Vec<Entry>>,
-    overflow: Vec<Entry>,
-    /// Min-heap of the tick of every armed entry, so the next-deadline
-    /// query is O(1) instead of a scan of every slot — the scan is what
-    /// an event loop with thousands of parked idle connections would
-    /// otherwise pay on *every* iteration. Ticks already swept are
-    /// popped lazily at the end of [`TimerWheel::expire`].
-    candidates: BinaryHeap<Reverse<u64>>,
-    len: usize,
+    heap: BinaryHeap<Reverse<(u64, usize, u64)>>,
 }
 
-impl TimerWheel {
-    pub(crate) fn new(origin: Instant) -> TimerWheel {
-        TimerWheel {
+impl DeadlineHeap {
+    pub(crate) fn new(origin: Instant) -> DeadlineHeap {
+        DeadlineHeap {
             origin,
-            cursor: 0,
-            slots: (0..SLOTS).map(|_| Vec::new()).collect(),
-            overflow: Vec::new(),
-            candidates: BinaryHeap::new(),
-            len: 0,
+            heap: BinaryHeap::new(),
         }
     }
 
@@ -81,93 +58,31 @@ impl TimerWheel {
         (at.saturating_duration_since(self.origin).as_nanos() / TICK.as_nanos()) as u64
     }
 
-    /// Arm a deadline. Deadlines already in the past land in the current
-    /// tick and fire on the next [`TimerWheel::expire`] call.
+    /// Arm a deadline. Deadlines already in the past fire on the next
+    /// [`DeadlineHeap::expire`] call.
     pub(crate) fn insert(&mut self, deadline: Instant, token: usize, generation: u64) {
-        let tick = self.tick_of(deadline).max(self.cursor);
-        let entry = Entry {
-            tick,
-            token,
-            generation,
-        };
-        if tick >= self.cursor + SLOTS as u64 {
-            self.overflow.push(entry);
-        } else {
-            self.slots[(tick % SLOTS as u64) as usize].push(entry);
-        }
-        self.candidates.push(Reverse(tick));
-        self.len += 1;
+        self.heap
+            .push(Reverse((self.tick_of(deadline), token, generation)));
     }
 
-    /// Sweep every slot up to `now`, pushing fired entries into `out`.
+    /// Pop every entry whose tick has been reached by `now` into `out`.
     pub(crate) fn expire(&mut self, now: Instant, out: &mut Vec<Fired>) {
         let now_tick = self.tick_of(now);
-        while self.cursor <= now_tick {
-            let slot = (self.cursor % SLOTS as u64) as usize;
-            let mut kept = 0;
-            for i in 0..self.slots[slot].len() {
-                let entry = self.slots[slot][i];
-                if entry.tick <= now_tick {
-                    out.push(Fired {
-                        token: entry.token,
-                        generation: entry.generation,
-                    });
-                    self.len -= 1;
-                } else {
-                    // A future lap of the wheel; keep in place.
-                    self.slots[slot][kept] = entry;
-                    kept += 1;
-                }
+        while let Some(&Reverse((tick, token, generation))) = self.heap.peek() {
+            if tick > now_tick {
+                return;
             }
-            self.slots[slot].truncate(kept);
-            if self.cursor == now_tick {
-                break; // stay on the current tick for late arms
-            }
-            self.cursor += 1;
-            if self.cursor.is_multiple_of(SLOTS as u64) {
-                self.rehash_overflow();
-            }
+            self.heap.pop();
+            out.push(Fired { token, generation });
         }
-        // Every entry with a tick at or before `now_tick` just fired;
-        // their next-deadline candidates are dead weight.
-        while self
-            .candidates
-            .peek()
-            .is_some_and(|&Reverse(t)| t <= now_tick)
-        {
-            self.candidates.pop();
-        }
-    }
-
-    /// Pull overflow entries whose tick now fits inside the wheel
-    /// horizon back into their slots.
-    fn rehash_overflow(&mut self) {
-        let horizon = self.cursor + SLOTS as u64;
-        let mut kept = 0;
-        for i in 0..self.overflow.len() {
-            let entry = self.overflow[i];
-            if entry.tick < horizon {
-                self.slots[(entry.tick % SLOTS as u64) as usize].push(entry);
-            } else {
-                self.overflow[kept] = entry;
-                kept += 1;
-            }
-        }
-        self.overflow.truncate(kept);
     }
 
     /// How long the event loop may sleep before the next entry is due.
-    /// `None` when the wheel is empty (sleep until I/O). The bound is
-    /// conservative (slot-granular): sleeping exactly to it and calling
-    /// [`TimerWheel::expire`] fires everything due.
+    /// `None` when nothing is armed (sleep until I/O). The bound is
+    /// tick-granular: sleeping exactly to it and calling
+    /// [`DeadlineHeap::expire`] fires everything due.
     pub(crate) fn next_deadline(&self, now: Instant) -> Option<Duration> {
-        if self.len == 0 {
-            return None;
-        }
-        // The heap top is the earliest tick that may still hold a live
-        // entry (swept ticks were popped by `expire`); a stale top only
-        // costs one early wakeup, never a missed deadline.
-        let Reverse(tick) = *self.candidates.peek()?;
+        let &Reverse((tick, ..)) = self.heap.peek()?;
         // End of the due tick, relative to `now`.
         let due = self.origin + TICK * (tick as u32 + 1);
         Some(due.saturating_duration_since(now))
@@ -175,23 +90,24 @@ impl TimerWheel {
 
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn fires_in_order_and_only_once() {
         let origin = Instant::now();
-        let mut wheel = TimerWheel::new(origin);
-        wheel.insert(origin + Duration::from_millis(40), 1, 10);
-        wheel.insert(origin + Duration::from_millis(200), 2, 20);
+        let mut timers = DeadlineHeap::new(origin);
+        timers.insert(origin + Duration::from_millis(40), 1, 10);
+        timers.insert(origin + Duration::from_millis(200), 2, 20);
 
         let mut fired = Vec::new();
-        wheel.expire(origin + Duration::from_millis(100), &mut fired);
+        timers.expire(origin + Duration::from_millis(100), &mut fired);
         assert_eq!(
             fired,
             vec![Fired {
@@ -199,10 +115,10 @@ mod tests {
                 generation: 10
             }]
         );
-        assert_eq!(wheel.len(), 1);
+        assert_eq!(timers.len(), 1);
 
         fired.clear();
-        wheel.expire(origin + Duration::from_millis(300), &mut fired);
+        timers.expire(origin + Duration::from_millis(300), &mut fired);
         assert_eq!(
             fired,
             vec![Fired {
@@ -210,23 +126,23 @@ mod tests {
                 generation: 20
             }]
         );
-        assert_eq!(wheel.len(), 0);
+        assert_eq!(timers.len(), 0);
 
         fired.clear();
-        wheel.expire(origin + Duration::from_secs(60), &mut fired);
+        timers.expire(origin + Duration::from_secs(60), &mut fired);
         assert!(fired.is_empty());
     }
 
     #[test]
-    fn far_deadlines_survive_the_overflow_list() {
+    fn far_deadlines_fire_on_time() {
         let origin = Instant::now();
-        let mut wheel = TimerWheel::new(origin);
-        // Far beyond the 256-slot horizon (~4 s at 16 ms ticks).
-        wheel.insert(origin + Duration::from_secs(30), 9, 1);
+        let mut timers = DeadlineHeap::new(origin);
+        // Hundreds of ticks out: must neither fire early nor be lost.
+        timers.insert(origin + Duration::from_secs(30), 9, 1);
         let mut fired = Vec::new();
-        wheel.expire(origin + Duration::from_secs(29), &mut fired);
+        timers.expire(origin + Duration::from_secs(29), &mut fired);
         assert!(fired.is_empty());
-        wheel.expire(origin + Duration::from_secs(31), &mut fired);
+        timers.expire(origin + Duration::from_secs(31), &mut fired);
         assert_eq!(
             fired,
             vec![Fired {
@@ -239,10 +155,10 @@ mod tests {
     #[test]
     fn next_deadline_bounds_the_sleep() {
         let origin = Instant::now();
-        let mut wheel = TimerWheel::new(origin);
-        assert_eq!(wheel.next_deadline(origin), None);
-        wheel.insert(origin + Duration::from_millis(500), 4, 2);
-        let sleep = wheel.next_deadline(origin).unwrap();
+        let mut timers = DeadlineHeap::new(origin);
+        assert_eq!(timers.next_deadline(origin), None);
+        timers.insert(origin + Duration::from_millis(500), 4, 2);
+        let sleep = timers.next_deadline(origin).unwrap();
         // Sleeping the advertised bound must reach the deadline.
         assert!(sleep >= Duration::from_millis(500), "sleep {sleep:?}");
         // And not oversleep by more than a tick's slack.
@@ -251,20 +167,20 @@ mod tests {
             "sleep {sleep:?}"
         );
         let mut fired = Vec::new();
-        wheel.expire(origin + sleep, &mut fired);
+        timers.expire(origin + sleep, &mut fired);
         assert_eq!(fired.len(), 1);
     }
 
     #[test]
     fn past_deadlines_fire_immediately() {
         let origin = Instant::now();
-        let mut wheel = TimerWheel::new(origin);
+        let mut timers = DeadlineHeap::new(origin);
         let now = origin + Duration::from_secs(1);
         let mut fired = Vec::new();
-        wheel.expire(now, &mut fired); // advance cursor past origin
-        wheel.insert(origin, 5, 3); // deadline already behind the cursor
+        timers.expire(now, &mut fired); // advance the clock past origin
+        timers.insert(origin, 5, 3); // deadline already behind the clock
         fired.clear();
-        wheel.expire(now, &mut fired);
+        timers.expire(now, &mut fired);
         assert_eq!(
             fired,
             vec![Fired {
@@ -272,5 +188,94 @@ mod tests {
                 generation: 3
             }]
         );
+    }
+
+    /// One step of a random schedule. `value` is in µs.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Arm at `now + value - 2 s`: past deadlines (some before the
+        /// origin) up to deadlines 10 s out.
+        Arm(u64),
+        /// Advance the clock (mostly sub-second, sometimes 6–7 s in one
+        /// jump) and expire.
+        Advance(u64),
+        /// Sleep the advertised `next_deadline` and expire.
+        Sleep,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..5, 0u64..12_000_000).prop_map(|(kind, value)| match kind {
+            0 | 1 => Op::Arm(value),
+            2 | 3 if value >= 11_000_000 => Op::Advance(value - 5_000_000),
+            2 | 3 => Op::Advance(value % 700_000),
+            _ => Op::Sleep,
+        })
+    }
+
+    fn tick(origin: Instant, at: Instant) -> u128 {
+        at.saturating_duration_since(origin).as_nanos() / TICK.as_nanos()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Checks the heap against a brute-force list of armed entries:
+        /// each entry fires exactly once, at the first `expire` whose
+        /// tick reaches its own and never earlier, and sleeping the
+        /// advertised bound reaches the earliest deadline, fires it, and
+        /// oversleeps it by at most a tick.
+        #[test]
+        fn matches_a_brute_force_list(ops in prop::collection::vec(op(), 1..160)) {
+            let origin = Instant::now();
+            let mut timers = DeadlineHeap::new(origin);
+            // The clock starts 1 s in, so some past deadlines precede
+            // the origin.
+            let mut now = origin + Duration::from_secs(1);
+            let mut armed: Vec<(Instant, usize)> = Vec::new();
+            let mut fired = Vec::new();
+            for (token, op) in ops.into_iter().enumerate() {
+                let wake = match op {
+                    Op::Arm(us) => {
+                        let deadline = (now + Duration::from_micros(us))
+                            .checked_sub(Duration::from_secs(2))
+                            .unwrap_or(origin);
+                        timers.insert(deadline, token, token as u64 * 7);
+                        armed.push((deadline, token));
+                        continue;
+                    }
+                    Op::Advance(us) => now + Duration::from_micros(us),
+                    Op::Sleep => {
+                        let sleep = timers.next_deadline(now);
+                        let Some(&(earliest, token)) = armed.iter().min() else {
+                            prop_assert_eq!(sleep, None);
+                            continue;
+                        };
+                        let wake = now + sleep.expect("entries are armed");
+                        prop_assert!(wake >= earliest, "woke before token {}'s deadline", token);
+                        prop_assert!(
+                            wake <= earliest.max(now) + TICK,
+                            "overslept token {} by {:?}",
+                            token,
+                            wake - earliest.max(now)
+                        );
+                        wake
+                    }
+                };
+                now = wake;
+                fired.clear();
+                timers.expire(now, &mut fired);
+                fired.sort_by_key(|f| f.token);
+                let now_tick = tick(origin, now);
+                // `armed` is in token order, so `due` is too.
+                let due: Vec<Fired> = armed
+                    .iter()
+                    .filter(|(deadline, _)| tick(origin, *deadline) <= now_tick)
+                    .map(|&(_, token)| Fired { token, generation: token as u64 * 7 })
+                    .collect();
+                armed.retain(|(deadline, _)| tick(origin, *deadline) > now_tick);
+                prop_assert_eq!(&fired, &due, "fired set at {:?}", now - origin);
+                prop_assert_eq!(timers.len(), armed.len());
+            }
+        }
     }
 }

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Number of shards per histogram (and per sharded counter). Eight
-/// covers the serving core's thread count (event loops + pool workers)
+/// covers the serving core's thread count (event loop + pool workers)
 /// without measurable contention; threads hash onto shards by a
 /// process-wide thread index.
 pub const SHARDS: usize = 8;

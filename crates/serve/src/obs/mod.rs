@@ -32,7 +32,7 @@ use trace::{Stage, TraceRing, STAGES, STAGE_COUNT};
 struct PadCell(AtomicU64);
 
 /// A monotonically increasing counter, sharded across cache lines so
-/// concurrent increments from the event loops and pool workers don't
+/// concurrent increments from the event loop and pool workers don't
 /// contend.
 #[derive(Debug)]
 pub struct Counter {
@@ -654,9 +654,9 @@ pub struct ServeMetrics {
     status_classes: [Arc<Counter>; 5],
     /// Requests whose traced total exceeded `--slow-request-ms`.
     pub slow_requests_total: Arc<Counter>,
-    /// Poller wait calls per event loop.
+    /// Poller wait calls by the event loop.
     pub loop_polls_total: Arc<Counter>,
-    /// Wake-pipe firings observed by event loops.
+    /// Wake-pipe firings observed by the event loop.
     pub loop_wakeups_total: Arc<Counter>,
     /// Readiness events delivered by the poller.
     pub loop_ready_events_total: Arc<Counter>,
@@ -664,10 +664,6 @@ pub struct ServeMetrics {
     pub loop_ready_batch: Arc<Histogram>,
     /// Deadline timers fired.
     pub loop_timer_fires_total: Arc<Counter>,
-    /// Connections adopted from cross-loop inbox handoff.
-    pub loop_inbox_adopted_total: Arc<Counter>,
-    /// Connections currently parked in inboxes awaiting adoption.
-    pub loop_inbox_depth: Arc<Gauge>,
     /// Requests handled inline on the event thread.
     pub dispatch_inline_total: Arc<Counter>,
     /// Requests dispatched to the worker pool.
@@ -742,11 +738,11 @@ impl ServeMetrics {
             ),
             loop_polls_total: registry.counter(
                 "easeml_loop_polls_total",
-                "Poller wait calls across event loops.",
+                "Poller wait calls by the event loop.",
             ),
             loop_wakeups_total: registry.counter(
                 "easeml_loop_wakeups_total",
-                "Wake-pipe firings observed by event loops.",
+                "Wake-pipe firings observed by the event loop.",
             ),
             loop_ready_events_total: registry.counter(
                 "easeml_loop_ready_events_total",
@@ -760,15 +756,7 @@ impl ServeMetrics {
             ),
             loop_timer_fires_total: registry.counter(
                 "easeml_loop_timer_fires_total",
-                "Deadline timers fired by the timer wheel.",
-            ),
-            loop_inbox_adopted_total: registry.counter(
-                "easeml_loop_inbox_adopted_total",
-                "Connections adopted from cross-loop inbox handoff.",
-            ),
-            loop_inbox_depth: registry.gauge(
-                "easeml_loop_inbox_depth",
-                "Connections parked in event-loop inboxes awaiting adoption.",
+                "Deadline timers fired by the event loop's deadline heap.",
             ),
             dispatch_inline_total: registry.counter(
                 "easeml_dispatch_inline_total",

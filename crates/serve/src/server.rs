@@ -38,19 +38,18 @@
 //! # Concurrency
 //!
 //! Connections are owned by the event-driven core in `crate::net`:
-//! one or more readiness loops (`--event-threads`) multiplex every
-//! keep-alive socket and parse requests incrementally. µs-scale
-//! requests (gate commits, status reads — see
-//! `RouteHandler::inline`) execute directly on the event thread;
-//! only expensive ones (registration's plan search, cache persistence)
-//! are spawned as jobs on one [`easeml_par::Pool::scope`] — so
-//! `--threads N` bounds concurrent *expensive* handlers exactly like it
-//! bounds every other fan-out in the workspace, while idle connections
-//! cost no worker at all. Pool responses return to the event loop
+//! one readiness loop multiplexes every keep-alive socket and parses
+//! requests incrementally. µs-scale requests (gate commits, status
+//! reads — see `RouteHandler::inline`) execute directly on the event
+//! thread; only expensive ones (registration's plan search,
+//! `/admin/persist` snapshots) are spawned as jobs on one
+//! [`easeml_par::Pool::scope`] — so `--threads N` bounds concurrent
+//! *expensive* handlers exactly like it bounds every other fan-out in
+//! the workspace, while idle connections cost no worker at all. Pool responses return to the event loop
 //! through a completion queue and wake pipe. All gate mutations
 //! serialize on the owning project's lock (see [`crate::store`] for the
 //! resulting determinism contract), which keeps journal bytes identical
-//! across worker widths *and* event-thread counts.
+//! across worker widths.
 
 use crate::error::ServeError;
 use crate::http::{Request, Response};
@@ -156,11 +155,6 @@ pub struct ServeConfig {
     /// Worker threads for request handling; `0` uses the process-wide
     /// pool ([`Pool::global`]).
     pub threads: usize,
-    /// Event (readiness) loops; loop 0 owns the listener. One is right
-    /// for almost every deployment — parsing and buffer shuffling for
-    /// thousands of connections fits one core; a second loop mainly buys
-    /// isolation from accept bursts.
-    pub event_threads: usize,
     /// Close a keep-alive connection after this many milliseconds
     /// without a request.
     pub idle_timeout_ms: u64,
@@ -168,7 +162,7 @@ pub struct ServeConfig {
     /// parsed form; a peer stalling longer mid-request gets a 400.
     pub request_timeout_ms: u64,
     /// Cap on pool-bound requests admitted concurrently (registration,
-    /// cache persistence); one more is shed with `503` + `Retry-After`.
+    /// `/admin/persist`); one more is shed with `503` + `Retry-After`.
     /// `0` sizes it automatically to twice the worker-pool width —
     /// enough queue to keep every worker busy, shallow enough that
     /// admitted requests never wait behind a long backlog.
@@ -205,7 +199,6 @@ impl ServeConfig {
             addr: addr.into(),
             data_dir: data_dir.into(),
             threads: 0,
-            event_threads: 1,
             idle_timeout_ms: DEFAULT_IDLE_TIMEOUT_MS,
             request_timeout_ms: DEFAULT_REQUEST_TIMEOUT_MS,
             max_inflight: 0,
@@ -323,7 +316,7 @@ impl ServerHandle {
     /// connection.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        self.hub.wake_all();
+        self.hub.wake();
         let _ = TcpStream::connect(self.addr);
     }
 }
@@ -380,7 +373,6 @@ impl Server {
             hub: Arc::new(WakeHub::new()),
             pool,
             net_cfg: NetConfig {
-                event_threads: config.event_threads.max(1),
                 idle_timeout: Duration::from_millis(config.idle_timeout_ms.max(1)),
                 request_timeout: Duration::from_millis(config.request_timeout_ms.max(1)),
             },
@@ -690,7 +682,7 @@ fn route(ctx: &Ctx, request: &Request) -> Response {
             // response itself is delivered by the drain: in-flight
             // dispatches finish writing before their connections close.
             ctx.stop.store(true, Ordering::SeqCst);
-            ctx.hub.wake_all();
+            ctx.hub.wake();
             let _ = TcpStream::connect(ctx.addr);
             Ok(Response::json(
                 200,

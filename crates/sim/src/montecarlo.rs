@@ -214,145 +214,6 @@ pub fn run_process(
     Ok(outcome)
 }
 
-/// Outcome of a long-running, multi-era process (fresh testsets are
-/// installed automatically whenever the alarm fires).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MultiEraOutcome {
-    /// Total commits evaluated across all eras.
-    pub commits: u32,
-    /// Total passes across all eras.
-    pub passes: u32,
-    /// Testsets consumed (eras started).
-    pub eras: u32,
-    /// Total labels requested across all eras.
-    pub labels_requested: u64,
-    /// Total examples provided across all testsets.
-    pub examples_provided: u64,
-    /// Ground-truth violations (either kind) across the whole run.
-    pub violations: u32,
-}
-
-/// Drive a development campaign of `total_commits` through as many
-/// testset eras as needed: when the engine raises the new-testset alarm
-/// (budget exhausted, or a pass under `firstChange`), a fresh testset is
-/// generated and installed, and the campaign continues — the full §2.1
-/// workflow including utility 2.
-///
-/// # Errors
-///
-/// Propagates engine/estimator configuration errors.
-pub fn run_multi_era(
-    config: &ProcessConfig,
-    developer: &mut dyn Developer,
-    total_commits: u32,
-    seed: u64,
-) -> Result<MultiEraOutcome> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let estimator = SampleSizeEstimator::with_config(config.estimator);
-    let estimate = estimator.estimate(&config.script)?;
-    // 25% headroom: Pattern-2 pools are sized from *observed* probe
-    // differences, which fluctuate around the a-priori cap.
-    let pool = usize::try_from(estimate.total_samples() + estimate.total_samples() / 4 + 16)
-        .unwrap_or(usize::MAX);
-
-    let make_testset = |accepted_truth: f64, rng: &mut StdRng| -> Result<(Vec<u32>, Vec<u32>)> {
-        let pair = exact_pair(
-            pool,
-            &PairSpec {
-                acc_old: accepted_truth,
-                acc_new: accepted_truth,
-                diff: 0.0,
-                churn: config.churn,
-                num_classes: config.num_classes,
-            },
-            rng,
-        )?;
-        Ok((pair.labels, pair.old))
-    };
-
-    let mut accepted_truth = config.initial_accuracy;
-    let (labels, old_preds) = make_testset(accepted_truth, &mut rng)?;
-    let mut truth = labels;
-    let mut accepted_preds = old_preds.clone();
-    let mut engine = CiEngine::with_estimator(
-        config.script.clone(),
-        Testset::unlabeled(pool),
-        old_preds,
-        &estimator,
-    )?
-    .with_oracle(Box::new(VecOracle::new(truth.clone())));
-
-    let mut outcome = MultiEraOutcome {
-        eras: 1,
-        examples_provided: pool as u64,
-        ..MultiEraOutcome::default()
-    };
-    let mut feedback: Option<bool> = None;
-    while outcome.commits < total_commits {
-        let proposal = developer.propose(feedback);
-        let (acc_new, diff) = clamp_feasible(
-            accepted_truth,
-            proposal.true_accuracy,
-            proposal.diff_from_accepted,
-            config.churn,
-        );
-        let evolution = ConditionalEvolution::solve(
-            accepted_truth,
-            acc_new,
-            diff,
-            config.churn,
-            config.num_classes,
-        )?;
-        let new_preds = evolution.apply(&truth, &accepted_preds, &mut rng);
-        let commit = ModelCommit::new(format!("era-commit-{}", outcome.commits), new_preds.clone());
-        let receipt = match engine.submit(&commit) {
-            Ok(r) => r,
-            Err(_) => break, // pool undersized for an extreme proposal
-        };
-        outcome.commits += 1;
-        outcome.labels_requested += receipt.estimates.labels_requested;
-        if receipt.passed {
-            outcome.passes += 1;
-            accepted_truth = acc_new;
-            accepted_preds = new_preds;
-            developer.accepted(&crate::developer::ProposedModel {
-                true_accuracy: acc_new,
-                diff_from_accepted: diff,
-            });
-        }
-        // Ground truth against the baseline *at proposal time* —
-        // `evolution.acc_old` is exactly that, whether or not the pass
-        // just advanced `accepted_truth`.
-        let pre = easeml_ci_core::VariableEstimates::new(acc_new, evolution.acc_old, diff);
-        let truly_holds = config.script.condition().clauses().iter().all(|clause| {
-            let lhs = pre.evaluate_expr(&clause.expr);
-            match clause.cmp {
-                easeml_ci_core::dsl::CmpOp::Gt => lhs > clause.threshold,
-                easeml_ci_core::dsl::CmpOp::Lt => lhs < clause.threshold,
-            }
-        });
-        match (receipt.passed, truly_holds) {
-            (true, false) | (false, true) => outcome.violations += 1,
-            _ => {}
-        }
-        feedback = receipt.signal;
-
-        if receipt.alarm.is_some() && outcome.commits < total_commits {
-            // Utility 2 in action: provide a fresh testset, release the
-            // old one to the developers.
-            let (new_labels, new_old_preds) = make_testset(accepted_truth, &mut rng)?;
-            truth = new_labels;
-            // The accepted model's predictions on the new testset.
-            accepted_preds = new_old_preds.clone();
-            engine.install_testset(Testset::unlabeled(pool), new_old_preds)?;
-            engine = engine.with_oracle(Box::new(VecOracle::new(truth.clone())));
-            outcome.eras += 1;
-            outcome.examples_provided += pool as u64;
-        }
-    }
-    Ok(outcome)
-}
-
 /// Clamp a proposal into the feasible (accuracy, difference) region
 /// relative to the accepted model.
 fn clamp_feasible(acc_old: f64, acc_new: f64, diff: f64, churn: f64) -> (f64, f64) {
@@ -449,58 +310,6 @@ where
         let trial_seed = splitmix64(seed, i as u64);
         let mut developer = make_developer(trial_seed);
         run_process(config, developer.as_mut(), trial_seed)
-    })
-    .into_iter()
-    .collect()
-}
-
-/// Run `trials` independent multi-era campaigns of `total_commits`
-/// each across the pool (the [`run_multi_era`] counterpart of
-/// [`run_process_trials`], with the same per-trial seeding contract).
-///
-/// # Errors
-///
-/// Propagates the first (in trial order) campaign error encountered.
-pub fn run_multi_era_trials<F>(
-    config: &ProcessConfig,
-    make_developer: F,
-    total_commits: u32,
-    trials: u32,
-    seed: u64,
-) -> Result<Vec<MultiEraOutcome>>
-where
-    F: Fn(u64) -> Box<dyn Developer + Send> + Sync,
-{
-    run_multi_era_trials_with_pool(
-        config,
-        make_developer,
-        total_commits,
-        trials,
-        seed,
-        Pool::global(),
-    )
-}
-
-/// [`run_multi_era_trials`] on an explicit pool.
-///
-/// # Errors
-///
-/// Same conditions as [`run_multi_era_trials`].
-pub fn run_multi_era_trials_with_pool<F>(
-    config: &ProcessConfig,
-    make_developer: F,
-    total_commits: u32,
-    trials: u32,
-    seed: u64,
-    pool: &Pool,
-) -> Result<Vec<MultiEraOutcome>>
-where
-    F: Fn(u64) -> Box<dyn Developer + Send> + Sync,
-{
-    pool.par_map_index(trials as usize, |i| {
-        let trial_seed = splitmix64(seed, i as u64);
-        let mut developer = make_developer(trial_seed);
-        run_multi_era(config, developer.as_mut(), total_commits, trial_seed)
     })
     .into_iter()
     .collect()
@@ -669,59 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_era_consumes_fresh_testsets() {
-        // Budget of 3 steps per testset, campaign of 10 commits: at
-        // least three alarms must fire and be answered with fresh
-        // testsets.
-        let config = ProcessConfig {
-            script: quick_script("n - o > 0.0 +/- 0.2", 0.9, Adaptivity::Full, 3),
-            estimator: EstimatorConfig::default(),
-            commits: 3,
-            initial_accuracy: 0.7,
-            num_classes: 4,
-            churn: 0.5,
-        };
-        let mut dev = RandomWalkDeveloper::new(0.7, 0.01, 0.05, 21);
-        let outcome = run_multi_era(&config, &mut dev, 10, 555).unwrap();
-        assert_eq!(outcome.commits, 10);
-        assert!(
-            outcome.eras >= 4,
-            "10 commits / 3-step eras: got {} eras",
-            outcome.eras
-        );
-        let per_era = SampleSizeEstimator::new()
-            .estimate(&config.script)
-            .unwrap()
-            .total_samples();
-        assert!(outcome.examples_provided >= u64::from(outcome.eras) * per_era);
-        // Fresh eras keep working: commits spread across eras.
-        assert!(outcome.labels_requested > 0);
-    }
-
-    #[test]
-    fn multi_era_hybrid_retires_on_pass() {
-        // firstChange: every pass triggers a fresh testset.
-        let config = ProcessConfig {
-            script: quick_script("n - o > 0.0 +/- 0.04", 0.9, Adaptivity::FirstChange, 6),
-            estimator: EstimatorConfig::default(),
-            commits: 6,
-            initial_accuracy: 0.6,
-            num_classes: 4,
-            churn: 0.5,
-        };
-        // A strong climber passes often.
-        let mut dev = crate::developer::HillClimbDeveloper::new(0.6, 0.005, 0.08, 0.1, 3);
-        let outcome = run_multi_era(&config, &mut dev, 8, 777).unwrap();
-        assert!(outcome.passes >= 1);
-        assert!(
-            outcome.eras > outcome.passes,
-            "each pass must retire a testset: {} eras for {} passes",
-            outcome.eras,
-            outcome.passes
-        );
-    }
-
-    #[test]
     fn clamp_feasible_outputs_are_solvable() {
         for (o, n, d) in [
             (0.9, 0.2, 0.05),
@@ -783,28 +539,5 @@ mod tests {
         assert_eq!(report.trials_with_false_positive, fp as u32);
         let labels: u64 = outcomes.iter().map(|o| o.labels_requested).sum();
         assert!((report.mean_labels - labels as f64 / 12.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn multi_era_trials_match_single_runs() {
-        let config = ProcessConfig {
-            script: quick_script("n - o > 0.0 +/- 0.2", 0.9, Adaptivity::Full, 3),
-            estimator: EstimatorConfig::default(),
-            commits: 3,
-            initial_accuracy: 0.7,
-            num_classes: 4,
-            churn: 0.5,
-        };
-        let make = |seed| -> Box<dyn crate::developer::Developer + Send> {
-            Box::new(RandomWalkDeveloper::new(0.7, 0.01, 0.05, seed))
-        };
-        let batch = run_multi_era_trials(&config, make, 6, 4, 2024).unwrap();
-        assert_eq!(batch.len(), 4);
-        for (i, outcome) in batch.iter().enumerate() {
-            let trial_seed = easeml_par::splitmix64(2024, i as u64);
-            let mut dev = RandomWalkDeveloper::new(0.7, 0.01, 0.05, trial_seed);
-            let single = run_multi_era(&config, &mut dev, 6, trial_seed).unwrap();
-            assert_eq!(*outcome, single, "trial {i}");
-        }
     }
 }
