@@ -2,17 +2,24 @@
 //!
 //! The workspace builds fully offline (no serde), so this module provides
 //! the small JSON subset the serving layer and the bench writers need: a
-//! [`Value`] tree, a strict recursive-descent parser, and one streaming
+//! [`Value`] tree, one strict pull reader (`Reader`), and one streaming
 //! writer (`JsonWriter`) behind the compact and pretty serializers and
 //! behind the store's snapshots and journal lines. Objects preserve
 //! insertion order, so serialization is deterministic — a property the
 //! journal format and the restart tests rely on.
+//!
+//! The reader is the only tokenizer: [`Value::parse`] builds its tree by
+//! a recursion over it, and restart recovery decodes `snapshot.json`
+//! with it in one pass, straight into gate state, without a tree. Both
+//! therefore share one lexer (whitespace, strings, numbers, literals and
+//! the depth cap) and accept exactly the same documents.
 //!
 //! Numbers are stored as `f64` and rendered without a fractional part
 //! when they are integral (`3`, not `3.0`), which keeps sample sizes and
 //! step counters round-trippable: every integer with magnitude below
 //! 2⁵³ survives encode → parse → encode byte-identically.
 
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
 /// A JSON value.
@@ -89,9 +96,7 @@ impl Value {
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Number(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= 2f64.powi(53) => {
-                Some(*n as u64)
-            }
+            Value::Number(n) => exact_u64(*n),
             _ => None,
         }
     }
@@ -163,17 +168,9 @@ impl Value {
     ///
     /// A [`JsonError`] with the byte offset of the first violation.
     pub fn parse(text: &str) -> Result<Value, JsonError> {
-        let mut p = Parser {
-            text,
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after document"));
-        }
+        let mut reader = Reader::new(text);
+        let value = reader.value()?;
+        reader.finish()?;
         Ok(value)
     }
 }
@@ -431,19 +428,20 @@ const ESCAPE: [u8; 256] = {
 /// Length of the leading run of `bytes` that JSON strings carry verbatim
 /// (no quote, backslash or control byte), scanned eight bytes a word.
 fn plain_run(bytes: &[u8]) -> usize {
-    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
-    const HIGH: u64 = u64::from_ne_bytes([0x80; 8]);
-    // Nonzero iff some byte of `word` is below `n`. A borrow may also
-    // flag lanes past the first hit, so the byte scan below finds it.
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGH: u64 = u64::from_le_bytes([0x80; 8]);
+    // The high bit of each byte of `word` that is below `n`. A borrow
+    // may also flag bytes past the first hit, never before it, so the
+    // lowest flagged byte is the first special one.
     let below = |word: u64, n: u8| word.wrapping_sub(ONES * u64::from(n)) & !word & HIGH;
     let mut done = 0;
     for chunk in bytes.chunks_exact(8) {
-        let word = u64::from_ne_bytes(chunk.try_into().expect("8-byte chunk"));
+        let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
         let special = below(word, 0x20)
             | below(word ^ (ONES * u64::from(b'"')), 1)
             | below(word ^ (ONES * u64::from(b'\\')), 1);
         if special != 0 {
-            break;
+            return done + special.trailing_zeros() as usize / 8;
         }
         done += 8;
     }
@@ -625,13 +623,72 @@ impl std::error::Error for JsonError {}
 /// body of an HTTP request is attacker-controlled).
 const MAX_DEPTH: usize = 64;
 
-struct Parser<'a> {
+/// `n` as a non-negative integer if it is one exactly (no fractional
+/// part, at most 2⁵³): the reading of [`Value::as_u64`], shared with the
+/// pull decoders that never build a [`Value`].
+#[must_use]
+pub(crate) fn exact_u64(n: f64) -> Option<u64> {
+    (n.fract() == 0.0 && (0.0..=EXACT_INT).contains(&n)).then_some(n as u64)
+}
+
+/// What the next value of a [`Reader`] is, told from its first byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool,
+    /// A number.
+    Number,
+    /// A string.
+    String,
+    /// An array: [`Reader::begin_array`] enters it.
+    Array,
+    /// An object: [`Reader::begin_object`] enters it.
+    Object,
+}
+
+/// A pull reader over one JSON document, and the crate's only JSON
+/// tokenizer: [`Value::parse`] is a recursion over it, and decoders that
+/// know their schema (restart recovery's `snapshot.json` loader) pull
+/// members straight into their own types without building a tree.
+///
+/// The caller asks [`Reader::peek`] what comes next and consumes it: a
+/// scalar with `try_number`, `try_bool`, `try_str` or `try_null` (the
+/// first three skip a value of another kind), any value with
+/// [`Reader::skip`], or a container entered with
+/// [`Reader::begin_object`] / [`Reader::begin_array`] and walked with
+/// [`Reader::next_key`] / [`Reader::next_element`] until they report its
+/// end. Keys and escape-free strings are borrowed from
+/// the text. Every value — a scalar too — is checked against the depth
+/// cap, and [`Reader::finish`] rejects trailing garbage, so a document
+/// walked to its end is accepted exactly when [`Value::parse`] accepts
+/// it.
+#[derive(Debug)]
+pub(crate) struct Reader<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Containers entered and not yet left.
+    depth: usize,
+    /// Right after an opening bracket: the container may close at once,
+    /// and its first member needs no comma.
+    first: bool,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    #[must_use]
+    pub(crate) fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+            first: false,
+        }
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -639,22 +696,39 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Skip whitespace. Pretty documents indent every line, so after a
+    /// newline the run of indentation is measured a word at a time.
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
+        let bytes = self.bytes;
+        let mut pos = self.pos;
+        while let Some(&b) = bytes.get(pos) {
+            match b {
+                b' ' | b'\t' | b'\r' => pos += 1,
+                b'\n' => {
+                    pos += 1;
+                    while let Some(word) = bytes.get(pos..pos + 8) {
+                        let word = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+                        // Zero bytes of `spaces` are spaces, in text order
+                        // from the lowest byte up.
+                        let spaces = word ^ u64::from_le_bytes([b' '; 8]);
+                        pos += spaces.trailing_zeros() as usize / 8;
+                        if spaces != 0 {
+                            break;
+                        }
+                    }
+                }
+                _ => break,
             }
         }
+        self.pos = pos;
     }
 
-    fn peek(&self) -> Option<u8> {
+    fn peek_byte(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8, what: &str) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
+        if self.peek_byte() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
@@ -662,81 +736,210 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn eat_literal(&mut self, lit: &str, value: Value) -> Result<Value, JsonError> {
+    fn eat_literal(&mut self, lit: &str) -> Result<(), JsonError> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.err(&format!("expected `{lit}`")))
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Value, JsonError> {
-        if depth > MAX_DEPTH {
+    /// Move to the next value and tell what it is.
+    ///
+    /// # Errors
+    ///
+    /// Nesting past the depth cap, end of input, or a byte no value
+    /// starts with.
+    pub(crate) fn peek(&mut self) -> Result<Kind, JsonError> {
+        self.skip_ws();
+        if self.depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
-        match self.peek() {
-            Some(b'n') => self.eat_literal("null", Value::Null),
-            Some(b't') => self.eat_literal("true", Value::Bool(true)),
-            Some(b'f') => self.eat_literal("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+        match self.peek_byte() {
+            Some(b'n') => Ok(Kind::Null),
+            Some(b't' | b'f') => Ok(Kind::Bool),
+            Some(b'"') => Ok(Kind::String),
+            Some(b'[') => Ok(Kind::Array),
+            Some(b'{') => Ok(Kind::Object),
+            Some(b'-' | b'0'..=b'9') => Ok(Kind::Number),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Value, JsonError> {
-        self.eat(b'[', "expected `[`")?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
+    /// Consume `null`.
+    fn null(&mut self) -> Result<(), JsonError> {
+        self.eat_literal("null")
+    }
+
+    /// Consume `true` or `false`.
+    fn bool(&mut self) -> Result<bool, JsonError> {
+        let value = self.peek_byte() == Some(b't');
+        self.eat_literal(if value { "true" } else { "false" })?;
+        Ok(value)
+    }
+
+    /// Enter the object at the position.
+    pub(crate) fn begin_object(&mut self) -> Result<(), JsonError> {
+        self.eat(b'{', "expected `{`")?;
+        self.depth += 1;
+        self.first = true;
+        Ok(())
+    }
+
+    /// The next key of the innermost object, with the reader on its
+    /// value, or `None` once the object is closed.
+    pub(crate) fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if self.end_of_container(b'}', "expected `,` or `}`")? {
+            return Ok(None);
         }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
+        self.skip_ws();
+        let key = self.string()?;
+        self.skip_ws();
+        self.eat(b':', "expected `:` after object key")?;
+        Ok(Some(key))
+    }
+
+    /// Enter the array at the position.
+    pub(crate) fn begin_array(&mut self) -> Result<(), JsonError> {
+        self.eat(b'[', "expected `[`")?;
+        self.depth += 1;
+        self.first = true;
+        Ok(())
+    }
+
+    /// Whether the innermost array has another element (the reader is
+    /// then on it); `false` once the array is closed.
+    pub(crate) fn next_element(&mut self) -> Result<bool, JsonError> {
+        Ok(!self.end_of_container(b']', "expected `,` or `]`")?)
+    }
+
+    /// Step past the separator before a member, or past the closing
+    /// bracket (then `true`).
+    fn end_of_container(&mut self, close: u8, what: &str) -> Result<bool, JsonError> {
+        self.skip_ws();
+        let at = self.peek_byte();
+        if at == Some(close) {
+            self.pos += 1;
+            self.depth -= 1;
+            self.first = false;
+            return Ok(true);
+        }
+        if std::mem::take(&mut self.first) {
+            return Ok(false);
+        }
+        if at == Some(b',') {
+            self.pos += 1;
+            Ok(false)
+        } else {
+            Err(self.err(what))
+        }
+    }
+
+    /// Consume the value at the position, whatever it is, checking it as
+    /// [`Value::parse`] would.
+    pub(crate) fn skip(&mut self) -> Result<(), JsonError> {
+        match self.peek()? {
+            Kind::Null => self.null(),
+            Kind::Bool => self.bool().map(drop),
+            Kind::Number => self.number().map(drop),
+            Kind::String => self.string().map(drop),
+            Kind::Array => {
+                self.begin_array()?;
+                while self.next_element()? {
+                    self.skip()?;
                 }
-                _ => return Err(self.err("expected `,` or `]`")),
+                Ok(())
+            }
+            Kind::Object => {
+                self.begin_object()?;
+                while self.next_key()?.is_some() {
+                    self.skip()?;
+                }
+                Ok(())
             }
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Value, JsonError> {
-        self.eat(b'{', "expected `{`")?;
-        let mut pairs = Vec::new();
+    /// The next value as a number, or `None` with any other value
+    /// skipped.
+    pub(crate) fn try_number(&mut self) -> Result<Option<f64>, JsonError> {
+        if self.peek()? == Kind::Number {
+            self.number().map(Some)
+        } else {
+            self.skip().map(|()| None)
+        }
+    }
+
+    /// The next value as a boolean, or `None` with any other value
+    /// skipped.
+    pub(crate) fn try_bool(&mut self) -> Result<Option<bool>, JsonError> {
+        if self.peek()? == Kind::Bool {
+            self.bool().map(Some)
+        } else {
+            self.skip().map(|()| None)
+        }
+    }
+
+    /// The next value as a string, or `None` with any other value
+    /// skipped.
+    pub(crate) fn try_str(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if self.peek()? == Kind::String {
+            self.string().map(Some)
+        } else {
+            self.skip().map(|()| None)
+        }
+    }
+
+    /// Consume the next value if it is `null`; `false` leaves the reader
+    /// on the value.
+    pub(crate) fn try_null(&mut self) -> Result<bool, JsonError> {
+        if self.peek()? == Kind::Null {
+            self.null().map(|()| true)
+        } else {
+            Ok(false)
+        }
+    }
+
+    /// End of document: only whitespace may follow.
+    pub(crate) fn finish(mut self) -> Result<(), JsonError> {
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(pairs));
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing characters after document"))
         }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':', "expected `:` after object key")?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(pairs));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
+    }
+
+    /// The value at the position as a tree.
+    fn value(&mut self) -> Result<Value, JsonError> {
+        Ok(match self.peek()? {
+            Kind::Null => {
+                self.null()?;
+                Value::Null
             }
-        }
+            Kind::Bool => Value::Bool(self.bool()?),
+            Kind::Number => Value::Number(self.number()?),
+            Kind::String => Value::String(self.string()?.into_owned()),
+            Kind::Array => {
+                self.begin_array()?;
+                let mut items = Vec::new();
+                while self.next_element()? {
+                    items.push(self.value()?);
+                }
+                Value::Array(items)
+            }
+            Kind::Object => {
+                self.begin_object()?;
+                let mut pairs = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    let value = self.value()?;
+                    pairs.push((key.into_owned(), value));
+                }
+                Value::Object(pairs)
+            }
+        })
     }
 
     /// The text between `start` and the end of the run of plain bytes
@@ -748,24 +951,24 @@ impl<'a> Parser<'a> {
         &text[start..self.pos]
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Consume a string: borrowed from the text when it holds no escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.eat(b'"', "expected `\"`")?;
-        // Most strings hold no escape: one scan, one exact-size copy.
         let run = self.plain_run(self.pos);
-        if self.peek() == Some(b'"') {
+        if self.peek_byte() == Some(b'"') {
             self.pos += 1;
-            return Ok(run.to_owned());
+            return Ok(Cow::Borrowed(run));
         }
         let mut out = String::from(run);
         loop {
-            match self.peek() {
+            match self.peek_byte() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
+                    match self.peek_byte() {
                         Some(b'"') => out.push('"'),
                         Some(b'\\') => out.push('\\'),
                         Some(b'/') => out.push('/'),
@@ -808,11 +1011,11 @@ impl<'a> Parser<'a> {
         let high = hex4(self)?;
         if (0xD800..0xDC00).contains(&high) {
             // Expect a low surrogate `\uXXXX` to complete the pair.
-            if self.peek() != Some(b'\\') {
+            if self.peek_byte() != Some(b'\\') {
                 return Err(self.err("unpaired surrogate"));
             }
             self.pos += 1;
-            if self.peek() != Some(b'u') {
+            if self.peek_byte() != Some(b'u') {
                 return Err(self.err("unpaired surrogate"));
             }
             let low = hex4(self)?;
@@ -826,35 +1029,63 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Value, JsonError> {
+    /// Consume a number. A token of at most 15 digits, signed or not,
+    /// with no exponent is worked out from its digits: an integer is
+    /// exact in an `f64`, and a decimal fraction `m / 10^k` is one
+    /// correctly rounded division of two exact `f64`s. Both are what
+    /// `str::parse` makes of the token, `-0` included. Every other token
+    /// goes through `str::parse`.
+    fn number(&mut self) -> Result<f64, JsonError> {
+        /// Powers of ten up to the largest fraction the fast path takes.
+        const POW10: [f64; 16] = [
+            1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+        ];
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek_byte() == Some(b'-');
+        self.pos += usize::from(negative);
+        let mut mantissa: u64 = 0;
+        let int_digits = self.digits(&mut mantissa);
+        let mut fraction_digits = None;
+        if self.peek_byte() == Some(b'.') {
             self.pos += 1;
+            fraction_digits = Some(self.digits(&mut mantissa));
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        let scale = fraction_digits.unwrap_or(0);
+        let fast = int_digits > 0
+            && fraction_digits != Some(0)
+            && int_digits + scale <= 15
+            && !matches!(self.peek_byte(), Some(b'e' | b'E'));
+        if fast {
+            let n = mantissa as f64 / POW10[scale];
+            return Ok(if negative { -n } else { n });
         }
-        if self.peek() == Some(b'.') {
+        if matches!(self.peek_byte(), Some(b'e' | b'E')) {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
+            if matches!(self.peek_byte(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits(&mut 0);
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
         text.parse::<f64>()
             .ok()
             .filter(|n| n.is_finite())
-            .map(Value::Number)
             .ok_or_else(|| self.err("malformed number"))
+    }
+
+    /// Consume a run of decimal digits, accumulating them onto `value`
+    /// (wrapping: only runs of at most 15 digits are used); returns its
+    /// length.
+    fn digits(&mut self, value: &mut u64) -> usize {
+        let start = self.pos;
+        while let Some(&b) = self.bytes.get(self.pos) {
+            if !b.is_ascii_digit() {
+                break;
+            }
+            *value = value.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
+            self.pos += 1;
+        }
+        self.pos - start
     }
 }
 
@@ -1185,6 +1416,56 @@ mod tests {
         }
 
         #[test]
+        fn number_fast_path_matches_str_parse(
+            sign in 0u8..3,
+            int in prop::collection::vec(0u8..10, 0..20),
+            leading_zeros in 0usize..3,
+            fraction in prop::collection::vec(0u8..10, 0..20),
+            dot in 0u8..3,
+            exponent in 0u8..6,
+        ) {
+            // `-`, leading zeros, up to 19 integer and fraction digits, a
+            // bare `.`, and exponents: both sides of the 15-digit edge.
+            let digits = |d: &[u8]| d.iter().map(|&d| char::from(b'0' + d)).collect::<String>();
+            let mut token = String::from(if sign == 0 { "-" } else { "" });
+            token.push_str(&"0".repeat(leading_zeros));
+            token.push_str(&digits(&int));
+            if dot > 0 {
+                token.push('.');
+                token.push_str(&digits(&fraction));
+            }
+            token.push_str(["", "", "", "e5", "E-3", "e+400"][usize::from(exponent)]);
+            let mut reader = Reader::new(&token);
+            let lexed = reader.number().map(f64::to_bits);
+            let parsed = token.parse::<f64>().ok().filter(|n| n.is_finite()).map(f64::to_bits);
+            prop_assert_eq!(lexed.as_ref().ok(), parsed.as_ref(), "{}", token);
+            if lexed.is_ok() {
+                prop_assert_eq!(reader.pos, token.len(), "{}", token);
+            }
+        }
+
+        #[test]
+        fn skipping_accepts_exactly_what_the_tree_parser_accepts(
+            v in value(),
+            cut in 0usize..4096,
+            noise in text(),
+        ) {
+            // A pull reader that only skips the document must end in the
+            // same error, at the same byte, as `Value::parse`.
+            let skim = |text: &str| {
+                let mut reader = Reader::new(text);
+                reader.skip()?;
+                reader.finish()
+            };
+            let doc = v.pretty();
+            let at = doc.char_indices().map(|(i, _)| i).nth(cut % (doc.chars().count() + 1));
+            let at = at.unwrap_or(doc.len());
+            for text in [doc.clone(), format!("{}{noise}{}", &doc[..at], &doc[at..]), noise] {
+                prop_assert_eq!(skim(&text), Value::parse(&text).map(drop), "{:?}", text);
+            }
+        }
+
+        #[test]
         fn vector_decoder_matches_the_per_item_reference(text in vector_text()) {
             prop_assert_eq!(decode_u32_vec(&text), decode_u32_vec_reference(&text));
         }
@@ -1356,6 +1637,27 @@ mod tests {
         ] {
             assert!(Value::parse(bad).is_err(), "accepted: {bad:?}");
         }
+    }
+
+    #[test]
+    fn numbers_on_both_sides_of_the_fast_path_parse_exactly() {
+        for (token, want) in [
+            ("0", 0.0f64),
+            ("-0", -0.0),
+            ("007", 7.0),
+            ("999999999999999", 999_999_999_999_999.0),
+            ("9007199254740993", 9_007_199_254_740_992.0),
+            ("0.1", 0.1),
+            ("-0.020000000000000018", -0.020_000_000_000_000_018),
+            ("0.30000000000000004", 0.300_000_000_000_000_04),
+            ("1e2", 100.0),
+            ("1.", 1.0),
+        ] {
+            let v = Value::parse(token).unwrap().as_f64().unwrap();
+            assert_eq!(v.to_bits(), want.to_bits(), "{token}");
+        }
+        assert_eq!(Value::parse("-0").unwrap().as_u64(), Some(0));
+        assert!(Value::parse("1e400").is_err());
     }
 
     #[test]

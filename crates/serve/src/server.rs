@@ -493,6 +493,18 @@ fn register_derived_metrics(obs: &ServeObs, registry: &Arc<Registry>, stats: &Ar
         &[],
         move || boot.seconds,
     );
+    metrics.func_counter(
+        "easeml_boot_snapshot_bytes_total",
+        "Bytes of snapshot.json boot recovery read.",
+        &[],
+        move || boot.snapshot_bytes as f64,
+    );
+    metrics.func_counter(
+        "easeml_boot_journal_bytes_total",
+        "Bytes of journal.log boot recovery read, snapshot-covered prefixes included.",
+        &[],
+        move || boot.journal_bytes as f64,
+    );
     let failures = Arc::clone(registry.store_failures());
     metrics.func_counter(
         "easeml_snapshot_failures_total",
@@ -602,7 +614,7 @@ impl crate::net::Handler for RouteHandler {
     }
 
     /// Registration (`POST /projects`) runs the sample-size plan search
-    /// and fsyncs its record (2.8 ms p50 cold in
+    /// and fsyncs its record (2.2 ms p50 cold in
     /// `results/BENCH_serve.json`, `registration.cold`), and
     /// `POST /admin/persist` snapshots every project with fsyncs; both
     /// belong on a pool worker.
@@ -887,27 +899,31 @@ fn register_project(registry: &Registry, request: &Request) -> Result<Response, 
 
 pub(crate) fn project_status(registry: &Registry, name: &str) -> Result<Response, ServeError> {
     with_project(registry, name, |slot| {
-        let project = &slot.project;
-        let mut fields = vec![
-            ("project", Value::from(project.name())),
-            (
-                "condition",
-                Value::from(project.script().condition().to_string()),
-            ),
-            ("estimate", estimate_json(project)),
-            ("budget", budget_json(project)),
-            ("commits", Value::from(project.history().len())),
-            (
-                "labels_total",
-                Value::from(project.history().total_labels_requested()),
-            ),
-        ];
-        if let Some(measured) = project.measured() {
-            let meets = measured.len() as u64 >= project.estimate().total_samples();
-            fields.push(("testset", testset_json(measured, meets)));
-        }
-        Ok(Response::json(200, &Value::object(fields)))
+        Ok(Response::json(200, &status_json(&slot.project)))
     })
+}
+
+/// The `/projects/{name}` body.
+pub(crate) fn status_json(project: &crate::registry::Project) -> Value {
+    let mut fields = vec![
+        ("project", Value::from(project.name())),
+        (
+            "condition",
+            Value::from(project.script().condition().to_string()),
+        ),
+        ("estimate", estimate_json(project)),
+        ("budget", budget_json(project)),
+        ("commits", Value::from(project.history().len())),
+        (
+            "labels_total",
+            Value::from(project.history().total_labels_requested()),
+        ),
+    ];
+    if let Some(measured) = project.measured() {
+        let meets = measured.len() as u64 >= project.estimate().total_samples();
+        fields.push(("testset", testset_json(measured, meets)));
+    }
+    Value::object(fields)
 }
 
 /// The `easeml_gate_outcomes_total{outcome=...}` label for a decision.
@@ -1126,19 +1142,20 @@ pub(crate) fn history_body(name: &str, project: &crate::registry::Project) -> St
 
 pub(crate) fn project_budget(registry: &Registry, name: &str) -> Result<Response, ServeError> {
     with_project(registry, name, |slot| {
-        let project = &slot.project;
-        Ok(Response::json(
-            200,
-            &Value::object([
-                ("project", Value::from(project.name())),
-                ("budget", budget_json(project)),
-                (
-                    "labels_total",
-                    Value::from(project.history().total_labels_requested()),
-                ),
-            ]),
-        ))
+        Ok(Response::json(200, &budget_body(&slot.project)))
     })
+}
+
+/// The `/projects/{name}/budget` body.
+pub(crate) fn budget_body(project: &crate::registry::Project) -> Value {
+    Value::object([
+        ("project", Value::from(project.name())),
+        ("budget", budget_json(project)),
+        (
+            "labels_total",
+            Value::from(project.history().total_labels_requested()),
+        ),
+    ])
 }
 
 fn fresh_testset(

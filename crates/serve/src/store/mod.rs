@@ -33,7 +33,15 @@
 //! suffix past the snapshot's watermark through the same gate code that
 //! served the original requests; each replayed op's recorded outcome
 //! (`passed`, `step`, `era`) is cross-checked and any mismatch rejects
-//! the directory as corrupt rather than silently diverging.
+//! the directory as corrupt rather than silently diverging. The
+//! snapshot is decoded in one pull pass over its text (`json::Reader`),
+//! straight into the gate's history, the dedup keys and a lazy pool's
+//! spent labels, with no JSON tree built and dropped in between; it
+//! accepts exactly the documents a tree walk accepts, with the same
+//! reasons for the ones it refuses. Each journal is still read whole,
+//! the prefix its snapshot covers included: boot reads stay O(history)
+//! even when nothing is replayed, and `/metrics` counts them
+//! (`easeml_boot_snapshot_bytes_total`, `easeml_boot_journal_bytes_total`).
 //! Predictions-mode ops additionally store the submitted vectors and the
 //! counts the server derived from them: replay re-*measures* the vectors
 //! against the era's testset blob (whose digest is anchored in
@@ -78,10 +86,13 @@
 pub mod group;
 
 use crate::error::ServeError;
-use crate::json::{decode_u32_vec, encode_u32_vec, u32_vec_with_wire, JsonWriter, Value};
+use crate::json::{
+    decode_u32_vec, encode_u32_vec, exact_u64, u32_vec_with_wire, JsonError, JsonWriter, Kind,
+    Reader, Value,
+};
 use crate::obs::trace::{self, Stage};
 use crate::registry::{
-    CommitSubmission, EvalCounts, GateReceipt, MeasuredTestset, PackedPredictions,
+    CommitSubmission, EntryKey, EvalCounts, GateReceipt, MeasuredTestset, PackedPredictions,
     PredictionsSubmission, Project, TestsetSpec,
 };
 use crate::vfs::{write_atomic, RealVfs, Vfs};
@@ -89,6 +100,7 @@ use easeml_ci_core::{
     CommitEstimates, CommitHistory, HistoryEntry, PerClassCounts, SampleSizeEstimator, Tribool,
 };
 use group::SharedJournal;
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -352,7 +364,7 @@ impl ProjectStore {
     }
 
     /// Load a project directory: registration record, snapshot, journal
-    /// suffix.
+    /// suffix, adding what was read and replayed to `boot`.
     ///
     /// A *torn* final journal line — one missing its terminating newline
     /// that also fails to parse/replay — is the signature of a power cut
@@ -366,13 +378,14 @@ impl ProjectStore {
     ///
     /// [`ServeError::Corrupt`] when any file fails validation, I/O
     /// errors otherwise.
-    pub fn open(
+    pub(crate) fn open(
         vfs: &Arc<dyn Vfs>,
         dir: &Path,
         estimator: &SampleSizeEstimator,
         durability: Durability,
         group: &Arc<GroupCommit>,
         failures: &Arc<StoreFailures>,
+        boot: &mut BootReplay,
     ) -> Result<(Project, ProjectStore), ServeError> {
         let record_path = dir.join("project.json");
         let text = vfs.read_to_string(&record_path)?;
@@ -413,10 +426,10 @@ impl ProjectStore {
         let mut cadence = Cadence::default();
         if vfs.exists(&snapshot_path) {
             let text = vfs.read_to_string(&snapshot_path)?;
-            let snap = Value::parse(&text).map_err(|e| corrupt(&snapshot_path, e.to_string()))?;
             cadence.snapshot_ops =
-                load_snapshot(vfs.as_ref(), dir, &snapshot_path, &snap, &mut project)?;
+                load_snapshot(vfs.as_ref(), dir, &snapshot_path, &text, &mut project)?;
             cadence.snapshot_bytes = text.len() as u64;
+            boot.snapshot_bytes += text.len() as u64;
         }
         let skip_ops = cadence.snapshot_ops;
 
@@ -426,6 +439,7 @@ impl ProjectStore {
         let mut truncate_to: Option<u64> = None;
         if vfs.exists(&journal_path) {
             let text = vfs.read_to_string(&journal_path)?;
+            boot.journal_bytes += text.len() as u64;
             let mut offset: u64 = 0;
             for (index, piece) in text.split_inclusive('\n').enumerate() {
                 let start = offset;
@@ -464,6 +478,7 @@ impl ProjectStore {
                 )?;
             }
         }
+        boot.ops += ops.saturating_sub(skip_ops);
         if ops < skip_ops {
             return Err(corrupt(
                 &journal_path,
@@ -764,13 +779,14 @@ fn write_outcome_fields(w: &mut JsonWriter, counts: &EvalCounts, receipt: &GateR
 fn write_per_class(w: &mut JsonWriter, pc: &PerClassCounts) {
     w.begin_object();
     w.key("classes").u64(pc.classes.into());
-    for (key, values) in [
-        ("support", &pc.support),
-        ("new_tp", &pc.new_tp),
-        ("old_tp", &pc.old_tp),
-        ("new_pred", &pc.new_pred),
-        ("old_pred", &pc.old_pred),
-    ] {
+    let vectors = [
+        &pc.support,
+        &pc.new_tp,
+        &pc.old_tp,
+        &pc.new_pred,
+        &pc.old_pred,
+    ];
+    for (key, values) in PER_CLASS_VECTORS.into_iter().zip(vectors) {
         w.key(key).begin_array();
         for &x in values {
             w.u64(x);
@@ -780,9 +796,13 @@ fn write_per_class(w: &mut JsonWriter, pc: &PerClassCounts) {
     w.end_object();
 }
 
-/// Parse the optional `per_class` field of a journal op or snapshot
-/// history entry. Absent/null (every record written before F1/top-k
-/// support, and every plain-condition record since) parses to `None`.
+/// The vectors of a `per_class` object, in the order they are written
+/// and checked.
+const PER_CLASS_VECTORS: [&str; 5] = ["support", "new_tp", "old_tp", "new_pred", "old_pred"];
+
+/// Parse the optional `per_class` field of a journal op. Absent/null
+/// (every record written before F1/top-k support, and every
+/// plain-condition record since) parses to `None`.
 fn per_class_from_value(value: Option<&Value>) -> Result<Option<PerClassCounts>, String> {
     let value = match value {
         None | Some(Value::Null) => return Ok(None),
@@ -791,54 +811,77 @@ fn per_class_from_value(value: Option<&Value>) -> Result<Option<PerClassCounts>,
     let classes = value
         .get("classes")
         .and_then(Value::as_u64)
-        .and_then(|c| u32::try_from(c).ok())
-        .ok_or_else(|| "per_class: missing or bad `classes`".to_owned())?;
-    let vec = |key: &str| -> Result<Vec<u64>, String> {
-        value
-            .get(key)
-            .and_then(Value::as_array)
-            .ok_or_else(|| format!("per_class: missing `{key}`"))?
+        .and_then(|c| u32::try_from(c).ok());
+    let vectors = PER_CLASS_VECTORS.map(|key| match value.get(key).and_then(Value::as_array) {
+        None => Ints::Missing,
+        Some(items) => items
             .iter()
-            .map(|v| {
-                v.as_u64()
-                    .ok_or_else(|| format!("per_class: non-integer entry in `{key}`"))
-            })
-            .collect()
-    };
-    Ok(Some(PerClassCounts {
-        classes,
-        support: vec("support")?,
-        new_tp: vec("new_tp")?,
-        old_tp: vec("old_tp")?,
-        new_pred: vec("new_pred")?,
-        old_pred: vec("old_pred")?,
-    }))
+            .map(Value::as_u64)
+            .collect::<Option<Vec<u64>>>()
+            .map_or(Ints::NonInteger, Ints::Read),
+    });
+    per_class_counts(classes, vectors).map(Some)
 }
 
-/// Restore project state from a parsed snapshot; returns the journal
-/// watermark (ops already reflected in the snapshot).
+/// Per-class counts from the fields of a `per_class` object, checked in
+/// a fixed order: `classes`, then each of [`PER_CLASS_VECTORS`].
+fn per_class_counts(
+    classes: Option<u32>,
+    vectors: [Ints<u64>; 5],
+) -> Result<PerClassCounts, String> {
+    let classes = classes.ok_or_else(|| "per_class: missing or bad `classes`".to_owned())?;
+    let mut read = Vec::with_capacity(PER_CLASS_VECTORS.len());
+    for (vector, key) in vectors.into_iter().zip(PER_CLASS_VECTORS) {
+        match vector {
+            Ints::Read(values) => read.push(values),
+            Ints::Missing => return Err(format!("per_class: missing `{key}`")),
+            Ints::NonInteger => return Err(format!("per_class: non-integer entry in `{key}`")),
+        }
+    }
+    let [support, new_tp, old_tp, new_pred, old_pred]: [Vec<u64>; 5] =
+        read.try_into().expect("one vector per name");
+    Ok(PerClassCounts {
+        classes,
+        support,
+        new_tp,
+        old_tp,
+        new_pred,
+        old_pred,
+    })
+}
+
+/// Restore project state from the text of `snapshot.json`; returns the
+/// journal watermark (ops already reflected in the snapshot).
+///
+/// The document is decoded in one pull pass ([`decode_snapshot`]), with
+/// no JSON tree: history entries go straight into a [`CommitHistory`]
+/// and their dedup keys, and a lazy pool's spent labels into one index
+/// list. It accepts what a tree walk accepts: keys in any order, unknown
+/// keys ignored (their values still parsed, under the depth cap), the
+/// first of duplicate keys winning, trailing garbage rejected. The
+/// checks then run in a fixed order, so a document fails with the same
+/// reason whatever order its keys come in.
 fn load_snapshot(
     vfs: &dyn Vfs,
     dir: &Path,
     path: &Path,
-    snap: &Value,
+    text: &str,
     project: &mut Project,
 ) -> Result<u64, ServeError> {
-    let field_u64 = |key: &str| -> Result<u64, ServeError> {
-        snap.get(key)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| corrupt(path, format!("missing or non-integer `{key}`")))
+    let snap = decode_snapshot(text).map_err(|e| corrupt(path, e.to_string()))?;
+    let field_u64 = |value: Option<u64>, key: &str| -> Result<u64, ServeError> {
+        value.ok_or_else(|| corrupt(path, format!("missing or non-integer `{key}`")))
     };
-    if field_u64("version")? != 1 {
+    if field_u64(snap.version, "version")? != 1 {
         return Err(corrupt(path, "unsupported snapshot version"));
     }
-    let journal_ops = field_u64("journal_ops")?;
-    let steps_used = u32::try_from(field_u64("steps_used")?)
+    let journal_ops = field_u64(snap.journal_ops, "journal_ops")?;
+    let steps_used = u32::try_from(field_u64(snap.steps_used, "steps_used")?)
         .map_err(|_| corrupt(path, "steps_used out of range"))?;
-    let era = u32::try_from(field_u64("era")?).map_err(|_| corrupt(path, "era out of range"))?;
+    let era = u32::try_from(field_u64(snap.era, "era")?)
+        .map_err(|_| corrupt(path, "era out of range"))?;
     let retired = snap
-        .get("retired")
-        .and_then(Value::as_bool)
+        .retired
         .ok_or_else(|| corrupt(path, "missing `retired`"))?;
     // Predictions-mode projects: swap in the blob of the snapshot's era
     // (digest-anchored by the snapshot) and rebuild the spent-label
@@ -846,9 +889,7 @@ fn load_snapshot(
     // the pool the original requests saw.
     if project.measured().is_some() {
         let recorded = snap
-            .get("testset_digest")
-            .and_then(Value::as_str)
-            .and_then(parse_digest_hex)
+            .testset_digest
             .ok_or_else(|| corrupt(path, "missing or bad `testset_digest`"))?;
         let measured = MeasuredTestset::from_spec(read_testset_blob(vfs, dir, era)?)
             .map_err(|e| corrupt(path, format!("invalid testset: {e}")))?;
@@ -863,18 +904,11 @@ fn load_snapshot(
         // Fully-labelled pools are complete from construction; only lazy
         // pools carry (and require) the spent-label record.
         if lazy {
-            let labeled = snap
-                .get("labeled")
-                .and_then(Value::as_array)
-                .ok_or_else(|| corrupt(path, "missing `labeled`"))?;
-            let indices: Vec<usize> = labeled
-                .iter()
-                .map(|v| {
-                    v.as_u64()
-                        .and_then(|i| usize::try_from(i).ok())
-                        .ok_or_else(|| corrupt(path, "bad `labeled` index"))
-                })
-                .collect::<Result<_, _>>()?;
+            let indices = match snap.labeled {
+                Ints::Read(indices) => indices,
+                Ints::Missing => return Err(corrupt(path, "missing `labeled`")),
+                Ints::NonInteger => return Err(corrupt(path, "bad `labeled` index")),
+            };
             project
                 .measured_mut()
                 .expect("set above")
@@ -882,79 +916,265 @@ fn load_snapshot(
                 .map_err(|e| corrupt(path, format!("bad `labeled` state: {e}")))?;
         }
     }
-    let entries = snap
-        .get("history")
-        .and_then(Value::as_array)
-        .ok_or_else(|| corrupt(path, "missing `history`"))?;
-    let mut history = CommitHistory::new();
-    let mut entry_keys = Vec::with_capacity(entries.len());
-    for (i, entry) in entries.iter().enumerate() {
-        let bad = |what: &str| corrupt(path, format!("history[{i}]: {what}"));
-        let commit_id = entry
-            .get("id")
-            .and_then(Value::as_str)
-            .ok_or_else(|| bad("missing `id`"))?
-            .to_owned();
-        let num_u32 = |key: &str| -> Result<u32, ServeError> {
-            entry
-                .get(key)
-                .and_then(Value::as_u64)
-                .and_then(|v| u32::try_from(v).ok())
-                .ok_or_else(|| bad(&format!("bad `{key}`")))
-        };
-        let flag = |key: &str| -> Result<bool, ServeError> {
-            entry
-                .get(key)
-                .and_then(Value::as_bool)
-                .ok_or_else(|| bad(&format!("bad `{key}`")))
-        };
-        let opt_f64 = |key: &str| -> Result<Option<f64>, ServeError> {
-            match entry.get(key) {
-                None | Some(Value::Null) => Ok(None),
-                Some(v) => v
-                    .as_f64()
-                    .map(Some)
-                    .ok_or_else(|| bad(&format!("bad `{key}`"))),
-            }
-        };
-        let outcome = entry
-            .get("outcome")
-            .and_then(Value::as_str)
-            .and_then(tribool_parse)
-            .ok_or_else(|| bad("bad `outcome`"))?;
-        let digest = match entry.get("pred_digest") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(
-                v.as_str()
-                    .and_then(parse_digest_hex)
-                    .ok_or_else(|| bad("bad `pred_digest`"))?,
-            ),
-        };
-        let per_class = per_class_from_value(entry.get("per_class")).map_err(|e| bad(&e))?;
-        entry_keys.push((digest, per_class));
-        history.push(HistoryEntry {
-            commit_id,
-            step: num_u32("step")?,
-            era: num_u32("era")?,
-            estimates: CommitEstimates {
-                d: opt_f64("d")?,
-                n: opt_f64("n")?,
-                o: opt_f64("o")?,
-                diff: opt_f64("diff")?,
-                labels_requested: entry
-                    .get("labels")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| bad("bad `labels`"))?,
-            },
-            outcome,
-            passed: flag("passed")?,
-            accepted: flag("accepted")?,
-        });
-    }
+    let (history, entry_keys) = snap.history.map_err(|e| corrupt(path, e))?;
     project
         .restore(steps_used, era, retired, history, entry_keys)
         .map_err(|e| corrupt(path, e))?;
     Ok(journal_ops)
+}
+
+/// The fields of `snapshot.json` as [`decode_snapshot`] found them. A
+/// scalar is `None` when absent or of the wrong type; which of the two
+/// does not matter, the reason [`load_snapshot`] gives is the same.
+struct SnapshotFields {
+    version: Option<u64>,
+    journal_ops: Option<u64>,
+    steps_used: Option<u64>,
+    era: Option<u64>,
+    retired: Option<bool>,
+    testset_digest: Option<u64>,
+    labeled: Ints<usize>,
+    /// The history and its dedup keys, or the reason for the first bad
+    /// entry.
+    history: Result<(CommitHistory, Vec<EntryKey>), String>,
+}
+
+/// An array of integers as the pull decoder found it.
+enum Ints<T> {
+    /// Absent, or not an array.
+    Missing,
+    /// An array with an element that is no exact integer of the type.
+    NonInteger,
+    /// Every element.
+    Read(Vec<T>),
+}
+
+/// Which keys of one object were read already: the first of duplicate
+/// keys wins, later ones are skipped.
+#[derive(Default)]
+struct Seen(u16);
+
+impl Seen {
+    /// Whether key number `bit` comes up for the first time.
+    fn first(&mut self, bit: u32) -> bool {
+        let fresh = self.0 & (1 << bit) == 0;
+        self.0 |= 1 << bit;
+        fresh
+    }
+}
+
+/// Decode `snapshot.json` in one pass. Errors are the document's syntax
+/// errors only: a field that is missing or malformed is recorded, and
+/// the rest of the document is still read, so a syntax error anywhere
+/// wins over it, as it does when the document is parsed whole.
+fn decode_snapshot(text: &str) -> Result<SnapshotFields, JsonError> {
+    let mut r = Reader::new(text);
+    let mut f = SnapshotFields {
+        version: None,
+        journal_ops: None,
+        steps_used: None,
+        era: None,
+        retired: None,
+        testset_digest: None,
+        labeled: Ints::Missing,
+        history: Err("missing `history`".to_owned()),
+    };
+    if r.peek()? == Kind::Object {
+        r.begin_object()?;
+        let mut seen = Seen::default();
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "version" if seen.first(0) => f.version = read_u64(&mut r)?,
+                "journal_ops" if seen.first(1) => f.journal_ops = read_u64(&mut r)?,
+                "steps_used" if seen.first(2) => f.steps_used = read_u64(&mut r)?,
+                "era" if seen.first(3) => f.era = read_u64(&mut r)?,
+                "retired" if seen.first(4) => f.retired = r.try_bool()?,
+                "testset_digest" if seen.first(5) => {
+                    f.testset_digest = r.try_str()?.as_deref().and_then(parse_digest_hex);
+                }
+                "labeled" if seen.first(6) => f.labeled = read_ints(&mut r)?,
+                "history" if seen.first(7) => f.history = decode_history(&mut r, text.len())?,
+                _ => r.skip()?,
+            }
+        }
+    } else {
+        r.skip()?;
+    }
+    r.finish()?;
+    Ok(f)
+}
+
+/// The next value as an exact integer; `None` for anything else.
+fn read_u64(r: &mut Reader<'_>) -> Result<Option<u64>, JsonError> {
+    Ok(r.try_number()?.and_then(exact_u64))
+}
+
+/// The next value as a `u32`; `None` for anything else.
+fn read_u32(r: &mut Reader<'_>) -> Result<Option<u32>, JsonError> {
+    Ok(read_u64(r)?.and_then(|v| u32::try_from(v).ok()))
+}
+
+/// The next value as an array of exact integers of type `T`.
+fn read_ints<T: TryFrom<u64>>(r: &mut Reader<'_>) -> Result<Ints<T>, JsonError> {
+    if r.peek()? != Kind::Array {
+        r.skip()?;
+        return Ok(Ints::Missing);
+    }
+    r.begin_array()?;
+    let mut items = Vec::new();
+    while r.next_element()? {
+        match read_u64(r)?.and_then(|v| T::try_from(v).ok()) {
+            Some(item) => items.push(item),
+            None => {
+                while r.next_element()? {
+                    r.skip()?;
+                }
+                return Ok(Ints::NonInteger);
+            }
+        }
+    }
+    Ok(Ints::Read(items))
+}
+
+/// The `history` array. Entries decode straight into the history; the
+/// first bad one ends decoding (the rest is only skipped) with its
+/// reason.
+fn decode_history(
+    r: &mut Reader<'_>,
+    text_len: usize,
+) -> Result<Result<(CommitHistory, Vec<EntryKey>), String>, JsonError> {
+    if r.peek()? != Kind::Array {
+        r.skip()?;
+        return Ok(Err("missing `history`".to_owned()));
+    }
+    r.begin_array()?;
+    let mut history = CommitHistory::new();
+    let mut entry_keys = Vec::with_capacity(text_len / SNAPSHOT_ENTRY_BYTES);
+    while r.next_element()? {
+        match decode_entry(r)? {
+            Ok((entry, key)) => {
+                history.push(entry);
+                entry_keys.push(key);
+            }
+            Err(what) => {
+                let index = entry_keys.len();
+                while r.next_element()? {
+                    r.skip()?;
+                }
+                return Ok(Err(format!("history[{index}]: {what}")));
+            }
+        }
+    }
+    Ok(Ok((history, entry_keys)))
+}
+
+/// One history entry and its dedup key, or why it is bad; the checks run
+/// in the order the entry's fields are written.
+fn decode_entry(r: &mut Reader<'_>) -> Result<Result<(HistoryEntry, EntryKey), String>, JsonError> {
+    const ESTIMATES: [&str; 4] = ["d", "n", "o", "diff"];
+    if r.peek()? != Kind::Object {
+        r.skip()?;
+        return Ok(Err("missing `id`".to_owned()));
+    }
+    r.begin_object()?;
+    let mut seen = Seen::default();
+    let (mut id, mut outcome, mut labels) = (None, None, None);
+    let (mut step, mut era, mut passed, mut accepted) = (None, None, None, None);
+    // `Some(None)` for absent or `null`; `None` for a malformed value.
+    let mut estimates = [Some(None); 4];
+    let mut digest = Some(None);
+    let mut per_class = Ok(None);
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "id" if seen.first(0) => id = r.try_str()?.map(Cow::into_owned),
+            "step" if seen.first(1) => step = read_u32(r)?,
+            "era" if seen.first(2) => era = read_u32(r)?,
+            "outcome" if seen.first(3) => {
+                outcome = r.try_str()?.as_deref().and_then(tribool_parse);
+            }
+            "passed" if seen.first(4) => passed = r.try_bool()?,
+            "accepted" if seen.first(5) => accepted = r.try_bool()?,
+            "labels" if seen.first(6) => labels = read_u64(r)?,
+            "pred_digest" if seen.first(7) => {
+                digest = if r.try_null()? {
+                    Some(None)
+                } else {
+                    r.try_str()?.as_deref().and_then(parse_digest_hex).map(Some)
+                };
+            }
+            "per_class" if seen.first(8) => per_class = decode_per_class(r)?,
+            key => match ESTIMATES.iter().position(|&k| k == key) {
+                Some(i) if seen.first(9 + i as u32) => {
+                    estimates[i] = if r.try_null()? {
+                        Some(None)
+                    } else {
+                        r.try_number()?.map(Some)
+                    };
+                }
+                _ => r.skip()?,
+            },
+        }
+    }
+    let bad = |key: &str| format!("bad `{key}`");
+    let checked = (|| {
+        let commit_id = id.ok_or_else(|| "missing `id`".to_owned())?;
+        let outcome = outcome.ok_or_else(|| bad("outcome"))?;
+        let digest = digest.ok_or_else(|| bad("pred_digest"))?;
+        let per_class = per_class?;
+        let step = step.ok_or_else(|| bad("step"))?;
+        let era = era.ok_or_else(|| bad("era"))?;
+        let mut values = [None; 4];
+        for ((value, estimate), key) in values.iter_mut().zip(estimates).zip(ESTIMATES) {
+            *value = estimate.ok_or_else(|| bad(key))?;
+        }
+        let [d, n, o, diff] = values;
+        let labels_requested = labels.ok_or_else(|| bad("labels"))?;
+        let entry = HistoryEntry {
+            commit_id,
+            step,
+            era,
+            estimates: CommitEstimates {
+                d,
+                n,
+                o,
+                diff,
+                labels_requested,
+            },
+            outcome,
+            passed: passed.ok_or_else(|| bad("passed"))?,
+            accepted: accepted.ok_or_else(|| bad("accepted"))?,
+        };
+        Ok((entry, (digest, per_class)))
+    })();
+    Ok(checked)
+}
+
+/// The `per_class` field of a snapshot history entry, pulled with the
+/// checks and reasons of [`per_class_from_value`].
+fn decode_per_class(
+    r: &mut Reader<'_>,
+) -> Result<Result<Option<PerClassCounts>, String>, JsonError> {
+    if r.try_null()? {
+        return Ok(Ok(None));
+    }
+    let mut classes = None;
+    let mut vectors = [(); 5].map(|()| Ints::Missing);
+    if r.peek()? == Kind::Object {
+        r.begin_object()?;
+        let mut seen = Seen::default();
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "classes" if seen.first(0) => classes = read_u32(r)?,
+                key => match PER_CLASS_VECTORS.iter().position(|&k| k == key) {
+                    Some(i) if seen.first(1 + i as u32) => vectors[i] = read_ints(r)?,
+                    _ => r.skip()?,
+                },
+            }
+        }
+    } else {
+        r.skip()?;
+    }
+    Ok(per_class_counts(classes, vectors).map(Some))
 }
 
 /// Replay one journal line through the live gate, cross-checking the
@@ -1279,6 +1499,11 @@ impl ProjectSlot {
 pub(crate) struct BootReplay {
     /// Journal ops replayed past snapshot watermarks, over all projects.
     pub ops: u64,
+    /// Bytes of `snapshot.json` read, over all projects.
+    pub snapshot_bytes: u64,
+    /// Bytes of `journal.log` read, over all projects: each journal is
+    /// read whole, the prefix its snapshot covers included.
+    pub journal_bytes: u64,
     /// Wall time of loading every project: registration records,
     /// snapshots and journal suffixes.
     pub seconds: f64,
@@ -1378,7 +1603,7 @@ impl Registry {
         let projects_dir = data_dir.join("projects");
         vfs.create_dir_all(&projects_dir)?;
         let mut projects = HashMap::new();
-        let mut replayed_ops = 0;
+        let mut boot_replay = BootReplay::default();
         for path in vfs.list_dir(&projects_dir)? {
             if !vfs.is_dir(&path) {
                 continue;
@@ -1390,9 +1615,15 @@ impl Registry {
                 );
                 continue;
             }
-            let (project, store) =
-                ProjectStore::open(&vfs, &path, &estimator, durability, &group, &failures)?;
-            replayed_ops += store.ops_written - store.cadence.get().snapshot_ops;
+            let (project, store) = ProjectStore::open(
+                &vfs,
+                &path,
+                &estimator,
+                durability,
+                &group,
+                &failures,
+                &mut boot_replay,
+            )?;
             projects.insert(
                 project.name().to_owned(),
                 Arc::new(Mutex::new(ProjectSlot { project, store })),
@@ -1404,8 +1635,8 @@ impl Registry {
             estimator,
             durability,
             boot_replay: BootReplay {
-                ops: replayed_ops,
                 seconds: started.elapsed().as_secs_f64(),
+                ..boot_replay
             },
             failures,
             group,
@@ -2453,6 +2684,150 @@ mod tests {
 }
 "##;
 
+    /// Reference loader: the tree walk that restored snapshots before
+    /// [`load_snapshot`] decoded them in one pull pass. The hostile
+    /// snapshot proptest holds the two to the same verdicts.
+    fn load_snapshot_reference(
+        vfs: &dyn Vfs,
+        dir: &Path,
+        path: &Path,
+        snap: &Value,
+        project: &mut Project,
+    ) -> Result<u64, ServeError> {
+        let field_u64 = |key: &str| -> Result<u64, ServeError> {
+            snap.get(key)
+                .and_then(Value::as_u64)
+                .ok_or_else(|| corrupt(path, format!("missing or non-integer `{key}`")))
+        };
+        if field_u64("version")? != 1 {
+            return Err(corrupt(path, "unsupported snapshot version"));
+        }
+        let journal_ops = field_u64("journal_ops")?;
+        let steps_used = u32::try_from(field_u64("steps_used")?)
+            .map_err(|_| corrupt(path, "steps_used out of range"))?;
+        let era =
+            u32::try_from(field_u64("era")?).map_err(|_| corrupt(path, "era out of range"))?;
+        let retired = snap
+            .get("retired")
+            .and_then(Value::as_bool)
+            .ok_or_else(|| corrupt(path, "missing `retired`"))?;
+        // Predictions-mode projects: swap in the blob of the snapshot's era
+        // (digest-anchored by the snapshot) and rebuild the spent-label
+        // state, so post-snapshot journal replay measures against exactly
+        // the pool the original requests saw.
+        if project.measured().is_some() {
+            let recorded = snap
+                .get("testset_digest")
+                .and_then(Value::as_str)
+                .and_then(parse_digest_hex)
+                .ok_or_else(|| corrupt(path, "missing or bad `testset_digest`"))?;
+            let measured = MeasuredTestset::from_spec(read_testset_blob(vfs, dir, era)?)
+                .map_err(|e| corrupt(path, format!("invalid testset: {e}")))?;
+            if measured.digest() != recorded {
+                return Err(corrupt(
+                    &dir.join(testset_blob_name(era)),
+                    "testset blob does not match the snapshot's digest",
+                ));
+            }
+            let lazy = measured.lazy();
+            project.set_measured(Some(measured));
+            // Fully-labelled pools are complete from construction; only lazy
+            // pools carry (and require) the spent-label record.
+            if lazy {
+                let labeled = snap
+                    .get("labeled")
+                    .and_then(Value::as_array)
+                    .ok_or_else(|| corrupt(path, "missing `labeled`"))?;
+                let indices: Vec<usize> = labeled
+                    .iter()
+                    .map(|v| {
+                        v.as_u64()
+                            .and_then(|i| usize::try_from(i).ok())
+                            .ok_or_else(|| corrupt(path, "bad `labeled` index"))
+                    })
+                    .collect::<Result<_, _>>()?;
+                project
+                    .measured_mut()
+                    .expect("set above")
+                    .restore_labels(&indices)
+                    .map_err(|e| corrupt(path, format!("bad `labeled` state: {e}")))?;
+            }
+        }
+        let entries = snap
+            .get("history")
+            .and_then(Value::as_array)
+            .ok_or_else(|| corrupt(path, "missing `history`"))?;
+        let mut history = CommitHistory::new();
+        let mut entry_keys = Vec::with_capacity(entries.len());
+        for (i, entry) in entries.iter().enumerate() {
+            let bad = |what: &str| corrupt(path, format!("history[{i}]: {what}"));
+            let commit_id = entry
+                .get("id")
+                .and_then(Value::as_str)
+                .ok_or_else(|| bad("missing `id`"))?
+                .to_owned();
+            let num_u32 = |key: &str| -> Result<u32, ServeError> {
+                entry
+                    .get(key)
+                    .and_then(Value::as_u64)
+                    .and_then(|v| u32::try_from(v).ok())
+                    .ok_or_else(|| bad(&format!("bad `{key}`")))
+            };
+            let flag = |key: &str| -> Result<bool, ServeError> {
+                entry
+                    .get(key)
+                    .and_then(Value::as_bool)
+                    .ok_or_else(|| bad(&format!("bad `{key}`")))
+            };
+            let opt_f64 = |key: &str| -> Result<Option<f64>, ServeError> {
+                match entry.get(key) {
+                    None | Some(Value::Null) => Ok(None),
+                    Some(v) => v
+                        .as_f64()
+                        .map(Some)
+                        .ok_or_else(|| bad(&format!("bad `{key}`"))),
+                }
+            };
+            let outcome = entry
+                .get("outcome")
+                .and_then(Value::as_str)
+                .and_then(tribool_parse)
+                .ok_or_else(|| bad("bad `outcome`"))?;
+            let digest = match entry.get("pred_digest") {
+                None | Some(Value::Null) => None,
+                Some(v) => Some(
+                    v.as_str()
+                        .and_then(parse_digest_hex)
+                        .ok_or_else(|| bad("bad `pred_digest`"))?,
+                ),
+            };
+            let per_class = per_class_from_value(entry.get("per_class")).map_err(|e| bad(&e))?;
+            entry_keys.push((digest, per_class));
+            history.push(HistoryEntry {
+                commit_id,
+                step: num_u32("step")?,
+                era: num_u32("era")?,
+                estimates: CommitEstimates {
+                    d: opt_f64("d")?,
+                    n: opt_f64("n")?,
+                    o: opt_f64("o")?,
+                    diff: opt_f64("diff")?,
+                    labels_requested: entry
+                        .get("labels")
+                        .and_then(Value::as_u64)
+                        .ok_or_else(|| bad("bad `labels`"))?,
+                },
+                outcome,
+                passed: flag("passed")?,
+                accepted: flag("accepted")?,
+            });
+        }
+        project
+            .restore(steps_used, era, retired, history, entry_keys)
+            .map_err(|e| corrupt(path, e))?;
+        Ok(journal_ops)
+    }
+
     /// Reference history entry: the `Value` tree that the snapshot and
     /// `/history` were built from before both streamed.
     fn entry_json_reference(e: &HistoryEntry) -> Value {
@@ -2631,7 +3006,8 @@ mod tests {
             )
     }
 
-    /// A counts project, a lazy and a fully-labelled predictions project.
+    /// A counts project, a lazy and a fully-labelled predictions
+    /// project, and a lazy F1 project.
     fn base_project(kind: u32) -> Project {
         let estimator = serving_estimator();
         let spec = |lazy| TestsetSpec {
@@ -2639,12 +3015,46 @@ mod tests {
             classes: 3,
             lazy,
         };
-        let testset = match kind {
-            0 => None,
-            1 => Some(spec(true)),
-            _ => Some(spec(false)),
+        let (script, testset) = match kind {
+            0 => (SCRIPT.to_owned(), None),
+            1 => (SCRIPT.to_owned(), Some(spec(true))),
+            2 => (SCRIPT.to_owned(), Some(spec(false))),
+            _ => (
+                SCRIPT.replace("n > 0.6 +/- 0.2", "f1(n) - f1(o) > -0.5 +/- 0.2"),
+                Some(spec(true)),
+            ),
         };
-        Project::register_with_testset("proj", SCRIPT, &estimator, testset).unwrap()
+        Project::register_with_testset("proj", &script, &estimator, testset).unwrap()
+    }
+
+    /// A `kind` project restored to a state the gate can reach from
+    /// random history rows: steps within the budget H, no entry after
+    /// the snapshot's era, and `labeled` spent on a lazy pool.
+    fn restored_project(
+        kind: u32,
+        rows: Vec<Row>,
+        (steps_used, era, retired): (u32, u32, bool),
+        labeled: &[usize],
+    ) -> Project {
+        let mut project = base_project(kind);
+        let h = project.script().steps();
+        let mut history = CommitHistory::new();
+        let mut keys = Vec::new();
+        for (entry, digest, pc) in rows {
+            history.push(HistoryEntry {
+                step: 1 + entry.step % h,
+                era: entry.era.min(era),
+                ..entry
+            });
+            keys.push((digest, pc));
+        }
+        project
+            .restore(steps_used % (h + 1), era, retired, history, keys)
+            .unwrap();
+        if let Some(measured) = project.measured_mut() {
+            measured.restore_labels(labeled).unwrap();
+        }
+        project
     }
 
     proptest! {
@@ -2652,32 +3062,13 @@ mod tests {
 
         #[test]
         fn streamed_snapshot_and_history_match_the_tree_reference(
-            kind in 0u32..3,
+            kind in 0u32..4,
             rows in prop::collection::vec(history_row(), 0..24),
             counters in (0u64..=u64::MAX, 0u32..=u32::MAX, 0u32..=u32::MAX, 0u32..2),
             labeled in prop::collection::vec(0usize..40, 0..40),
         ) {
             let (journal_ops, steps_used, era, retired) = counters;
-            let mut project = base_project(kind);
-            // Restore accepts only states the gate can reach: steps within
-            // the budget H, and no entry after the snapshot's era.
-            let h = project.script().steps();
-            let mut history = CommitHistory::new();
-            let mut keys = Vec::new();
-            for (entry, digest, pc) in rows {
-                history.push(HistoryEntry {
-                    step: 1 + entry.step % h,
-                    era: entry.era.min(era),
-                    ..entry
-                });
-                keys.push((digest, pc));
-            }
-            project
-                .restore(steps_used % (h + 1), era, retired == 1, history, keys)
-                .unwrap();
-            if let Some(measured) = project.measured_mut() {
-                measured.restore_labels(&labeled).unwrap();
-            }
+            let project = restored_project(kind, rows, (steps_used, era, retired == 1), &labeled);
             prop_assert_eq!(
                 render_snapshot(journal_ops, &project),
                 snapshot_reference(journal_ops, &project)
@@ -2687,6 +3078,365 @@ mod tests {
                 history_reference("proj \"x\"", &project)
             );
         }
+    }
+
+    /// Values that a hostile edit puts where the snapshot has another:
+    /// the other JSON kinds, integers in spellings the tree reads as
+    /// integers too, out-of-range and non-integral numbers, a valid
+    /// digest, an escaped outcome, and containers.
+    const ODD_VALUES: &[&str] = &[
+        "null",
+        "true",
+        "false",
+        "0",
+        "-0",
+        "1.0",
+        "1e0",
+        "2.5",
+        "-1",
+        "4294967296",
+        "9007199254740993",
+        "\"True\"",
+        "\"Tr\\u0075e\"",
+        "\"0123456789abcdef\"",
+        "\"\"",
+        "[]",
+        "{}",
+        "[1, 2, 3]",
+        "[0, -1]",
+        "{\"classes\": 1, \"support\": [1]}",
+        "[[[[{\"deep\": [null]}]]]]",
+    ];
+
+    /// The paths (element and member indices) of every object in `v`
+    /// and of every array element, depth first.
+    fn container_paths(
+        v: &Value,
+        path: &mut Vec<usize>,
+        objects: &mut Vec<Vec<usize>>,
+        elements: &mut Vec<Vec<usize>>,
+    ) {
+        let children: Vec<&Value> = match v {
+            Value::Object(pairs) => {
+                objects.push(path.clone());
+                pairs.iter().map(|(_, v)| v).collect()
+            }
+            Value::Array(items) => items.iter().collect(),
+            _ => Vec::new(),
+        };
+        for (i, child) in children.into_iter().enumerate() {
+            path.push(i);
+            if matches!(v, Value::Array(_)) {
+                elements.push(path.clone());
+            }
+            container_paths(child, path, objects, elements);
+            path.pop();
+        }
+    }
+
+    fn value_at<'v>(v: &'v mut Value, path: &[usize]) -> &'v mut Value {
+        path.iter().fold(v, |v, &i| match v {
+            Value::Object(pairs) => &mut pairs[i].1,
+            Value::Array(items) => &mut items[i],
+            _ => unreachable!("paths lead through containers"),
+        })
+    }
+
+    fn members_at<'v>(v: &'v mut Value, path: &[usize]) -> &'v mut Vec<(String, Value)> {
+        match value_at(v, path) {
+            Value::Object(pairs) => pairs,
+            _ => unreachable!("paths end at objects"),
+        }
+    }
+
+    /// One hostile edit of a snapshot's text. Edits `0..=5` change the
+    /// parsed document and render it again: drop a member, add a
+    /// duplicate of one before or after it, reorder the members, add an
+    /// unknown key, replace a member's value (half of these pick the top
+    /// level object), replace an array element. Edits `6..` work on the
+    /// text: flip a bit of an ASCII byte, truncate, delete, duplicate or
+    /// swap lines, spell a key's first letter as a `\u` escape.
+    fn edit_snapshot(
+        text: &str,
+        (op, a, b, odd): (u32, usize, usize, usize),
+        compact: bool,
+    ) -> String {
+        let odd = Value::parse(ODD_VALUES[odd]).expect("odd values parse");
+        if op <= 5 {
+            let Ok(mut doc) = Value::parse(text) else {
+                return text.to_owned();
+            };
+            let (mut objects, mut elements) = (Vec::new(), Vec::new());
+            container_paths(&doc, &mut Vec::new(), &mut objects, &mut elements);
+            if op == 5 {
+                if let Some(path) = elements.get(a % elements.len().max(1)) {
+                    *value_at(&mut doc, path) = odd;
+                }
+                return if compact { doc.encode() } else { doc.pretty() };
+            }
+            let Some(path) = (if b % 2 == 0 {
+                objects.first()
+            } else {
+                objects.get(b / 2 % objects.len().max(1))
+            }) else {
+                return text.to_owned();
+            };
+            let members = members_at(&mut doc, path);
+            let len = members.len();
+            match op {
+                0 if len > 0 => {
+                    members.remove(a % len);
+                }
+                1 if len > 0 => {
+                    let key = members[a % len].0.clone();
+                    let at = if b % 4 < 2 { a % len } else { a % len + 1 };
+                    members.insert(at, (key, odd));
+                }
+                2 if len > 1 => {
+                    if a % 2 == 0 {
+                        members.reverse();
+                    } else {
+                        members.rotate_left(1 + a % (len - 1));
+                    }
+                }
+                3 => members.insert(a % (len + 1), (format!("x{b}"), odd)),
+                4 if len > 0 => members[a % len].1 = odd,
+                _ => {}
+            }
+            return if compact { doc.encode() } else { doc.pretty() };
+        }
+        let mut lines: Vec<&str> = text.split_inclusive('\n').collect();
+        let (x, y) = (a % lines.len().max(1), b % lines.len().max(1));
+        match op {
+            6 => {
+                let mut bytes = text.as_bytes().to_vec();
+                if let Some(byte) = bytes.get_mut(a % text.len().max(1)) {
+                    if byte.is_ascii() {
+                        *byte ^= 1 << (b % 7);
+                    }
+                }
+                String::from_utf8(bytes).expect("an ASCII flip keeps UTF-8")
+            }
+            7 => {
+                let cut = text
+                    .char_indices()
+                    .map(|(i, _)| i)
+                    .nth(a % text.len().max(1));
+                text[..cut.unwrap_or(text.len())].to_owned()
+            }
+            8..=10 if lines.is_empty() => text.to_owned(),
+            8 => {
+                lines.remove(x);
+                lines.concat()
+            }
+            9 => {
+                lines.insert(x, lines[x]);
+                lines.concat()
+            }
+            10 => {
+                lines.swap(x, y);
+                lines.concat()
+            }
+            _ => {
+                let keys: Vec<usize> = text.match_indices("\": ").map(|(i, _)| i).collect();
+                let Some(&end) = keys.get(a % keys.len().max(1)) else {
+                    return text.to_owned();
+                };
+                let start = text[..end].rfind('"').expect("keys are quoted") + 1;
+                match text[start..end].chars().next() {
+                    Some(c) if c.is_ascii_alphabetic() => format!(
+                        "{}\\u{:04x}{}",
+                        &text[..start],
+                        c as u32,
+                        &text[start + 1..]
+                    ),
+                    _ => text.to_owned(),
+                }
+            }
+        }
+    }
+
+    /// Load `text` as a `kind` project's `snapshot.json` with the pull
+    /// decoder and with the tree reference: both reject with the same
+    /// error, which names `snapshot.json` or the testset blob it
+    /// points at, or both accept with the same watermark and the same
+    /// status, `/history`, `/budget` and re-rendered snapshot bodies.
+    fn check_against_reference(kind: u32, text: &str) -> Result<(), TestCaseError> {
+        let disk = MemVfs::new();
+        let dir = Path::new("/hostile/projects/proj");
+        let path = dir.join("snapshot.json");
+        let (mut pulled, mut reference) = (base_project(kind), base_project(kind));
+        if let Some(measured) = pulled.measured() {
+            for era in 0..3 {
+                write_atomic(
+                    &disk,
+                    &dir.join(testset_blob_name(era)),
+                    testset_blob_json(era, &measured.spec()).pretty().as_bytes(),
+                )
+                .unwrap();
+            }
+        }
+        let pull = load_snapshot(&disk, dir, &path, text, &mut pulled);
+        let tree = Value::parse(text)
+            .map_err(|e| corrupt(&path, e.to_string()))
+            .and_then(|snap| load_snapshot_reference(&disk, dir, &path, &snap, &mut reference));
+        match (pull, tree) {
+            (Ok(pull), Ok(tree)) => {
+                prop_assert_eq!(pull, tree);
+                let bodies = |p: &Project| {
+                    [
+                        crate::server::status_json(p).encode(),
+                        crate::server::history_body("proj", p),
+                        crate::server::budget_body(p).encode(),
+                        render_snapshot(pull, p),
+                    ]
+                };
+                prop_assert_eq!(bodies(&pulled), bodies(&reference));
+            }
+            (Err(pull), Err(tree)) => {
+                prop_assert_eq!(pull.to_string(), tree.to_string());
+                let ServeError::Corrupt { path: named, .. } = &pull else {
+                    return Err(TestCaseError::fail(format!(
+                        "not a corrupt-file error: {pull}"
+                    )));
+                };
+                let file = named.file_name().and_then(|n| n.to_str()).unwrap_or("");
+                prop_assert!(
+                    named.parent() == Some(dir)
+                        && (file == "snapshot.json" || file.starts_with("testset.")),
+                    "{pull}"
+                );
+            }
+            (pull, tree) => {
+                return Err(TestCaseError::fail(format!(
+                    "verdicts differ on {text:?}: pull {pull:?}, tree {tree:?}"
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn hostile_snapshots_get_the_tree_reference_verdict(
+            kind in 0u32..4,
+            rows in prop::collection::vec(history_row(), 0..6),
+            counters in (0u64..1 << 40, 0u32..=u32::MAX, 0u32..3, 0u32..2),
+            labeled in prop::collection::vec(0usize..40, 0..12),
+            edits in prop::collection::vec(
+                (0u32..12, 0usize..1 << 20, 0usize..1 << 20, 0usize..ODD_VALUES.len()),
+                0..3,
+            ),
+            compact in 0u32..2,
+        ) {
+            let (journal_ops, steps_used, era, retired) = counters;
+            // Label counts past 2^53 render inexactly, and the loaders
+            // refuse them: keep them exact so that most documents load.
+            let rows = rows.into_iter().map(|(mut entry, digest, pc)| {
+                entry.estimates.labels_requested >>= 11;
+                (entry, digest, pc)
+            });
+            let project =
+                restored_project(kind, rows.collect(), (steps_used, era, retired == 1), &labeled);
+            let mut text = render_snapshot(journal_ops, &project);
+            for edit in edits {
+                text = edit_snapshot(&text, edit, compact == 1);
+            }
+            check_against_reference(kind, &text)?;
+        }
+    }
+
+    /// Every member of every object of a lazy F1 snapshot, dropped,
+    /// shadowed by an earlier duplicate, followed by an ignored one, or
+    /// preceded by an unknown key; every object's members reversed; and
+    /// every array element made a string: each edited document gets the
+    /// tree reference's verdict.
+    /// A snapshot without its `era` is among them, so a decoder that
+    /// defaulted a missing field would accept what the tree refuses.
+    #[test]
+    fn every_snapshot_member_edit_gets_the_tree_reference_verdict() {
+        let rows = (0..3u32)
+            .map(|i| {
+                let pc = PerClassCounts {
+                    classes: 3,
+                    support: vec![1, 2, 3],
+                    new_tp: vec![1, 1, i.into()],
+                    old_tp: vec![0, 1, 2],
+                    new_pred: vec![2, 2, 2],
+                    old_pred: vec![3, 2, 1],
+                };
+                let entry = HistoryEntry {
+                    commit_id: format!("{ESCAPED_ID}{i}"),
+                    step: i + 1,
+                    era: 0,
+                    estimates: CommitEstimates {
+                        d: Some(0.25),
+                        n: None,
+                        o: Some(-0.5),
+                        diff: Some(0.1),
+                        labels_requested: 7,
+                    },
+                    outcome: Tribool::Unknown,
+                    passed: i % 2 == 0,
+                    accepted: i == 1,
+                };
+                (entry, Some(u64::from(i) << 40 | 0xabc), Some(pc))
+            })
+            .collect();
+        let project = restored_project(3, rows, (3, 0, false), &[0, 5, 39]);
+        let text = render_snapshot(9, &project);
+        check_against_reference(3, &text).unwrap();
+        let doc = Value::parse(&text).unwrap();
+        let (mut paths, mut elements) = (Vec::new(), Vec::new());
+        container_paths(&doc, &mut Vec::new(), &mut paths, &mut elements);
+        let mut edits = 0;
+        for path in &elements {
+            let mut edited = doc.clone();
+            *value_at(&mut edited, path) = Value::from("odd");
+            check_against_reference(3, &edited.pretty()).unwrap();
+            edits += 1;
+        }
+        for path in &paths {
+            let len = members_at(&mut doc.clone(), path).len();
+            let mut edited = Vec::new();
+            for i in 0..len {
+                for edit in 0..4 {
+                    let mut doc = doc.clone();
+                    let members = members_at(&mut doc, path);
+                    let key = members[i].0.clone();
+                    match edit {
+                        0 => drop(members.remove(i)),
+                        1 => members.insert(i, (key, Value::from("odd"))),
+                        2 => members.insert(i + 1, (key, Value::from("odd"))),
+                        _ => members.insert(i, ("unknown".into(), Value::from("odd"))),
+                    }
+                    edited.push(doc);
+                }
+            }
+            let mut reversed = doc.clone();
+            members_at(&mut reversed, path).reverse();
+            edited.push(reversed);
+            for doc in edited {
+                check_against_reference(3, &doc.pretty()).unwrap();
+                edits += 1;
+            }
+        }
+        assert!(edits > 100, "{edits} edits");
+        let no_era = text.replacen("  \"era\": 0,\n", "", 1);
+        assert_ne!(no_era, text);
+        let pull = load_snapshot(
+            &MemVfs::new(),
+            Path::new("/p"),
+            Path::new("/p/snapshot.json"),
+            &no_era,
+            &mut base_project(3),
+        );
+        assert!(
+            matches!(&pull, Err(ServeError::Corrupt { reason, .. }) if reason == "missing or non-integer `era`"),
+            "{pull:?}"
+        );
     }
 
     /// Commit id carrying every kind of byte the escaper treats

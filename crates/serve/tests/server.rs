@@ -2079,23 +2079,28 @@ fn overload_sheds_with_retry_after_and_backoff_clients_converge() {
     join.join().unwrap();
 }
 
-/// The boot-replay pair of an exposition:
-/// (`easeml_boot_replay_ops_total`, `easeml_boot_replay_seconds`).
-fn boot_replay(addr: &str) -> (f64, f64) {
+/// The boot-recovery figures of an exposition: `easeml_boot_replay_ops_total`,
+/// `easeml_boot_replay_seconds`, `easeml_boot_snapshot_bytes_total` and
+/// `easeml_boot_journal_bytes_total`, in that order.
+fn boot_replay(addr: &str) -> [f64; 4] {
     let (status, text) = raw_round_trip(addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
     let exposition = text.split("\r\n\r\n").nth(1).expect("metrics body");
     let expo = easeml_serve::obs::expo::parse(exposition).expect("parseable exposition");
-    (
-        expo.value("easeml_boot_replay_ops_total", &[]).unwrap(),
-        expo.value("easeml_boot_replay_seconds", &[]).unwrap(),
-    )
+    [
+        "easeml_boot_replay_ops_total",
+        "easeml_boot_replay_seconds",
+        "easeml_boot_snapshot_bytes_total",
+        "easeml_boot_journal_bytes_total",
+    ]
+    .map(|name| expo.value(name, &[]).unwrap())
 }
 
 /// A server killed mid-run (its disk image taken before any shutdown
 /// snapshot) reboots by replaying the journal ops past each project's
 /// last snapshot, and `/metrics` says how many; after a graceful stop
-/// there is nothing left to replay.
+/// there is nothing left to replay, yet boot still reads the whole
+/// snapshot and the whole journal, and `/metrics` says how many bytes.
 #[test]
 fn boot_replay_metrics_count_the_ops_past_the_last_snapshot() {
     use easeml_serve::vfs::{MemVfs, Vfs};
@@ -2108,10 +2113,11 @@ fn boot_replay_metrics_count_the_ops_past_the_last_snapshot() {
     };
     let disk = MemVfs::new();
     let (addr, handle, join) = start_with(config(&disk));
+    let [ops, _, snapshot_bytes, journal_bytes] = boot_replay(&addr);
     assert_eq!(
-        boot_replay(&addr).0,
-        0.0,
-        "a fresh data dir replays nothing"
+        [ops, snapshot_bytes, journal_bytes],
+        [0.0; 3],
+        "a fresh data dir replays and reads nothing"
     );
     let mut client = Client::new(&addr);
     let script = SCRIPT.replace("steps      : 3", "steps      : 1000");
@@ -2137,7 +2143,7 @@ fn boot_replay_metrics_count_the_ops_past_the_last_snapshot() {
     join.join().unwrap();
 
     let (addr, handle, join) = start_with(config(&killed));
-    let (ops, seconds) = boot_replay(&addr);
+    let [ops, seconds, ..] = boot_replay(&addr);
     assert_eq!(ops, 36.0, "ops 65..=100 lie past the op-64 snapshot");
     assert!(seconds > 0.0);
     let (_, budget) = Client::new(&addr)
@@ -2154,11 +2160,14 @@ fn boot_replay_metrics_count_the_ops_past_the_last_snapshot() {
     join.join().unwrap();
 
     let (addr, handle, join) = start_with(config(&killed));
-    assert_eq!(
-        boot_replay(&addr).0,
-        0.0,
-        "the shutdown snapshot covers all"
-    );
+    let [ops, _, snapshot_bytes, journal_bytes] = boot_replay(&addr);
+    assert_eq!(ops, 0.0, "the shutdown snapshot covers all");
+    let size = |file: &str| {
+        let path = data_dir.join("projects/p").join(file);
+        killed.file_bytes(&path).expect("project file").len() as f64
+    };
+    assert_eq!(snapshot_bytes, size("snapshot.json"));
+    assert_eq!(journal_bytes, size("journal.log"));
     handle.stop();
     join.join().unwrap();
 }
