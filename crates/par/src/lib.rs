@@ -204,7 +204,10 @@ impl Pool {
     /// With one thread the scope runs jobs inline at `spawn` time. With
     /// `N > 1` threads, `N − 1` workers are spawned and the calling
     /// thread joins them in draining the queue once `f` returns, so all
-    /// `N` threads execute jobs.
+    /// `N` threads execute jobs. The workers have exited, not merely
+    /// finished their jobs, when `scope` returns: a thread's exit (its
+    /// thread-local destructors, the release of its allocator arena)
+    /// never overlaps what the caller does next.
     ///
     /// # Panics
     ///
@@ -216,9 +219,9 @@ impl Pool {
         }
         let queue = JobQueue::new();
         std::thread::scope(|s| {
-            for _ in 0..self.threads.get() - 1 {
-                s.spawn(|| queue.work());
-            }
+            let workers: Vec<_> = (1..self.threads.get())
+                .map(|_| s.spawn(|| queue.work()))
+                .collect();
             // Close the queue even if `f` unwinds: workers otherwise wait
             // on the condvar forever and `std::thread::scope`'s join turns
             // the panic into a deadlock.
@@ -235,6 +238,11 @@ impl Pool {
             drop(close_guard);
             // The calling thread helps drain whatever is still queued.
             queue.work();
+            for worker in workers {
+                if let Err(panic) = worker.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
             out
         })
     }
@@ -418,6 +426,39 @@ mod tests {
             });
             assert_eq!(counter.load(Ordering::Relaxed), 100, "threads={threads}");
         }
+    }
+
+    /// Every worker has exited, its thread-local destructors run, by the
+    /// time `scope` returns: each of the `N` threads takes one of `N`
+    /// jobs that meet at a barrier, and each worker's (slow) exit is
+    /// counted.
+    #[test]
+    fn scope_returns_after_its_workers_exit() {
+        struct CountExit;
+        impl Drop for CountExit {
+            fn drop(&mut self) {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                EXITED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        static EXITED: AtomicUsize = AtomicUsize::new(0);
+        thread_local! {
+            static MARK: CountExit = const { CountExit };
+        }
+        let threads = 4;
+        let barrier = std::sync::Barrier::new(threads);
+        let main = std::thread::current().id();
+        Pool::new(threads).scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    if std::thread::current().id() != main {
+                        MARK.with(|_| {});
+                    }
+                    barrier.wait();
+                });
+            }
+        });
+        assert_eq!(EXITED.load(Ordering::SeqCst), threads - 1);
     }
 
     #[test]

@@ -28,9 +28,10 @@
 //!   ack waited on the flusher's batched journal sync, so *no* acked
 //!   commit may be lost; in `relaxed` only a completed snapshot covers
 //!   the commits acked before it);
-//! * **byte-faithful history** — for halting faults the survivor's
-//!   journal, after torn-tail repair, is byte-for-byte a prefix of the
-//!   fault-free baseline journal (journal lines carry no timestamps);
+//! * **byte-faithful history** — for halting faults each surviving
+//!   journal segment, after torn-tail repair, is byte-for-byte a prefix
+//!   of the fault-free baseline journal from the segment's first op on
+//!   (journal lines carry no timestamps);
 //! * **post-reboot liveness** — a probe submission to each surviving
 //!   project is answered by the gate (any verdict but
 //!   [`ServeError::Corrupt`] / [`ServeError::Io`]).
@@ -39,7 +40,9 @@
 //! per-scope operation order — the fault-plan address space — is
 //! deterministic for any pool width; `journal_bytes_after_run` exposes
 //! that determinism for the property test in
-//! `tests/crash_matrix.rs`.
+//! `tests/crash_matrix.rs`. A project's journal is compared as the
+//! stream of lines written to its segments, as [`FaultVfs`] saw them:
+//! every snapshot seals and unlinks the segments it covers.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -52,7 +55,7 @@ use crate::json::Value;
 use crate::registry::{
     serving_estimator, CommitSubmission, EvalCounts, PredictionsSubmission, TestsetSpec,
 };
-use crate::store::{group, Durability, Registry};
+use crate::store::{group, segment_start, Durability, Registry};
 use crate::vfs::{Fault, FaultKind, FaultPlan, FaultVfs, MemVfs, OpRecord, Vfs};
 
 /// Virtual data-directory root the matrix schedule runs under (a
@@ -213,13 +216,10 @@ pub fn run_matrix_on(pool: &Pool, options: &MatrixOptions) -> MatrixReport {
         }
     };
     let oplog = baseline_vfs.take_oplog();
-    let disk = baseline_vfs.disk();
-    let mut baseline_journals: BTreeMap<String, Vec<u8>> = BTreeMap::new();
-    for name in baseline.keys() {
-        if let Some(bytes) = disk.file_bytes(&journal_path(name)) {
-            baseline_journals.insert(name.clone(), bytes);
-        }
-    }
+    let baseline_journals: BTreeMap<String, Vec<u8>> = baseline
+        .keys()
+        .map(|name| (name.clone(), baseline_vfs.journal_written(name)))
+        .collect();
 
     let stride = if options.quick { 3 } else { 1 };
     let mut cases = Vec::new();
@@ -258,8 +258,8 @@ pub fn run_matrix_on(pool: &Pool, options: &MatrixOptions) -> MatrixReport {
     }
 }
 
-/// Run the schedule under `plan` and return each project's final
-/// journal bytes (durable *and* pending — the process image).
+/// Run the schedule under `plan` and return each project's journal:
+/// every line written to its segments, in order.
 ///
 /// Two runs with the same seed and plan must return identical maps for
 /// any pool width: per-project operation streams are single tasks, so
@@ -278,21 +278,44 @@ pub fn journal_bytes_after_run(
     let fvfs = FaultVfs::new(Path::new(FAULT_ROOT), plan);
     let vfs: Arc<dyn Vfs> = Arc::new(fvfs.clone());
     let _ = run_schedule(&vfs, pool, seed, durability);
-    let disk = fvfs.disk();
     schedule(seed)
         .into_iter()
         .map(|(name, _)| {
-            let bytes = disk.file_bytes(&journal_path(&name)).unwrap_or_default();
+            let bytes = fvfs.journal_written(&name);
             (name, bytes)
         })
         .collect()
 }
 
-fn journal_path(project: &str) -> PathBuf {
-    Path::new(FAULT_ROOT)
-        .join("projects")
-        .join(project)
-        .join("journal.log")
+fn project_dir(project: &str) -> PathBuf {
+    Path::new(FAULT_ROOT).join("projects").join(project)
+}
+
+/// Whether every journal segment in `dir` of `disk` is a byte prefix of
+/// `journal` from the segment's first op on; the first that is not, if
+/// any, with why.
+fn segments_follow(disk: &MemVfs, dir: &Path, journal: &[u8]) -> Result<(), String> {
+    let lines: Vec<&[u8]> = journal.split_inclusive(|&b| b == b'\n').collect();
+    for path in disk.list_dir(dir).unwrap_or_default() {
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        let Some(Ok(start)) = segment_start(name) else {
+            continue;
+        };
+        let bytes = disk.file_bytes(&path).unwrap_or_default();
+        let tail = usize::try_from(start)
+            .ok()
+            .and_then(|start| lines.get(start..))
+            .map(<[&[u8]]>::concat);
+        if !tail.is_some_and(|tail| tail.starts_with(&bytes)) {
+            return Err(format!(
+                "survivor segment {name} ({} bytes) diverges from the fault-free \
+                 baseline's ops from op {start} on ({} ops in all)",
+                bytes.len(),
+                lines.len()
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Whether `needle` appears in `haystack` in order (not necessarily
@@ -312,6 +335,7 @@ fn is_mutating(kind: &str) -> bool {
             | "open_append"
             | "write"
             | "sync"
+            | "sync_dir"
             | "set_len"
     )
 }
@@ -712,22 +736,18 @@ fn run_case(
         }
 
         // Byte-faithful history: after reboot (which repairs a torn
-        // tail), the survivor's journal must be a byte prefix of the
-        // fault-free baseline's. Skipped for ENOSPC: a rolled-back
-        // append legitimately makes later journal offsets diverge.
+        // tail and unlinks the segments a snapshot covers), each
+        // survivor segment must be a byte prefix of the fault-free
+        // baseline's ops from its first op on. Skipped for ENOSPC: a
+        // rolled-back append legitimately makes later journal offsets
+        // diverge.
         if halting {
-            let bytes = survivor.file_bytes(&journal_path(name)).unwrap_or_default();
             let base = baseline_journals
                 .get(name)
                 .map(Vec::as_slice)
                 .unwrap_or_default();
-            if !base.starts_with(&bytes) {
-                result.failure = Some(format!(
-                    "{name}: survivor journal ({} bytes) diverges from the \
-                     fault-free baseline ({} bytes)",
-                    bytes.len(),
-                    base.len()
-                ));
+            if let Err(why) = segments_follow(&survivor, &project_dir(name), base) {
+                result.failure = Some(format!("{name}: {why}"));
                 return result;
             }
         }
@@ -869,24 +889,37 @@ mod tests {
         let vfs: Arc<dyn Vfs> = Arc::new(fvfs.clone());
         let pool = Pool::new(1);
         run_schedule(&vfs, &pool, 7, Durability::Group).expect("baseline");
+        // The schedule ends in a snapshot, which sealed and unlinked the
+        // segments it covers; two more commits start the segment past
+        // it, whose lines boot replays and validates.
+        let registry =
+            Registry::open_with(Path::new(FAULT_ROOT), serving_estimator(), vfs).expect("reopen");
+        for action in [commit("a5", 20), commit("a6", 21)] {
+            apply(&registry, "alpha", &action).expect("commit past the snapshot");
+        }
+        drop(registry);
         let disk = fvfs.disk().kill_view();
-        // The schedule ends in a snapshot, whose covered journal prefix
-        // is skipped (not re-parsed) at boot; drop it so the journal
-        // replays in full and the tamper is in validated territory.
-        let snapshot = Path::new(FAULT_ROOT)
-            .join("projects")
-            .join("alpha")
-            .join("snapshot.json");
-        disk.remove_file(&snapshot).expect("remove snapshot");
-        let path = journal_path("alpha");
-        let mut bytes = disk.file_bytes(&path).expect("journal");
+        let dir = project_dir("alpha");
+        let segments: Vec<PathBuf> = disk
+            .list_dir(&dir)
+            .expect("project dir")
+            .into_iter()
+            .filter(|p| {
+                p.file_name()
+                    .is_some_and(|n| n.to_string_lossy().starts_with("journal."))
+            })
+            .collect();
+        let [path] = segments.as_slice() else {
+            panic!("one live segment expected: {segments:?}");
+        };
+        let mut bytes = disk.file_bytes(path).expect("journal");
         let second_line = bytes.iter().position(|&b| b == b'\n').expect("newline") + 1;
         assert_eq!(bytes[second_line], b'{');
         bytes[second_line] = b'#';
         // Rewrite the tampered image through the vfs interface.
-        disk.remove_file(&path).expect("remove");
+        disk.remove_file(path).expect("remove");
         {
-            let mut file = disk.create(&path).expect("create");
+            let mut file = disk.create(path).expect("create");
             file.write_all(&bytes).expect("write");
             file.sync_data().expect("sync");
         }

@@ -495,7 +495,7 @@ pub struct RouteSlot {
 pub enum VfsOp {
     /// `VfsFile::write_all`.
     Write,
-    /// `VfsFile::sync_data`.
+    /// `VfsFile::sync_data` and `Vfs::sync_dir`.
     Sync,
     /// `VfsFile::set_len` (journal truncation on failed appends).
     SetLen,
@@ -565,7 +565,7 @@ pub struct VfsMetrics {
     sync_latency: Arc<Histogram>,
     /// Bytes written through the facade.
     pub write_bytes_total: Arc<Counter>,
-    /// Journal record appends (writes to `journal.log`).
+    /// Journal record appends (writes to journal segments).
     pub journal_appends_total: Arc<Counter>,
     /// Bytes appended to journals.
     pub journal_bytes_total: Arc<Counter>,

@@ -501,7 +501,7 @@ fn register_derived_metrics(obs: &ServeObs, registry: &Arc<Registry>, stats: &Ar
     );
     metrics.func_counter(
         "easeml_boot_journal_bytes_total",
-        "Bytes of journal.log boot recovery read, snapshot-covered prefixes included.",
+        "Bytes of journal segments boot recovery read: those at or past each snapshot's watermark.",
         &[],
         move || boot.journal_bytes as f64,
     );
@@ -614,8 +614,9 @@ impl crate::net::Handler for RouteHandler {
     }
 
     /// Registration (`POST /projects`) runs the sample-size plan search
-    /// and fsyncs its record (2.2 ms p50 cold in
-    /// `results/BENCH_serve.json`, `registration.cold`), and
+    /// and fsyncs its record and two directories (2.2 ms p50 cold with
+    /// the record fsync alone in `results/BENCH_serve.json`,
+    /// `registration.cold`), and
     /// `POST /admin/persist` snapshots every project with fsyncs; both
     /// belong on a pool worker.
     /// Every other route is µs-scale work against precomputed plan

@@ -90,8 +90,14 @@ impl fmt::Display for Durability {
 }
 
 /// A journal handle shareable between request threads (which append)
-/// and the flusher (which syncs). Tracks how far the file is known
-/// durable and whether a deferred sync has poisoned it.
+/// and the flusher (which syncs). Holds the project's live segment, if
+/// one is open, and tracks how far it is known durable and whether a
+/// deferred sync has poisoned the journal.
+///
+/// A seal swaps the segment out under the mutex ([`SharedJournal::seal`])
+/// once a durable snapshot covers it, so a sync staged before the seal
+/// finds no segment and retires as a no-op: the seal's own inline sync
+/// already covered its records.
 #[derive(Debug)]
 pub(crate) struct SharedJournal {
     inner: Mutex<JournalInner>,
@@ -99,25 +105,47 @@ pub(crate) struct SharedJournal {
 
 #[derive(Debug)]
 struct JournalInner {
-    file: Box<dyn VfsFile>,
-    /// Bytes known forced to stable storage.
+    /// The live segment; `None` from a seal to the next append.
+    file: Option<Box<dyn VfsFile>>,
+    /// Bytes of the live segment known forced to stable storage.
     synced_len: u64,
     /// Set when a deferred sync failed; see the module docs.
     poisoned: bool,
 }
 
 impl SharedJournal {
-    /// Wrap a freshly opened journal. The current length is taken as
-    /// the durable baseline (recovery already replayed it).
-    pub(crate) fn new(file: Box<dyn VfsFile>) -> Result<SharedJournal, ServeError> {
-        let synced_len = file.len()?;
-        Ok(SharedJournal {
+    /// A journal without a live segment.
+    pub(crate) fn new() -> SharedJournal {
+        SharedJournal {
             inner: Mutex::new(JournalInner {
-                file,
-                synced_len,
+                file: None,
+                synced_len: 0,
                 poisoned: false,
             }),
-        })
+        }
+    }
+
+    /// Whether a live segment is open.
+    pub(crate) fn is_open(&self) -> bool {
+        self.inner.lock().unwrap().file.is_some()
+    }
+
+    /// Make `file` the live segment. Its current length is taken as the
+    /// durable baseline (recovery already replayed it).
+    pub(crate) fn open(&self, file: Box<dyn VfsFile>) -> Result<(), ServeError> {
+        let synced_len = file.len()?;
+        let mut inner = self.inner.lock().unwrap();
+        inner.file = Some(file);
+        inner.synced_len = synced_len;
+        Ok(())
+    }
+
+    /// Close the live segment: a durable snapshot covers every record
+    /// in it, and the next append starts a new one.
+    pub(crate) fn seal(&self) {
+        let mut inner = self.inner.lock().unwrap();
+        inner.file = None;
+        inner.synced_len = 0;
     }
 
     fn poisoned_err() -> ServeError {
@@ -134,9 +162,10 @@ impl SharedJournal {
         if inner.poisoned {
             return Err(Self::poisoned_err());
         }
-        let offset = inner.file.len()?;
-        if let Err(e) = inner.file.write_all(line) {
-            let _ = inner.file.set_len(offset);
+        let file = inner.file.as_mut().expect("append opens a segment first");
+        let offset = file.len()?;
+        if let Err(e) = file.write_all(line) {
+            let _ = file.set_len(offset);
             return Err(e.into());
         }
         Ok(())
@@ -151,21 +180,27 @@ impl SharedJournal {
         if inner.poisoned {
             return Err(Self::poisoned_err());
         }
-        inner.file.sync_data()?;
-        inner.synced_len = inner.file.len()?;
+        let Some(file) = &inner.file else {
+            return Ok(());
+        };
+        file.sync_data()?;
+        inner.synced_len = file.len()?;
         Ok(())
     }
 
     /// Deferred sync issued by the flusher. Skips the `sync_data` when
-    /// nothing was appended since the last sync (the batch's records
-    /// were already covered — e.g. by the snapshot path). Poisons the
-    /// journal on failure.
+    /// nothing was appended since the last sync, or no segment is open
+    /// (the batch's records were already covered — e.g. by the snapshot
+    /// path). Poisons the journal on failure.
     fn flush(&self) -> Result<(), String> {
         let mut inner = self.inner.lock().unwrap();
         if inner.poisoned {
             return Err("journal poisoned by an earlier failed group sync".to_string());
         }
-        let len = match inner.file.len() {
+        let Some(file) = &inner.file else {
+            return Ok(());
+        };
+        let len = match file.len() {
             Ok(len) => len,
             Err(e) => {
                 inner.poisoned = true;
@@ -175,7 +210,7 @@ impl SharedJournal {
         if len == inner.synced_len {
             return Ok(());
         }
-        match inner.file.sync_data() {
+        match file.sync_data() {
             Ok(()) => {
                 inner.synced_len = len;
                 Ok(())
@@ -187,10 +222,15 @@ impl SharedJournal {
         }
     }
 
-    /// Truncate to `len` (recovery discarding a torn trailing line).
+    /// Truncate the live segment to `len` (recovery discarding a torn
+    /// trailing line).
     pub(crate) fn set_len(&self, len: u64) -> Result<(), ServeError> {
         let mut inner = self.inner.lock().unwrap();
-        inner.file.set_len(len)?;
+        inner
+            .file
+            .as_ref()
+            .expect("recovery opened the segment")
+            .set_len(len)?;
         inner.synced_len = inner.synced_len.min(len);
         Ok(())
     }
@@ -511,11 +551,17 @@ mod tests {
     use crate::vfs::{FaultPlan, FaultVfs, MemVfs, OpRecord, Vfs};
     use std::path::Path;
 
+    /// A journal whose live segment is `path`, its directory entries
+    /// durable (as the store makes them before the first append).
     fn journal_on(vfs: &dyn Vfs, path: &str) -> Arc<SharedJournal> {
         let path = Path::new(path);
-        vfs.create_dir_all(path.parent().expect("journal has a directory"))
-            .unwrap();
-        Arc::new(SharedJournal::new(vfs.open_append(path).unwrap()).unwrap())
+        let dir = path.parent().expect("journal has a directory");
+        vfs.create_dir_all(dir).unwrap();
+        let journal = Arc::new(SharedJournal::new());
+        journal.open(vfs.open_append(path).unwrap()).unwrap();
+        vfs.sync_dir(Path::new("/")).unwrap();
+        vfs.sync_dir(dir).unwrap();
+        journal
     }
 
     /// A fault VFS without faults, recording every counted op.
@@ -603,6 +649,40 @@ mod tests {
         journal.sync_inline().unwrap();
         assert_eq!(group.stage(Arc::clone(&journal)).wait(), Ok(()));
         assert_eq!(syncs_of(&vfs.take_oplog(), "/j/journal.log"), 1);
+    }
+
+    /// A sync staged before a seal retires as a no-op after the sealed
+    /// segment is closed and unlinked (the seal's inline sync covered
+    /// its records), and the journal takes appends to a new segment.
+    #[test]
+    fn sync_staged_before_a_seal_retires_after_the_unlink() {
+        let vfs = recording_vfs();
+        let sealed = Path::new("/data/projects/p/journal.0.log");
+        let journal = journal_on(&vfs, "/data/projects/p/journal.0.log");
+        let group = GroupCommit::new(None);
+        journal.append(b"a\n").unwrap();
+        let waiter = Waiter::new();
+        {
+            // Hold the queue so the flusher drains only after the seal.
+            let mut queue = group.shared.queue.lock().unwrap();
+            queue.staged.push_back(Staged {
+                journal: Arc::clone(&journal),
+                waiter: waiter.clone(),
+            });
+            journal.sync_inline().unwrap();
+            journal.seal();
+            vfs.remove_file(sealed).unwrap();
+        }
+        group.shared.cv.notify_one();
+        assert_eq!(waiter.wait(), Ok(()));
+        assert!(!journal.is_open());
+        let next = Path::new("/data/projects/p/journal.1.log");
+        journal.open(vfs.open_append(next).unwrap()).unwrap();
+        journal.append(b"b\n").unwrap();
+        assert_eq!(group.stage(Arc::clone(&journal)).wait(), Ok(()));
+        let log = vfs.take_oplog();
+        assert_eq!(syncs_of(&log, "/data/projects/p/journal.0.log"), 1);
+        assert_eq!(syncs_of(&log, "/data/projects/p/journal.1.log"), 1);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Durable state: per-project append-only journals, periodic snapshots,
-//! and the process-wide registry that serializes access to both.
+//! Durable state: per-project append-only journal segments, periodic
+//! snapshots that seal them, and the process-wide registry that
+//! serializes access to both.
 //!
 //! # Layout
 //!
@@ -8,9 +9,16 @@
 //!   projects/<name>/
 //!     project.json             registration record (written once)
 //!     testset.<era>.json       per-era server-side testset blob (predictions mode)
-//!     journal.log              one JSON op per line, append-only
 //!     snapshot.json            compacted state + journal watermark
+//!     journal.<first op>.log   the live journal segment: one JSON op per
+//!                              line, append-only, ops from <first op> on
 //! ```
+//!
+//! A project has at most one segment: the one the first op past its
+//! last snapshot created, named after that snapshot's watermark. A
+//! project with no op since its registration or its last snapshot has
+//! none. An older data dir's bare `journal.log` reads as the segment
+//! that starts at op 0.
 //!
 //! Boot reads only `projects/`. Other files in the data dir, such as the
 //! `bounds_cache.v1`/`plan_cache.v1` estimator-cache dumps older versions
@@ -27,10 +35,10 @@
 //! and leaves the journal to the snapshot cadence's inline sync (see
 //! [`group`]). Journal *bytes* are written inline in every mode, so the
 //! byte stream is identical across modes. A registration fsyncs and
-//! renames its own `project.json` before it answers, in both modes, and
-//! never rides the flusher. Restart
+//! renames its own `project.json` and fsyncs its directory before it
+//! answers, in both modes, and never rides the flusher. Restart
 //! recovery loads `snapshot.json` (if present), then replays the journal
-//! suffix past the snapshot's watermark through the same gate code that
+//! segment past the snapshot's watermark through the same gate code that
 //! served the original requests; each replayed op's recorded outcome
 //! (`passed`, `step`, `era`) is cross-checked and any mismatch rejects
 //! the directory as corrupt rather than silently diverging. The
@@ -38,18 +46,34 @@
 //! straight into the gate's history, the dedup keys and a lazy pool's
 //! spent labels, with no JSON tree built and dropped in between; it
 //! accepts exactly the documents a tree walk accepts, with the same
-//! reasons for the ones it refuses. Each journal is still read whole,
-//! the prefix its snapshot covers included: boot reads stay O(history)
-//! even when nothing is replayed, and `/metrics` counts them
+//! reasons for the ones it refuses. Boot lists each project directory
+//! once and checks the segment names against the watermark before it
+//! reads any: they must chain, each starting where the one before it
+//! ends, and a segment the snapshot covers whole is unlinked unread or
+//! unreplayed. After a graceful stop boot reads no journal byte, and
+//! `/metrics` counts what it read
 //! (`easeml_boot_snapshot_bytes_total`, `easeml_boot_journal_bytes_total`).
 //! Predictions-mode ops additionally store the submitted vectors and the
 //! counts the server derived from them: replay re-*measures* the vectors
 //! against the era's testset blob (whose digest is anchored in
 //! `project.json`, the `fresh_testset` journal op, or the snapshot) and
 //! cross-checks the derived counts, so tampering with a prediction blob,
-//! a testset blob, or a recorded outcome all fail the boot. Snapshots
-//! are written atomically (temp file + rename), so the journal never
-//! needs truncation and stays a complete audit log.
+//! a testset blob, or a recorded outcome all fail the boot.
+//!
+//! # Compaction
+//!
+//! Every snapshot — cadence, explicit, `/admin/persist` or shutdown —
+//! seals the journal: it fsyncs the live segment, writes the snapshot
+//! atomically (temp file, fsync, rename), fsyncs the project directory
+//! so the rename is durable, and only then unlinks the segments it
+//! covers (see [`ProjectStore::write_snapshot`]). The journal is
+//! therefore no audit log: once sealed, an op lives on only in the
+//! snapshot, which keeps its counts, outcome and dedup digest, but not
+//! a predictions op's vectors. A new file's directory entry is made
+//! durable before anything depends on it: a segment's before the first
+//! op lands in it, a registration's directory and record before the
+//! registration is acknowledged, and an era's testset blob before the
+//! journal op that activates it.
 //!
 //! # Snapshot cadence
 //!
@@ -77,7 +101,7 @@
 //! # Determinism contract
 //!
 //! Ops from concurrent connections serialize under the project lock, and
-//! each project owns its own journal file, so the journal bytes of a
+//! each project owns its own journal segments, so the journal bytes of a
 //! project depend only on the order its *own* clients submitted — never
 //! on the server's thread count or on traffic to other projects. The
 //! integration tests assert byte-identical journals for the same client
@@ -144,6 +168,35 @@ fn tribool_parse(s: &str) -> Option<Tribool> {
 /// File name of the durable testset blob for one era.
 fn testset_blob_name(era: u32) -> String {
     format!("testset.{era}.json")
+}
+
+/// File name of the journal segment whose first op is op `first_op`
+/// (counting from 0): the ops before it are in earlier segments or in
+/// the snapshot.
+fn segment_name(first_op: u64) -> String {
+    format!("journal.{first_op}.log")
+}
+
+/// The first op of the journal segment a file name denotes. The bare
+/// `journal.log` older versions wrote is the segment that starts at op
+/// 0. `None` for a file that is no segment; the reason for a
+/// `journal.*.log` name that denotes none.
+pub(crate) fn segment_start(name: &str) -> Option<Result<u64, &'static str>> {
+    if name == "journal.log" {
+        return Some(Ok(0));
+    }
+    let digits = name.strip_prefix("journal.")?.strip_suffix(".log")?;
+    Some(
+        if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+            Err("journal segment name is not `journal.<first op>.log`")
+        } else if digits.len() > 1 && digits.starts_with('0') {
+            Err("journal segment name has leading zeros")
+        } else {
+            digits
+                .parse()
+                .map_err(|_| "journal segment's first op is past u64::MAX")
+        },
+    )
 }
 
 /// Render a testset digest as its canonical wire form.
@@ -252,6 +305,8 @@ pub struct ProjectStore {
     group: Arc<GroupCommit>,
     failures: Arc<StoreFailures>,
     ops_written: u64,
+    /// Ops the last snapshot written holds.
+    sealed_ops: Cell<u64>,
     /// Reset by every snapshot written, the explicit ones through
     /// `&self` included.
     cadence: Cell<Cadence>,
@@ -275,10 +330,12 @@ impl ProjectStore {
     /// [`Registry::open`] skips rather than refusing to boot over).
     ///
     /// The registration record is written, fsynced and renamed into
-    /// place on the calling thread, after the journal is open: the
-    /// rename is the registration's commit point and its last I/O op,
-    /// so the project is durable when this returns. A failure to write
-    /// the record is [`ServeError::Unavailable`].
+    /// place on the calling thread, and the project directory fsynced
+    /// after it: that sync is the registration's commit point and its
+    /// last I/O op, so the project is durable when this returns (the
+    /// new directory's own entry in `projects/` was synced first). A
+    /// failure to install the record is [`ServeError::Unavailable`]. No
+    /// journal segment exists until the first op is appended.
     pub fn create(
         vfs: &Arc<dyn Vfs>,
         dir: &Path,
@@ -287,25 +344,26 @@ impl ProjectStore {
         group: &Arc<GroupCommit>,
         failures: &Arc<StoreFailures>,
     ) -> Result<ProjectStore, ServeError> {
-        if vfs.exists(&dir.join("project.json")) {
+        let record = dir.join("project.json");
+        if vfs.exists(&record) {
             return Err(ServeError::Conflict(format!(
                 "project `{}` already exists",
                 project.name()
             )));
         }
         vfs.create_dir_all(dir)?;
+        if let Some(projects) = dir.parent() {
+            vfs.sync_dir(projects)?;
+        }
         // Claiming a crash husk: drop any stray state files so the new
         // project starts from a genuinely empty journal.
-        if vfs.exists(&dir.join("journal.log")) {
-            let _ = vfs.remove_file(&dir.join("journal.log"));
-        }
-        if vfs.exists(&dir.join("snapshot.json")) {
-            let _ = vfs.remove_file(&dir.join("snapshot.json"));
-        }
         if let Ok(entries) = vfs.list_dir(dir) {
             for path in entries {
-                let name = path.file_name().map(|n| n.to_string_lossy().into_owned());
-                if name.is_some_and(|n| n.starts_with("testset.")) {
+                let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+                if name == "snapshot.json"
+                    || name.starts_with("testset.")
+                    || segment_start(name).is_some()
+                {
                     let _ = vfs.remove_file(&path);
                 }
             }
@@ -337,34 +395,49 @@ impl ProjectStore {
                 ]),
             ));
         }
-        let journal = Arc::new(SharedJournal::new(
-            vfs.open_append(&dir.join("journal.log"))?,
-        )?);
-        // The testset blob above was fsynced inline, so the digest the
-        // record anchors always points at durable bytes by the time the
-        // record's rename lands.
+        // The testset blob above was fsynced inline, and the directory
+        // sync below covers its rename along with the record's, so the
+        // digest the record anchors always points at durable bytes. A
+        // record whose directory sync failed is taken back, so a retry
+        // is not refused as a duplicate.
         write_atomic(
             vfs.as_ref(),
-            &dir.join("project.json"),
+            &record,
             Value::object(fields).pretty().as_bytes(),
         )
+        .and_then(|()| {
+            vfs.sync_dir(dir).inspect_err(|_| {
+                let _ = vfs.remove_file(&record);
+            })
+        })
         .map_err(|e| ServeError::Unavailable(format!("registration install failed: {e}")))?;
         Ok(ProjectStore {
             vfs: Arc::clone(vfs),
             dir: dir.to_owned(),
-            journal,
+            journal: Arc::new(SharedJournal::new()),
             durability,
             group: Arc::clone(group),
             failures: Arc::clone(failures),
             ops_written: 0,
+            sealed_ops: Cell::new(0),
             cadence: Cell::new(Cadence::default()),
             #[cfg(test)]
             fail_next_append: false,
         })
     }
 
-    /// Load a project directory: registration record, snapshot, journal
-    /// suffix, adding what was read and replayed to `boot`.
+    /// Load a project directory, whose `entries` the caller listed:
+    /// registration record, snapshot, and the journal segments at or
+    /// past its watermark, adding what was read and replayed to `boot`.
+    ///
+    /// Segments are checked by name before any is read: they must
+    /// chain, each starting where the one before it ends, from the last
+    /// one that starts at or before the snapshot's watermark. The ones
+    /// before it, and that one too if the snapshot covers all its ops,
+    /// are left over from a seal cut short between the snapshot's
+    /// directory fsync and their unlink: they are unlinked, not
+    /// replayed. A segment name that is malformed, starts past the
+    /// watermark, leaves a gap or overlaps is [`ServeError::Corrupt`].
     ///
     /// A *torn* final journal line — one missing its terminating newline
     /// that also fails to parse/replay — is the signature of a power cut
@@ -372,15 +445,18 @@ impl ProjectStore {
     /// recovery truncates it away with a warning instead of bricking.
     /// A newline-*terminated* line that fails validation is genuine
     /// tamper (a complete append was acked) and stays a hard
-    /// [`ServeError::Corrupt`].
+    /// [`ServeError::Corrupt`], as does a torn line in any segment but
+    /// the last.
     ///
     /// # Errors
     ///
     /// [`ServeError::Corrupt`] when any file fails validation, I/O
     /// errors otherwise.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn open(
         vfs: &Arc<dyn Vfs>,
         dir: &Path,
+        entries: &[PathBuf],
         estimator: &SampleSizeEstimator,
         durability: Durability,
         group: &Arc<GroupCommit>,
@@ -421,84 +497,135 @@ impl ProjectStore {
         let mut project = Project::register_with_testset(name, script, estimator, testset)
             .map_err(|e| corrupt(&record_path, format!("registration replay failed: {e}")))?;
 
-        // Snapshot, if any: restore state and skip the journal prefix.
         let snapshot_path = dir.join("snapshot.json");
+        let mut segments: Vec<(u64, &PathBuf)> = Vec::new();
+        for path in entries {
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            match segment_start(name) {
+                Some(Ok(start)) => segments.push((start, path)),
+                Some(Err(reason)) => return Err(corrupt(path, reason)),
+                None => {}
+            }
+        }
+        segments.sort_unstable();
+        if let Some(pair) = segments.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            return Err(corrupt(
+                pair[1].1,
+                format!(
+                    "overlaps {}: both start at op {}",
+                    pair[0].1.display(),
+                    pair[0].0
+                ),
+            ));
+        }
+
+        // Snapshot, if any: restore state up to its watermark.
         let mut cadence = Cadence::default();
-        if vfs.exists(&snapshot_path) {
+        if entries.contains(&snapshot_path) {
             let text = vfs.read_to_string(&snapshot_path)?;
             cadence.snapshot_ops =
                 load_snapshot(vfs.as_ref(), dir, &snapshot_path, &text, &mut project)?;
             cadence.snapshot_bytes = text.len() as u64;
             boot.snapshot_bytes += text.len() as u64;
         }
-        let skip_ops = cadence.snapshot_ops;
+        let watermark = cadence.snapshot_ops;
 
         // Journal suffix: replay through the live gate.
-        let journal_path = dir.join("journal.log");
-        let mut ops: u64 = 0;
-        let mut truncate_to: Option<u64> = None;
-        if vfs.exists(&journal_path) {
-            let text = vfs.read_to_string(&journal_path)?;
+        let first = segments
+            .iter()
+            .rposition(|&(start, _)| start <= watermark)
+            .unwrap_or(0);
+        let mut covered: Vec<PathBuf> = segments[..first]
+            .iter()
+            .map(|(_, path)| path.to_path_buf())
+            .collect();
+        let mut live = None;
+        let mut ops = watermark;
+        for (i, &(start, path)) in segments.iter().enumerate().skip(first) {
+            if start > ops {
+                return Err(corrupt(
+                    path,
+                    format!("segment starts at op {start}, but the ops before it end at op {ops}"),
+                ));
+            }
+            if start < ops && i > first {
+                return Err(corrupt(
+                    path,
+                    format!(
+                        "segment starts at op {start}, inside the one before it (ends at op {ops})"
+                    ),
+                ));
+            }
+            let last = i + 1 == segments.len();
+            let text = vfs.read_to_string(path)?;
             boot.journal_bytes += text.len() as u64;
-            let mut offset: u64 = 0;
-            for (index, piece) in text.split_inclusive('\n').enumerate() {
-                let start = offset;
-                offset += piece.len() as u64;
-                let line = match piece.strip_suffix('\n') {
-                    Some(line) => line,
-                    None => {
-                        // Unterminated final line: the append never
-                        // finished, so its response was never sent —
-                        // dropping it loses nothing a client was told.
-                        eprintln!(
-                            "warning: dropping torn final journal line of {} \
-                             ({} bytes past offset {start})",
-                            journal_path.display(),
-                            piece.len(),
-                        );
-                        truncate_to = Some(start);
-                        break;
-                    }
-                };
-                if line.is_empty() {
-                    continue;
+            let skip = watermark.saturating_sub(start);
+            let (count, torn_at) = replay_segment(
+                vfs.as_ref(),
+                dir,
+                path,
+                &text,
+                skip,
+                &mut cadence,
+                &mut project,
+            )?;
+            if let Some(at) = torn_at {
+                if !last {
+                    return Err(corrupt(
+                        path,
+                        "torn final line in a segment a later one follows",
+                    ));
                 }
-                ops += 1;
-                if ops <= skip_ops {
-                    continue;
-                }
-                cadence.bytes_since += piece.len() as u64;
-                replay_op(
-                    vfs.as_ref(),
-                    dir,
-                    &journal_path,
-                    index + 1,
-                    line,
-                    &mut project,
-                )?;
+                // The append never finished, so its response was never
+                // sent — dropping it loses nothing a client was told.
+                eprintln!(
+                    "warning: dropping torn final journal line of {} ({} bytes past offset {at})",
+                    path.display(),
+                    text.len() as u64 - at,
+                );
+            }
+            if count < skip {
+                return Err(corrupt(
+                    path,
+                    format!(
+                        "snapshot covers {watermark} ops but the segment ends at op {}",
+                        start + count
+                    ),
+                ));
+            }
+            ops = start
+                .checked_add(count)
+                .ok_or_else(|| corrupt(path, "segment ends past op u64::MAX"))?;
+            if ops == watermark {
+                covered.push(path.to_path_buf());
+            } else if last {
+                live = Some((path, torn_at));
             }
         }
-        boot.ops += ops.saturating_sub(skip_ops);
-        if ops < skip_ops {
-            return Err(corrupt(
-                &journal_path,
-                format!("snapshot covers {skip_ops} ops but journal has only {ops}"),
-            ));
+        boot.ops += ops - watermark;
+        if !covered.is_empty() {
+            // The snapshot that covers them must be durable before they go.
+            vfs.sync_dir(dir)?;
+            unlink_segments(vfs.as_ref(), covered);
         }
-        let journal = Arc::new(SharedJournal::new(vfs.open_append(&journal_path)?)?);
-        if let Some(len) = truncate_to {
-            journal.set_len(len)?;
+        let journal = SharedJournal::new();
+        if let Some((path, torn_at)) = live {
+            journal.open(vfs.open_append(path)?)?;
+            if let Some(len) = torn_at {
+                journal.set_len(len)?;
+            }
         }
         Ok((
             project,
             ProjectStore {
                 vfs: Arc::clone(vfs),
                 dir: dir.to_owned(),
-                journal,
+                journal: Arc::new(journal),
                 durability,
                 group: Arc::clone(group),
                 failures: Arc::clone(failures),
                 ops_written: ops,
+                sealed_ops: Cell::new(watermark),
                 cadence: Cell::new(cadence),
                 #[cfg(test)]
                 fail_next_append: false,
@@ -580,8 +707,9 @@ impl ProjectStore {
         self.append(w.finish(), project)
     }
 
-    /// Persist the blob for a new era's server-side testset (atomic;
-    /// called *before* the journal op that activates the era).
+    /// Persist the blob for a new era's server-side testset (atomic, its
+    /// directory entry synced; called *before* the journal op that
+    /// activates the era).
     ///
     /// # Errors
     ///
@@ -592,7 +720,23 @@ impl ProjectStore {
             &self.dir.join(testset_blob_name(era)),
             testset_blob_json(era, spec).pretty().as_bytes(),
         )?;
+        self.vfs.sync_dir(&self.dir)?;
         Ok(())
+    }
+
+    /// Start the live segment `journal.<ops so far>.log`, its directory
+    /// entry durable before any op lands in it.
+    fn open_segment(&self) -> Result<(), ServeError> {
+        let file = self
+            .vfs
+            .open_append(&self.dir.join(segment_name(self.ops_written)))?;
+        self.vfs.sync_dir(&self.dir)?;
+        self.journal.open(file)
+    }
+
+    /// Whether ops were journalled since the last snapshot written.
+    fn has_unsealed_ops(&self) -> bool {
+        self.ops_written > self.sealed_ops.get()
     }
 
     fn append(&mut self, op: String, project: &Project) -> Result<(), ServeError> {
@@ -611,7 +755,12 @@ impl ProjectStore {
         // the in-memory mutation back either way). Group mode stages a
         // deferred sync and parks the waiter for the route layer to pick
         // up; relaxed mode acks with the bytes still unsynced.
-        trace::time(Stage::JournalAppend, || self.journal.append(&line))?;
+        trace::time(Stage::JournalAppend, || {
+            if !self.journal.is_open() {
+                self.open_segment()?;
+            }
+            self.journal.append(&line)
+        })?;
         if self.durability == Durability::Group {
             group::set_pending(self.group.stage(Arc::clone(&self.journal)));
         }
@@ -644,20 +793,26 @@ impl ProjectStore {
         Ok(())
     }
 
-    /// Write `snapshot.json` for the current state (atomic).
+    /// Write `snapshot.json` for the current state and seal the journal
+    /// segments it covers.
     ///
-    /// The journal is fsynced first: the snapshot's watermark claims the
-    /// journal holds `ops_written` ops, and a power loss that persisted
-    /// the (synced) snapshot but not the journal tail would otherwise
-    /// make restart recovery reject the directory (`ops < skip_ops`).
-    /// This inline sync runs in every durability mode — under `group` it
-    /// simply makes the flusher's next covering sync a no-op, and under
-    /// `relaxed` it joins the every-[`SNAPSHOT_EVERY`]-ops inline sync.
-    /// A written snapshot restarts the cadence count.
+    /// The order is what makes unlinking safe. The live segment is
+    /// fsynced first: the snapshot's watermark claims the journal holds
+    /// `ops_written` ops, and a power loss that persisted the snapshot
+    /// but not the segment's tail would otherwise make restart recovery
+    /// reject the directory. This inline sync runs in every durability
+    /// mode — under `group` it makes the flusher's next covering sync a
+    /// no-op, and under `relaxed` it joins the every-[`SNAPSHOT_EVERY`]-ops
+    /// inline sync. Then the snapshot is written atomically (temp file,
+    /// fsync, rename) and the project directory fsynced, so the rename
+    /// is durable. Only then is the live segment closed and every
+    /// segment unlinked: all their ops are in the snapshot. The next
+    /// append starts `journal.<watermark>.log`. A written snapshot
+    /// restarts the cadence count.
     ///
     /// # Errors
     ///
-    /// I/O failures.
+    /// I/O failures up to the directory fsync; the segments then stay.
     pub fn write_snapshot(&self, project: &Project) -> Result<(), ServeError> {
         self.journal.sync_inline()?;
         let snapshot = render_snapshot(self.ops_written, project);
@@ -666,11 +821,27 @@ impl ProjectStore {
             &self.dir.join("snapshot.json"),
             snapshot.as_bytes(),
         )?;
+        self.vfs.sync_dir(&self.dir)?;
         self.cadence.set(Cadence {
             snapshot_ops: self.ops_written,
             snapshot_bytes: snapshot.len() as u64,
             bytes_since: 0,
         });
+        self.sealed_ops.set(self.ops_written);
+        self.journal.seal();
+        match self.vfs.list_dir(&self.dir) {
+            Ok(entries) => unlink_segments(
+                self.vfs.as_ref(),
+                entries.into_iter().filter(|path| {
+                    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+                    segment_start(name).is_some()
+                }),
+            ),
+            Err(e) => eprintln!(
+                "warning: could not list {} to unlink its sealed journal: {e}",
+                self.dir.display()
+            ),
+        }
         Ok(())
     }
 }
@@ -1177,6 +1348,51 @@ fn decode_per_class(
     Ok(per_class_counts(classes, vectors).map(Some))
 }
 
+/// Unlink journal segments a durable snapshot covers whole. One that
+/// fails to go costs only disk: the next seal or boot unlinks it.
+fn unlink_segments(vfs: &dyn Vfs, paths: impl IntoIterator<Item = PathBuf>) {
+    for path in paths {
+        if let Err(e) = vfs.remove_file(&path) {
+            eprintln!(
+                "warning: could not unlink covered journal segment {}: {e}",
+                path.display()
+            );
+        }
+    }
+}
+
+/// Replay the ops of one journal segment past its first `skip`, which
+/// the snapshot holds, adding the bytes replayed to `cadence`. Returns
+/// the segment's op count and, if its final line is unterminated (an
+/// append torn by a power cut), the offset that line starts at.
+fn replay_segment(
+    vfs: &dyn Vfs,
+    dir: &Path,
+    path: &Path,
+    text: &str,
+    skip: u64,
+    cadence: &mut Cadence,
+    project: &mut Project,
+) -> Result<(u64, Option<u64>), ServeError> {
+    let (mut count, mut offset) = (0u64, 0u64);
+    for (index, piece) in text.split_inclusive('\n').enumerate() {
+        let Some(line) = piece.strip_suffix('\n') else {
+            return Ok((count, Some(offset)));
+        };
+        offset += piece.len() as u64;
+        if line.is_empty() {
+            continue;
+        }
+        count += 1;
+        if count <= skip {
+            continue;
+        }
+        cadence.bytes_since += piece.len() as u64;
+        replay_op(vfs, dir, path, index + 1, line, project)?;
+    }
+    Ok((count, None))
+}
+
 /// Replay one journal line through the live gate, cross-checking the
 /// recorded outcome. `commit_predictions` ops are re-*measured* from the
 /// stored vectors against the era's testset blob, so tampering with
@@ -1501,8 +1717,9 @@ pub(crate) struct BootReplay {
     pub ops: u64,
     /// Bytes of `snapshot.json` read, over all projects.
     pub snapshot_bytes: u64,
-    /// Bytes of `journal.log` read, over all projects: each journal is
-    /// read whole, the prefix its snapshot covers included.
+    /// Bytes of journal segments read, over all projects: the segments
+    /// at or past each snapshot's watermark, which only a seal cut short
+    /// leaves holding ops the snapshot covers.
     pub journal_bytes: u64,
     /// Wall time of loading every project: registration records,
     /// snapshots and journal suffixes.
@@ -1601,14 +1818,29 @@ impl Registry {
         let group = Arc::new(GroupCommit::new(metrics));
         let failures = Arc::new(StoreFailures::default());
         let projects_dir = data_dir.join("projects");
+        let fresh = !vfs.exists(data_dir);
         vfs.create_dir_all(&projects_dir)?;
+        // `projects/` must be reachable after a power cut before any
+        // project in it is, and so must a data dir made just now. Its
+        // parent is not ours and may not be readable: syncing it is
+        // best effort.
+        vfs.sync_dir(data_dir)?;
+        if let Some(parent) = data_dir
+            .parent()
+            .filter(|p| fresh && !p.as_os_str().is_empty())
+        {
+            if let Err(e) = vfs.sync_dir(parent) {
+                eprintln!("warning: could not sync {}: {e}", parent.display());
+            }
+        }
         let mut projects = HashMap::new();
         let mut boot_replay = BootReplay::default();
         for path in vfs.list_dir(&projects_dir)? {
             if !vfs.is_dir(&path) {
                 continue;
             }
-            if !vfs.exists(&path.join("project.json")) {
+            let entries = vfs.list_dir(&path)?;
+            if !entries.contains(&path.join("project.json")) {
                 eprintln!(
                     "warning: skipping {} (no project.json — incomplete registration)",
                     path.display()
@@ -1618,6 +1850,7 @@ impl Registry {
             let (project, store) = ProjectStore::open(
                 &vfs,
                 &path,
+                &entries,
                 &estimator,
                 durability,
                 &group,
@@ -1773,7 +2006,9 @@ impl Registry {
         self.len() == 0
     }
 
-    /// Snapshot every project (graceful-shutdown hook).
+    /// Snapshot every project with ops past its last snapshot (the
+    /// graceful-shutdown and `/admin/persist` hook). One never committed
+    /// to, or unchanged since its last seal, has nothing to add.
     ///
     /// # Errors
     ///
@@ -1787,7 +2022,10 @@ impl Registry {
             .cloned()
             .collect();
         for slot in slots {
-            slot.lock().expect("project poisoned").snapshot()?;
+            let slot = slot.lock().expect("project poisoned");
+            if slot.store.has_unsealed_ops() {
+                slot.snapshot()?;
+            }
         }
         Ok(())
     }
@@ -1903,7 +2141,7 @@ mod tests {
             let slot = registry.register("proj", SCRIPT, None).unwrap();
             slot.lock().unwrap().submit(&submission("c1", 90)).unwrap();
         }
-        let journal = dir.join("projects/proj/journal.log");
+        let journal = dir.join("projects/proj/journal.0.log");
         let text = std::fs::read_to_string(&journal).unwrap();
         // Flip the recorded outcome: replay recomputes `passed` and must
         // notice the divergence.
@@ -2000,14 +2238,14 @@ mod tests {
         let slot = registry.register("proj", SCRIPT, None).unwrap();
         let mut slot = slot.lock().unwrap();
         let first = slot.submit(&submission("c1", 90)).unwrap();
-        let journal_after_first = std::fs::read(dir.join("projects/proj/journal.log")).unwrap();
+        let journal_after_first = std::fs::read(dir.join("projects/proj/journal.0.log")).unwrap();
         // Redelivery: identical receipt, no budget spent, no journal growth.
         let again = slot.submit(&submission("c1", 90)).unwrap();
         assert_eq!(again, first);
         assert_eq!(slot.project.steps_used(), 1);
         assert_eq!(slot.project.history().len(), 1);
         assert_eq!(
-            std::fs::read(dir.join("projects/proj/journal.log")).unwrap(),
+            std::fs::read(dir.join("projects/proj/journal.0.log")).unwrap(),
             journal_after_first
         );
         // A *different* submission under the same id is evaluated afresh.
@@ -2168,11 +2406,33 @@ mod tests {
         }
     }
 
+    /// The power-cut twin: a registration, its testset blob included,
+    /// survives a power cut the moment `register` returns, because the
+    /// new directory's entry and then the record's rename are synced.
+    #[test]
+    fn acked_registration_survives_a_power_cut() {
+        let root = Path::new("/easeml-store-cut");
+        let disk = MemVfs::new();
+        let registry =
+            Registry::open_with(root, serving_estimator(), Arc::new(disk.clone())).unwrap();
+        registry.register("alpha", SCRIPT, None).unwrap();
+        registry
+            .register("beta", SCRIPT, Some(lazy_spec(100)))
+            .unwrap();
+        let rebooted =
+            Registry::open_with(root, serving_estimator(), Arc::new(disk.power_cut_view()))
+                .unwrap();
+        assert_eq!(rebooted.names(), ["alpha", "beta"]);
+    }
+
     /// A registration writes its own record on the registering thread:
-    /// its last I/O op is the `project.tmp → project.json` rename, made
-    /// after `journal.log` exists. A failed record fsync answers the
-    /// 503 `registration install failed`, leaves no project visible
-    /// (live or after a reboot), and a retry under the name succeeds.
+    /// its last I/O ops are the `project.tmp → project.json` rename and
+    /// the fsync of the project directory that makes it durable, after
+    /// the directory's own entry in `projects/` was synced. It creates
+    /// no journal segment. A failed record fsync or directory fsync
+    /// answers the 503 `registration install failed`, leaves no project
+    /// visible (live or after a reboot), and a retry under the name
+    /// succeeds.
     #[test]
     fn registration_renames_its_own_record_last() {
         let root = Path::new("/easeml-store-install");
@@ -2183,43 +2443,47 @@ mod tests {
         registry.register("alpha", SCRIPT, None).unwrap();
         let log = vfs.take_oplog();
         let dir = root.join("projects/alpha");
-        let last = log.last().expect("registration did I/O");
-        assert_eq!(
-            (last.kind, &last.path),
-            ("rename", &dir.join("project.tmp"))
-        );
+        let position = |kind: &str, path: &Path| {
+            log.iter()
+                .position(|op| op.kind == kind && op.path == path)
+                .unwrap_or_else(|| panic!("no {kind} of {}: {log:?}", path.display()))
+        };
+        let dir_sync = log.len() - 1;
+        assert_eq!(position("sync_dir", &dir), dir_sync);
+        assert_eq!(position("rename", &dir.join("project.tmp")), dir_sync - 1);
+        let record_sync = position("sync", &dir.join("project.tmp"));
+        assert!(position("create_dir", &dir) < position("sync_dir", &root.join("projects")));
+        assert!(position("sync_dir", &root.join("projects")) < record_sync);
         assert!(vfs.disk().exists(&dir.join("project.json")));
-        let journal_at = log
-            .iter()
-            .position(|op| op.kind == "open_append" && op.path == dir.join("journal.log"))
-            .expect("journal opened");
-        let record_sync = log
-            .iter()
-            .position(|op| op.kind == "sync" && op.path == dir.join("project.tmp"))
-            .expect("record fsynced");
-        assert!(journal_at < record_sync, "{log:?}");
-
-        // The same op sequence under a fresh name, its record fsync failing.
-        let plan = FaultPlan::new().at("beta", log[record_sync].index, Fault::Fail(FaultKind::Eio));
-        let vfs = FaultVfs::new(root, plan);
-        let registry =
-            Registry::open_with(root, serving_estimator(), Arc::new(vfs.clone())).unwrap();
-        let err = registry.register("beta", SCRIPT, None).unwrap_err();
-        assert_eq!(err.status(), 503);
         assert!(
-            err.to_string().starts_with("registration install failed: "),
-            "{err}"
+            log.iter().all(|op| !op.path.ends_with("journal.0.log")),
+            "{log:?}"
         );
-        assert!(registry.get("beta").is_none());
-        let rebooted =
-            Registry::open_with(root, serving_estimator(), Arc::new(vfs.disk().kill_view()))
-                .unwrap();
-        assert!(rebooted.get("beta").is_none());
-        registry.register("beta", SCRIPT, None).unwrap();
-        let rebooted =
-            Registry::open_with(root, serving_estimator(), Arc::new(vfs.disk().kill_view()))
-                .unwrap();
-        assert!(rebooted.get("beta").is_some());
+
+        // The same op sequence under a fresh name, one of its fsyncs
+        // failing.
+        for (name, failing) in [("beta", record_sync), ("gamma", dir_sync)] {
+            let plan = FaultPlan::new().at(name, log[failing].index, Fault::Fail(FaultKind::Eio));
+            let vfs = FaultVfs::new(root, plan);
+            let registry =
+                Registry::open_with(root, serving_estimator(), Arc::new(vfs.clone())).unwrap();
+            let err = registry.register(name, SCRIPT, None).unwrap_err();
+            assert_eq!(err.status(), 503);
+            assert!(
+                err.to_string().starts_with("registration install failed: "),
+                "{err}"
+            );
+            assert!(registry.get(name).is_none());
+            let rebooted =
+                Registry::open_with(root, serving_estimator(), Arc::new(vfs.disk().kill_view()))
+                    .unwrap();
+            assert!(rebooted.get(name).is_none());
+            registry.register(name, SCRIPT, None).unwrap();
+            let rebooted =
+                Registry::open_with(root, serving_estimator(), Arc::new(vfs.disk().kill_view()))
+                    .unwrap();
+            assert!(rebooted.get(name).is_some());
+        }
     }
 
     /// Deterministic prediction vectors over an all-zeros truth: `new`
@@ -2370,7 +2634,7 @@ mod tests {
                 .submit_predictions(&pred_submission("c1", 100, 50, 90))
                 .unwrap();
         }
-        let journal = dir.join("projects/proj/journal.log");
+        let journal = dir.join("projects/proj/journal.0.log");
         let pristine = std::fs::read_to_string(&journal).unwrap();
         // Tamper with the stored `new` vector: item 0 flips 0 → 1 (the
         // packed form of `preds(100, 90)` starts with 90 zeros). The
@@ -2635,7 +2899,7 @@ mod tests {
                 })
                 .unwrap();
             let project_dir = dir.join("projects").join(name);
-            let journal = std::fs::read_to_string(project_dir.join("journal.log")).unwrap();
+            let journal = std::fs::read_to_string(project_dir.join("journal.0.log")).unwrap();
             let blob = std::fs::read_to_string(project_dir.join("testset.0.json")).unwrap();
             let (want_journal, want_blob) = if name == "packed" {
                 (GOLDEN_PACKED_JOURNAL, GOLDEN_PACKED_BLOB)
@@ -3443,9 +3707,42 @@ mod tests {
     /// specially.
     const ESCAPED_ID: &str = "kat \"1\"\\\t\u{1}\u{1f}\u{e9}/\u{1F600}";
 
+    /// The pinned `f1` project: an F1 script and a lazy 4-class testset.
+    fn pinned_f1() -> (String, TestsetSpec) {
+        let script = SCRIPT
+            .replace("n > 0.6 +/- 0.2", "f1(n) - f1(o) > -0.5 +/- 0.2")
+            .replace("steps      : 3", "steps      : 10");
+        let truth: Vec<u32> = (0..48u32).map(|i| (i * 7) % 4).collect();
+        let spec = TestsetSpec {
+            truth,
+            classes: 4,
+            lazy: true,
+        };
+        (script, spec)
+    }
+
+    /// The pinned `counts` project's script.
+    fn pinned_counts_script() -> String {
+        SCRIPT.replace("steps      : 3", "steps      : 200")
+    }
+
+    /// `null` estimates planted into the pinned op-128 counts snapshot.
+    fn plant_null_estimates(snapshot: &str) -> String {
+        snapshot
+            .replacen("\"d\": 0.3,", "\"d\": null,", 1)
+            .replacen("\"diff\": 0.35,", "\"diff\": null,", 1)
+            .replacen(
+                "\"n\": 0.48,\n      \"o\": 0.5,",
+                "\"n\": null,\n      \"o\": null,",
+                1,
+            )
+    }
+
     /// Drive the two pinned projects and collect, in order, every byte
     /// stream they leave behind: snapshots, journals and the `/history`
-    /// and `/budget` bodies.
+    /// and `/budget` bodies. A project's journal is every line written
+    /// to its segments, as the [`FaultVfs`] seam saw them: the snapshots
+    /// seal and unlink the segments they cover.
     ///
     /// - `f1`: a lazy 4-class F1 predictions project, snapshotted empty
     ///   right after registration and again after three commits.
@@ -3457,23 +3754,19 @@ mod tests {
     ///   planted in the last snapshot (as a snapshot from an older
     ///   writer could hold them) and carried through a restart into the
     ///   next snapshot and `/history`.
-    fn pinned_artifacts(dir: &Path) -> Vec<(&'static str, Vec<u8>)> {
-        let read = |project: &str, file: &str| {
-            std::fs::read(dir.join("projects").join(project).join(file)).unwrap()
-        };
+    fn pinned_artifacts() -> Vec<(&'static str, Vec<u8>)> {
+        let root = Path::new("/pins");
+        let vfs = FaultVfs::new(root, FaultPlan::new());
+        let disk = vfs.disk();
+        let path = |project: &str, file: &str| root.join("projects").join(project).join(file);
+        let read = |project: &str, file: &str| disk.file_bytes(&path(project, file)).unwrap();
+        let open = || Registry::open_with(root, serving_estimator(), Arc::new(vfs.clone()));
         let body = |resp: Result<crate::http::Response, ServeError>| resp.unwrap().body;
         let mut out = Vec::new();
-        let registry = Registry::open(dir, serving_estimator()).unwrap();
+        let registry = open().unwrap();
 
-        let script = SCRIPT
-            .replace("n > 0.6 +/- 0.2", "f1(n) - f1(o) > -0.5 +/- 0.2")
-            .replace("steps      : 3", "steps      : 10");
-        let truth: Vec<u32> = (0..48u32).map(|i| (i * 7) % 4).collect();
-        let spec = TestsetSpec {
-            truth: truth.clone(),
-            classes: 4,
-            lazy: true,
-        };
+        let (script, spec) = pinned_f1();
+        let truth = spec.truth.clone();
         let slot = registry.register("f1", &script, Some(spec)).unwrap();
         let mut slot = slot.lock().unwrap();
         slot.snapshot().unwrap();
@@ -3499,7 +3792,7 @@ mod tests {
         slot.snapshot().unwrap();
         drop(slot);
         out.push(("f1.snapshot.json", read("f1", "snapshot.json")));
-        out.push(("f1.journal.log", read("f1", "journal.log")));
+        out.push(("f1.journal.log", vfs.journal_written("f1")));
         out.push((
             "f1.history.json",
             body(crate::server::project_history(&registry, "f1")),
@@ -3509,8 +3802,9 @@ mod tests {
             body(crate::server::project_budget(&registry, "f1")),
         ));
 
-        let script = SCRIPT.replace("steps      : 3", "steps      : 200");
-        let slot = registry.register("counts", &script, None).unwrap();
+        let slot = registry
+            .register("counts", &pinned_counts_script(), None)
+            .unwrap();
         let mut slot = slot.lock().unwrap();
         for i in 0..130u64 {
             if i == 70 {
@@ -3533,19 +3827,11 @@ mod tests {
         drop(registry);
         let snapshot = read("counts", "snapshot.json");
         out.push(("counts.snapshot.128.json", snapshot.clone()));
-        out.push(("counts.journal.log", read("counts", "journal.log")));
+        out.push(("counts.journal.log", vfs.journal_written("counts")));
 
-        let planted = String::from_utf8(snapshot)
-            .unwrap()
-            .replacen("\"d\": 0.3,", "\"d\": null,", 1)
-            .replacen("\"diff\": 0.35,", "\"diff\": null,", 1)
-            .replacen(
-                "\"n\": 0.48,\n      \"o\": 0.5,",
-                "\"n\": null,\n      \"o\": null,",
-                1,
-            );
-        std::fs::write(dir.join("projects/counts/snapshot.json"), planted).unwrap();
-        let registry = Registry::open(dir, serving_estimator()).unwrap();
+        let planted = plant_null_estimates(std::str::from_utf8(&snapshot).unwrap());
+        write_atomic(&disk, &path("counts", "snapshot.json"), planted.as_bytes()).unwrap();
+        let registry = open().unwrap();
         registry
             .get("counts")
             .unwrap()
@@ -3609,8 +3895,7 @@ mod tests {
 
     #[test]
     fn snapshot_history_and_journal_bytes_are_pinned() {
-        let dir = temp_dir("pins");
-        let got = pinned_artifacts(&dir);
+        let got = pinned_artifacts();
         assert_eq!(
             got.iter().map(|(name, _)| *name).collect::<Vec<_>>(),
             PINNED.iter().map(|(name, _)| *name).collect::<Vec<_>>()
@@ -3618,6 +3903,73 @@ mod tests {
         for ((name, bytes), (_, want)) in got.iter().zip(PINNED) {
             assert_eq!(std::str::from_utf8(bytes).unwrap(), *want, "{name} moved");
         }
+    }
+
+    /// A data dir written before journal segments existed, with a bare
+    /// `journal.log` under a snapshot whose watermark is past 0, boots
+    /// to the pinned bodies: the pinned logs are read as the segments
+    /// that start at op 0, their covered ops skipped. A log the snapshot
+    /// covers whole goes at boot; a live one takes appends until the
+    /// next seal, which then writes the pinned snapshot.
+    #[test]
+    fn pre_segment_data_dir_boots_to_the_pinned_bodies() {
+        let root = Path::new("/pre-segment");
+        let disk = MemVfs::new();
+        let path = |project: &str, file: &str| root.join("projects").join(project).join(file);
+        let open = || Registry::open_with(root, serving_estimator(), Arc::new(disk.clone()));
+        let registry = open().unwrap();
+        let (script, spec) = pinned_f1();
+        registry.register("f1", &script, Some(spec)).unwrap();
+        registry
+            .register("counts", &pinned_counts_script(), None)
+            .unwrap();
+        drop(registry);
+        let counts_128 = plant_null_estimates(include_str!("testdata/counts.snapshot.128.json"));
+        for (project, file, text) in [
+            (
+                "f1",
+                "snapshot.json",
+                include_str!("testdata/f1.snapshot.json"),
+            ),
+            ("f1", "journal.log", include_str!("testdata/f1.journal.log")),
+            ("counts", "snapshot.json", &counts_128),
+            (
+                "counts",
+                "journal.log",
+                include_str!("testdata/counts.journal.log"),
+            ),
+        ] {
+            write_atomic(&disk, &path(project, file), text.as_bytes()).unwrap();
+        }
+        let registry = open().unwrap();
+        assert_eq!(registry.boot_replay().ops, 3, "counts ops 129..=131");
+        let body = |resp: Result<crate::http::Response, ServeError>| resp.unwrap().body;
+        for (project, history, budget) in [
+            (
+                "f1",
+                include_str!("testdata/f1.history.json"),
+                include_str!("testdata/f1.budget.json"),
+            ),
+            (
+                "counts",
+                include_str!("testdata/counts.history.json"),
+                include_str!("testdata/counts.budget.json"),
+            ),
+        ] {
+            let got = body(crate::server::project_history(&registry, project));
+            assert_eq!(std::str::from_utf8(&got).unwrap(), history, "{project}");
+            let got = body(crate::server::project_budget(&registry, project));
+            assert_eq!(std::str::from_utf8(&got).unwrap(), budget, "{project}");
+        }
+        assert!(!disk.exists(&path("f1", "journal.log")));
+        assert!(disk.exists(&path("counts", "journal.log")));
+        let slot = registry.get("counts").unwrap();
+        slot.lock().unwrap().snapshot().unwrap();
+        assert_eq!(
+            disk.file_bytes(&path("counts", "snapshot.json")).unwrap(),
+            include_bytes!("testdata/counts.snapshot.json")
+        );
+        assert!(!disk.exists(&path("counts", "journal.log")));
     }
 
     /// [`SCRIPT`] with a budget for 1,000 commits.
@@ -3646,16 +3998,31 @@ mod tests {
         rest[..rest.find(',').unwrap()].parse().unwrap()
     }
 
+    /// The journal segment files of the project directory `dir`, by
+    /// file name.
+    fn segment_files(disk: &MemVfs, dir: &Path) -> Vec<String> {
+        disk.list_dir(dir)
+            .unwrap()
+            .iter()
+            .filter_map(|path| path.file_name()?.to_str())
+            .filter(|name| segment_start(name).is_some())
+            .map(str::to_owned)
+            .collect()
+    }
+
     /// Over 600 counts commits, a cadence snapshot lands at op 64 and
     /// then at the first op where both conditions hold: 64 ops since the
-    /// last one, and as many journal bytes since it as it holds. A
-    /// restart halfway picks the count up where it left off.
+    /// last one, and as many journal bytes since it as it holds. Each
+    /// seals the journal: the one segment left holds exactly the ops
+    /// past the last snapshot. A restart halfway picks the count up
+    /// where it left off.
     #[test]
     fn automatic_snapshot_cadence() {
-        let disk = MemVfs::new();
+        let vfs = FaultVfs::new(Path::new("/cadence"), FaultPlan::new());
+        let disk = vfs.disk();
         let root = Path::new("/cadence");
         let dir = root.join("projects/proj");
-        let open = || Registry::open_with(root, serving_estimator(), Arc::new(disk.clone()));
+        let open = || Registry::open_with(root, serving_estimator(), Arc::new(vfs.clone()));
         let mut registry = open().unwrap();
         registry.register("proj", &long_script(), None).unwrap();
         let (mut last_ops, mut last_journal, mut last_snapshot) = (0u64, 0usize, 0usize);
@@ -3669,17 +4036,28 @@ mod tests {
                 false,
                 op,
             );
-            let journal = disk.file_bytes(&dir.join("journal.log")).unwrap().len();
+            let journal = vfs.journal_written("proj");
             let snapshot = disk.file_bytes(&dir.join("snapshot.json"));
             if let Some(snapshot) = &snapshot {
                 if written.last() != Some(&watermark(snapshot)) {
                     written.push(watermark(snapshot));
                 }
             }
-            if op - last_ops >= SNAPSHOT_EVERY && journal - last_journal >= last_snapshot {
+            if op - last_ops >= SNAPSHOT_EVERY && journal.len() - last_journal >= last_snapshot {
                 expected.push(op);
-                (last_ops, last_journal) = (op, journal);
+                (last_ops, last_journal) = (op, journal.len());
                 last_snapshot = snapshot.map_or(0, |s| s.len());
+            }
+            let live = segment_name(last_ops);
+            if op == last_ops {
+                assert!(segment_files(&disk, &dir).is_empty(), "op {op}");
+            } else {
+                assert_eq!(segment_files(&disk, &dir), [live.as_str()], "op {op}");
+                assert_eq!(
+                    disk.file_bytes(&dir.join(&live)).unwrap(),
+                    &journal[last_journal..],
+                    "op {op}"
+                );
             }
         }
         assert_eq!(written, expected);
@@ -3693,6 +4071,138 @@ mod tests {
         assert_eq!(registry.boot_replay().ops, 600 - expected.last().unwrap());
         let slot = registry.get("proj").unwrap();
         assert_eq!(slot.lock().unwrap().project.steps_used(), 600);
+    }
+
+    /// Boot over hostile journal segment names. A project holds a
+    /// snapshot at op 2 and `journal.2.log` with ops 3 and 4; each case
+    /// edits a copy of its directory. A malformed name, a gap, an
+    /// overlap or a segment past the watermark is refused as `Corrupt`
+    /// naming the file; a stale segment the snapshot covers whole, as a
+    /// kill between the seal's directory fsync and its unlink leaves
+    /// one, is unlinked without replay; names that are no segment are
+    /// ignored. None panics.
+    #[test]
+    fn hostile_segment_names_are_refused_or_unlinked() {
+        let root = Path::new("/hostile-segments");
+        let dir = root.join("projects/proj");
+        let vfs = FaultVfs::new(root, FaultPlan::new());
+        {
+            let registry =
+                Registry::open_with(root, serving_estimator(), Arc::new(vfs.clone())).unwrap();
+            let slot = registry.register("proj", &long_script(), None).unwrap();
+            let mut slot = slot.lock().unwrap();
+            for op in 1..=4 {
+                commit_op(&mut slot, false, op);
+                if op == 2 {
+                    slot.snapshot().unwrap();
+                }
+            }
+        }
+        let stream = vfs.journal_written("proj");
+        let lines: Vec<&[u8]> = stream.split_inclusive(|&b| b == b'\n').collect();
+        let ops = |range: std::ops::Range<usize>| lines[range].concat();
+        let past_max = format!("journal.{}0.log", u64::MAX);
+        // Files to add to the directory, by name.
+        type Files<'a> = Vec<(&'a str, Vec<u8>)>;
+        let mut refused: Vec<(&str, Files, &str)> = [
+            "journal.x.log",
+            "journal..log",
+            "journal.-1.log",
+            "journal.+2.log",
+            "journal.2e0.log",
+            "journal.02.log",
+            "journal.00.log",
+            past_max.as_str(),
+        ]
+        .into_iter()
+        .map(|name| ("malformed", vec![(name, ops(2..4))], name))
+        .collect();
+        refused.extend([
+            (
+                "past the watermark",
+                vec![("journal.3.log", ops(3..4))],
+                "journal.3.log",
+            ),
+            ("gap", vec![("journal.5.log", ops(3..4))], "journal.5.log"),
+            (
+                "overlap",
+                vec![("journal.3.log", ops(3..4))],
+                "journal.3.log",
+            ),
+            (
+                "same start",
+                vec![("journal.0.log", ops(0..2)), ("journal.log", ops(0..2))],
+                "journal.log",
+            ),
+            ("short", vec![("journal.0.log", ops(0..1))], "journal.0.log"),
+        ]);
+        for (case, files, culprit) in refused {
+            let disk = vfs.disk().kill_view();
+            if matches!(case, "past the watermark" | "short") {
+                disk.remove_file(&dir.join("journal.2.log")).unwrap();
+            }
+            for (name, bytes) in files {
+                write_atomic(&disk, &dir.join(name), &bytes).unwrap();
+            }
+            match Registry::open_with(root, serving_estimator(), Arc::new(disk)) {
+                Err(ServeError::Corrupt { path, reason }) => {
+                    assert_eq!(path, dir.join(culprit), "{case}: {reason}");
+                }
+                Err(e) => panic!("{case}: expected Corrupt naming {culprit}, got {e}"),
+                Ok(_) => panic!("{case}: booted over {culprit}"),
+            }
+        }
+
+        // (case, files added, live segment removed, segments after boot)
+        let booted: [(&str, Files, bool, &[&str]); 4] = [
+            (
+                "stale before the live one",
+                vec![("journal.0.log", ops(0..2))],
+                false,
+                &["journal.2.log"],
+            ),
+            ("stale alone", vec![("journal.0.log", ops(0..2))], true, &[]),
+            (
+                "stale pre-segment log",
+                vec![("journal.log", ops(0..2))],
+                true,
+                &[],
+            ),
+            (
+                "no segment names",
+                vec![
+                    ("journal.2.log.bak", ops(0..1)),
+                    ("journal.tmp", Vec::new()),
+                ],
+                false,
+                &["journal.2.log"],
+            ),
+        ];
+        for (case, files, unlink_live, after) in booted {
+            let disk = vfs.disk().kill_view();
+            if unlink_live {
+                disk.remove_file(&dir.join("journal.2.log")).unwrap();
+            }
+            for (name, bytes) in files {
+                write_atomic(&disk, &dir.join(name), &bytes).unwrap();
+            }
+            let registry = Registry::open_with(root, serving_estimator(), Arc::new(disk.clone()))
+                .unwrap_or_else(|e| panic!("{case}: {e}"));
+            let steps = registry
+                .get("proj")
+                .unwrap()
+                .lock()
+                .unwrap()
+                .project
+                .steps_used();
+            assert_eq!(steps, if unlink_live { 2 } else { 4 }, "{case}");
+            assert_eq!(
+                registry.boot_replay().ops,
+                if unlink_live { 0 } else { 2 },
+                "{case}"
+            );
+            assert_eq!(segment_files(&disk, &dir), after, "{case}");
+        }
     }
 
     /// Drive `ops` counts commits against one relaxed-mode project on a
@@ -3759,7 +4269,7 @@ mod tests {
     #[test]
     fn failed_relaxed_journal_sync_is_counted() {
         let root = Path::new("/relaxed-sync");
-        let journal = root.join("projects/proj/journal.log");
+        let journal = root.join("projects/proj/journal.64.log");
         let sync = run_relaxed(
             root,
             FaultPlan::new(),
@@ -3784,7 +4294,9 @@ mod tests {
     /// ops, for `k` over `0..=600` with a stride: every reboot serves
     /// the bodies of the uninterrupted twin at `k` ops, and replays at
     /// most `SNAPSHOT_EVERY - 1` ops or at most the last snapshot's
-    /// bytes of journal.
+    /// bytes of journal. The data dir holds one segment at most,
+    /// `journal.<watermark>.log`, holding exactly the ops replayed: boot
+    /// reads no byte the snapshot covers.
     #[test]
     fn killed_at_any_op_reboots_to_the_uninterrupted_state() {
         let root = Path::new("/kill");
@@ -3813,15 +4325,24 @@ mod tests {
                         .unwrap();
                 assert_eq!(bodies(&rebooted), bodies(&twin), "k = {k}");
                 let snapshot = survivor.file_bytes(&dir.join("snapshot.json"));
+                let covered = snapshot.as_deref().map_or(0, watermark);
                 let replayed = rebooted.boot_replay().ops;
-                assert_eq!(replayed, k - snapshot.as_deref().map_or(0, watermark));
-                let journal = survivor.file_bytes(&dir.join("journal.log")).unwrap();
-                let suffix: usize = journal
-                    .split_inclusive(|&b| b == b'\n')
-                    .rev()
-                    .take(replayed as usize)
-                    .map(<[u8]>::len)
-                    .sum();
+                assert_eq!(replayed, k - covered);
+                let segments = segment_files(&survivor, &dir);
+                let journal = match segments.as_slice() {
+                    [] => Vec::new(),
+                    [live] if *live == segment_name(covered) => {
+                        survivor.file_bytes(&dir.join(live)).unwrap()
+                    }
+                    other => panic!("k = {k}: segments {other:?} past snapshot op {covered}"),
+                };
+                assert_eq!(
+                    journal.split_inclusive(|&b| b == b'\n').count() as u64,
+                    replayed,
+                    "k = {k}"
+                );
+                let suffix = journal.len();
+                assert_eq!(rebooted.boot_replay().journal_bytes, suffix as u64);
                 assert!(
                     replayed < SNAPSHOT_EVERY || suffix <= snapshot.map_or(0, |s| s.len()),
                     "k = {k}: replayed {replayed} ops, {suffix} bytes"
@@ -3859,7 +4380,11 @@ mod tests {
             "no snapshot due since op 64"
         );
         let survivor = fvfs.disk().power_cut_view();
+        // The op-64 seal left one segment, whose entry and first 64 ops
+        // were synced.
+        assert_eq!(segment_files(&survivor, &dir), ["journal.64.log"]);
         let rebooted = Registry::open_with(root, serving_estimator(), Arc::new(survivor)).unwrap();
+        assert!(rebooted.boot_replay().ops >= SNAPSHOT_EVERY);
         let steps = u64::from(
             rebooted
                 .get("proj")

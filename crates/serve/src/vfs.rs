@@ -22,13 +22,19 @@
 //! component below the fault root that still has components under it),
 //! so a fault plan addressed to one project is deterministic even under
 //! concurrent traffic to other projects — the property the
-//! `EASEML_THREADS={1,4}` determinism test pins down.
+//! `EASEML_THREADS={1,4}` determinism test pins down. The root scope
+//! is the exception past boot: each registration fsyncs `projects/`,
+//! a root-scoped op, in whatever order registrations run.
 //!
-//! Simplifications, stated explicitly: directory entries (creation,
-//! rename) are modelled as durable immediately — the interesting
-//! failure surface here is *data* durability ordering, and the store
-//! already survives husk directories and stale temp files by
-//! construction. `rename` is atomic, as on any POSIX filesystem.
+//! [`MemVfs`] models directory entries too. A file or directory created
+//! and a file renamed are changes to their parent directory (a rename
+//! to the one it lands in) that a power cut undoes until a
+//! [`Vfs::sync_dir`] of that directory covers them, while an unlink
+//! lands at once. A filesystem orders none of these before the
+//! directory is synced, and of the states it may leave, this one loses
+//! the most: it is what catches a file unlinked before the rename that
+//! replaces its contents is durable. A process kill keeps every change.
+//! `rename` is atomic, as on any POSIX filesystem.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -131,6 +137,19 @@ pub trait Vfs: fmt::Debug + Send + Sync {
     ///
     /// I/O failures, injected or real.
     fn open_append(&self, path: &Path) -> io::Result<Box<dyn VfsFile>>;
+
+    /// Make the entries of directory `path` durable (`fsync` on the
+    /// directory): a file created in it, renamed into it or unlinked
+    /// from it survives a power cut only once this returns. The default
+    /// does nothing, which suits a filesystem that nothing outlives.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures, injected or real.
+    fn sync_dir(&self, path: &Path) -> io::Result<()> {
+        let _ = path;
+        Ok(())
+    }
 }
 
 /// Atomic file write through a [`Vfs`]: temp sibling + sync + rename.
@@ -226,6 +245,10 @@ impl Vfs for RealVfs {
                 .open(path)?,
         )))
     }
+
+    fn sync_dir(&self, path: &Path) -> io::Result<()> {
+        std::fs::File::open(path)?.sync_all()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -252,10 +275,73 @@ impl MemFile {
     }
 }
 
+/// A directory-entry change no [`Vfs::sync_dir`] has covered yet, with
+/// what a power cut restores.
+#[derive(Debug, Clone)]
+enum Unsynced {
+    /// A file or directory appeared at this path.
+    Created(PathBuf),
+    /// A file moved from `from` to `to`, replacing `displaced`.
+    Renamed {
+        from: PathBuf,
+        to: PathBuf,
+        displaced: Option<MemFile>,
+    },
+}
+
+impl Unsynced {
+    /// The directory whose sync makes the change durable.
+    fn dir(&self) -> Option<&Path> {
+        match self {
+            Unsynced::Created(path) | Unsynced::Renamed { to: path, .. } => path.parent(),
+        }
+    }
+}
+
 #[derive(Debug, Default, Clone)]
 struct MemDisk {
     files: BTreeMap<PathBuf, MemFile>,
     dirs: BTreeSet<PathBuf>,
+    /// Directory-entry changes a power cut still undoes, oldest first.
+    unsynced: Vec<Unsynced>,
+}
+
+impl MemDisk {
+    /// Record a change to a directory. The filesystem root and the
+    /// relative root are taken as already durable.
+    fn note(&mut self, change: Unsynced) {
+        if change.dir().is_some_and(|dir| !dir.as_os_str().is_empty()) {
+            self.unsynced.push(change);
+        }
+    }
+
+    /// Undo every unsynced directory-entry change, newest first. An
+    /// undone directory takes everything under it along.
+    fn revert_unsynced(&mut self) {
+        while let Some(change) = self.unsynced.pop() {
+            match change {
+                Unsynced::Created(path) => {
+                    self.files.remove(&path);
+                    if self.dirs.remove(&path) {
+                        self.files.retain(|file, _| !file.starts_with(&path));
+                        self.dirs.retain(|dir| !dir.starts_with(&path));
+                    }
+                }
+                Unsynced::Renamed {
+                    from,
+                    to,
+                    displaced,
+                } => {
+                    if let Some(file) = self.files.remove(&to) {
+                        self.files.insert(from, file);
+                    }
+                    if let Some(file) = displaced {
+                        self.files.insert(to, file);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// In-memory [`Vfs`] modelling the fsync contract (see module docs).
@@ -287,11 +373,14 @@ impl MemVfs {
         }
     }
 
-    /// The disk as a *power cut* leaves it: every file truncated to its
-    /// durable (synced) prefix — the unsynced tail is exactly what dies.
+    /// The disk as a *power cut* leaves it: every creation and rename no
+    /// `sync_dir` covered undone (unlinks stay), and every file truncated
+    /// to its durable (synced) prefix — the unsynced tail is exactly
+    /// what dies.
     #[must_use]
     pub fn power_cut_view(&self) -> MemVfs {
         let mut disk = self.lock().clone();
+        disk.revert_unsynced();
         for file in disk.files.values_mut() {
             file.pending.clear();
         }
@@ -376,7 +465,9 @@ impl Vfs for MemVfs {
         let mut cur = PathBuf::new();
         for comp in path.components() {
             cur.push(comp);
-            disk.dirs.insert(cur.clone());
+            if disk.dirs.insert(cur.clone()) {
+                disk.note(Unsynced::Created(cur.clone()));
+            }
         }
         Ok(())
     }
@@ -429,14 +520,24 @@ impl Vfs for MemVfs {
             .files
             .remove(from)
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no such file"))?;
-        disk.files.insert(to.to_owned(), file);
+        let displaced = disk.files.insert(to.to_owned(), file);
+        disk.note(Unsynced::Renamed {
+            from: from.to_owned(),
+            to: to.to_owned(),
+            displaced,
+        });
         Ok(())
     }
 
     fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
-        self.lock()
+        let mut disk = self.lock();
+        if disk
             .files
-            .insert(path.to_owned(), MemFile::default());
+            .insert(path.to_owned(), MemFile::default())
+            .is_none()
+        {
+            disk.note(Unsynced::Created(path.to_owned()));
+        }
         Ok(Box::new(MemFileHandle {
             disk: Arc::clone(&self.disk),
             path: path.to_owned(),
@@ -444,11 +545,24 @@ impl Vfs for MemVfs {
     }
 
     fn open_append(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
-        self.lock().files.entry(path.to_owned()).or_default();
+        let mut disk = self.lock();
+        if !disk.files.contains_key(path) {
+            disk.files.insert(path.to_owned(), MemFile::default());
+            disk.note(Unsynced::Created(path.to_owned()));
+        }
         Ok(Box::new(MemFileHandle {
             disk: Arc::clone(&self.disk),
             path: path.to_owned(),
         }))
+    }
+
+    fn sync_dir(&self, path: &Path) -> io::Result<()> {
+        let mut disk = self.lock();
+        if !disk.dirs.contains(path) {
+            return Err(io::Error::new(io::ErrorKind::NotFound, "no such directory"));
+        }
+        disk.unsynced.retain(|change| change.dir() != Some(path));
+        Ok(())
     }
 }
 
@@ -582,6 +696,9 @@ struct FaultState {
     deny_writes: AtomicBool,
     record: AtomicBool,
     oplog: Mutex<Vec<OpRecord>>,
+    /// Per scope, the bytes written to its journal segments, in write
+    /// order; failed writes add nothing.
+    journal: Mutex<HashMap<String, Vec<u8>>>,
 }
 
 /// A [`MemVfs`] wrapped with a deterministic fault schedule. Cheap to
@@ -613,6 +730,7 @@ impl FaultVfs {
                 deny_writes: AtomicBool::new(false),
                 record: AtomicBool::new(false),
                 oplog: Mutex::new(Vec::new()),
+                journal: Mutex::new(HashMap::new()),
             }),
         }
     }
@@ -659,6 +777,15 @@ impl FaultVfs {
     pub fn take_oplog(&self) -> Vec<OpRecord> {
         self.state.record.store(false, Ordering::SeqCst);
         std::mem::take(&mut self.state.oplog.lock().expect("oplog poisoned"))
+    }
+
+    /// Every journal line `scope` wrote, across all its segments (those
+    /// a snapshot sealed and unlinked included): the project's journal
+    /// as one stream.
+    #[must_use]
+    pub fn journal_written(&self, scope: &str) -> Vec<u8> {
+        let journal = self.state.journal.lock().expect("journal poisoned");
+        journal.get(scope).cloned().unwrap_or_default()
     }
 
     /// Operation count so far in `scope`.
@@ -757,12 +884,23 @@ struct FaultFile {
     vfs: FaultVfs,
     inner: Box<dyn VfsFile>,
     path: PathBuf,
+    /// The scope whose journal stream this file's writes extend, if it
+    /// is a journal segment.
+    journal_scope: Option<String>,
 }
 
 impl VfsFile for FaultFile {
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
         self.vfs.check("write", &self.path, Some(buf))?;
-        self.inner.write_all(buf)
+        self.inner.write_all(buf)?;
+        if let Some(scope) = &self.journal_scope {
+            let mut journal = self.vfs.state.journal.lock().expect("journal poisoned");
+            journal
+                .entry(scope.clone())
+                .or_default()
+                .extend_from_slice(buf);
+        }
+        Ok(())
     }
 
     fn sync_data(&self) -> io::Result<()> {
@@ -818,22 +956,39 @@ impl Vfs for FaultVfs {
     fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
         self.check("create", path, None)?;
         let inner = self.state.disk.create(path)?;
-        Ok(Box::new(FaultFile {
-            vfs: self.clone(),
-            inner,
-            path: path.to_owned(),
-        }))
+        Ok(self.wrap(inner, path))
     }
 
     fn open_append(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
         self.check("open_append", path, None)?;
         let inner = self.state.disk.open_append(path)?;
-        Ok(Box::new(FaultFile {
+        Ok(self.wrap(inner, path))
+    }
+
+    fn sync_dir(&self, path: &Path) -> io::Result<()> {
+        self.check("sync_dir", path, None)?;
+        self.state.disk.sync_dir(path)
+    }
+}
+
+impl FaultVfs {
+    fn wrap(&self, inner: Box<dyn VfsFile>, path: &Path) -> Box<dyn VfsFile> {
+        let journal_scope = is_journal_segment(path).then(|| Self::scope_of(&self.state, path));
+        Box::new(FaultFile {
             vfs: self.clone(),
             inner,
             path: path.to_owned(),
-        }))
+            journal_scope,
+        })
     }
+}
+
+/// Whether `path` names a journal segment (see [`crate::store`]).
+fn is_journal_segment(path: &Path) -> bool {
+    path.file_name()
+        .and_then(|name| name.to_str())
+        .and_then(crate::store::segment_start)
+        .is_some_and(|start| start.is_ok())
 }
 
 // ---------------------------------------------------------------------------
@@ -866,7 +1021,7 @@ enum MeteredKind {
 }
 
 fn metered_kind(path: &Path) -> MeteredKind {
-    if path.file_name().is_some_and(|n| n == "journal.log") {
+    if is_journal_segment(path) {
         MeteredKind::Journal
     } else {
         MeteredKind::Other
@@ -989,18 +1144,40 @@ impl Vfs for MeteredVfs {
         self.metrics.op(crate::obs::VfsOp::OpenAppend);
         Ok(self.wrap(self.inner.open_append(path)?, path))
     }
+
+    fn sync_dir(&self, path: &Path) -> io::Result<()> {
+        use crate::obs::trace::{self, Stage};
+        self.metrics.op(crate::obs::VfsOp::Sync);
+        let start = std::time::Instant::now();
+        let result = self.inner.sync_dir(path);
+        let elapsed = start.elapsed();
+        self.metrics.sync_latency(trace::ns(elapsed));
+        trace::add(Stage::Fsync, elapsed);
+        result
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Create `path` for appending with its directory entries durable:
+    /// four counted ops (create_dir, open_append, two sync_dirs).
+    fn durable_file(vfs: &dyn Vfs, path: &Path) -> Box<dyn VfsFile> {
+        let dir = path.parent().expect("file in a directory");
+        vfs.create_dir_all(dir).unwrap();
+        let file = vfs.open_append(path).unwrap();
+        vfs.sync_dir(dir.parent().expect("directory below the root"))
+            .unwrap();
+        vfs.sync_dir(dir).unwrap();
+        file
+    }
+
     #[test]
     fn mem_vfs_models_fsync_boundary() {
         let vfs = MemVfs::new();
         let path = Path::new("/d/journal.log");
-        vfs.create_dir_all(Path::new("/d")).unwrap();
-        let mut f = vfs.open_append(path).unwrap();
+        let mut f = durable_file(&vfs, path);
         f.write_all(b"synced\n").unwrap();
         f.sync_data().unwrap();
         f.write_all(b"pending\n").unwrap();
@@ -1015,6 +1192,49 @@ mod tests {
         // The live disk is unaffected by taking views.
         assert_eq!(vfs.file_bytes(path).unwrap(), b"synced\npending\n");
         assert_eq!(vfs.synced_len(path).unwrap(), 7);
+    }
+
+    /// A created or renamed entry survives a power cut only once its
+    /// directory is synced, while an unlink lands at once; a directory
+    /// never synced into its parent takes its whole subtree with it. A
+    /// kill keeps every change.
+    #[test]
+    fn mem_vfs_power_cut_undoes_unsynced_directory_entries() {
+        let vfs = MemVfs::new();
+        let dir = Path::new("/data/projects/p");
+        let (old, new, tmp) = (dir.join("a.json"), dir.join("b.log"), dir.join("a.tmp"));
+        vfs.create_dir_all(dir).unwrap();
+        write_atomic(&vfs, &old, b"v1").unwrap();
+        assert!(vfs
+            .power_cut_view()
+            .list_dir(Path::new("/"))
+            .unwrap()
+            .is_empty());
+        assert!(vfs.kill_view().exists(&old));
+        for d in ["/", "/data", "/data/projects", "/data/projects/p"] {
+            vfs.sync_dir(Path::new(d)).unwrap();
+        }
+        // A replacing rename and a fresh file, both unsynced: a power cut
+        // restores the old content and drops the new file, even though
+        // both files' bytes were synced.
+        write_atomic(&vfs, &old, b"v2").unwrap();
+        let mut f = vfs.open_append(&new).unwrap();
+        f.write_all(b"x").unwrap();
+        f.sync_data().unwrap();
+        let cut = vfs.power_cut_view();
+        assert_eq!(cut.file_bytes(&old).unwrap(), b"v1");
+        assert!(!cut.exists(&new) && !cut.exists(&tmp));
+        vfs.sync_dir(dir).unwrap();
+        let cut = vfs.power_cut_view();
+        assert_eq!(cut.file_bytes(&old).unwrap(), b"v2");
+        assert_eq!(cut.file_bytes(&new).unwrap(), b"x");
+        // An unlink lands unsynced, before a rename that came first.
+        write_atomic(&vfs, &old, b"v3").unwrap();
+        vfs.remove_file(&new).unwrap();
+        let cut = vfs.power_cut_view();
+        assert_eq!(cut.file_bytes(&old).unwrap(), b"v2");
+        assert!(!cut.exists(&new));
+        assert!(vfs.sync_dir(Path::new("/missing")).is_err());
     }
 
     #[test]
@@ -1094,11 +1314,12 @@ mod tests {
     #[test]
     fn torn_write_persists_prefix_and_halts() {
         let root = Path::new("/d");
-        // Ops: 0 create, 1 write (synced base), 2 sync, 3 torn write.
-        let plan = FaultPlan::new().at("", 3, Fault::Torn { keep: 4 });
+        // Ops: 0-3 durable create, 4 write (synced base), 5 sync, 6 torn
+        // write.
+        let plan = FaultPlan::new().at("", 6, Fault::Torn { keep: 4 });
         let vfs = FaultVfs::new(root, plan);
         let p = Path::new("/d/journal");
-        let mut f = vfs.create(p).unwrap();
+        let mut f = durable_file(&vfs, p);
         f.write_all(b"base\n").unwrap();
         f.sync_data().unwrap();
         assert!(f.write_all(b"doomed-line\n").is_err());
@@ -1112,11 +1333,12 @@ mod tests {
     #[test]
     fn power_cut_capture_drops_unsynced_tail() {
         let root = Path::new("/d");
-        // Ops: 0 create, 1 write, 2 sync, 3 write, 4 power cut (on sync).
-        let plan = FaultPlan::new().at("", 4, Fault::PowerCut);
+        // Ops: 0-3 durable create, 4 write, 5 sync, 6 write, 7 power cut
+        // (on sync).
+        let plan = FaultPlan::new().at("", 7, Fault::PowerCut);
         let vfs = FaultVfs::new(root, plan);
         let p = Path::new("/d/j");
-        let mut f = vfs.create(p).unwrap();
+        let mut f = durable_file(&vfs, p);
         f.write_all(b"ok\n").unwrap();
         f.sync_data().unwrap();
         f.write_all(b"lost\n").unwrap();
@@ -1124,9 +1346,9 @@ mod tests {
         let survivor = vfs.captured_disk().unwrap();
         assert_eq!(survivor.file_bytes(p).unwrap(), b"ok\n");
         // Kill would have kept it all: check on a twin schedule.
-        let plan = FaultPlan::new().at("", 4, Fault::Kill);
+        let plan = FaultPlan::new().at("", 7, Fault::Kill);
         let vfs = FaultVfs::new(root, plan);
-        let mut f = vfs.create(p).unwrap();
+        let mut f = durable_file(&vfs, p);
         f.write_all(b"ok\n").unwrap();
         f.sync_data().unwrap();
         f.write_all(b"kept\n").unwrap();
@@ -1164,10 +1386,10 @@ mod tests {
     fn metered_vfs_counts_without_changing_behavior() {
         let metrics = crate::obs::ServeMetrics::new(&[]);
         let mem = MemVfs::new();
-        let vfs = MeteredVfs::new(Arc::new(mem), metrics.vfs.clone());
+        let vfs = MeteredVfs::new(Arc::new(mem.clone()), metrics.vfs.clone());
         let dir = Path::new("/p/projects/demo");
         vfs.create_dir_all(dir).unwrap();
-        let journal = dir.join("journal.log");
+        let journal = dir.join("journal.7.log");
         let mut f = vfs.open_append(&journal).unwrap();
         f.write_all(b"op-1\n").unwrap();
         f.write_all(b"op-2\n").unwrap();
@@ -1187,6 +1409,14 @@ mod tests {
         // The underlying disk is untouched semantically: the snapshot
         // temp file is gone and the journal bytes are exact.
         assert!(!vfs.exists(&dir.join("snapshot.tmp")));
+        // Directory syncs reach the disk below (counted as syncs), so
+        // the entries survive a power cut.
+        for d in ["/", "/p", "/p/projects", "/p/projects/demo"] {
+            vfs.sync_dir(Path::new(d)).unwrap();
+        }
+        let cut = mem.power_cut_view();
+        assert!(cut.exists(&journal) && cut.exists(&dir.join("snapshot.json")));
+        assert_eq!(metrics.vfs.journal_fsyncs_total.get(), 1);
     }
 
     #[test]

@@ -346,7 +346,9 @@ fn concurrent_submissions_serialize_into_distinct_steps() {
 }
 
 /// Drive the same deterministic multi-project schedule against a server
-/// of the given width; returns each project's journal bytes.
+/// of the given width; returns each project's journal bytes, read
+/// before the shutdown snapshot seals them (32 commits stay short of
+/// the first cadence snapshot).
 fn run_schedule(threads: usize, tag: &str) -> Vec<(String, Vec<u8>)> {
     let dir = temp_dir(tag);
     let (addr, handle, join) = start_with(ServeConfig {
@@ -389,16 +391,16 @@ fn run_schedule(threads: usize, tag: &str) -> Vec<(String, Vec<u8>)> {
     for client in clients {
         client.join().unwrap();
     }
-    handle.stop();
-    join.join().unwrap();
-
-    (0..4)
+    let journals = (0..4)
         .map(|p| {
             let name = format!("proj-{p}");
-            let journal = dir.join("projects").join(&name).join("journal.log");
+            let journal = dir.join("projects").join(&name).join("journal.0.log");
             (name, std::fs::read(journal).unwrap())
         })
-        .collect()
+        .collect();
+    handle.stop();
+    join.join().unwrap();
+    journals
 }
 
 #[test]
@@ -473,14 +475,21 @@ fn shutdown_endpoint_stops_server_and_flushes_state() {
         .request("POST", "/projects", Some(&register_body("p", SCRIPT)))
         .unwrap();
     assert_eq!(status, 201);
+    let (status, _) = client
+        .request("POST", "/projects/p/commits", Some(&commit_body("c1", 80)))
+        .unwrap();
+    assert_eq!(status, 200);
+    assert!(dir.join("projects/p/journal.0.log").exists());
     // The graceful-stop path reachable from plain HTTP (what the CLI
-    // binary relies on): run() must return and flush durable state.
+    // binary relies on): run() must return and flush durable state,
+    // sealing the journal into the snapshot.
     let (status, body) = client.request("POST", "/admin/shutdown", None).unwrap();
     assert_eq!(status, 200);
     assert_eq!(body.get("stopping").and_then(Value::as_bool), Some(true));
     drop(client);
     join.join().unwrap();
     assert!(dir.join("projects/p/snapshot.json").exists());
+    assert!(!dir.join("projects/p/journal.0.log").exists());
     assert_eq!(top_level_entries(&dir), ["projects"]);
 }
 
@@ -1179,7 +1188,7 @@ fn predictions_wire_encodings_are_interchangeable() {
     let dir = temp_dir("pred-encodings");
     let (addr, handle, join) = start(&dir, 2);
     let mut client = Client::new(addr);
-    let journal = |name: &str| std::fs::read(dir.join("projects").join(name).join("journal.log"));
+    let journal = |name: &str| std::fs::read(dir.join("projects").join(name).join("journal.0.log"));
     let mut receipts: Vec<Vec<String>> = Vec::new();
     for (name, encode) in encodings {
         let register = Value::object([
@@ -1272,21 +1281,25 @@ fn predictions_wire_encodings_are_interchangeable() {
     }
 
     drop(client);
+    // The journals as written, read before the shutdown snapshot seals
+    // them; that snapshot records every entry's `pred_digest`.
+    let journals = ["hash", "array", "csv"].map(|name| journal(name).unwrap());
+    assert_eq!(journals[1], journals[0], "array journal");
+    assert_eq!(journals[2], journals[0], "csv journal");
     handle.stop();
     join.join().unwrap();
-    // The shutdown snapshot records every entry's `pred_digest`.
-    for file in ["journal.log", "snapshot.json"] {
-        let read = |name: &str| std::fs::read(dir.join("projects").join(name).join(file)).unwrap();
-        assert_eq!(read("array"), read("hash"), "{file}");
-        assert_eq!(read("csv"), read("hash"), "{file}");
-    }
+    let read =
+        |name: &str| std::fs::read(dir.join("projects").join(name).join("snapshot.json")).unwrap();
+    assert_eq!(read("array"), read("hash"), "snapshot.json");
+    assert_eq!(read("csv"), read("hash"), "snapshot.json");
     let snapshot =
         String::from_utf8(std::fs::read(dir.join("projects/hash/snapshot.json")).unwrap()).unwrap();
     assert!(snapshot.contains("pred_digest"), "{snapshot}");
 }
 
 /// Drive a deterministic predictions-mode schedule against a server of
-/// the given width; returns each project's journal bytes.
+/// the given width; returns each project's journal bytes, read before
+/// the shutdown snapshot seals them.
 fn run_predictions_schedule(threads: usize, tag: &str) -> Vec<(String, Vec<u8>)> {
     let dir = temp_dir(tag);
     let (addr, handle, join) = start(&dir, threads);
@@ -1331,16 +1344,16 @@ fn run_predictions_schedule(threads: usize, tag: &str) -> Vec<(String, Vec<u8>)>
     for client in clients {
         client.join().unwrap();
     }
-    handle.stop();
-    join.join().unwrap();
-
-    (0..3)
+    let journals = (0..3)
         .map(|p| {
             let name = format!("pred-{p}");
-            let journal = dir.join("projects").join(&name).join("journal.log");
+            let journal = dir.join("projects").join(&name).join("journal.0.log");
             (name, std::fs::read(journal).unwrap())
         })
-        .collect()
+        .collect();
+    handle.stop();
+    join.join().unwrap();
+    journals
 }
 
 #[test]
@@ -2098,9 +2111,9 @@ fn boot_replay(addr: &str) -> [f64; 4] {
 
 /// A server killed mid-run (its disk image taken before any shutdown
 /// snapshot) reboots by replaying the journal ops past each project's
-/// last snapshot, and `/metrics` says how many; after a graceful stop
-/// there is nothing left to replay, yet boot still reads the whole
-/// snapshot and the whole journal, and `/metrics` says how many bytes.
+/// last snapshot, and `/metrics` says how many, and how many bytes: the
+/// snapshot and exactly the live segment. After a graceful stop there
+/// is nothing left to replay, and no journal byte left to read.
 #[test]
 fn boot_replay_metrics_count_the_ops_past_the_last_snapshot() {
     use easeml_serve::vfs::{MemVfs, Vfs};
@@ -2142,10 +2155,17 @@ fn boot_replay_metrics_count_the_ops_past_the_last_snapshot() {
     handle.stop();
     join.join().unwrap();
 
+    let size = |file: &str| {
+        let path = data_dir.join("projects/p").join(file);
+        killed.file_bytes(&path).map(|bytes| bytes.len() as f64)
+    };
     let (addr, handle, join) = start_with(config(&killed));
-    let [ops, seconds, ..] = boot_replay(&addr);
+    let [ops, seconds, snapshot_bytes, journal_bytes] = boot_replay(&addr);
     assert_eq!(ops, 36.0, "ops 65..=100 lie past the op-64 snapshot");
     assert!(seconds > 0.0);
+    assert_eq!(Some(snapshot_bytes), size("snapshot.json"));
+    assert_eq!(Some(journal_bytes), size("journal.64.log"));
+    assert_eq!(size("journal.0.log"), None, "the op-64 seal unlinked it");
     let (_, budget) = Client::new(&addr)
         .request("GET", "/projects/p/budget", None)
         .unwrap();
@@ -2162,12 +2182,12 @@ fn boot_replay_metrics_count_the_ops_past_the_last_snapshot() {
     let (addr, handle, join) = start_with(config(&killed));
     let [ops, _, snapshot_bytes, journal_bytes] = boot_replay(&addr);
     assert_eq!(ops, 0.0, "the shutdown snapshot covers all");
-    let size = |file: &str| {
-        let path = data_dir.join("projects/p").join(file);
-        killed.file_bytes(&path).expect("project file").len() as f64
-    };
-    assert_eq!(snapshot_bytes, size("snapshot.json"));
-    assert_eq!(journal_bytes, size("journal.log"));
+    assert_eq!(Some(snapshot_bytes), size("snapshot.json"));
+    assert_eq!(
+        journal_bytes, 0.0,
+        "the shutdown snapshot sealed the journal"
+    );
+    assert_eq!(size("journal.64.log"), None);
     handle.stop();
     join.join().unwrap();
 }
