@@ -560,9 +560,8 @@ fn sweep_level(addr: &str, clients: usize, commits: u64) -> (Vec<f64>, f64) {
 // ---------------------------------------------------------------------
 
 /// Counts projects shared per durability level: clients are spread over
-/// this many journals, so one group-commit flusher round retires many
-/// commits with at most this many fsyncs — the batching the mode exists
-/// for.
+/// this many journals, so one group-commit round retires many commits
+/// with at most this many fsyncs — the batching the mode exists for.
 const DUR_PROJECTS: usize = 4;
 
 /// Server-side latency of one route, reconstructed from the scrape's
@@ -628,7 +627,7 @@ struct DurabilityLevel {
 
 impl DurabilityLevel {
     /// p50 of one pipeline stage in this cell (0 when the stage never
-    /// ran — e.g. `fsync` in a cell whose flusher had nothing to sync).
+    /// ran — e.g. `fsync` in a cell whose rounds had nothing to sync).
     fn stage_p50(&self, name: &str) -> f64 {
         self.stages
             .iter()
@@ -675,8 +674,8 @@ fn run_durability_level(
     let handle = server.handle();
     let server_thread = std::thread::spawn(move || server.run().expect("durability server run"));
 
-    // Shared projects, registered up front (their journals are what the
-    // flusher batches across).
+    // Shared projects, registered up front (their journals are what a
+    // group-commit round batches across).
     let mut setup = Client::new(addr.clone());
     let counts_script = script_for(0);
     for p in 0..DUR_PROJECTS {
@@ -722,7 +721,7 @@ fn run_durability_level(
 
     // One driver thread per client: group-commit batching depth is set
     // by how many commits are genuinely in flight at once (each blocks
-    // until its flush round retires), so unlike the keep-alive sweep
+    // until its group-commit round retires), so unlike the keep-alive sweep
     // the drivers must not multiplex clients onto a fixed thread pool.
     let threads = clients;
     let barrier = std::sync::Arc::new(std::sync::Barrier::new(threads));
@@ -1005,6 +1004,15 @@ fn main() {
         "scrape must carry the full catalog (got {} series)",
         expo.series_count()
     );
+    if durability == easeml_serve::Durability::Group {
+        // Each round retires at least one staged append's sync.
+        let rounds = expo.value("easeml_group_commit_rounds_total", &[]);
+        let appends = expo.value("easeml_journal_appends_total", &[]);
+        assert!(
+            rounds.is_some_and(|r| r > 0.0 && Some(r) <= appends),
+            "group durability must retire its syncs in rounds: {rounds:?} rounds, {appends:?} appends"
+        );
+    }
     for (name, labels) in CURATED_NONZERO {
         let value = expo.value(name, labels);
         assert!(

@@ -102,8 +102,8 @@ fn print_usage() {
          \x20                         ring entry) when its traced end-to-end time\n\
          \x20                         exceeds MS; 0 traces everything (default 250)\n\
          \x20 --durability MODE       when acknowledgements become durable (default group):\n\
-         \x20                         group   = one batched fsync per flusher round;\n\
-         \x20                                   responses released when their round lands\n\
+         \x20                         group   = one batched fsync per journal per event-loop\n\
+         \x20                                   sweep; responses released once it lands\n\
          \x20                         relaxed = acknowledge commits before any fsync (the\n\
          \x20                                   journal is synced every 64 ops, so a\n\
          \x20                                   power cut may lose up to 63 acked commits)\n\

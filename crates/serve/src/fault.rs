@@ -25,8 +25,8 @@
 //!   loses a registration (its record is fsynced and renamed on the
 //!   registering thread before the ack, in both modes) or a commit
 //!   acked after its covering fsync (in `group` durability every commit
-//!   ack waited on the flusher's batched journal sync, so *no* acked
-//!   commit may be lost; in `relaxed` only a completed snapshot covers
+//!   ack waits for the group-commit round that syncs its journal, so
+//!   *no* acked commit may be lost; in `relaxed` only a completed snapshot covers
 //!   the commits acked before it);
 //! * **byte-faithful history** — for halting faults each surviving
 //!   journal segment, after torn-tail repair, is byte-for-byte a prefix
@@ -509,18 +509,26 @@ impl ProjectLog {
     }
 }
 
-/// Drive one action and — under `group` durability — wait for its
-/// deferred durable ack, exactly as the route layer holds the HTTP
-/// response until the waiter resolves. The waiter is drained
+/// Drive one action and — under `group` durability — honour its
+/// deferred durable ack, exactly as the event loop holds the HTTP
+/// response until its round resolves the waiter. Off an event loop the
+/// store call ran that round before it returned. The waiter is drained
 /// unconditionally so no thread-local state leaks across actions.
 fn apply(registry: &Registry, name: &str, action: &Action) -> Result<String, ServeError> {
     let result = apply_inner(registry, name, action);
     match group::take_pending() {
-        Some(waiter) if result.is_ok() => {
-            waiter.wait().map_err(ServeError::Unavailable).and(result)
-        }
+        Some(waiter) if result.is_ok() => durable(&waiter).and(result),
         _ => result,
     }
+}
+
+/// The result of the round that retired `waiter`'s sync, which an
+/// off-loop store call runs before it returns.
+fn durable(waiter: &group::Waiter) -> Result<(), ServeError> {
+    waiter
+        .result()
+        .expect("an off-loop store call retires its own round")
+        .map_err(ServeError::Unavailable)
 }
 
 fn apply_inner(registry: &Registry, name: &str, action: &Action) -> Result<String, ServeError> {
@@ -774,9 +782,7 @@ fn probe(registry: &Registry, name: &str) -> Result<(), String> {
     // Drain (and honour) the group-mode waiter: a probe on a healthy
     // survivor must also reach durability.
     let outcome = match group::take_pending() {
-        Some(waiter) if outcome.is_ok() => {
-            waiter.wait().map_err(ServeError::Unavailable).and(outcome)
-        }
+        Some(waiter) if outcome.is_ok() => durable(&waiter).and(outcome),
         _ => outcome,
     };
     match outcome {
@@ -849,7 +855,7 @@ mod tests {
     }
 
     /// The same cell sweep under group-commit durability: every fault
-    /// address also lands at the flusher's deferred journal syncs, and
+    /// address also lands at the rounds' deferred journal syncs, and
     /// the invariants must still hold — in particular no acked
     /// (fsync-covered) commit may be lost even to a power cut.
     #[test]

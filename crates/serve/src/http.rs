@@ -264,9 +264,9 @@ pub struct Response {
     pub trace: Option<Box<crate::obs::trace::TraceRec>>,
     /// Group-commit durability gate: when set, the event core must not
     /// queue this response onto the socket until the waiter resolves
-    /// (the journal bytes behind the acknowledgement are on disk). A
-    /// failed flush converts the response into a 500 instead. Never
-    /// serialized to the wire.
+    /// (the group-commit round made the journal bytes behind the
+    /// acknowledgement durable). A failed round converts the response
+    /// into a 500 instead. Never serialized to the wire.
     pub pending: Option<crate::store::Waiter>,
 }
 

@@ -9,11 +9,13 @@
 //!                   │  listener ──▶ accept, adopt after batch    │
 //!                   │  conns: read → RequestParser → dispatch ─┐ │
 //!                   │  ▲ completions (wake pipe) ◀─────────────┼─┼── easeml-par
-//!                   │  └─ write responses as sockets allow     └─┼──▶ pool workers
-//!                   └────────────────────────────────────────────┘   (registration)
+//!                   │  │ 1. write the ones that need no fsync  └─┼──▶ pool workers
+//!                   │  │ 2. one group-commit round (fsyncs)      │   (registration)
+//!                   │  └─3. write the ones the round released    │
+//!                   └────────────────────────────────────────────┘
 //! ```
 //!
-//! The event thread owns the sockets and never blocks: nonblocking reads
+//! The event thread owns the sockets and waits on no peer: nonblocking reads
 //! feed the incremental parser, and complete requests go one of two ways,
 //! chosen by [`Handler::inline`]. µs-scale requests (the overwhelming
 //! majority: gate commits against a registered plan, status reads) run
@@ -34,17 +36,22 @@
 //!
 //! Durability ordering depends on the configured
 //! [`crate::store::Durability`] mode, but the invariant the event core
-//! enforces is the same in both: response bytes are only queued once
-//! the completion is handed back. Under `group` the handler returns
-//! immediately with a [`crate::store::Waiter`] attached to the response
-//! ([`Response::pending`]); the completion is deferred until the
-//! group-commit flusher reports the batched fsync durable, and a failed
-//! flush turns the acknowledgement into a 500 — a client never sees
-//! success for state that could be lost. Under `relaxed` no waiter is
-//! attached: the acknowledgement precedes any fsync of the journal,
-//! which only the snapshot cadence syncs. A registration attaches no
-//! waiter in either mode: its handler fsyncs and renames `project.json`
-//! itself before it returns.
+//! enforces is the same in both: a response leaves only once the
+//! journal bytes behind it are as durable as the mode promises. Under
+//! `group` an inline commit stages its journal sync on the event thread
+//! and its response carries a [`crate::store::Waiter`]
+//! ([`Response::pending`]), which the loop parks. After each sweep the
+//! loop writes out the completions that need no fsync, so a read never
+//! waits on another request's fsync; runs one group-commit round
+//! ([`Handler::round`]: one fsync per journal the sweep's commits
+//! touched); and only then releases the parked responses, each a 500
+//! where its round failed. That round is the one place the loop blocks,
+//! as Redis fsyncs before it sleeps under `appendfsync always`. A pool
+//! worker's store call runs its own round, so its response comes back
+//! resolved. Under `relaxed` no waiter is attached: the acknowledgement
+//! precedes any fsync of the journal, which only the snapshot cadence
+//! syncs. A registration attaches no waiter in either mode: its handler
+//! fsyncs and renames `project.json` itself before it returns.
 //!
 //! # Stale-event discipline
 //!
@@ -64,6 +71,7 @@ use crate::http::{Request, Response};
 use crate::obs::trace::{self, Stage};
 use crate::obs::ServeObs;
 use crate::server::{ServeStats, SHED_RETRY_AFTER_SECS};
+use crate::store::Waiter;
 use conn::{Conn, ConnState};
 use easeml_par::PoolScope;
 use std::io::{self, Read, Write};
@@ -100,6 +108,13 @@ pub(crate) trait Handler: Sync {
     /// stalls every connection this loop owns for the handler's full
     /// duration, so only µs-scale requests should say yes.
     fn inline(&self, request: &Request) -> bool;
+
+    /// Run one group-commit round: retire every journal sync that the
+    /// requests handled on this thread staged, resolving their
+    /// responses' waiters. The loop calls it after each sweep, once the
+    /// completions that need no fsync are written; a no-op when nothing
+    /// is staged.
+    fn round(&self);
 }
 
 /// Reserved poller token: the wake pipe's read end.
@@ -159,7 +174,7 @@ impl WakeHub {
     }
 }
 
-/// A finished request: the worker's response, addressed back to the
+/// A finished request: the handler's response, addressed back to the
 /// connection that dispatched it. Generations make late completions for
 /// a recycled slot or an abandoned dispatch harmless.
 #[derive(Debug)]
@@ -167,12 +182,14 @@ struct Completion {
     token: usize,
     generation: u64,
     dispatch_gen: u64,
+    /// When the handler returned: a response parked for a round is
+    /// credited the durable wait from here to the round's end.
+    handled: Instant,
     response: Response,
 }
 
 /// The cross-thread face of the event loop: the completion queue pool
-/// workers and the group-commit flusher push onto, and the write end of
-/// the loop's wake pipe.
+/// workers push onto, and the write end of the loop's wake pipe.
 #[derive(Debug)]
 struct LoopShared {
     completions: Mutex<Vec<Completion>>,
@@ -195,65 +212,6 @@ impl LoopShared {
     fn take_completions(&self) -> Vec<Completion> {
         std::mem::take(&mut *self.completions.lock().expect("completions poisoned"))
     }
-}
-
-/// Queue `response` for its connection once it is safe to release.
-///
-/// With nothing pending (relaxed durability, registrations, reads,
-/// errors) the completion is pushed immediately — `wake` says whether
-/// the caller is off the event thread and must poke the wake pipe. With
-/// a group-commit [`crate::store::Waiter`] attached, the push is
-/// deferred into the waiter's completion callback: the flusher thread
-/// runs it once the batched fsync covering this request's journal bytes
-/// has returned, and a failed flush converts the acknowledgement into a
-/// 500 (feeding the durable-failure streak) — the client must never see
-/// success for state the disk did not accept.
-fn release_when_durable(
-    shared: Arc<LoopShared>,
-    stats: Arc<ServeStats>,
-    token: usize,
-    generation: u64,
-    dispatch_gen: u64,
-    mut response: Response,
-    wake: bool,
-) {
-    let Some(waiter) = response.pending.take() else {
-        shared.push_completion(Completion {
-            token,
-            generation,
-            dispatch_gen,
-            response,
-        });
-        if wake {
-            shared.wake();
-        }
-        return;
-    };
-    waiter.on_complete(move |result| {
-        let response = match result {
-            Ok(()) => response,
-            Err(message) => {
-                stats.note_durable_failure();
-                let mut failed = Response::error_with_reason(500, "durable_write_failed", &message);
-                failed.close = response.close;
-                failed.trace = response.trace;
-                if let Some(trace) = failed.trace.as_mut() {
-                    trace.status = failed.status;
-                }
-                failed
-            }
-        };
-        shared.push_completion(Completion {
-            token,
-            generation,
-            dispatch_gen,
-            response,
-        });
-        // Usually delivered from the flusher thread; when the waiter had
-        // already resolved the callback ran inline on the caller and the
-        // wake byte is merely redundant.
-        shared.wake();
-    });
 }
 
 /// One slab slot. `generation` increments when the slot is freed, so
@@ -320,6 +278,9 @@ struct EventLoop {
     /// Current accept back-off (exponential between [`ACCEPT_BACKOFF`]
     /// and [`ACCEPT_BACKOFF_MAX`]; reset by a successful accept).
     accept_backoff: Duration,
+    /// Completions whose journal sync this thread staged, waiting for
+    /// the sweep's group-commit round.
+    parked: Vec<Completion>,
 }
 
 /// What a fired connection deadline calls for, decided under the slab
@@ -363,6 +324,7 @@ impl EventLoop {
             stats: Arc::clone(stats),
             obs: Arc::clone(obs),
             accept_backoff: ACCEPT_BACKOFF,
+            parked: Vec::new(),
         })
     }
 
@@ -834,20 +796,17 @@ impl EventLoop {
             // `apply_completions` re-takes the batch after each apply,
             // so completions produced mid-sweep (the pipelining path)
             // drain in the same call. No wake byte is needed here: we
-            // *are* the thread that drains — unless group-commit
-            // durability defers the release to the flusher thread, in
-            // which case the waiter callback wakes us.
+            // *are* the thread that drains, and runs the group-commit
+            // round a staged journal sync waits for.
             let mut response = handler.handle(&request, &meta);
             response.close = close;
-            release_when_durable(
-                Arc::clone(&self.shared),
-                Arc::clone(&self.stats),
+            self.shared.push_completion(Completion {
                 token,
                 generation,
                 dispatch_gen,
+                handled: Instant::now(),
                 response,
-                false,
-            );
+            });
             return;
         }
         // Bounded admission for pool-bound work: past `max_inflight`
@@ -868,6 +827,7 @@ impl EventLoop {
                 token,
                 generation,
                 dispatch_gen,
+                handled: Instant::now(),
                 response,
             });
             return;
@@ -876,26 +836,31 @@ impl EventLoop {
         let stats = Arc::clone(&self.stats);
         // With a single-thread pool this runs inline, right here on the
         // event thread; the completion is applied in this same loop
-        // iteration's `apply_completions` sweep.
+        // iteration's `apply_completions` sweep. On a worker thread the
+        // store call ran its own group-commit round, so the response
+        // comes back resolved.
         scope.spawn(move || {
             let mut response = handler.handle(&request, &meta);
             stats.release();
             response.close = close;
-            release_when_durable(
-                shared,
-                stats,
+            shared.push_completion(Completion {
                 token,
                 generation,
                 dispatch_gen,
+                handled: Instant::now(),
                 response,
-                true,
-            );
+            });
+            shared.wake();
         });
     }
 
-    /// Apply responses handed back by workers. Loops because applying a
-    /// completion can (on the inline single-thread pool) synchronously
-    /// produce another one via the pipelining path.
+    /// Apply the responses handlers handed back: first every completion
+    /// that needs no fsync, parking those whose journal sync this thread
+    /// staged; then one group-commit round, after which the parked ones
+    /// are released, credited their durable wait. Loops because applying
+    /// a completion can produce another via the pipelining path
+    /// (`finish_response`), whose commit then waits for the next round of
+    /// this same call rather than for an unrelated event.
     fn apply_completions<'env>(
         &mut self,
         now: Instant,
@@ -903,11 +868,37 @@ impl EventLoop {
         handler: &'env dyn Handler,
     ) {
         loop {
-            let batch = self.shared.take_completions();
-            if batch.is_empty() {
-                return;
+            let mut batch = self.shared.take_completions();
+            let after_round = batch.is_empty();
+            if after_round {
+                handler.round();
+                if self.parked.is_empty() {
+                    return;
+                }
+                let released = Instant::now();
+                batch = std::mem::take(&mut self.parked);
+                for completion in &mut batch {
+                    self.credit_durable_wait(completion, released);
+                }
             }
-            for completion in batch {
+            for mut completion in batch {
+                let durable = completion.response.pending.as_ref().map(Waiter::result);
+                let failure = match durable {
+                    None | Some(Some(Ok(()))) => None,
+                    Some(None) if !after_round => {
+                        self.parked.push(completion);
+                        continue;
+                    }
+                    Some(Some(Err(message))) => Some(message),
+                    // Staged on no thread whose round this loop runs:
+                    // never acknowledge it (nor spin waiting for it).
+                    Some(None) => {
+                        Some("no group-commit round retired the journal sync".to_string())
+                    }
+                };
+                if let Some(message) = failure {
+                    completion.response = self.durable_write_failed(completion.response, &message);
+                }
                 let index = completion.token - TOKEN_BASE;
                 let ready = {
                     let Some(slot) = self.slots.get_mut(index) else {
@@ -933,6 +924,32 @@ impl EventLoop {
                 self.settle_response(index, now, scope, handler);
             }
         }
+    }
+
+    /// Stamp the time from `completion`'s handler end to the round's end
+    /// onto its trace as the durable-wait stage.
+    fn credit_durable_wait(&self, completion: &mut Completion, released: Instant) {
+        let Some(trace) = completion.response.trace.as_mut() else {
+            return;
+        };
+        let wait_ns = trace::ns(released.saturating_duration_since(completion.handled));
+        trace.stages_ns[Stage::DurableWait.index()] = wait_ns;
+        self.obs.metrics.stage(Stage::DurableWait).record(wait_ns);
+    }
+
+    /// The round covering `response`'s journal bytes failed: the client
+    /// must never see success for state the disk did not accept, so the
+    /// acknowledgement becomes a 500 (feeding the durable-failure
+    /// streak).
+    fn durable_write_failed(&self, response: Response, message: &str) -> Response {
+        self.stats.note_durable_failure();
+        let mut failed = Response::error_with_reason(500, "durable_write_failed", message);
+        failed.close = response.close;
+        failed.trace = response.trace;
+        if let Some(trace) = failed.trace.as_mut() {
+            trace.status = failed.status;
+        }
+        failed
     }
 
     /// Push a freshly queued response out as far as the socket allows.

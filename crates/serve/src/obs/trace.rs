@@ -4,7 +4,8 @@
 //! as it moves through the serving core: parse (first byte → complete
 //! head+body), queue (parsed → handler start, i.e. dispatch/pool wait),
 //! gate compute, measurement, journal append, fsync, snapshot, the
-//! handler total, and response write. The deep layers (`store.rs`,
+//! handler total, the durable wait (handler end → the group-commit
+//! round that released the response), and response write. The deep layers (`store.rs`,
 //! `registry.rs`, the metered [`crate::vfs::Vfs`] wrapper) report into a
 //! thread-local slot rather than threading a context argument through
 //! every signature — this works because a request's handler runs on
@@ -25,14 +26,15 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Number of traced stages.
-pub const STAGE_COUNT: usize = 9;
+pub const STAGE_COUNT: usize = 10;
 
 /// Capacity of the in-memory slow-request ring served by
 /// `GET /admin/trace`.
 pub const TRACE_RING_CAP: usize = 256;
 
 /// One stage of a request's lifecycle. Stages are disjoint except that
-/// `Handler` spans `Gate..=Snapshot`, and an fsync issued inside a
+/// `Handler` spans `Gate..=Snapshot` (an off-loop handler's own
+/// group-commit round lands in `Fsync` and `Handler`), and an fsync issued inside a
 /// snapshot write is counted under both `Fsync` and `Snapshot`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
@@ -52,6 +54,9 @@ pub enum Stage {
     Snapshot,
     /// Total time inside the route handler.
     Handler,
+    /// Handler end → end of the group-commit round that released the
+    /// response (0 when no round held it: `relaxed`, reads).
+    DurableWait,
     /// Response queued → last byte written to the socket.
     ResponseWrite,
 }
@@ -66,6 +71,7 @@ pub const STAGES: [Stage; STAGE_COUNT] = [
     Stage::Fsync,
     Stage::Snapshot,
     Stage::Handler,
+    Stage::DurableWait,
     Stage::ResponseWrite,
 ];
 
@@ -83,6 +89,7 @@ impl Stage {
             Stage::Fsync => "fsync",
             Stage::Snapshot => "snapshot",
             Stage::Handler => "handler",
+            Stage::DurableWait => "durable_wait",
             Stage::ResponseWrite => "response_write",
         }
     }
@@ -157,13 +164,15 @@ pub struct TraceRec {
 }
 
 impl TraceRec {
-    /// End-to-end time attributed to this request: wire stages plus the
-    /// handler total (whose sub-stages are not double-counted).
+    /// End-to-end time attributed to this request: wire stages, the
+    /// handler total (whose sub-stages are not double-counted) and the
+    /// durable wait.
     #[must_use]
     pub fn total_ns(&self) -> u64 {
         self.stages_ns[Stage::Parse.index()]
             + self.stages_ns[Stage::Queue.index()]
             + self.stages_ns[Stage::Handler.index()]
+            + self.stages_ns[Stage::DurableWait.index()]
             + self.stages_ns[Stage::ResponseWrite.index()]
     }
 
@@ -267,6 +276,14 @@ mod tests {
     fn total_counts_wire_stages_and_handler_once() {
         // Gate is inside Handler and must not be double-counted.
         assert_eq!(rec(1).total_ns(), 2_000 + 1_000 + 40_000 + 3_000);
+    }
+
+    #[test]
+    fn total_adds_the_durable_wait_after_the_handler() {
+        let mut traced = rec(1);
+        traced.stages_ns[Stage::DurableWait.index()] = 500_000;
+        assert_eq!(traced.total_ns(), rec(1).total_ns() + 500_000);
+        assert!(traced.slow_log_line().contains(" durable_wait_us=500"));
     }
 
     #[test]

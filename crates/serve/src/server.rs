@@ -46,7 +46,9 @@
 //! [`easeml_par::Pool::scope`] — so `--threads N` bounds concurrent
 //! *expensive* handlers exactly like it bounds every other fan-out in
 //! the workspace, while idle connections cost no worker at all. Pool responses return to the event loop
-//! through a completion queue and wake pipe. All gate mutations
+//! through a completion queue and wake pipe. Under `group` durability
+//! the loop also runs the group-commit round of the commits it handled,
+//! once per readiness sweep (see `crate::net`). All gate mutations
 //! serialize on the owning project's lock (see [`crate::store`] for the
 //! resulting determinism contract), which keeps journal bytes identical
 //! across worker widths.
@@ -181,8 +183,10 @@ pub struct ServeConfig {
     /// it.
     pub vfs: Option<Arc<dyn Vfs>>,
     /// When acknowledgements become durable: `group` (the default)
-    /// batches fsyncs on a dedicated flusher and releases responses once
-    /// their round lands; `relaxed` acknowledges commits before any
+    /// batches the journal fsyncs of the commits the event loop handles
+    /// in one readiness sweep into one group-commit round, which the
+    /// loop runs before it sleeps, and releases their responses once
+    /// the round lands; `relaxed` acknowledges commits before any
     /// fsync and syncs the journal inline every
     /// [`crate::store::SNAPSHOT_EVERY`] ops, so a power cut may lose the
     /// acked commits since the last such sync. Registrations fsync and
@@ -430,6 +434,9 @@ impl Server {
         };
         let handler = RouteHandler { ctx };
         pool.scope(|scope| {
+            // The loop runs a group-commit round after each sweep, so the
+            // commits it handles inline leave their journal syncs to it.
+            let _rounds = registry.defer_rounds();
             crate::net::serve(
                 listener, &net_cfg, scope, &stop, &hub, &handler, &stats, &obs,
             )
@@ -591,10 +598,9 @@ impl crate::net::Handler for RouteHandler {
         // for its journal bytes in a thread-local during the append.
         // Take it unconditionally — it must never leak into the next
         // request this thread handles — and hand it to the event core,
-        // which defers queueing the response until the batched fsync
-        // lands. The handler-duration histogram below intentionally
-        // excludes that wait: it measures compute, the flush-latency
-        // histogram measures durability.
+        // which parks the response until its sweep's round lands the
+        // fsync. The handler-duration histogram below excludes that
+        // wait: the loop credits it to the `durable_wait` stage.
         response.pending = group::take_pending();
         let handler_ns = trace::ns(started.elapsed());
         let mut stages_ns = trace::finish();
@@ -632,6 +638,10 @@ impl crate::net::Handler for RouteHandler {
             (segments.next(), segments.next(), segments.next()),
             (Some("projects"), None, None) | (Some("admin"), Some("persist"), None)
         )
+    }
+
+    fn round(&self) {
+        self.ctx.registry.round();
     }
 }
 

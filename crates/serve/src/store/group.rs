@@ -1,24 +1,31 @@
-//! Group-commit durability: a shared commit queue and a dedicated
-//! flusher thread that batches many logical commits into one
-//! `fsync` per journal per round.
+//! Group-commit durability: the journal syncs a thread stages are
+//! retired together in one *round*, one `fsync` per distinct journal.
 //!
 //! # Model
 //!
 //! Journal *bytes* are always written inline, under the project slot
 //! lock, in every durability mode — so the byte stream of a journal is
-//! identical across modes by construction. The queue carries journal
+//! identical across modes by construction. A round carries journal
 //! syncs only: a registration fsyncs and renames its own `project.json`
 //! on the registering thread (no other write ever shares that sync), so
 //! the `easeml_group_commit_*` series count journal syncs alone. What
 //! varies is when a journal append is forced to stable storage and when
 //! the client is told:
 //!
-//! * [`Durability::Group`] — the append *stages* a sync request on the
-//!   shared [`GroupCommit`] queue and the response is deferred via a
-//!   [`Waiter`]; the flusher drains the queue, issues **one**
-//!   `sync_data` per distinct journal in the batch, and completes the
-//!   waiters. Concurrent commits to the same project (or to different
-//!   projects on the same round) share a single fsync.
+//! * [`Durability::Group`] — the append *stages* a sync on its thread's
+//!   queue and parks a [`Waiter`] for the route layer. A round
+//!   (`GroupCommit::round`) drains the thread's queue, issues **one**
+//!   `sync_data` per distinct journal in it, and completes the waiters.
+//!   There is no flusher thread: the round runs on the thread that
+//!   staged the syncs.
+//!   - An event loop (`GroupCommit::defer_rounds`) runs one round
+//!     after each readiness sweep, before it sleeps, and releases the
+//!     parked responses only after it. Every commit handled in one
+//!     sweep shares that sweep's fsyncs.
+//!   - Any other thread (pool workers, the fault harness, tests) runs
+//!     the round before the store call that staged returns
+//!     (`GroupCommit::settle`), so nothing stays queued past that
+//!     call.
 //! * [`Durability::Relaxed`] — the append stages nothing and the
 //!   response is released immediately. The journal is synced inline
 //!   every [`super::SNAPSHOT_EVERY`] ops (by the cadence snapshot when
@@ -32,18 +39,17 @@
 //! If a *deferred* sync fails, the in-memory gate state has already
 //! advanced past records whose durability is now unknown, and rolling
 //! memory back is impossible (later commits may have stacked on top).
-//! Instead the journal is **poisoned**: every staged waiter is failed,
-//! and all further appends to that journal return
+//! Instead the journal is **poisoned**: every waiter of the round is
+//! failed, and all further appends to that journal return
 //! [`ServeError::Unavailable`] until the process restarts and replays.
 //! The journal file itself is left intact — every record that reached
 //! memory is still in the file, so replay after restart converges with
 //! (or ahead of) what clients observed, never behind an acknowledged
 //! commit.
 
-use std::collections::VecDeque;
+use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::error::ServeError;
@@ -89,8 +95,8 @@ impl fmt::Display for Durability {
     }
 }
 
-/// A journal handle shareable between request threads (which append)
-/// and the flusher (which syncs). Holds the project's live segment, if
+/// A journal handle shareable between the threads that append to it and
+/// sync it. Holds the project's live segment, if
 /// one is open, and tracks how far it is known durable and whether a
 /// deferred sync has poisoned the journal.
 ///
@@ -188,7 +194,7 @@ impl SharedJournal {
         Ok(())
     }
 
-    /// Deferred sync issued by the flusher. Skips the `sync_data` when
+    /// Deferred sync issued by a round. Skips the `sync_data` when
     /// nothing was appended since the last sync, or no segment is open
     /// (the batch's records were already covered — e.g. by the snapshot
     /// path). Poisons the journal on failure.
@@ -236,95 +242,39 @@ impl SharedJournal {
     }
 }
 
-/// A parked completion callback of a deferred durable write.
-type WaitCallback = Box<dyn FnOnce(Result<(), String>) + Send>;
-
-/// Completion state of a deferred durable write.
-enum WaitState {
-    Pending(Vec<WaitCallback>),
-    Done(Result<(), String>),
-}
-
-struct WaitCell {
-    state: Mutex<WaitState>,
-    cv: Condvar,
-}
-
-/// A handle to one staged durable write: resolves `Ok` once the
-/// covering `fsync` returned, `Err` if it failed (or the flusher shut
-/// down first). Cloneable; all clones resolve together.
+/// A handle to one staged durable write: resolves `Ok` once the round
+/// that retired it made its journal bytes durable, `Err` if that
+/// round's `fsync` failed. Cloneable; all clones resolve together.
 #[derive(Clone)]
 pub struct Waiter {
-    cell: Arc<WaitCell>,
+    cell: Arc<OnceLock<Result<(), String>>>,
 }
 
 impl Waiter {
     fn new() -> Waiter {
         Waiter {
-            cell: Arc::new(WaitCell {
-                state: Mutex::new(WaitState::Pending(Vec::new())),
-                cv: Condvar::new(),
-            }),
+            cell: Arc::new(OnceLock::new()),
         }
     }
 
+    /// Resolve the waiter; the first completion wins.
     fn complete(&self, result: Result<(), String>) {
-        let callbacks = {
-            let mut state = self.cell.state.lock().unwrap();
-            match std::mem::replace(&mut *state, WaitState::Done(result.clone())) {
-                WaitState::Pending(callbacks) => callbacks,
-                WaitState::Done(prior) => {
-                    // First completion wins; restore it.
-                    *state = WaitState::Done(prior);
-                    Vec::new()
-                }
-            }
-        };
-        self.cell.cv.notify_all();
-        for callback in callbacks {
-            callback(result.clone());
-        }
+        let _ = self.cell.set(result);
     }
 
-    /// Block until resolved.
-    pub fn wait(&self) -> Result<(), String> {
-        let mut state = self.cell.state.lock().unwrap();
-        loop {
-            match &*state {
-                WaitState::Done(result) => return result.clone(),
-                WaitState::Pending(_) => state = self.cell.cv.wait(state).unwrap(),
-            }
-        }
-    }
-
-    /// Run `callback` when resolved — inline if already resolved, else
-    /// from the flusher thread. Used by the event loop to re-arm a
-    /// connection without blocking.
-    pub fn on_complete(&self, callback: impl FnOnce(Result<(), String>) + Send + 'static) {
-        let mut callback = Some(callback);
-        let immediate = {
-            let mut state = self.cell.state.lock().unwrap();
-            match &mut *state {
-                WaitState::Done(result) => Some(result.clone()),
-                WaitState::Pending(callbacks) => {
-                    let boxed = callback.take().expect("callback taken once");
-                    callbacks.push(Box::new(boxed));
-                    None
-                }
-            }
-        };
-        if let Some(result) = immediate {
-            (callback.take().expect("callback still present"))(result);
-        }
+    /// The retiring round's result, or `None` while no round has
+    /// retired the staged sync yet.
+    #[must_use]
+    pub fn result(&self) -> Option<Result<(), String>> {
+        self.cell.get().cloned()
     }
 }
 
 impl fmt::Debug for Waiter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let state = self.cell.state.lock().unwrap();
-        match &*state {
-            WaitState::Pending(_) => f.write_str("Waiter(pending)"),
-            WaitState::Done(r) => write!(f, "Waiter(done: {r:?})"),
+        match self.cell.get() {
+            None => f.write_str("Waiter(pending)"),
+            Some(r) => write!(f, "Waiter(done: {r:?})"),
         }
     }
 }
@@ -344,17 +294,15 @@ struct Staged {
     waiter: Waiter,
 }
 
-struct GroupQueue {
-    staged: VecDeque<Staged>,
-    shutdown: bool,
+thread_local! {
+    /// The journal syncs this thread staged that no round retired yet.
+    static STAGED: RefCell<Vec<Staged>> = const { RefCell::new(Vec::new()) };
+    /// Set while an event loop on this thread runs a round after each
+    /// sweep (see [`GroupCommit::defer_rounds`]).
+    static DEFERRED: Cell<bool> = const { Cell::new(false) };
 }
 
-struct GroupShared {
-    queue: Mutex<GroupQueue>,
-    cv: Condvar,
-}
-
-/// Metric handles the flusher records into (see
+/// Metric handles a round records into (see
 /// [`GroupMetrics::register`]).
 #[derive(Clone)]
 pub struct GroupMetrics {
@@ -371,23 +319,23 @@ impl GroupMetrics {
         GroupMetrics {
             batch_size: metrics.histogram_with(
                 "easeml_group_commit_batch_size",
-                "Staged journal syncs retired per flusher round.",
+                "Staged journal syncs retired per group-commit round.",
                 Edges::pow2(10),
                 &[],
             ),
             flush_nanos: metrics.histogram_with(
                 "easeml_group_commit_flush_seconds",
-                "Wall time of one flusher round (drain to last ack).",
+                "Wall time of one group-commit round (first fsync to last waiter).",
                 Edges::time(),
                 &[],
             ),
             rounds: metrics.counter(
                 "easeml_group_commit_rounds_total",
-                "Flusher rounds that retired at least one staged journal sync.",
+                "Group-commit rounds that retired at least one staged journal sync.",
             ),
             commits: metrics.counter(
                 "easeml_group_commit_writes_total",
-                "Journal syncs retired through the group-commit queue.",
+                "Journal syncs retired by group-commit rounds.",
             ),
         }
     }
@@ -399,16 +347,13 @@ impl fmt::Debug for GroupMetrics {
     }
 }
 
-/// The shared commit queue plus its dedicated flusher thread.
-///
-/// Journal appends stage a sync and get a [`Waiter`] back; the flusher
-/// drains the queue in rounds and issues one `sync_data` per distinct
-/// journal per round. Natural batching: while one round's
-/// fsync is in flight, later requests pile onto the queue and are
-/// retired together in the next round.
+/// The group-commit discipline: journal appends stage a sync on their
+/// thread's queue and get a [`Waiter`] back; a round on the same thread
+/// retires the queue with one `sync_data` per distinct journal. Natural
+/// batching: every commit an event loop handles in one sweep is retired
+/// by that sweep's round.
 pub struct GroupCommit {
-    shared: Arc<GroupShared>,
-    thread: Option<JoinHandle<()>>,
+    metrics: Option<GroupMetrics>,
 }
 
 impl fmt::Debug for GroupCommit {
@@ -417,102 +362,84 @@ impl fmt::Debug for GroupCommit {
     }
 }
 
+/// Marks the current thread as an event loop that runs
+/// [`GroupCommit::round`] after each sweep; see
+/// [`GroupCommit::defer_rounds`].
+pub(crate) struct DeferredRounds<'a> {
+    group: &'a GroupCommit,
+}
+
+impl Drop for DeferredRounds<'_> {
+    /// The loop is done: retire anything it left staged.
+    fn drop(&mut self) {
+        DEFERRED.with(|d| d.set(false));
+        self.group.round();
+    }
+}
+
 impl GroupCommit {
-    /// Spawn the flusher.
+    /// A group commit recording into `metrics`, if given.
     #[must_use]
     pub(crate) fn new(metrics: Option<GroupMetrics>) -> GroupCommit {
-        let shared = Arc::new(GroupShared {
-            queue: Mutex::new(GroupQueue {
-                staged: VecDeque::new(),
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
-        });
-        let thread_shared = Arc::clone(&shared);
-        let thread = std::thread::Builder::new()
-            .name("easeml-flush".to_string())
-            .spawn(move || flusher_loop(&thread_shared, metrics.as_ref()))
-            .expect("spawn group-commit flusher");
-        GroupCommit {
-            shared,
-            thread: Some(thread),
-        }
+        GroupCommit { metrics }
     }
 
-    /// Stage a sync of `journal`; the returned waiter resolves when the
-    /// flusher has made every record appended so far durable (or failed
-    /// trying).
+    /// Stage a sync of `journal` on this thread's queue; the returned
+    /// waiter resolves when a round has made every record appended so
+    /// far durable (or failed trying).
     pub(crate) fn stage(&self, journal: Arc<SharedJournal>) -> Waiter {
         let waiter = Waiter::new();
-        {
-            let mut queue = self.shared.queue.lock().unwrap();
-            if queue.shutdown {
-                drop(queue);
-                waiter.complete(Err("group-commit flusher is shut down".to_string()));
-                return waiter;
-            }
-            queue.staged.push_back(Staged {
+        STAGED.with(|staged| {
+            staged.borrow_mut().push(Staged {
                 journal,
                 waiter: waiter.clone(),
             });
-        }
-        self.shared.cv.notify_one();
+        });
         waiter
     }
-}
 
-impl Drop for GroupCommit {
-    fn drop(&mut self) {
-        {
-            let mut queue = self.shared.queue.lock().unwrap();
-            queue.shutdown = true;
-        }
-        self.shared.cv.notify_all();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
+    /// Until the guard drops, leave this thread's staged syncs to its
+    /// event loop, which promises to call [`GroupCommit::round`] after
+    /// each sweep.
+    pub(crate) fn defer_rounds(&self) -> DeferredRounds<'_> {
+        DEFERRED.with(|d| d.set(true));
+        DeferredRounds { group: self }
+    }
+
+    /// The end of a store call that may have staged: run the round now,
+    /// unless this thread's event loop runs it after its sweep.
+    pub(crate) fn settle(&self) {
+        if !DEFERRED.with(Cell::get) {
+            self.round();
         }
     }
-}
 
-fn flusher_loop(shared: &GroupShared, metrics: Option<&GroupMetrics>) {
-    loop {
-        let batch: Vec<Staged> = {
-            let mut queue = shared.queue.lock().unwrap();
-            loop {
-                if !queue.staged.is_empty() {
-                    break queue.staged.drain(..).collect();
-                }
-                if queue.shutdown {
-                    return;
-                }
-                queue = shared.cv.wait(queue).unwrap();
-            }
-        };
+    /// Retire every sync this thread staged: one `flush` per distinct
+    /// journal, then complete the waiters. A no-op when nothing is
+    /// staged.
+    pub(crate) fn round(&self) {
+        let batch = STAGED.with(|staged| std::mem::take(&mut *staged.borrow_mut()));
+        if batch.is_empty() {
+            return;
+        }
         let start = Instant::now();
-        let retired = batch.len() as u64;
-
-        // All waiter completions are held until the round's metrics are
-        // recorded, so an observer woken by an ack sees the round
+        let mut flushed: Vec<(&Arc<SharedJournal>, Result<(), String>)> = Vec::new();
+        let results: Vec<Result<(), String>> = batch
+            .iter()
+            .map(|Staged { journal, .. }| {
+                if let Some((_, result)) = flushed.iter().find(|(j, _)| Arc::ptr_eq(j, journal)) {
+                    return result.clone();
+                }
+                let result = journal.flush();
+                flushed.push((journal, result.clone()));
+                result
+            })
+            .collect();
+        // Waiter completions wait until the round's metrics are
+        // recorded, so an observer that sees an ack sees the round
         // accounted for.
-        let mut done: Vec<(Waiter, Result<(), String>)> = Vec::new();
-        let mut syncs: Vec<(Arc<SharedJournal>, Vec<Waiter>)> = Vec::new();
-        for Staged { journal, waiter } in batch {
-            match syncs
-                .iter_mut()
-                .find(|(existing, _)| Arc::ptr_eq(existing, &journal))
-            {
-                Some((_, waiters)) => waiters.push(waiter),
-                None => syncs.push((journal, vec![waiter])),
-            }
-        }
-        for (journal, waiters) in syncs {
-            let result = journal.flush();
-            for waiter in waiters {
-                done.push((waiter, result.clone()));
-            }
-        }
-
-        if let Some(metrics) = metrics {
+        if let Some(metrics) = &self.metrics {
+            let retired = batch.len() as u64;
             metrics.rounds.inc();
             metrics.commits.add(retired);
             metrics.batch_size.record(retired);
@@ -520,8 +447,8 @@ fn flusher_loop(shared: &GroupShared, metrics: Option<&GroupMetrics>) {
                 .flush_nanos
                 .record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
-        for (waiter, result) in done {
-            waiter.complete(result);
+        for (staged, result) in batch.into_iter().zip(results) {
+            staged.waiter.complete(result);
         }
     }
 }
@@ -530,7 +457,7 @@ fn flusher_loop(shared: &GroupShared, metrics: Option<&GroupMetrics>) {
 // by the route layer after the store call returns (same idiom as
 // `obs::trace`'s per-thread slot).
 thread_local! {
-    static PENDING: std::cell::RefCell<Option<Waiter>> = const { std::cell::RefCell::new(None) };
+    static PENDING: RefCell<Option<Waiter>> = const { RefCell::new(None) };
 }
 
 /// Deposit the waiter of the append the current thread just staged.
@@ -542,6 +469,12 @@ pub(crate) fn set_pending(waiter: Waiter) {
 /// this thread, if any.
 pub(crate) fn take_pending() -> Option<Waiter> {
     PENDING.with(|slot| slot.borrow_mut().take())
+}
+
+/// Syncs this thread staged that no round retired yet.
+#[cfg(test)]
+pub(crate) fn staged_len() -> usize {
+    STAGED.with(|staged| staged.borrow().len())
 }
 
 #[cfg(test)]
@@ -577,18 +510,25 @@ mod tests {
             .count()
     }
 
+    /// A staged sync's waiter reads pending until a round retires it.
+    /// Every clone resolves together: one read on another thread after
+    /// the round, and one made only after it, the late reader.
     #[test]
     fn waiter_blocks_until_complete_and_replays_to_late_callbacks() {
-        let w = Waiter::new();
+        let vfs = MemVfs::new();
+        let journal = journal_on(&vfs, "/j/journal.log");
+        let group = GroupCommit::new(None);
+        let _rounds = group.defer_rounds();
+        journal.append(b"a\n").unwrap();
+        let w = group.stage(Arc::clone(&journal));
         let w2 = w.clone();
-        let t = std::thread::spawn(move || w2.wait());
-        w.complete(Ok(()));
-        assert_eq!(t.join().unwrap(), Ok(()));
-        // A callback attached after completion runs inline.
-        let seen = Arc::new(Mutex::new(None));
-        let seen2 = Arc::clone(&seen);
-        w.on_complete(move |r| *seen2.lock().unwrap() = Some(r));
-        assert_eq!(*seen.lock().unwrap(), Some(Ok(())));
+        group.settle();
+        assert_eq!(w.result(), None, "a deferring thread leaves it staged");
+        group.round();
+        let t = std::thread::spawn(move || w2.result());
+        assert_eq!(t.join().unwrap(), Some(Ok(())));
+        let late = w.clone();
+        assert_eq!(late.result(), Some(Ok(())));
     }
 
     #[test]
@@ -596,22 +536,27 @@ mod tests {
         let w = Waiter::new();
         w.complete(Ok(()));
         w.complete(Err("late".to_string()));
-        assert_eq!(w.wait(), Ok(()));
+        assert_eq!(w.result(), Some(Ok(())));
     }
 
+    /// Off an event loop, the store call that staged retires its own
+    /// round: both syncs staged before it settle in one fsync.
     #[test]
     fn flusher_batches_and_resolves_waiters() {
-        let vfs = MemVfs::new();
+        let vfs = recording_vfs();
         let journal = journal_on(&vfs, "/j/journal.log");
         let group = GroupCommit::new(None);
         journal.append(b"a\n").unwrap();
         let w1 = group.stage(Arc::clone(&journal));
         journal.append(b"b\n").unwrap();
         let w2 = group.stage(Arc::clone(&journal));
-        assert_eq!(w1.wait(), Ok(()));
-        assert_eq!(w2.wait(), Ok(()));
+        group.settle();
+        assert_eq!(staged_len(), 0);
+        assert_eq!(w1.result(), Some(Ok(())));
+        assert_eq!(w2.result(), Some(Ok(())));
+        assert_eq!(syncs_of(&vfs.take_oplog(), "/j/journal.log"), 1);
         // Both records survive a power cut: the sync covered them.
-        let cut = vfs.power_cut_view();
+        let cut = vfs.disk().power_cut_view();
         assert_eq!(
             cut.read_to_string(Path::new("/j/journal.log")).unwrap(),
             "a\nb\n"
@@ -628,12 +573,16 @@ mod tests {
         let group = GroupCommit::new(None);
         journal.append(b"a\n").unwrap();
         vfs.set_deny_writes(true);
-        let err = group.stage(Arc::clone(&journal)).wait().unwrap_err();
+        let waiter = group.stage(Arc::clone(&journal));
+        group.round();
+        let err = waiter.result().unwrap().unwrap_err();
         assert!(err.starts_with("group sync failed: "), "{err}");
         vfs.set_deny_writes(false);
         assert_eq!(journal.append(b"b\n").unwrap_err().status(), 503);
         assert_eq!(journal.sync_inline().unwrap_err().status(), 503);
-        assert!(group.stage(Arc::clone(&journal)).wait().is_err());
+        let waiter = group.stage(Arc::clone(&journal));
+        group.round();
+        assert!(waiter.result().unwrap().is_err());
         // Only the failed attempt reached the disk.
         assert_eq!(syncs_of(&vfs.take_oplog(), "/j/journal.log"), 1);
     }
@@ -647,7 +596,9 @@ mod tests {
         let group = GroupCommit::new(None);
         journal.append(b"a\n").unwrap();
         journal.sync_inline().unwrap();
-        assert_eq!(group.stage(Arc::clone(&journal)).wait(), Ok(()));
+        let waiter = group.stage(Arc::clone(&journal));
+        group.round();
+        assert_eq!(waiter.result(), Some(Ok(())));
         assert_eq!(syncs_of(&vfs.take_oplog(), "/j/journal.log"), 1);
     }
 
@@ -661,25 +612,20 @@ mod tests {
         let journal = journal_on(&vfs, "/data/projects/p/journal.0.log");
         let group = GroupCommit::new(None);
         journal.append(b"a\n").unwrap();
-        let waiter = Waiter::new();
-        {
-            // Hold the queue so the flusher drains only after the seal.
-            let mut queue = group.shared.queue.lock().unwrap();
-            queue.staged.push_back(Staged {
-                journal: Arc::clone(&journal),
-                waiter: waiter.clone(),
-            });
-            journal.sync_inline().unwrap();
-            journal.seal();
-            vfs.remove_file(sealed).unwrap();
-        }
-        group.shared.cv.notify_one();
-        assert_eq!(waiter.wait(), Ok(()));
+        // Stage, then seal before any round runs.
+        let waiter = group.stage(Arc::clone(&journal));
+        journal.sync_inline().unwrap();
+        journal.seal();
+        vfs.remove_file(sealed).unwrap();
+        group.round();
+        assert_eq!(waiter.result(), Some(Ok(())));
         assert!(!journal.is_open());
         let next = Path::new("/data/projects/p/journal.1.log");
         journal.open(vfs.open_append(next).unwrap()).unwrap();
         journal.append(b"b\n").unwrap();
-        assert_eq!(group.stage(Arc::clone(&journal)).wait(), Ok(()));
+        let waiter = group.stage(Arc::clone(&journal));
+        group.round();
+        assert_eq!(waiter.result(), Some(Ok(())));
         let log = vfs.take_oplog();
         assert_eq!(syncs_of(&log, "/data/projects/p/journal.0.log"), 1);
         assert_eq!(syncs_of(&log, "/data/projects/p/journal.1.log"), 1);
@@ -696,25 +642,15 @@ mod tests {
         ja.append(b"a2\n").unwrap();
         jb.append(b"b1\n").unwrap();
         let group = GroupCommit::new(Some(gm.clone()));
-        // Enqueue three staged syncs (two journals) under one queue
-        // lock, so the flusher's next drain sees them as ONE round.
-        let waiters: Vec<Waiter> = {
-            let mut queue = group.shared.queue.lock().unwrap();
-            [&ja, &ja, &jb]
-                .into_iter()
-                .map(|journal| {
-                    let waiter = Waiter::new();
-                    queue.staged.push_back(Staged {
-                        journal: Arc::clone(journal),
-                        waiter: waiter.clone(),
-                    });
-                    waiter
-                })
-                .collect()
-        };
-        group.shared.cv.notify_one();
+        // Stage three syncs (two journals); the next round retires them
+        // as ONE round.
+        let waiters: Vec<Waiter> = [&ja, &ja, &jb]
+            .into_iter()
+            .map(|journal| group.stage(Arc::clone(journal)))
+            .collect();
+        group.round();
         for waiter in &waiters {
-            assert_eq!(waiter.wait(), Ok(()));
+            assert_eq!(waiter.result(), Some(Ok(())));
         }
         // One round retired all three syncs with one fsync per journal,
         // and both journals survive a power cut.
@@ -732,17 +668,26 @@ mod tests {
             cut.read_to_string(Path::new("/b/journal.log")).unwrap(),
             "b1\n"
         );
+        // A round with nothing staged is not counted.
+        group.round();
+        assert_eq!(gm.rounds.get(), 1);
     }
 
+    /// An event loop that stops deferring (its serve call returned)
+    /// retires whatever it left staged.
     #[test]
     fn shutdown_drains_staged_work() {
         let vfs = MemVfs::new();
         let journal = journal_on(&vfs, "/j/journal.log");
         let group = GroupCommit::new(None);
+        let rounds = group.defer_rounds();
         journal.append(b"a\n").unwrap();
         let w = group.stage(Arc::clone(&journal));
-        drop(group);
-        assert_eq!(w.wait(), Ok(()));
+        group.settle();
+        assert_eq!(w.result(), None);
+        drop(rounds);
+        assert_eq!(w.result(), Some(Ok(())));
+        assert_eq!(staged_len(), 0);
         assert_eq!(
             vfs.power_cut_view()
                 .read_to_string(Path::new("/j/journal.log"))

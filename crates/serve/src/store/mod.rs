@@ -30,16 +30,18 @@
 //! *before* the response is sent, under the project lock. *When* the
 //! appended bytes are forced to stable storage — and when the client is
 //! told — is governed by [`Durability`]: `group` (the default) batches
-//! many ops into one fsync per journal per flusher round and defers the
-//! ack until the fsync covers the op, while `relaxed` acks immediately
-//! and leaves the journal to the snapshot cadence's inline sync (see
-//! [`group`]). Journal *bytes* are written inline in every mode, so the
-//! byte stream is identical across modes. A registration fsyncs and
-//! renames its own `project.json` and fsyncs its directory before it
-//! answers, in both modes, and never rides the flusher. Restart
-//! recovery loads `snapshot.json` (if present), then replays the journal
-//! segment past the snapshot's watermark through the same gate code that
-//! served the original requests; each replayed op's recorded outcome
+//! many ops into one fsync per journal per group-commit round and
+//! defers the ack until the fsync covers the op, while `relaxed` acks
+//! immediately and leaves the journal to the snapshot cadence's inline
+//! sync (see [`group`]). A round runs on the thread that staged its
+//! syncs: the event loop runs one after each readiness sweep, any other
+//! thread before its store call returns. Journal *bytes* are written
+//! inline in every mode, so the byte stream is identical across modes.
+//! A registration fsyncs and renames its own `project.json` and fsyncs
+//! its directory before it answers, in both modes, and stages no sync.
+//! Restart recovery loads `snapshot.json` (if present), then replays the
+//! journal segment past the snapshot's watermark through the same gate
+//! code that served the original requests; each replayed op's recorded outcome
 //! (`passed`, `step`, `era`) is cross-checked and any mismatch rejects
 //! the directory as corrupt rather than silently diverging. The
 //! snapshot is decoded in one pull pass over its text (`json::Reader`),
@@ -754,7 +756,9 @@ impl ProjectStore {
         // (the shared journal truncates back on error; the caller rolls
         // the in-memory mutation back either way). Group mode stages a
         // deferred sync and parks the waiter for the route layer to pick
-        // up; relaxed mode acks with the bytes still unsynced.
+        // up, and `settle` below retires it unless an event loop runs
+        // this thread's round after its sweep; relaxed mode acks with the
+        // bytes still unsynced.
         trace::time(Stage::JournalAppend, || {
             if !self.journal.is_open() {
                 self.open_segment()?;
@@ -790,6 +794,9 @@ impl ProjectStore {
                 );
             }
         }
+        // After the cadence snapshot: a seal makes the round's sync a
+        // no-op.
+        self.group.settle();
         Ok(())
     }
 
@@ -801,7 +808,7 @@ impl ProjectStore {
     /// `ops_written` ops, and a power loss that persisted the snapshot
     /// but not the segment's tail would otherwise make restart recovery
     /// reject the directory. This inline sync runs in every durability
-    /// mode — under `group` it makes the flusher's next covering sync a
+    /// mode — under `group` it makes the next round's covering sync a
     /// no-op, and under `relaxed` it joins the every-[`SNAPSHOT_EVERY`]-ops
     /// inline sync. Then the snapshot is written atomically (temp file,
     /// fsync, rename) and the project directory fsynced, so the rename
@@ -1735,8 +1742,8 @@ pub struct Registry {
     durability: Durability,
     boot_replay: BootReplay,
     failures: Arc<StoreFailures>,
-    /// The shared group-commit flusher. Dropped (drained + joined) with
-    /// the registry.
+    /// The group-commit discipline every store stages its journal
+    /// syncs through, and the metrics its rounds record into.
     group: Arc<GroupCommit>,
     projects: RwLock<HashMap<String, Arc<Mutex<ProjectSlot>>>>,
     /// Names with a registration in flight: reserved before the durable
@@ -1800,9 +1807,8 @@ impl Registry {
         Registry::open_with_durability(data_dir, estimator, vfs, Durability::Group, None)
     }
 
-    /// [`Registry::open_with`] with an explicit durability mode. Spawns
-    /// the shared group-commit flusher (recording into `metrics` when
-    /// given).
+    /// [`Registry::open_with`] with an explicit durability mode. The
+    /// group-commit rounds record into `metrics` when given.
     ///
     /// # Errors
     ///
@@ -1882,6 +1888,19 @@ impl Registry {
     #[must_use]
     pub fn durability(&self) -> Durability {
         self.durability
+    }
+
+    /// Until the guard drops, leave the journal syncs this thread's
+    /// store calls stage to [`Registry::round`], which the caller — an
+    /// event loop — runs after each readiness sweep.
+    pub(crate) fn defer_rounds(&self) -> group::DeferredRounds<'_> {
+        self.group.defer_rounds()
+    }
+
+    /// Run one group-commit round: retire every journal sync this thread
+    /// staged.
+    pub(crate) fn round(&self) {
+        self.group.round();
     }
 
     /// What boot recovery did when this registry opened.
@@ -2315,6 +2334,39 @@ mod tests {
         assert_eq!(original.steps_remaining, 1);
         let retried = slot.submit(&submission("c2", 90)).unwrap();
         assert_eq!(retried, original);
+    }
+
+    /// Off an event loop every store call runs its own round: 10,000
+    /// commits whose waiters nobody takes leave the thread's group
+    /// queue empty, and the journal bytes are durable when a call
+    /// returns (checked every 100 ops: the check copies the segment).
+    #[test]
+    fn off_loop_submits_never_leave_a_sync_staged() {
+        let disk = MemVfs::new();
+        let root = Path::new("/off-loop");
+        let registry =
+            Registry::open_with(root, serving_estimator(), Arc::new(disk.clone())).unwrap();
+        let script = SCRIPT.replace("steps      : 3", "steps      : 10000");
+        let slot = registry.register("proj", &script, None).unwrap();
+        let mut slot = slot.lock().unwrap();
+        let dir = root.join("projects/proj");
+        for op in 1..=10_000u64 {
+            slot.submit(&submission(&format!("c{op}"), (op * 37 + 11) % 101))
+                .unwrap();
+            assert_eq!(group::staged_len(), 0, "op {op}");
+            if op % 100 != 0 {
+                continue;
+            }
+            for name in segment_files(&disk, &dir) {
+                let path = dir.join(name);
+                assert_eq!(
+                    disk.synced_len(&path),
+                    disk.file_bytes(&path).map(|bytes| bytes.len()),
+                    "op {op}"
+                );
+            }
+        }
+        assert_eq!(slot.project.steps_used(), 10_000);
     }
 
     #[test]
@@ -4207,7 +4259,7 @@ mod tests {
 
     /// Drive `ops` counts commits against one relaxed-mode project on a
     /// [`FaultVfs`] under `plan`, calling `after_op` after each; returns
-    /// the recorded I/O ops. (Under `relaxed` no flusher thread syncs the
+    /// the recorded I/O ops. (Only the committing thread touches the
     /// journal, so the project's op order, which addresses the faults,
     /// is the same in every run.)
     fn run_relaxed(

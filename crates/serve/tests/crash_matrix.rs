@@ -13,10 +13,10 @@ use easeml_serve::Durability;
 /// journals stay byte-faithful to the baseline. Runs on the global
 /// pool, so `EASEML_THREADS` (the CI matrix axis) varies the schedule's
 /// thread interleaving. Swept in `group` and `relaxed` — both kill the
-/// process at every flusher stage (registration staged, fsync issued,
-/// rename landed) because each of those is an enumerated I/O operation
-/// of the baseline oplog; the group sweep also hits every deferred
-/// journal sync.
+/// process at every stage of a durable write (registration staged,
+/// fsync issued, rename landed) because each of those is an enumerated
+/// I/O operation of the baseline oplog; the group sweep also hits the
+/// journal sync of every group-commit round.
 #[test]
 fn full_matrix_holds_durability_contract() {
     for durability in [Durability::Group, Durability::Relaxed] {

@@ -2191,3 +2191,323 @@ fn boot_replay_metrics_count_the_ops_past_the_last_snapshot() {
     handle.stop();
     join.join().unwrap();
 }
+
+/// A [`MemVfs`] whose journal segments take `delay` to `sync_data`: a
+/// response released before its group-commit round would reach the
+/// client while the round still sleeps, with its journal bytes unsynced.
+#[derive(Debug)]
+struct SlowJournalSync {
+    disk: easeml_serve::vfs::MemVfs,
+    delay: std::time::Duration,
+}
+
+#[derive(Debug)]
+struct SlowSyncFile {
+    inner: Box<dyn easeml_serve::vfs::VfsFile>,
+    delay: std::time::Duration,
+}
+
+impl easeml_serve::vfs::VfsFile for SlowSyncFile {
+    fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+        self.inner.write_all(buf)
+    }
+    fn sync_data(&self) -> std::io::Result<()> {
+        std::thread::sleep(self.delay);
+        self.inner.sync_data()
+    }
+    fn len(&self) -> std::io::Result<u64> {
+        self.inner.len()
+    }
+    fn set_len(&self, len: u64) -> std::io::Result<()> {
+        self.inner.set_len(len)
+    }
+}
+
+impl easeml_serve::vfs::Vfs for SlowJournalSync {
+    fn create_dir_all(&self, path: &std::path::Path) -> std::io::Result<()> {
+        self.disk.create_dir_all(path)
+    }
+    fn read_to_string(&self, path: &std::path::Path) -> std::io::Result<String> {
+        self.disk.read_to_string(path)
+    }
+    fn list_dir(&self, path: &std::path::Path) -> std::io::Result<Vec<PathBuf>> {
+        self.disk.list_dir(path)
+    }
+    fn is_dir(&self, path: &std::path::Path) -> bool {
+        self.disk.is_dir(path)
+    }
+    fn exists(&self, path: &std::path::Path) -> bool {
+        self.disk.exists(path)
+    }
+    fn remove_file(&self, path: &std::path::Path) -> std::io::Result<()> {
+        self.disk.remove_file(path)
+    }
+    fn rename(&self, from: &std::path::Path, to: &std::path::Path) -> std::io::Result<()> {
+        self.disk.rename(from, to)
+    }
+    fn create(
+        &self,
+        path: &std::path::Path,
+    ) -> std::io::Result<Box<dyn easeml_serve::vfs::VfsFile>> {
+        self.disk.create(path)
+    }
+    fn open_append(
+        &self,
+        path: &std::path::Path,
+    ) -> std::io::Result<Box<dyn easeml_serve::vfs::VfsFile>> {
+        Ok(Box::new(SlowSyncFile {
+            inner: self.disk.open_append(path)?,
+            delay: self.delay,
+        }))
+    }
+    fn sync_dir(&self, path: &std::path::Path) -> std::io::Result<()> {
+        self.disk.sync_dir(path)
+    }
+}
+
+/// A server over a fresh in-memory disk whose journal syncs take
+/// `delay`; returns the disk with the server.
+fn start_on_slow_journal(
+    data_dir: &str,
+    delay_ms: u64,
+    durability: easeml_serve::Durability,
+) -> (
+    easeml_serve::vfs::MemVfs,
+    String,
+    std::thread::JoinHandle<()>,
+) {
+    let disk = easeml_serve::vfs::MemVfs::new();
+    let vfs = SlowJournalSync {
+        disk: disk.clone(),
+        delay: std::time::Duration::from_millis(delay_ms),
+    };
+    let (addr, _handle, join) = start_with(ServeConfig {
+        threads: 2,
+        slow_request_ms: 0,
+        durability,
+        vfs: Some(std::sync::Arc::new(vfs)),
+        ..ServeConfig::new("127.0.0.1:0", data_dir)
+    });
+    (disk, addr, join)
+}
+
+/// The raw bytes of one `POST /projects/{project}/commits` request.
+fn raw_commit(project: &str, id: &str, new_correct: u64) -> Vec<u8> {
+    let body = commit_body(id, new_correct).encode();
+    format!(
+        "POST /projects/{project}/commits HTTP/1.1\r\nhost: test\r\n\
+         content-type: application/json\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
+/// Byte length of the first `lines` lines of `bytes`.
+fn prefix_of_lines(bytes: &[u8], lines: usize) -> usize {
+    bytes
+        .iter()
+        .enumerate()
+        .filter(|(_, &b)| b == b'\n')
+        .nth(lines - 1)
+        .map_or(usize::MAX, |(at, _)| at + 1)
+}
+
+/// Pipelined commits do not strand behind the round that released the
+/// commit before them: one `write` carries two, then eight, commits;
+/// every response arrives, in order, and each only once the journal
+/// bytes of its commit are synced.
+#[test]
+fn pipelined_commits_each_answer_after_their_own_sync() {
+    use std::io::Write;
+    let root = "/pipelined";
+    let (disk, addr, join) = start_on_slow_journal(root, 20, easeml_serve::Durability::Group);
+    let mut client = Client::new(addr.clone());
+    let script = SCRIPT.replace("steps      : 3", "steps      : 16");
+    let (status, _) = client
+        .request("POST", "/projects", Some(&register_body("p", &script)))
+        .unwrap();
+    assert_eq!(status, 201);
+    let segment = std::path::Path::new(root).join("projects/p/journal.0.log");
+    let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+        .unwrap();
+    let mut scratch = Vec::new();
+    let mut done = 0;
+    for burst in [2usize, 8] {
+        let ids: Vec<String> = (done + 1..=done + burst).map(|i| format!("c{i}")).collect();
+        let wire: Vec<u8> = ids
+            .iter()
+            .enumerate()
+            .flat_map(|(i, id)| raw_commit("p", id, 40 + i as u64))
+            .collect();
+        stream.write_all(&wire).unwrap();
+        for id in &ids {
+            let (status, body) = read_one_response(&mut stream, &mut scratch);
+            done += 1;
+            let receipt = Value::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+            assert_eq!(status, 200, "{receipt}");
+            assert_eq!(
+                receipt.get("commit_id").and_then(Value::as_str),
+                Some(id.as_str())
+            );
+            assert_eq!(
+                receipt.get("step").and_then(Value::as_u64),
+                Some(done as u64)
+            );
+            let synced = disk.synced_len(&segment).unwrap();
+            let written = disk.file_bytes(&segment).unwrap();
+            assert!(
+                synced >= prefix_of_lines(&written, done),
+                "{id} answered before its journal line was synced \
+                 ({synced} of {} bytes durable)",
+                written.len()
+            );
+        }
+    }
+    assert!(scratch.is_empty(), "no stray response bytes");
+    drop(stream);
+    let (status, _) = client.request("POST", "/admin/shutdown", None).unwrap();
+    assert_eq!(status, 200);
+    drop(client);
+    join.join().unwrap();
+}
+
+/// A failed group-commit round, end to end: the commit whose journal
+/// sync fails (its write succeeded) answers 500 `durable_write_failed`;
+/// the project's journal is poisoned, so its next commit answers 503;
+/// another project still commits.
+#[test]
+fn failed_round_answers_500_then_poisons_only_its_project() {
+    use easeml_serve::vfs::{Fault, FaultKind, FaultPlan, FaultVfs, Vfs};
+    use std::sync::Arc;
+
+    let root = std::path::Path::new("/failed-round");
+    // Returns the disk, the three commit answers and what the server's
+    // run returned.
+    type Run = (FaultVfs, Vec<(u16, Value)>, Result<(), String>);
+    let drive = |plan: FaultPlan| -> Run {
+        let fvfs = FaultVfs::new(root, plan);
+        fvfs.start_recording();
+        let vfs: Arc<dyn Vfs> = Arc::new(fvfs.clone());
+        let server = Server::bind(&ServeConfig {
+            threads: 2,
+            vfs: Some(vfs),
+            ..ServeConfig::new("127.0.0.1:0", root)
+        })
+        .expect("bind");
+        let addr = server.local_addr().to_string();
+        let join = std::thread::spawn(move || server.run().map_err(|e| e.to_string()));
+        let mut client = Client::with_policy(addr, easeml_serve::RetryPolicy::none());
+        let mut answers = Vec::new();
+        for name in ["alpha", "beta"] {
+            let (status, _) = client
+                .request("POST", "/projects", Some(&register_body(name, SCRIPT)))
+                .unwrap();
+            assert_eq!(status, 201);
+        }
+        for (name, id) in [("alpha", "a1"), ("alpha", "a2"), ("beta", "b1")] {
+            answers.push(
+                client
+                    .request(
+                        "POST",
+                        &format!("/projects/{name}/commits"),
+                        Some(&commit_body(id, 90)),
+                    )
+                    .unwrap(),
+            );
+        }
+        let (status, _) = client.request("POST", "/admin/shutdown", None).unwrap();
+        assert_eq!(status, 200);
+        drop(client);
+        let ran = join.join().unwrap();
+        (fvfs, answers, ran)
+    };
+
+    // A fault-free run finds the address of alpha's first journal sync.
+    let (clean, answers, ran) = drive(FaultPlan::new());
+    assert!(answers.iter().all(|(status, _)| *status == 200));
+    assert_eq!(ran, Ok(()));
+    let log = clean.take_oplog();
+    let is_journal = |path: &std::path::Path| {
+        path.file_name()
+            .and_then(|n| n.to_str())
+            .is_some_and(|n| n.starts_with("journal."))
+    };
+    let write = log
+        .iter()
+        .position(|op| op.scope == "alpha" && op.kind == "write" && is_journal(&op.path))
+        .expect("alpha journals its commit");
+    let sync = log[write..]
+        .iter()
+        .find(|op| op.scope == "alpha" && op.kind == "sync" && is_journal(&op.path))
+        .expect("a round syncs alpha's journal");
+
+    let plan = FaultPlan::new().at("alpha", sync.index, Fault::Fail(FaultKind::Eio));
+    let (faulty, answers, ran) = drive(plan);
+    assert!(!faulty.halted());
+    let (status, body) = &answers[0];
+    assert_eq!(*status, 500, "{body}");
+    assert_eq!(
+        body.get("reason").and_then(Value::as_str),
+        Some("durable_write_failed"),
+        "{body}"
+    );
+    let (status, body) = &answers[1];
+    assert_eq!(*status, 503, "poisoned journal: {body}");
+    assert!(
+        body.get("error")
+            .and_then(Value::as_str)
+            .is_some_and(|e| e.contains("poisoned")),
+        "{body}"
+    );
+    let (status, body) = &answers[2];
+    assert_eq!(*status, 200, "another project still commits: {body}");
+    // The shutdown snapshot cannot seal the poisoned journal either.
+    assert!(ran.is_err_and(|e| e.contains("poisoned")));
+}
+
+/// Under `group` the loop credits a commit the wait from its handler's
+/// end to the end of the round that released it, inside the trace
+/// total; under `relaxed` no round holds a response and the stage is 0.
+#[test]
+fn durable_wait_stage_is_traced_only_under_group() {
+    for durability in [
+        easeml_serve::Durability::Group,
+        easeml_serve::Durability::Relaxed,
+    ] {
+        let root = format!("/durable-wait-{durability}");
+        let (_disk, addr, join) = start_on_slow_journal(&root, 2, durability);
+        let mut client = Client::new(addr);
+        let (status, _) = client
+            .request("POST", "/projects", Some(&register_body("w", SCRIPT)))
+            .unwrap();
+        assert_eq!(status, 201);
+        let (status, _) = client
+            .request("POST", "/projects/w/commits", Some(&commit_body("c1", 90)))
+            .unwrap();
+        assert_eq!(status, 200);
+        let (status, trace) = client.request("GET", "/admin/trace", None).unwrap();
+        assert_eq!(status, 200);
+        let entries = trace.get("entries").and_then(Value::as_array).unwrap();
+        let commit = entries
+            .iter()
+            .find(|e| e.get("route").and_then(Value::as_str) == Some("commit"))
+            .expect("the commit was traced");
+        let total = commit.get("total_us").and_then(Value::as_u64).unwrap();
+        let wait = commit
+            .get("durable_wait_us")
+            .and_then(Value::as_u64)
+            .unwrap_or(0);
+        match durability {
+            easeml_serve::Durability::Group => {
+                assert!(wait > 0 && wait <= total, "{durability}: {commit}");
+            }
+            easeml_serve::Durability::Relaxed => assert_eq!(wait, 0, "{commit}"),
+        }
+        let (status, _) = client.request("POST", "/admin/shutdown", None).unwrap();
+        assert_eq!(status, 200);
+        drop(client);
+        join.join().unwrap();
+    }
+}
