@@ -609,43 +609,54 @@ impl<'a> Measurement<'a> {
 
     /// The counting loop of a metric formula over `range`, once every
     /// label there is known and every value lies in `0..classes`: the
-    /// scalar counts plus the per-class confusion tallies. Three tallies
-    /// per item: predictions per class for each model, and per true
-    /// class a 4-way split by which models got the item right (support,
-    /// `new_tp` and `old_tp` all read off it).
+    /// scalar counts plus the per-class confusion tallies. Up to
+    /// [`JOINT_CLASSES`] classes each item is one tally in a
+    /// `(label, new, old)` table, and every count is a sum over that
+    /// table. The table grows as the cube of the class count (70 classes
+    /// would zero and sum 343,000 counters per call), so past the bound
+    /// each item makes three tallies: predictions per class for each
+    /// model, and per true class a 4-way split by which models got the
+    /// item right (support, `new_tp` and `old_tp` all read off it).
     fn count_per_class(
         &self,
         classes: u32,
         range: Range<usize>,
     ) -> (MeasuredCounts, PerClassCounts) {
         let c = classes as usize;
-        let (mut by_label, mut new_pred, mut old_pred) =
-            (vec![0u64; 4 * c], vec![0; c], vec![0; c]);
-        let mut changed = 0u64;
         let items = self.old[range.clone()]
             .iter()
             .zip(&self.new[range.clone()])
             .zip(&self.testset.label_slots()[range.clone()]);
-        for ((&o, &n), &l) in items {
-            changed += u64::from(o != n);
-            by_label[4 * l as usize + 2 * usize::from(n == l) + usize::from(o == l)] += 1;
-            new_pred[n as usize] += 1;
-            old_pred[o as usize] += 1;
+        let mut pc = PerClassCounts::zeroed(classes);
+        let mut changed = 0u64;
+        if c <= JOINT_CLASSES {
+            let mut joint = vec![0u64; c * c * c];
+            for ((&o, &n), &l) in items {
+                joint[(l as usize * c + n as usize) * c + o as usize] += 1;
+            }
+            for (key, &count) in joint.iter().enumerate() {
+                let (l, n, o) = (key / (c * c), key / c % c, key % c);
+                pc.support[l] += count;
+                pc.new_tp[l] += if n == l { count } else { 0 };
+                pc.old_tp[l] += if o == l { count } else { 0 };
+                pc.new_pred[n] += count;
+                pc.old_pred[o] += count;
+                changed += if n == o { 0 } else { count };
+            }
+        } else {
+            let mut by_label = vec![0u64; 4 * c];
+            for ((&o, &n), &l) in items {
+                changed += u64::from(o != n);
+                by_label[4 * l as usize + 2 * usize::from(n == l) + usize::from(o == l)] += 1;
+                pc.new_pred[n as usize] += 1;
+                pc.old_pred[o as usize] += 1;
+            }
+            for (l, t) in by_label.chunks(4).enumerate() {
+                pc.support[l] = t.iter().sum();
+                pc.new_tp[l] = t[2] + t[3];
+                pc.old_tp[l] = t[1] + t[3];
+            }
         }
-        let split = |ways: [usize; 2]| -> Vec<u64> {
-            by_label
-                .chunks(4)
-                .map(|t| t[ways[0]] + t[ways[1]])
-                .collect()
-        };
-        let pc = PerClassCounts {
-            classes,
-            support: by_label.chunks(4).map(|t| t.iter().sum()).collect(),
-            new_tp: split([2, 3]),
-            old_tp: split([1, 3]),
-            new_pred,
-            old_pred,
-        };
         let counts = MeasuredCounts {
             samples: range.len() as u64,
             new_correct: pc.new_tp.iter().sum(),
@@ -656,6 +667,10 @@ impl<'a> Measurement<'a> {
         (counts, pc)
     }
 }
+
+/// The most classes [`Measurement::count_per_class`] tallies in one
+/// `classes³` table (512 counters, 4 KiB at eight).
+const JOINT_CLASSES: usize = 8;
 
 #[cfg(test)]
 mod tests {

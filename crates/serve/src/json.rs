@@ -9,10 +9,18 @@
 //! journal format and the restart tests rely on.
 //!
 //! The reader is the only tokenizer: [`Value::parse`] builds its tree by
-//! a recursion over it, and restart recovery decodes `snapshot.json`
-//! with it in one pass, straight into gate state, without a tree. Both
+//! a recursion over it, restart recovery decodes `snapshot.json` with it
+//! in one pass, straight into gate state, and the predictions route
+//! decodes its request body with it the same way, borrowing the commit
+//! id and any escape-free vector string from the request. All of them
 //! therefore share one lexer (whitespace, strings, numbers, literals and
 //! the depth cap) and accept exactly the same documents.
+//!
+//! Packed vectors (`#` plus one [`encode_u32_vec`] character per item)
+//! are decoded by one pass (`decode_packed_into`) that hands every byte
+//! to its caller as it decodes it: the predictions route folds its
+//! redelivery digest through that hook, so each vector's bytes are read
+//! once on the way in.
 //!
 //! Numbers are stored as `f64` and rendered without a fractional part
 //! when they are integral (`3`, not `3.0`), which keeps sample sizes and
@@ -256,6 +264,15 @@ impl JsonWriter {
         }
     }
 
+    /// A compact writer with `capacity` bytes reserved.
+    #[must_use]
+    pub(crate) fn compact_with_capacity(capacity: usize) -> JsonWriter {
+        JsonWriter {
+            out: String::with_capacity(capacity),
+            ..JsonWriter::compact()
+        }
+    }
+
     /// A pretty writer (the layout of [`Value::pretty`]) with `capacity`
     /// bytes reserved.
     #[must_use]
@@ -275,6 +292,15 @@ impl JsonWriter {
             self.out.push('\n');
         }
         self.out
+    }
+
+    /// The finished compact document with a newline after it: one line
+    /// of a line-oriented log.
+    #[must_use]
+    pub(crate) fn finish_line(mut self) -> String {
+        debug_assert!(!self.pretty, "log lines are compact");
+        self.out.push('\n');
+        self.finish()
     }
 
     /// Open an object.
@@ -483,10 +509,9 @@ const PACK_ALPHABET: &[u8; 64] =
     b"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz-_";
 
 /// Inverse of [`PACK_ALPHABET`]: byte → value, 255 for invalid bytes.
-/// The predictions route decodes each vector once per request, and
-/// restart replay once per journalled op: one table lookup per
-/// character, then one OR over the result (valid values are below 64)
-/// to tell whether any byte was invalid.
+/// A packed vector is decoded by one table lookup per character, with
+/// one OR over the results (valid values are below 64) telling whether
+/// any byte was invalid.
 const PACK_DECODE: [u8; 256] = {
     let mut table = [255u8; 256];
     let mut i = 0;
@@ -532,18 +557,9 @@ pub fn encode_u32_vec(items: &[u32]) -> String {
 /// items.
 pub fn decode_u32_vec(text: &str) -> Result<Vec<u32>, String> {
     if let Some(packed) = text.strip_prefix('#') {
-        let items: Vec<u32> = packed
-            .bytes()
-            .map(|b| u32::from(PACK_DECODE[usize::from(b)]))
-            .collect();
-        if items.iter().fold(0, |acc, &v| acc | v) < 64 {
-            return Ok(items);
-        }
-        let bad = packed
-            .bytes()
-            .find(|&b| PACK_DECODE[usize::from(b)] == 255)
-            .expect("an item decoded out of range");
-        Err(format!("invalid packed-vector character `{}`", bad as char))
+        let mut items = Vec::new();
+        decode_packed_into(packed, &mut items, |_| {})?;
+        Ok(items)
     } else if text.is_empty() {
         Ok(Vec::new())
     } else {
@@ -554,6 +570,39 @@ pub fn decode_u32_vec(text: &str) -> Result<Vec<u32>, String> {
             })
             .collect()
     }
+}
+
+/// Decode the characters of a `#`-packed vector (the text after the
+/// `#`) onto `out`, handing every byte to `each` on the way: one pass
+/// over the bytes checks the alphabet, writes the items and lets the
+/// caller digest what it decodes (the predictions route folds the
+/// redelivery digest through `each`).
+///
+/// # Errors
+///
+/// A message naming the first character outside the alphabet; `out`
+/// then holds a partial decode.
+pub(crate) fn decode_packed_into(
+    packed: &str,
+    out: &mut Vec<u32>,
+    mut each: impl FnMut(u8),
+) -> Result<(), String> {
+    let mut seen = 0u8;
+    out.reserve(packed.len());
+    out.extend(packed.bytes().map(|b| {
+        each(b);
+        let v = PACK_DECODE[usize::from(b)];
+        seen |= v;
+        u32::from(v)
+    }));
+    if seen < 64 {
+        return Ok(());
+    }
+    let bad = packed
+        .bytes()
+        .find(|&b| PACK_DECODE[usize::from(b)] == 255)
+        .expect("an item decoded out of range");
+    Err(format!("invalid packed-vector character `{}`", bad as char))
 }
 
 /// Read a `u32` vector from a JSON value: either a packed wire string
@@ -577,28 +626,6 @@ pub fn u32_vec_from_value(value: &Value, what: &str) -> Result<Vec<u32>, String>
         _ => Err(format!(
             "{what} must be an array of integers or a packed vector string"
         )),
-    }
-}
-
-/// Read a `u32` vector from an owned JSON value together with its
-/// canonical wire string ([`encode_u32_vec`]). A `#`-packed string that
-/// decodes cleanly already *is* that string, so it is moved out as
-/// received; arrays and decimal CSV strings are encoded.
-///
-/// # Errors
-///
-/// As [`u32_vec_from_value`].
-pub(crate) fn u32_vec_with_wire(value: Value, what: &str) -> Result<(Vec<u32>, String), String> {
-    match value {
-        Value::String(text) if text.starts_with('#') => {
-            let items = decode_u32_vec(&text).map_err(|e| format!("{what}: {e}"))?;
-            Ok((items, text))
-        }
-        value => {
-            let items = u32_vec_from_value(&value, what)?;
-            let wire = encode_u32_vec(&items);
-            Ok((items, wire))
-        }
     }
 }
 
@@ -1695,23 +1722,15 @@ mod tests {
                 .unwrap(),
             vec![3, 64]
         );
-        // Every input form yields the canonical wire string: `#` kept as
-        // received, arrays and CSV encoded to it.
-        for value in [
-            Value::from(packed.as_str()),
-            Value::array(small.iter().map(|&v| Value::from(u64::from(v)))),
-            Value::from("0,1,9,35,63,10,36,62"),
-        ] {
-            assert_eq!(
-                u32_vec_with_wire(value, "v").unwrap(),
-                (small.clone(), packed.clone())
-            );
-        }
+        // The packed pass hands every byte it decodes to its caller.
+        let (mut items, mut bytes) = (Vec::new(), Vec::new());
+        decode_packed_into(&packed[1..], &mut items, |b| bytes.push(b)).unwrap();
+        assert_eq!((items, bytes), (small, packed.as_bytes()[1..].to_vec()));
+        let mut items = Vec::new();
         assert_eq!(
-            u32_vec_with_wire(Value::from(csv.as_str()), "v").unwrap(),
-            (big, csv)
+            decode_packed_into("0!", &mut items, |_| {}),
+            Err("invalid packed-vector character `!`".into())
         );
-        assert!(u32_vec_with_wire(Value::from("#0!"), "v").is_err());
     }
 
     #[test]

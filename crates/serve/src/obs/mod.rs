@@ -639,10 +639,41 @@ impl VfsMetrics {
 /// Status classes for `easeml_responses_total{class=...}`.
 const STATUS_CLASSES: [&str; 5] = ["1xx", "2xx", "3xx", "4xx", "5xx"];
 
+/// A gate decision, as `easeml_gate_outcomes_total` labels it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GateOutcome {
+    /// The commit passed.
+    Pass,
+    /// The commit failed.
+    Fail,
+    /// The decision spent the era's last budget step.
+    BudgetExhausted,
+}
+
+impl GateOutcome {
+    /// The `outcome` label value.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            GateOutcome::Pass => "pass",
+            GateOutcome::Fail => "fail",
+            GateOutcome::BudgetExhausted => "budget_exhausted",
+        }
+    }
+}
+
+/// One project's `easeml_gate_outcomes_total` handles, one per
+/// [`GateOutcome`]. Each is resolved from the registry the first time
+/// its outcome occurs — so a series still appears in `/metrics` with
+/// its first count — and incremented through the handle after, without
+/// the registry lock or a scan of every project's series.
+#[derive(Debug, Default)]
+pub struct OutcomeCounters([Option<Arc<Counter>>; 3]);
+
 /// Pre-created handles for every always-on serving metric. Hot paths
-/// record through these without touching the registry lock; only the
-/// per-project gate-outcome counters go through a (read-mostly)
-/// registry lookup.
+/// record through these without touching the registry lock; the
+/// per-project gate-outcome counters are resolved once per project and
+/// outcome and held in the project's [`OutcomeCounters`].
 #[derive(Debug)]
 pub struct ServeMetrics {
     /// The backing registry (rendered by `GET /metrics`).
@@ -829,15 +860,22 @@ impl ServeMetrics {
         self.status_classes[class].inc();
     }
 
-    /// Count a gate decision for a project: outcome is `pass`, `fail`,
-    /// or `budget_exhausted`.
-    pub fn gate_outcome(&self, project: &str, outcome: &str) {
-        self.registry
-            .counter_with(
-                "easeml_gate_outcomes_total",
-                "Gate decisions by project and outcome.",
-                &[("project", project), ("outcome", outcome)],
-            )
+    /// Count a gate decision for `project` through its handles in
+    /// `counters`, resolving the outcome's handle on its first use.
+    pub fn gate_outcome(
+        &self,
+        counters: &mut OutcomeCounters,
+        project: &str,
+        outcome: GateOutcome,
+    ) {
+        counters.0[outcome as usize]
+            .get_or_insert_with(|| {
+                self.registry.counter_with(
+                    "easeml_gate_outcomes_total",
+                    "Gate decisions by project and outcome.",
+                    &[("project", project), ("outcome", outcome.label())],
+                )
+            })
             .inc();
     }
 
@@ -970,7 +1008,7 @@ mod tests {
         metrics.route("unknown-route").requests_total.inc();
         metrics.count_status(200);
         metrics.count_status(503);
-        metrics.gate_outcome("demo", "pass");
+        metrics.gate_outcome(&mut OutcomeCounters::default(), "demo", GateOutcome::Pass);
         metrics.gate_rejection("conflict");
         assert_eq!(metrics.next_request_id(), 1);
         assert_eq!(metrics.next_request_id(), 2);
@@ -998,6 +1036,49 @@ mod tests {
             ),
             Some(1.0)
         );
+    }
+
+    /// Outcome handles held per project render exactly what a registry
+    /// lookup per decision rendered, over many projects: no series
+    /// before its first count, every count after, and each handle is
+    /// the registry's own series.
+    #[test]
+    fn outcome_handles_render_like_per_decision_lookups() {
+        const PROJECTS: usize = 300;
+        let (by_handle, by_lookup) = (ServeMetrics::new(&[]), ServeMetrics::new(&[]));
+        let mut handles: Vec<OutcomeCounters> =
+            (0..PROJECTS).map(|_| OutcomeCounters::default()).collect();
+        let outcomes = [
+            GateOutcome::Pass,
+            GateOutcome::Fail,
+            GateOutcome::BudgetExhausted,
+        ];
+        for i in 0..6_000usize {
+            let project = i * 7_919 % PROJECTS;
+            // Every third project never exhausts its budget, so some
+            // series stay absent.
+            let outcome = outcomes[i * 31 % 7 % 3 % (2 + usize::from(!project.is_multiple_of(3)))];
+            let name = format!("project-{project}");
+            by_handle.gate_outcome(&mut handles[project], &name, outcome);
+            by_lookup
+                .registry
+                .counter_with(
+                    "easeml_gate_outcomes_total",
+                    "Gate decisions by project and outcome.",
+                    &[("project", &name), ("outcome", outcome.label())],
+                )
+                .inc();
+        }
+        let text = by_handle.registry.render();
+        assert_eq!(text, by_lookup.registry.render());
+        assert!(!text.contains("project=\"project-0\",outcome=\"budget_exhausted\""));
+        let series = by_handle.registry.counter_with(
+            "easeml_gate_outcomes_total",
+            "Gate decisions by project and outcome.",
+            &[("project", "project-1"), ("outcome", "pass")],
+        );
+        let held = handles[1].0[GateOutcome::Pass as usize].as_ref();
+        assert!(held.is_some_and(|held| Arc::ptr_eq(held, &series)));
     }
 
     #[test]

@@ -18,6 +18,15 @@
 //!   spending labels only where the condition's
 //!   [`easeml_ci_core::LabelDemand`] requires them.
 //!
+//! A predictions commit's two vectors arrive as `#`-packed strings, JSON
+//! arrays or decimal CSV strings; [`PackedPredictions`] holds them in the
+//! canonical packed form with their redelivery digest. A `#`-packed
+//! string is read once: one pass checks its alphabet, decodes its items
+//! and folds its bytes into the FNV-1a digest of `old | "|" | new`. The
+//! route and restart replay share that pass, so the digest, the journal
+//! line and the receipt are the same bytes whichever encoding the client
+//! chose.
+//!
 //! Both feeds converge on the same [`EvalCounts`] and the same gate code
 //! path: point estimates, then the condition over confidence intervals,
 //! then [`Gate::record`] (mode collapse, budget decrement, and the
@@ -30,7 +39,7 @@
 //! foundation of the journal's determinism contract (see [`crate::store`]).
 
 use crate::error::ServeError;
-use crate::json::encode_u32_vec;
+use crate::json::{decode_packed_into, decode_u32_vec, encode_u32_vec};
 use crate::obs::trace::{self, Stage};
 use easeml_ci_core::dsl::Formula;
 use easeml_ci_core::{
@@ -39,19 +48,30 @@ use easeml_ci_core::{
     GateSavepoint, LabelOracle, MeasuredCounts, Measurement, PerClassCounts, SampleSizeEstimate,
     SampleSizeEstimator, Testset, Tribool, VariableEstimates, VecOracle,
 };
+use std::borrow::Cow;
+
+/// FNV-1a 64 offset basis: the state before any byte.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a 64 step: fold `byte` into `hash`.
+fn fnv1a_step(hash: u64, byte: u8) -> u64 {
+    (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// Fold `bytes` into FNV-1a 64 state `hash`.
+fn fnv1a_fold(hash: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(hash, |hash, &byte| fnv1a_step(hash, byte))
+}
 
 /// FNV-1a 64 over a sequence of byte slices — the digest primitive of
 /// the serving layer's testset blobs and prediction-redelivery keys.
 #[must_use]
 pub(crate) fn fnv1a64(parts: &[&[u8]]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for &byte in *part {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
+    parts
+        .iter()
+        .fold(FNV_OFFSET, |hash, part| fnv1a_fold(hash, part))
 }
 
 /// The largest class count a testset may declare. Metric commits
@@ -501,8 +521,14 @@ pub struct PredictionsSubmission {
 impl PredictionsSubmission {
     /// Both vectors in their canonical wire form.
     #[must_use]
-    pub fn packed(&self) -> PackedPredictions {
-        PackedPredictions::new(encode_u32_vec(&self.old), encode_u32_vec(&self.new))
+    pub fn packed(&self) -> PackedPredictions<'static> {
+        let (old, new) = (encode_u32_vec(&self.old), encode_u32_vec(&self.new));
+        let digest = fnv1a64(&[old.as_bytes(), b"|", new.as_bytes()]);
+        PackedPredictions {
+            old: Cow::Owned(old),
+            new: Cow::Owned(new),
+            digest,
+        }
     }
 
     /// Content digest of the prediction pair (see
@@ -513,26 +539,74 @@ impl PredictionsSubmission {
     }
 }
 
+/// One prediction vector of a predictions commit as its request body or
+/// journal line holds it: read, not yet decoded.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum WireVector<'a> {
+    /// A string, `#`-packed or decimal CSV, its JSON escapes undone.
+    Text(Cow<'a, str>),
+    /// An array whose every element is a `u32`.
+    Items(Vec<u32>),
+    /// Absent or malformed: the refusal reason.
+    Invalid(String),
+}
+
+impl<'a> WireVector<'a> {
+    /// The items and the canonical wire string, with the wire folded
+    /// into FNV-1a state `hash`. A `#`-packed string already *is* that
+    /// string, and one pass over its bytes checks the alphabet, decodes
+    /// the items and folds the digest; other strings and arrays are
+    /// decoded, encoded and then folded.
+    fn decode(self, what: &str, hash: u64) -> Result<(Cow<'a, str>, Vec<u32>, u64), String> {
+        let items = match self {
+            WireVector::Text(text) if text.starts_with('#') => {
+                let (mut items, mut hash) = (Vec::new(), fnv1a_step(hash, b'#'));
+                decode_packed_into(&text[1..], &mut items, |b| hash = fnv1a_step(hash, b))
+                    .map_err(|e| format!("{what}: {e}"))?;
+                return Ok((text, items, hash));
+            }
+            WireVector::Text(text) => decode_u32_vec(&text).map_err(|e| format!("{what}: {e}"))?,
+            WireVector::Items(items) => items,
+            WireVector::Invalid(reason) => return Err(reason),
+        };
+        let wire = encode_u32_vec(&items);
+        let hash = fnv1a_fold(hash, wire.as_bytes());
+        Ok((Cow::Owned(wire), items, hash))
+    }
+}
+
 /// The two vectors of a predictions commit as [`encode_u32_vec`] writes
 /// them, with their digest. A served predictions commit holds each
 /// vector in this form exactly once — a `#`-packed request string is
-/// moved in as received, only arrays and CSV strings are encoded — and
-/// the same bytes key redelivery dedup and are what its
-/// `commit_predictions` journal op records. Restart replay builds it
-/// from the journalled strings the same way.
+/// borrowed from the request as received (owned only when it carried
+/// JSON escapes), only arrays and CSV strings are encoded — and the same
+/// bytes key redelivery dedup and are what its `commit_predictions`
+/// journal op records. Restart replay decodes the journalled strings
+/// through the same pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PackedPredictions {
-    old: String,
-    new: String,
+pub struct PackedPredictions<'a> {
+    old: Cow<'a, str>,
+    new: Cow<'a, str>,
     digest: u64,
 }
 
-impl PackedPredictions {
-    /// Wrap two canonical wire strings, digesting them once.
-    #[must_use]
-    pub(crate) fn new(old: String, new: String) -> PackedPredictions {
-        let digest = fnv1a64(&[old.as_bytes(), b"|", new.as_bytes()]);
-        PackedPredictions { old, new, digest }
+impl<'a> PackedPredictions<'a> {
+    /// Decode both vectors of a predictions commit, old first, carrying
+    /// one FNV-1a state across `old | "|" | new`: each vector's bytes
+    /// are read once (see [`WireVector`]). Returns the wire pair and the
+    /// old and new items.
+    ///
+    /// # Errors
+    ///
+    /// The reason of the first invalid vector, old before new; a string
+    /// that does not decode reads `"{old|new}: {why}"`.
+    pub(crate) fn decode(
+        old: WireVector<'a>,
+        new: WireVector<'a>,
+    ) -> Result<(PackedPredictions<'a>, Vec<u32>, Vec<u32>), String> {
+        let (old, old_items, hash) = old.decode("old", FNV_OFFSET)?;
+        let (new, new_items, digest) = new.decode("new", fnv1a_step(hash, b'|'))?;
+        Ok((PackedPredictions { old, new, digest }, old_items, new_items))
     }
 
     /// The accepted (old) model's packed predictions.
@@ -779,7 +853,7 @@ impl Project {
     pub(crate) fn submit_packed_predictions(
         &mut self,
         commit_id: &str,
-        packed: &PackedPredictions,
+        packed: &PackedPredictions<'_>,
         old: &[u32],
         new: &[u32],
         fresh: &mut Vec<usize>,
@@ -1789,5 +1863,102 @@ mod tests {
         assert_eq!(gr.outcome, receipt.outcome);
         assert_eq!(gr.accepted, receipt.accepted);
         assert_eq!(gr.step, receipt.step);
+    }
+
+    /// Decode `(old, new)` through the one pass and return what the
+    /// route keeps: the items, the wire pair and the digest.
+    fn decoded(
+        old: WireVector<'_>,
+        new: WireVector<'_>,
+    ) -> (Vec<u32>, Vec<u32>, String, String, u64) {
+        let (packed, old, new) = PackedPredictions::decode(old, new).unwrap();
+        let (old_wire, new_wire) = (packed.old_wire().to_owned(), packed.new_wire().to_owned());
+        (old, new, old_wire, new_wire, packed.digest())
+    }
+
+    #[test]
+    fn every_wire_form_decodes_to_the_canonical_string() {
+        let small = vec![0u32, 1, 9, 35, 63, 10, 36, 62];
+        let packed = encode_u32_vec(&small);
+        let big = vec![3u32, 64, 100_000];
+        let csv = encode_u32_vec(&big);
+        // `#` kept as received, arrays and CSV encoded to it.
+        for form in [
+            WireVector::Text(Cow::Borrowed(packed.as_str())),
+            WireVector::Items(small.clone()),
+            WireVector::Text(Cow::Borrowed("0,1,9,35,63,10,36,62")),
+        ] {
+            let (old, new, old_wire, new_wire, _) =
+                decoded(form.clone(), WireVector::Text(csv.as_str().into()));
+            assert_eq!((old, old_wire), (small.clone(), packed.clone()));
+            assert_eq!((new, new_wire), (big.clone(), csv.clone()));
+        }
+        // A borrowed `#` string stays borrowed: the request's bytes are
+        // the wire.
+        let (packed_pair, _, _) = PackedPredictions::decode(
+            WireVector::Text(Cow::Borrowed(packed.as_str())),
+            WireVector::Items(big.clone()),
+        )
+        .unwrap();
+        assert!(matches!(packed_pair.old, Cow::Borrowed(_)));
+        // Old's reason comes first, then new's.
+        let bad = |text: &'static str| WireVector::Text(Cow::Borrowed(text));
+        for (old, new, reason) in [
+            (
+                bad("#0!"),
+                bad("#0?"),
+                "old: invalid packed-vector character `!`",
+            ),
+            (bad("#0"), bad("1,x"), "new: invalid vector item `x`"),
+            (WireVector::Invalid("why".into()), bad("#!"), "why"),
+            (bad("#0"), WireVector::Invalid("missing".into()), "missing"),
+        ] {
+            assert_eq!(PackedPredictions::decode(old, new).unwrap_err(), reason);
+        }
+    }
+
+    /// Random vectors: small (packed) or with an item past 63 (CSV).
+    fn vector(seed: u64) -> Vec<u32> {
+        let mut state = seed;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let len = (next() % 300) as usize;
+        let top = if next() % 4 == 0 { 100 } else { 64 };
+        (0..len).map(|_| (next() % top) as u32).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// The fused pass digests exactly what `fnv1a64` reads over the
+        /// canonical wire pair, whatever form each vector came in.
+        #[test]
+        fn fused_digest_matches_fnv1a64(
+            seeds in (0u64..u64::MAX, 0u64..u64::MAX),
+            forms in (0u8..3, 0u8..3),
+        ) {
+            let (old, new) = (vector(seeds.0), vector(seeds.1));
+            let form = |items: &[u32], form: u8| match form {
+                0 => WireVector::Text(encode_u32_vec(items).into()),
+                1 => WireVector::Items(items.to_vec()),
+                _ => WireVector::Text(
+                    items.iter().map(u32::to_string).collect::<Vec<_>>().join(",").into(),
+                ),
+            };
+            let (old_items, new_items, old_wire, new_wire, digest) =
+                decoded(form(&old, forms.0), form(&new, forms.1));
+            proptest::prop_assert_eq!((&old_items, &new_items), (&old, &new));
+            proptest::prop_assert_eq!(&old_wire, &encode_u32_vec(&old));
+            proptest::prop_assert_eq!(&new_wire, &encode_u32_vec(&new));
+            let reference = fnv1a64(&[old_wire.as_bytes(), b"|", new_wire.as_bytes()]);
+            proptest::prop_assert_eq!(digest, reference);
+            let submission = PredictionsSubmission { commit_id: "c".into(), old, new };
+            proptest::prop_assert_eq!(submission.digest(), reference);
+        }
     }
 }

@@ -55,22 +55,24 @@
 
 use crate::error::ServeError;
 use crate::http::{Request, Response};
-use crate::json::{u32_vec_from_value, u32_vec_with_wire, JsonWriter, Value};
+use crate::json::{exact_u64, u32_vec_from_value, JsonError, JsonWriter, Kind, Reader, Value};
 use crate::net::{NetConfig, ReqMeta, WakeHub};
 use crate::obs::trace::{self, Stage, TraceRec};
-use crate::obs::{Counter, ServeObs};
+use crate::obs::{Counter, GateOutcome, ServeObs};
 use crate::registry::{
     serving_estimator, CommitSubmission, EvalCounts, GateReceipt, MeasuredTestset,
-    PackedPredictions, TestsetSpec,
+    PackedPredictions, Project, TestsetSpec, WireVector,
 };
 use crate::store::{
-    group, tribool_str, write_history_entry_fields, Durability, GroupMetrics, Registry,
+    group, tribool_str, write_history_entry_fields, write_per_class, Durability, GroupMetrics,
+    Registry,
 };
 use crate::vfs::{MeteredVfs, RealVfs, Vfs};
 use easeml_ci_core::{
     effort, AlarmReason, BoundsCache, CostModel, EstimateProvenance, PerClassCounts, PlanCache,
 };
 use easeml_par::Pool;
+use std::borrow::Cow;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
@@ -938,13 +940,13 @@ pub(crate) fn status_json(project: &crate::registry::Project) -> Value {
 }
 
 /// The `easeml_gate_outcomes_total{outcome=...}` label for a decision.
-fn gate_outcome_str(receipt: &GateReceipt) -> &'static str {
+fn gate_outcome(receipt: &GateReceipt) -> GateOutcome {
     if matches!(receipt.alarm, Some(AlarmReason::BudgetExhausted)) {
-        "budget_exhausted"
+        GateOutcome::BudgetExhausted
     } else if receipt.passed {
-        "pass"
+        GateOutcome::Pass
     } else {
-        "fail"
+        GateOutcome::Fail
     }
 }
 
@@ -1011,7 +1013,9 @@ fn parse_per_class(body: &Value) -> Result<Option<PerClassCounts>, ServeError> {
 
 /// The `per_class` section of a predictions response's measurement
 /// block — mirrors the request shape [`parse_per_class`] accepts, so a
-/// counts-mode twin can round-trip it byte-exactly.
+/// counts-mode twin can round-trip it byte-exactly. The route writes it
+/// with [`write_per_class`]; this tree is the test reference.
+#[cfg(test)]
 fn per_class_response_json(pc: &PerClassCounts) -> Value {
     let vec = |v: &[u64]| Value::Array(v.iter().map(|&x| Value::from(x)).collect());
     Value::object([
@@ -1051,69 +1055,181 @@ fn submit_commit(ctx: &Ctx, name: &str, request: &Request) -> Result<Response, S
         let receipt = slot.submit(&submission)?;
         ctx.obs
             .metrics
-            .gate_outcome(name, gate_outcome_str(&receipt));
-        Ok(Response::json(
-            200,
-            &receipt_json(&receipt, &budget_json(&slot.project)),
-        ))
+            .gate_outcome(&mut slot.outcomes, name, gate_outcome(&receipt));
+        let mut w = JsonWriter::compact();
+        w.begin_object();
+        write_receipt_fields(&mut w, &receipt, &slot.project);
+        w.end_object();
+        Ok(Response::json_text(200, w.finish()))
     })
+}
+
+/// A predictions commit body as [`predictions_body`] reads it: the
+/// strings borrowed from the request unless they carry escapes.
+struct PredictionsBody<'a> {
+    commit_id: Cow<'a, str>,
+    old: WireVector<'a>,
+    new: WireVector<'a>,
+}
+
+/// Decode a predictions commit body, `{"commit_id", "old", "new"}`, in
+/// one pull pass without a [`Value`] tree. It accepts exactly the bodies
+/// the tree did and refuses the others with the same reason, checked in
+/// the same order: UTF-8, then JSON syntax anywhere in the body, then
+/// `commit_id` (a string); each vector's own reason waits in its
+/// [`WireVector::Invalid`] for [`PackedPredictions::decode`]. The first
+/// of duplicate keys wins and unknown keys are skipped.
+fn predictions_body(body: &[u8]) -> Result<PredictionsBody<'_>, String> {
+    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
+    let mut reader = Reader::new(text);
+    predictions_fields(&mut reader)
+        .and_then(|body| reader.finish().map(|()| body))
+        .map_err(|e| e.to_string())?
+        .ok_or_else(|| "missing string field `commit_id`".into())
+}
+
+/// Walk the document at the reader to its end, keeping the first
+/// `commit_id`, `old` and `new` members: `None` when `commit_id` is
+/// missing or no string.
+fn predictions_fields<'a>(
+    reader: &mut Reader<'a>,
+) -> Result<Option<PredictionsBody<'a>>, JsonError> {
+    let (mut commit_id, mut old, mut new) = (None, None, None);
+    if reader.peek()? != Kind::Object {
+        reader.skip()?;
+        return Ok(None);
+    }
+    reader.begin_object()?;
+    while let Some(key) = reader.next_key()? {
+        match &*key {
+            "commit_id" if commit_id.is_none() => commit_id = Some(reader.try_str()?),
+            "old" if old.is_none() => old = Some(wire_vector(reader, "old")?),
+            "new" if new.is_none() => new = Some(wire_vector(reader, "new")?),
+            _ => reader.skip()?,
+        }
+    }
+    let missing = |key: &str| WireVector::Invalid(format!("missing field `{key}`"));
+    Ok(commit_id.flatten().map(|commit_id| PredictionsBody {
+        commit_id,
+        old: old.unwrap_or_else(|| missing("old")),
+        new: new.unwrap_or_else(|| missing("new")),
+    }))
+}
+
+/// Read one prediction vector of a predictions body: a string as it
+/// stands, an array item by item (the first element that is no `u32`
+/// makes it invalid), anything else invalid.
+fn wire_vector<'a>(reader: &mut Reader<'a>, what: &str) -> Result<WireVector<'a>, JsonError> {
+    match reader.peek()? {
+        Kind::String => Ok(WireVector::Text(reader.try_str()?.expect("a string"))),
+        Kind::Array => {
+            reader.begin_array()?;
+            let (mut items, mut bad) = (Vec::new(), None);
+            while reader.next_element()? {
+                let item = reader.try_number()?.and_then(exact_u64);
+                match item.and_then(|v| u32::try_from(v).ok()) {
+                    Some(v) => items.push(v),
+                    None => bad = bad.or(Some(items.len())),
+                }
+            }
+            Ok(match bad {
+                None => WireVector::Items(items),
+                Some(i) => WireVector::Invalid(format!("{what}[{i}] is not a u32")),
+            })
+        }
+        _ => {
+            reader.skip()?;
+            Ok(WireVector::Invalid(format!(
+                "{what} must be an array of integers or a packed vector string"
+            )))
+        }
+    }
 }
 
 fn submit_predictions(ctx: &Ctx, name: &str, request: &Request) -> Result<Response, ServeError> {
     let registry: &Registry = &ctx.registry;
-    let mut body = request.json_body().map_err(ServeError::BadRequest)?;
-    let Some(Value::String(commit_id)) = body.take("commit_id") else {
-        return Err(ServeError::BadRequest(
-            "missing string field `commit_id`".into(),
-        ));
-    };
-    // Each vector moves out of the parsed body with its wire string: a
-    // `#`-packed one is journalled and digested as received.
-    let mut vector = |key: &str| -> Result<(Vec<u32>, String), ServeError> {
-        let value = body
-            .take(key)
-            .ok_or_else(|| ServeError::BadRequest(format!("missing field `{key}`")))?;
-        u32_vec_with_wire(value, key).map_err(ServeError::BadRequest)
-    };
-    let (old, old_wire) = vector("old")?;
-    let (new, new_wire) = vector("new")?;
-    let packed = PackedPredictions::new(old_wire, new_wire);
+    let PredictionsBody {
+        commit_id,
+        old,
+        new,
+    } = predictions_body(&request.body).map_err(ServeError::BadRequest)?;
+    let (packed, old, new) = PackedPredictions::decode(old, new).map_err(ServeError::BadRequest)?;
     with_project(registry, name, |slot| {
         let (receipt, counts) = slot.submit_packed_predictions(&commit_id, &packed, &old, &new)?;
         ctx.obs
             .metrics
-            .gate_outcome(name, gate_outcome_str(&receipt));
-        let Value::Object(mut fields) = receipt_json(&receipt, &budget_json(&slot.project)) else {
-            unreachable!("receipt_json builds an object")
-        };
-        // The derived counts are appended *after* the receipt fields:
-        // the receipt part stays byte-comparable to the counts route's
-        // response for the equivalence tests (and for auditing clients).
-        let labeled_total = slot
-            .project
-            .measured()
-            .map_or(0, crate::registry::MeasuredTestset::labeled_count);
-        let mut measurement = vec![
-            ("samples", Value::from(counts.samples)),
-            ("new_correct", Value::from(counts.new_correct)),
-            ("old_correct", Value::from(counts.old_correct)),
-            ("changed", Value::from(counts.changed)),
-            ("labels_spent", Value::from(counts.labels)),
-            ("labeled_total", Value::from(labeled_total)),
-        ];
-        if let Some(pc) = &counts.per_class {
-            measurement.push(("per_class", per_class_response_json(pc)));
-        }
-        fields.push(("measurement".into(), Value::object(measurement)));
-        Ok(Response::json(200, &Value::Object(fields)))
+            .gate_outcome(&mut slot.outcomes, name, gate_outcome(&receipt));
+        Ok(Response::json_text(
+            200,
+            predictions_receipt(&receipt, &counts, &slot.project),
+        ))
     })
 }
 
-fn receipt_json(receipt: &GateReceipt, budget: &Value) -> Value {
-    let alarm = receipt.alarm.map(|reason| match reason {
+/// A predictions commit's response: the receipt fields, then the
+/// derived counts in a `measurement` object. The counts come *after*
+/// the receipt fields, so the receipt part stays byte-comparable to the
+/// counts route's response for the equivalence tests (and for auditing
+/// clients).
+fn predictions_receipt(receipt: &GateReceipt, counts: &EvalCounts, project: &Project) -> String {
+    let labeled_total = project.measured().map_or(0, MeasuredTestset::labeled_count);
+    let mut w = JsonWriter::compact();
+    w.begin_object();
+    write_receipt_fields(&mut w, receipt, project);
+    w.key("measurement").begin_object();
+    w.key("samples").u64(counts.samples);
+    w.key("new_correct").u64(counts.new_correct);
+    w.key("old_correct").u64(counts.old_correct);
+    w.key("changed").u64(counts.changed);
+    w.key("labels_spent").u64(counts.labels);
+    w.key("labeled_total").u64(labeled_total as u64);
+    if let Some(pc) = &counts.per_class {
+        w.key("per_class");
+        write_per_class(&mut w, pc);
+    }
+    w.end_object();
+    w.end_object();
+    w.finish()
+}
+
+/// The fields of a commit receipt, shared by both commit routes.
+fn write_receipt_fields(w: &mut JsonWriter, receipt: &GateReceipt, project: &Project) {
+    w.key("commit_id").string(&receipt.commit_id);
+    w.key("step").u64(receipt.step.into());
+    w.key("era").u64(receipt.era.into());
+    match receipt.signal {
+        Some(signal) => w.key("signal").bool(signal),
+        None => w.key("signal").null(),
+    }
+    w.key("accepted").bool(receipt.accepted);
+    w.key("outcome").string(tribool_str(receipt.outcome));
+    w.key("passed").bool(receipt.passed);
+    match receipt.alarm {
+        Some(reason) => w.key("alarm").string(alarm_str(reason)),
+        None => w.key("alarm").null(),
+    }
+    w.key("labels").u64(receipt.labels);
+    w.key("budget").begin_object();
+    w.key("steps").u64(project.script().steps().into());
+    w.key("used").u64(project.steps_used().into());
+    w.key("remaining").u64(project.steps_remaining().into());
+    w.key("era").u64(project.era().into());
+    w.key("retired").bool(project.is_retired());
+    w.key("fresh_testset_required").bool(project.is_retired());
+    w.end_object();
+}
+
+fn alarm_str(reason: AlarmReason) -> &'static str {
+    match reason {
         AlarmReason::BudgetExhausted => "budget_exhausted",
         AlarmReason::PassedInHybrid => "passed_in_hybrid",
-    });
+    }
+}
+
+/// The receipt as a [`Value`] tree: the test reference for
+/// [`write_receipt_fields`].
+#[cfg(test)]
+fn receipt_json(receipt: &GateReceipt, budget: &Value) -> Value {
     Value::object([
         ("commit_id", Value::from(receipt.commit_id.as_str())),
         ("step", Value::from(receipt.step)),
@@ -1122,7 +1238,7 @@ fn receipt_json(receipt: &GateReceipt, budget: &Value) -> Value {
         ("accepted", Value::from(receipt.accepted)),
         ("outcome", Value::from(tribool_str(receipt.outcome))),
         ("passed", Value::from(receipt.passed)),
-        ("alarm", Value::from(alarm)),
+        ("alarm", Value::from(receipt.alarm.map(alarm_str))),
         ("labels", Value::from(receipt.labels)),
         ("budget", budget.clone()),
     ])
@@ -1227,4 +1343,438 @@ fn persist_all(ctx: &Ctx) -> Result<Response, ServeError> {
         200,
         &Value::object([("persisted", Value::from(true))]),
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::json::{decode_u32_vec, encode_u32_vec};
+    use crate::registry::{fnv1a64, PredictionsSubmission};
+    use easeml_ci_core::Tribool;
+    use std::fmt::Write as _;
+
+    /// What a predictions route keeps of a body: the commit id, both
+    /// vectors, both wire strings and the digest.
+    type Decoded = (String, Vec<u32>, Vec<u32>, String, String, u64);
+
+    /// The tree path the route took before [`predictions_body`]: parse
+    /// the whole body into a [`Value`], move each member out, decode
+    /// each vector, encode arrays and CSV strings to their wire string,
+    /// digest the pair.
+    fn decode_with_the_tree(body: &[u8]) -> Result<Decoded, String> {
+        let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
+        let mut body = Value::parse(text).map_err(|e| e.to_string())?;
+        let Some(Value::String(commit_id)) = body.take("commit_id") else {
+            return Err("missing string field `commit_id`".into());
+        };
+        let mut vector = |key: &str| -> Result<(Vec<u32>, String), String> {
+            match body
+                .take(key)
+                .ok_or_else(|| format!("missing field `{key}`"))?
+            {
+                Value::String(text) if text.starts_with('#') => {
+                    let items = decode_u32_vec(&text).map_err(|e| format!("{key}: {e}"))?;
+                    Ok((items, text))
+                }
+                value => {
+                    let items = u32_vec_from_value(&value, key)?;
+                    let wire = encode_u32_vec(&items);
+                    Ok((items, wire))
+                }
+            }
+        };
+        let (old, old_wire) = vector("old")?;
+        let (new, new_wire) = vector("new")?;
+        let digest = fnv1a64(&[old_wire.as_bytes(), b"|", new_wire.as_bytes()]);
+        Ok((commit_id, old, new, old_wire, new_wire, digest))
+    }
+
+    /// The route's path: the typed body decoder, then the one pass.
+    fn decode_typed(body: &[u8]) -> Result<Decoded, String> {
+        let PredictionsBody {
+            commit_id,
+            old,
+            new,
+        } = predictions_body(body)?;
+        let (packed, old, new) = PackedPredictions::decode(old, new)?;
+        let wires = (packed.old_wire().to_owned(), packed.new_wire().to_owned());
+        Ok((
+            commit_id.into_owned(),
+            old,
+            new,
+            wires.0,
+            wires.1,
+            packed.digest(),
+        ))
+    }
+
+    /// A small deterministic generator for the body fuzzer.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+
+        fn pick<'a>(&mut self, items: &[&'a str]) -> &'a str {
+            items[self.below(items.len() as u64) as usize]
+        }
+    }
+
+    /// A JSON string literal for ASCII `s`, each character `\u`-escaped
+    /// with probability `1 / every`.
+    fn literal(s: &str, rng: &mut Rng, every: u64) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            if rng.below(every) == 0 {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            } else if c == '"' || c == '\\' {
+                out.push('\\');
+                out.push(c);
+            } else {
+                out.push(c);
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Whitespace the grammar allows between tokens, or none.
+    fn space(rng: &mut Rng) -> &'static str {
+        rng.pick(&["", "", "", " ", "\n  ", "\t"])
+    }
+
+    /// One `old`/`new` member value in any of the forms the route
+    /// accepts or refuses.
+    fn vector_json(rng: &mut Rng) -> String {
+        let top = if rng.below(4) == 0 { 70 } else { 4 };
+        let items: Vec<u32> = (0..rng.below(40)).map(|_| rng.below(top) as u32).collect();
+        let array = |items: &[String], rng: &mut Rng| {
+            let sep = format!("{},{}", space(rng), space(rng));
+            format!("[{}{}{}]", space(rng), items.join(&sep), space(rng))
+        };
+        let numbers: Vec<String> = items.iter().map(u32::to_string).collect();
+        let wire = encode_u32_vec(&items);
+        match rng.below(9) {
+            0 => literal(&wire, rng, u64::MAX),
+            1 => literal(&wire, rng, 3),
+            2 => array(&numbers, rng),
+            3 => literal(&numbers.join(","), rng, u64::MAX),
+            4 => {
+                let mut numbers = numbers;
+                for _ in 0..1 + rng.below(2) {
+                    let bad = rng.pick(&[
+                        "-1",
+                        "1.5",
+                        "4294967296",
+                        "\"3\"",
+                        "[1]",
+                        "null",
+                        "true",
+                        "{}",
+                        "1e2",
+                        "-0",
+                        "9007199254740993",
+                    ]);
+                    let at = rng.below(numbers.len() as u64 + 1) as usize;
+                    numbers.insert(at, bad.to_owned());
+                }
+                array(&numbers, rng)
+            }
+            5 => {
+                let mut text = wire;
+                let at = 1.min(text.len()) + rng.below(text.len() as u64) as usize;
+                let at = at.min(text.len());
+                text.insert_str(at, rng.pick(&["!", "é", ",,", "x", " ", "#"]));
+                literal(&text, rng, 5)
+            }
+            6 => rng
+                .pick(&["true", "null", "12", "{\"a\": [1]}", "\"\""])
+                .to_owned(),
+            7 => literal(wire.trim_start_matches('#'), rng, u64::MAX),
+            _ => array(&numbers, rng).replace(',', ",\n    "),
+        }
+    }
+
+    /// A predictions body from `seed`: members in any order, missing,
+    /// duplicated, unknown, escaped keys, other top-level values, and a
+    /// quarter of the bodies cut, spliced or made non-UTF-8.
+    fn arbitrary_body(seed: u64) -> Vec<u8> {
+        let mut rng = Rng(seed);
+        let mut members: Vec<(String, String)> = Vec::new();
+        let commit_id = |rng: &mut Rng| match rng.below(6) {
+            0..=2 => literal(&format!("c{}", rng.below(10)), rng, u64::MAX),
+            3 => literal("c\"1", rng, 2),
+            4 => "7".to_owned(),
+            _ => "null".to_owned(),
+        };
+        for key in ["commit_id", "old", "new"] {
+            for _ in 0..[0, 1, 1, 1, 1, 1, 1, 2][rng.below(8) as usize] {
+                let value = if key == "commit_id" {
+                    commit_id(&mut rng)
+                } else {
+                    vector_json(&mut rng)
+                };
+                members.push((literal(key, &mut rng, 12), value));
+            }
+        }
+        if rng.below(4) == 0 {
+            members.push(("\"extra\"".into(), vector_json(&mut rng)));
+        }
+        for i in (1..members.len()).rev() {
+            members.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let parts: Vec<String> = members
+            .iter()
+            .map(|(k, v)| {
+                format!(
+                    "{}{k}{}:{}{v}",
+                    space(&mut rng),
+                    space(&mut rng),
+                    space(&mut rng)
+                )
+            })
+            .collect();
+        let text = match rng.below(16) {
+            0 => format!(
+                "[{}]",
+                members
+                    .iter()
+                    .map(|(_, v)| v.as_str())
+                    .collect::<Vec<_>>()
+                    .join(",")
+            ),
+            1 => rng.pick(&["12", "\"x\"", "null", ""]).to_owned(),
+            _ => format!(
+                "{{{}{}}}{}",
+                parts.join(","),
+                space(&mut rng),
+                space(&mut rng)
+            ),
+        };
+        let mut bytes = text.into_bytes();
+        if rng.below(4) == 0 && !bytes.is_empty() {
+            let at = rng.below(bytes.len() as u64) as usize;
+            match rng.below(4) {
+                0 => bytes.truncate(at),
+                1 => {
+                    bytes.remove(at);
+                }
+                2 => bytes.insert(at, 0xff),
+                _ => {
+                    let noise =
+                        rng.pick(&["{", "}", "[", "]", ",", ":", "\"", "\\", " ", "x", "0"]);
+                    bytes.splice(at..at, noise.bytes());
+                }
+            }
+        }
+        bytes
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2048))]
+
+        /// The typed body decoder accepts exactly the bodies the tree
+        /// path accepted, with the same items, wire strings and digest,
+        /// and refuses the others with the same reason (every refusal is
+        /// a 400 on both paths).
+        #[test]
+        fn predictions_body_decoder_matches_the_tree(seed in 0u64..u64::MAX) {
+            let body = arbitrary_body(seed);
+            proptest::prop_assert_eq!(
+                decode_typed(&body),
+                decode_with_the_tree(&body),
+                "{}",
+                String::from_utf8_lossy(&body)
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(250_000))]
+
+        /// [`predictions_body_decoder_matches_the_tree`] over many more
+        /// bodies; run it in release with `--ignored`.
+        #[test]
+        #[ignore = "exhaustive; run in release with --ignored"]
+        fn predictions_body_decoder_matches_the_tree_exhaustively(seed in 0u64..u64::MAX) {
+            let body = arbitrary_body(seed);
+            proptest::prop_assert_eq!(
+                decode_typed(&body),
+                decode_with_the_tree(&body),
+                "{}",
+                String::from_utf8_lossy(&body)
+            );
+        }
+    }
+
+    #[test]
+    fn predictions_body_refusals_come_in_order() {
+        let reason = |body: &str| decode_typed(body.as_bytes()).unwrap_err();
+        assert_eq!(
+            decode_typed(b"{\"commit_id\": \"c\", \"old\": \"#0\xff\"}").unwrap_err(),
+            "body is not UTF-8"
+        );
+        assert!(reason("{\"old\": \"#!\", \"new\": [1,]}").starts_with("JSON error at byte"));
+        assert_eq!(
+            reason("{\"commit_id\": 3, \"old\": \"#!\"}"),
+            "missing string field `commit_id`"
+        );
+        assert_eq!(
+            reason("{\"commit_id\": \"c\", \"old\": \"#!\"}"),
+            "old: invalid packed-vector character `!`"
+        );
+        assert_eq!(
+            reason("{\"commit_id\": \"c\", \"new\": [1, 2.5], \"old\": [0, -1]}"),
+            "old[1] is not a u32"
+        );
+        assert_eq!(
+            reason("{\"commit_id\": \"c\", \"old\": \"1,2\"}"),
+            "missing field `new`"
+        );
+        assert_eq!(
+            reason("{\"commit_id\": \"c\", \"old\": \"1\", \"new\": {}}"),
+            "new must be an array of integers or a packed vector string"
+        );
+        // The first of duplicate keys wins, escaped keys match.
+        let (id, old, new, ..) = decode_typed(
+            b"{\"\\u0063ommit_id\": \"a\", \"commit_id\": \"b\", \"old\": \"#1\", \"new\": [2], \"old\": 9}",
+        )
+        .unwrap();
+        assert_eq!((id.as_str(), old, new), ("a", vec![1], vec![2]));
+    }
+
+    /// Projects in the budget states a receipt reports: fresh, one step
+    /// spent, retired, and a lazy predictions pool with labels spent.
+    fn projects() -> Vec<Project> {
+        let script = "ml:\n\
+            \x20 - condition  : n - o > 0.0 +/- 0.2\n\
+            \x20 - reliability: 0.99\n\
+            \x20 - mode       : fp-free\n\
+            \x20 - adaptivity : full\n\
+            \x20 - steps      : 2\n";
+        let estimator = serving_estimator();
+        let counts = CommitSubmission {
+            commit_id: "c".into(),
+            counts: EvalCounts {
+                samples: 100_000,
+                new_correct: 90_000,
+                old_correct: 50_000,
+                changed: 40_000,
+                labels: 100_000,
+                per_class: None,
+            },
+        };
+        let mut out = Vec::new();
+        for commits in 0..3 {
+            let mut project = Project::register("p", script, &estimator).unwrap();
+            for i in 0..commits {
+                let submission = CommitSubmission {
+                    commit_id: format!("c{i}"),
+                    ..counts.clone()
+                };
+                project.submit(&submission).unwrap();
+            }
+            out.push(project);
+        }
+        let spec = TestsetSpec {
+            truth: vec![0; 100],
+            classes: 2,
+            lazy: true,
+        };
+        let mut project =
+            Project::register_with_testset("q", script, &estimator, Some(spec)).unwrap();
+        let preds = |correct: usize| (0..100).map(|i| u32::from(i >= correct)).collect();
+        project
+            .submit_predictions(&PredictionsSubmission {
+                commit_id: "c".into(),
+                old: preds(50),
+                new: preds(90),
+            })
+            .unwrap();
+        out.push(project);
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Both routes' receipts, written straight into a `JsonWriter`,
+        /// match the [`Value`] trees they used to be encoded from, byte
+        /// for byte: escapes, `null`s, integers past 2^53 and the
+        /// per-class section included.
+        #[test]
+        fn writer_receipts_match_the_value_reference(seed in 0u64..u64::MAX) {
+            let mut rng = Rng(seed);
+            let big = |rng: &mut Rng| match rng.below(3) {
+                0 => rng.below(1000),
+                1 => rng.below(1 << 53),
+                _ => rng.below(u64::MAX),
+            };
+            let receipt = GateReceipt {
+                commit_id: rng.pick(&["c1", "", "a\"b\\c", "é\n\u{1}😀"]).to_owned(),
+                step: rng.below(u64::from(u32::MAX) + 1) as u32,
+                era: rng.below(5) as u32,
+                signal: [None, Some(true), Some(false)][rng.below(3) as usize],
+                accepted: rng.below(2) == 0,
+                outcome: [Tribool::True, Tribool::False, Tribool::Unknown][rng.below(3) as usize],
+                passed: rng.below(2) == 0,
+                alarm: [None, Some(AlarmReason::BudgetExhausted), Some(AlarmReason::PassedInHybrid)]
+                    [rng.below(3) as usize],
+                steps_remaining: rng.below(10) as u32,
+                labels: big(&mut rng),
+            };
+            let per_class = (rng.below(2) == 0).then(|| {
+                let classes = 1 + rng.below(5) as u32;
+                let mut vector = || (0..classes).map(|_| big(&mut rng)).collect::<Vec<_>>();
+                PerClassCounts {
+                    classes,
+                    support: vector(),
+                    new_tp: vector(),
+                    old_tp: vector(),
+                    new_pred: vector(),
+                    old_pred: vector(),
+                }
+            });
+            let counts = EvalCounts {
+                samples: big(&mut rng),
+                new_correct: big(&mut rng),
+                old_correct: big(&mut rng),
+                changed: big(&mut rng),
+                labels: big(&mut rng),
+                per_class,
+            };
+            for project in projects() {
+                let mut w = JsonWriter::compact();
+                w.begin_object();
+                write_receipt_fields(&mut w, &receipt, &project);
+                w.end_object();
+                let reference = receipt_json(&receipt, &budget_json(&project));
+                proptest::prop_assert_eq!(w.finish(), reference.encode());
+
+                let Value::Object(mut fields) = reference else { unreachable!() };
+                let labeled_total = project.measured().map_or(0, MeasuredTestset::labeled_count);
+                let mut measurement = vec![
+                    ("samples", Value::from(counts.samples)),
+                    ("new_correct", Value::from(counts.new_correct)),
+                    ("old_correct", Value::from(counts.old_correct)),
+                    ("changed", Value::from(counts.changed)),
+                    ("labels_spent", Value::from(counts.labels)),
+                    ("labeled_total", Value::from(labeled_total)),
+                ];
+                if let Some(pc) = &counts.per_class {
+                    measurement.push(("per_class", per_class_response_json(pc)));
+                }
+                fields.push(("measurement".into(), Value::object(measurement)));
+                proptest::prop_assert_eq!(
+                    predictions_receipt(&receipt, &counts, &project),
+                    Value::Object(fields).encode()
+                );
+            }
+        }
+    }
 }

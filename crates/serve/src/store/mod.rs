@@ -113,13 +113,13 @@ pub mod group;
 
 use crate::error::ServeError;
 use crate::json::{
-    decode_u32_vec, encode_u32_vec, exact_u64, u32_vec_with_wire, JsonError, JsonWriter, Kind,
-    Reader, Value,
+    decode_u32_vec, encode_u32_vec, exact_u64, JsonError, JsonWriter, Kind, Reader, Value,
 };
 use crate::obs::trace::{self, Stage};
+use crate::obs::OutcomeCounters;
 use crate::registry::{
     CommitSubmission, EntryKey, EvalCounts, GateReceipt, MeasuredTestset, PackedPredictions,
-    PredictionsSubmission, Project, TestsetSpec,
+    PredictionsSubmission, Project, TestsetSpec, WireVector,
 };
 use crate::vfs::{write_atomic, RealVfs, Vfs};
 use easeml_ci_core::{
@@ -653,7 +653,7 @@ impl ProjectStore {
         w.key("id").string(&submission.commit_id);
         write_outcome_fields(&mut w, &submission.counts, receipt);
         w.end_object();
-        self.append(w.finish(), project)
+        self.append(w.finish_line(), project)
     }
 
     /// Journal one accepted predictions submission: the vectors (replay
@@ -661,7 +661,9 @@ impl ProjectStore {
     /// cross-checked at replay — a tampered prediction blob or testset
     /// blob diverges and fails the boot). The vectors arrive already
     /// packed: the bytes the request's dedup digest was computed over,
-    /// as the client sent them when they came `#`-packed.
+    /// as the client sent them when they came `#`-packed. The line is
+    /// written into one buffer sized for it up front, newline included,
+    /// so the vectors are copied once.
     ///
     /// # Errors
     ///
@@ -669,12 +671,21 @@ impl ProjectStore {
     pub fn append_commit_predictions(
         &mut self,
         commit_id: &str,
-        packed: &PackedPredictions,
+        packed: &PackedPredictions<'_>,
         counts: &EvalCounts,
         receipt: &GateReceipt,
         project: &Project,
     ) -> Result<(), ServeError> {
-        let mut w = JsonWriter::compact();
+        // The fixed keys and the widest integers take under 300 bytes,
+        // a `per_class` object at most 21 bytes per integer plus its
+        // keys.
+        let per_class = counts
+            .per_class
+            .as_ref()
+            .map_or(0, |pc| 96 + 5 * 21 * pc.classes as usize);
+        let mut w = JsonWriter::compact_with_capacity(
+            288 + commit_id.len() + packed.old_wire().len() + packed.new_wire().len() + per_class,
+        );
         w.begin_object();
         w.key("op").string("commit_predictions");
         w.key("id").string(commit_id);
@@ -682,7 +693,7 @@ impl ProjectStore {
         w.key("new").string(packed.new_wire());
         write_outcome_fields(&mut w, counts, receipt);
         w.end_object();
-        self.append(w.finish(), project)
+        self.append(w.finish_line(), project)
     }
 
     /// Journal a fresh-testset installation. `testset_digest` is present
@@ -706,7 +717,7 @@ impl ProjectStore {
             w.key("testset_digest").string(&digest_hex(digest));
         }
         w.end_object();
-        self.append(w.finish(), project)
+        self.append(w.finish_line(), project)
     }
 
     /// Persist the blob for a new era's server-side testset (atomic, its
@@ -741,9 +752,9 @@ impl ProjectStore {
         self.ops_written > self.sealed_ops.get()
     }
 
-    fn append(&mut self, op: String, project: &Project) -> Result<(), ServeError> {
-        let mut line = op.into_bytes();
-        line.push(b'\n');
+    /// Journal one op: `line` is its JSON, newline included.
+    fn append(&mut self, line: String, project: &Project) -> Result<(), ServeError> {
+        let line = line.into_bytes();
         #[cfg(test)]
         if self.fail_next_append {
             self.fail_next_append = false;
@@ -954,7 +965,7 @@ fn write_outcome_fields(w: &mut JsonWriter, counts: &EvalCounts, receipt: &GateR
 /// Per-class confusion counts — the shared shape of the journal's
 /// `commit`/`commit_predictions` ops and the snapshot's history entries
 /// for F1/top-k conditions.
-fn write_per_class(w: &mut JsonWriter, pc: &PerClassCounts) {
+pub(crate) fn write_per_class(w: &mut JsonWriter, pc: &PerClassCounts) {
     w.begin_object();
     w.key("classes").u64(pc.classes.into());
     let vectors = [
@@ -1069,16 +1080,20 @@ fn load_snapshot(
         let recorded = snap
             .testset_digest
             .ok_or_else(|| corrupt(path, "missing or bad `testset_digest`"))?;
-        let measured = MeasuredTestset::from_spec(read_testset_blob(vfs, dir, era)?)
-            .map_err(|e| corrupt(path, format!("invalid testset: {e}")))?;
-        if measured.digest() != recorded {
+        // Era 0's pool is the one registration just built from the same
+        // blob, still unlabelled: reuse it instead of reading it again.
+        if era != 0 {
+            let measured = MeasuredTestset::from_spec(read_testset_blob(vfs, dir, era)?)
+                .map_err(|e| corrupt(path, format!("invalid testset: {e}")))?;
+            project.set_measured(Some(measured));
+        }
+        if project.testset_digest() != Some(recorded) {
             return Err(corrupt(
                 &dir.join(testset_blob_name(era)),
                 "testset blob does not match the snapshot's digest",
             ));
         }
-        let lazy = measured.lazy();
-        project.set_measured(Some(measured));
+        let lazy = project.measured().is_some_and(MeasuredTestset::lazy);
         // Fully-labelled pools are complete from construction; only lazy
         // pools carry (and require) the spent-label record.
         if lazy {
@@ -1470,16 +1485,13 @@ fn replay_op(
             check_outcome(&receipt)
         }
         Some("commit_predictions") => {
-            let vector =
-                |wire: Option<Value>, key: &str| -> Result<(Vec<u32>, String), ServeError> {
-                    match wire {
-                        Some(wire @ Value::String(_)) => u32_vec_with_wire(wire, key).map_err(bad),
-                        _ => Err(bad(format!("missing `{key}`"))),
-                    }
-                };
-            let (old, old_wire) = vector(old_wire, "old")?;
-            let (new, new_wire) = vector(new_wire, "new")?;
-            let packed = PackedPredictions::new(old_wire, new_wire);
+            let vector = |wire: Option<Value>, key: &str| match wire {
+                Some(Value::String(wire)) => WireVector::Text(Cow::Owned(wire)),
+                _ => WireVector::Invalid(format!("missing `{key}`")),
+            };
+            let (packed, old, new) =
+                PackedPredictions::decode(vector(old_wire, "old"), vector(new_wire, "new"))
+                    .map_err(bad)?;
             let recorded = recorded_counts()?;
             let (receipt, counts) = project
                 .submit_packed_predictions(&commit_id()?, &packed, &old, &new, &mut Vec::new())
@@ -1532,6 +1544,8 @@ pub struct ProjectSlot {
     /// The live gate state.
     pub project: Project,
     store: ProjectStore,
+    /// The project's gate-outcome counters, resolved on first use.
+    pub(crate) outcomes: OutcomeCounters,
 }
 
 impl ProjectSlot {
@@ -1607,7 +1621,7 @@ impl ProjectSlot {
     pub(crate) fn submit_packed_predictions(
         &mut self,
         commit_id: &str,
-        packed: &PackedPredictions,
+        packed: &PackedPredictions<'_>,
         old: &[u32],
         new: &[u32],
     ) -> Result<(GateReceipt, EvalCounts), ServeError> {
@@ -1865,7 +1879,11 @@ impl Registry {
             )?;
             projects.insert(
                 project.name().to_owned(),
-                Arc::new(Mutex::new(ProjectSlot { project, store })),
+                Arc::new(Mutex::new(ProjectSlot {
+                    project,
+                    store,
+                    outcomes: OutcomeCounters::default(),
+                })),
             );
         }
         Ok(Registry {
@@ -1975,7 +1993,11 @@ impl Registry {
             &self.failures,
         )
         .map(|store| {
-            let slot = Arc::new(Mutex::new(ProjectSlot { project, store }));
+            let slot = Arc::new(Mutex::new(ProjectSlot {
+                project,
+                store,
+                outcomes: OutcomeCounters::default(),
+            }));
             self.projects
                 .write()
                 .expect("registry poisoned")
@@ -2027,26 +2049,31 @@ impl Registry {
 
     /// Snapshot every project with ops past its last snapshot (the
     /// graceful-shutdown and `/admin/persist` hook). One never committed
-    /// to, or unchanged since its last seal, has nothing to add.
+    /// to, or unchanged since its last seal, has nothing to add. Projects
+    /// go in name order, and a failed snapshot does not stop the pass:
+    /// every other project is still snapshotted.
     ///
     /// # Errors
     ///
-    /// The first I/O failure encountered.
+    /// The first failure, once every project was tried.
     pub fn snapshot_all(&self) -> Result<(), ServeError> {
-        let slots: Vec<Arc<Mutex<ProjectSlot>>> = self
+        let mut slots: Vec<(String, Arc<Mutex<ProjectSlot>>)> = self
             .projects
             .read()
             .expect("registry poisoned")
-            .values()
-            .cloned()
+            .iter()
+            .map(|(name, slot)| (name.clone(), Arc::clone(slot)))
             .collect();
-        for slot in slots {
+        slots.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        // One project's failure must not skip the others' snapshots.
+        let mut result = Ok(());
+        for (_, slot) in slots {
             let slot = slot.lock().expect("project poisoned");
             if slot.store.has_unsealed_ops() {
-                slot.snapshot()?;
+                result = result.and(slot.snapshot());
             }
         }
-        Ok(())
+        result
     }
 }
 
@@ -2708,6 +2735,69 @@ mod tests {
         assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
         std::fs::write(&blob_path, blob).unwrap();
         assert!(Registry::open(&dir, serving_estimator()).is_ok());
+    }
+
+    /// Boot reads a predictions project's era-0 blob once: the pool
+    /// registration builds from it is the one the era-0 snapshot
+    /// restores its labels into. A snapshot whose testset digest no
+    /// longer matches still fails with the snapshot's reason.
+    #[test]
+    fn boot_reads_the_era_zero_testset_once() {
+        let root = Path::new("/era-zero-blob");
+        let dir = root.join("projects/proj");
+        let blob = dir.join(testset_blob_name(0));
+        let script = SCRIPT
+            .replace("n > 0.6 +/- 0.2", "n - o > 0.0 +/- 0.2")
+            .replace("steps      : 3", "steps      : 10");
+        let fvfs = FaultVfs::new(root, FaultPlan::new());
+        {
+            let registry =
+                Registry::open_with(root, serving_estimator(), Arc::new(fvfs.clone())).unwrap();
+            let slot = registry
+                .register("proj", &script, Some(lazy_spec(100)))
+                .unwrap();
+            let mut slot = slot.lock().unwrap();
+            slot.submit_predictions(&pred_submission("c1", 100, 50, 90))
+                .unwrap();
+            slot.snapshot().unwrap();
+            slot.submit_predictions(&pred_submission("c2", 100, 50, 70))
+                .unwrap();
+        }
+        let boot = |disk: MemVfs| {
+            let fvfs = FaultVfs::with_disk(root, disk, FaultPlan::new());
+            fvfs.start_recording();
+            let opened = Registry::open_with(root, serving_estimator(), Arc::new(fvfs.clone()));
+            let reads = fvfs
+                .take_oplog()
+                .iter()
+                .filter(|op| op.kind == "read" && op.path == blob)
+                .count();
+            (opened, reads)
+        };
+        let (registry, reads) = boot(fvfs.disk());
+        assert_eq!(reads, 1, "one read of the blob per boot");
+        let slot = registry.unwrap().get("proj").unwrap();
+        let slot = slot.lock().unwrap();
+        assert_eq!(slot.project.era(), 0);
+        assert_eq!(slot.project.measured().unwrap().labeled_count(), 40);
+
+        let disk = fvfs.disk();
+        let snapshot = dir.join("snapshot.json");
+        let text = disk.read_to_string(&snapshot).unwrap();
+        let recorded = digest_hex(lazy_spec(100).digest());
+        assert!(text.contains(&recorded), "{text}");
+        let tampered = text.replace(&recorded, &digest_hex(lazy_spec(99).digest()));
+        write_atomic(&disk, &snapshot, tampered.as_bytes()).unwrap();
+        let (opened, reads) = boot(disk);
+        assert_eq!(reads, 1);
+        let Err(err) = opened else {
+            panic!("a foreign digest fails boot");
+        };
+        let err = err.to_string();
+        assert!(
+            err.contains("testset.0.json") && err.contains("does not match the snapshot's digest"),
+            "{err}"
+        );
     }
 
     #[test]

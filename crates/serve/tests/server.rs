@@ -1297,6 +1297,140 @@ fn predictions_wire_encodings_are_interchangeable() {
     assert!(snapshot.contains("pred_digest"), "{snapshot}");
 }
 
+/// One commit sent as a `#` string, as a `#` string written entirely in
+/// `\u` escapes, as a JSON array and as a CSV string: every encoding's
+/// project answers byte-identical receipts and journals byte-identical
+/// lines. A redelivery of the latest commit in another encoding answers
+/// the recorded receipt and spends no budget step, label or journal
+/// byte.
+#[test]
+fn predictions_commit_reads_the_same_in_every_encoding() {
+    const SIZE: usize = 150;
+    let truth: Vec<u32> = (0..SIZE as u32).map(|i| (i * 5) % 4).collect();
+    let old: Vec<u32> = truth
+        .iter()
+        .enumerate()
+        .map(|(i, &t)| if i % 4 == 0 { (t + 1) % 4 } else { t })
+        .collect();
+    let new: Vec<u32> = old
+        .iter()
+        .enumerate()
+        .map(|(i, &o)| if i % 7 == 0 { (o + 3) % 4 } else { o })
+        .collect();
+    type Encode = fn(&[u32]) -> String;
+    let encodings: [(&str, Encode); 4] = [
+        ("hash", |v| {
+            format!("\"{}\"", easeml_serve::json::encode_u32_vec(v))
+        }),
+        ("escaped", |v| {
+            let wire = easeml_serve::json::encode_u32_vec(v);
+            let escaped: String = wire
+                .chars()
+                .map(|c| format!("\\u{:04x}", c as u32))
+                .collect();
+            format!("\"{escaped}\"")
+        }),
+        ("array", |v| {
+            format!(
+                "[{}]",
+                v.iter().map(u32::to_string).collect::<Vec<_>>().join(", ")
+            )
+        }),
+        ("csv", |v| {
+            format!(
+                "\"{}\"",
+                v.iter().map(u32::to_string).collect::<Vec<_>>().join(",")
+            )
+        }),
+    ];
+    let body = |id: &str, encode: Encode, new: &[u32]| {
+        format!(
+            "{{\"commit_id\": \"{id}\", \"old\": {}, \"new\": {}}}",
+            encode(&old),
+            encode(new)
+        )
+    };
+    let post = |addr: &str, name: &str, body: &str| {
+        let path = format!("/projects/{name}/commits/predictions");
+        let (status, response) = raw_round_trip(addr, "POST", &path, body);
+        let receipt = response.split("\r\n\r\n").nth(1).unwrap_or("").to_owned();
+        assert_eq!(status, 200, "{name}: {receipt}");
+        receipt
+    };
+    let shift = |v: &[u32]| -> Vec<u32> { v.iter().map(|&x| (x + 1) % 4).collect() };
+
+    let dir = temp_dir("pred-every-encoding");
+    let (addr, handle, join) = start(&dir, 2);
+    let mut client = Client::new(addr.clone());
+    let journal = |name: &str| std::fs::read(dir.join("projects").join(name).join("journal.0.log"));
+    let mut receipts = Vec::new();
+    for (name, encode) in encodings {
+        let register = Value::object([
+            ("name", Value::from(name)),
+            ("script", Value::from(DIFF_SCRIPT)),
+            (
+                "testset",
+                Value::object([
+                    (
+                        "labels",
+                        Value::from(easeml_serve::json::encode_u32_vec(&truth)),
+                    ),
+                    ("labeling", Value::from("lazy")),
+                    ("classes", Value::from(4u64)),
+                ]),
+            ),
+        ]);
+        let (status, reg) = client
+            .request("POST", "/projects", Some(&register))
+            .unwrap();
+        assert_eq!(status, 201, "{reg}");
+        receipts.push([
+            post(&addr, name, &body("c1", encode, &new)),
+            post(&addr, name, &body("c2", encode, &shift(&new))),
+        ]);
+    }
+    for (i, (name, _)) in encodings.iter().enumerate().skip(1) {
+        assert_eq!(receipts[i], receipts[0], "{name} receipts");
+        assert_eq!(
+            journal(name).unwrap(),
+            journal("hash").unwrap(),
+            "{name} journal"
+        );
+    }
+    let labels = Value::parse(&receipts[0][0]).unwrap();
+    assert!(
+        labels.get("labels").and_then(Value::as_u64).unwrap() > 0,
+        "{labels}"
+    );
+
+    let before = journal("hash").unwrap();
+    let (_, budget) = client
+        .request("GET", "/projects/hash/budget", None)
+        .unwrap();
+    for (_, encode) in &encodings[1..] {
+        let again = post(&addr, "hash", &body("c2", *encode, &shift(&new)));
+        assert_eq!(
+            again, receipts[0][1],
+            "redelivery answers the recorded receipt"
+        );
+    }
+    let (_, after) = client
+        .request("GET", "/projects/hash/budget", None)
+        .unwrap();
+    assert_eq!(after, budget, "no budget step, no label");
+    assert_eq!(
+        budget
+            .get("budget")
+            .and_then(|b| b.get("used"))
+            .and_then(Value::as_u64),
+        Some(2)
+    );
+    assert_eq!(journal("hash").unwrap(), before, "nothing journalled");
+    drop(client);
+    handle.stop();
+    join.join().unwrap();
+}
+
 /// Drive a deterministic predictions-mode schedule against a server of
 /// the given width; returns each project's journal bytes, read before
 /// the shutdown snapshot seals them.
@@ -2465,6 +2599,81 @@ fn failed_round_answers_500_then_poisons_only_its_project() {
     assert_eq!(*status, 200, "another project still commits: {body}");
     // The shutdown snapshot cannot seal the poisoned journal either.
     assert!(ran.is_err_and(|e| e.contains("poisoned")));
+}
+
+/// A graceful stop snapshots every project although one journal is
+/// poisoned: the healthy project's journal is sealed, whether it comes
+/// before or after the poisoned one, and the run still returns the
+/// poisoned project's error.
+#[test]
+fn shutdown_snapshots_every_project_past_a_poisoned_one() {
+    use easeml_serve::vfs::{Fault, FaultKind, FaultPlan, FaultVfs, Vfs};
+    use std::sync::Arc;
+
+    let root = std::path::Path::new("/poisoned-shutdown");
+    let is_journal = |path: &std::path::Path| {
+        path.file_name()
+            .and_then(|n| n.to_str())
+            .is_some_and(|n| n.starts_with("journal."))
+    };
+    // Register both, commit once to each, stop; returns the disk and
+    // what the server's run returned.
+    let drive = |plan: FaultPlan, first: &str, second: &str| {
+        let fvfs = FaultVfs::new(root, plan);
+        fvfs.start_recording();
+        let vfs: Arc<dyn Vfs> = Arc::new(fvfs.clone());
+        let server = Server::bind(&ServeConfig {
+            threads: 2,
+            vfs: Some(vfs),
+            ..ServeConfig::new("127.0.0.1:0", root)
+        })
+        .expect("bind");
+        let addr = server.local_addr().to_string();
+        let join = std::thread::spawn(move || server.run().map_err(|e| e.to_string()));
+        let mut client = Client::with_policy(addr, easeml_serve::RetryPolicy::none());
+        for name in [first, second] {
+            let (status, _) = client
+                .request("POST", "/projects", Some(&register_body(name, SCRIPT)))
+                .unwrap();
+            assert_eq!(status, 201);
+        }
+        for name in [first, second] {
+            client
+                .request(
+                    "POST",
+                    &format!("/projects/{name}/commits"),
+                    Some(&commit_body("c1", 90)),
+                )
+                .unwrap();
+        }
+        let (status, _) = client.request("POST", "/admin/shutdown", None).unwrap();
+        assert_eq!(status, 200);
+        drop(client);
+        let ran = join.join().unwrap();
+        (fvfs, ran)
+    };
+    for (poisoned, healthy) in [("alpha", "beta"), ("beta", "alpha")] {
+        let (clean, ran) = drive(FaultPlan::new(), poisoned, healthy);
+        assert_eq!(ran, Ok(()));
+        let log = clean.take_oplog();
+        let sync = log
+            .iter()
+            .find(|op| op.scope == poisoned && op.kind == "sync" && is_journal(&op.path))
+            .expect("a round syncs the journal");
+        let plan = FaultPlan::new().at(poisoned, sync.index, Fault::Fail(FaultKind::Eio));
+        let (faulty, ran) = drive(plan, poisoned, healthy);
+        assert!(
+            ran.as_ref().is_err_and(|e| e.contains("poisoned")),
+            "{poisoned} poisoned: {ran:?}"
+        );
+        let dir = root.join("projects").join(healthy);
+        let files = faulty.list_dir(&dir).unwrap();
+        assert!(
+            !files.iter().any(|path| is_journal(path)),
+            "{healthy}'s journal is sealed: {files:?}"
+        );
+        assert!(faulty.exists(&dir.join("snapshot.json")), "{files:?}");
+    }
 }
 
 /// Under `group` the loop credits a commit the wait from its handler's
