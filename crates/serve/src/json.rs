@@ -8,11 +8,16 @@
 //! insertion order, so serialization is deterministic — a property the
 //! journal format and the restart tests rely on.
 //!
-//! The reader is the only tokenizer: [`Value::parse`] builds its tree by
-//! a recursion over it, restart recovery decodes `snapshot.json` with it
-//! in one pass, straight into gate state, and the predictions route
-//! decodes its request body with it the same way, borrowing the commit
-//! id and any escape-free vector string from the request. All of them
+//! The reader is the only tokenizer. Every record the server reads is
+//! decoded in one pull pass over it, with no tree, straight into the
+//! caller's types (the server's `record` module): both commit bodies and
+//! the journal lines restart replay reads, the register and
+//! fresh-testset bodies, `project.json`, the era blobs
+//! `testset.<era>.json` and `snapshot.json`. The decoders borrow keys
+//! and escape-free strings (a commit id, a packed vector) from the text.
+//! [`Value::parse`] builds its tree by a recursion over the same reader;
+//! it serves the HTTP client's response reader, the tests and the
+//! benchmark, and no server route or boot path calls it. All of them
 //! therefore share one lexer (whitespace, strings, numbers, literals and
 //! the depth cap) and accept exactly the same documents.
 //!
@@ -65,18 +70,6 @@ impl Value {
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
             Value::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Move the value under `key` out of an object, leaving `null` in
-    /// its place — the first match, as [`Value::get`] reads it.
-    pub(crate) fn take(&mut self, key: &str) -> Option<Value> {
-        match self {
-            Value::Object(pairs) => pairs
-                .iter_mut()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| std::mem::replace(v, Value::Null)),
             _ => None,
         }
     }
@@ -607,6 +600,9 @@ pub(crate) fn decode_packed_into(
 
 /// Read a `u32` vector from a JSON value: either a packed wire string
 /// (see [`encode_u32_vec`]) or a plain array of non-negative integers.
+/// This is the reader of HTTP clients and the benchmark, which hold a
+/// parsed [`Value`]; no server path calls it, since the server reads
+/// vectors with its pull decoders, with the same reasons.
 ///
 /// # Errors
 ///
@@ -669,28 +665,27 @@ pub(crate) enum Kind {
     Number,
     /// A string.
     String,
-    /// An array: [`Reader::begin_array`] enters it.
+    /// An array: [`Reader::array`] walks it.
     Array,
-    /// An object: [`Reader::begin_object`] enters it.
+    /// An object: [`Reader::object`] walks it.
     Object,
 }
 
 /// A pull reader over one JSON document, and the crate's only JSON
 /// tokenizer: [`Value::parse`] is a recursion over it, and decoders that
-/// know their schema (restart recovery's `snapshot.json` loader) pull
-/// members straight into their own types without building a tree.
+/// know their schema pull members straight into their own types without
+/// building a tree. Every record the server reads has one: request
+/// bodies, journal lines, `project.json`, era blobs and `snapshot.json`.
 ///
 /// The caller asks [`Reader::peek`] what comes next and consumes it: a
 /// scalar with `try_number`, `try_bool`, `try_str` or `try_null` (the
 /// first three skip a value of another kind), any value with
-/// [`Reader::skip`], or a container entered with
-/// [`Reader::begin_object`] / [`Reader::begin_array`] and walked with
-/// [`Reader::next_key`] / [`Reader::next_element`] until they report its
-/// end. Keys and escape-free strings are borrowed from
-/// the text. Every value — a scalar too — is checked against the depth
-/// cap, and [`Reader::finish`] rejects trailing garbage, so a document
-/// walked to its end is accepted exactly when [`Value::parse`] accepts
-/// it.
+/// [`Reader::skip`], or a container with [`Reader::object`] /
+/// [`Reader::array`], which hand each member or element to a closure.
+/// Keys and escape-free strings are borrowed from the text. Every value
+/// — a scalar too — is checked against the depth cap, and
+/// [`Reader::finish`] rejects trailing garbage, so a document walked to
+/// its end is accepted exactly when [`Value::parse`] accepts it.
 #[derive(Debug)]
 pub(crate) struct Reader<'a> {
     text: &'a str,
@@ -807,39 +802,42 @@ impl<'a> Reader<'a> {
         Ok(value)
     }
 
-    /// Enter the object at the position.
-    pub(crate) fn begin_object(&mut self) -> Result<(), JsonError> {
-        self.eat(b'{', "expected `{`")?;
-        self.depth += 1;
-        self.first = true;
-        Ok(())
-    }
-
-    /// The next key of the innermost object, with the reader on its
-    /// value, or `None` once the object is closed.
-    pub(crate) fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
-        if self.end_of_container(b'}', "expected `,` or `}`")? {
-            return Ok(None);
+    /// Walk the object at the position to its end: `member` consumes the
+    /// value of each key, in document order.
+    pub(crate) fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.open(b'{', "expected `{`")?;
+        while !self.end_of_container(b'}', "expected `,` or `}`")? {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.eat(b':', "expected `:` after object key")?;
+            member(self, key)?;
         }
-        self.skip_ws();
-        let key = self.string()?;
-        self.skip_ws();
-        self.eat(b':', "expected `:` after object key")?;
-        Ok(Some(key))
-    }
-
-    /// Enter the array at the position.
-    pub(crate) fn begin_array(&mut self) -> Result<(), JsonError> {
-        self.eat(b'[', "expected `[`")?;
-        self.depth += 1;
-        self.first = true;
         Ok(())
     }
 
-    /// Whether the innermost array has another element (the reader is
-    /// then on it); `false` once the array is closed.
-    pub(crate) fn next_element(&mut self) -> Result<bool, JsonError> {
-        Ok(!self.end_of_container(b']', "expected `,` or `]`")?)
+    /// Walk the array at the position to its end: `element` consumes
+    /// each element.
+    pub(crate) fn array(
+        &mut self,
+        mut element: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.open(b'[', "expected `[`")?;
+        while !self.end_of_container(b']', "expected `,` or `]`")? {
+            element(self)?;
+        }
+        Ok(())
+    }
+
+    /// Enter the container at the position.
+    fn open(&mut self, bracket: u8, what: &str) -> Result<(), JsonError> {
+        self.eat(bracket, what)?;
+        self.depth += 1;
+        self.first = true;
+        Ok(())
     }
 
     /// Step past the separator before a member, or past the closing
@@ -872,20 +870,8 @@ impl<'a> Reader<'a> {
             Kind::Bool => self.bool().map(drop),
             Kind::Number => self.number().map(drop),
             Kind::String => self.string().map(drop),
-            Kind::Array => {
-                self.begin_array()?;
-                while self.next_element()? {
-                    self.skip()?;
-                }
-                Ok(())
-            }
-            Kind::Object => {
-                self.begin_object()?;
-                while self.next_key()?.is_some() {
-                    self.skip()?;
-                }
-                Ok(())
-            }
+            Kind::Array => self.array(Self::skip),
+            Kind::Object => self.object(|r, _| r.skip()),
         }
     }
 
@@ -950,20 +936,19 @@ impl<'a> Reader<'a> {
             Kind::Number => Value::Number(self.number()?),
             Kind::String => Value::String(self.string()?.into_owned()),
             Kind::Array => {
-                self.begin_array()?;
                 let mut items = Vec::new();
-                while self.next_element()? {
-                    items.push(self.value()?);
-                }
+                self.array(|r| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
                 Value::Array(items)
             }
             Kind::Object => {
-                self.begin_object()?;
                 let mut pairs = Vec::new();
-                while let Some(key) = self.next_key()? {
-                    let value = self.value()?;
-                    pairs.push((key.into_owned(), value));
-                }
+                self.object(|r, key| {
+                    pairs.push((key.into_owned(), r.value()?));
+                    Ok(())
+                })?;
                 Value::Object(pairs)
             }
         })

@@ -48,6 +48,7 @@ pub mod http;
 pub mod json;
 mod net;
 pub mod obs;
+mod record;
 pub mod registry;
 pub mod server;
 pub mod store;

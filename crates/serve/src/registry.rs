@@ -552,6 +552,16 @@ pub(crate) enum WireVector<'a> {
 }
 
 impl<'a> WireVector<'a> {
+    /// The items alone; a string that does not decode reads
+    /// `"{what}: {why}"`.
+    pub(crate) fn items(self, what: &str) -> Result<Vec<u32>, String> {
+        match self {
+            WireVector::Text(text) => decode_u32_vec(&text).map_err(|e| format!("{what}: {e}")),
+            WireVector::Items(items) => Ok(items),
+            WireVector::Invalid(reason) => Err(reason),
+        }
+    }
+
     /// The items and the canonical wire string, with the wire folded
     /// into FNV-1a state `hash`. A `#`-packed string already *is* that
     /// string, and one pass over its bytes checks the alphabet, decodes
@@ -565,9 +575,7 @@ impl<'a> WireVector<'a> {
                     .map_err(|e| format!("{what}: {e}"))?;
                 return Ok((text, items, hash));
             }
-            WireVector::Text(text) => decode_u32_vec(&text).map_err(|e| format!("{what}: {e}"))?,
-            WireVector::Items(items) => items,
-            WireVector::Invalid(reason) => return Err(reason),
+            other => other.items(what)?,
         };
         let wire = encode_u32_vec(&items);
         let hash = fnv1a_fold(hash, wire.as_bytes());

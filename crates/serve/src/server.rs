@@ -55,10 +55,11 @@
 
 use crate::error::ServeError;
 use crate::http::{Request, Response};
-use crate::json::{exact_u64, u32_vec_from_value, JsonError, JsonWriter, Kind, Reader, Value};
+use crate::json::{JsonError, JsonWriter, Reader, Value};
 use crate::net::{NetConfig, ReqMeta, WakeHub};
 use crate::obs::trace::{self, Stage, TraceRec};
 use crate::obs::{Counter, GateOutcome, ServeObs};
+use crate::record::{commit_members, decode_document, decode_project, TestsetFields};
 use crate::registry::{
     serving_estimator, CommitSubmission, EvalCounts, GateReceipt, MeasuredTestset,
     PackedPredictions, Project, TestsetSpec, WireVector,
@@ -68,9 +69,7 @@ use crate::store::{
     Registry,
 };
 use crate::vfs::{MeteredVfs, RealVfs, Vfs};
-use easeml_ci_core::{
-    effort, AlarmReason, BoundsCache, CostModel, EstimateProvenance, PerClassCounts, PlanCache,
-};
+use easeml_ci_core::{effort, AlarmReason, BoundsCache, CostModel, EstimateProvenance, PlanCache};
 use easeml_par::Pool;
 use std::borrow::Cow;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -824,15 +823,28 @@ fn list_projects(registry: &Registry) -> Response {
     Response::json(200, &Value::object([("projects", Value::Array(names))]))
 }
 
-/// Parse an uploaded testset object: `{"labels": <array|packed string>,
+/// Decode a request body with `decode`, after the refusals every JSON
+/// route gives first: the body must be UTF-8, then JSON throughout.
+fn decode_body<'a, T>(
+    body: &'a [u8],
+    decode: impl FnOnce(&mut Reader<'a>) -> Result<T, JsonError>,
+) -> Result<T, ServeError> {
+    let text = std::str::from_utf8(body)
+        .map_err(|_| ServeError::BadRequest("body is not UTF-8".into()))?;
+    decode_document(text, decode).map_err(|e| ServeError::BadRequest(e.to_string()))
+}
+
+/// An uploaded testset spec: `{"labels": <array|packed string>,
 /// "labeling": "full"|"lazy", "classes": <u32>}`. `labeling` defaults to
-/// `full`; `classes` defaults to `max(label) + 1`.
-fn parse_testset_spec(value: &Value) -> Result<TestsetSpec, ServeError> {
-    let truth = value
-        .get("labels")
-        .ok_or_else(|| ServeError::BadRequest("testset is missing field `labels`".into()))
-        .and_then(|v| u32_vec_from_value(v, "testset.labels").map_err(ServeError::BadRequest))?;
-    let lazy = match value.get("labeling").and_then(Value::as_str) {
+/// `full` (so does a `labeling` that is no string); `classes` defaults
+/// to `max(label) + 1`.
+fn testset_spec(fields: TestsetFields<'_>) -> Result<TestsetSpec, ServeError> {
+    let truth = fields
+        .labels
+        .ok_or_else(|| ServeError::BadRequest("testset is missing field `labels`".into()))?
+        .items("testset.labels")
+        .map_err(ServeError::BadRequest)?;
+    let lazy = match fields.labeling.as_deref() {
         None | Some("full") => false,
         Some("lazy") => true,
         Some(other) => {
@@ -841,11 +853,9 @@ fn parse_testset_spec(value: &Value) -> Result<TestsetSpec, ServeError> {
             )))
         }
     };
-    let classes = match value.get("classes") {
-        None | Some(Value::Null) => truth.iter().max().map_or(1, |&m| m.saturating_add(1)),
-        Some(v) => v
-            .as_u64()
-            .and_then(|c| u32::try_from(c).ok())
+    let classes = match fields.classes {
+        None => truth.iter().max().map_or(1, |&m| m.saturating_add(1)),
+        Some(classes) => classes
             .ok_or_else(|| ServeError::BadRequest("testset `classes` must be a u32".into()))?,
     };
     let spec = TestsetSpec {
@@ -871,25 +881,30 @@ fn testset_json(measured: &MeasuredTestset, meets_estimate: bool) -> Value {
     ])
 }
 
-fn register_project(registry: &Registry, request: &Request) -> Result<Response, ServeError> {
-    let body = request.json_body().map_err(ServeError::BadRequest)?;
+/// A register body as its route reads it: name, script and testset spec.
+type RegisterBody<'a> = (Cow<'a, str>, Cow<'a, str>, Option<TestsetSpec>);
+
+/// A register body, `{"name", "script"[, "testset"]}`, refused in order:
+/// UTF-8, syntax anywhere, `name`, `script`, then the testset spec.
+fn register_body(body: &[u8]) -> Result<RegisterBody<'_>, ServeError> {
+    let body = decode_body(body, decode_project)?;
     let name = body
-        .get("name")
-        .and_then(Value::as_str)
+        .name
         .ok_or_else(|| ServeError::BadRequest("missing string field `name`".into()))?;
     let script = body
-        .get("script")
-        .and_then(Value::as_str)
+        .script
         .ok_or_else(|| ServeError::BadRequest("missing string field `script`".into()))?;
-    let testset = match body.get("testset") {
-        None | Some(Value::Null) => None,
-        Some(value) => Some(parse_testset_spec(value)?),
-    };
-    let slot = registry.register(name, script, testset)?;
+    let testset = body.testset.map(testset_spec).transpose()?;
+    Ok((name, script, testset))
+}
+
+fn register_project(registry: &Registry, request: &Request) -> Result<Response, ServeError> {
+    let (name, script, testset) = register_body(&request.body)?;
+    let slot = registry.register(&name, &script, testset)?;
     let slot = slot.lock().expect("project poisoned");
     let project = &slot.project;
     let mut fields = vec![
-        ("project", Value::from(name)),
+        ("project", Value::from(&*name)),
         (
             "condition",
             Value::from(project.script().condition().to_string()),
@@ -973,84 +988,40 @@ fn note_rejection(ctx: &Ctx, result: Result<Response, ServeError>) -> Result<Res
     result
 }
 
-/// Parse the optional `per_class` object of a counts submission:
-/// `{"classes": C, "support": [...], "new_tp": [...], "old_tp": [...],
-/// "new_pred": [...], "old_pred": [...]}` — required when the project's
-/// condition reads `f1`/`topk` variables (scalar counts cannot carry a
-/// confusion matrix), absent otherwise.
-fn parse_per_class(body: &Value) -> Result<Option<PerClassCounts>, ServeError> {
-    let value = match body.get("per_class") {
-        None | Some(Value::Null) => return Ok(None),
-        Some(v) => v,
+/// A counts commit body, `{"commit_id", "samples", "new_correct",
+/// "old_correct", "changed"[, "labels"][, "per_class"]}`, refused in
+/// that order. `labels` may be absent or `null` (no labels charged);
+/// `per_class` is required when the project's condition reads
+/// `f1`/`topk` variables (scalar counts cannot carry a confusion
+/// matrix), and refused with the reasons restart replay gives.
+fn counts_submission(body: &[u8]) -> Result<CommitSubmission, ServeError> {
+    let body = decode_body(body, |r| commit_members(r, "commit_id"))?;
+    let bad = ServeError::BadRequest;
+    let commit_id = body
+        .id
+        .ok_or_else(|| bad("missing string field `commit_id`".into()))?;
+    let count = |value: Option<u64>, key: &str| {
+        value.ok_or_else(|| bad(format!("missing integer field `{key}`")))
     };
-    let classes = value
-        .get("classes")
-        .and_then(Value::as_u64)
-        .and_then(|c| u32::try_from(c).ok())
-        .ok_or_else(|| ServeError::BadRequest("per_class is missing integer `classes`".into()))?;
-    let vec = |key: &str| -> Result<Vec<u64>, ServeError> {
-        value
-            .get(key)
-            .and_then(Value::as_array)
-            .ok_or_else(|| ServeError::BadRequest(format!("per_class is missing array `{key}`")))?
-            .iter()
-            .map(|v| {
-                v.as_u64().ok_or_else(|| {
-                    ServeError::BadRequest(format!("per_class `{key}` holds a non-integer"))
-                })
-            })
-            .collect()
-    };
-    Ok(Some(PerClassCounts {
-        classes,
-        support: vec("support")?,
-        new_tp: vec("new_tp")?,
-        old_tp: vec("old_tp")?,
-        new_pred: vec("new_pred")?,
-        old_pred: vec("old_pred")?,
-    }))
-}
-
-/// The `per_class` section of a predictions response's measurement
-/// block — mirrors the request shape [`parse_per_class`] accepts, so a
-/// counts-mode twin can round-trip it byte-exactly. The route writes it
-/// with [`write_per_class`]; this tree is the test reference.
-#[cfg(test)]
-fn per_class_response_json(pc: &PerClassCounts) -> Value {
-    let vec = |v: &[u64]| Value::Array(v.iter().map(|&x| Value::from(x)).collect());
-    Value::object([
-        ("classes", Value::from(pc.classes)),
-        ("support", vec(&pc.support)),
-        ("new_tp", vec(&pc.new_tp)),
-        ("old_tp", vec(&pc.old_tp)),
-        ("new_pred", vec(&pc.new_pred)),
-        ("old_pred", vec(&pc.old_pred)),
-    ])
+    Ok(CommitSubmission {
+        commit_id: commit_id.into_owned(),
+        counts: EvalCounts {
+            samples: count(body.samples, "samples")?,
+            new_correct: count(body.new_correct, "new_correct")?,
+            old_correct: count(body.old_correct, "old_correct")?,
+            changed: count(body.changed, "changed")?,
+            labels: body
+                .labels
+                .unwrap_or(Some(0))
+                .ok_or_else(|| bad("`labels` must be a non-negative integer".into()))?,
+            per_class: body.per_class.transpose().map_err(bad)?,
+        },
+    })
 }
 
 fn submit_commit(ctx: &Ctx, name: &str, request: &Request) -> Result<Response, ServeError> {
     let registry: &Registry = &ctx.registry;
-    let body = request.json_body().map_err(ServeError::BadRequest)?;
-    let commit_id = body
-        .get("commit_id")
-        .and_then(Value::as_str)
-        .ok_or_else(|| ServeError::BadRequest("missing string field `commit_id`".into()))?;
-    let count = |key: &str| -> Result<u64, ServeError> {
-        body.get(key)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ServeError::BadRequest(format!("missing integer field `{key}`")))
-    };
-    let submission = CommitSubmission {
-        commit_id: commit_id.to_owned(),
-        counts: EvalCounts {
-            samples: count("samples")?,
-            new_correct: count("new_correct")?,
-            old_correct: count("old_correct")?,
-            changed: count("changed")?,
-            labels: body.get("labels").and_then(Value::as_u64).unwrap_or(0),
-            per_class: parse_per_class(&body)?,
-        },
-    };
+    let submission = counts_submission(&request.body)?;
     with_project(registry, name, |slot| {
         let receipt = slot.submit(&submission)?;
         ctx.obs
@@ -1064,96 +1035,31 @@ fn submit_commit(ctx: &Ctx, name: &str, request: &Request) -> Result<Response, S
     })
 }
 
-/// A predictions commit body as [`predictions_body`] reads it: the
-/// strings borrowed from the request unless they carry escapes.
-struct PredictionsBody<'a> {
-    commit_id: Cow<'a, str>,
-    old: WireVector<'a>,
-    new: WireVector<'a>,
-}
+/// A predictions commit as its route reads it: the commit id, the packed
+/// pair and the old and new items.
+type PredictionsInput<'a> = (Cow<'a, str>, PackedPredictions<'a>, Vec<u32>, Vec<u32>);
 
-/// Decode a predictions commit body, `{"commit_id", "old", "new"}`, in
-/// one pull pass without a [`Value`] tree. It accepts exactly the bodies
-/// the tree did and refuses the others with the same reason, checked in
-/// the same order: UTF-8, then JSON syntax anywhere in the body, then
-/// `commit_id` (a string); each vector's own reason waits in its
-/// [`WireVector::Invalid`] for [`PackedPredictions::decode`]. The first
-/// of duplicate keys wins and unknown keys are skipped.
-fn predictions_body(body: &[u8]) -> Result<PredictionsBody<'_>, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
-    let mut reader = Reader::new(text);
-    predictions_fields(&mut reader)
-        .and_then(|body| reader.finish().map(|()| body))
-        .map_err(|e| e.to_string())?
-        .ok_or_else(|| "missing string field `commit_id`".into())
-}
-
-/// Walk the document at the reader to its end, keeping the first
-/// `commit_id`, `old` and `new` members: `None` when `commit_id` is
-/// missing or no string.
-fn predictions_fields<'a>(
-    reader: &mut Reader<'a>,
-) -> Result<Option<PredictionsBody<'a>>, JsonError> {
-    let (mut commit_id, mut old, mut new) = (None, None, None);
-    if reader.peek()? != Kind::Object {
-        reader.skip()?;
-        return Ok(None);
-    }
-    reader.begin_object()?;
-    while let Some(key) = reader.next_key()? {
-        match &*key {
-            "commit_id" if commit_id.is_none() => commit_id = Some(reader.try_str()?),
-            "old" if old.is_none() => old = Some(wire_vector(reader, "old")?),
-            "new" if new.is_none() => new = Some(wire_vector(reader, "new")?),
-            _ => reader.skip()?,
-        }
-    }
+/// A predictions commit body, `{"commit_id", "old", "new"}`, refused in
+/// that order. The commit id and every escape-free vector string are
+/// borrowed from the request, and each vector is decoded in one pass
+/// with the redelivery digest ([`PackedPredictions::decode`]).
+fn predictions_submission(body: &[u8]) -> Result<PredictionsInput<'_>, ServeError> {
+    let body = decode_body(body, |r| commit_members(r, "commit_id"))?;
+    let commit_id = body
+        .id
+        .ok_or_else(|| ServeError::BadRequest("missing string field `commit_id`".into()))?;
     let missing = |key: &str| WireVector::Invalid(format!("missing field `{key}`"));
-    Ok(commit_id.flatten().map(|commit_id| PredictionsBody {
-        commit_id,
-        old: old.unwrap_or_else(|| missing("old")),
-        new: new.unwrap_or_else(|| missing("new")),
-    }))
-}
-
-/// Read one prediction vector of a predictions body: a string as it
-/// stands, an array item by item (the first element that is no `u32`
-/// makes it invalid), anything else invalid.
-fn wire_vector<'a>(reader: &mut Reader<'a>, what: &str) -> Result<WireVector<'a>, JsonError> {
-    match reader.peek()? {
-        Kind::String => Ok(WireVector::Text(reader.try_str()?.expect("a string"))),
-        Kind::Array => {
-            reader.begin_array()?;
-            let (mut items, mut bad) = (Vec::new(), None);
-            while reader.next_element()? {
-                let item = reader.try_number()?.and_then(exact_u64);
-                match item.and_then(|v| u32::try_from(v).ok()) {
-                    Some(v) => items.push(v),
-                    None => bad = bad.or(Some(items.len())),
-                }
-            }
-            Ok(match bad {
-                None => WireVector::Items(items),
-                Some(i) => WireVector::Invalid(format!("{what}[{i}] is not a u32")),
-            })
-        }
-        _ => {
-            reader.skip()?;
-            Ok(WireVector::Invalid(format!(
-                "{what} must be an array of integers or a packed vector string"
-            )))
-        }
-    }
+    let (packed, old, new) = PackedPredictions::decode(
+        body.old.unwrap_or_else(|| missing("old")),
+        body.new.unwrap_or_else(|| missing("new")),
+    )
+    .map_err(ServeError::BadRequest)?;
+    Ok((commit_id, packed, old, new))
 }
 
 fn submit_predictions(ctx: &Ctx, name: &str, request: &Request) -> Result<Response, ServeError> {
     let registry: &Registry = &ctx.registry;
-    let PredictionsBody {
-        commit_id,
-        old,
-        new,
-    } = predictions_body(&request.body).map_err(ServeError::BadRequest)?;
-    let (packed, old, new) = PackedPredictions::decode(old, new).map_err(ServeError::BadRequest)?;
+    let (commit_id, packed, old, new) = predictions_submission(&request.body)?;
     with_project(registry, name, |slot| {
         let (receipt, counts) = slot.submit_packed_predictions(&commit_id, &packed, &old, &new)?;
         ctx.obs
@@ -1285,6 +1191,17 @@ pub(crate) fn budget_body(project: &crate::registry::Project) -> Value {
     ])
 }
 
+/// A fresh-testset body: empty, or `{"testset": <spec>}` (absent or
+/// `null` reads as no spec), refused in order: UTF-8, syntax anywhere,
+/// then the spec.
+fn fresh_testset_body(body: &[u8]) -> Result<Option<TestsetSpec>, ServeError> {
+    if body.is_empty() {
+        return Ok(None);
+    }
+    let body = decode_body(body, decode_project)?;
+    body.testset.map(testset_spec).transpose()
+}
+
 fn fresh_testset(
     registry: &Registry,
     name: &str,
@@ -1293,15 +1210,7 @@ fn fresh_testset(
     // Counts-mode projects POST an empty body (the client attests it
     // collected a fresh testset); server-measured projects must hand the
     // new era's testset data over in a `testset` object.
-    let testset = if request.body.is_empty() {
-        None
-    } else {
-        let body = request.json_body().map_err(ServeError::BadRequest)?;
-        match body.get("testset") {
-            None | Some(Value::Null) => None,
-            Some(value) => Some(parse_testset_spec(value)?),
-        }
-    };
+    let testset = fresh_testset_body(&request.body)?;
     with_project(registry, name, |slot| {
         let era = match testset {
             Some(spec) => slot.install_testset(spec)?,
@@ -1348,28 +1257,49 @@ fn persist_all(ctx: &Ctx) -> Result<Response, ServeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{decode_u32_vec, encode_u32_vec};
+    use crate::json::{decode_u32_vec, encode_u32_vec, u32_vec_from_value};
+    use crate::record::hostile::{edited, edits, Edit};
     use crate::registry::{fnv1a64, PredictionsSubmission};
-    use easeml_ci_core::Tribool;
+    use crate::vfs::MemVfs;
+    use easeml_ci_core::{PerClassCounts, Tribool};
+    use proptest::test_runner::TestCaseError;
     use std::fmt::Write as _;
+    use std::path::Path;
+
+    /// The `per_class` section of a predictions response's measurement
+    /// block — the request shape a counts body carries, so a counts-mode
+    /// twin can round-trip it byte-exactly. The route writes it with
+    /// [`write_per_class`]; this tree is the test reference.
+    fn per_class_response_json(pc: &PerClassCounts) -> Value {
+        let vec = |v: &[u64]| Value::Array(v.iter().map(|&x| Value::from(x)).collect());
+        Value::object([
+            ("classes", Value::from(pc.classes)),
+            ("support", vec(&pc.support)),
+            ("new_tp", vec(&pc.new_tp)),
+            ("old_tp", vec(&pc.old_tp)),
+            ("new_pred", vec(&pc.new_pred)),
+            ("old_pred", vec(&pc.old_pred)),
+        ])
+    }
 
     /// What a predictions route keeps of a body: the commit id, both
     /// vectors, both wire strings and the digest.
     type Decoded = (String, Vec<u32>, Vec<u32>, String, String, u64);
 
-    /// The tree path the route took before [`predictions_body`]: parse
-    /// the whole body into a [`Value`], move each member out, decode
-    /// each vector, encode arrays and CSV strings to their wire string,
-    /// digest the pair.
+    /// The tree path the route took before it decoded its body in one
+    /// pull pass: parse the whole body into a [`Value`], take each
+    /// member, decode each vector, encode arrays and CSV strings to their
+    /// wire string, digest the pair.
     fn decode_with_the_tree(body: &[u8]) -> Result<Decoded, String> {
         let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
-        let mut body = Value::parse(text).map_err(|e| e.to_string())?;
-        let Some(Value::String(commit_id)) = body.take("commit_id") else {
+        let body = Value::parse(text).map_err(|e| e.to_string())?;
+        let Some(Value::String(commit_id)) = body.get("commit_id").cloned() else {
             return Err("missing string field `commit_id`".into());
         };
-        let mut vector = |key: &str| -> Result<(Vec<u32>, String), String> {
+        let vector = |key: &str| -> Result<(Vec<u32>, String), String> {
             match body
-                .take(key)
+                .get(key)
+                .cloned()
                 .ok_or_else(|| format!("missing field `{key}`"))?
             {
                 Value::String(text) if text.starts_with('#') => {
@@ -1389,14 +1319,10 @@ mod tests {
         Ok((commit_id, old, new, old_wire, new_wire, digest))
     }
 
-    /// The route's path: the typed body decoder, then the one pass.
+    /// The route's path: the commit-record decoder, then the one pass.
     fn decode_typed(body: &[u8]) -> Result<Decoded, String> {
-        let PredictionsBody {
-            commit_id,
-            old,
-            new,
-        } = predictions_body(body)?;
-        let (packed, old, new) = PackedPredictions::decode(old, new)?;
+        let (commit_id, packed, old, new) =
+            predictions_submission(body).map_err(|e| e.to_string())?;
         let wires = (packed.old_wire().to_owned(), packed.new_wire().to_owned());
         Ok((
             commit_id.into_owned(),
@@ -1646,6 +1572,546 @@ mod tests {
         )
         .unwrap();
         assert_eq!((id.as_str(), old, new), ("a", vec![1], vec![2]));
+    }
+
+    /// Reference `per_class` reader of the counts route: the tree walk
+    /// the shared pull reader ([`crate::record::decode_per_class`])
+    /// replaced, with the route's old reasons.
+    fn parse_per_class_reference(body: &Value) -> Result<Option<PerClassCounts>, ServeError> {
+        let value = match body.get("per_class") {
+            None | Some(Value::Null) => return Ok(None),
+            Some(v) => v,
+        };
+        let classes = value
+            .get("classes")
+            .and_then(Value::as_u64)
+            .and_then(|c| u32::try_from(c).ok())
+            .ok_or_else(|| {
+                ServeError::BadRequest("per_class is missing integer `classes`".into())
+            })?;
+        let vec = |key: &str| -> Result<Vec<u64>, ServeError> {
+            value
+                .get(key)
+                .and_then(Value::as_array)
+                .ok_or_else(|| {
+                    ServeError::BadRequest(format!("per_class is missing array `{key}`"))
+                })?
+                .iter()
+                .map(|v| {
+                    v.as_u64().ok_or_else(|| {
+                        ServeError::BadRequest(format!("per_class `{key}` holds a non-integer"))
+                    })
+                })
+                .collect()
+        };
+        Ok(Some(PerClassCounts {
+            classes,
+            support: vec("support")?,
+            new_tp: vec("new_tp")?,
+            old_tp: vec("old_tp")?,
+            new_pred: vec("new_pred")?,
+            old_pred: vec("old_pred")?,
+        }))
+    }
+
+    /// A `per_class` refusal of [`parse_per_class_reference`] worded as
+    /// the shared reader words it: the counts route's one change of
+    /// reason. Other reasons pass through.
+    fn shared_per_class_reason(reason: String) -> String {
+        if reason == "per_class is missing integer `classes`" {
+            return "per_class: missing or bad `classes`".into();
+        }
+        if let Some(key) = reason.strip_prefix("per_class is missing array ") {
+            return format!("per_class: missing {key}");
+        }
+        match reason
+            .strip_prefix("per_class ")
+            .and_then(|r| r.strip_suffix(" holds a non-integer"))
+        {
+            Some(key) => format!("per_class: non-integer entry in {key}"),
+            None => reason,
+        }
+    }
+
+    /// Reference counts-body reader: the tree walk [`counts_submission`]
+    /// replaced, except that `labels` follows the rule the route now
+    /// applies (absent or `null` is 0, anything else must be an exact
+    /// integer, where the tree read it as 0).
+    fn counts_submission_reference(body: &[u8]) -> Result<CommitSubmission, ServeError> {
+        let text = std::str::from_utf8(body)
+            .map_err(|_| ServeError::BadRequest("body is not UTF-8".into()))?;
+        let body = Value::parse(text).map_err(|e| ServeError::BadRequest(e.to_string()))?;
+        let commit_id = body
+            .get("commit_id")
+            .and_then(Value::as_str)
+            .ok_or_else(|| ServeError::BadRequest("missing string field `commit_id`".into()))?;
+        let count = |key: &str| -> Result<u64, ServeError> {
+            body.get(key)
+                .and_then(Value::as_u64)
+                .ok_or_else(|| ServeError::BadRequest(format!("missing integer field `{key}`")))
+        };
+        Ok(CommitSubmission {
+            commit_id: commit_id.to_owned(),
+            counts: EvalCounts {
+                samples: count("samples")?,
+                new_correct: count("new_correct")?,
+                old_correct: count("old_correct")?,
+                changed: count("changed")?,
+                labels: match body.get("labels") {
+                    None | Some(Value::Null) => 0,
+                    Some(v) => v.as_u64().ok_or_else(|| {
+                        ServeError::BadRequest("`labels` must be a non-negative integer".into())
+                    })?,
+                },
+                per_class: parse_per_class_reference(&body)?,
+            },
+        })
+    }
+
+    /// Reference testset-spec reader: the tree walk [`testset_spec`]
+    /// replaced.
+    fn parse_testset_spec_reference(value: &Value) -> Result<TestsetSpec, ServeError> {
+        let truth = value
+            .get("labels")
+            .ok_or_else(|| ServeError::BadRequest("testset is missing field `labels`".into()))
+            .and_then(|v| {
+                u32_vec_from_value(v, "testset.labels").map_err(ServeError::BadRequest)
+            })?;
+        let lazy = match value.get("labeling").and_then(Value::as_str) {
+            None | Some("full") => false,
+            Some("lazy") => true,
+            Some(other) => {
+                return Err(ServeError::BadRequest(format!(
+                    "unknown labeling mode `{other}` (expected `full` or `lazy`)"
+                )))
+            }
+        };
+        let classes = match value.get("classes") {
+            None | Some(Value::Null) => truth.iter().max().map_or(1, |&m| m.saturating_add(1)),
+            Some(v) => v
+                .as_u64()
+                .and_then(|c| u32::try_from(c).ok())
+                .ok_or_else(|| ServeError::BadRequest("testset `classes` must be a u32".into()))?,
+        };
+        let spec = TestsetSpec {
+            truth,
+            classes,
+            lazy,
+        };
+        spec.validate()?;
+        Ok(spec)
+    }
+
+    /// A register or fresh-testset body as the tree reader took it.
+    fn tree_body(body: &[u8]) -> Result<Value, ServeError> {
+        let text = std::str::from_utf8(body)
+            .map_err(|_| ServeError::BadRequest("body is not UTF-8".into()))?;
+        Value::parse(text).map_err(|e| ServeError::BadRequest(e.to_string()))
+    }
+
+    /// The `testset` member of a tree body: absent or `null` is none.
+    fn tree_testset(body: &Value) -> Result<Option<TestsetSpec>, ServeError> {
+        match body.get("testset") {
+            None | Some(Value::Null) => Ok(None),
+            Some(value) => parse_testset_spec_reference(value).map(Some),
+        }
+    }
+
+    /// What a register body decodes to.
+    type Registration = (String, String, Option<TestsetSpec>);
+
+    /// Reference register-body reader: the tree walk [`register_body`]
+    /// replaced.
+    fn register_body_reference(body: &[u8]) -> Result<Registration, ServeError> {
+        let body = tree_body(body)?;
+        let field = |key: &str| {
+            body.get(key)
+                .and_then(Value::as_str)
+                .map(str::to_owned)
+                .ok_or_else(|| ServeError::BadRequest(format!("missing string field `{key}`")))
+        };
+        let (name, script) = (field("name")?, field("script")?);
+        Ok((name, script, tree_testset(&body)?))
+    }
+
+    /// Reference fresh-testset-body reader: the tree walk
+    /// [`fresh_testset_body`] replaced.
+    fn fresh_testset_body_reference(body: &[u8]) -> Result<Option<TestsetSpec>, ServeError> {
+        if body.is_empty() {
+            return Ok(None);
+        }
+        tree_testset(&tree_body(body)?)
+    }
+
+    /// Values a hostile body puts where a count, `labels` or a
+    /// `per_class` member belongs.
+    const ODD_MEMBERS: &[&str] = &[
+        "1.5",
+        "\"100\"",
+        "-1",
+        "1e2",
+        "-0",
+        "9007199254740993",
+        "4294967296",
+        "true",
+        "null",
+        "[]",
+        "{}",
+        "[1, -1]",
+        "[1, 2.5]",
+        "[\"1\"]",
+    ];
+
+    /// An object of `members` in shuffled order, keys escaped now and
+    /// then, one member in four duplicated with an odd value, and now
+    /// and then an unknown key.
+    fn object_json(mut members: Vec<(&str, String)>, rng: &mut Rng) -> String {
+        if rng.below(4) == 0 && !members.is_empty() {
+            let key = members[rng.below(members.len() as u64) as usize].0;
+            members.push((key, rng.pick(ODD_MEMBERS).to_owned()));
+        }
+        if rng.below(4) == 0 {
+            members.push(("extra", rng.pick(ODD_MEMBERS).to_owned()));
+        }
+        for i in (1..members.len()).rev() {
+            members.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let parts: Vec<String> = members
+            .iter()
+            .map(|(k, v)| format!("{}{}:{}{v}", space(rng), literal(k, rng, 12), space(rng)))
+            .collect();
+        format!("{{{}{}}}", parts.join(","), space(rng))
+    }
+
+    fn numbers_json(items: &[u64]) -> String {
+        let items: Vec<String> = items.iter().map(u64::to_string).collect();
+        format!("[{}]", items.join(", "))
+    }
+
+    /// A `per_class` member for `samples` items: usually an object the
+    /// gate accepts, else with one member made odd or dropped, or no
+    /// object at all.
+    fn per_class_json(rng: &mut Rng, samples: u64) -> String {
+        let classes = 2 + rng.below(3);
+        let support: Vec<u64> = (0..classes)
+            .map(|_| rng.below(samples / classes + 1))
+            .collect();
+        let mut new_pred = support.clone();
+        new_pred.rotate_left(1);
+        let new_tp: Vec<u64> = (0..classes as usize)
+            .map(|i| support[i].min(new_pred[i]) / (1 + rng.below(2)))
+            .collect();
+        let old_tp: Vec<u64> = support.iter().map(|&s| s / (1 + rng.below(3))).collect();
+        let mut members = vec![
+            ("classes", classes.to_string()),
+            ("support", numbers_json(&support)),
+            ("new_tp", numbers_json(&new_tp)),
+            ("old_tp", numbers_json(&old_tp)),
+            ("new_pred", numbers_json(&new_pred)),
+            ("old_pred", numbers_json(&support)),
+        ];
+        match rng.below(8) {
+            0 => members[rng.below(6) as usize].1 = rng.pick(ODD_MEMBERS).to_owned(),
+            1 => drop(members.remove(rng.below(6) as usize)),
+            2 => return rng.pick(&["5", "\"x\"", "[]", "true"]).to_owned(),
+            _ => {}
+        }
+        object_json(members, rng)
+    }
+
+    /// A counts commit body from `seed`: every member usually well
+    /// formed, sometimes missing or odd; `labels` absent, `null`, an
+    /// integer or odd; `per_class` absent, `null`, well formed or not;
+    /// keys shuffled, escaped, duplicated or unknown. One body in
+    /// thirty-two is no object, one in thirty-two is not UTF-8.
+    fn counts_body(seed: u64) -> Vec<u8> {
+        let mut rng = Rng(seed);
+        let samples = 40 + rng.below(200);
+        let mut members = Vec::new();
+        let commit_id = match rng.below(32) {
+            0 => "7".to_owned(),
+            1 => "null".to_owned(),
+            _ => literal(&format!("c{}", rng.below(4)), &mut rng, 5),
+        };
+        members.push(("commit_id", commit_id));
+        for key in ["samples", "new_correct", "old_correct", "changed"] {
+            let value = match rng.below(32) {
+                0 => continue,
+                1 => rng.pick(ODD_MEMBERS).to_owned(),
+                _ if key == "samples" => samples.to_string(),
+                _ => rng.below(samples + 1).to_string(),
+            };
+            members.push((key, value));
+        }
+        match rng.below(6) {
+            0 => {}
+            1 => members.push(("labels", "null".to_owned())),
+            2 => members.push(("labels", rng.pick(ODD_MEMBERS).to_owned())),
+            _ => members.push(("labels", rng.below(100).to_string())),
+        }
+        match rng.below(6) {
+            0 => {}
+            1 => members.push(("per_class", "null".to_owned())),
+            _ => members.push(("per_class", per_class_json(&mut rng, samples))),
+        }
+        let text = match rng.below(32) {
+            0 => rng.pick(&["[1]", "12", "\"x\"", "null"]).to_owned(),
+            _ => object_json(members, &mut rng),
+        };
+        let mut bytes = text.into_bytes();
+        if rng.below(32) == 0 {
+            let at = rng.below(bytes.len() as u64 + 1) as usize;
+            bytes.insert(at, 0xff);
+        }
+        bytes
+    }
+
+    /// A register body from `seed` (a fresh-testset body reads its
+    /// `testset` member): `name`, `script` and a testset spec whose
+    /// `labels` come as an array, a packed or a CSV string, or odd,
+    /// `labeling` and `classes` valid, absent, `null` or odd. One body
+    /// in thirty-two is empty.
+    fn register_body_json(seed: u64) -> Vec<u8> {
+        let mut rng = Rng(seed);
+        if rng.below(32) == 0 {
+            return Vec::new();
+        }
+        let mut members = Vec::new();
+        match rng.below(24) {
+            0 => {}
+            1 => members.push(("name", "7".to_owned())),
+            _ => members.push((
+                "name",
+                literal(&format!("proj-{}", rng.below(9)), &mut rng, 9),
+            )),
+        }
+        if rng.below(24) != 0 {
+            members.push(("script", Value::from(FRESH_SCRIPT).encode()));
+        }
+        let top = [2, 4, 70][rng.below(3) as usize];
+        let labels: Vec<u32> = (0..rng.below(30)).map(|_| rng.below(top) as u32).collect();
+        let mut spec = Vec::new();
+        let numbers: Vec<u64> = labels.iter().map(|&l| u64::from(l)).collect();
+        match rng.below(6) {
+            0 => {}
+            1 => spec.push(("labels", numbers_json(&numbers))),
+            2 => spec.push(("labels", rng.pick(ODD_MEMBERS).to_owned())),
+            3 => spec.push((
+                "labels",
+                literal(
+                    &encode_u32_vec(&labels).replace(',', ",,"),
+                    &mut rng,
+                    u64::MAX,
+                ),
+            )),
+            _ => spec.push(("labels", literal(&encode_u32_vec(&labels), &mut rng, 7))),
+        }
+        match rng.below(6) {
+            0 => {}
+            1 => spec.push(("labeling", "\"lazy\"".to_owned())),
+            2 => spec.push(("labeling", rng.pick(&["\"other\"", "5", "null"]).to_owned())),
+            _ => spec.push(("labeling", "\"full\"".to_owned())),
+        }
+        match rng.below(5) {
+            0 => {}
+            1 => spec.push(("classes", "null".to_owned())),
+            2 => spec.push(("classes", rng.pick(ODD_MEMBERS).to_owned())),
+            _ => spec.push(("classes", rng.below(top + 2).to_string())),
+        }
+        match rng.below(8) {
+            0 => {}
+            1 => members.push(("testset", "null".to_owned())),
+            2 => members.push(("testset", rng.pick(&["5", "[]", "\"x\""]).to_owned())),
+            _ => members.push(("testset", object_json(spec, &mut rng))),
+        }
+        object_json(members, &mut rng).into_bytes()
+    }
+
+    /// The script of the projects the route tests register.
+    const FRESH_SCRIPT: &str = "ml:\n\
+        \x20 - condition  : n - o > 0.0 +/- 0.2\n\
+        \x20 - reliability: 0.99\n\
+        \x20 - mode       : fp-free\n\
+        \x20 - adaptivity : full\n\
+        \x20 - steps      : 8\n";
+
+    /// `body` after `edits`, when it is UTF-8.
+    fn hostile(body: Vec<u8>, edits: &[Edit], compact: bool) -> Vec<u8> {
+        match String::from_utf8(body) {
+            Ok(text) => edited(&text, edits, compact).into_bytes(),
+            Err(e) => e.into_bytes(),
+        }
+    }
+
+    /// A counts body gets the tree reference's verdict: the same counts,
+    /// or the same 400 reason, a `per_class` reason worded as the shared
+    /// reader words it.
+    fn check_counts_case(seed: u64, edits: &[Edit], compact: bool) -> Result<(), TestCaseError> {
+        let body = hostile(counts_body(seed), edits, compact);
+        let pull = counts_submission(&body).map_err(|e| e.to_string());
+        let tree =
+            counts_submission_reference(&body).map_err(|e| shared_per_class_reason(e.to_string()));
+        proptest::prop_assert_eq!(pull, tree, "{}", String::from_utf8_lossy(&body));
+        Ok(())
+    }
+
+    /// A register body, and the same bytes as a fresh-testset body, get
+    /// the tree reference's verdicts.
+    fn check_register_case(seed: u64, edits: &[Edit], compact: bool) -> Result<(), TestCaseError> {
+        let body = hostile(register_body_json(seed), edits, compact);
+        let pull = register_body(&body)
+            .map(|(name, script, spec)| (name.into_owned(), script.into_owned(), spec))
+            .map_err(|e| e.to_string());
+        let tree = register_body_reference(&body).map_err(|e| e.to_string());
+        proptest::prop_assert_eq!(pull, tree, "{}", String::from_utf8_lossy(&body));
+        proptest::prop_assert_eq!(
+            fresh_testset_body(&body).map_err(|e| e.to_string()),
+            fresh_testset_body_reference(&body).map_err(|e| e.to_string()),
+            "{}",
+            String::from_utf8_lossy(&body)
+        );
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2048))]
+
+        /// Counts bodies read alike through the commit-record decoder and
+        /// the tree walk it replaced.
+        #[test]
+        fn hostile_counts_bodies_get_the_tree_reference_verdict(
+            seed in 0u64..u64::MAX,
+            edits in edits(2),
+            compact in 0u32..2,
+        ) {
+            check_counts_case(seed, &edits, compact == 1)?;
+        }
+
+        /// Register and fresh-testset bodies read alike through the
+        /// project decoder and the tree walks it replaced.
+        #[test]
+        fn hostile_register_bodies_get_the_tree_reference_verdict(
+            seed in 0u64..u64::MAX,
+            edits in edits(2),
+            compact in 0u32..2,
+        ) {
+            check_register_case(seed, &edits, compact == 1)?;
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(250_000))]
+
+        /// [`hostile_counts_bodies_get_the_tree_reference_verdict`] over
+        /// many more bodies; run it in release with `--ignored`.
+        #[test]
+        #[ignore = "exhaustive; run in release with --ignored"]
+        fn hostile_counts_bodies_get_the_tree_reference_verdict_exhaustively(
+            seed in 0u64..u64::MAX,
+            edits in edits(2),
+            compact in 0u32..2,
+        ) {
+            check_counts_case(seed, &edits, compact == 1)?;
+        }
+
+        /// [`hostile_register_bodies_get_the_tree_reference_verdict`]
+        /// over many more bodies; run it in release with `--ignored`.
+        #[test]
+        #[ignore = "exhaustive; run in release with --ignored"]
+        fn hostile_register_bodies_get_the_tree_reference_verdict_exhaustively(
+            seed in 0u64..u64::MAX,
+            edits in edits(2),
+            compact in 0u32..2,
+        ) {
+            check_register_case(seed, &edits, compact == 1)?;
+        }
+    }
+
+    /// A route context over a registry on `disk`; booting it replays
+    /// what the disk holds.
+    fn ctx_on(disk: &MemVfs) -> Ctx {
+        let obs = Arc::new(ServeObs::new(&ROUTE_NAMES, DEFAULT_SLOW_REQUEST_MS));
+        let registry = Registry::open_with(
+            Path::new("/live"),
+            serving_estimator(),
+            Arc::new(disk.clone()),
+        )
+        .unwrap();
+        Ctx {
+            registry: Arc::new(registry),
+            stop: Arc::new(AtomicBool::new(false)),
+            hub: Arc::new(WakeHub::new()),
+            addr: SocketAddr::from(([127, 0, 0, 1], 9)),
+            stats: Arc::new(ServeStats::new(4, 0, &obs)),
+            obs,
+        }
+    }
+
+    /// POST `body` to the counts route of project `p`.
+    fn post_counts(ctx: &Ctx, body: &[u8]) -> Response {
+        let request = Request {
+            method: "POST".into(),
+            path: "/projects/p/commits".into(),
+            body: body.to_vec(),
+            close: false,
+        };
+        let response = route(ctx, &request);
+        drop(group::take_pending());
+        response
+    }
+
+    /// A counts body the route accepts is journalled as a line that boot
+    /// replays to the same counts: the rebooted project holds the same
+    /// history and per-class counts, and the same body redelivered to it
+    /// answers the route's receipt byte for byte (redelivery matches on
+    /// the counts, `labels` and `per_class` included). A body the route
+    /// refuses journals nothing.
+    fn check_live_and_boot(seed: u64, f1: bool) -> Result<(), TestCaseError> {
+        let disk = MemVfs::new();
+        let ctx = ctx_on(&disk);
+        let script = if f1 {
+            FRESH_SCRIPT.replace("n - o > 0.0", "f1(n) - f1(o) > -0.5")
+        } else {
+            FRESH_SCRIPT.to_owned()
+        };
+        ctx.registry.register("p", &script, None).unwrap();
+        let body = counts_body(seed);
+        let live = post_counts(&ctx, &body);
+        let journal = disk
+            .read_to_string(Path::new("/live/projects/p/journal.0.log"))
+            .unwrap_or_default();
+        let shown = String::from_utf8_lossy(&body);
+        if live.status != 200 {
+            proptest::prop_assert!(live.status == 400, "{} for {}", live.status, shown);
+            proptest::prop_assert_eq!(journal, "", "{}", shown);
+            return Ok(());
+        }
+        proptest::prop_assert_eq!(journal.lines().count(), 1, "{}", shown);
+        let rebooted = ctx_on(&disk);
+        let again = post_counts(&rebooted, &body);
+        proptest::prop_assert_eq!((again.status, &again.body), (200, &live.body), "{}", shown);
+        let state = |ctx: &Ctx| {
+            let slot = ctx.registry.get("p").unwrap();
+            let slot = slot.lock().unwrap();
+            (
+                history_body("p", &slot.project),
+                slot.project.per_class_at(0).cloned(),
+            )
+        };
+        proptest::prop_assert_eq!(state(&rebooted), state(&ctx), "{}", shown);
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn counts_route_and_boot_replay_read_the_same_counts(
+            seed in 0u64..u64::MAX,
+            f1 in 0u32..2,
+        ) {
+            check_live_and_boot(seed, f1 == 1)?;
+        }
     }
 
     /// Projects in the budget states a receipt reports: fresh, one step

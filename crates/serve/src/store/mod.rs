@@ -48,11 +48,15 @@
 //! straight into the gate's history, the dedup keys and a lazy pool's
 //! spent labels, with no JSON tree built and dropped in between; it
 //! accepts exactly the documents a tree walk accepts, with the same
-//! reasons for the ones it refuses. Boot lists each project directory
-//! once and checks the segment names against the watermark before it
-//! reads any: they must chain, each starting where the one before it
-//! ends, and a segment the snapshot covers whole is unlinked unread or
-//! unreplayed. After a graceful stop boot reads no journal byte, and
+//! reasons for the ones it refuses. So is every other record boot reads
+//! (`project.json`, the era blobs, each journal line), by the decoders
+//! of the `record` module: a journal line is read by the decoder that
+//! read the request body it records, so the live route and the boot
+//! replay cannot read a commit's counts differently. Boot lists each
+//! project directory once and checks the segment names against the
+//! watermark before it reads any: they must chain, each starting where
+//! the one before it ends, and a segment the snapshot covers whole is
+//! unlinked unread or unreplayed. After a graceful stop boot reads no journal byte, and
 //! `/metrics` counts what it read
 //! (`easeml_boot_snapshot_bytes_total`, `easeml_boot_journal_bytes_total`).
 //! Predictions-mode ops additionally store the submitted vectors and the
@@ -112,11 +116,13 @@
 pub mod group;
 
 use crate::error::ServeError;
-use crate::json::{
-    decode_u32_vec, encode_u32_vec, exact_u64, JsonError, JsonWriter, Kind, Reader, Value,
-};
+use crate::json::{decode_u32_vec, encode_u32_vec, JsonError, JsonWriter, Kind, Reader, Value};
 use crate::obs::trace::{self, Stage};
 use crate::obs::OutcomeCounters;
+use crate::record::{
+    commit_members, decode_document, decode_project, decode_testset, read_digest, read_ints,
+    read_u64, walk_object, Ints, ESTIMATES, PER_CLASS_VECTORS,
+};
 use crate::registry::{
     CommitSubmission, EntryKey, EvalCounts, GateReceipt, MeasuredTestset, PackedPredictions,
     PredictionsSubmission, Project, TestsetSpec, WireVector,
@@ -206,13 +212,6 @@ fn digest_hex(digest: u64) -> String {
     format!("{digest:016x}")
 }
 
-/// Parse a canonical digest string.
-fn parse_digest_hex(text: &str) -> Option<u64> {
-    (text.len() == 16)
-        .then(|| u64::from_str_radix(text, 16).ok())
-        .flatten()
-}
-
 /// Serialize a testset spec into its durable blob form.
 fn testset_blob_json(era: u32, spec: &TestsetSpec) -> Value {
     Value::object([
@@ -233,36 +232,89 @@ fn read_testset_blob(vfs: &dyn Vfs, dir: &Path, era: u32) -> Result<TestsetSpec,
     let text = vfs
         .read_to_string(&path)
         .map_err(|e| corrupt(&path, format!("missing testset blob: {e}")))?;
-    let blob = Value::parse(&text).map_err(|e| corrupt(&path, e.to_string()))?;
-    if blob.get("version").and_then(Value::as_u64) != Some(1) {
-        return Err(corrupt(&path, "unsupported testset blob version"));
+    testset_from_blob(&path, era, &text)
+}
+
+/// The testset spec the text of era `era`'s blob holds, checked in a
+/// fixed order: syntax, `version`, `era`, `labeling`, `classes`,
+/// `labels`, then the spec itself.
+fn testset_from_blob(path: &Path, era: u32, text: &str) -> Result<TestsetSpec, ServeError> {
+    let blob = decode_document(text, decode_testset).map_err(|e| corrupt(path, e.to_string()))?;
+    if blob.version != Some(1) {
+        return Err(corrupt(path, "unsupported testset blob version"));
     }
-    if blob.get("era").and_then(Value::as_u64) != Some(u64::from(era)) {
-        return Err(corrupt(&path, "blob era does not match file name"));
+    if blob.era != Some(u64::from(era)) {
+        return Err(corrupt(path, "blob era does not match file name"));
     }
-    let lazy = match blob.get("labeling").and_then(Value::as_str) {
+    let lazy = match blob.labeling.as_deref() {
         Some("lazy") => true,
         Some("full") => false,
-        _ => return Err(corrupt(&path, "missing or unknown `labeling`")),
+        _ => return Err(corrupt(path, "missing or unknown `labeling`")),
     };
     let classes = blob
-        .get("classes")
-        .and_then(Value::as_u64)
-        .and_then(|v| u32::try_from(v).ok())
-        .ok_or_else(|| corrupt(&path, "missing or bad `classes`"))?;
-    let truth = blob
-        .get("labels")
-        .and_then(Value::as_str)
-        .ok_or_else(|| corrupt(&path, "missing `labels`"))
-        .and_then(|text| decode_u32_vec(text).map_err(|e| corrupt(&path, e)))?;
+        .classes
+        .flatten()
+        .ok_or_else(|| corrupt(path, "missing or bad `classes`"))?;
+    let truth = match blob.labels {
+        Some(WireVector::Text(text)) => decode_u32_vec(&text).map_err(|e| corrupt(path, e))?,
+        _ => return Err(corrupt(path, "missing `labels`")),
+    };
     let spec = TestsetSpec {
         truth,
         classes,
         lazy,
     };
     spec.validate()
-        .map_err(|e| corrupt(&path, format!("invalid testset: {e}")))?;
+        .map_err(|e| corrupt(path, format!("invalid testset: {e}")))?;
     Ok(spec)
+}
+
+/// The registration record `project.json` of `project`. A server-side
+/// testset is named by its labeling, class count and the digest that
+/// anchors the era-0 blob.
+fn registration_record(project: &Project) -> String {
+    let mut fields = vec![
+        ("version", Value::from(1u64)),
+        ("name", Value::from(project.name())),
+        ("script", Value::from(project.script_text())),
+    ];
+    if let Some(measured) = project.measured() {
+        fields.push((
+            "testset",
+            Value::object([
+                (
+                    "labeling",
+                    Value::from(if measured.lazy() { "lazy" } else { "full" }),
+                ),
+                ("classes", Value::from(measured.classes())),
+                ("digest", Value::from(digest_hex(measured.digest()))),
+            ]),
+        ));
+    }
+    Value::object(fields).pretty()
+}
+
+/// A registration record as boot reads it: name, script and, when the
+/// project holds a server-side testset, the recorded testset digest.
+type Registration<'a> = (Cow<'a, str>, Cow<'a, str>, Option<u64>);
+
+/// The name, script and (when the project holds a server-side testset)
+/// recorded testset digest of a registration record's text, checked in
+/// that order after its syntax.
+fn read_registration<'a>(path: &Path, text: &'a str) -> Result<Registration<'a>, ServeError> {
+    let record = decode_document(text, decode_project).map_err(|e| corrupt(path, e.to_string()))?;
+    let name = record.name.ok_or_else(|| corrupt(path, "missing `name`"))?;
+    let script = record
+        .script
+        .ok_or_else(|| corrupt(path, "missing `script`"))?;
+    let digest = record
+        .testset
+        .map(|ts| {
+            ts.digest
+                .ok_or_else(|| corrupt(path, "missing or bad testset `digest`"))
+        })
+        .transpose()?;
+    Ok((name, script, digest))
 }
 
 /// When the next cadence snapshot is due (see the module docs).
@@ -370,32 +422,15 @@ impl ProjectStore {
                 }
             }
         }
-        let mut fields = vec![
-            ("version", Value::from(1u64)),
-            ("name", Value::from(project.name())),
-            ("script", Value::from(project.script_text())),
-        ];
         // A server-side testset is persisted as the era-0 blob *before*
         // the registration record, whose digest field then anchors the
         // blob's integrity (a tampered blob fails the next boot).
         if let Some(measured) = project.measured() {
-            let spec = measured.spec();
             write_atomic(
                 vfs.as_ref(),
                 &dir.join(testset_blob_name(0)),
-                testset_blob_json(0, &spec).pretty().as_bytes(),
+                testset_blob_json(0, &measured.spec()).pretty().as_bytes(),
             )?;
-            fields.push((
-                "testset",
-                Value::object([
-                    (
-                        "labeling",
-                        Value::from(if spec.lazy { "lazy" } else { "full" }),
-                    ),
-                    ("classes", Value::from(spec.classes)),
-                    ("digest", Value::from(digest_hex(measured.digest()))),
-                ]),
-            ));
         }
         // The testset blob above was fsynced inline, and the directory
         // sync below covers its rename along with the record's, so the
@@ -405,7 +440,7 @@ impl ProjectStore {
         write_atomic(
             vfs.as_ref(),
             &record,
-            Value::object(fields).pretty().as_bytes(),
+            registration_record(project).as_bytes(),
         )
         .and_then(|()| {
             vfs.sync_dir(dir).inspect_err(|_| {
@@ -467,25 +502,12 @@ impl ProjectStore {
     ) -> Result<(Project, ProjectStore), ServeError> {
         let record_path = dir.join("project.json");
         let text = vfs.read_to_string(&record_path)?;
-        let record = Value::parse(&text).map_err(|e| corrupt(&record_path, e.to_string()))?;
-        let name = record
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| corrupt(&record_path, "missing `name`"))?;
-        let script = record
-            .get("script")
-            .and_then(Value::as_str)
-            .ok_or_else(|| corrupt(&record_path, "missing `script`"))?;
+        let (name, script, recorded) = read_registration(&record_path, &text)?;
         // A testset record means the era-0 blob must exist and match the
         // digest the (fsynced) registration record anchored.
-        let testset = match record.get("testset") {
-            None | Some(Value::Null) => None,
-            Some(ts) => {
-                let recorded = ts
-                    .get("digest")
-                    .and_then(Value::as_str)
-                    .and_then(parse_digest_hex)
-                    .ok_or_else(|| corrupt(&record_path, "missing or bad testset `digest`"))?;
+        let testset = match recorded {
+            None => None,
+            Some(recorded) => {
                 let spec = read_testset_blob(vfs.as_ref(), dir, 0)?;
                 if spec.digest() != recorded {
                     return Err(corrupt(
@@ -496,7 +518,7 @@ impl ProjectStore {
                 Some(spec)
             }
         };
-        let mut project = Project::register_with_testset(name, script, estimator, testset)
+        let mut project = Project::register_with_testset(&name, &script, estimator, testset)
             .map_err(|e| corrupt(&record_path, format!("registration replay failed: {e}")))?;
 
         let snapshot_path = dir.join("snapshot.json");
@@ -635,91 +657,6 @@ impl ProjectStore {
         ))
     }
 
-    /// Journal one accepted commit submission. Called under the project
-    /// lock, after the gate accepted the op.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures (the response must not be sent if journalling fails).
-    pub fn append_commit(
-        &mut self,
-        submission: &CommitSubmission,
-        receipt: &GateReceipt,
-        project: &Project,
-    ) -> Result<(), ServeError> {
-        let mut w = JsonWriter::compact();
-        w.begin_object();
-        w.key("op").string("commit");
-        w.key("id").string(&submission.commit_id);
-        write_outcome_fields(&mut w, &submission.counts, receipt);
-        w.end_object();
-        self.append(w.finish_line(), project)
-    }
-
-    /// Journal one accepted predictions submission: the vectors (replay
-    /// re-measures them), the derived counts, and the outcome (both are
-    /// cross-checked at replay — a tampered prediction blob or testset
-    /// blob diverges and fails the boot). The vectors arrive already
-    /// packed: the bytes the request's dedup digest was computed over,
-    /// as the client sent them when they came `#`-packed. The line is
-    /// written into one buffer sized for it up front, newline included,
-    /// so the vectors are copied once.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures.
-    pub fn append_commit_predictions(
-        &mut self,
-        commit_id: &str,
-        packed: &PackedPredictions<'_>,
-        counts: &EvalCounts,
-        receipt: &GateReceipt,
-        project: &Project,
-    ) -> Result<(), ServeError> {
-        // The fixed keys and the widest integers take under 300 bytes,
-        // a `per_class` object at most 21 bytes per integer plus its
-        // keys.
-        let per_class = counts
-            .per_class
-            .as_ref()
-            .map_or(0, |pc| 96 + 5 * 21 * pc.classes as usize);
-        let mut w = JsonWriter::compact_with_capacity(
-            288 + commit_id.len() + packed.old_wire().len() + packed.new_wire().len() + per_class,
-        );
-        w.begin_object();
-        w.key("op").string("commit_predictions");
-        w.key("id").string(commit_id);
-        w.key("old").string(packed.old_wire());
-        w.key("new").string(packed.new_wire());
-        write_outcome_fields(&mut w, counts, receipt);
-        w.end_object();
-        self.append(w.finish_line(), project)
-    }
-
-    /// Journal a fresh-testset installation. `testset_digest` is present
-    /// exactly when the new era handed over a server-side testset; it
-    /// anchors the era's blob integrity at replay.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures.
-    pub fn append_fresh_testset(
-        &mut self,
-        era: u32,
-        testset_digest: Option<u64>,
-        project: &Project,
-    ) -> Result<(), ServeError> {
-        let mut w = JsonWriter::compact();
-        w.begin_object();
-        w.key("op").string("fresh_testset");
-        w.key("era").u64(era.into());
-        if let Some(digest) = testset_digest {
-            w.key("testset_digest").string(&digest_hex(digest));
-        }
-        w.end_object();
-        self.append(w.finish_line(), project)
-    }
-
     /// Persist the blob for a new era's server-side testset (atomic, its
     /// directory entry synced; called *before* the journal op that
     /// activates the era).
@@ -752,7 +689,13 @@ impl ProjectStore {
         self.ops_written > self.sealed_ops.get()
     }
 
-    /// Journal one op: `line` is its JSON, newline included.
+    /// Journal one accepted op, under the project lock: `line` is its
+    /// JSON, newline included (see [`commit_line`], [`predictions_line`]
+    /// and [`fresh_testset_line`]).
+    ///
+    /// # Errors
+    ///
+    /// I/O failures (the response must not be sent if journalling fails).
     fn append(&mut self, line: String, project: &Project) -> Result<(), ServeError> {
         let line = line.into_bytes();
         #[cfg(test)]
@@ -862,6 +805,64 @@ impl ProjectStore {
         }
         Ok(())
     }
+}
+
+/// The journal line of an accepted counts commit, newline included.
+fn commit_line(submission: &CommitSubmission, receipt: &GateReceipt) -> String {
+    let mut w = JsonWriter::compact();
+    w.begin_object();
+    w.key("op").string("commit");
+    w.key("id").string(&submission.commit_id);
+    write_outcome_fields(&mut w, &submission.counts, receipt);
+    w.end_object();
+    w.finish_line()
+}
+
+/// The journal line of an accepted predictions commit, newline
+/// included: the vectors (replay re-measures them), the derived counts
+/// and the outcome (both cross-checked at replay, so a tampered
+/// prediction or testset blob fails the boot). The vectors arrive
+/// packed: the bytes the request's dedup digest was computed over, as
+/// the client sent them when they came `#`-packed. The line is written
+/// into one buffer sized for it up front, so they are copied once.
+fn predictions_line(
+    commit_id: &str,
+    packed: &PackedPredictions<'_>,
+    counts: &EvalCounts,
+    receipt: &GateReceipt,
+) -> String {
+    // The fixed keys and the widest integers take under 300 bytes, a
+    // `per_class` object at most 21 bytes per integer plus its keys.
+    let per_class = counts
+        .per_class
+        .as_ref()
+        .map_or(0, |pc| 96 + 5 * 21 * pc.classes as usize);
+    let mut w = JsonWriter::compact_with_capacity(
+        288 + commit_id.len() + packed.old_wire().len() + packed.new_wire().len() + per_class,
+    );
+    w.begin_object();
+    w.key("op").string("commit_predictions");
+    w.key("id").string(commit_id);
+    w.key("old").string(packed.old_wire());
+    w.key("new").string(packed.new_wire());
+    write_outcome_fields(&mut w, counts, receipt);
+    w.end_object();
+    w.finish_line()
+}
+
+/// The journal line of a fresh-testset installation, newline included.
+/// `testset_digest` is present exactly when the new era handed over a
+/// server-side testset; it anchors the era's blob integrity at replay.
+fn fresh_testset_line(era: u32, testset_digest: Option<u64>) -> String {
+    let mut w = JsonWriter::compact();
+    w.begin_object();
+    w.key("op").string("fresh_testset");
+    w.key("era").u64(era.into());
+    if let Some(digest) = testset_digest {
+        w.key("testset_digest").string(&digest_hex(digest));
+    }
+    w.end_object();
+    w.finish_line()
 }
 
 /// Bytes reserved per history entry of a snapshot; a counts entry
@@ -985,71 +986,18 @@ pub(crate) fn write_per_class(w: &mut JsonWriter, pc: &PerClassCounts) {
     w.end_object();
 }
 
-/// The vectors of a `per_class` object, in the order they are written
-/// and checked.
-const PER_CLASS_VECTORS: [&str; 5] = ["support", "new_tp", "old_tp", "new_pred", "old_pred"];
-
-/// Parse the optional `per_class` field of a journal op. Absent/null
-/// (every record written before F1/top-k support, and every
-/// plain-condition record since) parses to `None`.
-fn per_class_from_value(value: Option<&Value>) -> Result<Option<PerClassCounts>, String> {
-    let value = match value {
-        None | Some(Value::Null) => return Ok(None),
-        Some(v) => v,
-    };
-    let classes = value
-        .get("classes")
-        .and_then(Value::as_u64)
-        .and_then(|c| u32::try_from(c).ok());
-    let vectors = PER_CLASS_VECTORS.map(|key| match value.get(key).and_then(Value::as_array) {
-        None => Ints::Missing,
-        Some(items) => items
-            .iter()
-            .map(Value::as_u64)
-            .collect::<Option<Vec<u64>>>()
-            .map_or(Ints::NonInteger, Ints::Read),
-    });
-    per_class_counts(classes, vectors).map(Some)
-}
-
-/// Per-class counts from the fields of a `per_class` object, checked in
-/// a fixed order: `classes`, then each of [`PER_CLASS_VECTORS`].
-fn per_class_counts(
-    classes: Option<u32>,
-    vectors: [Ints<u64>; 5],
-) -> Result<PerClassCounts, String> {
-    let classes = classes.ok_or_else(|| "per_class: missing or bad `classes`".to_owned())?;
-    let mut read = Vec::with_capacity(PER_CLASS_VECTORS.len());
-    for (vector, key) in vectors.into_iter().zip(PER_CLASS_VECTORS) {
-        match vector {
-            Ints::Read(values) => read.push(values),
-            Ints::Missing => return Err(format!("per_class: missing `{key}`")),
-            Ints::NonInteger => return Err(format!("per_class: non-integer entry in `{key}`")),
-        }
-    }
-    let [support, new_tp, old_tp, new_pred, old_pred]: [Vec<u64>; 5] =
-        read.try_into().expect("one vector per name");
-    Ok(PerClassCounts {
-        classes,
-        support,
-        new_tp,
-        old_tp,
-        new_pred,
-        old_pred,
-    })
-}
-
 /// Restore project state from the text of `snapshot.json`; returns the
 /// journal watermark (ops already reflected in the snapshot).
 ///
-/// The document is decoded in one pull pass ([`decode_snapshot`]), with
-/// no JSON tree: history entries go straight into a [`CommitHistory`]
-/// and their dedup keys, and a lazy pool's spent labels into one index
-/// list. It accepts what a tree walk accepts: keys in any order, unknown
-/// keys ignored (their values still parsed, under the depth cap), the
-/// first of duplicate keys winning, trailing garbage rejected. The
-/// checks then run in a fixed order, so a document fails with the same
-/// reason whatever order its keys come in.
+/// The document is decoded in one pull pass, with no JSON tree: history
+/// entries go straight into a [`CommitHistory`] and their dedup keys,
+/// and a lazy pool's spent labels into one index list. It accepts what a
+/// tree walk accepts: keys in any order, unknown keys ignored (their
+/// values still parsed, under the depth cap), the first of duplicate
+/// keys winning, trailing garbage rejected. A syntax error anywhere wins
+/// over a missing or malformed field, and the checks then run in a fixed
+/// order, so a document fails with the same reason whatever order its
+/// keys come in.
 fn load_snapshot(
     vfs: &dyn Vfs,
     dir: &Path,
@@ -1057,29 +1005,45 @@ fn load_snapshot(
     text: &str,
     project: &mut Project,
 ) -> Result<u64, ServeError> {
-    let snap = decode_snapshot(text).map_err(|e| corrupt(path, e.to_string()))?;
+    // A scalar is `None` when absent or malformed: the reason is the same.
+    let [mut version, mut journal_ops, mut steps_used, mut era] = [None; 4];
+    let (mut retired, mut testset_digest, mut labeled, mut history) = (None, None, None, None);
+    decode_document(text, |r| {
+        walk_object(r, |r, key, seen| {
+            match key {
+                "version" if seen.first(0) => version = read_u64(r)?,
+                "journal_ops" if seen.first(1) => journal_ops = read_u64(r)?,
+                "steps_used" if seen.first(2) => steps_used = read_u64(r)?,
+                "era" if seen.first(3) => era = read_u64(r)?,
+                "retired" if seen.first(4) => retired = r.try_bool()?,
+                "testset_digest" if seen.first(5) => testset_digest = read_digest(r)?,
+                "labeled" if seen.first(6) => labeled = Some(read_ints(r)?),
+                "history" if seen.first(7) => history = Some(decode_history(r, text.len())?),
+                _ => return Ok(false),
+            }
+            Ok(true)
+        })
+    })
+    .map_err(|e| corrupt(path, e.to_string()))?;
     let field_u64 = |value: Option<u64>, key: &str| -> Result<u64, ServeError> {
         value.ok_or_else(|| corrupt(path, format!("missing or non-integer `{key}`")))
     };
-    if field_u64(snap.version, "version")? != 1 {
+    if field_u64(version, "version")? != 1 {
         return Err(corrupt(path, "unsupported snapshot version"));
     }
-    let journal_ops = field_u64(snap.journal_ops, "journal_ops")?;
-    let steps_used = u32::try_from(field_u64(snap.steps_used, "steps_used")?)
+    let journal_ops = field_u64(journal_ops, "journal_ops")?;
+    let steps_used = u32::try_from(field_u64(steps_used, "steps_used")?)
         .map_err(|_| corrupt(path, "steps_used out of range"))?;
-    let era = u32::try_from(field_u64(snap.era, "era")?)
-        .map_err(|_| corrupt(path, "era out of range"))?;
-    let retired = snap
-        .retired
-        .ok_or_else(|| corrupt(path, "missing `retired`"))?;
+    let era =
+        u32::try_from(field_u64(era, "era")?).map_err(|_| corrupt(path, "era out of range"))?;
+    let retired = retired.ok_or_else(|| corrupt(path, "missing `retired`"))?;
     // Predictions-mode projects: swap in the blob of the snapshot's era
     // (digest-anchored by the snapshot) and rebuild the spent-label
     // state, so post-snapshot journal replay measures against exactly
     // the pool the original requests saw.
     if project.measured().is_some() {
-        let recorded = snap
-            .testset_digest
-            .ok_or_else(|| corrupt(path, "missing or bad `testset_digest`"))?;
+        let recorded =
+            testset_digest.ok_or_else(|| corrupt(path, "missing or bad `testset_digest`"))?;
         // Era 0's pool is the one registration just built from the same
         // blob, still unlabelled: reuse it instead of reading it again.
         if era != 0 {
@@ -1097,10 +1061,10 @@ fn load_snapshot(
         // Fully-labelled pools are complete from construction; only lazy
         // pools carry (and require) the spent-label record.
         if lazy {
-            let indices = match snap.labeled {
-                Ints::Read(indices) => indices,
-                Ints::Missing => return Err(corrupt(path, "missing `labeled`")),
-                Ints::NonInteger => return Err(corrupt(path, "bad `labeled` index")),
+            let indices = match labeled {
+                Some(Ints::Read(indices)) => indices,
+                None | Some(Ints::Missing) => return Err(corrupt(path, "missing `labeled`")),
+                Some(Ints::NonInteger) => return Err(corrupt(path, "bad `labeled` index")),
             };
             project
                 .measured_mut()
@@ -1109,124 +1073,13 @@ fn load_snapshot(
                 .map_err(|e| corrupt(path, format!("bad `labeled` state: {e}")))?;
         }
     }
-    let (history, entry_keys) = snap.history.map_err(|e| corrupt(path, e))?;
+    let (history, entry_keys) = history
+        .unwrap_or_else(|| Err("missing `history`".to_owned()))
+        .map_err(|e| corrupt(path, e))?;
     project
         .restore(steps_used, era, retired, history, entry_keys)
         .map_err(|e| corrupt(path, e))?;
     Ok(journal_ops)
-}
-
-/// The fields of `snapshot.json` as [`decode_snapshot`] found them. A
-/// scalar is `None` when absent or of the wrong type; which of the two
-/// does not matter, the reason [`load_snapshot`] gives is the same.
-struct SnapshotFields {
-    version: Option<u64>,
-    journal_ops: Option<u64>,
-    steps_used: Option<u64>,
-    era: Option<u64>,
-    retired: Option<bool>,
-    testset_digest: Option<u64>,
-    labeled: Ints<usize>,
-    /// The history and its dedup keys, or the reason for the first bad
-    /// entry.
-    history: Result<(CommitHistory, Vec<EntryKey>), String>,
-}
-
-/// An array of integers as the pull decoder found it.
-enum Ints<T> {
-    /// Absent, or not an array.
-    Missing,
-    /// An array with an element that is no exact integer of the type.
-    NonInteger,
-    /// Every element.
-    Read(Vec<T>),
-}
-
-/// Which keys of one object were read already: the first of duplicate
-/// keys wins, later ones are skipped.
-#[derive(Default)]
-struct Seen(u16);
-
-impl Seen {
-    /// Whether key number `bit` comes up for the first time.
-    fn first(&mut self, bit: u32) -> bool {
-        let fresh = self.0 & (1 << bit) == 0;
-        self.0 |= 1 << bit;
-        fresh
-    }
-}
-
-/// Decode `snapshot.json` in one pass. Errors are the document's syntax
-/// errors only: a field that is missing or malformed is recorded, and
-/// the rest of the document is still read, so a syntax error anywhere
-/// wins over it, as it does when the document is parsed whole.
-fn decode_snapshot(text: &str) -> Result<SnapshotFields, JsonError> {
-    let mut r = Reader::new(text);
-    let mut f = SnapshotFields {
-        version: None,
-        journal_ops: None,
-        steps_used: None,
-        era: None,
-        retired: None,
-        testset_digest: None,
-        labeled: Ints::Missing,
-        history: Err("missing `history`".to_owned()),
-    };
-    if r.peek()? == Kind::Object {
-        r.begin_object()?;
-        let mut seen = Seen::default();
-        while let Some(key) = r.next_key()? {
-            match &*key {
-                "version" if seen.first(0) => f.version = read_u64(&mut r)?,
-                "journal_ops" if seen.first(1) => f.journal_ops = read_u64(&mut r)?,
-                "steps_used" if seen.first(2) => f.steps_used = read_u64(&mut r)?,
-                "era" if seen.first(3) => f.era = read_u64(&mut r)?,
-                "retired" if seen.first(4) => f.retired = r.try_bool()?,
-                "testset_digest" if seen.first(5) => {
-                    f.testset_digest = r.try_str()?.as_deref().and_then(parse_digest_hex);
-                }
-                "labeled" if seen.first(6) => f.labeled = read_ints(&mut r)?,
-                "history" if seen.first(7) => f.history = decode_history(&mut r, text.len())?,
-                _ => r.skip()?,
-            }
-        }
-    } else {
-        r.skip()?;
-    }
-    r.finish()?;
-    Ok(f)
-}
-
-/// The next value as an exact integer; `None` for anything else.
-fn read_u64(r: &mut Reader<'_>) -> Result<Option<u64>, JsonError> {
-    Ok(r.try_number()?.and_then(exact_u64))
-}
-
-/// The next value as a `u32`; `None` for anything else.
-fn read_u32(r: &mut Reader<'_>) -> Result<Option<u32>, JsonError> {
-    Ok(read_u64(r)?.and_then(|v| u32::try_from(v).ok()))
-}
-
-/// The next value as an array of exact integers of type `T`.
-fn read_ints<T: TryFrom<u64>>(r: &mut Reader<'_>) -> Result<Ints<T>, JsonError> {
-    if r.peek()? != Kind::Array {
-        r.skip()?;
-        return Ok(Ints::Missing);
-    }
-    r.begin_array()?;
-    let mut items = Vec::new();
-    while r.next_element()? {
-        match read_u64(r)?.and_then(|v| T::try_from(v).ok()) {
-            Some(item) => items.push(item),
-            None => {
-                while r.next_element()? {
-                    r.skip()?;
-                }
-                return Ok(Ints::NonInteger);
-            }
-        }
-    }
-    Ok(Ints::Read(items))
 }
 
 /// The `history` array. Entries decode straight into the history; the
@@ -1240,88 +1093,55 @@ fn decode_history(
         r.skip()?;
         return Ok(Err("missing `history`".to_owned()));
     }
-    r.begin_array()?;
     let mut history = CommitHistory::new();
     let mut entry_keys = Vec::with_capacity(text_len / SNAPSHOT_ENTRY_BYTES);
-    while r.next_element()? {
+    let mut bad = None;
+    r.array(|r| {
+        if bad.is_some() {
+            return r.skip();
+        }
         match decode_entry(r)? {
             Ok((entry, key)) => {
                 history.push(entry);
                 entry_keys.push(key);
             }
-            Err(what) => {
-                let index = entry_keys.len();
-                while r.next_element()? {
-                    r.skip()?;
-                }
-                return Ok(Err(format!("history[{index}]: {what}")));
-            }
+            Err(what) => bad = Some(format!("history[{}]: {what}", entry_keys.len())),
         }
-    }
-    Ok(Ok((history, entry_keys)))
+        Ok(())
+    })?;
+    Ok(bad.map_or(Ok((history, entry_keys)), Err))
 }
 
-/// One history entry and its dedup key, or why it is bad; the checks run
-/// in the order the entry's fields are written.
+/// One history entry and its dedup key, or why it is bad: an entry is
+/// read as a commit record, and its checks run in the order its fields
+/// are written.
 fn decode_entry(r: &mut Reader<'_>) -> Result<Result<(HistoryEntry, EntryKey), String>, JsonError> {
-    const ESTIMATES: [&str; 4] = ["d", "n", "o", "diff"];
-    if r.peek()? != Kind::Object {
-        r.skip()?;
-        return Ok(Err("missing `id`".to_owned()));
-    }
-    r.begin_object()?;
-    let mut seen = Seen::default();
-    let (mut id, mut outcome, mut labels) = (None, None, None);
-    let (mut step, mut era, mut passed, mut accepted) = (None, None, None, None);
-    // `Some(None)` for absent or `null`; `None` for a malformed value.
-    let mut estimates = [Some(None); 4];
-    let mut digest = Some(None);
-    let mut per_class = Ok(None);
-    while let Some(key) = r.next_key()? {
-        match &*key {
-            "id" if seen.first(0) => id = r.try_str()?.map(Cow::into_owned),
-            "step" if seen.first(1) => step = read_u32(r)?,
-            "era" if seen.first(2) => era = read_u32(r)?,
-            "outcome" if seen.first(3) => {
-                outcome = r.try_str()?.as_deref().and_then(tribool_parse);
-            }
-            "passed" if seen.first(4) => passed = r.try_bool()?,
-            "accepted" if seen.first(5) => accepted = r.try_bool()?,
-            "labels" if seen.first(6) => labels = read_u64(r)?,
-            "pred_digest" if seen.first(7) => {
-                digest = if r.try_null()? {
-                    Some(None)
-                } else {
-                    r.try_str()?.as_deref().and_then(parse_digest_hex).map(Some)
-                };
-            }
-            "per_class" if seen.first(8) => per_class = decode_per_class(r)?,
-            key => match ESTIMATES.iter().position(|&k| k == key) {
-                Some(i) if seen.first(9 + i as u32) => {
-                    estimates[i] = if r.try_null()? {
-                        Some(None)
-                    } else {
-                        r.try_number()?.map(Some)
-                    };
-                }
-                _ => r.skip()?,
-            },
-        }
-    }
+    let e = commit_members(r, "id")?;
     let bad = |key: &str| format!("bad `{key}`");
-    let checked = (|| {
-        let commit_id = id.ok_or_else(|| "missing `id`".to_owned())?;
-        let outcome = outcome.ok_or_else(|| bad("outcome"))?;
-        let digest = digest.ok_or_else(|| bad("pred_digest"))?;
-        let per_class = per_class?;
-        let step = step.ok_or_else(|| bad("step"))?;
-        let era = era.ok_or_else(|| bad("era"))?;
+    let u32_of = |value: Option<u64>, key| {
+        value
+            .and_then(|v| u32::try_from(v).ok())
+            .ok_or_else(|| bad(key))
+    };
+    Ok((|| {
+        let commit_id = e.id.ok_or_else(|| "missing `id`".to_owned())?.into_owned();
+        let outcome = e
+            .outcome
+            .as_deref()
+            .and_then(tribool_parse)
+            .ok_or_else(|| bad("outcome"))?;
+        let digest = e
+            .pred_digest
+            .map(|d| d.ok_or_else(|| bad("pred_digest")))
+            .transpose()?;
+        let per_class = e.per_class.transpose()?;
+        let (step, era) = (u32_of(e.step, "step")?, u32_of(e.era, "era")?);
         let mut values = [None; 4];
-        for ((value, estimate), key) in values.iter_mut().zip(estimates).zip(ESTIMATES) {
-            *value = estimate.ok_or_else(|| bad(key))?;
+        for ((value, estimate), key) in values.iter_mut().zip(e.estimates).zip(ESTIMATES) {
+            *value = estimate.map(|e| e.ok_or_else(|| bad(key))).transpose()?;
         }
         let [d, n, o, diff] = values;
-        let labels_requested = labels.ok_or_else(|| bad("labels"))?;
+        let labels_requested = e.labels.flatten().ok_or_else(|| bad("labels"))?;
         let entry = HistoryEntry {
             commit_id,
             step,
@@ -1334,40 +1154,11 @@ fn decode_entry(r: &mut Reader<'_>) -> Result<Result<(HistoryEntry, EntryKey), S
                 labels_requested,
             },
             outcome,
-            passed: passed.ok_or_else(|| bad("passed"))?,
-            accepted: accepted.ok_or_else(|| bad("accepted"))?,
+            passed: e.passed.ok_or_else(|| bad("passed"))?,
+            accepted: e.accepted.ok_or_else(|| bad("accepted"))?,
         };
         Ok((entry, (digest, per_class)))
-    })();
-    Ok(checked)
-}
-
-/// The `per_class` field of a snapshot history entry, pulled with the
-/// checks and reasons of [`per_class_from_value`].
-fn decode_per_class(
-    r: &mut Reader<'_>,
-) -> Result<Result<Option<PerClassCounts>, String>, JsonError> {
-    if r.try_null()? {
-        return Ok(Ok(None));
-    }
-    let mut classes = None;
-    let mut vectors = [(); 5].map(|()| Ints::Missing);
-    if r.peek()? == Kind::Object {
-        r.begin_object()?;
-        let mut seen = Seen::default();
-        while let Some(key) = r.next_key()? {
-            match &*key {
-                "classes" if seen.first(0) => classes = read_u32(r)?,
-                key => match PER_CLASS_VECTORS.iter().position(|&k| k == key) {
-                    Some(i) if seen.first(1 + i as u32) => vectors[i] = read_ints(r)?,
-                    _ => r.skip()?,
-                },
-            }
-        }
-    } else {
-        r.skip()?;
-    }
-    Ok(per_class_counts(classes, vectors).map(Some))
+    })())
 }
 
 /// Unlink journal segments a durable snapshot covers whole. One that
@@ -1416,51 +1207,44 @@ fn replay_segment(
 }
 
 /// Replay one journal line through the live gate, cross-checking the
-/// recorded outcome. `commit_predictions` ops are re-*measured* from the
-/// stored vectors against the era's testset blob, so tampering with
-/// either (vectors, derived counts, outcome, or the blob itself)
-/// diverges and rejects the directory.
-fn replay_op(
+/// recorded outcome. The line is read by the decoder the commit routes
+/// read their bodies with ([`commit_members`]). `commit_predictions` ops
+/// are re-*measured* from the stored vectors against the era's testset
+/// blob, so tampering with either (vectors, derived counts, outcome, or
+/// the blob itself) diverges and rejects the directory.
+fn replay_op<'a>(
     vfs: &dyn Vfs,
     dir: &Path,
     path: &Path,
     line_no: usize,
-    line: &str,
+    line: &'a str,
     project: &mut Project,
 ) -> Result<(), ServeError> {
     let bad = |what: String| corrupt(path, format!("line {line_no}: {what}"));
-    let mut op = Value::parse(line).map_err(|e| bad(e.to_string()))?;
-    // A predictions op's vectors move out as their wire strings before
-    // the field readers below borrow the op.
-    let (old_wire, new_wire) = (op.take("old"), op.take("new"));
-    let field_u64 = |key: &str| -> Result<u64, ServeError> {
-        op.get(key)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| bad(format!("missing or non-integer `{key}`")))
+    let op = decode_document(line, |r| commit_members(r, "id")).map_err(|e| bad(e.to_string()))?;
+    let field_u64 = |value: Option<u64>, key: &str| -> Result<u64, ServeError> {
+        value.ok_or_else(|| bad(format!("missing or non-integer `{key}`")))
     };
     let commit_id = || -> Result<String, ServeError> {
-        op.get("id")
-            .and_then(Value::as_str)
-            .ok_or_else(|| bad("missing `id`".into()))
+        op.id
+            .as_deref()
             .map(str::to_owned)
+            .ok_or_else(|| bad("missing `id`".into()))
     };
     let recorded_counts = || -> Result<EvalCounts, ServeError> {
         Ok(EvalCounts {
-            samples: field_u64("samples")?,
-            new_correct: field_u64("new_correct")?,
-            old_correct: field_u64("old_correct")?,
-            changed: field_u64("changed")?,
-            labels: field_u64("labels")?,
-            per_class: per_class_from_value(op.get("per_class")).map_err(bad)?,
+            samples: field_u64(op.samples, "samples")?,
+            new_correct: field_u64(op.new_correct, "new_correct")?,
+            old_correct: field_u64(op.old_correct, "old_correct")?,
+            changed: field_u64(op.changed, "changed")?,
+            labels: field_u64(op.labels.flatten(), "labels")?,
+            per_class: op.per_class.transpose().map_err(bad)?,
         })
     };
     let check_outcome = |receipt: &GateReceipt| -> Result<(), ServeError> {
-        let recorded_passed = op
-            .get("passed")
-            .and_then(Value::as_bool)
-            .ok_or_else(|| bad("missing `passed`".into()))?;
-        let recorded_step = field_u64("step")?;
-        let recorded_era = field_u64("era")?;
+        let recorded_passed = op.passed.ok_or_else(|| bad("missing `passed`".into()))?;
+        let recorded_step = field_u64(op.step, "step")?;
+        let recorded_era = field_u64(op.era, "era")?;
         if receipt.passed != recorded_passed
             || u64::from(receipt.step) != recorded_step
             || u64::from(receipt.era) != recorded_era
@@ -1473,7 +1257,7 @@ fn replay_op(
         }
         Ok(())
     };
-    match op.get("op").and_then(Value::as_str) {
+    match op.op.as_deref() {
         Some("commit") => {
             let submission = CommitSubmission {
                 commit_id: commit_id()?,
@@ -1485,12 +1269,13 @@ fn replay_op(
             check_outcome(&receipt)
         }
         Some("commit_predictions") => {
-            let vector = |wire: Option<Value>, key: &str| match wire {
-                Some(Value::String(wire)) => WireVector::Text(Cow::Owned(wire)),
+            // The journal holds each vector as its wire string.
+            let vector = |wire: Option<WireVector<'a>>, key: &str| match wire {
+                Some(wire @ WireVector::Text(_)) => wire,
                 _ => WireVector::Invalid(format!("missing `{key}`")),
             };
             let (packed, old, new) =
-                PackedPredictions::decode(vector(old_wire, "old"), vector(new_wire, "new"))
+                PackedPredictions::decode(vector(op.old, "old"), vector(op.new, "new"))
                     .map_err(bad)?;
             let recorded = recorded_counts()?;
             let (receipt, counts) = project
@@ -1505,14 +1290,10 @@ fn replay_op(
             check_outcome(&receipt)
         }
         Some("fresh_testset") => {
-            let recorded = field_u64("era")?;
-            let new_era = match op.get("testset_digest") {
-                None | Some(Value::Null) => project.fresh_testset(),
-                Some(digest) => {
-                    let recorded_digest = digest
-                        .as_str()
-                        .and_then(parse_digest_hex)
-                        .ok_or_else(|| bad("bad `testset_digest`".into()))?;
+            let recorded = field_u64(op.era, "era")?;
+            let new_era = match op.testset_digest {
+                None => project.fresh_testset(),
+                Some(Some(recorded_digest)) => {
                     let era =
                         u32::try_from(recorded).map_err(|_| bad("era out of range".into()))?;
                     let spec = read_testset_blob(vfs, dir, era)?;
@@ -1526,6 +1307,7 @@ fn replay_op(
                         .install_testset(spec)
                         .map_err(|e| bad(format!("testset replay failed: {e}")))?
                 }
+                Some(None) => return Err(bad("bad `testset_digest`".into())),
             };
             if u64::from(new_era) != recorded {
                 return Err(bad(format!(
@@ -1573,7 +1355,7 @@ impl ProjectSlot {
         let receipt = self.project.submit(submission)?;
         if let Err(e) = self
             .store
-            .append_commit(submission, &receipt, &self.project)
+            .append(commit_line(submission, &receipt), &self.project)
         {
             self.project.rollback(mark);
             return Err(e);
@@ -1639,8 +1421,9 @@ impl ProjectSlot {
             .project
             .submit_packed_predictions(commit_id, packed, old, new, &mut fresh)
             .and_then(|(receipt, counts)| {
+                let line = predictions_line(commit_id, packed, &counts, &receipt);
                 self.store
-                    .append_commit_predictions(commit_id, packed, &counts, &receipt, &self.project)
+                    .append(line, &self.project)
                     .map(|()| (receipt, counts))
             });
         if result.is_err() {
@@ -1673,7 +1456,10 @@ impl ProjectSlot {
         }
         let mark = self.project.mark();
         let era = self.project.fresh_testset();
-        if let Err(e) = self.store.append_fresh_testset(era, None, &self.project) {
+        if let Err(e) = self
+            .store
+            .append(fresh_testset_line(era, None), &self.project)
+        {
             self.project.rollback(mark);
             return Err(e);
         }
@@ -1707,7 +1493,10 @@ impl ProjectSlot {
         let prev = self.project.measured_clone();
         let era = self.project.install_testset(spec)?;
         let digest = self.project.testset_digest();
-        if let Err(e) = self.store.append_fresh_testset(era, digest, &self.project) {
+        if let Err(e) = self
+            .store
+            .append(fresh_testset_line(era, digest), &self.project)
+        {
             self.project.rollback(mark);
             self.project.set_measured(prev);
             return Err(e);
@@ -2080,6 +1869,8 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::hostile::{container_paths, edited, edits, members_at, value_at, Edit};
+    use crate::record::{parse_digest_hex, per_class_counts};
     use crate::registry::serving_estimator;
     use crate::vfs::{Fault, FaultKind, FaultPlan, FaultVfs, MemVfs, OpRecord};
     use proptest::prelude::*;
@@ -3207,7 +2998,7 @@ mod tests {
                         .ok_or_else(|| bad("bad `pred_digest`"))?,
                 ),
             };
-            let per_class = per_class_from_value(entry.get("per_class")).map_err(|e| bad(&e))?;
+            let per_class = per_class_reference(entry.get("per_class")).map_err(|e| bad(&e))?;
             entry_keys.push((digest, per_class));
             history.push(HistoryEntry {
                 commit_id,
@@ -3413,7 +3204,7 @@ mod tests {
     }
 
     /// A counts project, a lazy and a fully-labelled predictions
-    /// project, and a lazy F1 project.
+    /// project, a lazy F1 project and an F1 counts project.
     fn base_project(kind: u32) -> Project {
         let estimator = serving_estimator();
         let spec = |lazy| TestsetSpec {
@@ -3425,9 +3216,13 @@ mod tests {
             0 => (SCRIPT.to_owned(), None),
             1 => (SCRIPT.to_owned(), Some(spec(true))),
             2 => (SCRIPT.to_owned(), Some(spec(false))),
-            _ => (
+            3 => (
                 SCRIPT.replace("n > 0.6 +/- 0.2", "f1(n) - f1(o) > -0.5 +/- 0.2"),
                 Some(spec(true)),
+            ),
+            _ => (
+                SCRIPT.replace("n > 0.6 +/- 0.2", "f1(n) - f1(o) > -0.5 +/- 0.2"),
+                None,
             ),
         };
         Project::register_with_testset("proj", &script, &estimator, testset).unwrap()
@@ -3483,182 +3278,6 @@ mod tests {
                 crate::server::history_body("proj \"x\"", &project),
                 history_reference("proj \"x\"", &project)
             );
-        }
-    }
-
-    /// Values that a hostile edit puts where the snapshot has another:
-    /// the other JSON kinds, integers in spellings the tree reads as
-    /// integers too, out-of-range and non-integral numbers, a valid
-    /// digest, an escaped outcome, and containers.
-    const ODD_VALUES: &[&str] = &[
-        "null",
-        "true",
-        "false",
-        "0",
-        "-0",
-        "1.0",
-        "1e0",
-        "2.5",
-        "-1",
-        "4294967296",
-        "9007199254740993",
-        "\"True\"",
-        "\"Tr\\u0075e\"",
-        "\"0123456789abcdef\"",
-        "\"\"",
-        "[]",
-        "{}",
-        "[1, 2, 3]",
-        "[0, -1]",
-        "{\"classes\": 1, \"support\": [1]}",
-        "[[[[{\"deep\": [null]}]]]]",
-    ];
-
-    /// The paths (element and member indices) of every object in `v`
-    /// and of every array element, depth first.
-    fn container_paths(
-        v: &Value,
-        path: &mut Vec<usize>,
-        objects: &mut Vec<Vec<usize>>,
-        elements: &mut Vec<Vec<usize>>,
-    ) {
-        let children: Vec<&Value> = match v {
-            Value::Object(pairs) => {
-                objects.push(path.clone());
-                pairs.iter().map(|(_, v)| v).collect()
-            }
-            Value::Array(items) => items.iter().collect(),
-            _ => Vec::new(),
-        };
-        for (i, child) in children.into_iter().enumerate() {
-            path.push(i);
-            if matches!(v, Value::Array(_)) {
-                elements.push(path.clone());
-            }
-            container_paths(child, path, objects, elements);
-            path.pop();
-        }
-    }
-
-    fn value_at<'v>(v: &'v mut Value, path: &[usize]) -> &'v mut Value {
-        path.iter().fold(v, |v, &i| match v {
-            Value::Object(pairs) => &mut pairs[i].1,
-            Value::Array(items) => &mut items[i],
-            _ => unreachable!("paths lead through containers"),
-        })
-    }
-
-    fn members_at<'v>(v: &'v mut Value, path: &[usize]) -> &'v mut Vec<(String, Value)> {
-        match value_at(v, path) {
-            Value::Object(pairs) => pairs,
-            _ => unreachable!("paths end at objects"),
-        }
-    }
-
-    /// One hostile edit of a snapshot's text. Edits `0..=5` change the
-    /// parsed document and render it again: drop a member, add a
-    /// duplicate of one before or after it, reorder the members, add an
-    /// unknown key, replace a member's value (half of these pick the top
-    /// level object), replace an array element. Edits `6..` work on the
-    /// text: flip a bit of an ASCII byte, truncate, delete, duplicate or
-    /// swap lines, spell a key's first letter as a `\u` escape.
-    fn edit_snapshot(
-        text: &str,
-        (op, a, b, odd): (u32, usize, usize, usize),
-        compact: bool,
-    ) -> String {
-        let odd = Value::parse(ODD_VALUES[odd]).expect("odd values parse");
-        if op <= 5 {
-            let Ok(mut doc) = Value::parse(text) else {
-                return text.to_owned();
-            };
-            let (mut objects, mut elements) = (Vec::new(), Vec::new());
-            container_paths(&doc, &mut Vec::new(), &mut objects, &mut elements);
-            if op == 5 {
-                if let Some(path) = elements.get(a % elements.len().max(1)) {
-                    *value_at(&mut doc, path) = odd;
-                }
-                return if compact { doc.encode() } else { doc.pretty() };
-            }
-            let Some(path) = (if b % 2 == 0 {
-                objects.first()
-            } else {
-                objects.get(b / 2 % objects.len().max(1))
-            }) else {
-                return text.to_owned();
-            };
-            let members = members_at(&mut doc, path);
-            let len = members.len();
-            match op {
-                0 if len > 0 => {
-                    members.remove(a % len);
-                }
-                1 if len > 0 => {
-                    let key = members[a % len].0.clone();
-                    let at = if b % 4 < 2 { a % len } else { a % len + 1 };
-                    members.insert(at, (key, odd));
-                }
-                2 if len > 1 => {
-                    if a % 2 == 0 {
-                        members.reverse();
-                    } else {
-                        members.rotate_left(1 + a % (len - 1));
-                    }
-                }
-                3 => members.insert(a % (len + 1), (format!("x{b}"), odd)),
-                4 if len > 0 => members[a % len].1 = odd,
-                _ => {}
-            }
-            return if compact { doc.encode() } else { doc.pretty() };
-        }
-        let mut lines: Vec<&str> = text.split_inclusive('\n').collect();
-        let (x, y) = (a % lines.len().max(1), b % lines.len().max(1));
-        match op {
-            6 => {
-                let mut bytes = text.as_bytes().to_vec();
-                if let Some(byte) = bytes.get_mut(a % text.len().max(1)) {
-                    if byte.is_ascii() {
-                        *byte ^= 1 << (b % 7);
-                    }
-                }
-                String::from_utf8(bytes).expect("an ASCII flip keeps UTF-8")
-            }
-            7 => {
-                let cut = text
-                    .char_indices()
-                    .map(|(i, _)| i)
-                    .nth(a % text.len().max(1));
-                text[..cut.unwrap_or(text.len())].to_owned()
-            }
-            8..=10 if lines.is_empty() => text.to_owned(),
-            8 => {
-                lines.remove(x);
-                lines.concat()
-            }
-            9 => {
-                lines.insert(x, lines[x]);
-                lines.concat()
-            }
-            10 => {
-                lines.swap(x, y);
-                lines.concat()
-            }
-            _ => {
-                let keys: Vec<usize> = text.match_indices("\": ").map(|(i, _)| i).collect();
-                let Some(&end) = keys.get(a % keys.len().max(1)) else {
-                    return text.to_owned();
-                };
-                let start = text[..end].rfind('"').expect("keys are quoted") + 1;
-                match text[start..end].chars().next() {
-                    Some(c) if c.is_ascii_alphabetic() => format!(
-                        "{}\\u{:04x}{}",
-                        &text[..start],
-                        c as u32,
-                        &text[start + 1..]
-                    ),
-                    _ => text.to_owned(),
-                }
-            }
         }
     }
 
@@ -3722,8 +3341,34 @@ mod tests {
         Ok(())
     }
 
+    /// The snapshot of a `kind` project restored from `rows`, hostile
+    /// edits applied, gets the tree reference's verdict.
+    fn check_snapshot_case(
+        kind: u32,
+        rows: Vec<Row>,
+        (journal_ops, steps_used, era, retired): (u64, u32, u32, u32),
+        labeled: &[usize],
+        edits: &[Edit],
+        compact: bool,
+    ) -> Result<(), TestCaseError> {
+        // Label counts past 2^53 render inexactly, and the loaders
+        // refuse them: keep them exact so that most documents load.
+        let rows = rows.into_iter().map(|(mut entry, digest, pc)| {
+            entry.estimates.labels_requested >>= 11;
+            (entry, digest, pc)
+        });
+        let project = restored_project(
+            kind,
+            rows.collect(),
+            (steps_used, era, retired == 1),
+            labeled,
+        );
+        let text = edited(&render_snapshot(journal_ops, &project), edits, compact);
+        check_against_reference(kind, &text)
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        #![proptest_config(ProptestConfig::with_cases(2048))]
 
         #[test]
         fn hostile_snapshots_get_the_tree_reference_verdict(
@@ -3731,26 +3376,29 @@ mod tests {
             rows in prop::collection::vec(history_row(), 0..6),
             counters in (0u64..1 << 40, 0u32..=u32::MAX, 0u32..3, 0u32..2),
             labeled in prop::collection::vec(0usize..40, 0..12),
-            edits in prop::collection::vec(
-                (0u32..12, 0usize..1 << 20, 0usize..1 << 20, 0usize..ODD_VALUES.len()),
-                0..3,
-            ),
+            edits in edits(2),
             compact in 0u32..2,
         ) {
-            let (journal_ops, steps_used, era, retired) = counters;
-            // Label counts past 2^53 render inexactly, and the loaders
-            // refuse them: keep them exact so that most documents load.
-            let rows = rows.into_iter().map(|(mut entry, digest, pc)| {
-                entry.estimates.labels_requested >>= 11;
-                (entry, digest, pc)
-            });
-            let project =
-                restored_project(kind, rows.collect(), (steps_used, era, retired == 1), &labeled);
-            let mut text = render_snapshot(journal_ops, &project);
-            for edit in edits {
-                text = edit_snapshot(&text, edit, compact == 1);
-            }
-            check_against_reference(kind, &text)?;
+            check_snapshot_case(kind, rows, counters, &labeled, &edits, compact == 1)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(250_000))]
+
+        /// [`hostile_snapshots_get_the_tree_reference_verdict`] over many
+        /// more snapshots; run it in release with `--ignored`.
+        #[test]
+        #[ignore = "exhaustive; run in release with --ignored"]
+        fn hostile_snapshots_get_the_tree_reference_verdict_exhaustively(
+            kind in 0u32..4,
+            rows in prop::collection::vec(history_row(), 0..6),
+            counters in (0u64..1 << 40, 0u32..=u32::MAX, 0u32..3, 0u32..2),
+            labeled in prop::collection::vec(0usize..40, 0..12),
+            edits in edits(2),
+            compact in 0u32..2,
+        ) {
+            check_snapshot_case(kind, rows, counters, &labeled, &edits, compact == 1)?;
         }
     }
 
@@ -3843,6 +3491,533 @@ mod tests {
             matches!(&pull, Err(ServeError::Corrupt { reason, .. }) if reason == "missing or non-integer `era`"),
             "{pull:?}"
         );
+    }
+
+    /// Reference `per_class` reader: the tree walk [`decode_per_class`]
+    /// replaced. Absent/null parses to `None`.
+    fn per_class_reference(value: Option<&Value>) -> Result<Option<PerClassCounts>, String> {
+        let value = match value {
+            None | Some(Value::Null) => return Ok(None),
+            Some(v) => v,
+        };
+        let classes = value
+            .get("classes")
+            .and_then(Value::as_u64)
+            .and_then(|c| u32::try_from(c).ok());
+        let vectors = PER_CLASS_VECTORS.map(|key| match value.get(key).and_then(Value::as_array) {
+            None => Ints::Missing,
+            Some(items) => items
+                .iter()
+                .map(Value::as_u64)
+                .collect::<Option<Vec<u64>>>()
+                .map_or(Ints::NonInteger, Ints::Read),
+        });
+        per_class_counts(classes, vectors).map(Some)
+    }
+
+    /// Reference registration-record reader: the tree walk
+    /// [`read_registration`] replaced.
+    fn read_registration_reference(
+        path: &Path,
+        text: &str,
+    ) -> Result<(String, String, Option<u64>), ServeError> {
+        let record = Value::parse(text).map_err(|e| corrupt(path, e.to_string()))?;
+        let name = record
+            .get("name")
+            .and_then(Value::as_str)
+            .ok_or_else(|| corrupt(path, "missing `name`"))?;
+        let script = record
+            .get("script")
+            .and_then(Value::as_str)
+            .ok_or_else(|| corrupt(path, "missing `script`"))?;
+        let digest = match record.get("testset") {
+            None | Some(Value::Null) => None,
+            Some(ts) => Some(
+                ts.get("digest")
+                    .and_then(Value::as_str)
+                    .and_then(parse_digest_hex)
+                    .ok_or_else(|| corrupt(path, "missing or bad testset `digest`"))?,
+            ),
+        };
+        Ok((name.to_owned(), script.to_owned(), digest))
+    }
+
+    /// Reference era-blob reader: the tree walk [`testset_from_blob`]
+    /// replaced.
+    fn testset_from_blob_reference(
+        path: &Path,
+        era: u32,
+        text: &str,
+    ) -> Result<TestsetSpec, ServeError> {
+        let blob = Value::parse(text).map_err(|e| corrupt(path, e.to_string()))?;
+        if blob.get("version").and_then(Value::as_u64) != Some(1) {
+            return Err(corrupt(path, "unsupported testset blob version"));
+        }
+        if blob.get("era").and_then(Value::as_u64) != Some(u64::from(era)) {
+            return Err(corrupt(path, "blob era does not match file name"));
+        }
+        let lazy = match blob.get("labeling").and_then(Value::as_str) {
+            Some("lazy") => true,
+            Some("full") => false,
+            _ => return Err(corrupt(path, "missing or unknown `labeling`")),
+        };
+        let classes = blob
+            .get("classes")
+            .and_then(Value::as_u64)
+            .and_then(|v| u32::try_from(v).ok())
+            .ok_or_else(|| corrupt(path, "missing or bad `classes`"))?;
+        let truth = blob
+            .get("labels")
+            .and_then(Value::as_str)
+            .ok_or_else(|| corrupt(path, "missing `labels`"))
+            .and_then(|text| decode_u32_vec(text).map_err(|e| corrupt(path, e)))?;
+        let spec = TestsetSpec {
+            truth,
+            classes,
+            lazy,
+        };
+        spec.validate()
+            .map_err(|e| corrupt(path, format!("invalid testset: {e}")))?;
+        Ok(spec)
+    }
+
+    /// Reference journal-line replay: the tree walk [`replay_op`]
+    /// replaced, which parsed each line into a [`Value`] and moved the
+    /// vectors out of it.
+    fn replay_op_reference(
+        vfs: &dyn Vfs,
+        dir: &Path,
+        path: &Path,
+        line_no: usize,
+        line: &str,
+        project: &mut Project,
+    ) -> Result<(), ServeError> {
+        let bad = |what: String| corrupt(path, format!("line {line_no}: {what}"));
+        let op = Value::parse(line).map_err(|e| bad(e.to_string()))?;
+        let (old_wire, new_wire) = (op.get("old").cloned(), op.get("new").cloned());
+        let field_u64 = |key: &str| -> Result<u64, ServeError> {
+            op.get(key)
+                .and_then(Value::as_u64)
+                .ok_or_else(|| bad(format!("missing or non-integer `{key}`")))
+        };
+        let commit_id = || -> Result<String, ServeError> {
+            op.get("id")
+                .and_then(Value::as_str)
+                .ok_or_else(|| bad("missing `id`".into()))
+                .map(str::to_owned)
+        };
+        let recorded_counts = || -> Result<EvalCounts, ServeError> {
+            Ok(EvalCounts {
+                samples: field_u64("samples")?,
+                new_correct: field_u64("new_correct")?,
+                old_correct: field_u64("old_correct")?,
+                changed: field_u64("changed")?,
+                labels: field_u64("labels")?,
+                per_class: per_class_reference(op.get("per_class")).map_err(bad)?,
+            })
+        };
+        let check_outcome = |receipt: &GateReceipt| -> Result<(), ServeError> {
+            let recorded_passed = op
+                .get("passed")
+                .and_then(Value::as_bool)
+                .ok_or_else(|| bad("missing `passed`".into()))?;
+            let recorded_step = field_u64("step")?;
+            let recorded_era = field_u64("era")?;
+            if receipt.passed != recorded_passed
+                || u64::from(receipt.step) != recorded_step
+                || u64::from(receipt.era) != recorded_era
+            {
+                return Err(bad(format!(
+                    "replay diverged: recorded (passed={recorded_passed}, step={recorded_step}, \
+                     era={recorded_era}) vs recomputed (passed={}, step={}, era={})",
+                    receipt.passed, receipt.step, receipt.era
+                )));
+            }
+            Ok(())
+        };
+        match op.get("op").and_then(Value::as_str) {
+            Some("commit") => {
+                let submission = CommitSubmission {
+                    commit_id: commit_id()?,
+                    counts: recorded_counts()?,
+                };
+                let receipt = project
+                    .submit(&submission)
+                    .map_err(|e| bad(format!("gate rejected replayed op: {e}")))?;
+                check_outcome(&receipt)
+            }
+            Some("commit_predictions") => {
+                let vector = |wire: Option<Value>, key: &str| match wire {
+                    Some(Value::String(wire)) => WireVector::Text(Cow::Owned(wire)),
+                    _ => WireVector::Invalid(format!("missing `{key}`")),
+                };
+                let (packed, old, new) =
+                    PackedPredictions::decode(vector(old_wire, "old"), vector(new_wire, "new"))
+                        .map_err(bad)?;
+                let recorded = recorded_counts()?;
+                let (receipt, counts) = project
+                    .submit_packed_predictions(&commit_id()?, &packed, &old, &new, &mut Vec::new())
+                    .map_err(|e| bad(format!("gate rejected replayed op: {e}")))?;
+                if counts != recorded {
+                    return Err(bad(format!(
+                        "measurement replay diverged: recorded {recorded:?} vs remeasured {counts:?} \
+                         (prediction or testset blob tampered?)"
+                    )));
+                }
+                check_outcome(&receipt)
+            }
+            Some("fresh_testset") => {
+                let recorded = field_u64("era")?;
+                let new_era = match op.get("testset_digest") {
+                    None | Some(Value::Null) => project.fresh_testset(),
+                    Some(digest) => {
+                        let recorded_digest = digest
+                            .as_str()
+                            .and_then(parse_digest_hex)
+                            .ok_or_else(|| bad("bad `testset_digest`".into()))?;
+                        let era =
+                            u32::try_from(recorded).map_err(|_| bad("era out of range".into()))?;
+                        let spec = read_testset_blob(vfs, dir, era)?;
+                        if spec.digest() != recorded_digest {
+                            return Err(corrupt(
+                                &dir.join(testset_blob_name(era)),
+                                "testset blob does not match the journalled digest",
+                            ));
+                        }
+                        project
+                            .install_testset(spec)
+                            .map_err(|e| bad(format!("testset replay failed: {e}")))?
+                    }
+                };
+                if u64::from(new_era) != recorded {
+                    return Err(bad(format!(
+                        "replay diverged: recorded era {recorded} vs recomputed {new_era}"
+                    )));
+                }
+                Ok(())
+            }
+            _ => Err(bad("unknown op".into())),
+        }
+    }
+
+    /// The base testset every era's blob of a `kind` project holds.
+    fn base_spec(kind: u32) -> Option<TestsetSpec> {
+        base_project(kind).measured().map(MeasuredTestset::spec)
+    }
+
+    /// A disk holding eras 0–3 of a `kind` project's testset blob.
+    fn blob_disk(kind: u32, dir: &Path) -> MemVfs {
+        let disk = MemVfs::new();
+        if let Some(spec) = base_spec(kind) {
+            for era in 0..4 {
+                write_atomic(
+                    &disk,
+                    &dir.join(testset_blob_name(era)),
+                    testset_blob_json(era, &spec).pretty().as_bytes(),
+                )
+                .unwrap();
+            }
+        }
+        disk
+    }
+
+    /// A receipt for lines the live gate would refuse: replay refuses
+    /// them too, or diverges from this outcome.
+    fn refused_receipt() -> GateReceipt {
+        GateReceipt {
+            commit_id: String::new(),
+            step: 1,
+            era: 0,
+            signal: None,
+            accepted: false,
+            outcome: Tribool::Unknown,
+            passed: false,
+            alarm: None,
+            steps_remaining: 0,
+            labels: 0,
+        }
+    }
+
+    /// One journal line (newline stripped) of an op on `project`, which
+    /// the op is applied to when the live gate accepts it: `commit`
+    /// (plain and per-class counts), `commit_predictions` (in-class or
+    /// not) or `fresh_testset`, drawn from `seed`.
+    fn live_line(kind: u32, project: &mut Project, seed: u64) -> String {
+        let pick = |bits: u32, n: u64| (seed >> bits) % n;
+        // Mostly the commits the project's mode takes, now and then the
+        // other kind, which the gate refuses.
+        let ops: [u32; 5] = if matches!(kind, 1..=3) {
+            [0, 1, 1, 1, 2]
+        } else {
+            [0, 0, 0, 1, 2]
+        };
+        let line = match ops[pick(0, 5) as usize] {
+            0 => {
+                let samples = 40 + pick(2, 200);
+                let per_class = (kind >= 3).then(|| {
+                    let half = samples / 2;
+                    PerClassCounts {
+                        classes: 2,
+                        support: vec![half, samples - half],
+                        new_tp: vec![half, pick(10, samples - half + 1)],
+                        old_tp: vec![pick(20, half + 1), 0],
+                        new_pred: vec![half, samples - half],
+                        old_pred: vec![half, samples - half],
+                    }
+                });
+                let submission = CommitSubmission {
+                    commit_id: format!("c{}", pick(30, 4)),
+                    counts: EvalCounts {
+                        samples,
+                        new_correct: pick(34, samples + 1),
+                        old_correct: pick(42, samples + 1),
+                        changed: pick(50, samples + 1),
+                        labels: pick(58, 50),
+                        per_class,
+                    },
+                };
+                let receipt = project
+                    .submit(&submission)
+                    .unwrap_or_else(|_| refused_receipt());
+                commit_line(&submission, &receipt)
+            }
+            1 => {
+                let classes = 3 + u32::from(pick(2, 8) == 0);
+                let vector = |shift: u32| -> Vec<u32> {
+                    (0..40u32)
+                        .map(|i| (i + (seed >> shift) as u32 % 7) % classes)
+                        .collect()
+                };
+                let submission = PredictionsSubmission {
+                    commit_id: format!("p{}", pick(5, 4)),
+                    old: vector(10),
+                    new: vector(20),
+                };
+                let packed = submission.packed();
+                let (receipt, counts) = project
+                    .submit_packed_predictions(
+                        &submission.commit_id,
+                        &packed,
+                        &submission.old,
+                        &submission.new,
+                        &mut Vec::new(),
+                    )
+                    .unwrap_or_else(|_| {
+                        let counts = EvalCounts {
+                            samples: 40,
+                            new_correct: 0,
+                            old_correct: 0,
+                            changed: 0,
+                            labels: 0,
+                            per_class: None,
+                        };
+                        (refused_receipt(), counts)
+                    });
+                predictions_line(&submission.commit_id, &packed, &counts, &receipt)
+            }
+            _ => match base_spec(kind) {
+                Some(spec) => {
+                    let digest = spec.digest();
+                    let era = project.install_testset(spec).unwrap_or(project.era() + 1);
+                    fresh_testset_line(era, Some(digest))
+                }
+                None => fresh_testset_line(project.fresh_testset(), None),
+            },
+        };
+        line.trim_end_matches('\n').to_owned()
+    }
+
+    /// Replay `line` onto two copies of `project` with the pull decoder
+    /// and with the tree reference: both refuse with the same error, or
+    /// both accept and leave the same status, `/history`, `/budget` and
+    /// snapshot bodies.
+    fn check_line_against_reference(
+        disk: &MemVfs,
+        dir: &Path,
+        project: &Project,
+        line: &str,
+    ) -> Result<(), TestCaseError> {
+        let path = dir.join(segment_name(0));
+        let (mut pulled, mut reference) = (project.clone(), project.clone());
+        let pull = replay_op(disk, dir, &path, 1, line, &mut pulled);
+        let tree = replay_op_reference(disk, dir, &path, 1, line, &mut reference);
+        prop_assert_eq!(
+            pull.as_ref().map_err(ToString::to_string),
+            tree.as_ref().map_err(ToString::to_string),
+            "{}",
+            line
+        );
+        if pull.is_ok() {
+            let bodies = |p: &Project| {
+                [
+                    crate::server::status_json(p).encode(),
+                    crate::server::history_body("proj", p),
+                    crate::server::budget_body(p).encode(),
+                    render_snapshot(0, p),
+                ]
+            };
+            prop_assert_eq!(bodies(&pulled), bodies(&reference), "{}", line);
+        }
+        Ok(())
+    }
+
+    /// A `kind` project after `prior` live ops, and one more op's journal
+    /// line, hostile edits applied.
+    fn journal_case(kind: u32, prior: &[u64], seed: u64, edits: &[Edit]) -> (Project, String) {
+        let mut project = base_project(kind);
+        for &op in prior {
+            live_line(kind, &mut project, op);
+        }
+        let line = live_line(kind, &mut project.clone(), seed);
+        (project, edited(&line, edits, true))
+    }
+
+    fn check_journal_case(
+        kind: u32,
+        prior: &[u64],
+        seed: u64,
+        edits: &[Edit],
+    ) -> Result<(), TestCaseError> {
+        let dir = Path::new("/hostile/projects/proj");
+        let (project, line) = journal_case(kind, prior, seed, edits);
+        check_line_against_reference(&blob_disk(kind, dir), dir, &project, &line)
+    }
+
+    /// The registration record of a `kind` project, hostile edits
+    /// applied: the pull decoder and the tree reference read the same
+    /// name, script and digest, or refuse with the same reason.
+    fn check_record_case(kind: u32, edits: &[Edit], compact: bool) -> Result<(), TestCaseError> {
+        let path = Path::new("/p/project.json");
+        let text = edited(&registration_record(&base_project(kind)), edits, compact);
+        let pull = read_registration(path, &text)
+            .map(|(name, script, digest)| (name.into_owned(), script.into_owned(), digest));
+        let tree = read_registration_reference(path, &text);
+        prop_assert_eq!(
+            pull.map_err(|e| e.to_string()),
+            tree.map_err(|e| e.to_string()),
+            "{}",
+            text
+        );
+        Ok(())
+    }
+
+    /// An era blob, packed or CSV, full or lazy, read as its own era or
+    /// another, hostile edits applied: the pull decoder and the tree
+    /// reference read the same spec, or refuse with the same reason.
+    fn check_blob_case(
+        (len, classes, lazy, era, read_as): (usize, u32, bool, u32, u32),
+        edits: &[Edit],
+        compact: bool,
+    ) -> Result<(), TestCaseError> {
+        let spec = TestsetSpec {
+            truth: (0..len as u32).map(|i| (i * 7) % classes).collect(),
+            classes,
+            lazy,
+        };
+        let path = Path::new("/p/testset.1.json");
+        let text = edited(&testset_blob_json(era, &spec).pretty(), edits, compact);
+        let pull = testset_from_blob(path, read_as, &text);
+        let tree = testset_from_blob_reference(path, read_as, &text);
+        prop_assert_eq!(
+            pull.map_err(|e| e.to_string()),
+            tree.map_err(|e| e.to_string()),
+            "{}",
+            text
+        );
+        Ok(())
+    }
+
+    fn blob_shape() -> impl Strategy<Value = (usize, u32, bool, u32, u32)> {
+        (
+            0usize..50,
+            prop_oneof![1u32..5, 60u32..70, Just(0u32), Just(1 << 17)],
+            0u32..2,
+            0u32..3,
+            prop_oneof![Just(0u32), 0u32..3],
+        )
+            .prop_map(|(len, classes, lazy, era, read_as)| {
+                let read_as = if read_as == 0 { era } else { read_as };
+                (len, classes.max(1), lazy == 1, era, read_as)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Journal lines of every op kind replay alike through the pull
+        /// decoder and the tree walk it replaced.
+        #[test]
+        fn hostile_journal_lines_get_the_tree_reference_verdict(
+            kind in 0u32..5,
+            prior in prop::collection::vec(0u64..u64::MAX, 0..3),
+            seed in 0u64..u64::MAX,
+            edits in edits(2),
+        ) {
+            check_journal_case(kind, &prior, seed, &edits)?;
+        }
+
+        /// Registration records read alike through the pull decoder and
+        /// the tree walk it replaced.
+        #[test]
+        fn hostile_registration_records_get_the_tree_reference_verdict(
+            kind in 0u32..5,
+            edits in edits(3),
+            compact in 0u32..2,
+        ) {
+            check_record_case(kind, &edits, compact == 1)?;
+        }
+
+        /// Era blobs read alike through the pull decoder and the tree
+        /// walk it replaced.
+        #[test]
+        fn hostile_testset_blobs_get_the_tree_reference_verdict(
+            shape in blob_shape(),
+            edits in edits(3),
+            compact in 0u32..2,
+        ) {
+            check_blob_case(shape, &edits, compact == 1)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(250_000))]
+
+        /// [`hostile_journal_lines_get_the_tree_reference_verdict`] over
+        /// many more lines; run it in release with `--ignored`.
+        #[test]
+        #[ignore = "exhaustive; run in release with --ignored"]
+        fn hostile_journal_lines_get_the_tree_reference_verdict_exhaustively(
+            kind in 0u32..5,
+            prior in prop::collection::vec(0u64..u64::MAX, 0..3),
+            seed in 0u64..u64::MAX,
+            edits in edits(2),
+        ) {
+            check_journal_case(kind, &prior, seed, &edits)?;
+        }
+
+        /// [`hostile_registration_records_get_the_tree_reference_verdict`]
+        /// over many more records; run it in release with `--ignored`.
+        #[test]
+        #[ignore = "exhaustive; run in release with --ignored"]
+        fn hostile_registration_records_get_the_tree_reference_verdict_exhaustively(
+            kind in 0u32..5,
+            edits in edits(3),
+            compact in 0u32..2,
+        ) {
+            check_record_case(kind, &edits, compact == 1)?;
+        }
+
+        /// [`hostile_testset_blobs_get_the_tree_reference_verdict`] over
+        /// many more blobs; run it in release with `--ignored`.
+        #[test]
+        #[ignore = "exhaustive; run in release with --ignored"]
+        fn hostile_testset_blobs_get_the_tree_reference_verdict_exhaustively(
+            shape in blob_shape(),
+            edits in edits(3),
+            compact in 0u32..2,
+        ) {
+            check_blob_case(shape, &edits, compact == 1)?;
+        }
     }
 
     /// Commit id carrying every kind of byte the escaper treats

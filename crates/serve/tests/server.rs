@@ -233,6 +233,72 @@ fn end_to_end_gate_then_restart_preserves_state() {
     join.join().unwrap();
 }
 
+/// A `labels` that is no exact non-negative integer is refused with a
+/// 400 and spends no budget step; absent or `null` charges no labels.
+#[test]
+fn malformed_labels_are_refused_not_charged_as_zero() {
+    let dir = temp_dir("labels");
+    let (addr, handle, join) = start(&dir, 2);
+    let mut client = Client::new(addr);
+    let (status, _) = client
+        .request("POST", "/projects", Some(&register_body("lab", SCRIPT)))
+        .unwrap();
+    assert_eq!(status, 201);
+    let with_labels = |id: &str, labels: Option<Value>| {
+        let Value::Object(mut fields) = commit_body(id, 90) else {
+            unreachable!("commit bodies are objects")
+        };
+        fields.retain(|(key, _)| key != "labels");
+        fields.extend(labels.map(|labels| ("labels".to_owned(), labels)));
+        Value::Object(fields)
+    };
+    for bad in [Value::from(1.5), Value::from("100"), Value::Number(-1.0)] {
+        let body = with_labels("bad", Some(bad.clone()));
+        let (status, reply) = client
+            .request("POST", "/projects/lab/commits", Some(&body))
+            .unwrap();
+        assert_eq!(status, 400, "labels {bad}");
+        assert_eq!(
+            reply.get("error").and_then(Value::as_str),
+            Some("`labels` must be a non-negative integer")
+        );
+    }
+    let (_, budget) = client.request("GET", "/projects/lab/budget", None).unwrap();
+    assert_eq!(
+        budget
+            .get("budget")
+            .and_then(|b| b.get("used"))
+            .and_then(Value::as_u64),
+        Some(0)
+    );
+    for (id, labels) in [("null", Some(Value::Null)), ("absent", None)] {
+        let (status, receipt) = client
+            .request(
+                "POST",
+                "/projects/lab/commits",
+                Some(&with_labels(id, labels)),
+            )
+            .unwrap();
+        assert_eq!(status, 200, "{id}");
+        assert_eq!(
+            receipt.get("labels").and_then(Value::as_u64),
+            Some(0),
+            "{id}"
+        );
+    }
+    let (_, history) = client
+        .request("GET", "/projects/lab/history", None)
+        .unwrap();
+    let entries = history.get("entries").and_then(Value::as_array).unwrap();
+    let ids: Vec<&str> = entries
+        .iter()
+        .filter_map(|e| e.get("id").and_then(Value::as_str))
+        .collect();
+    assert_eq!(ids, ["null", "absent"]);
+    handle.stop();
+    join.join().unwrap();
+}
+
 #[test]
 fn errors_are_clean_json() {
     let dir = temp_dir("errors");
