@@ -33,6 +33,12 @@
 //! section — p50/p99 per pipeline stage (parse, queue, gate, measure,
 //! journal_append, …) as the server itself measured them.
 //!
+//! Every target the run checks (the sweep's p50 ratio and p99, overload
+//! shedding and victim p99, Retry-After, the backoff budget, the
+//! group@64 pipeline p50s and fsyncs per commit, the predictions/counts
+//! p50 ratio) lands in a `targets` array as `{name, value, bound, met}`;
+//! a missed one also prints a `WARNING:` line, and the run still exits 0.
+//!
 //! Usage: `cargo run --release --bin repro_serve_load [--quick] [--threads N]`
 
 use easeml_bench::{format_sig, init_threads_from_args, results_dir, Table};
@@ -160,6 +166,35 @@ fn percentiles(mut samples_ns: Vec<f64>) -> Percentiles {
         p90_us: at(90.0),
         p99_us: at(99.0),
         max_us: samples_ns[samples_ns.len() - 1] / 1e3,
+    }
+}
+
+/// The load test's targets: each is recorded in the artifact's
+/// `targets` array, met or not, and a missed one also prints a
+/// `WARNING:` line. A miss does not fail the run.
+#[derive(Default)]
+struct Targets(Vec<Value>);
+
+impl Targets {
+    /// Record target `name`: `value` against `bound` (e.g. `"< 2"`);
+    /// when not `met`, print `WARNING: {miss}`.
+    fn check(
+        &mut self,
+        name: &str,
+        value: f64,
+        bound: &str,
+        met: bool,
+        miss: impl FnOnce() -> String,
+    ) {
+        if !met {
+            eprintln!("WARNING: {}", miss());
+        }
+        self.0.push(Value::object([
+            ("name", Value::from(name)),
+            ("value", Value::from(value)),
+            ("bound", Value::from(bound)),
+            ("met", Value::from(met)),
+        ]));
     }
 }
 
@@ -1159,18 +1194,32 @@ fn main() {
          target <2x) | p99 {:.0} us (target <10 ms)",
         sweep_top.0, sweep_top.5.p50_us, sweep_ratio, sweep_rows[0].0, sweep_top.5.p99_us
     );
-    if sweep_ratio >= 2.0 {
-        eprintln!(
-            "WARNING: commit p50 at {} clients is {sweep_ratio:.2}x the baseline (target <2x)",
-            sweep_top.0
-        );
-    }
-    if sweep_top.5.p99_us >= 10_000.0 {
-        eprintln!(
-            "WARNING: commit p99 at {} clients is {:.0} us (target <10 ms)",
-            sweep_top.0, sweep_top.5.p99_us
-        );
-    }
+    let mut targets = Targets::default();
+    targets.check(
+        "sweep_p50_ratio",
+        sweep_ratio,
+        "< 2",
+        sweep_ratio < 2.0,
+        || {
+            format!(
+                "commit p50 at {} clients is {sweep_ratio:.2}x the baseline (target <2x)",
+                sweep_top.0
+            )
+        },
+    );
+    let sweep_p99 = sweep_top.5.p99_us;
+    targets.check(
+        "sweep_p99_us",
+        sweep_p99,
+        "< 10000",
+        sweep_p99 < 10_000.0,
+        || {
+            format!(
+                "commit p99 at {} clients is {sweep_p99:.0} us (target <10 ms)",
+                sweep_top.0
+            )
+        },
+    );
 
     // Overload phase: sustained offered load far past the admission
     // limit. Floods of heavy pool-bound registrations must be shed with
@@ -1191,21 +1240,35 @@ fn main() {
         "overload convergence: {} backoff clients all registered in {:.0} ms with {} retries",
         overload.converge_clients, overload.converge_wall_ms, overload.converge_retries,
     );
-    if overload.shed == 0 {
-        eprintln!("WARNING: overload phase shed nothing (offered load did not saturate)");
-    }
-    if !overload.retry_after_on_all_sheds {
-        eprintln!("WARNING: some shed responses lacked a Retry-After header");
-    }
-    if overload.victim.p99_us >= 10_000.0 {
-        eprintln!(
-            "WARNING: victim commit p99 under overload is {:.0} us (target <10 ms)",
-            overload.victim.p99_us
-        );
-    }
-    if !overload.converged {
-        eprintln!("WARNING: a backoff client exhausted its retry budget without registering");
-    }
+    targets.check(
+        "overload_shed",
+        overload.shed as f64,
+        ">= 1",
+        overload.shed > 0,
+        || "overload phase shed nothing (offered load did not saturate)".into(),
+    );
+    targets.check(
+        "overload_retry_after_on_all_sheds",
+        f64::from(u8::from(overload.retry_after_on_all_sheds)),
+        "= 1",
+        overload.retry_after_on_all_sheds,
+        || "some shed responses lacked a Retry-After header".into(),
+    );
+    let victim_p99 = overload.victim.p99_us;
+    targets.check(
+        "overload_victim_p99_us",
+        victim_p99,
+        "< 10000",
+        victim_p99 < 10_000.0,
+        || format!("victim commit p99 under overload is {victim_p99:.0} us (target <10 ms)"),
+    );
+    targets.check(
+        "backoff_converged",
+        f64::from(u8::from(overload.converged)),
+        "= 1",
+        overload.converged,
+        || "a backoff client exhausted its retry budget without registering".into(),
+    );
 
     // Durability phase: the same commit workloads against fresh servers
     // in `group` (batched fsync, ack-after-durable) and `relaxed` (ack
@@ -1226,24 +1289,38 @@ fn main() {
             // owns, net of the mode-independent request wrapper.
             let counts_path = level.stage_p50("gate") + level.stage_p50("journal_append");
             let preds_path = counts_path + level.stage_p50("measure");
-            if counts_path > 10.0 {
-                eprintln!(
-                    "WARNING: group@64 counts-gate pipeline p50 is {counts_path:.1} us \
-                     (gate + journal_append, target <=10 us)"
-                );
-            }
-            if preds_path > 20.0 {
-                eprintln!(
-                    "WARNING: group@64 predictions pipeline p50 is {preds_path:.1} us \
-                     (gate + measure + journal_append, target <=20 us)"
-                );
-            }
-            if level.fsyncs_per_commit >= 0.25 {
-                eprintln!(
-                    "WARNING: group@64 fsyncs-per-commit is {:.3} (target <0.25)",
-                    level.fsyncs_per_commit
-                );
-            }
+            targets.check(
+                "group64_counts_pipeline_p50_us",
+                counts_path,
+                "<= 10",
+                counts_path <= 10.0,
+                || {
+                    format!(
+                        "group@64 counts-gate pipeline p50 is {counts_path:.1} us \
+                         (gate + journal_append, target <=10 us)"
+                    )
+                },
+            );
+            targets.check(
+                "group64_predictions_pipeline_p50_us",
+                preds_path,
+                "<= 20",
+                preds_path <= 20.0,
+                || {
+                    format!(
+                        "group@64 predictions pipeline p50 is {preds_path:.1} us \
+                         (gate + measure + journal_append, target <=20 us)"
+                    )
+                },
+            );
+            let fsyncs = level.fsyncs_per_commit;
+            targets.check(
+                "group64_fsyncs_per_commit",
+                fsyncs,
+                "< 0.25",
+                fsyncs < 0.25,
+                || format!("group@64 fsyncs-per-commit is {fsyncs:.3} (target <0.25)"),
+            );
         }
     }
 
@@ -1313,12 +1390,18 @@ fn main() {
          {PRED_TESTSET}-sample testset) | {} labels spent by the lazy oracle",
         pred_commit.p50_us, commit.p50_us, pred_ratio, pred_labels_total,
     );
-    if pred_ratio >= 5.0 {
-        eprintln!(
-            "WARNING: predictions-gate p50 is {pred_ratio:.1}x the counts-gate p50 \
-             (acceptance target <5x)"
-        );
-    }
+    targets.check(
+        "predictions_vs_counts_p50_ratio",
+        pred_ratio,
+        "< 5",
+        pred_ratio < 5.0,
+        || {
+            format!(
+                "predictions-gate p50 is {pred_ratio:.1}x the counts-gate p50 \
+                 (acceptance target <5x)"
+            )
+        },
+    );
     println!(
         "f1 gate p50 {:.0} us over a fully-labelled {PRED_TESTSET}-sample testset | \
          {f1_passes} of {} metric-gated commits passed",
@@ -1547,6 +1630,8 @@ fn main() {
                 ])
             })),
         ),
+        // Every target above, met or missed.
+        ("targets", Value::Array(targets.0)),
     ]);
     let path = results_dir().join("BENCH_serve.json");
     std::fs::write(&path, json.pretty()).expect("write BENCH_serve.json");

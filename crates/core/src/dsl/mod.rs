@@ -21,4 +21,4 @@ mod token;
 pub use analysis::{classify_clause, validate_formula, ClauseShape, LinearForm};
 pub use ast::{Clause, CmpOp, Expr, Formula, Var};
 pub use parser::{parse_clause, parse_expr, parse_formula};
-pub use token::{tokenize, Spanned, Token};
+pub use token::{tokenize, Spanned, Token, MAX_TOKENS};

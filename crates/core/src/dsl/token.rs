@@ -66,17 +66,30 @@ pub struct Spanned {
     pub offset: usize,
 }
 
+/// The most tokens a condition may hold. The parser recurses once per
+/// nesting level and every later pass once per expression level, and
+/// an expression is never deeper than its token count, so this bounds
+/// the stack any condition needs; real conditions hold a few dozen.
+pub const MAX_TOKENS: usize = 512;
+
 /// Tokenize a condition string.
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] on unknown characters, malformed numbers, or a
-/// stray `/` that does not begin `/\`.
+/// Returns a [`ParseError`] on unknown characters, malformed numbers, a
+/// stray `/` that does not begin `/\`, or more than [`MAX_TOKENS`]
+/// tokens.
 pub fn tokenize(src: &str) -> Result<Vec<Spanned>, ParseError> {
     let bytes = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;
     while i < bytes.len() {
+        if out.len() == MAX_TOKENS {
+            return Err(ParseError::new(
+                i,
+                format!("condition is too long: more than {MAX_TOKENS} tokens"),
+            ));
+        }
         let c = bytes[i] as char;
         match c {
             ' ' | '\t' | '\r' | '\n' => {
@@ -226,7 +239,9 @@ pub fn tokenize(src: &str) -> Result<Vec<Spanned>, ParseError> {
                     offset: start,
                 });
             }
-            other => {
+            _ => {
+                // Every token is ASCII, so `i` is on a character boundary.
+                let other = src[i..].chars().next().unwrap_or(c);
                 return Err(ParseError::new(
                     i,
                     format!("unexpected character `{other}`"),
@@ -345,6 +360,11 @@ mod tests {
     #[test]
     fn rejects_garbage() {
         assert!(tokenize("n > 0.5 @").is_err());
+        let err = tokenize("n > 0.5 /\\ é < 0.2").unwrap_err();
+        assert!(
+            err.to_string().contains("unexpected character `é`"),
+            "{err}"
+        );
         assert!(tokenize("n > 0.5.5").is_err());
     }
 

@@ -1,10 +1,11 @@
 //! The gate: the per-era decision state machine of §2–3, shared by
 //! [`CiEngine`](super::CiEngine) and the serving layer's projects.
 //!
-//! Callers measure a commit however they like and hand the three-valued
-//! outcome to [`Gate::record`], the one place that collapses it by mode,
-//! spends a step, decides what the developer sees and what lands, and
-//! raises the new-testset alarm.
+//! Callers test a commit through [`Gate::step`], which refuses it unless
+//! the era is open, runs the caller's measurement, and is then the one
+//! place that collapses the outcome by mode, spends a step, decides what
+//! the developer sees and what lands, and raises the new-testset alarm.
+//! [`Gate::fresh_era`] is the one place an era starts.
 
 use super::evaluator::CommitEstimates;
 use super::history::{CommitHistory, HistoryEntry};
@@ -53,12 +54,7 @@ impl Gate {
     }
 
     /// Whether the current era can still test a commit.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::TestsetRetired`] once the alarm has fired,
-    /// [`EngineError::BudgetExhausted`] once all `H` steps are spent.
-    pub fn ensure_open(&self) -> Result<(), EngineError> {
+    fn ensure_open(&self) -> Result<(), EngineError> {
         if self.retired {
             return Err(EngineError::TestsetRetired);
         }
@@ -68,21 +64,25 @@ impl Gate {
         Ok(())
     }
 
-    /// Record one measured commit: collapse `outcome` by mode, spend a
-    /// step, latch the alarm when the era's statistical power is spent,
-    /// and append the history entry. Under `adaptivity: none` every
-    /// commit lands; otherwise only a pass does.
+    /// Test one commit: refuse it unless the era is open, then run
+    /// `measure` for its three-valued outcome and estimates, collapse the
+    /// outcome by mode, spend a step, latch the alarm when the era's
+    /// statistical power is spent, and append the history entry. Under
+    /// `adaptivity: none` every commit lands; otherwise only a pass does.
     ///
     /// # Errors
     ///
-    /// As [`Gate::ensure_open`]; nothing is recorded then.
-    pub fn record(
+    /// [`EngineError::TestsetRetired`] once the alarm has fired,
+    /// [`EngineError::BudgetExhausted`] once all `H` steps are spent
+    /// (`measure` does not run then), or `measure`'s own error; nothing
+    /// is recorded on any of them.
+    pub fn step<E: From<EngineError>>(
         &mut self,
         commit_id: &str,
-        outcome: Tribool,
-        estimates: CommitEstimates,
-    ) -> Result<CommitReceipt, EngineError> {
+        measure: impl FnOnce() -> Result<(Tribool, CommitEstimates), E>,
+    ) -> Result<CommitReceipt, E> {
         self.ensure_open()?;
+        let (outcome, estimates) = measure()?;
         let passed = self.mode.decide(outcome);
         self.steps_used += 1;
         self.retired = self.alarm(passed, self.steps_used).is_some();
@@ -98,7 +98,7 @@ impl Gate {
         Ok(self.verdict_of(self.history.len() - 1))
     }
 
-    /// The receipt [`Gate::record`] returned for history entry `index`
+    /// The receipt [`Gate::step`] returned for history entry `index`
     /// (redelivery). Only the last entry of a retired era raised an
     /// alarm.
     ///
@@ -152,11 +152,16 @@ impl Gate {
 
     /// Start a new testset era with a full step budget; returns its
     /// number.
-    pub fn fresh_era(&mut self) -> u32 {
-        self.era += 1;
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::EraOverflow`] when the era counter is at
+    /// `u32::MAX`; nothing changes then.
+    pub fn fresh_era(&mut self) -> Result<u32, EngineError> {
+        self.era = self.era.checked_add(1).ok_or(EngineError::EraOverflow)?;
         self.steps_used = 0;
         self.retired = false;
-        self.era
+        Ok(self.era)
     }
 
     /// Capture the state the next mutation may change.
@@ -261,7 +266,7 @@ mod tests {
     }
 
     fn record(g: &mut Gate, id: &str, outcome: Tribool) -> Result<CommitReceipt, EngineError> {
-        g.record(id, outcome, CommitEstimates::default())
+        g.step(id, || Ok((outcome, CommitEstimates::default())))
     }
 
     #[test]
@@ -269,7 +274,7 @@ mod tests {
         let mut g = gate("firstChange", "fp-free", 3);
         let mut live = vec![record(&mut g, "a", Tribool::False).unwrap()];
         live.push(record(&mut g, "b", Tribool::True).unwrap());
-        g.fresh_era();
+        assert_eq!(g.fresh_era(), Ok(1));
         live.push(record(&mut g, "c", Tribool::Unknown).unwrap());
         live.push(record(&mut g, "d", Tribool::Unknown).unwrap());
         live.push(record(&mut g, "e", Tribool::Unknown).unwrap());
@@ -286,6 +291,16 @@ mod tests {
         assert_eq!(g.verdict_of(1).alarm, None);
         assert_eq!(g.find_in_era(|_, e| e.commit_id == "c"), Some(2));
         assert_eq!(g.find_in_era(|_, e| e.commit_id == "a"), None);
+    }
+
+    #[test]
+    fn fresh_era_refuses_to_wrap_the_counter() {
+        let mut g = gate("full", "fp-free", 2);
+        record(&mut g, "c", Tribool::True).unwrap();
+        let history = g.history().clone();
+        g.restore(1, u32::MAX, false, history).unwrap();
+        assert_eq!(g.fresh_era(), Err(EngineError::EraOverflow));
+        assert_eq!((g.era(), g.steps_used()), (u32::MAX, 1), "nothing changes");
     }
 
     #[test]

@@ -326,9 +326,16 @@ impl CiEngine {
     /// * [`EngineError::TestsetTooSmall`] when a Pattern-2 probe reveals
     ///   that more labelled data is needed than the pool holds.
     pub fn submit(&mut self, commit: &ModelCommit) -> Result<CommitReceipt> {
-        self.gate.ensure_open()?;
-        let (outcome, estimates) = self.measure(commit)?;
-        let receipt = self.gate.record(&commit.id, outcome, estimates)?;
+        let receipt = self.gate.step(&commit.id, || {
+            measure(
+                &self.script,
+                &self.layout,
+                &mut self.testset,
+                self.oracle.as_deref_mut(),
+                &self.old_predictions,
+                commit,
+            )
+        })?;
         // The `o` baseline the integration team deploys advances only on
         // a true pass, even where `adaptivity: none` lands every commit.
         if receipt.passed {
@@ -336,7 +343,7 @@ impl CiEngine {
         }
         self.sink.notify(&CiEvent::CommitTested {
             commit_id: commit.id.clone(),
-            outcome,
+            outcome: receipt.outcome,
             passed: receipt.passed,
             step: receipt.step,
         });
@@ -349,118 +356,6 @@ impl CiEngine {
         Ok(receipt)
     }
 
-    /// Measure every phase of the plan through [`Measurement::measure_range`]
-    /// and decide on the resulting point estimates, as the served gate
-    /// does. Label-free phases (filter, probe) run under
-    /// [`LabelDemand::Free`]; labelled ones under the demand of the
-    /// clauses they measure.
-    fn measure(&mut self, commit: &ModelCommit) -> Result<(Tribool, CommitEstimates)> {
-        let mut m = Measurement::new(
-            &mut self.testset,
-            self.oracle.as_deref_mut(),
-            &self.old_predictions,
-            &commit.predictions,
-        )?;
-        let mut phase = |demand, range: &Range<usize>| -> Result<VariableEstimates> {
-            Ok(m.measure_range(demand, range.clone(), None)?.0.estimates())
-        };
-        let condition = self.script.condition();
-        let clauses = condition.clauses();
-        let mut est = CommitEstimates::default();
-        let outcome = match &self.layout {
-            Layout::Single { test } => {
-                let at = phase(formula_label_demand(condition), test)?;
-                for clause in clauses {
-                    record_estimate(&mut est, clause, &at);
-                }
-                est.d.get_or_insert(at.d);
-                evaluate_formula(condition, &at)
-            }
-            Layout::FilterTest {
-                filter,
-                test,
-                diff_clause,
-                improv_clause,
-            } => {
-                // Filter step: unlabeled d̂; a certain `False` here skips
-                // the labelling phase entirely.
-                let filtered = phase(LabelDemand::Free, filter)?;
-                est.d = Some(filtered.d);
-                let d_verdict = evaluate_clause(&clauses[*diff_clause], &filtered);
-                if d_verdict == Tribool::False {
-                    Tribool::False
-                } else {
-                    let clause = &clauses[*improv_clause];
-                    let at = phase(clause_label_demand(clause), test)?;
-                    record_estimate(&mut est, clause, &at);
-                    d_verdict & evaluate_clause(clause, &at)
-                }
-            }
-            Layout::ProbeTest {
-                probe,
-                test_full,
-                plan,
-            } => {
-                // With a known a-priori variance bound there is no probe
-                // phase and the whole pool serves the test; otherwise the
-                // labelled prefix is sized by the observed difference.
-                // Either way the engine's ±ε interval semantics are
-                // two-sided.
-                let needed = if probe.is_empty() {
-                    est.d = Some(phase(LabelDemand::Free, test_full)?.d);
-                    test_full.len() as u64
-                } else {
-                    let d_hat = phase(LabelDemand::Free, probe)?.d;
-                    est.d = Some(d_hat);
-                    implicit_variance_test_phase(plan, d_hat, easeml_bounds::Tail::TwoSided)?
-                        .samples
-                };
-                let prefix = usize::try_from(needed).unwrap_or(usize::MAX);
-                if prefix > test_full.len() {
-                    return Err(EngineError::TestsetTooSmall {
-                        got: test_full.len(),
-                        want: needed,
-                    }
-                    .into());
-                }
-                let clause = &clauses[0];
-                let at = phase(
-                    clause_label_demand(clause),
-                    &(test_full.start..test_full.start + prefix),
-                )?;
-                record_estimate(&mut est, clause, &at);
-                evaluate_clause(clause, &at)
-            }
-            Layout::CoarseFine {
-                coarse,
-                fine,
-                floor,
-                coarse_eps,
-            } => {
-                let clause = &clauses[0];
-                let demand = clause_label_demand(clause);
-                // The coarse pass certifies the fine pass's variance
-                // bound (true n ≥ floor − ε_c) only when n̂_c ≥ floor.
-                // Below that it decides alone: `False` once its whole
-                // interval lies under the floor, `Unknown` otherwise.
-                let coarse_n = phase(demand, coarse)?.n;
-                if coarse_n + coarse_eps < *floor {
-                    est.n = Some(coarse_n);
-                    Tribool::False
-                } else if coarse_n < *floor {
-                    est.n = Some(coarse_n);
-                    Tribool::Unknown
-                } else {
-                    let at = phase(demand, fine)?;
-                    est.n = Some(at.n);
-                    evaluate_clause(clause, &at)
-                }
-            }
-        };
-        est.labels_requested = m.labels_requested();
-        Ok((outcome, est))
-    }
-
     /// Install a fresh testset (with the accepted model's predictions on
     /// it) and release the old one. Resets the step budget and starts a
     /// new era.
@@ -469,14 +364,17 @@ impl CiEngine {
     ///
     /// Returns [`EngineError::TestsetTooSmall`] or
     /// [`EngineError::PredictionLengthMismatch`] under the same
-    /// conditions as [`CiEngine::new`].
+    /// conditions as [`CiEngine::new`], and [`EngineError::EraOverflow`]
+    /// from [`Gate::fresh_era`]; nothing changes on any of them.
     pub fn install_testset(
         &mut self,
         testset: Testset,
         old_predictions: Vec<u32>,
     ) -> Result<Testset> {
         // Phase ranges depend on the pool size; rebuild for the new era.
-        self.layout = Self::check_pool(&self.script, &self.estimate, &testset, &old_predictions)?;
+        let layout = Self::check_pool(&self.script, &self.estimate, &testset, &old_predictions)?;
+        self.gate.fresh_era()?;
+        self.layout = layout;
         let released = std::mem::replace(&mut self.testset, testset);
         self.sink.notify(&CiEvent::TestsetReleased {
             size: released.len(),
@@ -485,7 +383,6 @@ impl CiEngine {
             size: self.testset.len(),
         });
         self.old_predictions = old_predictions;
-        self.gate.fresh_era();
         Ok(released)
     }
 
@@ -548,6 +445,118 @@ impl CiEngine {
     pub fn old_predictions(&self) -> &[u32] {
         &self.old_predictions
     }
+}
+
+/// Measure every phase of `layout` through [`Measurement::measure_range`]
+/// and decide on the resulting point estimates, as the served gate does.
+/// Label-free phases (filter, probe) run under [`LabelDemand::Free`];
+/// labelled ones under the demand of the clauses they measure.
+fn measure(
+    script: &CiScript,
+    layout: &Layout,
+    testset: &mut Testset,
+    oracle: Option<&mut (dyn LabelOracle + 'static)>,
+    old_predictions: &[u32],
+    commit: &ModelCommit,
+) -> Result<(Tribool, CommitEstimates)> {
+    let mut m = Measurement::new(testset, oracle, old_predictions, &commit.predictions)?;
+    let mut phase = |demand, range: &Range<usize>| -> Result<VariableEstimates> {
+        Ok(m.measure_range(demand, range.clone(), None)?.0.estimates())
+    };
+    let condition = script.condition();
+    let clauses = condition.clauses();
+    let mut est = CommitEstimates::default();
+    let outcome = match layout {
+        Layout::Single { test } => {
+            let at = phase(formula_label_demand(condition), test)?;
+            for clause in clauses {
+                record_estimate(&mut est, clause, &at);
+            }
+            est.d.get_or_insert(at.d);
+            evaluate_formula(condition, &at)
+        }
+        Layout::FilterTest {
+            filter,
+            test,
+            diff_clause,
+            improv_clause,
+        } => {
+            // Filter step: unlabeled d̂; a certain `False` here skips
+            // the labelling phase entirely.
+            let filtered = phase(LabelDemand::Free, filter)?;
+            est.d = Some(filtered.d);
+            let d_verdict = evaluate_clause(&clauses[*diff_clause], &filtered);
+            if d_verdict == Tribool::False {
+                Tribool::False
+            } else {
+                let clause = &clauses[*improv_clause];
+                let at = phase(clause_label_demand(clause), test)?;
+                record_estimate(&mut est, clause, &at);
+                d_verdict & evaluate_clause(clause, &at)
+            }
+        }
+        Layout::ProbeTest {
+            probe,
+            test_full,
+            plan,
+        } => {
+            // With a known a-priori variance bound there is no probe
+            // phase and the whole pool serves the test; otherwise the
+            // labelled prefix is sized by the observed difference.
+            // Either way the engine's ±ε interval semantics are
+            // two-sided.
+            let needed = if probe.is_empty() {
+                est.d = Some(phase(LabelDemand::Free, test_full)?.d);
+                test_full.len() as u64
+            } else {
+                let d_hat = phase(LabelDemand::Free, probe)?.d;
+                est.d = Some(d_hat);
+                implicit_variance_test_phase(plan, d_hat, easeml_bounds::Tail::TwoSided)?.samples
+            };
+            let prefix = usize::try_from(needed).unwrap_or(usize::MAX);
+            if prefix > test_full.len() {
+                return Err(EngineError::TestsetTooSmall {
+                    got: test_full.len(),
+                    want: needed,
+                }
+                .into());
+            }
+            let clause = &clauses[0];
+            let at = phase(
+                clause_label_demand(clause),
+                &(test_full.start..test_full.start + prefix),
+            )?;
+            record_estimate(&mut est, clause, &at);
+            evaluate_clause(clause, &at)
+        }
+        Layout::CoarseFine {
+            coarse,
+            fine,
+            floor,
+            coarse_eps,
+        } => {
+            let clause = &clauses[0];
+            let demand = clause_label_demand(clause);
+            // The coarse pass certifies the fine pass's variance
+            // bound (true n ≥ floor − ε_c) only when n̂_c ≥ floor.
+            // Below that it decides alone: `False` once its whole
+            // interval lies under the floor, `Unknown` otherwise.
+            let coarse_n = phase(demand, coarse)?.n;
+            if coarse_n + coarse_eps < *floor {
+                est.n = Some(coarse_n);
+                Tribool::False
+            } else if coarse_n < *floor {
+                est.n = Some(coarse_n);
+                Tribool::Unknown
+            } else {
+                let at = phase(demand, fine)?;
+                est.n = Some(at.n);
+                evaluate_clause(clause, &at)
+            }
+        }
+    };
+    est.labels_requested = m.labels_requested();
+    Ok((outcome, est))
 }
 
 /// Record a clause's left-hand side at `at` into the per-variable

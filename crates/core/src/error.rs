@@ -170,6 +170,8 @@ pub enum EngineError {
     /// The engine has retired the current testset (hybrid adaptivity) and
     /// needs a fresh one before accepting more commits.
     TestsetRetired,
+    /// A fresh testset would take the era counter past `u32::MAX`.
+    EraOverflow,
 }
 
 impl fmt::Display for EngineError {
@@ -202,6 +204,7 @@ impl fmt::Display for EngineError {
                     "the current testset is retired; install a fresh testset to continue"
                 )
             }
+            EngineError::EraOverflow => write!(f, "era counter overflow"),
         }
     }
 }

@@ -102,43 +102,6 @@ impl Interval {
         self.lo <= x && x <= self.hi
     }
 
-    /// Whether the two intervals share at least one point.
-    #[must_use]
-    pub fn intersects(self, other: Interval) -> bool {
-        self.lo <= other.hi && other.lo <= self.hi
-    }
-
-    /// Intersection of two intervals, if non-empty.
-    #[must_use]
-    pub fn intersection(self, other: Interval) -> Option<Interval> {
-        let lo = self.lo.max(other.lo);
-        let hi = self.hi.min(other.hi);
-        if lo <= hi {
-            Some(Interval { lo, hi })
-        } else {
-            None
-        }
-    }
-
-    /// Smallest interval containing both inputs.
-    #[must_use]
-    pub fn hull(self, other: Interval) -> Interval {
-        Interval {
-            lo: self.lo.min(other.lo),
-            hi: self.hi.max(other.hi),
-        }
-    }
-
-    /// Clamp the interval into `[min, max]` (used to keep accuracy
-    /// estimates inside `[0, 1]`).
-    #[must_use]
-    pub fn clamp_to(self, min: f64, max: f64) -> Interval {
-        Interval {
-            lo: self.lo.clamp(min, max),
-            hi: self.hi.clamp(min, max),
-        }
-    }
-
     /// Whether the whole interval is strictly greater than `x`.
     #[must_use]
     pub fn strictly_above(self, x: f64) -> bool {
@@ -261,14 +224,6 @@ mod tests {
         let i = Interval::new(0.0, 1.0);
         assert!(i.contains(0.0) && i.contains(1.0) && i.contains(0.5));
         assert!(!i.contains(-0.001) && !i.contains(1.001));
-        assert!(i.intersects(Interval::new(0.9, 2.0)));
-        assert!(!i.intersects(Interval::new(1.5, 2.0)));
-        assert_eq!(
-            i.intersection(Interval::new(0.5, 2.0)),
-            Some(Interval::new(0.5, 1.0))
-        );
-        assert_eq!(i.intersection(Interval::new(2.0, 3.0)), None);
-        assert_eq!(i.hull(Interval::new(2.0, 3.0)), Interval::new(0.0, 3.0));
     }
 
     #[test]
@@ -278,14 +233,6 @@ mod tests {
         assert!(!i.strictly_above(0.11));
         assert!(i.strictly_below(0.21));
         assert!(!i.strictly_below(0.2));
-    }
-
-    #[test]
-    fn clamping() {
-        let i = Interval::new(-0.05, 1.02);
-        assert_eq!(i.clamp_to(0.0, 1.0), Interval::new(0.0, 1.0));
-        let j = Interval::new(0.2, 0.4).clamp_to(0.0, 1.0);
-        assert_eq!(j, Interval::new(0.2, 0.4));
     }
 
     #[test]

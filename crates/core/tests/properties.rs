@@ -89,7 +89,6 @@ proptest! {
         prop_assert!((a - b).contains(x - y));
         prop_assert!((a * c).contains(x * c));
         prop_assert!((-a).contains(-x));
-        prop_assert!(a.hull(b).contains(x) && a.hull(b).contains(y));
     }
 
     /// Evaluation soundness: if the point estimate is ε-close to truth,

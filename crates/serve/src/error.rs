@@ -1,5 +1,6 @@
 //! Error type of the serving layer, with a stable HTTP status mapping.
 
+use easeml_ci_core::EngineError;
 use std::fmt;
 
 /// Anything the serving layer can fail with.
@@ -68,5 +69,21 @@ impl std::error::Error for ServeError {}
 impl From<std::io::Error> for ServeError {
     fn from(e: std::io::Error) -> Self {
         ServeError::Io(e)
+    }
+}
+
+/// The gate's refusals: a closed era is [`ServeError::Gone`], the era
+/// counter's overflow a bad request.
+impl From<EngineError> for ServeError {
+    fn from(e: EngineError) -> Self {
+        match e {
+            EngineError::BudgetExhausted { steps } => ServeError::Gone(format!(
+                "step budget H = {steps} exhausted; install a fresh testset"
+            )),
+            EngineError::TestsetRetired => {
+                ServeError::Gone("testset era is retired; install a fresh testset".into())
+            }
+            other => ServeError::BadRequest(other.to_string()),
+        }
     }
 }

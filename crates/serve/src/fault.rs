@@ -549,9 +549,9 @@ fn apply_inner(registry: &Registry, name: &str, action: &Action) -> Result<Strin
         Action::Predictions(sub) => slot
             .submit_predictions(sub)
             .map(|_| format!("commit:{}", sub.commit_id)),
-        Action::FreshTestset => slot.fresh_testset().map(|era| format!("era:{era}")),
+        Action::FreshTestset => slot.fresh_testset(None).map(|era| format!("era:{era}")),
         Action::InstallTestset(spec) => slot
-            .install_testset(spec.clone())
+            .fresh_testset(Some(spec.clone()))
             .map(|era| format!("era:{era}")),
         Action::Snapshot => slot.snapshot().map(|()| "snapshot".to_owned()),
     }

@@ -58,8 +58,7 @@ pub use error::ServeError;
 pub use http::{Client, Request, Response, RetryPolicy};
 pub use json::Value;
 pub use registry::{
-    CommitSubmission, EvalCounts, GateReceipt, MeasuredTestset, PredictionsSubmission, Project,
-    TestsetSpec,
+    CommitSubmission, EvalCounts, MeasuredTestset, PredictionsSubmission, Project, TestsetSpec,
 };
 pub use server::{ServeConfig, Server, ServerHandle};
 pub use store::{Durability, Registry};

@@ -42,7 +42,8 @@ pub enum Stage {
     Parse,
     /// Parsed → handler start (event-loop dispatch and pool queueing).
     Queue,
-    /// Statistical gate evaluation (`submit` / budget accounting).
+    /// Statistical gate evaluation: a commit's point estimates and its
+    /// condition over their confidence intervals.
     Gate,
     /// Server-side measurement of an uploaded prediction vector.
     Measure,

@@ -29,10 +29,16 @@
 //!
 //! Both feeds converge on the same [`EvalCounts`] and the same gate code
 //! path: point estimates, then the condition over confidence intervals,
-//! then [`Gate::record`] (mode collapse, budget decrement, and the
+//! then [`Gate::step`] (mode collapse, budget decrement, and the
 //! new-testset alarm when the era's statistical power is spent) — so
 //! counts↔predictions equivalence is structural, not a contract to
 //! maintain.
+//!
+//! Each journal op has exactly one gate step here, which the live route
+//! (through [`crate::store::ProjectSlot`], which journals it) and restart
+//! replay both run: `Project::commit` for `commit` and
+//! `commit_predictions`, `Project::fresh_era` for `fresh_testset`.
+//! Every rule on the gate's state is checked once, inside its step.
 //!
 //! Every mutating operation happens under the project's lock, so
 //! concurrent submissions serialize into a well-defined step order — the
@@ -43,10 +49,10 @@ use crate::json::{decode_packed_into, decode_u32_vec, encode_u32_vec};
 use crate::obs::trace::{self, Stage};
 use easeml_ci_core::dsl::Formula;
 use easeml_ci_core::{
-    evaluate_formula, first_at_or_above, validate_metric_formula, AlarmReason, CiScript,
-    CommitEstimates, CommitHistory, CommitReceipt, EngineError, EstimatorConfig, Gate,
-    GateSavepoint, LabelOracle, MeasuredCounts, Measurement, PerClassCounts, SampleSizeEstimate,
-    SampleSizeEstimator, Testset, Tribool, VariableEstimates, VecOracle,
+    evaluate_formula, first_at_or_above, validate_metric_formula, CiScript, CommitEstimates,
+    CommitHistory, CommitReceipt, EstimatorConfig, Gate, GateSavepoint, LabelOracle,
+    MeasuredCounts, Measurement, PerClassCounts, SampleSizeEstimate, SampleSizeEstimator, Testset,
+    VariableEstimates, VecOracle,
 };
 use std::borrow::Cow;
 
@@ -639,64 +645,35 @@ impl<'a> PackedPredictions<'a> {
     }
 }
 
-/// What the gate reports back for one submission (the serving analogue of
-/// [`easeml_ci_core::CommitReceipt`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct GateReceipt {
-    /// The commit that was evaluated.
-    pub commit_id: String,
-    /// 1-based step within the current testset era.
-    pub step: u32,
-    /// 0-based testset era.
-    pub era: u32,
-    /// The pass/fail bit *as visible to the developer*: `None` when the
-    /// adaptivity policy withholds it.
-    pub signal: Option<bool>,
-    /// Whether the commit lands in the repository.
-    pub accepted: bool,
-    /// Three-valued outcome (integration-team view).
-    pub outcome: Tribool,
-    /// Final pass/fail decision (integration-team view).
-    pub passed: bool,
-    /// Alarm raised by this evaluation, if any.
-    pub alarm: Option<AlarmReason>,
-    /// Steps left in the era after this submission.
-    pub steps_remaining: u32,
-    /// Fresh ground-truth labels this evaluation consumed. Counts-based
-    /// submissions pass the client's own accounting through; for
-    /// server-measured predictions submissions this is the oracle spend
-    /// of [`MeasuredTestset::measure`] (0 when the testset is fully
-    /// labelled up front).
-    pub labels: u64,
+/// What one commit op feeds its gate step ([`Project::commit`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Feed<'a> {
+    /// Evaluation counts the client measured itself (counts mode).
+    Counts(&'a EvalCounts),
+    /// Prediction vectors the server measures (predictions mode): the
+    /// packed pair, whose digest keys redelivery, and the old and new
+    /// items it encodes.
+    Vectors(&'a PackedPredictions<'a>, &'a [u32], &'a [u32]),
 }
 
-impl From<CommitReceipt> for GateReceipt {
-    fn from(r: CommitReceipt) -> GateReceipt {
-        GateReceipt {
-            commit_id: r.commit_id,
-            step: r.step,
-            era: r.era,
-            signal: r.signal,
-            accepted: r.accepted,
-            outcome: r.outcome,
-            passed: r.passed,
-            alarm: r.alarm,
-            steps_remaining: r.steps_remaining,
-            labels: r.estimates.labels_requested,
+impl<'a> Feed<'a> {
+    /// The packed pair of a predictions commit.
+    pub(crate) fn packed(self) -> Option<&'a PackedPredictions<'a>> {
+        match self {
+            Feed::Counts(_) => None,
+            Feed::Vectors(packed, ..) => Some(packed),
         }
     }
 }
 
-/// The `Gone` answer for an era the gate refuses
-/// ([`Gate::ensure_open`]).
-fn gate_closed(e: EngineError) -> ServeError {
-    ServeError::Gone(match e {
-        EngineError::BudgetExhausted { steps } => {
-            format!("step budget H = {steps} exhausted; install a fresh testset")
-        }
-        // The gate refuses with nothing else.
-        _ => "testset era is retired; install a fresh testset".into(),
-    })
+/// What undoes one step of a [`Project`] ([`Project::rollback`]): the
+/// gate state before it, the labels its measurement pulled from the
+/// oracle, and the testset an era step replaced.
+#[derive(Debug)]
+pub(crate) struct Savepoint {
+    gate: GateSavepoint,
+    pulled: Vec<usize>,
+    replaced: Option<MeasuredTestset>,
 }
 
 /// One registered project and its gating state.
@@ -800,201 +777,194 @@ impl Project {
         })
     }
 
-    /// Evaluate one commit submission and advance the gate.
-    ///
-    /// Projects holding a server-side testset refuse client counts:
-    /// the whole point of predictions mode is that clients *cannot*
-    /// self-score (the labels may even be held back behind the oracle),
-    /// so accepting fabricated counts here would bypass the trust model.
+    /// Evaluate one commit submission and advance the gate
+    /// (`Project::commit` with the client's counts).
     ///
     /// # Errors
     ///
-    /// [`ServeError::Conflict`] for predictions-mode projects,
-    /// [`ServeError::BadRequest`] for impossible counts,
-    /// [`ServeError::Gone`] when the current era is retired or the budget
-    /// is exhausted (the caller must install a fresh testset first).
-    pub fn submit(&mut self, submission: &CommitSubmission) -> Result<GateReceipt, ServeError> {
-        if self.measured.is_some() {
-            return Err(ServeError::Conflict(
-                "project holds a server-side testset; submit prediction vectors to \
-                 /commits/predictions"
-                    .into(),
-            ));
-        }
-        self.submit_with_digest(submission, None)
+    /// As `Project::commit`.
+    pub fn submit(&mut self, submission: &CommitSubmission) -> Result<CommitReceipt, ServeError> {
+        let feed = Feed::Counts(&submission.counts);
+        let (receipt, _) = self.commit(&submission.commit_id, feed, &mut self.savepoint())?;
+        Ok(receipt)
     }
 
-    /// Evaluate one commit submitted as prediction vectors: the server
-    /// measures both vectors against its testset (spending only the
-    /// labels the condition demands), derives the [`EvalCounts`], and
-    /// feeds them through the *same* gate as [`Project::submit`] — the
-    /// counts↔predictions equivalence is one code path, not a contract.
-    ///
-    /// Returns the receipt together with the derived counts (the
-    /// response surfaces them so a client can audit the measurement).
+    /// Evaluate one commit submitted as prediction vectors
+    /// (`Project::commit` with the vectors): the server measures both
+    /// against its testset and returns the receipt together with the
+    /// counts it derived (the response surfaces them so a client can
+    /// audit the measurement).
     ///
     /// # Errors
     ///
-    /// [`ServeError::Conflict`] when the project has no server-side
-    /// testset, [`ServeError::BadRequest`] for malformed vectors,
-    /// [`ServeError::Gone`] for retired/exhausted eras.
+    /// As `Project::commit`.
     pub fn submit_predictions(
         &mut self,
         submission: &PredictionsSubmission,
-    ) -> Result<(GateReceipt, EvalCounts), ServeError> {
-        self.submit_packed_predictions(
-            &submission.commit_id,
-            &submission.packed(),
-            &submission.old,
-            &submission.new,
-            &mut Vec::new(),
-        )
+    ) -> Result<(CommitReceipt, EvalCounts), ServeError> {
+        let packed = submission.packed();
+        let feed = Feed::Vectors(&packed, &submission.old, &submission.new);
+        let (receipt, counts) = self.commit(&submission.commit_id, feed, &mut self.savepoint())?;
+        Ok((receipt, counts.into_owned()))
     }
 
-    /// [`Project::submit_predictions`] for vectors that arrive with
-    /// their wire strings — the one entry the served route (through
-    /// [`crate::store::ProjectSlot`]) and restart replay share. `packed`
-    /// must be the canonical form of `old`/`new`; its digest becomes the
-    /// entry's dedup key. The items the measurement pulled from the
-    /// oracle are appended to `fresh`, also on failure, so a caller can
-    /// roll them back ([`Project::unset_labels`]).
-    pub(crate) fn submit_packed_predictions(
+    /// The gate step of a commit op, which both commit routes (through
+    /// [`crate::store::ProjectSlot`]) and restart replay run. It refuses,
+    /// in order:
+    ///
+    /// * an empty commit id ([`ServeError::BadRequest`]);
+    /// * a feed that does not match the project's mode: counts for a
+    ///   project holding a server-side testset — clients of one must not
+    ///   self-score, the labels may even be held back — or vectors for
+    ///   one without ([`ServeError::Conflict`]);
+    /// * impossible client counts ([`EvalCounts::validate`], 400);
+    /// * a retired or exhausted era ([`Gate::step`], [`ServeError::Gone`]);
+    /// * vectors the testset cannot measure
+    ///   ([`MeasuredTestset::validate_predictions`], 400), before any
+    ///   label is spent;
+    /// * counts the condition cannot be decided on
+    ///   ([`EvalCounts::estimates_for`], 400).
+    ///
+    /// Vectors are measured in one pass, spending only the labels the
+    /// condition demands, and their derived counts go through the same
+    /// point estimates, condition and [`Gate::step`] as client counts —
+    /// the counts↔predictions equivalence is one code path, not a
+    /// contract. Returns the receipt and the counts the gate decided on;
+    /// the labels the measurement pulled go into `savepoint`, also on
+    /// failure.
+    pub(crate) fn commit<'a>(
         &mut self,
         commit_id: &str,
-        packed: &PackedPredictions<'_>,
-        old: &[u32],
-        new: &[u32],
-        fresh: &mut Vec<usize>,
-    ) -> Result<(GateReceipt, EvalCounts), ServeError> {
+        feed: Feed<'a>,
+        savepoint: &mut Savepoint,
+    ) -> Result<(CommitReceipt, Cow<'a, EvalCounts>), ServeError> {
         if commit_id.is_empty() {
             return Err(ServeError::BadRequest("commit_id must be non-empty".into()));
         }
-        if self.measured.is_none() {
-            return Err(ServeError::Conflict(
-                "project holds no server-side testset; submit evaluation counts to \
-                 /commits or re-register with a testset"
-                    .into(),
-            ));
+        match (feed, self.measured.is_some()) {
+            (Feed::Counts(_), true) => {
+                return Err(ServeError::Conflict(
+                    "project holds a server-side testset; submit prediction vectors to \
+                     /commits/predictions"
+                        .into(),
+                ))
+            }
+            (Feed::Vectors(..), false) => {
+                return Err(ServeError::Conflict(
+                    "project holds no server-side testset; submit evaluation counts to \
+                     /commits or re-register with a testset"
+                        .into(),
+                ))
+            }
+            (Feed::Counts(counts), false) => counts.validate()?,
+            (Feed::Vectors(..), true) => {}
         }
-        // Gate preconditions first; vector validation happens inside
-        // `measure` (before any oracle pull), so a refused or malformed
-        // submission never spends labels.
-        self.gate.ensure_open().map_err(gate_closed)?;
-        let condition = self.script.condition();
-        let measured = self.measured.as_mut().expect("checked above");
-        let (measured_counts, per_class) = trace::time(Stage::Measure, || {
-            measured.measure_recording(condition, old, new, fresh)
+        let (condition, measured) = (self.script.condition(), &mut self.measured);
+        let mut decided = None;
+        let receipt = self.gate.step(commit_id, || {
+            let counts = match feed {
+                Feed::Counts(counts) => Cow::Borrowed(counts),
+                Feed::Vectors(_, old, new) => {
+                    let measured = measured.as_mut().expect("the mode matched");
+                    let (counts, per_class) = trace::time(Stage::Measure, || {
+                        measured.measure_recording(condition, old, new, &mut savepoint.pulled)
+                    })?;
+                    Cow::Owned(EvalCounts {
+                        per_class,
+                        ..counts.into()
+                    })
+                }
+            };
+            let decision = trace::time(Stage::Gate, || {
+                let est = counts.estimates_for(condition)?;
+                let estimates = CommitEstimates {
+                    d: Some(est.d),
+                    n: Some(est.n),
+                    o: Some(est.o),
+                    diff: Some(est.n - est.o),
+                    labels_requested: counts.labels,
+                };
+                Ok::<_, ServeError>((evaluate_formula(condition, &est), estimates))
+            })?;
+            decided = Some(counts);
+            Ok::<_, ServeError>(decision)
         })?;
-        let mut counts: EvalCounts = measured_counts.into();
-        counts.per_class = per_class;
-        let receipt = self.submit_with_digest(
-            &CommitSubmission {
-                commit_id: commit_id.to_owned(),
-                counts: counts.clone(),
-            },
-            Some(packed.digest()),
-        )?;
+        let counts = decided.expect("the gate step decided");
+        let digest = feed.packed().map(PackedPredictions::digest);
+        self.entry_keys.push((digest, counts.per_class.clone()));
         Ok((receipt, counts))
     }
 
-    /// The gate step both feeds share: validation, point estimates, the
-    /// condition over confidence intervals and [`Gate::record`], all in
-    /// the `gate` trace stage.
-    fn submit_with_digest(
-        &mut self,
-        submission: &CommitSubmission,
-        digest: Option<u64>,
-    ) -> Result<GateReceipt, ServeError> {
-        trace::time(Stage::Gate, || {
-            if submission.commit_id.is_empty() {
-                return Err(ServeError::BadRequest("commit_id must be non-empty".into()));
-            }
-            submission.counts.validate()?;
-            self.gate.ensure_open().map_err(gate_closed)?;
-            let est = submission.counts.estimates_for(self.script.condition())?;
-            let outcome = evaluate_formula(self.script.condition(), &est);
-            let estimates = CommitEstimates {
-                d: Some(est.d),
-                n: Some(est.n),
-                o: Some(est.o),
-                diff: Some(est.n - est.o),
-                labels_requested: submission.counts.labels,
-            };
-            let receipt = self
-                .gate
-                .record(&submission.commit_id, outcome, estimates)
-                .map_err(gate_closed)?;
-            self.entry_keys
-                .push((digest, submission.counts.per_class.clone()));
-            Ok(receipt.into())
-        })
-    }
-
-    /// If `submission` is an exact redelivery of an evaluation already
-    /// recorded in the current era — same commit id, same derived
-    /// estimates, same label count — reconstruct that evaluation's
-    /// original receipt instead of spending another budget step.
+    /// If `feed` redelivers an evaluation already recorded in the
+    /// current era, reconstruct its original receipt and counts instead
+    /// of spending another budget step.
     ///
     /// This makes the commit gate idempotent under at-least-once
     /// delivery: a client that lost the response (the journal append
     /// happens before the reply) can safely resubmit, and the serving
-    /// layer consults this before [`Project::submit`]. The whole era is
+    /// layer consults this before [`Project::commit`]. The whole era is
     /// searched, not just the latest entry, so the retry stays safe even
-    /// when other clients' submissions landed in between. Re-testing
-    /// identical counts could only ever reproduce the identical verdict,
-    /// so no statistical budget needs to be charged for it.
-    #[must_use]
-    pub fn duplicate_receipt(&self, submission: &CommitSubmission) -> Option<GateReceipt> {
-        // Trust model: a server-measured project refuses client counts
-        // (`Project::submit`), so a counts body never matches one of its
-        // predictions entries either.
-        if self.measured.is_some() {
-            return None;
-        }
-        submission.counts.validate().ok()?;
-        let est = submission.counts.estimates();
-        let index = self.gate.find_in_era(|i, e| {
-            e.commit_id == submission.commit_id
-                && e.estimates.n == Some(est.n)
-                && e.estimates.o == Some(est.o)
-                && e.estimates.d == Some(est.d)
-                && e.estimates.labels_requested == submission.counts.labels
-                // Identical scalar triples can still carry different
-                // per-class confusion shapes — and thus different
-                // F1/top-k verdicts — so the dedup key includes them.
-                && self.entry_keys.get(i).is_some_and(|k| k.1 == submission.counts.per_class)
-        })?;
-        Some(self.gate.verdict_of(index).into())
+    /// when other clients' submissions landed in between.
+    ///
+    /// * Counts match on the same commit id, derived estimates, label
+    ///   count and per-class counts: re-testing identical counts could
+    ///   only reproduce the identical verdict. A project holding a
+    ///   server-side testset refuses client counts, so counts never
+    ///   match its entries, and impossible counts match nothing.
+    /// * Vectors match on the same commit id and *vectors* (by digest),
+    ///   not the derived counts: the label pool fills monotonically, so
+    ///   re-measuring the same vectors later could legitimately
+    ///   attribute more exact per-model credit — a dedup on counts would
+    ///   miss, re-spend a budget step, and (worse) double-charge labels.
+    ///   Dedup therefore happens *before* any measurement.
+    pub(crate) fn duplicate<'a>(
+        &self,
+        commit_id: &str,
+        feed: Feed<'a>,
+    ) -> Option<(CommitReceipt, Cow<'a, EvalCounts>)> {
+        let (index, counts) = match feed {
+            Feed::Counts(counts) => {
+                if self.measured.is_some() || counts.validate().is_err() {
+                    return None;
+                }
+                let est = counts.estimates();
+                let index = self.gate.find_in_era(|i, e| {
+                    e.commit_id == commit_id
+                        && e.estimates.n == Some(est.n)
+                        && e.estimates.o == Some(est.o)
+                        && e.estimates.d == Some(est.d)
+                        && e.estimates.labels_requested == counts.labels
+                        // Identical scalar triples can still carry
+                        // different per-class confusion shapes — and
+                        // thus different F1/top-k verdicts.
+                        && self.entry_keys.get(i).is_some_and(|k| k.1 == counts.per_class)
+                })?;
+                (index, Cow::Borrowed(counts))
+            }
+            Feed::Vectors(packed, ..) => {
+                let index = self.gate.find_in_era(|i, e| {
+                    e.commit_id == commit_id
+                        && self
+                            .entry_keys
+                            .get(i)
+                            .is_some_and(|k| k.0 == Some(packed.digest()))
+                })?;
+                (index, Cow::Owned(self.counts_at(index)))
+            }
+        };
+        Some((self.gate.verdict_of(index), counts))
     }
 
-    /// If `submission` redelivers prediction vectors already evaluated in
-    /// the current era — same commit id, same *vectors* (by digest) —
-    /// reconstruct the original receipt and derived counts.
-    ///
-    /// The key is the vectors, not the derived counts: the label pool
-    /// fills monotonically, so re-measuring the same vectors later could
-    /// legitimately attribute more exact per-model credit — a dedup on
-    /// counts would miss, re-spend a budget step, and (worse) double-
-    /// charge labels. Dedup therefore happens *before* any measurement.
+    /// `Project::duplicate` for a predictions submission.
     #[must_use]
     pub fn duplicate_predictions_receipt(
         &self,
         submission: &PredictionsSubmission,
-    ) -> Option<(GateReceipt, EvalCounts)> {
-        self.duplicate_predictions_keyed(&submission.commit_id, submission.digest())
-    }
-
-    /// [`Project::duplicate_predictions_receipt`] with the digest
-    /// precomputed by the caller.
-    pub(crate) fn duplicate_predictions_keyed(
-        &self,
-        commit_id: &str,
-        digest: u64,
-    ) -> Option<(GateReceipt, EvalCounts)> {
-        let index = self.gate.find_in_era(|i, e| {
-            e.commit_id == commit_id && self.entry_keys.get(i).is_some_and(|k| k.0 == Some(digest))
-        })?;
-        Some((self.gate.verdict_of(index).into(), self.counts_at(index)))
+    ) -> Option<(CommitReceipt, EvalCounts)> {
+        let packed = submission.packed();
+        let feed = Feed::Vectors(&packed, &submission.old, &submission.new);
+        let (receipt, counts) = self.duplicate(&submission.commit_id, feed)?;
+        Some((receipt, counts.into_owned()))
     }
 
     /// Reconstruct the derived counts predictions-mode history entry
@@ -1017,33 +987,58 @@ impl Project {
         }
     }
 
-    /// Install a fresh testset: start a new era with a full step budget.
-    /// (Counts-based gating needs no pool hand-over; the client attests
-    /// it collected `required_samples()` fresh labelled examples.)
-    ///
-    /// Projects with a server-side testset must instead hand the new
-    /// era's data over through [`Project::install_testset`].
-    pub fn fresh_testset(&mut self) -> u32 {
-        self.gate.fresh_era()
-    }
-
-    /// Install a fresh *server-side* testset: replace the measured pool
-    /// (ground truth, oracle state, class count) and start a new era
-    /// with a full step budget.
+    /// Start a fresh testset era (`Project::fresh_era`).
     ///
     /// # Errors
     ///
-    /// [`ServeError::Conflict`] when the project gates on client counts
-    /// (there is no server-side pool to replace), validation failures
-    /// from [`TestsetSpec::validate`].
-    pub fn install_testset(&mut self, spec: TestsetSpec) -> Result<u32, ServeError> {
-        if self.measured.is_none() {
-            return Err(ServeError::Conflict(
-                "project gates on client counts; POST an empty body to start a fresh era".into(),
-            ));
+    /// As `Project::fresh_era`.
+    pub fn fresh_testset(&mut self, testset: Option<TestsetSpec>) -> Result<u32, ServeError> {
+        self.fresh_era(testset, &mut self.savepoint())
+    }
+
+    /// The gate step of a `fresh_testset` op, which the fresh-testset
+    /// route (through [`crate::store::ProjectSlot`]) and restart replay
+    /// run: start a new era with a full step budget, handing a
+    /// predictions project's pool over to `testset`. A counts project
+    /// needs no pool hand-over: the client attests it collected
+    /// `required_samples()` fresh labelled examples. It refuses, in
+    /// order:
+    ///
+    /// * an invalid testset ([`TestsetSpec::validate`], 400);
+    /// * an op that does not match the project's mode: a testset for a
+    ///   counts project, or none for a predictions project
+    ///   ([`ServeError::Conflict`]);
+    /// * an era counter at `u32::MAX` ([`Gate::fresh_era`], 400 `era
+    ///   counter overflow`).
+    ///
+    /// The testset it replaces goes into `savepoint`.
+    pub(crate) fn fresh_era(
+        &mut self,
+        testset: Option<TestsetSpec>,
+        savepoint: &mut Savepoint,
+    ) -> Result<u32, ServeError> {
+        let testset = testset.map(MeasuredTestset::from_spec).transpose()?;
+        match (&testset, &self.measured) {
+            (Some(_), None) => {
+                return Err(ServeError::Conflict(
+                    "project gates on client counts; POST an empty body to start a fresh era"
+                        .into(),
+                ))
+            }
+            (None, Some(_)) => {
+                return Err(ServeError::Conflict(
+                    "project holds a server-side testset; POST the fresh testset data to start \
+                     a new era"
+                        .into(),
+                ))
+            }
+            _ => {}
         }
-        self.measured = Some(MeasuredTestset::from_spec(spec)?);
-        Ok(self.fresh_testset())
+        let era = self.gate.fresh_era()?;
+        if testset.is_some() {
+            savepoint.replaced = std::mem::replace(&mut self.measured, testset);
+        }
+        Ok(era)
     }
 
     /// Project name (registry key and URL path segment).
@@ -1147,26 +1142,9 @@ impl Project {
         Ok(())
     }
 
-    /// Replace the measured-testset state wholesale (snapshot restore
-    /// and install-rollback paths).
+    /// Replace the measured-testset state wholesale (snapshot restore).
     pub(crate) fn set_measured(&mut self, measured: Option<MeasuredTestset>) {
         self.measured = measured;
-    }
-
-    /// Clone of the measured-testset state (captured before mutations
-    /// that may need rolling back — the rare install path only; the
-    /// per-commit path hands back just its fresh labels,
-    /// [`Project::unset_labels`]).
-    pub(crate) fn measured_clone(&self) -> Option<MeasuredTestset> {
-        self.measured.clone()
-    }
-
-    /// Forget the labels a failed predictions commit pulled
-    /// ([`MeasuredTestset::unset_labels`]).
-    pub(crate) fn unset_labels(&mut self, fresh: &[usize]) {
-        if let Some(measured) = self.measured.as_mut() {
-            measured.unset_labels(fresh);
-        }
     }
 
     /// Mutable access to the measured-testset state (snapshot restore).
@@ -1174,20 +1152,28 @@ impl Project {
         self.measured.as_mut()
     }
 
-    /// The gate state a mutation can change, captured so a failed
-    /// durability step can roll the mutation back (see
-    /// [`crate::store::ProjectSlot`]).
-    pub(crate) fn mark(&self) -> GateSavepoint {
-        self.gate.mark()
+    /// Capture what the next step may change, so a failed durability
+    /// step can roll it back (see [`crate::store::ProjectSlot`]).
+    pub(crate) fn savepoint(&self) -> Savepoint {
+        Savepoint {
+            gate: self.gate.mark(),
+            pulled: Vec::new(),
+            replaced: None,
+        }
     }
 
-    /// Undo the single most recent mutation ([`Gate::rollback`]) and the
-    /// dedup keys it appended. Label-pool and testset state are restored
-    /// separately (see [`crate::store::ProjectSlot`]).
-    pub(crate) fn rollback(&mut self, mark: GateSavepoint) {
-        self.gate.rollback(mark);
+    /// Undo the single most recent step: the gate ([`Gate::rollback`])
+    /// and the dedup keys it appended, the labels its measurement pulled
+    /// ([`MeasuredTestset::unset_labels`]), the testset it replaced.
+    pub(crate) fn rollback(&mut self, savepoint: Savepoint) {
+        self.gate.rollback(savepoint.gate);
         let len = self.gate.history().len();
         self.entry_keys.truncate(len);
+        if savepoint.replaced.is_some() {
+            self.measured = savepoint.replaced;
+        } else if let Some(measured) = self.measured.as_mut() {
+            measured.unset_labels(&savepoint.pulled);
+        }
     }
 }
 
@@ -1206,7 +1192,7 @@ pub fn serving_estimator() -> SampleSizeEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use easeml_ci_core::LabelOracle;
+    use easeml_ci_core::{AlarmReason, LabelOracle, Tribool};
 
     const SCRIPT: &str = "ml:\n\
         \x20 - condition  : n > 0.6 +/- 0.2\n\
@@ -1271,7 +1257,7 @@ mod tests {
             p.submit(&submission("c3", 90)),
             Err(ServeError::Gone(_))
         ));
-        assert_eq!(p.fresh_testset(), 1);
+        assert_eq!(p.fresh_testset(None).unwrap(), 1);
         let r = p.submit(&submission("c3", 90)).unwrap();
         assert_eq!((r.step, r.era), (1, 1));
         assert_eq!(p.history().len(), 3);
@@ -1422,7 +1408,10 @@ mod tests {
         // 0..50 ∪ 90..100 = 60 items.
         assert_eq!(counts.changed, 60);
         assert_eq!(counts.labels, 60, "only disagreements are labelled");
-        assert_eq!(receipt.labels, 60, "label spend is surfaced in the receipt");
+        assert_eq!(
+            receipt.estimates.labels_requested, 60,
+            "label spend is surfaced in the receipt"
+        );
         assert_eq!(p.measured().unwrap().labeled_count(), 60);
         // A second commit re-using labelled items spends nothing new.
         let (_, counts2) = p
@@ -1649,7 +1638,7 @@ mod tests {
         }
         assert!(p.is_retired());
         let (bigger, old2, new2) = pred_fixture(200, 100, 180);
-        assert_eq!(p.install_testset(bigger).unwrap(), 1);
+        assert_eq!(p.fresh_testset(Some(bigger)).unwrap(), 1);
         assert_eq!(p.measured().unwrap().len(), 200);
         let (receipt, counts) = p
             .submit_predictions(&PredictionsSubmission {
@@ -1663,7 +1652,7 @@ mod tests {
         // Counts-mode projects cannot install a server-side testset.
         let mut counts_only = Project::register("c", SCRIPT, &estimator).unwrap();
         assert!(matches!(
-            counts_only.install_testset(spec),
+            counts_only.fresh_testset(Some(spec)),
             Err(ServeError::Conflict(_))
         ));
     }

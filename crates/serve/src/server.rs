@@ -61,15 +61,17 @@ use crate::obs::trace::{self, Stage, TraceRec};
 use crate::obs::{Counter, GateOutcome, ServeObs};
 use crate::record::{commit_members, decode_document, decode_project, TestsetFields};
 use crate::registry::{
-    serving_estimator, CommitSubmission, EvalCounts, GateReceipt, MeasuredTestset,
-    PackedPredictions, Project, TestsetSpec, WireVector,
+    serving_estimator, CommitSubmission, EvalCounts, Feed, MeasuredTestset, PackedPredictions,
+    Project, TestsetSpec, WireVector,
 };
 use crate::store::{
     group, tribool_str, write_history_entry_fields, write_per_class, Durability, GroupMetrics,
     Registry,
 };
 use crate::vfs::{MeteredVfs, RealVfs, Vfs};
-use easeml_ci_core::{effort, AlarmReason, BoundsCache, CostModel, EstimateProvenance, PlanCache};
+use easeml_ci_core::{
+    effort, AlarmReason, BoundsCache, CommitReceipt, CostModel, EstimateProvenance, PlanCache,
+};
 use easeml_par::Pool;
 use std::borrow::Cow;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -955,7 +957,7 @@ pub(crate) fn status_json(project: &crate::registry::Project) -> Value {
 }
 
 /// The `easeml_gate_outcomes_total{outcome=...}` label for a decision.
-fn gate_outcome(receipt: &GateReceipt) -> GateOutcome {
+fn gate_outcome(receipt: &CommitReceipt) -> GateOutcome {
     if matches!(receipt.alarm, Some(AlarmReason::BudgetExhausted)) {
         GateOutcome::BudgetExhausted
     } else if receipt.passed {
@@ -1061,7 +1063,7 @@ fn submit_predictions(ctx: &Ctx, name: &str, request: &Request) -> Result<Respon
     let registry: &Registry = &ctx.registry;
     let (commit_id, packed, old, new) = predictions_submission(&request.body)?;
     with_project(registry, name, |slot| {
-        let (receipt, counts) = slot.submit_packed_predictions(&commit_id, &packed, &old, &new)?;
+        let (receipt, counts) = slot.commit(&commit_id, Feed::Vectors(&packed, &old, &new))?;
         ctx.obs
             .metrics
             .gate_outcome(&mut slot.outcomes, name, gate_outcome(&receipt));
@@ -1077,7 +1079,7 @@ fn submit_predictions(ctx: &Ctx, name: &str, request: &Request) -> Result<Respon
 /// the receipt fields, so the receipt part stays byte-comparable to the
 /// counts route's response for the equivalence tests (and for auditing
 /// clients).
-fn predictions_receipt(receipt: &GateReceipt, counts: &EvalCounts, project: &Project) -> String {
+fn predictions_receipt(receipt: &CommitReceipt, counts: &EvalCounts, project: &Project) -> String {
     let labeled_total = project.measured().map_or(0, MeasuredTestset::labeled_count);
     let mut w = JsonWriter::compact();
     w.begin_object();
@@ -1099,7 +1101,7 @@ fn predictions_receipt(receipt: &GateReceipt, counts: &EvalCounts, project: &Pro
 }
 
 /// The fields of a commit receipt, shared by both commit routes.
-fn write_receipt_fields(w: &mut JsonWriter, receipt: &GateReceipt, project: &Project) {
+fn write_receipt_fields(w: &mut JsonWriter, receipt: &CommitReceipt, project: &Project) {
     w.key("commit_id").string(&receipt.commit_id);
     w.key("step").u64(receipt.step.into());
     w.key("era").u64(receipt.era.into());
@@ -1114,7 +1116,7 @@ fn write_receipt_fields(w: &mut JsonWriter, receipt: &GateReceipt, project: &Pro
         Some(reason) => w.key("alarm").string(alarm_str(reason)),
         None => w.key("alarm").null(),
     }
-    w.key("labels").u64(receipt.labels);
+    w.key("labels").u64(receipt.estimates.labels_requested);
     w.key("budget").begin_object();
     w.key("steps").u64(project.script().steps().into());
     w.key("used").u64(project.steps_used().into());
@@ -1135,7 +1137,7 @@ fn alarm_str(reason: AlarmReason) -> &'static str {
 /// The receipt as a [`Value`] tree: the test reference for
 /// [`write_receipt_fields`].
 #[cfg(test)]
-fn receipt_json(receipt: &GateReceipt, budget: &Value) -> Value {
+fn receipt_json(receipt: &CommitReceipt, budget: &Value) -> Value {
     Value::object([
         ("commit_id", Value::from(receipt.commit_id.as_str())),
         ("step", Value::from(receipt.step)),
@@ -1145,7 +1147,7 @@ fn receipt_json(receipt: &GateReceipt, budget: &Value) -> Value {
         ("outcome", Value::from(tribool_str(receipt.outcome))),
         ("passed", Value::from(receipt.passed)),
         ("alarm", Value::from(receipt.alarm.map(alarm_str))),
-        ("labels", Value::from(receipt.labels)),
+        ("labels", Value::from(receipt.estimates.labels_requested)),
         ("budget", budget.clone()),
     ])
 }
@@ -1212,10 +1214,7 @@ fn fresh_testset(
     // new era's testset data over in a `testset` object.
     let testset = fresh_testset_body(&request.body)?;
     with_project(registry, name, |slot| {
-        let era = match testset {
-            Some(spec) => slot.install_testset(spec)?,
-            None => slot.fresh_testset()?,
-        };
+        let era = slot.fresh_testset(testset)?;
         let mut fields = vec![
             ("project", Value::from(name)),
             ("era", Value::from(era)),
@@ -1261,7 +1260,7 @@ mod tests {
     use crate::record::hostile::{edited, edits, Edit};
     use crate::registry::{fnv1a64, PredictionsSubmission};
     use crate::vfs::MemVfs;
-    use easeml_ci_core::{PerClassCounts, Tribool};
+    use easeml_ci_core::{CommitEstimates, PerClassCounts, Tribool};
     use proptest::test_runner::TestCaseError;
     use std::fmt::Write as _;
     use std::path::Path;
@@ -2181,7 +2180,7 @@ mod tests {
                 1 => rng.below(1 << 53),
                 _ => rng.below(u64::MAX),
             };
-            let receipt = GateReceipt {
+            let receipt = CommitReceipt {
                 commit_id: rng.pick(&["c1", "", "a\"b\\c", "é\n\u{1}😀"]).to_owned(),
                 step: rng.below(u64::from(u32::MAX) + 1) as u32,
                 era: rng.below(5) as u32,
@@ -2192,7 +2191,10 @@ mod tests {
                 alarm: [None, Some(AlarmReason::BudgetExhausted), Some(AlarmReason::PassedInHybrid)]
                     [rng.below(3) as usize],
                 steps_remaining: rng.below(10) as u32,
-                labels: big(&mut rng),
+                estimates: CommitEstimates {
+                    labels_requested: big(&mut rng),
+                    ..CommitEstimates::default()
+                },
             };
             let per_class = (rng.below(2) == 0).then(|| {
                 let classes = 1 + rng.below(5) as u32;

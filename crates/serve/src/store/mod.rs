@@ -124,12 +124,13 @@ use crate::record::{
     read_u64, walk_object, Ints, ESTIMATES, PER_CLASS_VECTORS,
 };
 use crate::registry::{
-    CommitSubmission, EntryKey, EvalCounts, GateReceipt, MeasuredTestset, PackedPredictions,
-    PredictionsSubmission, Project, TestsetSpec, WireVector,
+    CommitSubmission, EntryKey, EvalCounts, Feed, MeasuredTestset, PackedPredictions,
+    PredictionsSubmission, Project, Savepoint, TestsetSpec, WireVector,
 };
 use crate::vfs::{write_atomic, RealVfs, Vfs};
 use easeml_ci_core::{
-    CommitEstimates, CommitHistory, HistoryEntry, PerClassCounts, SampleSizeEstimator, Tribool,
+    CommitEstimates, CommitHistory, CommitReceipt, HistoryEntry, PerClassCounts,
+    SampleSizeEstimator, Tribool,
 };
 use group::SharedJournal;
 use std::borrow::Cow;
@@ -690,8 +691,8 @@ impl ProjectStore {
     }
 
     /// Journal one accepted op, under the project lock: `line` is its
-    /// JSON, newline included (see [`commit_line`], [`predictions_line`]
-    /// and [`fresh_testset_line`]).
+    /// JSON, newline included (see [`commit_line`] and
+    /// [`fresh_testset_line`]).
     ///
     /// # Errors
     ///
@@ -807,29 +808,19 @@ impl ProjectStore {
     }
 }
 
-/// The journal line of an accepted counts commit, newline included.
-fn commit_line(submission: &CommitSubmission, receipt: &GateReceipt) -> String {
-    let mut w = JsonWriter::compact();
-    w.begin_object();
-    w.key("op").string("commit");
-    w.key("id").string(&submission.commit_id);
-    write_outcome_fields(&mut w, &submission.counts, receipt);
-    w.end_object();
-    w.finish_line()
-}
-
-/// The journal line of an accepted predictions commit, newline
-/// included: the vectors (replay re-measures them), the derived counts
-/// and the outcome (both cross-checked at replay, so a tampered
-/// prediction or testset blob fails the boot). The vectors arrive
-/// packed: the bytes the request's dedup digest was computed over, as
-/// the client sent them when they came `#`-packed. The line is written
-/// into one buffer sized for it up front, so they are copied once.
-fn predictions_line(
+/// The journal line of an accepted commit, newline included: a `commit`
+/// op for client counts, a `commit_predictions` op for a `packed` pair
+/// of vectors (replay re-measures them), then the counts and the outcome
+/// (both cross-checked at replay, so a tampered prediction or testset
+/// blob fails the boot). The vectors arrive packed: the bytes the
+/// request's dedup digest was computed over, as the client sent them
+/// when they came `#`-packed. The line is written into one buffer sized
+/// for it up front, so they are copied once.
+fn commit_line(
     commit_id: &str,
-    packed: &PackedPredictions<'_>,
+    packed: Option<&PackedPredictions<'_>>,
     counts: &EvalCounts,
-    receipt: &GateReceipt,
+    receipt: &CommitReceipt,
 ) -> String {
     // The fixed keys and the widest integers take under 300 bytes, a
     // `per_class` object at most 21 bytes per integer plus its keys.
@@ -837,14 +828,20 @@ fn predictions_line(
         .per_class
         .as_ref()
         .map_or(0, |pc| 96 + 5 * 21 * pc.classes as usize);
-    let mut w = JsonWriter::compact_with_capacity(
-        288 + commit_id.len() + packed.old_wire().len() + packed.new_wire().len() + per_class,
-    );
+    let vectors = packed.map_or(0, |p| p.old_wire().len() + p.new_wire().len());
+    let mut w = JsonWriter::compact_with_capacity(288 + commit_id.len() + vectors + per_class);
     w.begin_object();
-    w.key("op").string("commit_predictions");
+    let op = if packed.is_some() {
+        "commit_predictions"
+    } else {
+        "commit"
+    };
+    w.key("op").string(op);
     w.key("id").string(commit_id);
-    w.key("old").string(packed.old_wire());
-    w.key("new").string(packed.new_wire());
+    if let Some(packed) = packed {
+        w.key("old").string(packed.old_wire());
+        w.key("new").string(packed.new_wire());
+    }
     write_outcome_fields(&mut w, counts, receipt);
     w.end_object();
     w.finish_line()
@@ -948,7 +945,7 @@ pub(crate) fn write_history_entry_fields(w: &mut JsonWriter, e: &HistoryEntry) {
 
 /// The counts and outcome fields every journalled commit ends with,
 /// shared by the `commit` and `commit_predictions` ops.
-fn write_outcome_fields(w: &mut JsonWriter, counts: &EvalCounts, receipt: &GateReceipt) {
+fn write_outcome_fields(w: &mut JsonWriter, counts: &EvalCounts, receipt: &CommitReceipt) {
     w.key("samples").u64(counts.samples);
     w.key("new_correct").u64(counts.new_correct);
     w.key("old_correct").u64(counts.old_correct);
@@ -1206,12 +1203,14 @@ fn replay_segment(
     Ok((count, None))
 }
 
-/// Replay one journal line through the live gate, cross-checking the
-/// recorded outcome. The line is read by the decoder the commit routes
-/// read their bodies with ([`commit_members`]). `commit_predictions` ops
-/// are re-*measured* from the stored vectors against the era's testset
-/// blob, so tampering with either (vectors, derived counts, outcome, or
-/// the blob itself) diverges and rejects the directory.
+/// Replay one journal line through the gate step of its op
+/// ([`Project::commit`], [`Project::fresh_era`]) — the step the live
+/// route ran — cross-checking the recorded outcome. The line is read by
+/// the decoder the commit routes read their bodies with
+/// ([`commit_members`]). `commit_predictions` ops are re-*measured* from
+/// the stored vectors against the era's testset blob, so tampering with
+/// either (vectors, derived counts, outcome, or the blob itself)
+/// diverges and rejects the directory.
 fn replay_op<'a>(
     vfs: &dyn Vfs,
     dir: &Path,
@@ -1225,12 +1224,6 @@ fn replay_op<'a>(
     let field_u64 = |value: Option<u64>, key: &str| -> Result<u64, ServeError> {
         value.ok_or_else(|| bad(format!("missing or non-integer `{key}`")))
     };
-    let commit_id = || -> Result<String, ServeError> {
-        op.id
-            .as_deref()
-            .map(str::to_owned)
-            .ok_or_else(|| bad("missing `id`".into()))
-    };
     let recorded_counts = || -> Result<EvalCounts, ServeError> {
         Ok(EvalCounts {
             samples: field_u64(op.samples, "samples")?,
@@ -1241,58 +1234,23 @@ fn replay_op<'a>(
             per_class: op.per_class.transpose().map_err(bad)?,
         })
     };
-    let check_outcome = |receipt: &GateReceipt| -> Result<(), ServeError> {
-        let recorded_passed = op.passed.ok_or_else(|| bad("missing `passed`".into()))?;
-        let recorded_step = field_u64(op.step, "step")?;
-        let recorded_era = field_u64(op.era, "era")?;
-        if receipt.passed != recorded_passed
-            || u64::from(receipt.step) != recorded_step
-            || u64::from(receipt.era) != recorded_era
-        {
-            return Err(bad(format!(
-                "replay diverged: recorded (passed={recorded_passed}, step={recorded_step}, \
-                 era={recorded_era}) vs recomputed (passed={}, step={}, era={})",
-                receipt.passed, receipt.step, receipt.era
-            )));
-        }
-        Ok(())
-    };
-    match op.op.as_deref() {
-        Some("commit") => {
-            let submission = CommitSubmission {
-                commit_id: commit_id()?,
-                counts: recorded_counts()?,
-            };
-            let receipt = project
-                .submit(&submission)
-                .map_err(|e| bad(format!("gate rejected replayed op: {e}")))?;
-            check_outcome(&receipt)
-        }
+    let packed = match op.op.as_deref() {
+        Some("commit") => None,
         Some("commit_predictions") => {
             // The journal holds each vector as its wire string.
             let vector = |wire: Option<WireVector<'a>>, key: &str| match wire {
                 Some(wire @ WireVector::Text(_)) => wire,
                 _ => WireVector::Invalid(format!("missing `{key}`")),
             };
-            let (packed, old, new) =
+            Some(
                 PackedPredictions::decode(vector(op.old, "old"), vector(op.new, "new"))
-                    .map_err(bad)?;
-            let recorded = recorded_counts()?;
-            let (receipt, counts) = project
-                .submit_packed_predictions(&commit_id()?, &packed, &old, &new, &mut Vec::new())
-                .map_err(|e| bad(format!("gate rejected replayed op: {e}")))?;
-            if counts != recorded {
-                return Err(bad(format!(
-                    "measurement replay diverged: recorded {recorded:?} vs remeasured {counts:?} \
-                     (prediction or testset blob tampered?)"
-                )));
-            }
-            check_outcome(&receipt)
+                    .map_err(bad)?,
+            )
         }
         Some("fresh_testset") => {
             let recorded = field_u64(op.era, "era")?;
-            let new_era = match op.testset_digest {
-                None => project.fresh_testset(),
+            let testset = match op.testset_digest {
+                None => None,
                 Some(Some(recorded_digest)) => {
                     let era =
                         u32::try_from(recorded).map_err(|_| bad("era out of range".into()))?;
@@ -1303,21 +1261,59 @@ fn replay_op<'a>(
                             "testset blob does not match the journalled digest",
                         ));
                     }
-                    project
-                        .install_testset(spec)
-                        .map_err(|e| bad(format!("testset replay failed: {e}")))?
+                    Some(spec)
                 }
                 Some(None) => return Err(bad("bad `testset_digest`".into())),
             };
+            let new_era = project
+                .fresh_era(testset, &mut project.savepoint())
+                .map_err(|e| bad(format!("testset replay failed: {e}")))?;
             if u64::from(new_era) != recorded {
                 return Err(bad(format!(
                     "replay diverged: recorded era {recorded} vs recomputed {new_era}"
                 )));
             }
-            Ok(())
+            return Ok(());
         }
-        _ => Err(bad("unknown op".into())),
+        _ => return Err(bad("unknown op".into())),
+    };
+    // A `commit` line is checked for its id before its counts, a
+    // `commit_predictions` line after them.
+    let commit_id = || op.id.as_deref().ok_or_else(|| bad("missing `id`".into()));
+    let (commit_id, recorded) = match packed {
+        None => (commit_id()?, recorded_counts()?),
+        Some(_) => {
+            let recorded = recorded_counts()?;
+            (commit_id()?, recorded)
+        }
+    };
+    let feed = match &packed {
+        None => Feed::Counts(&recorded),
+        Some((packed, old, new)) => Feed::Vectors(packed, old, new),
+    };
+    let (receipt, counts) = project
+        .commit(commit_id, feed, &mut project.savepoint())
+        .map_err(|e| bad(format!("gate rejected replayed op: {e}")))?;
+    if *counts != recorded {
+        return Err(bad(format!(
+            "measurement replay diverged: recorded {recorded:?} vs remeasured {counts:?} \
+             (prediction or testset blob tampered?)"
+        )));
     }
+    let recorded_passed = op.passed.ok_or_else(|| bad("missing `passed`".into()))?;
+    let recorded_step = field_u64(op.step, "step")?;
+    let recorded_era = field_u64(op.era, "era")?;
+    if receipt.passed != recorded_passed
+        || u64::from(receipt.step) != recorded_step
+        || u64::from(receipt.era) != recorded_era
+    {
+        return Err(bad(format!(
+            "replay diverged: recorded (passed={recorded_passed}, step={recorded_step}, \
+             era={recorded_era}) vs recomputed (passed={}, step={}, era={})",
+            receipt.passed, receipt.step, receipt.era
+        )));
+    }
+    Ok(())
 }
 
 /// One project behind its lock: gate state plus its persistence arm.
@@ -1331,177 +1327,105 @@ pub struct ProjectSlot {
 }
 
 impl ProjectSlot {
-    /// Gate a submission and journal it. Journalling failure fails the
-    /// request (state and journal must not diverge silently).
-    ///
-    /// An exact redelivery of the most recent evaluation returns its
-    /// reconstructed receipt without consuming budget or journalling
-    /// anything (see [`Project::duplicate_receipt`]) — clients may
-    /// safely retry a commit whose response was lost.
+    /// Gate a counts submission and journal it (`ProjectSlot::commit`).
     ///
     /// # Errors
     ///
-    /// Gate rejections and journal I/O failures.
-    pub fn submit(&mut self, submission: &CommitSubmission) -> Result<GateReceipt, ServeError> {
-        if let Some(receipt) = self.project.duplicate_receipt(submission) {
-            return Ok(receipt);
-        }
-        // The gate mutates in memory first, the journal append second.
-        // If the append fails, the mutation must be rolled back — an op
-        // that lives in memory but not in the journal would make every
-        // *later* journaled step number diverge from what a restart
-        // recomputes, bricking recovery for the whole project.
-        let mark = self.project.mark();
-        let receipt = self.project.submit(submission)?;
-        if let Err(e) = self
-            .store
-            .append(commit_line(submission, &receipt), &self.project)
-        {
-            self.project.rollback(mark);
-            return Err(e);
-        }
+    /// As `ProjectSlot::commit`.
+    pub fn submit(&mut self, submission: &CommitSubmission) -> Result<CommitReceipt, ServeError> {
+        let feed = Feed::Counts(&submission.counts);
+        let (receipt, _) = self.commit(&submission.commit_id, feed)?;
         Ok(receipt)
     }
 
-    /// Gate a predictions submission: measure the vectors server-side,
-    /// run the derived counts through the shared gate, and journal the
-    /// vectors + counts + outcome. Redelivery of identical vectors for
-    /// the same commit returns the recorded receipt without spending a
-    /// budget step, labels, or journal bytes — the dedup key is the
-    /// vector digest, checked *before* any measurement. Each vector is
-    /// encoded once: the packed bytes feed both the digest and the
-    /// journal op.
+    /// Gate a predictions submission and journal it
+    /// (`ProjectSlot::commit`); returns the receipt and the counts the
+    /// server derived.
     ///
-    /// A failed journal append rolls back the gate counters *and* the
-    /// labels the failed measurement pulled (they would otherwise
-    /// desynchronise replay): exactly those items are unset, so the pool
-    /// is never copied.
+    /// # Errors
+    ///
+    /// As `ProjectSlot::commit`.
+    pub fn submit_predictions(
+        &mut self,
+        submission: &PredictionsSubmission,
+    ) -> Result<(CommitReceipt, EvalCounts), ServeError> {
+        let packed = submission.packed();
+        let feed = Feed::Vectors(&packed, &submission.old, &submission.new);
+        let (receipt, counts) = self.commit(&submission.commit_id, feed)?;
+        Ok((receipt, counts.into_owned()))
+    }
+
+    /// The durable step of a `commit` or `commit_predictions` op: run
+    /// the gate step ([`Project::commit`]) and journal the op — the
+    /// counts, or the vectors as `feed` packed them (each is encoded
+    /// once: the packed bytes feed both the dedup digest and the journal
+    /// line), then the counts and the outcome.
+    ///
+    /// A redelivery of an evaluation already recorded in the era returns
+    /// its receipt without spending a budget step, labels or journal
+    /// bytes ([`Project::duplicate`]) — clients may safely retry a commit
+    /// whose response was lost.
     ///
     /// # Errors
     ///
     /// Gate rejections, validation failures, and journal I/O failures.
-    pub fn submit_predictions(
-        &mut self,
-        submission: &PredictionsSubmission,
-    ) -> Result<(GateReceipt, EvalCounts), ServeError> {
-        self.submit_packed_predictions(
-            &submission.commit_id,
-            &submission.packed(),
-            &submission.old,
-            &submission.new,
-        )
-    }
-
-    /// [`ProjectSlot::submit_predictions`] for vectors that arrive with
-    /// their canonical wire strings (the served route moves `#`-packed
-    /// request strings in as received). `packed` must encode
-    /// `old`/`new`.
-    ///
-    /// # Errors
-    ///
-    /// As [`ProjectSlot::submit_predictions`].
-    pub(crate) fn submit_packed_predictions(
+    pub(crate) fn commit<'a>(
         &mut self,
         commit_id: &str,
-        packed: &PackedPredictions<'_>,
-        old: &[u32],
-        new: &[u32],
-    ) -> Result<(GateReceipt, EvalCounts), ServeError> {
-        if let Some(hit) = self
-            .project
-            .duplicate_predictions_keyed(commit_id, packed.digest())
-        {
+        feed: Feed<'a>,
+    ) -> Result<(CommitReceipt, Cow<'a, EvalCounts>), ServeError> {
+        if let Some(hit) = self.project.duplicate(commit_id, feed) {
             return Ok(hit);
         }
-        let mark = self.project.mark();
-        // The labels this measurement pulls, handed back if the op fails
-        // (fully-labelled pools pull none).
-        let mut fresh = Vec::new();
-        let result = self
-            .project
-            .submit_packed_predictions(commit_id, packed, old, new, &mut fresh)
-            .and_then(|(receipt, counts)| {
-                let line = predictions_line(commit_id, packed, &counts, &receipt);
-                self.store
-                    .append(line, &self.project)
-                    .map(|()| (receipt, counts))
-            });
+        self.journalled(|project, savepoint, _| {
+            let (receipt, counts) = project.commit(commit_id, feed, savepoint)?;
+            let line = commit_line(commit_id, feed.packed(), &counts, &receipt);
+            Ok(((receipt, counts), line))
+        })
+    }
+
+    /// The durable step of a `fresh_testset` op: run the gate step
+    /// (`Project::fresh_era`), persist a new server-side testset as the
+    /// era's blob (atomic, before the journal op that activates it), and
+    /// journal the era bump with the blob's digest.
+    ///
+    /// # Errors
+    ///
+    /// As `Project::fresh_era`, and I/O failures.
+    pub fn fresh_testset(&mut self, testset: Option<TestsetSpec>) -> Result<u32, ServeError> {
+        self.journalled(|project, savepoint, store| {
+            let era = project.fresh_era(testset, savepoint)?;
+            // An orphaned blob from a crash past here is harmless: the
+            // journal never references it, and a retry overwrites it.
+            if let Some(measured) = project.measured() {
+                store.write_testset_blob(era, &measured.spec())?;
+            }
+            Ok((era, fresh_testset_line(era, project.testset_digest())))
+        })
+    }
+
+    /// Run one op's gate `step` and journal the line it returns. The
+    /// step mutates in memory first, the journal append comes second; if
+    /// either fails, the mutation is rolled back ([`Project::rollback`]):
+    /// the gate state, the labels a measurement pulled, the testset an
+    /// era replaced. An op that lived in memory but not in the journal
+    /// would make every *later* journalled step number diverge from what
+    /// a restart recomputes, bricking recovery for the whole project.
+    fn journalled<T>(
+        &mut self,
+        step: impl FnOnce(
+            &mut Project,
+            &mut Savepoint,
+            &ProjectStore,
+        ) -> Result<(T, String), ServeError>,
+    ) -> Result<T, ServeError> {
+        let mut savepoint = self.project.savepoint();
+        let result = step(&mut self.project, &mut savepoint, &self.store)
+            .and_then(|(value, line)| self.store.append(line, &self.project).map(|()| value));
         if result.is_err() {
-            // Defensive for gate errors too: the gate rejects before
-            // measuring, but a partial label spend must never outlive a
-            // failed op.
-            self.project.rollback(mark);
-            self.project.unset_labels(&fresh);
+            self.project.rollback(savepoint);
         }
         result
-    }
-
-    /// Install a fresh testset and journal it (rolled back like
-    /// [`ProjectSlot::submit`] if the append fails).
-    ///
-    /// Projects holding a server-side testset must hand the new era's
-    /// data over through [`ProjectSlot::install_testset`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Journal I/O failures; [`ServeError::Conflict`] for
-    /// predictions-mode projects.
-    pub fn fresh_testset(&mut self) -> Result<u32, ServeError> {
-        if self.project.measured().is_some() {
-            return Err(ServeError::Conflict(
-                "project holds a server-side testset; POST the fresh testset data to start \
-                 a new era"
-                    .into(),
-            ));
-        }
-        let mark = self.project.mark();
-        let era = self.project.fresh_testset();
-        if let Err(e) = self
-            .store
-            .append(fresh_testset_line(era, None), &self.project)
-        {
-            self.project.rollback(mark);
-            return Err(e);
-        }
-        Ok(era)
-    }
-
-    /// Install a fresh *server-side* testset: persist the new era's blob
-    /// (atomic, before the journal op that activates it), swap the
-    /// measured state, and journal the era bump with the blob digest.
-    ///
-    /// # Errors
-    ///
-    /// Validation failures, [`ServeError::Conflict`] for counts-mode
-    /// projects, I/O failures (state rolled back on append failure).
-    pub fn install_testset(&mut self, spec: TestsetSpec) -> Result<u32, ServeError> {
-        spec.validate()?;
-        if self.project.measured().is_none() {
-            return Err(ServeError::Conflict(
-                "project gates on client counts; POST an empty body to start a fresh era".into(),
-            ));
-        }
-        let next_era = self
-            .project
-            .era()
-            .checked_add(1)
-            .ok_or_else(|| ServeError::BadRequest("era counter overflow".into()))?;
-        // An orphaned blob from a crash here is harmless: the journal
-        // never references it, and a retry simply overwrites it.
-        self.store.write_testset_blob(next_era, &spec)?;
-        let mark = self.project.mark();
-        let prev = self.project.measured_clone();
-        let era = self.project.install_testset(spec)?;
-        let digest = self.project.testset_digest();
-        if let Err(e) = self
-            .store
-            .append(fresh_testset_line(era, digest), &self.project)
-        {
-            self.project.rollback(mark);
-            self.project.set_measured(prev);
-            return Err(e);
-        }
-        Ok(era)
     }
 
     /// Test seam: force the next journal append to fail.
@@ -1913,7 +1837,7 @@ mod tests {
             let slot = registry.register("proj", SCRIPT, None).unwrap();
             let mut slot = slot.lock().unwrap();
             slot.submit(&submission("c1", 90)).unwrap();
-            assert_eq!(slot.fresh_testset().unwrap(), 1);
+            assert_eq!(slot.fresh_testset(None).unwrap(), 1);
             slot.submit(&submission("c2", 90)).unwrap();
         }
         let registry = Registry::open(&dir, serving_estimator()).unwrap();
@@ -1923,6 +1847,90 @@ mod tests {
         assert_eq!(slot.project.steps_used(), 1);
         assert_eq!(slot.project.history().len(), 2);
         assert_eq!(slot.project.history().entries()[1].era, 1);
+    }
+
+    /// Append `line` to the project's journal segment `segment`, boot,
+    /// and return the boot error, which must name that segment.
+    fn boot_error_after_journal_line(dir: &Path, segment: &str, line: &str) -> String {
+        let path = dir.join("projects/proj").join(segment);
+        let mut text = std::fs::read_to_string(&path).unwrap_or_default();
+        text.push_str(line);
+        text.push('\n');
+        std::fs::write(&path, text).unwrap();
+        match Registry::open(dir, serving_estimator()) {
+            Err(ServeError::Corrupt { path: bad, reason }) => {
+                assert_eq!(bad, path, "{reason}");
+                reason
+            }
+            Err(e) => panic!("expected a corrupt journal, got {e}"),
+            Ok(_) => panic!("boot accepted `{line}`"),
+        }
+    }
+
+    /// A predictions project's era needs a testset: the live route
+    /// refuses a bodyless fresh era, and so must boot replay.
+    #[test]
+    fn digestless_fresh_testset_on_a_predictions_project_fails_boot() {
+        let dir = temp_dir("digestless-era");
+        {
+            let registry = Registry::open(&dir, serving_estimator()).unwrap();
+            let slot = registry
+                .register("proj", SCRIPT, Some(lazy_spec(100)))
+                .unwrap();
+            let mut slot = slot.lock().unwrap();
+            slot.submit_predictions(&pred_submission("c1", 100, 50, 90))
+                .unwrap();
+            let err = slot.fresh_testset(None).unwrap_err();
+            assert!(matches!(err, ServeError::Conflict(_)), "{err}");
+        }
+        let line = r#"{"op":"fresh_testset","era":1}"#;
+        let reason = boot_error_after_journal_line(&dir, "journal.0.log", line);
+        assert!(
+            reason.starts_with("line 2: testset replay failed: project holds a server-side"),
+            "{reason}"
+        );
+    }
+
+    /// The era counter never wraps: at era `u32::MAX` the live route
+    /// answers 400 and journals nothing, and boot refuses a journalled
+    /// era past it.
+    #[test]
+    fn era_counter_overflow_is_refused_live_and_at_boot() {
+        let dir = temp_dir("era-overflow");
+        {
+            let registry = Registry::open(&dir, serving_estimator()).unwrap();
+            let slot = registry.register("proj", SCRIPT, None).unwrap();
+            let mut slot = slot.lock().unwrap();
+            slot.submit(&submission("c1", 90)).unwrap();
+            slot.snapshot().unwrap();
+        }
+        let snapshot = dir.join("projects/proj/snapshot.json");
+        let text = std::fs::read_to_string(&snapshot).unwrap();
+        let at_max = text.replacen("\"era\": 0,", "\"era\": 4294967295,", 1);
+        assert_ne!(at_max, text);
+        std::fs::write(&snapshot, at_max).unwrap();
+        {
+            let registry = Registry::open(&dir, serving_estimator()).unwrap();
+            let slot = registry.get("proj").unwrap();
+            let mut slot = slot.lock().unwrap();
+            assert_eq!(slot.project.era(), u32::MAX);
+            let err = slot.fresh_testset(None).unwrap_err();
+            assert_eq!(
+                (err.status(), err.to_string()),
+                (400, "era counter overflow".into())
+            );
+            assert_eq!(slot.project.era(), u32::MAX);
+            assert!(
+                !slot.store.has_unsealed_ops(),
+                "a refused era journals nothing"
+            );
+        }
+        let line = r#"{"op":"fresh_testset","era":0}"#;
+        let reason = boot_error_after_journal_line(&dir, "journal.1.log", line);
+        assert_eq!(
+            reason,
+            "line 1: testset replay failed: era counter overflow"
+        );
     }
 
     #[test]
@@ -2207,7 +2215,7 @@ mod tests {
         assert_eq!(slot.project.history().len(), 1);
 
         slot.fail_next_append();
-        assert!(matches!(slot.fresh_testset(), Err(ServeError::Io(_))));
+        assert!(matches!(slot.fresh_testset(None), Err(ServeError::Io(_))));
         assert_eq!(slot.project.era(), 0);
 
         // The next successful submission gets the step the failed one
@@ -2705,9 +2713,12 @@ mod tests {
             slot.submit_predictions(&pred_submission("c1", 100, 50, 90))
                 .unwrap();
             // A predictions project cannot start an era without data…
-            assert!(matches!(slot.fresh_testset(), Err(ServeError::Conflict(_))));
+            assert!(matches!(
+                slot.fresh_testset(None),
+                Err(ServeError::Conflict(_))
+            ));
             // …and installs a differently-sized pool with one.
-            assert_eq!(slot.install_testset(lazy_spec(150)).unwrap(), 1);
+            assert_eq!(slot.fresh_testset(Some(lazy_spec(150))).unwrap(), 1);
             slot.submit_predictions(&pred_submission("c2", 150, 80, 140))
                 .unwrap();
         }
@@ -2723,7 +2734,10 @@ mod tests {
         // A counts project refuses a testset hand-over.
         let counts_slot = registry.register("plain", SCRIPT, None).unwrap();
         assert!(matches!(
-            counts_slot.lock().unwrap().install_testset(lazy_spec(10)),
+            counts_slot
+                .lock()
+                .unwrap()
+                .fresh_testset(Some(lazy_spec(10))),
             Err(ServeError::Conflict(_))
         ));
     }
@@ -2765,7 +2779,7 @@ mod tests {
         // The retry pulls exactly those 20 again and replays cleanly
         // after a restart.
         let (receipt, _) = slot.submit_predictions(&failing).unwrap();
-        assert_eq!(receipt.labels, 20);
+        assert_eq!(receipt.estimates.labels_requested, 20);
         let live_pool = slot.project.measured().unwrap().pool().clone();
         assert_eq!(live_pool.labeled_count(), 40);
         drop(slot);
@@ -3583,7 +3597,7 @@ mod tests {
 
     /// Reference journal-line replay: the tree walk [`replay_op`]
     /// replaced, which parsed each line into a [`Value`] and moved the
-    /// vectors out of it.
+    /// vectors out of it. It runs the same gate steps.
     fn replay_op_reference(
         vfs: &dyn Vfs,
         dir: &Path,
@@ -3616,7 +3630,7 @@ mod tests {
                 per_class: per_class_reference(op.get("per_class")).map_err(bad)?,
             })
         };
-        let check_outcome = |receipt: &GateReceipt| -> Result<(), ServeError> {
+        let check_outcome = |receipt: &CommitReceipt| -> Result<(), ServeError> {
             let recorded_passed = op
                 .get("passed")
                 .and_then(Value::as_bool)
@@ -3637,12 +3651,9 @@ mod tests {
         };
         match op.get("op").and_then(Value::as_str) {
             Some("commit") => {
-                let submission = CommitSubmission {
-                    commit_id: commit_id()?,
-                    counts: recorded_counts()?,
-                };
-                let receipt = project
-                    .submit(&submission)
+                let (commit_id, counts) = (commit_id()?, recorded_counts()?);
+                let (receipt, _) = project
+                    .commit(&commit_id, Feed::Counts(&counts), &mut project.savepoint())
                     .map_err(|e| bad(format!("gate rejected replayed op: {e}")))?;
                 check_outcome(&receipt)
             }
@@ -3655,10 +3666,11 @@ mod tests {
                     PackedPredictions::decode(vector(old_wire, "old"), vector(new_wire, "new"))
                         .map_err(bad)?;
                 let recorded = recorded_counts()?;
+                let feed = Feed::Vectors(&packed, &old, &new);
                 let (receipt, counts) = project
-                    .submit_packed_predictions(&commit_id()?, &packed, &old, &new, &mut Vec::new())
+                    .commit(&commit_id()?, feed, &mut project.savepoint())
                     .map_err(|e| bad(format!("gate rejected replayed op: {e}")))?;
-                if counts != recorded {
+                if *counts != recorded {
                     return Err(bad(format!(
                         "measurement replay diverged: recorded {recorded:?} vs remeasured {counts:?} \
                          (prediction or testset blob tampered?)"
@@ -3668,8 +3680,8 @@ mod tests {
             }
             Some("fresh_testset") => {
                 let recorded = field_u64("era")?;
-                let new_era = match op.get("testset_digest") {
-                    None | Some(Value::Null) => project.fresh_testset(),
+                let testset = match op.get("testset_digest") {
+                    None | Some(Value::Null) => None,
                     Some(digest) => {
                         let recorded_digest = digest
                             .as_str()
@@ -3684,11 +3696,12 @@ mod tests {
                                 "testset blob does not match the journalled digest",
                             ));
                         }
-                        project
-                            .install_testset(spec)
-                            .map_err(|e| bad(format!("testset replay failed: {e}")))?
+                        Some(spec)
                     }
                 };
+                let new_era = project
+                    .fresh_era(testset, &mut project.savepoint())
+                    .map_err(|e| bad(format!("testset replay failed: {e}")))?;
                 if u64::from(new_era) != recorded {
                     return Err(bad(format!(
                         "replay diverged: recorded era {recorded} vs recomputed {new_era}"
@@ -3723,8 +3736,8 @@ mod tests {
 
     /// A receipt for lines the live gate would refuse: replay refuses
     /// them too, or diverges from this outcome.
-    fn refused_receipt() -> GateReceipt {
-        GateReceipt {
+    fn refused_receipt() -> CommitReceipt {
+        CommitReceipt {
             commit_id: String::new(),
             step: 1,
             era: 0,
@@ -3732,9 +3745,9 @@ mod tests {
             accepted: false,
             outcome: Tribool::Unknown,
             passed: false,
+            estimates: CommitEstimates::default(),
             alarm: None,
             steps_remaining: 0,
-            labels: 0,
         }
     }
 
@@ -3779,7 +3792,7 @@ mod tests {
                 let receipt = project
                     .submit(&submission)
                     .unwrap_or_else(|_| refused_receipt());
-                commit_line(&submission, &receipt)
+                commit_line(&submission.commit_id, None, &submission.counts, &receipt)
             }
             1 => {
                 let classes = 3 + u32::from(pick(2, 8) == 0);
@@ -3793,16 +3806,8 @@ mod tests {
                     old: vector(10),
                     new: vector(20),
                 };
-                let packed = submission.packed();
-                let (receipt, counts) = project
-                    .submit_packed_predictions(
-                        &submission.commit_id,
-                        &packed,
-                        &submission.old,
-                        &submission.new,
-                        &mut Vec::new(),
-                    )
-                    .unwrap_or_else(|_| {
+                let (receipt, counts) =
+                    project.submit_predictions(&submission).unwrap_or_else(|_| {
                         let counts = EvalCounts {
                             samples: 40,
                             new_correct: 0,
@@ -3813,15 +3818,18 @@ mod tests {
                         };
                         (refused_receipt(), counts)
                     });
-                predictions_line(&submission.commit_id, &packed, &counts, &receipt)
+                let packed = submission.packed();
+                commit_line(&submission.commit_id, Some(&packed), &counts, &receipt)
             }
             _ => match base_spec(kind) {
                 Some(spec) => {
                     let digest = spec.digest();
-                    let era = project.install_testset(spec).unwrap_or(project.era() + 1);
+                    let era = project
+                        .fresh_testset(Some(spec))
+                        .unwrap_or(project.era() + 1);
                     fresh_testset_line(era, Some(digest))
                 }
-                None => fresh_testset_line(project.fresh_testset(), None),
+                None => fresh_testset_line(project.fresh_testset(None).unwrap(), None),
             },
         };
         line.trim_end_matches('\n').to_owned()
@@ -4125,7 +4133,7 @@ mod tests {
         let mut slot = slot.lock().unwrap();
         for i in 0..130u64 {
             if i == 70 {
-                slot.fresh_testset().unwrap();
+                slot.fresh_testset(None).unwrap();
             }
             let id = if i % 41 == 5 {
                 format!("{ESCAPED_ID}{i}")

@@ -481,7 +481,7 @@ proptest! {
                     prop_assert_eq!(text, gone_text(&refusal));
                     let old = engine.old_predictions().to_vec();
                     engine.install_testset(Testset::fully_labeled(truth.clone()), old).unwrap();
-                    project.install_testset(spec.clone()).unwrap();
+                    project.fresh_testset(Some(spec.clone())).unwrap();
                     era_receipts.clear();
                 }
                 (e, s) => prop_assert!(false, "engine {:?} vs served {:?}", e, s),

@@ -188,47 +188,6 @@ impl Developer for OverfitterDeveloper {
     }
 }
 
-/// Scripted developer: replays a fixed sequence of proposals (used for
-/// the SemEval commit history).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScriptedDeveloper {
-    queue: std::collections::VecDeque<ProposedModel>,
-    last: ProposedModel,
-}
-
-impl ScriptedDeveloper {
-    /// A developer that replays `models` in order, then repeats the last
-    /// one forever.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `models` is empty.
-    #[must_use]
-    pub fn new(models: Vec<ProposedModel>) -> Self {
-        assert!(
-            !models.is_empty(),
-            "scripted developer needs at least one model"
-        );
-        let last = *models.last().expect("non-empty");
-        ScriptedDeveloper {
-            queue: models.into(),
-            last,
-        }
-    }
-
-    /// Remaining scripted proposals.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.queue.len()
-    }
-}
-
-impl Developer for ScriptedDeveloper {
-    fn propose(&mut self, _feedback: Option<bool>) -> ProposedModel {
-        self.queue.pop_front().unwrap_or(self.last)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,30 +229,5 @@ mod tests {
             let p = dev.propose(Some(false));
             assert!((p.true_accuracy - 0.75).abs() <= 0.005 + 1e-12);
         }
-    }
-
-    #[test]
-    fn scripted_replays_then_repeats() {
-        let models = vec![
-            ProposedModel {
-                true_accuracy: 0.6,
-                diff_from_accepted: 0.1,
-            },
-            ProposedModel {
-                true_accuracy: 0.7,
-                diff_from_accepted: 0.1,
-            },
-        ];
-        let mut dev = ScriptedDeveloper::new(models.clone());
-        assert_eq!(dev.remaining(), 2);
-        assert_eq!(dev.propose(None), models[0]);
-        assert_eq!(dev.propose(None), models[1]);
-        assert_eq!(dev.propose(None), models[1]); // repeats last
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one model")]
-    fn scripted_rejects_empty() {
-        let _ = ScriptedDeveloper::new(vec![]);
     }
 }

@@ -9,8 +9,8 @@
 //! * [`joint`] — correlated model-pair generators with exact target
 //!   `(accuracy, accuracy, difference)` statistics, plus population-level
 //!   conditional evolutions for soundness experiments;
-//! * [`developer`] — non-adaptive, hill-climbing, adversarial, and
-//!   scripted developer policies;
+//! * [`developer`] — non-adaptive, hill-climbing and adversarial
+//!   developer policies;
 //! * [`oracle`] — labelling oracles with person-hour cost ledgers;
 //! * [`montecarlo`] — Figure-4 style empirical-ε measurement and full
 //!   process-level violation-rate experiments against the real engine;

@@ -81,15 +81,6 @@ impl SemEvalWorkload {
     pub fn realized_accuracy(&self, i: usize) -> f64 {
         easeml_ml::metrics::accuracy(&self.submissions[i].predictions, &self.labels)
     }
-
-    /// Realised prediction difference between submissions `i` and `j`.
-    #[must_use]
-    pub fn realized_difference(&self, i: usize, j: usize) -> f64 {
-        easeml_ml::metrics::prediction_difference(
-            &self.submissions[i].predictions,
-            &self.submissions[j].predictions,
-        )
-    }
 }
 
 /// Build the scripted workload (exact-count statistics, seeded).
@@ -254,7 +245,10 @@ mod tests {
             assert_eq!(sub.iteration, k + 1);
         }
         for (k, want) in CONSECUTIVE_DIFF.iter().enumerate().take(ITERATIONS - 1) {
-            let d = w.realized_difference(k, k + 1);
+            let d = easeml_ml::metrics::prediction_difference(
+                &w.submissions[k].predictions,
+                &w.submissions[k + 1].predictions,
+            );
             assert!((d - want).abs() <= tol, "diff {k}: {d} vs {want}");
             assert!(d <= 0.10 + tol, "consecutive diff exceeds 10%");
         }
