@@ -18,6 +18,39 @@
 //! Tails that straddle the mode are evaluated through the complement,
 //! which is well-conditioned exactly when the direct sum is not.
 //!
+//! Such a direct sum is resumable (`TailSum`): it can stop after any
+//! term and go on later, with the same operations in the same order, so
+//! a sum finished late has the bits of one summed at once. Part-way
+//! through, the float it will finish at is bounded on both sides:
+//!
+//! * below by the partial sum — adding a non-negative float never lowers
+//!   a float sum;
+//! * above by the partial sum plus twice the geometric remainder
+//!   `term·q/(1−q)` at the next term ratio `q` — past the mode the
+//!   ratios only fall (and rounding keeps them falling), and a rounded
+//!   addition overshoots its exact sum by at most the term it adds.
+//!
+//! The breakpoint climbs compare *candidates*, the probability of one or
+//! two such tails, through these bounds: as `exp(lead)·Σ w·sum`, the
+//! tails' sums weighted by their boundary pmfs, which needs no `ln` or
+//! `exp` per check. The bounds are widened by a relative slack of 1e-12
+//! for the rounding of the final `ln`/`exp` steps (a finished float
+//! strays at most ~2.5e-13 from that form while it is below ¼ and in
+//! `exp`'s normal range; outside that range a candidate is summed
+//! further until its bounds show it inside, or to the end). A candidate
+//! is summed further — its bound checked every 8 terms — only while its
+//! comparison with the climb's current or best candidate, or with `δ`,
+//! is undecided, and to the end only on a near-tie (a relative gap below
+//! 1.6e-11) or when a caller reads its value ([`worst_case_deviation_tail`],
+//! [`worst_case_deviation_jump`], [`crate::exact_binomial_epsilon`]).
+//! Every decision is therefore the one the finished floats make: the
+//! climbs visit the same candidates, carry the same [`JumpHint`]s and
+//! return the same bits as summing every candidate to the end, while the
+//! minimal-`n` search, which asks only whether a worst case exceeds `δ`,
+//! sums about half the pmf terms (at `n` = 251,781 and `ε` = 0.01 a tail
+//! needs 778 terms to finish but only 165/321/470 to settle to
+//! 1e-3/1e-6/1e-9).
+//!
 //! The worst case over the unknown true mean `p` is *breakpoint-exact*
 //! for both tail conventions: the supremum is attained in the limit at
 //! the sawtooth breakpoints `p_j = j/n ∓ ε` where the integer cut-offs
@@ -31,6 +64,7 @@
 
 use crate::numeric::{ln_choose, log1m_exp, log_add_exp};
 use crate::tail::Tail;
+use std::cmp::Ordering;
 
 pub use crate::twosided::worst_case_deviation_two_sided_exact;
 
@@ -67,59 +101,296 @@ fn mode(n: u64, p: f64) -> u64 {
     (((n + 1) as f64 * p) as u64).min(n)
 }
 
-/// Upper tail `Pr[X >= k]` summed directly downward from the boundary.
+/// Relative slack by which a candidate's bounds are widened on each side
+/// of a comparison.
 ///
-/// Requires `1 <= k <= n`, `0 < p < 1`, and `k` at or above the mode so
-/// the term sequence is non-increasing (no overflow in the linear-space
-/// relative sum).
+/// The bounds on a partial [`TailSum`] hold for the float it finishes at,
+/// and a candidate is compared through the linear form
+/// `exp(lead)·(w_u·S_u + w_l·S_l)` of its sums (see [`Candidate`]). The
+/// finished probability puts those floats through `ln`, an addition to
+/// the boundary log-pmf, [`log_add_exp`] and `exp`, each off by up to an
+/// ulp; while the probability is below ¼ and in `exp`'s normal range
+/// (log-domain values `|L| < 745`, an ulp ≤ 1.2e-13) that moves it at
+/// most ~2.5e-13 (relative) from the exact form, and the weights, the
+/// scale between two candidates and the form's own roundings add ~2e-13
+/// more. 1e-12 covers the ~4.5e-13 twice over.
+const VALUE_SLACK: f64 = 1e-12;
+
+/// Relative precision below which a comparison is a near-tie and both
+/// candidates are summed to the end: the bounds cannot separate values
+/// closer than the slack on each side.
+const FINISH_BELOW: f64 = 16.0 * VALUE_SLACK;
+
+/// Terms a partial sum adds between two checks of its remainder bound.
+const CHECK_EVERY: u32 = 8;
+
+/// Inflation that keeps a bound computed in floating point on the safe
+/// side of the exact quantity it bounds (a few roundings, 2⁻⁵³ each).
+const ROUND_UP: f64 = 1.0 + 8.0 * f64::EPSILON;
+
+/// A direct tail sum `Σ pmf(i)/pmf(k)` down the monotone side of the mode,
+/// resumable term by term.
 ///
-/// The ratio `(n−i)/(i+1)` is carried as two `f64` counters stepped by
-/// ±1.0 rather than converted from integers for every term. Every
-/// integer below 2⁵³ is exact in an `f64`, so for `n < 2⁵³` each term
-/// sees the same operands, operations and order as the converted form
-/// and the result is bit-identical; beyond 2⁵³ neither form is exact.
-fn ln_upper_tail_direct(n: u64, p: f64, k: u64) -> f64 {
-    let ln_base = ln_pmf(n, p, k);
-    let odds = p / (1.0 - p);
-    let mut term = 1.0f64; // relative to the boundary pmf
-    let mut sum = 1.0f64;
-    let mut num = (n - k) as f64; // n − i
-    let mut den = (k + 1) as f64; // i + 1
-    while num > 0.0 {
-        term *= num / den * odds;
-        sum += term;
-        // Past the mode the ratio is < 1 and decreasing: geometric decay.
-        if term <= sum * 1e-17 {
-            break;
-        }
-        num -= 1.0;
-        den += 1.0;
-    }
-    (ln_base + sum.ln()).min(0.0)
+/// The ratio `(n−i)/(i+1)` (upper) or `i/(n−i+1)` (lower) is carried as
+/// two integer counters, each converted to `f64` for every term: exact
+/// for `n < 2⁵³`, so every term sees the same operands as one computed
+/// from `i`. (`f64` counters stepped by ±1.0 give the same bits, but the
+/// compiler may pack a counter's step with the sum's addition into one
+/// vector add, which puts the next ratio's division behind the running
+/// sum and makes the loop several times slower.) Summing in steps
+/// ([`TailSum::refine`]) performs the same operations in the same order
+/// as summing at once ([`TailSum::finish`]), so a tail finished late has
+/// the same bits.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TailSum {
+    /// Log-pmf of the boundary term, which the sum is relative to.
+    ln_base: f64,
+    /// `p/(1−p)` for an upper tail, `(1−p)/p` for a lower one.
+    odds: f64,
+    /// The last term added, relative to the boundary term.
+    term: f64,
+    /// The partial sum, relative to the boundary term.
+    sum: f64,
+    /// Numerator and denominator of the next term's ratio.
+    num: i64,
+    den: i64,
+    /// The ratio of the last term added (before the first, of the first
+    /// term to add): every later ratio is at most this.
+    ratio: f64,
+    /// The sum has stopped: it is the float the eager loop returns.
+    done: bool,
+    /// [`TailSum::sum_hi`] as of the last step.
+    hi: f64,
 }
 
-/// Lower tail `Pr[X <= k]` summed directly downward from the boundary.
-///
-/// Requires `k < n`, `0 < p < 1`, and `k` at or below the mode. The
-/// ratio `i/(n−i+1)` is carried as `f64` counters, bit-identical to the
-/// converted form for `n < 2⁵³` (see [`ln_upper_tail_direct`]).
-fn ln_lower_tail_direct(n: u64, p: f64, k: u64) -> f64 {
-    let ln_base = ln_pmf(n, p, k);
-    let inv_odds = (1.0 - p) / p;
-    let mut term = 1.0f64;
-    let mut sum = 1.0f64;
-    let mut num = k as f64; // i
-    let mut den = (n - k + 1) as f64; // n − i + 1
-    while num > 0.0 {
-        term *= num / den * inv_odds;
-        sum += term;
-        if term <= sum * 1e-17 {
-            break;
-        }
-        num -= 1.0;
-        den += 1.0;
+impl TailSum {
+    /// Upper tail `Pr[X >= k]`; requires `1 <= k <= n`, `0 < p < 1`, and
+    /// `k` above the mode, so the terms are non-increasing.
+    fn upper(n: u64, p: f64, k: u64) -> TailSum {
+        TailSum::start(
+            ln_pmf(n, p, k),
+            p / (1.0 - p),
+            (n - k) as i64,
+            (k + 1) as i64,
+        )
     }
-    (ln_base + sum.ln()).min(0.0)
+
+    /// Lower tail `Pr[X <= k]`; requires `k < n`, `0 < p < 1`, and `k`
+    /// below the mode.
+    fn lower(n: u64, p: f64, k: u64) -> TailSum {
+        TailSum::start(ln_pmf(n, p, k), (1.0 - p) / p, k as i64, (n - k + 1) as i64)
+    }
+
+    fn start(ln_base: f64, odds: f64, num: i64, den: i64) -> TailSum {
+        let mut sum = TailSum {
+            ln_base,
+            odds,
+            term: 1.0,
+            sum: 1.0,
+            num,
+            den,
+            ratio: num as f64 / den as f64 * odds,
+            done: false,
+            hi: f64::INFINITY,
+        };
+        sum.hi = sum.sum_hi();
+        sum
+    }
+
+    /// Sums the rest of the tail and returns its log.
+    fn finish(&mut self) -> f64 {
+        if self.done {
+            return self.ln_at(self.sum);
+        }
+        let TailSum {
+            odds,
+            mut term,
+            mut sum,
+            mut num,
+            mut den,
+            ..
+        } = *self;
+        #[cfg(test)]
+        let before = num;
+        while num > 0 {
+            term *= num as f64 / den as f64 * odds;
+            sum += term;
+            // Past the mode the ratio is < 1 and decreasing: geometric decay.
+            if term <= sum * 1e-17 {
+                num -= 1;
+                break;
+            }
+            num -= 1;
+            den += 1;
+        }
+        #[cfg(test)]
+        tests::count_terms((before - num) as u64);
+        *self = TailSum {
+            term,
+            sum,
+            num,
+            den,
+            done: true,
+            hi: sum,
+            ..*self
+        };
+        self.ln_at(sum)
+    }
+
+    /// Sums on until the upper bound on the finished sum is within `tol`
+    /// (relative) of the partial sum, or the sum stops. Returns whether
+    /// any term was added.
+    fn refine(&mut self, tol: f64) -> bool {
+        if self.done {
+            return false;
+        }
+        let TailSum {
+            odds,
+            mut term,
+            mut sum,
+            mut num,
+            mut den,
+            ..
+        } = *self;
+        let before = num;
+        let mut done = false;
+        let mut ratio = self.ratio;
+        'sum: loop {
+            let q = ratio * ROUND_UP;
+            if q < 1.0 && 2.0 * term * q <= tol * sum * (1.0 - q) {
+                break;
+            }
+            for _ in 0..CHECK_EVERY {
+                if num <= 0 {
+                    done = true;
+                    break 'sum;
+                }
+                ratio = num as f64 / den as f64 * odds;
+                term *= ratio;
+                sum += term;
+                if term <= sum * 1e-17 {
+                    num -= 1;
+                    done = true;
+                    break 'sum;
+                }
+                num -= 1;
+                den += 1;
+            }
+        }
+        #[cfg(test)]
+        tests::count_terms((before - num) as u64);
+        *self = TailSum {
+            term,
+            sum,
+            num,
+            den,
+            ratio,
+            done,
+            ..*self
+        };
+        self.hi = self.sum_hi();
+        num != before
+    }
+
+    /// The log-tail a finished sum `sum` stands for.
+    fn ln_at(&self, sum: f64) -> f64 {
+        (self.ln_base + sum.ln()).min(0.0)
+    }
+
+    /// Upper bound on the float the sum finishes at. Every later ratio is
+    /// at most the last one (the exact ratios fall past the mode and
+    /// rounding is monotone), so every later term is at most
+    /// `term·qᵐ` with `q` that ratio rounded up, and their total at most
+    /// `term·q/(1−q)`; a rounded addition overshoots its exact sum by at
+    /// most the term it adds, hence the 2.
+    fn sum_hi(&self) -> f64 {
+        if self.done {
+            return self.sum;
+        }
+        let q = self.ratio * ROUND_UP;
+        if q >= 1.0 {
+            return f64::INFINITY;
+        }
+        (self.sum + 2.0 * (self.term * q / (1.0 - q))) * ROUND_UP
+    }
+}
+
+/// A log-tail that is either known or a direct sum still being summed.
+#[derive(Debug, Clone, Copy)]
+enum LnTail {
+    Known(f64),
+    Summing(TailSum),
+}
+
+impl LnTail {
+    /// [`ln_upper_tail`]'s dispatch, with a direct sum left unsummed.
+    fn upper(n: u64, p: f64, k: u64) -> LnTail {
+        if k == 0 {
+            LnTail::Known(0.0) // Pr[X >= 0] = 1
+        } else if k > n || p == 0.0 {
+            LnTail::Known(f64::NEG_INFINITY) // k > n, or k >= 1 but X = 0 a.s.
+        } else if p == 1.0 {
+            LnTail::Known(0.0) // X = n >= k a.s.
+        } else if k > mode(n, p) {
+            LnTail::Summing(TailSum::upper(n, p, k))
+        } else {
+            // k >= 1 here, and k <= mode implies mode >= 1, so k-1 is a
+            // valid lower-tail boundary strictly below the mode.
+            let lower = TailSum::lower(n, p, k - 1).finish();
+            LnTail::Known(log1m_exp(lower.min(0.0)))
+        }
+    }
+
+    /// [`ln_lower_tail`]'s dispatch, with a direct sum left unsummed.
+    fn lower(n: u64, p: f64, k: u64) -> LnTail {
+        if k >= n || p == 0.0 {
+            LnTail::Known(0.0) // k >= n, or X = 0 a.s.
+        } else if p == 1.0 {
+            LnTail::Known(f64::NEG_INFINITY) // X = n > k a.s.
+        } else if k < mode(n, p) {
+            LnTail::Summing(TailSum::lower(n, p, k))
+        } else {
+            // k >= mode and k < n, so k+1 is a valid upper boundary above
+            // the mode.
+            let upper = TailSum::upper(n, p, k + 1).finish();
+            LnTail::Known(log1m_exp(upper.min(0.0)))
+        }
+    }
+
+    fn finish(&mut self) -> f64 {
+        match self {
+            LnTail::Known(ln) => *ln,
+            LnTail::Summing(sum) => {
+                let ln = sum.finish();
+                *self = LnTail::Known(ln);
+                ln
+            }
+        }
+    }
+
+    fn known(&self) -> Option<f64> {
+        match *self {
+            LnTail::Known(ln) => Some(ln),
+            LnTail::Summing(sum) if sum.done => Some(sum.ln_at(sum.sum)),
+            LnTail::Summing(_) => None,
+        }
+    }
+
+    /// The log-pmf a sum is relative to; a known tail is its own base.
+    fn ln_base(&self) -> f64 {
+        match self {
+            LnTail::Known(ln) => *ln,
+            LnTail::Summing(sum) => sum.ln_base,
+        }
+    }
+
+    /// Bounds on the finished sum relative to [`LnTail::ln_base`].
+    fn sums(&self) -> (f64, f64) {
+        match self {
+            LnTail::Known(_) => (1.0, 1.0),
+            LnTail::Summing(sum) => (sum.sum, sum.hi),
+        }
+    }
 }
 
 /// Log of the upper tail `Pr[X >= k]` for `X ~ Binomial(n, p)`.
@@ -129,45 +400,225 @@ fn ln_lower_tail_direct(n: u64, p: f64, k: u64) -> f64 {
 /// complement `1 − Pr[X <= k−1]`, which is well-conditioned there because
 /// the result is large.
 pub fn ln_upper_tail(n: u64, p: f64, k: u64) -> f64 {
-    if k == 0 {
-        return 0.0; // Pr[X >= 0] = 1
-    }
-    if k > n {
-        return f64::NEG_INFINITY;
-    }
-    if p == 0.0 {
-        return f64::NEG_INFINITY; // k >= 1 but X = 0 a.s.
-    }
-    if p == 1.0 {
-        return 0.0; // X = n >= k a.s.
-    }
-    if k > mode(n, p) {
-        ln_upper_tail_direct(n, p, k)
-    } else {
-        // k >= 1 here, and k <= mode implies mode >= 1, so k-1 is a valid
-        // lower-tail boundary strictly below the mode.
-        log1m_exp(ln_lower_tail_direct(n, p, k - 1).min(0.0))
-    }
+    LnTail::upper(n, p, k).finish()
 }
 
 /// Log of the lower tail `Pr[X <= k]` for `X ~ Binomial(n, p)`.
 pub fn ln_lower_tail(n: u64, p: f64, k: u64) -> f64 {
-    if k >= n {
-        return 0.0;
+    LnTail::lower(n, p, k).finish()
+}
+
+/// One breakpoint candidate of a worst-case climb: the probability
+/// `min(1, exp(upper) + exp(lower))` of its two log-tails, summed only as
+/// far as the comparisons it takes part in need. A one-sided candidate's
+/// lower tail is `ln 0 = −∞`.
+///
+/// While a tail is summing, the candidate is compared through the linear
+/// form `exp(lead) · (w_u·S_u + w_l·S_l)`: each tail's partial sum `S`
+/// (or its upper bound) weighted by `w = exp(ln_base − lead)`, with
+/// `lead` the larger boundary log-pmf. The form needs no `ln`/`exp` per
+/// check, and it is within [`VALUE_SLACK`] of the finished float as long
+/// as that float is neither clamped at 1 nor below `exp`'s normal range;
+/// a candidate is decided this way only once its bounds show it is
+/// [`Candidate::regular`], and is summed further otherwise.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Candidate {
+    tails: [LnTail; 2],
+    weights: [f64; 2],
+    lead: f64,
+    /// `exp(lead)`, which turns the linear form into a probability.
+    scale: f64,
+}
+
+impl Candidate {
+    fn new(upper: LnTail, lower: LnTail) -> Candidate {
+        let lead = upper.ln_base().max(lower.ln_base());
+        let weight = |tail: LnTail| match tail.ln_base() {
+            base if base == lead => 1.0,
+            base => (base - lead).exp(),
+        };
+        Candidate {
+            tails: [upper, lower],
+            weights: [weight(upper), weight(lower)],
+            lead,
+            scale: lead.exp(),
+        }
     }
-    if p == 0.0 {
-        return 0.0; // X = 0 a.s.
+
+    /// The one-sided candidate `Pr_p[X ≥ k]`.
+    pub(crate) fn one_sided(n: u64, p: f64, k: u64) -> Candidate {
+        Candidate::new(LnTail::upper(n, p, k), LnTail::Known(f64::NEG_INFINITY))
     }
-    if p == 1.0 {
-        return f64::NEG_INFINITY; // X = n > k a.s.
+
+    /// The two-sided candidate `Pr_p[X ≥ hi_cut] + Pr_p[X ≤ lo_cut]`; a
+    /// cut-off outside `[0, n]` contributes nothing.
+    pub(crate) fn two_sided(n: u64, p: f64, hi_cut: i128, lo_cut: i128) -> Candidate {
+        let upper = if hi_cut > n as i128 {
+            LnTail::Known(f64::NEG_INFINITY)
+        } else {
+            LnTail::upper(n, p, hi_cut as u64)
+        };
+        let lower = if lo_cut < 0 {
+            LnTail::Known(f64::NEG_INFINITY)
+        } else {
+            LnTail::lower(n, p, lo_cut as u64)
+        };
+        Candidate::new(upper, lower)
     }
-    if k < mode(n, p) {
-        ln_lower_tail_direct(n, p, k)
+
+    fn probability(upper: f64, lower: f64) -> f64 {
+        log_add_exp(upper, lower).exp().min(1.0)
+    }
+
+    /// The candidate's probability, summed to the end.
+    pub(crate) fn value(&mut self) -> f64 {
+        let [upper, lower] = &mut self.tails;
+        Candidate::probability(upper.finish(), lower.finish())
+    }
+
+    /// The probability, if both tails are summed.
+    fn exact(&self) -> Option<f64> {
+        let [upper, lower] = &self.tails;
+        Some(Candidate::probability(upper.known()?, lower.known()?))
+    }
+
+    /// Bounds on the linear form's sum `w_u·S_u + w_l·S_l`.
+    fn linear(&self) -> (f64, f64) {
+        let (mut lo, mut hi) = (0.0, 0.0);
+        for (tail, weight) in self.tails.iter().zip(self.weights) {
+            let (sum_lo, sum_hi) = tail.sums();
+            lo += weight * sum_lo;
+            hi += weight * sum_hi;
+        }
+        (lo, hi)
+    }
+
+    /// Is the finished probability surely below 1/4 and in `exp`'s normal
+    /// range, where the linear form is within [`VALUE_SLACK`] of it? (Its
+    /// tails are then below 1/4 too, so no log-tail is clamped at 0.)
+    fn regular(&self, (lo, hi): (f64, f64)) -> bool {
+        self.scale * hi < 0.25 && self.scale * lo > 1e-290
+    }
+
+    /// Sums on until the linear form's relative width is about `tol`:
+    /// each tail to its share of it. Below [`FINISH_BELOW`], or if no
+    /// tail needs another term, sums both to the end.
+    fn refine(&mut self, tol: f64) {
+        if tol >= FINISH_BELOW {
+            let (total, _) = self.linear();
+            let mut moved = false;
+            for (tail, weight) in self.tails.iter_mut().zip(self.weights) {
+                if let LnTail::Summing(sum) = tail {
+                    moved |= sum.refine(0.5 * tol * total / (weight * sum.sum));
+                }
+            }
+            if moved {
+                return;
+            }
+        }
+        self.value();
+    }
+}
+
+/// Relative width `(hi − lo)/lo` of a bound pair.
+fn rel_width((lo, hi): (f64, f64)) -> f64 {
+    (hi - lo) / lo
+}
+
+/// The tolerance a refinement round aims at: half the relative
+/// gap it has to resolve, and at least a hundredfold narrowing per round.
+/// A gap below [`FINISH_BELOW`] is a near-tie once the bounds are that
+/// narrow too (0 asks for the sum to the end); until then it may be an
+/// artefact of wide bounds, so they are narrowed first.
+fn next_tol(width: f64, gap: f64) -> f64 {
+    let narrow = width * 1e-2;
+    let gap = if gap.is_finite() { gap * 0.5 } else { narrow };
+    if gap >= FINISH_BELOW {
+        gap.min(narrow).max(FINISH_BELOW)
+    } else if narrow >= FINISH_BELOW {
+        narrow
     } else {
-        // k >= mode and k < n, so k+1 is a valid upper boundary above the
-        // mode.
-        log1m_exp(ln_upper_tail_direct(n, p, k + 1).min(0.0))
+        0.0
     }
+}
+
+/// How a candidate compares with a finished float `value`, decided as the
+/// candidate's finished float would compare: it is summed further until
+/// its bounds clear `value` by the slack, or to the end.
+fn compare_to(a: &mut Candidate, value: f64) -> Ordering {
+    // `value` on the scale of a's linear form.
+    let scaled = value * (-a.lead).exp();
+    loop {
+        if let Some(own) = a.exact() {
+            return own.partial_cmp(&value).expect("probabilities are not NaN");
+        }
+        let (lo, hi) = a.linear();
+        let decided = if lo * (1.0 - VALUE_SLACK) > scaled {
+            Some(Ordering::Greater)
+        } else if hi * (1.0 + VALUE_SLACK) < scaled {
+            Some(Ordering::Less)
+        } else {
+            None
+        };
+        let width = rel_width((lo, hi));
+        match decided {
+            Some(order) if a.regular((lo, hi)) => return order,
+            // Narrow until the bounds show the form applies.
+            Some(_) => a.refine(width * 1e-2),
+            None => {
+                let mid = 0.5 * (lo + hi);
+                a.refine(next_tol(width, (mid - scaled).abs() / mid.max(scaled)));
+            }
+        }
+    }
+}
+
+/// Is `a > b`? Decided as the finished floats decide it: the wider of the
+/// two is summed further until their bounds separate by the slack, or
+/// both are exact.
+fn greater(a: &mut Candidate, b: &mut Candidate) -> bool {
+    // b's linear form on the scale of a's.
+    let scale = (b.lead - a.lead).exp();
+    loop {
+        match (a.exact(), b.exact()) {
+            (Some(a), Some(b)) => return a > b,
+            (Some(a), None) => return compare_to(b, a) == Ordering::Less,
+            (None, Some(b)) => return compare_to(a, b) == Ordering::Greater,
+            (None, None) => {}
+        }
+        let (a_lo, a_hi) = a.linear();
+        let b_linear = b.linear();
+        let (b_lo, b_hi) = (b_linear.0 * scale, b_linear.1 * scale);
+        let decided = if a_lo * (1.0 - VALUE_SLACK) > b_hi * (1.0 + VALUE_SLACK) {
+            Some(true)
+        } else if a_hi * (1.0 + VALUE_SLACK) < b_lo * (1.0 - VALUE_SLACK) {
+            Some(false)
+        } else {
+            None
+        };
+        let (a_width, b_width) = (rel_width((a_lo, a_hi)), rel_width((b_lo, b_hi)));
+        let a_regular = a.regular((a_lo, a_hi));
+        match decided {
+            Some(greater) if a_regular && b.regular(b_linear) => return greater,
+            // Narrow until the bounds show the form applies.
+            Some(_) if !a_regular => a.refine(a_width * 1e-2),
+            Some(_) => b.refine(b_width * 1e-2),
+            None => {
+                let (a_mid, b_mid) = (0.5 * (a_lo + a_hi), 0.5 * (b_lo + b_hi));
+                let gap = (a_mid - b_mid).abs() / a_mid.max(b_mid);
+                if a_width >= b_width {
+                    a.refine(next_tol(a_width, gap));
+                } else {
+                    b.refine(next_tol(b_width, gap));
+                }
+            }
+        }
+    }
+}
+
+/// Is `a > limit`? Decided as the finished float decides it.
+pub(crate) fn above(a: &mut Candidate, limit: f64) -> bool {
+    compare_to(a, limit) == Ordering::Greater
 }
 
 /// Relative slack under which `n·(p±ε)` is snapped to the nearest integer
@@ -373,6 +824,11 @@ pub(crate) fn worst_case_one_sided_jump(
     hint: JumpHint,
     stop_above: Option<f64>,
 ) -> (f64, f64, JumpHint) {
+    one_sided_scan(n, eps, hint, stop_above).finish()
+}
+
+/// The one-sided climb with its best candidate left unfinished.
+fn one_sided_scan(n: u64, eps: f64, hint: JumpHint, stop_above: Option<f64>) -> Scan {
     debug_assert!(n > 0);
     debug_assert!(eps > 0.0 && eps < 1.0);
     let nf = n as f64;
@@ -383,89 +839,148 @@ pub(crate) fn worst_case_one_sided_jump(
     let p_at = |j: u64| (j as f64 / nf - eps).clamp(f64::MIN_POSITIVE, 1.0);
     let start = JumpHint::start_index(hint.upper, nf, one_sided_cold_fraction(eps));
     let (best, best_j) = climb_envelope(j_min, n, start, JUMP_PLATEAU, stop_above, |j| {
-        ln_upper_tail(n, p_at(j), j).exp()
+        Candidate::one_sided(n, p_at(j), j)
     });
-    let next = JumpHint {
-        upper: Some(best_j as f64 / nf),
-        lower: hint.lower,
-    };
-    (best, p_at(best_j), next)
+    Scan {
+        upper: (best, p_at(best_j)),
+        lower: None,
+        next: JumpHint {
+            upper: Some(best_j as f64 / nf),
+            lower: hint.lower,
+        },
+    }
 }
 
-/// Hill-climb over a sawtooth candidate envelope `value(j)` on the
-/// inclusive index range `[lo, hi]`, the search shared by the one-sided
-/// jump scan and both families of the two-sided one
-/// ([`crate::twosided`]).
+/// Outcome of one hinted breakpoint scan: each climbed family's best
+/// candidate (not yet summed to the end) with its breakpoint, and the
+/// hint for the next scan.
+pub(crate) struct Scan {
+    /// Best of the upper-tail family (the one-sided scan's only family).
+    pub(crate) upper: (Candidate, f64),
+    /// Best of the lower-tail family, when a two-sided scan climbed it.
+    pub(crate) lower: Option<(Candidate, f64)>,
+    pub(crate) next: JumpHint,
+}
+
+impl Scan {
+    /// `(sup, p_star, next_hint)`: the larger family best, summed to the
+    /// end.
+    pub(crate) fn finish(self) -> (f64, f64, JumpHint) {
+        let (mut best, mut p_star) = self.upper;
+        if let Some((mut lower, p_lower)) = self.lower {
+            if greater(&mut lower, &mut best) {
+                best = lower;
+                p_star = p_lower;
+            }
+        }
+        (best.value(), p_star, self.next)
+    }
+
+    /// Does the scanned sup exceed `delta`? Each family best is summed
+    /// only until its comparison with `delta` is decided.
+    fn exceeds(&mut self, delta: f64) -> bool {
+        above(&mut self.upper.0, delta)
+            || self
+                .lower
+                .as_mut()
+                .is_some_and(|(lower, _)| above(lower, delta))
+    }
+}
+
+/// Dispatches a hinted breakpoint scan on the tail convention.
+fn scan(n: u64, eps: f64, tail: Tail, hint: JumpHint, stop_above: Option<f64>) -> Scan {
+    match tail {
+        Tail::OneSided => one_sided_scan(n, eps, hint, stop_above),
+        Tail::TwoSided => crate::twosided::two_sided_scan(n, eps, hint, stop_above),
+    }
+}
+
+/// The minimal-`n` search's question about one size: does the worst case
+/// at `n` exceed `delta`, and where did each family's climb peak? With
+/// `early_exit` the climbs stop at the first candidate above `delta`
+/// (the bracketing probes); without it they run to their maximum (the
+/// acceptance scans). The verdict is the one
+/// `worst_case_deviation_jump(..).0 > delta` gives, but no tail is summed
+/// further than that comparison needs.
+pub(crate) fn jump_verdict(
+    n: u64,
+    eps: f64,
+    tail: Tail,
+    hint: JumpHint,
+    delta: f64,
+    early_exit: bool,
+) -> (bool, JumpHint) {
+    let mut scan = scan(n, eps, tail, hint, early_exit.then_some(delta));
+    (scan.exceeds(delta), scan.next)
+}
+
+/// Hill-climb over a sawtooth candidate envelope on the inclusive index
+/// range `[lo, hi]`, the search shared by the one-sided jump scan and
+/// both families of the two-sided one ([`crate::twosided`]).
 ///
 /// Starts from `start` (clamped into range; callers seed a cold climb at
 /// their family's expected argmax — the Chernoff argmax for the
 /// one-sided family, the centre `p ≈ 0.5` for the two-sided ones — or
-/// at a carried [`JumpHint`]), carries neighbour values so
-/// each climb step costs one new envelope evaluation, and — because the
-/// envelope is only unimodal *up to* sawtooth ripples — sweeps a
-/// ±`plateau` window around every local maximum, resuming the climb from
-/// any strictly better index. When `stop_above` is set, returns as soon
-/// as any probe exceeds it (the result is then only a lower bound on the
-/// true maximum). Returns `(best_value, best_index)`.
+/// at a carried [`JumpHint`]), builds each index's candidate once (a
+/// climb step builds one new neighbour), and — because the envelope is
+/// only unimodal *up to* sawtooth ripples — sweeps a ±`plateau` window
+/// around every local maximum, resuming the climb from any strictly
+/// better index. When `stop_above` is set, returns as soon as any probe
+/// exceeds it (the result is then only a lower bound on the true
+/// maximum). Returns the best candidate and its index.
+///
+/// Every comparison is decided as the finished candidate values would
+/// decide it ([`greater`], [`above`]), so the climb visits the same
+/// indices and returns the same candidate as one that sums each
+/// candidate to the end; a candidate visited twice is summed once.
 pub(crate) fn climb_envelope(
     lo: u64,
     hi: u64,
     start: i128,
     plateau: u64,
     stop_above: Option<f64>,
-    mut value: impl FnMut(u64) -> f64,
-) -> (f64, u64) {
+    candidate: impl FnMut(u64) -> Candidate,
+) -> (Candidate, u64) {
     debug_assert!(lo <= hi);
-    #[cfg(test)]
-    let mut value = |j: u64| {
-        tests::ENVELOPE_EVALS.with(|count| count.set(count.get() + 1));
-        value(j)
+    let mut climb = Climb {
+        visited: Vec::with_capacity(32),
+        candidate,
     };
     let mut center = start.clamp(lo as i128, hi as i128) as u64;
-    let mut cur = value(center);
+    let mut cur = climb.visit(center);
     let mut best = cur;
     let mut best_j = center;
     if let Some(limit) = stop_above {
-        if best > limit {
-            return (best, best_j);
+        if climb.above(best, limit) {
+            return climb.take(best, best_j);
         }
     }
-    // The cell the climb just left is one of the next step's neighbours,
-    // so its value is carried over instead of re-evaluated.
-    let mut from: Option<(u64, f64)> = None;
     loop {
         loop {
-            let mut eval = |j: u64| match from {
-                Some((f, v)) if f == j => v,
-                _ => value(j),
-            };
-            let left = if center > lo {
-                eval(center - 1)
-            } else {
-                f64::NEG_INFINITY
-            };
-            let right = if center < hi {
-                eval(center + 1)
-            } else {
-                f64::NEG_INFINITY
-            };
-            if left <= cur && right <= cur {
+            // `None` stands for an out-of-range neighbour, valued −∞.
+            let left = (center > lo).then(|| climb.visit(center - 1));
+            let right = (center < hi).then(|| climb.visit(center + 1));
+            let left_le = left.is_none_or(|l| !climb.greater(l, cur));
+            if left_le && right.is_none_or(|r| !climb.greater(r, cur)) {
                 break;
             }
-            from = Some((center, cur));
-            if right > left {
+            let go_right = match (right, left) {
+                (Some(r), Some(l)) => climb.greater(r, l),
+                (right, _) => right.is_some(),
+            };
+            if go_right {
                 center += 1;
-                cur = right;
+                cur = right.expect("a right neighbour beats the left one");
             } else {
                 center -= 1;
-                cur = left;
+                cur = left.expect("a left neighbour beats the right one");
             }
-            if cur > best {
+            if climb.greater(cur, best) {
                 best = cur;
                 best_j = center;
                 if let Some(limit) = stop_above {
-                    if best > limit {
-                        return (best, best_j);
+                    if climb.above(best, limit) {
+                        return climb.take(best, best_j);
                     }
                 }
             }
@@ -475,14 +990,14 @@ pub(crate) fn climb_envelope(
         let mut improved = None;
         for d in 2..=plateau {
             for j in [center.saturating_sub(d).max(lo), (center + d).min(hi)] {
-                let v = value(j);
-                if v > best {
+                let v = climb.visit(j);
+                if climb.greater(v, best) {
                     best = v;
                     best_j = j;
                     improved = Some((j, v));
                     if let Some(limit) = stop_above {
-                        if best > limit {
-                            return (best, best_j);
+                        if climb.above(best, limit) {
+                            return climb.take(best, best_j);
                         }
                     }
                 }
@@ -492,10 +1007,52 @@ pub(crate) fn climb_envelope(
             Some((j, v)) => {
                 center = j;
                 cur = v;
-                from = None;
             }
-            None => return (best, best_j),
+            None => return climb.take(best, best_j),
         }
+    }
+}
+
+/// The candidates one [`climb_envelope`] run has built, by index.
+struct Climb<F> {
+    visited: Vec<(u64, Candidate)>,
+    candidate: F,
+}
+
+impl<F: FnMut(u64) -> Candidate> Climb<F> {
+    /// The slot of the candidate at jump index `j`, built on first visit.
+    fn visit(&mut self, j: u64) -> usize {
+        match self.visited.iter().position(|&(at, _)| at == j) {
+            Some(slot) => slot,
+            None => {
+                #[cfg(test)]
+                tests::ENVELOPE_EVALS.with(|count| count.set(count.get() + 1));
+                self.visited.push((j, (self.candidate)(j)));
+                self.visited.len() - 1
+            }
+        }
+    }
+
+    /// Is candidate `a` greater than candidate `b`?
+    fn greater(&mut self, a: usize, b: usize) -> bool {
+        if a == b {
+            return false;
+        }
+        let (first, second) = self.visited.split_at_mut(a.max(b));
+        let (low, high) = (&mut first[a.min(b)].1, &mut second[0].1);
+        if a < b {
+            greater(low, high)
+        } else {
+            greater(high, low)
+        }
+    }
+
+    fn above(&mut self, a: usize, limit: f64) -> bool {
+        above(&mut self.visited[a].1, limit)
+    }
+
+    fn take(self, best: usize, best_j: u64) -> (Candidate, u64) {
+        (self.visited[best].1, best_j)
     }
 }
 
@@ -534,10 +1091,7 @@ pub fn worst_case_deviation_jump(
     hint: JumpHint,
     stop_above: Option<f64>,
 ) -> (f64, f64, JumpHint) {
-    match tail {
-        Tail::OneSided => worst_case_one_sided_jump(n, eps, hint, stop_above),
-        Tail::TwoSided => crate::twosided::worst_case_two_sided_jump(n, eps, hint, stop_above),
-    }
+    scan(n, eps, tail, hint, stop_above).finish()
 }
 
 /// Breakpoint-exact worst-case search warm-started from a scalar
@@ -563,16 +1117,165 @@ pub fn worst_case_deviation_hinted(
     (worst, p_star)
 }
 
+/// The eager climb the lazy [`climb_envelope`] must match bit for bit:
+/// the same search over candidate values summed to the end.
 #[cfg(test)]
-mod tests {
+pub(crate) fn climb_envelope_eager(
+    lo: u64,
+    hi: u64,
+    start: i128,
+    plateau: u64,
+    stop_above: Option<f64>,
+    mut value: impl FnMut(u64) -> f64,
+) -> (f64, u64) {
+    debug_assert!(lo <= hi);
+    let mut value = |j: u64| {
+        tests::ENVELOPE_EVALS.with(|count| count.set(count.get() + 1));
+        value(j)
+    };
+    let mut center = start.clamp(lo as i128, hi as i128) as u64;
+    let mut cur = value(center);
+    let mut best = cur;
+    let mut best_j = center;
+    if let Some(limit) = stop_above {
+        if best > limit {
+            return (best, best_j);
+        }
+    }
+    let mut from: Option<(u64, f64)> = None;
+    loop {
+        loop {
+            let mut eval = |j: u64| match from {
+                Some((f, v)) if f == j => v,
+                _ => value(j),
+            };
+            let left = if center > lo {
+                eval(center - 1)
+            } else {
+                f64::NEG_INFINITY
+            };
+            let right = if center < hi {
+                eval(center + 1)
+            } else {
+                f64::NEG_INFINITY
+            };
+            if left <= cur && right <= cur {
+                break;
+            }
+            from = Some((center, cur));
+            if right > left {
+                center += 1;
+                cur = right;
+            } else {
+                center -= 1;
+                cur = left;
+            }
+            if cur > best {
+                best = cur;
+                best_j = center;
+                if let Some(limit) = stop_above {
+                    if best > limit {
+                        return (best, best_j);
+                    }
+                }
+            }
+        }
+        let mut improved = None;
+        for d in 2..=plateau {
+            for j in [center.saturating_sub(d).max(lo), (center + d).min(hi)] {
+                let v = value(j);
+                if v > best {
+                    best = v;
+                    best_j = j;
+                    improved = Some((j, v));
+                    if let Some(limit) = stop_above {
+                        if best > limit {
+                            return (best, best_j);
+                        }
+                    }
+                }
+            }
+        }
+        match improved {
+            Some((j, v)) => {
+                center = j;
+                cur = v;
+                from = None;
+            }
+            None => return (best, best_j),
+        }
+    }
+}
+
+/// The eager one-sided scan: [`worst_case_one_sided_jump`] with every
+/// candidate summed to the end before it is compared.
+#[cfg(test)]
+pub(crate) fn worst_case_one_sided_jump_eager(
+    n: u64,
+    eps: f64,
+    hint: JumpHint,
+    stop_above: Option<f64>,
+) -> (f64, f64, JumpHint) {
+    let nf = n as f64;
+    let j_min = (strict_upper_cutoff(nf * eps).max(1) as u64).min(n);
+    let p_at = |j: u64| (j as f64 / nf - eps).clamp(f64::MIN_POSITIVE, 1.0);
+    let start = JumpHint::start_index(hint.upper, nf, one_sided_cold_fraction(eps));
+    let (best, best_j) = climb_envelope_eager(j_min, n, start, JUMP_PLATEAU, stop_above, |j| {
+        ln_upper_tail(n, p_at(j), j).exp()
+    });
+    let next = JumpHint {
+        upper: Some(best_j as f64 / nf),
+        lower: hint.lower,
+    };
+    (best, p_at(best_j), next)
+}
+
+/// The eager scans' verdict, the reference for [`jump_verdict`].
+#[cfg(test)]
+pub(crate) fn jump_verdict_eager(
+    n: u64,
+    eps: f64,
+    tail: Tail,
+    hint: JumpHint,
+    delta: f64,
+    early_exit: bool,
+) -> (bool, JumpHint) {
+    let stop_above = early_exit.then_some(delta);
+    let (worst, _, next) = match tail {
+        Tail::OneSided => worst_case_one_sided_jump_eager(n, eps, hint, stop_above),
+        Tail::TwoSided => {
+            crate::twosided::worst_case_two_sided_jump_eager(n, eps, hint, stop_above)
+        }
+    };
+    (worst > delta, next)
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::cell::Cell;
 
     thread_local! {
-        /// Envelope evaluations made by [`climb_envelope`] on this thread
-        /// (each one is one `O(√n)` tail evaluation).
+        /// Candidates [`climb_envelope`] built on this thread (each is one
+        /// `O(√n)` tail evaluation), or values [`climb_envelope_eager`]
+        /// computed.
         pub(super) static ENVELOPE_EVALS: Cell<u64> = const { Cell::new(0) };
+        /// Pmf terms summed by [`TailSum`]s on this thread.
+        static PMF_TERMS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Adds `terms` (a whole number, as the sums' `f64` counters carry it)
+    /// to [`PMF_TERMS`].
+    pub(super) fn count_terms(terms: u64) {
+        PMF_TERMS.with(|count| count.set(count.get() + terms));
+    }
+
+    /// Runs `f` and returns its result with the pmf terms it summed.
+    pub(crate) fn counting_terms<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = PMF_TERMS.with(Cell::get);
+        let out = f();
+        (out, PMF_TERMS.with(Cell::get) - before)
     }
 
     /// Runs `f` and returns its result with the envelope evaluations it
@@ -678,6 +1381,133 @@ mod tests {
                 centre > 3 * evals,
                 "n={n} eps={eps}: centre seed {centre} vs {evals}"
             );
+        }
+    }
+
+    /// A hint for the lazy-vs-eager proptest: cold (`kind` 0), the cold
+    /// climb's own argmaxes nudged by up to ±8 jump indices (1), up to
+    /// ±64 (2), or arbitrary fractions where `n` is small enough for a
+    /// climb to walk in from anywhere (3).
+    fn proptest_hint(
+        kind: u32,
+        n: u64,
+        cold_next: JumpHint,
+        shift: [i32; 2],
+        frac: [f64; 2],
+    ) -> JumpHint {
+        let nudge = |carried: Option<f64>, by: i32| {
+            carried.map(|f| (f + f64::from(by) / n as f64).clamp(0.0, 1.0))
+        };
+        match kind {
+            0 => JumpHint::cold(),
+            1 => JumpHint {
+                upper: nudge(cold_next.upper, shift[0] % 9),
+                lower: nudge(cold_next.lower, shift[1] % 9),
+            },
+            2 => JumpHint {
+                upper: nudge(cold_next.upper, shift[0]),
+                lower: nudge(cold_next.lower, shift[1]),
+            },
+            _ if n <= 4_000 => JumpHint {
+                upper: Some(frac[0]),
+                lower: Some(frac[1]),
+            },
+            _ => cold_next,
+        }
+    }
+
+    /// The eager scan for `tail`.
+    fn eager_jump(
+        n: u64,
+        eps: f64,
+        tail: Tail,
+        hint: JumpHint,
+        stop_above: Option<f64>,
+    ) -> (f64, f64, JumpHint) {
+        match tail {
+            Tail::OneSided => worst_case_one_sided_jump_eager(n, eps, hint, stop_above),
+            Tail::TwoSided => {
+                crate::twosided::worst_case_two_sided_jump_eager(n, eps, hint, stop_above)
+            }
+        }
+    }
+
+    /// One case of the lazy-vs-eager check: the scan's bits and carried
+    /// hint, then the inversion's bracketing and acceptance verdicts
+    /// against `δ` at the sup itself (a tie), next to it, and far off.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_lazy_matches_eager(
+        n: u64,
+        eps: f64,
+        tail: Tail,
+        kind: u32,
+        shift: [i32; 2],
+        frac: [f64; 2],
+        stop: u32,
+        rel: f64,
+    ) {
+        let (sup, _, cold_next) = eager_jump(n, eps, tail, JumpHint::cold(), None);
+        let hint = proptest_hint(kind, n, cold_next, shift, frac);
+        let stop_above = match stop {
+            0 => None,
+            1 => Some(sup),
+            2 => Some(sup * (1.0 + rel)),
+            _ => Some(sup * (1.0 - 1e-3)),
+        };
+        let want = eager_jump(n, eps, tail, hint, stop_above);
+        let got = worst_case_deviation_jump(n, eps, tail, hint, stop_above);
+        let case = format!("n={n} eps={eps} {tail} hint={hint:?} stop={stop_above:?}");
+        assert_eq!(got.0.to_bits(), want.0.to_bits(), "worst, {case}");
+        assert_eq!(got.1.to_bits(), want.1.to_bits(), "p_star, {case}");
+        assert_eq!(got.2, want.2, "next hint, {case}");
+        for delta in [sup, sup * (1.0 + rel), sup * 0.5] {
+            for early_exit in [true, false] {
+                assert_eq!(
+                    jump_verdict(n, eps, tail, hint, delta, early_exit),
+                    jump_verdict_eager(n, eps, tail, hint, delta, early_exit),
+                    "verdict delta={delta} early_exit={early_exit}, {case}"
+                );
+            }
+        }
+    }
+
+    fn tail_strategy() -> impl Strategy<Value = Tail> {
+        prop_oneof![Just(Tail::OneSided), Just(Tail::TwoSided)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The lazy climbs decide every comparison as the eager ones do:
+        /// the same sup and maximizer bits, the same carried hint, and
+        /// the same verdicts against `δ`, over both tails, `n` up to 10⁶
+        /// (log-uniform), cold, warm and far-off hints, and early exits
+        /// at, next to and just below the sup.
+        #[test]
+        fn lazy_climbs_match_the_eager_reference(
+            log_n in 0.0f64..6.0, eps in 0.002f64..0.4, tail in tail_strategy(),
+            kind in 0u32..4, shift in (-64i32..=64, -64i32..=64),
+            frac in (0.0f64..=1.0, 0.0f64..=1.0), stop in 0u32..4, rel in -1e-6f64..1e-6,
+        ) {
+            let n = (10f64.powf(log_n).round() as u64).max(1);
+            assert_lazy_matches_eager(n, eps, tail, kind, [shift.0, shift.1], [frac.0, frac.1], stop, rel);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(100_000))]
+
+        /// The same check over 100,000 cases (release only:
+        /// `cargo test --release -p easeml-bounds -- --ignored`).
+        #[test]
+        #[ignore = "exhaustive; run in release with --ignored"]
+        fn lazy_climbs_match_the_eager_reference_exhaustively(
+            log_n in 0.0f64..6.0, eps in 0.002f64..0.4, tail in tail_strategy(),
+            kind in 0u32..4, shift in (-64i32..=64, -64i32..=64),
+            frac in (0.0f64..=1.0, 0.0f64..=1.0), stop in 0u32..4, rel in -1e-6f64..1e-6,
+        ) {
+            let n = (10f64.powf(log_n).round() as u64).max(1);
+            assert_lazy_matches_eager(n, eps, tail, kind, [shift.0, shift.1], [frac.0, frac.1], stop, rel);
         }
     }
 

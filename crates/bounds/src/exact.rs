@@ -13,38 +13,48 @@
 //!    lower bound at 0.55× Hoeffding and gallops upward with doubling
 //!    steps until the constraint flips, yielding a bracket a fraction the
 //!    width of the seed's `[1, Hoeffding]`.
-//! 2. **Binary search with warm-started probes.** Each probe evaluates
-//!    the worst case over `p` with
-//!    [`crate::binomial::worst_case_deviation_hinted`]: a hill-climb that
-//!    starts from the maximizer `p*` of the previous probe (the maximizer
-//!    drifts only slightly between nearby `n`) and exits early as soon as
-//!    the probe provably exceeds `δ`. The galloping probes only climb and
-//!    every bisection midpoint lies strictly inside the open bracket, so
-//!    no `n` is probed twice. Scans with nothing to carry — the Hoeffding
-//!    bracket check, the first probe, the first acceptance scan, and
-//!    the first step and final certification of
-//!    [`exact_binomial_epsilon`]'s bisection — start cold: one-sided
-//!    climbs at the Chernoff argmax `p ≈ ½ − ε/3` of the tail exponent
-//!    `KL(p + ε ‖ p)` (a few jump indices from the sup), two-sided
-//!    climbs at the centre `p ≈ ½`, where their symmetric two-tail
-//!    candidates peak.
+//! 2. **Binary search with warm-started probes.** Each probe asks
+//!    whether the worst case over `p` exceeds `δ`: a hill-climb over the
+//!    breakpoint candidates that starts from each family's maximizer of
+//!    the previous probe (the maximizer drifts only slightly between
+//!    nearby `n`) and exits early as soon as a candidate provably
+//!    exceeds `δ`. The galloping probes only climb and every bisection
+//!    midpoint lies strictly inside the open bracket, so no `n` is probed
+//!    twice. Scans with nothing to carry — the Hoeffding bracket check,
+//!    the first probe, the first acceptance scan, and the first step and
+//!    final certification of [`exact_binomial_epsilon`]'s bisection —
+//!    start cold: one-sided climbs at the Chernoff argmax `p ≈ ½ − ε/3`
+//!    of the tail exponent `KL(p + ε ‖ p)` (a few jump indices from the
+//!    sup), two-sided climbs at the centre `p ≈ ½`, where their
+//!    symmetric two-tail candidates peak.
 //! 3. **Sawtooth patch with reference acceptance.** The worst case is not
 //!    perfectly monotone in `n` (integer cut-offs create a sawtooth), so
 //!    the final answer must have a run of consecutive valid sizes. This
-//!    acceptance uses the breakpoint-exact reference scan
-//!    ([`crate::binomial::worst_case_deviation_tail`]) — the supremum
+//!    acceptance uses the breakpoint-exact reference scan — the supremum
 //!    over `p` enumerated at the cut-off jumps, for both tail
-//!    conventions — so the fast bracketing can never loosen the returned
-//!    guarantee. (The seed's 64-point grid criterion is preserved in
-//!    [`crate::reference`]; the exact sup dominates every grid sampling,
-//!    so accepted sizes can sit a few sawtooth teeth above the seed's,
-//!    never below.)
+//!    conventions, climbed to its maximum — so the fast bracketing can
+//!    never loosen the returned guarantee. (The seed's 64-point grid
+//!    criterion is preserved in [`crate::reference`]; the exact sup
+//!    dominates every grid sampling, so accepted sizes can sit a few
+//!    sawtooth teeth above the seed's, never below.)
+//!
+//! Every stage asks a scan only for a verdict against `δ` and the
+//! maximizers to carry, so no tail is summed further than its comparisons
+//! need: a partial tail sum is bounded below by itself and above by itself
+//! plus twice its geometric remainder, and a candidate is summed on only
+//! while its comparison with the climb's current or best candidate, or
+//! with `δ`, is undecided — to the end only on a near-tie. The verdicts,
+//! the climb paths and the carried maximizers are those of summing every
+//! candidate to the end (see the `binomial` module docs); the search sums
+//! about half the pmf terms. Only [`exact_binomial_epsilon`] reads scan
+//! values, and sums the scans' best candidates to the end.
 //!
 //! All search state lives in an [`InversionContext`], which serves
 //! exactly one `(ε, δ, tail)` cell: a table is one inversion per cell.
 
 use crate::binomial::{
-    deviation_probability, worst_case_deviation_jump, worst_case_deviation_tail, JumpHint,
+    deviation_probability, jump_verdict, worst_case_deviation_jump, worst_case_deviation_tail,
+    JumpHint,
 };
 use crate::error::{check_positive, check_probability, BoundsError, Result};
 use crate::hoeffding::hoeffding_sample_size;
@@ -65,8 +75,9 @@ struct InversionContext {
     /// probe's argmax of *its own* family (~2–3 tail evaluations)
     /// instead of a fresh walk-in.
     jump: JumpHint,
-    /// Breakpoint-exact reference scans backing the sawtooth acceptance.
-    reference: HashMap<u64, f64>,
+    /// Verdicts (`worst(n) > δ`) of the breakpoint-exact reference scans
+    /// backing the sawtooth acceptance.
+    reference: HashMap<u64, bool>,
     /// `(n, hint)` of the most recent reference scan, carried into the
     /// next one when it probes a nearby size. The acceptance window
     /// walks consecutive sizes, so the maximizer fraction barely drifts
@@ -74,6 +85,10 @@ struct InversionContext {
     /// carry is gated to `|n − last_n| ≤ 8` and the scan starts cold
     /// otherwise.
     ref_jump: Option<(u64, JumpHint)>,
+    /// Decide with the eager scans (every candidate summed to the end),
+    /// the reference the lazy ones are held to.
+    #[cfg(test)]
+    eager: bool,
 }
 
 impl InversionContext {
@@ -94,38 +109,53 @@ impl InversionContext {
             jump: JumpHint::cold(),
             reference: HashMap::new(),
             ref_jump: None,
+            #[cfg(test)]
+            eager: false,
         })
     }
 
-    /// Does the worst-case deviation at `n` exceed `δ`? The hinted
-    /// search exits early once it does, so its value is only decisive
-    /// against this `δ`.
-    fn exceeds(&mut self, n: u64) -> bool {
-        let (worst, _, next) =
-            worst_case_deviation_jump(n, self.eps, self.tail, self.jump, Some(self.delta));
-        self.jump = next;
-        worst > self.delta
+    /// Does the worst case at `n` exceed `δ`, and where did each family's
+    /// climb peak? See [`jump_verdict`].
+    fn verdict(&self, n: u64, hint: JumpHint, early_exit: bool) -> (bool, JumpHint) {
+        #[cfg(test)]
+        if self.eager {
+            return crate::binomial::jump_verdict_eager(
+                n, self.eps, self.tail, hint, self.delta, early_exit,
+            );
+        }
+        jump_verdict(n, self.eps, self.tail, hint, self.delta, early_exit)
     }
 
-    /// Memoized breakpoint-exact reference scan (the acceptance
-    /// criterion), warm-started from the previous scan's maximizing
+    /// Does the worst-case deviation at `n` exceed `δ`? The hinted
+    /// search exits early once it does, so it decides only against this
+    /// `δ`.
+    fn exceeds(&mut self, n: u64) -> bool {
+        let (exceeds, next) = self.verdict(n, self.jump, true);
+        self.jump = next;
+        exceeds
+    }
+
+    /// Memoized verdict of the breakpoint-exact reference scan (the
+    /// acceptance criterion): does the worst case at `n` exceed `δ`?
+    /// The scan climbs to its maximum, warm-started from the previous
+    /// scan's maximizing
     /// jump indices when that scan probed a nearby size. Within the
     /// `≤ 8` carry window the climb resumes inside the plateau sweep
     /// of its own argmax, so it reaches the same supremum as a cold
     /// [`worst_case_deviation_tail`] — bit-identity the
     /// `reference_scan_warm_carry_is_bit_identical` proptest pins.
-    fn reference_worst(&mut self, n: u64) -> f64 {
-        if let Some(&worst) = self.reference.get(&n) {
-            return worst;
+    fn reference_worst(&mut self, n: u64) -> bool {
+        if let Some(&exceeds) = self.reference.get(&n) {
+            return exceeds;
         }
         let hint = match self.ref_jump {
             Some((last_n, hint)) if n.abs_diff(last_n) <= 8 => hint,
             _ => JumpHint::cold(),
         };
-        let (worst, _, next) = worst_case_deviation_jump(n, self.eps, self.tail, hint, None);
+        let (exceeds, next) = self.verdict(n, hint, false);
         self.ref_jump = Some((n, next));
-        self.reference.insert(n, worst);
-        worst
+        self.reference.insert(n, exceeds);
+        exceeds
     }
 
     /// Smallest `n` whose worst case (and that of the next few sizes)
@@ -133,7 +163,7 @@ impl InversionContext {
     fn invert(&mut self) -> Result<u64> {
         // Upper bracket: Hoeffding is a valid (conservative) answer.
         let hoeffding = hoeffding_sample_size(1.0, self.eps, self.delta, self.tail)?;
-        if self.reference_worst(hoeffding) > self.delta {
+        if self.reference_worst(hoeffding) {
             // Sawtooth pushed the boundary past Hoeffding (extremely
             // rare); fall back to the conservative answer.
             return Ok(hoeffding);
@@ -188,7 +218,7 @@ impl InversionContext {
         let mut n = from;
         'outer: loop {
             for offset in 0..8u64 {
-                if self.reference_worst(n + offset) > self.delta {
+                if self.reference_worst(n + offset) {
                     n += offset + 1;
                     continue 'outer;
                 }
@@ -289,6 +319,7 @@ pub fn exact_deviation_at(n: u64, p: f64, eps: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::binomial::tests::counting_terms;
     use crate::binomial::worst_case_deviation;
 
     #[test]
@@ -364,6 +395,43 @@ mod tests {
         let eps = exact_binomial_epsilon(n, 0.01, Tail::TwoSided).unwrap();
         assert!(eps <= 0.08 + 5e-3, "eps = {eps}");
         assert!(eps >= 0.04, "eps = {eps}");
+    }
+
+    /// The inversion as the lazy scans run it and as the eager reference
+    /// runs it (every candidate summed to the end), with the pmf terms
+    /// each summed.
+    fn lazy_and_eager(eps: f64, delta: f64, tail: Tail) -> ((u64, u64), (u64, u64)) {
+        let run = |eager: bool| {
+            counting_terms(|| {
+                let mut ctx = InversionContext::new(eps, delta, tail).unwrap();
+                ctx.eager = eager;
+                ctx.invert().unwrap()
+            })
+        };
+        (run(false), run(true))
+    }
+
+    /// Counted rather than timed: a cold inversion decides as the eager
+    /// reference does and sums at least 40 % fewer pmf terms, for the
+    /// golden leaf row at n = 251,781 (one-sided) and a two-sided golden
+    /// grid row.
+    #[test]
+    fn lazy_inversions_sum_fewer_terms() {
+        for (eps, delta, tail, golden) in [
+            (0.01, 5.421010862426929e-24, Tail::OneSided, 251_781),
+            (0.009872861589761755, 1e-9, Tail::TwoSided, 95_768),
+        ] {
+            let ((lazy_n, lazy), (eager_n, eager)) = lazy_and_eager(eps, delta, tail);
+            assert_eq!(
+                (lazy_n, eager_n),
+                (golden, golden),
+                "eps={eps} delta={delta} {tail}"
+            );
+            assert!(
+                lazy * 10 <= eager * 6,
+                "eps={eps} delta={delta} {tail}: {lazy} lazy vs {eager} eager terms"
+            );
+        }
     }
 
     #[test]

@@ -35,10 +35,9 @@
 //! sit a few sawtooth teeth *above* the seed's — never below.
 
 use crate::binomial::{
-    climb_envelope, ln_lower_tail, ln_upper_tail, strict_lower_cutoff, strict_upper_cutoff,
-    JumpHint, JUMP_PLATEAU,
+    above, climb_envelope, strict_lower_cutoff, strict_upper_cutoff, Candidate, JumpHint, Scan,
+    JUMP_PLATEAU,
 };
-use crate::numeric::log_add_exp;
 
 /// Breakpoint-exact two-sided worst case: `sup_p Pr[|X/n − p| > ε]`.
 pub fn worst_case_deviation_two_sided_exact(n: u64, eps: f64) -> f64 {
@@ -51,30 +50,16 @@ pub fn worst_case_deviation_two_sided_exact(n: u64, eps: f64) -> f64 {
 /// `strict_lower_cutoff(n(p_j − ε))` (the snap convention resolves a
 /// near-integer product to the left-limit cut-off, which is exactly the
 /// convention this limit needs).
-fn upper_family_candidate(n: u64, eps: f64, j: u64, p: f64) -> f64 {
-    let upper = ln_upper_tail(n, p, j);
-    let lo_cut = strict_lower_cutoff(n as f64 * (p - eps));
-    let lower = if lo_cut < 0 {
-        f64::NEG_INFINITY
-    } else {
-        ln_lower_tail(n, p, lo_cut as u64)
-    };
-    log_add_exp(upper, lower).exp().min(1.0)
+fn upper_family(n: u64, eps: f64, j: u64, p: f64) -> Candidate {
+    Candidate::two_sided(n, p, j as i128, strict_lower_cutoff(n as f64 * (p - eps)))
 }
 
 /// Candidate at the lower-family breakpoint `p_i = i/n + ε`: the limit
 /// from the right, where the lower cut-off has become `i` and the upper
 /// cut-off is `strict_upper_cutoff(n(p_i + ε))` (the snap again resolves
 /// a coincident breakpoint to the right-limit cut-off).
-fn lower_family_candidate(n: u64, eps: f64, i: u64, p: f64) -> f64 {
-    let lower = ln_lower_tail(n, p, i);
-    let hi_cut = strict_upper_cutoff(n as f64 * (p + eps));
-    let upper = if hi_cut > n as i128 {
-        f64::NEG_INFINITY
-    } else {
-        ln_upper_tail(n, p, hi_cut as u64)
-    };
-    log_add_exp(upper, lower).exp().min(1.0)
+fn lower_family(n: u64, eps: f64, i: u64, p: f64) -> Candidate {
+    Candidate::two_sided(n, p, strict_upper_cutoff(n as f64 * (p + eps)), i as i128)
 }
 
 /// Hinted, early-exiting breakpoint scan over both candidate families
@@ -93,6 +78,11 @@ pub(crate) fn worst_case_two_sided_jump(
     hint: JumpHint,
     stop_above: Option<f64>,
 ) -> (f64, f64, JumpHint) {
+    two_sided_scan(n, eps, hint, stop_above).finish()
+}
+
+/// Both families' climbs, each family's best candidate left unfinished.
+pub(crate) fn two_sided_scan(n: u64, eps: f64, hint: JumpHint, stop_above: Option<f64>) -> Scan {
     debug_assert!(n > 0);
     debug_assert!(eps > 0.0 && eps < 1.0);
     let nf = n as f64;
@@ -103,14 +93,17 @@ pub(crate) fn worst_case_two_sided_jump(
     let p_upper = |j: u64| (j as f64 / nf - eps).clamp(f64::MIN_POSITIVE, 1.0);
     let j_start = JumpHint::start_index(hint.upper, nf, 0.5 + eps);
     let (mut best, best_j) = climb_envelope(j_min, n, j_start, JUMP_PLATEAU, stop_above, |j| {
-        upper_family_candidate(n, eps, j, p_upper(j))
+        upper_family(n, eps, j, p_upper(j))
     });
-    let mut best_p = p_upper(best_j);
     next.upper = Some(best_j as f64 / nf);
-    if let Some(limit) = stop_above {
-        if best > limit {
-            return (best, best_p, next);
-        }
+    let exceeded = stop_above.is_some_and(|limit| above(&mut best, limit));
+    let mut scan = Scan {
+        upper: (best, p_upper(best_j)),
+        lower: None,
+        next,
+    };
+    if exceeded {
+        return scan;
     }
 
     // Lower family: i with p_i = i/n + ε < 1 (p_i ≥ ε > 0 always).
@@ -120,6 +113,46 @@ pub(crate) fn worst_case_two_sided_jump(
         let i_start = JumpHint::start_index(hint.lower, nf, 0.5 - eps);
         let (lo_best, lo_i) =
             climb_envelope(0, i_max as u64, i_start, JUMP_PLATEAU, stop_above, |i| {
+                lower_family(n, eps, i, p_lower(i))
+            });
+        scan.next.lower = Some(lo_i as f64 / nf);
+        scan.lower = Some((lo_best, p_lower(lo_i)));
+    }
+    scan
+}
+
+/// The eager two-sided scan the lazy one must match bit for bit: every
+/// candidate summed to the end before it is compared.
+#[cfg(test)]
+pub(crate) fn worst_case_two_sided_jump_eager(
+    n: u64,
+    eps: f64,
+    hint: JumpHint,
+    stop_above: Option<f64>,
+) -> (f64, f64, JumpHint) {
+    use crate::binomial::climb_envelope_eager;
+    let nf = n as f64;
+    let mut next = hint;
+    let j_min = (strict_upper_cutoff(nf * eps).max(1) as u64).min(n);
+    let p_upper = |j: u64| (j as f64 / nf - eps).clamp(f64::MIN_POSITIVE, 1.0);
+    let j_start = JumpHint::start_index(hint.upper, nf, 0.5 + eps);
+    let (mut best, best_j) =
+        climb_envelope_eager(j_min, n, j_start, JUMP_PLATEAU, stop_above, |j| {
+            upper_family_candidate(n, eps, j, p_upper(j))
+        });
+    let mut best_p = p_upper(best_j);
+    next.upper = Some(best_j as f64 / nf);
+    if let Some(limit) = stop_above {
+        if best > limit {
+            return (best, best_p, next);
+        }
+    }
+    let i_max = strict_lower_cutoff(nf * (1.0 - eps));
+    if i_max >= 0 {
+        let p_lower = |i: u64| (i as f64 / nf + eps).clamp(f64::MIN_POSITIVE, 1.0);
+        let i_start = JumpHint::start_index(hint.lower, nf, 0.5 - eps);
+        let (lo_best, lo_i) =
+            climb_envelope_eager(0, i_max as u64, i_start, JUMP_PLATEAU, stop_above, |i| {
                 lower_family_candidate(n, eps, i, p_lower(i))
             });
         next.lower = Some(lo_i as f64 / nf);
@@ -129,6 +162,37 @@ pub(crate) fn worst_case_two_sided_jump(
         }
     }
     (best, best_p, next)
+}
+
+/// [`upper_family`] evaluated eagerly, as the scan did before its
+/// candidates were summed lazily.
+#[cfg(test)]
+fn upper_family_candidate(n: u64, eps: f64, j: u64, p: f64) -> f64 {
+    use crate::binomial::{ln_lower_tail, ln_upper_tail};
+    use crate::numeric::log_add_exp;
+    let upper = ln_upper_tail(n, p, j);
+    let lo_cut = strict_lower_cutoff(n as f64 * (p - eps));
+    let lower = if lo_cut < 0 {
+        f64::NEG_INFINITY
+    } else {
+        ln_lower_tail(n, p, lo_cut as u64)
+    };
+    log_add_exp(upper, lower).exp().min(1.0)
+}
+
+/// [`lower_family`] evaluated eagerly.
+#[cfg(test)]
+fn lower_family_candidate(n: u64, eps: f64, i: u64, p: f64) -> f64 {
+    use crate::binomial::{ln_lower_tail, ln_upper_tail};
+    use crate::numeric::log_add_exp;
+    let lower = ln_lower_tail(n, p, i);
+    let hi_cut = strict_upper_cutoff(n as f64 * (p + eps));
+    let upper = if hi_cut > n as i128 {
+        f64::NEG_INFINITY
+    } else {
+        ln_upper_tail(n, p, hi_cut as u64)
+    };
+    log_add_exp(upper, lower).exp().min(1.0)
 }
 
 #[cfg(test)]

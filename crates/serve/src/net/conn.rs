@@ -113,7 +113,9 @@ impl Conn {
     }
 
     /// Read whatever the socket has (bounded by [`READ_BUDGET`]) into
-    /// the parser.
+    /// the parser. Readiness is level-triggered, so a read shorter than
+    /// `scratch` ends the fill: bytes (or EOF) that arrive after it
+    /// report the socket readable at the next wait.
     ///
     /// # Errors
     ///
@@ -131,7 +133,7 @@ impl Conn {
                 Ok(n) => {
                     self.parser.push(&scratch[..n]);
                     total += n;
-                    if total >= READ_BUDGET {
+                    if total >= READ_BUDGET || n < scratch.len() {
                         return Ok(Fill {
                             bytes: total,
                             eof: false,

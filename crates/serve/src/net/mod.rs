@@ -420,12 +420,16 @@ impl EventLoop {
         }
     }
 
+    /// Empty the wake pipe. Readiness is level-triggered, so a read
+    /// shorter than the buffer ends the drain: anything written after it
+    /// reports the pipe readable at the next wait.
     fn drain_wake_pipe(&mut self) {
         loop {
             match self.wake.read(&mut self.scratch) {
                 // EOF cannot occur while the hub holds writer clones;
                 // treat it like "drained" if it ever does.
                 Ok(0) => return,
+                Ok(n) if n < self.scratch.len() => return,
                 Ok(_) => {}
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -764,9 +768,13 @@ impl EventLoop {
 
     /// Hand a parsed request to the worker pool — or, when the handler
     /// classifies it as cheap, run it inline right here on the event
-    /// thread. Read interest goes off until the response is done — the
-    /// kernel socket buffer provides the backpressure, not an unbounded
-    /// user-space queue.
+    /// thread. A pool-bound request turns read interest off until its
+    /// response is done — the kernel socket buffer provides the
+    /// backpressure, not an unbounded user-space queue. An inline
+    /// request leaves interest alone: its response is applied in this
+    /// same loop iteration, before the next wait, so turning read
+    /// interest off and on again would be two `epoll_ctl` calls that
+    /// change nothing the poller ever reports.
     fn dispatch<'env>(
         &mut self,
         index: usize,
@@ -786,7 +794,6 @@ impl EventLoop {
             received: conn.request_recv.take(),
             parsed: Instant::now(),
         };
-        self.set_interest(index, false, false);
         if handler.inline(&request) {
             self.obs.metrics.dispatch_inline_total.inc();
             // Inline fast path: a µs-scale request pays no pool
@@ -832,6 +839,7 @@ impl EventLoop {
             });
             return;
         }
+        self.set_interest(index, false, false);
         let shared = Arc::clone(&self.shared);
         let stats = Arc::clone(&self.stats);
         // With a single-thread pool this runs inline, right here on the
@@ -1061,6 +1069,8 @@ impl EventLoop {
         conn.want_read = read;
         conn.want_write = write;
         let fd = conn.stream.as_raw_fd();
+        #[cfg(test)]
+        self.obs.interest_changes.inc();
         if self.poller.modify(fd, token, read, write).is_ok() {
             true
         } else {

@@ -902,6 +902,9 @@ pub struct ServeObs {
     pub ring: TraceRing,
     /// Threshold above which a request is slow-logged, in milliseconds.
     pub slow_request_ms: u64,
+    /// `Poller::modify` calls the event loop made (interest changes).
+    #[cfg(test)]
+    pub(crate) interest_changes: Counter,
 }
 
 impl ServeObs {
@@ -912,6 +915,8 @@ impl ServeObs {
             metrics: ServeMetrics::new(routes),
             ring: TraceRing::new(),
             slow_request_ms,
+            #[cfg(test)]
+            interest_changes: Counter::new(),
         }
     }
 

@@ -3,7 +3,7 @@
 //! Each request is assigned an id and accumulates per-stage durations
 //! as it moves through the serving core: parse (first byte → complete
 //! head+body), queue (parsed → handler start, i.e. dispatch/pool wait),
-//! gate compute, measurement, journal append, fsync, snapshot, the
+//! a registration's sample-size estimate, gate compute, measurement, journal append, fsync, snapshot, the
 //! handler total, the durable wait (handler end → the group-commit
 //! round that released the response), and response write. The deep layers (`store.rs`,
 //! `registry.rs`, the metered [`crate::vfs::Vfs`] wrapper) report into a
@@ -26,14 +26,14 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Number of traced stages.
-pub const STAGE_COUNT: usize = 10;
+pub const STAGE_COUNT: usize = 11;
 
 /// Capacity of the in-memory slow-request ring served by
 /// `GET /admin/trace`.
 pub const TRACE_RING_CAP: usize = 256;
 
 /// One stage of a request's lifecycle. Stages are disjoint except that
-/// `Handler` spans `Gate..=Snapshot` (an off-loop handler's own
+/// `Handler` spans `Estimate..=Snapshot` (an off-loop handler's own
 /// group-commit round lands in `Fsync` and `Handler`), and an fsync issued inside a
 /// snapshot write is counted under both `Fsync` and `Snapshot`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,6 +42,9 @@ pub enum Stage {
     Parse,
     /// Parsed → handler start (event-loop dispatch and pool queueing).
     Queue,
+    /// A registration's sample-size estimate: plan search and the
+    /// exact-binomial inversions behind it.
+    Estimate,
     /// Statistical gate evaluation: a commit's point estimates and its
     /// condition over their confidence intervals.
     Gate,
@@ -66,6 +69,7 @@ pub enum Stage {
 pub const STAGES: [Stage; STAGE_COUNT] = [
     Stage::Parse,
     Stage::Queue,
+    Stage::Estimate,
     Stage::Gate,
     Stage::Measure,
     Stage::JournalAppend,
@@ -84,6 +88,7 @@ impl Stage {
         match self {
             Stage::Parse => "parse",
             Stage::Queue => "queue",
+            Stage::Estimate => "estimate",
             Stage::Gate => "gate",
             Stage::Measure => "measure",
             Stage::JournalAppend => "journal_append",

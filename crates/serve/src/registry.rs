@@ -376,6 +376,8 @@ impl EvalCounts {
     ///
     /// [`ServeError::BadRequest`] when a count is impossible.
     pub fn validate(&self) -> Result<(), ServeError> {
+        #[cfg(test)]
+        tests::VALIDATIONS.with(|count| count.set(count.get() + 1));
         if self.samples == 0 {
             return Err(ServeError::BadRequest("samples must be positive".into()));
         }
@@ -666,6 +668,13 @@ impl<'a> Feed<'a> {
     }
 }
 
+/// A commit op that passed [`Project::admit`]'s opening checks.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Admitted<'c, 'a> {
+    commit_id: &'c str,
+    feed: Feed<'a>,
+}
+
 /// What undoes one step of a [`Project`] ([`Project::rollback`]): the
 /// gate state before it, the labels its measurement pulled from the
 /// oracle, and the testset an era step replaced.
@@ -751,8 +760,7 @@ impl Project {
         validate_project_name(name)?;
         let script = CiScript::parse(script_text)
             .map_err(|e| ServeError::BadRequest(format!("invalid CI script: {e}")))?;
-        let estimate = estimator
-            .estimate(&script)
+        let estimate = trace::time(Stage::Estimate, || estimator.estimate(&script))
             .map_err(|e| ServeError::BadRequest(format!("cannot estimate sample size: {e}")))?;
         let measured = match testset {
             Some(spec) => {
@@ -809,8 +817,9 @@ impl Project {
     }
 
     /// The gate step of a commit op, which both commit routes (through
-    /// [`crate::store::ProjectSlot`]) and restart replay run. It refuses,
-    /// in order:
+    /// [`crate::store::ProjectSlot`]) and restart replay run: the
+    /// opening checks ([`Project::admit`]), then the step itself
+    /// ([`Project::step`]). It refuses, in order:
     ///
     /// * an empty commit id ([`ServeError::BadRequest`]);
     /// * a feed that does not match the project's mode: counts for a
@@ -838,6 +847,24 @@ impl Project {
         feed: Feed<'a>,
         savepoint: &mut Savepoint,
     ) -> Result<(CommitReceipt, Cow<'a, EvalCounts>), ServeError> {
+        let op = self.admit(commit_id, feed)?;
+        self.step(op, savepoint)
+    }
+
+    /// The opening checks of [`Project::commit`], in its order: a
+    /// non-empty commit id, a feed that matches the project's mode, and
+    /// possible client counts. Only an admitted op is looked up for
+    /// redelivery ([`Project::duplicate`]) or stepped
+    /// ([`Project::step`]), so each commit validates its counts once.
+    ///
+    /// # Errors
+    ///
+    /// As [`Project::commit`]'s first three refusals.
+    pub(crate) fn admit<'c, 'a>(
+        &self,
+        commit_id: &'c str,
+        feed: Feed<'a>,
+    ) -> Result<Admitted<'c, 'a>, ServeError> {
         if commit_id.is_empty() {
             return Err(ServeError::BadRequest("commit_id must be non-empty".into()));
         }
@@ -859,6 +886,21 @@ impl Project {
             (Feed::Counts(counts), false) => counts.validate()?,
             (Feed::Vectors(..), true) => {}
         }
+        Ok(Admitted { commit_id, feed })
+    }
+
+    /// [`Project::commit`] past its opening checks: the era, the
+    /// measurement, the condition and the gate step.
+    ///
+    /// # Errors
+    ///
+    /// As [`Project::commit`]'s last three refusals.
+    pub(crate) fn step<'a>(
+        &mut self,
+        op: Admitted<'_, 'a>,
+        savepoint: &mut Savepoint,
+    ) -> Result<(CommitReceipt, Cow<'a, EvalCounts>), ServeError> {
+        let Admitted { commit_id, feed } = op;
         let (condition, measured) = (self.script.condition(), &mut self.measured);
         let mut decided = None;
         let receipt = self.gate.step(commit_id, || {
@@ -908,9 +950,10 @@ impl Project {
     ///
     /// * Counts match on the same commit id, derived estimates, label
     ///   count and per-class counts: re-testing identical counts could
-    ///   only reproduce the identical verdict. A project holding a
-    ///   server-side testset refuses client counts, so counts never
-    ///   match its entries, and impossible counts match nothing.
+    ///   only reproduce the identical verdict. Only an admitted op is
+    ///   looked up ([`Project::admit`]), so counts sent to a project
+    ///   holding a server-side testset, and impossible counts, match
+    ///   nothing.
     /// * Vectors match on the same commit id and *vectors* (by digest),
     ///   not the derived counts: the label pool fills monotonically, so
     ///   re-measuring the same vectors later could legitimately
@@ -919,14 +962,11 @@ impl Project {
     ///   Dedup therefore happens *before* any measurement.
     pub(crate) fn duplicate<'a>(
         &self,
-        commit_id: &str,
-        feed: Feed<'a>,
+        op: Admitted<'_, 'a>,
     ) -> Option<(CommitReceipt, Cow<'a, EvalCounts>)> {
+        let Admitted { commit_id, feed } = op;
         let (index, counts) = match feed {
             Feed::Counts(counts) => {
-                if self.measured.is_some() || counts.validate().is_err() {
-                    return None;
-                }
                 let est = counts.estimates();
                 let index = self.gate.find_in_era(|i, e| {
                     e.commit_id == commit_id
@@ -963,7 +1003,8 @@ impl Project {
     ) -> Option<(CommitReceipt, EvalCounts)> {
         let packed = submission.packed();
         let feed = Feed::Vectors(&packed, &submission.old, &submission.new);
-        let (receipt, counts) = self.duplicate(&submission.commit_id, feed)?;
+        let op = self.admit(&submission.commit_id, feed).ok()?;
+        let (receipt, counts) = self.duplicate(op)?;
         Some((receipt, counts.into_owned()))
     }
 
@@ -1190,9 +1231,23 @@ pub fn serving_estimator() -> SampleSizeEstimator {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use easeml_ci_core::{AlarmReason, LabelOracle, Tribool};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// [`EvalCounts::validate`] calls on this thread.
+        pub(crate) static VALIDATIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Runs `f` and returns its result with the counts validations it
+    /// made.
+    pub(crate) fn counting_validations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = VALIDATIONS.with(Cell::get);
+        let out = f();
+        (out, VALIDATIONS.with(Cell::get) - before)
+    }
 
     const SCRIPT: &str = "ml:\n\
         \x20 - condition  : n > 0.6 +/- 0.2\n\

@@ -1265,6 +1265,59 @@ mod tests {
     use std::fmt::Write as _;
     use std::path::Path;
 
+    /// Reads one `Content-Length` response off a keep-alive stream and
+    /// returns its status line.
+    fn read_response(stream: &mut std::net::TcpStream) -> String {
+        use std::io::Read;
+        let mut head = Vec::new();
+        let mut byte = [0u8; 1];
+        while !head.ends_with(b"\r\n\r\n") {
+            stream.read_exact(&mut byte).unwrap();
+            head.push(byte[0]);
+        }
+        let head = String::from_utf8(head).unwrap();
+        let length: usize = head
+            .lines()
+            .find_map(|line| {
+                let (name, value) = line.split_once(':')?;
+                name.eq_ignore_ascii_case("content-length").then_some(value)
+            })
+            .expect("content length")
+            .trim()
+            .parse()
+            .unwrap();
+        let mut body = vec![0u8; length];
+        stream.read_exact(&mut body).unwrap();
+        head.lines().next().unwrap().to_owned()
+    }
+
+    /// Keep-alive requests the event loop answers inline never change a
+    /// connection's poller interest: the response is written in the same
+    /// loop iteration, so there is no read interest to turn off and on.
+    #[test]
+    fn keep_alive_inline_requests_change_no_poller_interest() {
+        use std::io::Write;
+        let mut config = ServeConfig::new("127.0.0.1:0", "unused-data-dir");
+        config.vfs = Some(Arc::new(MemVfs::new()));
+        config.threads = 2;
+        let server = Server::bind(&config).unwrap();
+        let obs = Arc::clone(&server.obs);
+        let handle = server.handle();
+        let running = std::thread::spawn(move || server.run());
+        let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+        for path in ["/healthz", "/metrics", "/healthz", "/projects/none/history"] {
+            for _ in 0..8 {
+                write!(stream, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
+                let status = read_response(&mut stream);
+                assert!(status.starts_with("HTTP/1.1 "), "{status}");
+            }
+        }
+        assert_eq!(obs.interest_changes.get(), 0);
+        drop(stream);
+        handle.stop();
+        running.join().unwrap().unwrap();
+    }
+
     /// The `per_class` section of a predictions response's measurement
     /// block — the request shape a counts body carries, so a counts-mode
     /// twin can round-trip it byte-exactly. The route writes it with

@@ -1374,11 +1374,14 @@ impl ProjectSlot {
         commit_id: &str,
         feed: Feed<'a>,
     ) -> Result<(CommitReceipt, Cow<'a, EvalCounts>), ServeError> {
-        if let Some(hit) = self.project.duplicate(commit_id, feed) {
+        // An op the opening checks refuse matches no recorded entry, so
+        // refusing it before the redelivery lookup keeps every refusal.
+        let op = self.project.admit(commit_id, feed)?;
+        if let Some(hit) = self.project.duplicate(op) {
             return Ok(hit);
         }
         self.journalled(|project, savepoint, _| {
-            let (receipt, counts) = project.commit(commit_id, feed, savepoint)?;
+            let (receipt, counts) = project.step(op, savepoint)?;
             let line = commit_line(commit_id, feed.packed(), &counts, &receipt);
             Ok(((receipt, counts), line))
         })
@@ -1827,6 +1830,24 @@ mod tests {
                 per_class: None,
             },
         }
+    }
+
+    /// A counts commit validates its counts once on the durable step —
+    /// the redelivery lookup and the gate step share the opening checks —
+    /// and a redelivery validates once as well.
+    #[test]
+    fn a_counts_commit_validates_its_counts_once() {
+        use crate::registry::tests::counting_validations;
+        let dir = temp_dir("validate-once");
+        let registry = Registry::open(&dir, serving_estimator()).unwrap();
+        let slot = registry.register("proj", SCRIPT, None).unwrap();
+        let mut slot = slot.lock().unwrap();
+        let (fresh, validations) = counting_validations(|| slot.submit(&submission("c1", 90)));
+        assert_eq!(validations, 1);
+        let (again, validations) = counting_validations(|| slot.submit(&submission("c1", 90)));
+        assert_eq!(validations, 1);
+        assert_eq!(fresh.unwrap(), again.unwrap());
+        assert_eq!(slot.project.steps_used(), 1);
     }
 
     #[test]
