@@ -292,16 +292,21 @@ pub struct CommitEstimates {
 /// [`Measurement::measure_range`] is the one counting core: a label
 /// demand, an index range, and a class count for metric formulas. The
 /// serving layer measures every predictions commit through its
-/// whole-pool form [`Measurement::measure`]; the engine measures each
-/// phase of its plan (filter, probe, test prefix, coarse, fine) through
-/// the core directly. Every fresh oracle pull is recorded
-/// ([`Measurement::fresh_labels`]), so a caller whose commit does not
-/// land can hand exactly those labels back ([`Testset::unset_label`]).
+/// whole-pool form [`Measurement::measure`], over a pair it checked once
+/// ([`Measurement::checked`]); the engine measures each phase of its
+/// plan (filter, probe, test prefix, coarse, fine) through the core
+/// directly ([`Measurement::new`] checks only lengths). Every fresh
+/// oracle pull is recorded ([`Measurement::fresh_labels`]), so a caller
+/// whose commit does not land can hand exactly those labels back
+/// ([`Testset::unset_label`]).
 pub struct Measurement<'a> {
     testset: &'a mut Testset,
     oracle: Option<&'a mut (dyn LabelOracle + 'static)>,
     old: &'a [u32],
     new: &'a [u32],
+    /// The class count a [`Predictions`] check bounded every prediction
+    /// by; `None` for vectors [`Measurement::new`] took.
+    bound: Option<u32>,
     /// Items pulled from the oracle so far, in call order.
     fresh: Vec<usize>,
 }
@@ -328,14 +333,66 @@ fn out_of_class(what: &str, value: u32, item: usize, classes: u32) -> CiError {
 /// above, and when it does not settle the question (a bound that is not
 /// a power of two) the maximum does. Only a vector holding an offending
 /// value is scanned item by item.
-#[must_use]
-pub fn first_at_or_above(values: &[u32], bound: u32) -> Option<usize> {
+fn first_at_or_above(values: &[u32], bound: u32) -> Option<usize> {
     if values.iter().fold(0, |any, &v| any | v) < bound
         || values.iter().fold(0, |max, &v| max.max(v)) < bound
     {
         return None;
     }
     values.iter().position(|&v| v >= bound)
+}
+
+/// A commit's old and new prediction vectors as only
+/// [`Predictions::check`] builds them: both cover the pool and lie in
+/// `0..classes`, so [`Measurement::checked`] never scans them again.
+#[derive(Debug, Clone, Copy)]
+pub struct Predictions<'a> {
+    old: &'a [u32],
+    new: &'a [u32],
+    classes: u32,
+}
+
+impl<'a> Predictions<'a> {
+    /// Check `old` and `new` against a pool of `len` items and `classes`
+    /// classes in one pass: an OR over both vectors bounds every
+    /// prediction. Only when that does not settle it (a fault, or a class
+    /// count that is not a power of two) is each vector scanned again.
+    ///
+    /// # Errors
+    ///
+    /// The reason of the first fault: old length, old values, new
+    /// length, new values.
+    pub fn check(
+        old: &'a [u32],
+        new: &'a [u32],
+        len: usize,
+        classes: u32,
+    ) -> std::result::Result<Self, String> {
+        #[cfg(test)]
+        tests::PREDICTION_SCANS.with(|scans| scans.set(scans.get() + 2));
+        let bounded = old.len() == len
+            && new.len() == len
+            && old.iter().zip(new).fold(0, |any, (&o, &n)| any | o | n) < classes;
+        let fault = |model: &str, values: &[u32]| {
+            let got = values.len();
+            if got != len {
+                return Some(format!(
+                    "{model} prediction vector has {got} items but the testset has {len}"
+                ));
+            }
+            let item = first_at_or_above(values, classes)?;
+            Some(format!(
+                "{model} prediction {} out of class range 0..{classes}",
+                values[item]
+            ))
+        };
+        if !bounded {
+            if let Some(fault) = fault("old", old).or_else(|| fault("new", new)) {
+                return Err(fault);
+            }
+        }
+        Ok(Predictions { old, new, classes })
+    }
 }
 
 /// `LANE_BIT[j]` is bit `j` of a 32-bit half of the known mask. Testing
@@ -375,27 +432,40 @@ impl<'a> Measurement<'a> {
         new: &'a [u32],
     ) -> Result<Self> {
         let want = testset.len();
-        if old.len() != want {
-            return Err(EngineError::PredictionLengthMismatch {
-                got: old.len(),
-                want,
-            }
-            .into());
-        }
-        if new.len() != want {
-            return Err(EngineError::PredictionLengthMismatch {
-                got: new.len(),
-                want,
-            }
-            .into());
+        if let Some(got) = [old.len(), new.len()].into_iter().find(|&got| got != want) {
+            return Err(EngineError::PredictionLengthMismatch { got, want }.into());
         }
         Ok(Measurement {
             testset,
             oracle,
             old,
             new,
+            bound: None,
             fresh: Vec::new(),
         })
+    }
+
+    /// Create a measurement context over a pair checked against this
+    /// pool: metric measurements up to its class count scan only labels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pair was checked against a pool of another length.
+    pub fn checked(
+        testset: &'a mut Testset,
+        oracle: Option<&'a mut (dyn LabelOracle + 'static)>,
+        predictions: Predictions<'a>,
+    ) -> Self {
+        let Predictions { old, new, classes } = predictions;
+        assert_eq!(old.len(), testset.len(), "checked against another pool");
+        Measurement {
+            testset,
+            oracle,
+            old,
+            new,
+            bound: Some(classes),
+            fresh: Vec::new(),
+        }
     }
 
     /// Fresh labels pulled from the oracle so far.
@@ -515,13 +585,21 @@ impl<'a> Measurement<'a> {
 
     /// The first item of `range` whose prediction, or known label, falls
     /// outside `0..classes` (`range.end` when none does). Unknown label
-    /// slots hold 0.
+    /// slots hold 0. Predictions checked against at most `classes`
+    /// classes ([`Measurement::checked`]) are not scanned again.
     fn first_out_of_class(&self, classes: u32, mut range: Range<usize>) -> usize {
         let end = range.end;
         let labels = &self.testset.label_slots()[range.clone()];
-        let flagged = [&self.old[range.clone()], &self.new[range.clone()], labels]
-            .iter()
-            .any(|values| first_at_or_above(values, classes).is_some());
+        let unchecked = self.bound.is_none_or(|bound| bound > classes);
+        #[cfg(test)]
+        if unchecked {
+            tests::PREDICTION_SCANS.with(|scans| scans.set(scans.get() + 2));
+        }
+        let flagged = first_at_or_above(labels, classes).is_some()
+            || unchecked
+                && [&self.old[range.clone()], &self.new[range.clone()]]
+                    .iter()
+                    .any(|values| first_at_or_above(values, classes).is_some());
         if !flagged {
             return end;
         }
@@ -677,6 +755,13 @@ mod tests {
     use super::*;
     use crate::dsl::parse_clause;
     use crate::engine::testset::VecOracle;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Prediction vectors scanned for their class range on this
+        /// thread.
+        pub(super) static PREDICTION_SCANS: Cell<u64> = const { Cell::new(0) };
+    }
 
     /// 10 items; labels all 0. Old model predicts 0 except items 8, 9
     /// (accuracy 0.8). New model predicts 0 except item 9 (accuracy 0.9).
@@ -1452,6 +1537,75 @@ mod tests {
         assert!(Measurement::new(&mut testset, None, &old, &short).is_err());
         let mut testset2 = Testset::unlabeled(10);
         assert!(Measurement::new(&mut testset2, None, &short, &old).is_err());
+    }
+
+    #[test]
+    fn prediction_faults_come_in_order() {
+        let check = |old: &[u32], new: &[u32], classes| {
+            Predictions::check(old, new, 3, classes)
+                .map(|_| ())
+                .map_err(|e| e.to_string())
+        };
+        // The OR of 1 and 2 is 3, yet both lie in 0..3.
+        assert_eq!(check(&[1, 2, 0], &[0, 2, 1], 3), Ok(()));
+        let faults = [
+            (
+                &[0, 9][..],
+                &[7, 0, 0, 0][..],
+                "old prediction vector has 2 items",
+            ),
+            (
+                &[0, 9, 0],
+                &[7, 0, 0, 0],
+                "old prediction 9 out of class range 0..3",
+            ),
+            (
+                &[0, 1, 0],
+                &[7, 0, 0, 0],
+                "new prediction vector has 4 items",
+            ),
+            (
+                &[0, 1, 0],
+                &[0, 7, 3],
+                "new prediction 7 out of class range 0..3",
+            ),
+        ];
+        for (old, new, reason) in faults {
+            let err = check(old, new, 3).unwrap_err();
+            assert!(err.starts_with(reason), "{err}");
+        }
+    }
+
+    /// A checked pair is scanned once, by its check: a metric measurement
+    /// over it reads only the labels. Unchecked vectors are scanned at
+    /// that boundary instead.
+    #[test]
+    fn a_checked_metric_measurement_scans_each_vector_once() {
+        let (labels, old, new) = fixture();
+        let f1 = crate::dsl::parse_formula("f1(n) - f1(o) > -0.5 +/- 0.1").unwrap();
+        let scans = || PREDICTION_SCANS.with(Cell::get);
+        let start = scans();
+        let mut testset = Testset::fully_labeled(labels.clone());
+        let predictions = Predictions::check(&old, &new, 10, 2).unwrap();
+        let checked = Measurement::checked(&mut testset, None, predictions)
+            .measure(&f1, 2)
+            .unwrap();
+        assert_eq!(scans() - start, 2, "old and new, once each");
+        let mut testset = Testset::fully_labeled(labels);
+        let unchecked = Measurement::new(&mut testset, None, &old, &new)
+            .unwrap()
+            .measure(&f1, 2)
+            .unwrap();
+        assert_eq!(scans() - start, 4);
+        assert_eq!(checked, unchecked);
+        // A pair checked against more classes than a measurement counts
+        // proves nothing about the narrower range: it is scanned again.
+        let mut testset = Testset::fully_labeled(vec![0; 10]);
+        let wide = Predictions::check(&old, &new, 10, 3).unwrap();
+        Measurement::checked(&mut testset, None, wide)
+            .measure(&f1, 2)
+            .unwrap();
+        assert_eq!(scans() - start, 8);
     }
 
     #[test]

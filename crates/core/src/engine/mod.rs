@@ -32,8 +32,8 @@ mod sink;
 mod testset;
 
 pub use evaluator::{
-    clause_label_demand, first_at_or_above, formula_label_demand, validate_metric_formula,
-    CommitEstimates, LabelDemand, MeasuredCounts, Measurement, PerClassCounts,
+    clause_label_demand, formula_label_demand, validate_metric_formula, CommitEstimates,
+    LabelDemand, MeasuredCounts, Measurement, PerClassCounts, Predictions,
 };
 pub use gate::{Gate, GateSavepoint};
 pub use history::{CommitHistory, HistoryEntry};

@@ -74,10 +74,10 @@ pub use cache::{
     BoundsCache, BoundsKey, Cache, CachePolicy, CacheStats, PlanCache, PlanFingerprint,
 };
 pub use engine::{
-    clause_label_demand, first_at_or_above, formula_label_demand, validate_metric_formula,
-    AlarmReason, CiEngine, CiEvent, CollectingSink, CommitEstimates, CommitHistory, CommitReceipt,
-    Gate, GateSavepoint, HistoryEntry, LabelDemand, LabelOracle, MailboxSink, MeasuredCounts,
-    Measurement, ModelCommit, NotificationSink, NullSink, PerClassCounts, Testset, VecOracle,
+    clause_label_demand, formula_label_demand, validate_metric_formula, AlarmReason, CiEngine,
+    CiEvent, CollectingSink, CommitEstimates, CommitHistory, CommitReceipt, Gate, GateSavepoint,
+    HistoryEntry, LabelDemand, LabelOracle, MailboxSink, MeasuredCounts, Measurement, ModelCommit,
+    NotificationSink, NullSink, PerClassCounts, Predictions, Testset, VecOracle,
 };
 pub use error::{CiError, EngineError, ParseError, Result, ScriptError};
 pub use estimator::{

@@ -53,7 +53,8 @@ use easeml_par::{splitmix64, Pool};
 use crate::error::ServeError;
 use crate::json::Value;
 use crate::registry::{
-    serving_estimator, CommitSubmission, EvalCounts, PredictionsSubmission, TestsetSpec,
+    serving_estimator, CommitSubmission, EvalCounts, MeasuredTestset, PredictionsSubmission,
+    TestsetSpec,
 };
 use crate::store::{group, segment_start, Durability, Registry};
 use crate::vfs::{Fault, FaultKind, FaultPlan, FaultVfs, MemVfs, OpRecord, Vfs};
@@ -353,7 +354,7 @@ enum Action {
     Commit(CommitSubmission),
     Predictions(PredictionsSubmission),
     FreshTestset,
-    InstallTestset(TestsetSpec),
+    InstallTestset(MeasuredTestset),
     Snapshot,
 }
 
@@ -383,6 +384,10 @@ fn predictions(id: &str, new_correct: usize) -> Action {
         old: vector(30),
         new: vector(new_correct),
     })
+}
+
+fn install(spec: TestsetSpec) -> Action {
+    Action::InstallTestset(MeasuredTestset::from_spec(spec).expect("a valid testset"))
 }
 
 fn lazy_zeros() -> TestsetSpec {
@@ -448,7 +453,7 @@ fn schedule(seed: u64) -> Vec<(String, Vec<Action>)> {
         predictions("b2", draw(102, size + 1) as usize),
         Action::Snapshot,
         predictions("b3", draw(103, size + 1) as usize),
-        Action::InstallTestset(lazy_alternating()),
+        install(lazy_alternating()),
         predictions("b4", draw(104, size + 1) as usize),
         Action::Snapshot,
     ];
@@ -465,7 +470,7 @@ fn schedule(seed: u64) -> Vec<(String, Vec<Action>)> {
         predictions("g2", draw(202, size + 1) as usize),
         Action::Snapshot,
         predictions("g3", draw(203, size + 1) as usize),
-        Action::InstallTestset(full_alternating()),
+        install(full_alternating()),
         predictions("g4", draw(204, size + 1) as usize),
         Action::Snapshot,
     ];
@@ -550,8 +555,8 @@ fn apply_inner(registry: &Registry, name: &str, action: &Action) -> Result<Strin
             .submit_predictions(sub)
             .map(|_| format!("commit:{}", sub.commit_id)),
         Action::FreshTestset => slot.fresh_testset(None).map(|era| format!("era:{era}")),
-        Action::InstallTestset(spec) => slot
-            .fresh_testset(Some(spec.clone()))
+        Action::InstallTestset(testset) => slot
+            .fresh_testset(Some(testset.clone()))
             .map(|era| format!("era:{era}")),
         Action::Snapshot => slot.snapshot().map(|()| "snapshot".to_owned()),
     }

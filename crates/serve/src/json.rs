@@ -524,21 +524,33 @@ const PACK_DECODE: [u8; 256] = {
 /// byte-determinism contract extends through it).
 #[must_use]
 pub fn encode_u32_vec(items: &[u32]) -> String {
+    let mut out = Vec::with_capacity(items.len() + 1);
+    encode_u32_vec_into(items, |bytes| out.extend_from_slice(bytes));
+    String::from_utf8(out).expect("the wire form is ASCII")
+}
+
+/// Hand the bytes of [`encode_u32_vec`]`(items)` to `sink` in order, a
+/// run at a time, without building the string (the testset digest folds
+/// them this way).
+pub(crate) fn encode_u32_vec_into(items: &[u32], mut sink: impl FnMut(&[u8])) {
     if items.iter().all(|&v| v < 64) {
-        let mut packed = Vec::with_capacity(items.len() + 1);
-        packed.push(b'#');
-        packed.extend(items.iter().map(|&v| PACK_ALPHABET[(v & 63) as usize]));
-        String::from_utf8(packed).expect("the packed alphabet is ASCII")
-    } else {
-        let mut out = String::new();
-        for (i, v) in items.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        sink(b"#");
+        let mut run = [0u8; 64];
+        for chunk in items.chunks(run.len()) {
+            for (byte, &v) in run.iter_mut().zip(chunk) {
+                *byte = PACK_ALPHABET[(v & 63) as usize];
             }
-            use std::fmt::Write as _;
-            let _ = write!(out, "{v}");
+            sink(&run[..chunk.len()]);
         }
-        out
+        return;
+    }
+    for (i, &v) in items.iter().enumerate() {
+        // A comma then the digits; the first item leaves the comma out.
+        let mut item = [b','; 11];
+        let mut digits = &mut item[1..];
+        let _ = std::io::Write::write_fmt(&mut digits, format_args!("{v}"));
+        let end = 11 - digits.len();
+        sink(&item[usize::from(i == 0)..end]);
     }
 }
 

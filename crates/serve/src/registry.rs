@@ -45,13 +45,13 @@
 //! foundation of the journal's determinism contract (see [`crate::store`]).
 
 use crate::error::ServeError;
-use crate::json::{decode_packed_into, decode_u32_vec, encode_u32_vec};
+use crate::json::{decode_packed_into, decode_u32_vec, encode_u32_vec, encode_u32_vec_into};
 use crate::obs::trace::{self, Stage};
 use easeml_ci_core::dsl::Formula;
 use easeml_ci_core::{
-    evaluate_formula, first_at_or_above, validate_metric_formula, CiScript, CommitEstimates,
-    CommitHistory, CommitReceipt, EstimatorConfig, Gate, GateSavepoint, LabelOracle,
-    MeasuredCounts, Measurement, PerClassCounts, SampleSizeEstimate, SampleSizeEstimator, Testset,
+    evaluate_formula, validate_metric_formula, CiScript, CommitEstimates, CommitHistory,
+    CommitReceipt, EstimatorConfig, Gate, GateSavepoint, LabelOracle, MeasuredCounts, Measurement,
+    PerClassCounts, Predictions, SampleSizeEstimate, SampleSizeEstimator, Testset,
     VariableEstimates, VecOracle,
 };
 use std::borrow::Cow;
@@ -102,51 +102,23 @@ pub struct TestsetSpec {
 }
 
 impl TestsetSpec {
-    /// Validate internal consistency.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::BadRequest`] for empty pools, zero classes or more
-    /// than [`MAX_CLASSES`], or labels outside the class range.
-    pub fn validate(&self) -> Result<(), ServeError> {
-        if self.truth.is_empty() {
-            return Err(ServeError::BadRequest("testset must be non-empty".into()));
-        }
-        if self.classes == 0 {
-            return Err(ServeError::BadRequest("classes must be positive".into()));
-        }
-        if self.classes > MAX_CLASSES {
-            return Err(ServeError::BadRequest(format!(
-                "classes {} exceeds the limit of {MAX_CLASSES}",
-                self.classes
-            )));
-        }
-        if let Some(bad) = self.truth.iter().find(|&&l| l >= self.classes) {
-            return Err(ServeError::BadRequest(format!(
-                "testset label {bad} out of class range 0..{}",
-                self.classes
-            )));
-        }
-        Ok(())
-    }
-
     /// Content digest (labels + classes + labeling mode), used for blob
-    /// integrity checks and registration idempotency.
+    /// integrity checks and registration idempotency: FNV-1a 64 over the
+    /// labels' wire form ([`encode_u32_vec`]), folded as it is encoded.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        fnv1a64(&[
-            encode_u32_vec(&self.truth).as_bytes(),
-            b"|",
-            &self.classes.to_le_bytes(),
-            &[u8::from(self.lazy)],
-        ])
+        let mut hash = FNV_OFFSET;
+        encode_u32_vec_into(&self.truth, |bytes| hash = fnv1a_fold(hash, bytes));
+        let hash = fnv1a_fold(fnv1a_step(hash, b'|'), &self.classes.to_le_bytes());
+        fnv1a_step(hash, u8::from(self.lazy))
     }
 }
 
 /// The serving side of a measured testset era: the ground truth behind
 /// a [`VecOracle`], the lazily-filling label pool, and the class count
-/// predictions are validated against.
-#[derive(Debug, Clone)]
+/// predictions are checked against. Only [`MeasuredTestset::from_spec`]
+/// builds one, so holding one proves its testset was checked.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MeasuredTestset {
     oracle: VecOracle,
     pool: Testset,
@@ -157,13 +129,34 @@ pub struct MeasuredTestset {
 }
 
 impl MeasuredTestset {
-    /// Build the serving state for an uploaded testset.
+    /// Build the serving state for an uploaded testset: the one place a
+    /// testset is checked. The register and fresh-testset routes and the
+    /// era-blob reader at boot build it; every step takes it built.
     ///
     /// # Errors
     ///
-    /// Validation failures from [`TestsetSpec::validate`].
+    /// [`ServeError::BadRequest`] for empty pools, zero classes or more
+    /// than [`MAX_CLASSES`], or labels outside the class range, in that
+    /// order.
     pub fn from_spec(spec: TestsetSpec) -> Result<MeasuredTestset, ServeError> {
-        spec.validate()?;
+        #[cfg(test)]
+        tests::TESTSET_CHECKS.with(|count| count.set(count.get() + 1));
+        let classes = spec.classes;
+        let fault = if spec.truth.is_empty() {
+            Some("testset must be non-empty".to_owned())
+        } else if classes == 0 {
+            Some("classes must be positive".to_owned())
+        } else if classes > MAX_CLASSES {
+            Some(format!(
+                "classes {classes} exceeds the limit of {MAX_CLASSES}"
+            ))
+        } else {
+            let bad = spec.truth.iter().find(|&&l| l >= classes);
+            bad.map(|bad| format!("testset label {bad} out of class range 0..{classes}"))
+        };
+        if let Some(reason) = fault {
+            return Err(ServeError::BadRequest(reason));
+        }
         let digest = spec.digest();
         let pool = if spec.lazy {
             Testset::unlabeled(spec.truth.len())
@@ -179,15 +172,11 @@ impl MeasuredTestset {
         })
     }
 
-    /// The spec this state was built from (labels, classes, mode) — what
-    /// the durable testset blob records.
+    /// The ground truth, one label per item — what the durable testset
+    /// blob records.
     #[must_use]
-    pub fn spec(&self) -> TestsetSpec {
-        TestsetSpec {
-            truth: self.oracle.truth().to_vec(),
-            classes: self.classes,
-            lazy: self.lazy,
-        }
+    pub fn truth(&self) -> &[u32] {
+        self.oracle.truth()
     }
 
     /// Content digest of the era's testset (see [`TestsetSpec::digest`]).
@@ -276,38 +265,20 @@ impl MeasuredTestset {
         Ok(())
     }
 
-    /// Validate one prediction vector against this testset.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::BadRequest`] for length or class-range violations.
-    pub fn validate_predictions(&self, what: &str, preds: &[u32]) -> Result<(), ServeError> {
-        if preds.len() != self.pool.len() {
-            return Err(ServeError::BadRequest(format!(
-                "{what} prediction vector has {} items but the testset has {}",
-                preds.len(),
-                self.pool.len()
-            )));
-        }
-        if let Some(bad) = first_at_or_above(preds, self.classes) {
-            return Err(ServeError::BadRequest(format!(
-                "{what} prediction {} out of class range 0..{}",
-                preds[bad], self.classes
-            )));
-        }
-        Ok(())
-    }
-
-    /// Measure one commit: validate both vectors, then one pass of the
-    /// core measurement layer ([`Measurement::measure`]) derives the
+    /// Measure one commit: check both vectors once
+    /// ([`Predictions::check`]: lengths and class range, before any
+    /// label is spent), then one pass of the core measurement layer
+    /// ([`Measurement::measure`]) over the checked pair derives the
     /// evaluation counts the gate consumes (and, for metric conditions,
     /// the per-class counts), spending only the labels the condition's
     /// [`easeml_ci_core::LabelDemand`] requires.
     ///
     /// # Errors
     ///
-    /// Validation failures and label-acquisition failures (the latter
-    /// indicate a corrupted truth vector and map to 500).
+    /// [`ServeError::BadRequest`] for the first vector fault, old before
+    /// new and a vector's length before its values, and for
+    /// label-acquisition failures (those indicate a corrupted truth
+    /// vector).
     pub fn measure(
         &mut self,
         condition: &Formula,
@@ -328,15 +299,16 @@ impl MeasuredTestset {
         new: &[u32],
         fresh: &mut Vec<usize>,
     ) -> Result<(MeasuredCounts, Option<PerClassCounts>), ServeError> {
-        self.validate_predictions("old", old)?;
-        self.validate_predictions("new", new)?;
+        #[cfg(test)]
+        tests::PREDICTION_CHECKS.with(|count| count.set(count.get() + 2));
+        let predictions = Predictions::check(old, new, self.pool.len(), self.classes)
+            .map_err(ServeError::BadRequest)?;
         let oracle: Option<&mut (dyn LabelOracle + 'static)> = if self.lazy {
             Some(&mut self.oracle)
         } else {
             None
         };
-        let mut measurement = Measurement::new(&mut self.pool, oracle, old, new)
-            .map_err(|e| ServeError::BadRequest(e.to_string()))?;
+        let mut measurement = Measurement::checked(&mut self.pool, oracle, predictions);
         let measured = measurement.measure(condition, self.classes);
         fresh.extend_from_slice(measurement.fresh_labels());
         measured.map_err(|e| ServeError::BadRequest(format!("measurement failed: {e}")))
@@ -740,7 +712,7 @@ impl Project {
         script_text: &str,
         estimator: &SampleSizeEstimator,
     ) -> Result<Project, ServeError> {
-        Self::register_with_testset(name, script_text, estimator, None)
+        Self::register_measured(name, script_text, estimator, None)
     }
 
     /// [`Project::register`] with an optional server-side testset: the
@@ -750,30 +722,39 @@ impl Project {
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadRequest`] for invalid names/scripts/testsets.
+    /// [`ServeError::BadRequest`] for invalid testsets
+    /// ([`MeasuredTestset::from_spec`]), names or scripts, in that order.
     pub fn register_with_testset(
         name: &str,
         script_text: &str,
         estimator: &SampleSizeEstimator,
         testset: Option<TestsetSpec>,
     ) -> Result<Project, ServeError> {
+        let testset = testset.map(MeasuredTestset::from_spec).transpose()?;
+        Self::register_measured(name, script_text, estimator, testset)
+    }
+
+    /// [`Project::register_with_testset`] with a checked testset (the
+    /// register route and boot): the name, the script, its estimate and
+    /// the metric condition against the testset's class count.
+    pub(crate) fn register_measured(
+        name: &str,
+        script_text: &str,
+        estimator: &SampleSizeEstimator,
+        measured: Option<MeasuredTestset>,
+    ) -> Result<Project, ServeError> {
         validate_project_name(name)?;
         let script = CiScript::parse(script_text)
             .map_err(|e| ServeError::BadRequest(format!("invalid CI script: {e}")))?;
         let estimate = trace::time(Stage::Estimate, || estimator.estimate(&script))
             .map_err(|e| ServeError::BadRequest(format!("cannot estimate sample size: {e}")))?;
-        let measured = match testset {
-            Some(spec) => {
-                // A metric condition that the uploaded testset can never
-                // satisfy (f1 over one class, topk(k) past the class
-                // count) must fail at registration, not on the first
-                // submission.
-                validate_metric_formula(script.condition(), spec.classes)
-                    .map_err(|e| ServeError::BadRequest(e.to_string()))?;
-                Some(MeasuredTestset::from_spec(spec)?)
-            }
-            None => None,
-        };
+        // A metric condition that the uploaded testset can never satisfy
+        // (f1 over one class, topk(k) past the class count) must fail at
+        // registration, not on the first submission.
+        if let Some(measured) = &measured {
+            validate_metric_formula(script.condition(), measured.classes())
+                .map_err(|e| ServeError::BadRequest(e.to_string()))?;
+        }
         Ok(Project {
             name: name.to_owned(),
             script_text: script_text.to_owned(),
@@ -828,9 +809,9 @@ impl Project {
     ///   one without ([`ServeError::Conflict`]);
     /// * impossible client counts ([`EvalCounts::validate`], 400);
     /// * a retired or exhausted era ([`Gate::step`], [`ServeError::Gone`]);
-    /// * vectors the testset cannot measure
-    ///   ([`MeasuredTestset::validate_predictions`], 400), before any
-    ///   label is spent;
+    /// * vectors the testset cannot measure ([`Predictions::check`] in
+    ///   [`MeasuredTestset::measure`], 400: old before new, a vector's
+    ///   length before its values), before any label is spent;
     /// * counts the condition cannot be decided on
     ///   ([`EvalCounts::estimates_for`], 400).
     ///
@@ -1032,8 +1013,10 @@ impl Project {
     ///
     /// # Errors
     ///
-    /// As `Project::fresh_era`.
+    /// An invalid testset ([`MeasuredTestset::from_spec`], 400), then as
+    /// `Project::fresh_era`.
     pub fn fresh_testset(&mut self, testset: Option<TestsetSpec>) -> Result<u32, ServeError> {
+        let testset = testset.map(MeasuredTestset::from_spec).transpose()?;
         self.fresh_era(testset, &mut self.savepoint())
     }
 
@@ -1042,10 +1025,11 @@ impl Project {
     /// run: start a new era with a full step budget, handing a
     /// predictions project's pool over to `testset`. A counts project
     /// needs no pool hand-over: the client attests it collected
-    /// `required_samples()` fresh labelled examples. It refuses, in
-    /// order:
+    /// `required_samples()` fresh labelled examples. The testset comes
+    /// checked ([`MeasuredTestset::from_spec`] ran in the route's or the
+    /// boot reader's decoder, which refuses an invalid one first). It
+    /// refuses, in order:
     ///
-    /// * an invalid testset ([`TestsetSpec::validate`], 400);
     /// * an op that does not match the project's mode: a testset for a
     ///   counts project, or none for a predictions project
     ///   ([`ServeError::Conflict`]);
@@ -1055,10 +1039,9 @@ impl Project {
     /// The testset it replaces goes into `savepoint`.
     pub(crate) fn fresh_era(
         &mut self,
-        testset: Option<TestsetSpec>,
+        testset: Option<MeasuredTestset>,
         savepoint: &mut Savepoint,
     ) -> Result<u32, ServeError> {
-        let testset = testset.map(MeasuredTestset::from_spec).transpose()?;
         match (&testset, &self.measured) {
             (Some(_), None) => {
                 return Err(ServeError::Conflict(
@@ -1235,18 +1218,33 @@ pub(crate) mod tests {
     use super::*;
     use easeml_ci_core::{AlarmReason, LabelOracle, Tribool};
     use std::cell::Cell;
+    use std::thread::LocalKey;
 
     thread_local! {
         /// [`EvalCounts::validate`] calls on this thread.
         pub(crate) static VALIDATIONS: Cell<u64> = const { Cell::new(0) };
+        /// Testsets checked ([`MeasuredTestset::from_spec`]) on this
+        /// thread.
+        pub(crate) static TESTSET_CHECKS: Cell<u64> = const { Cell::new(0) };
+        /// Prediction vectors checked ([`Predictions::check`]) on this
+        /// thread, two per commit.
+        pub(crate) static PREDICTION_CHECKS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Runs `f` and returns its result with the number `counter` rose by.
+    pub(crate) fn counting<T>(
+        counter: &'static LocalKey<Cell<u64>>,
+        f: impl FnOnce() -> T,
+    ) -> (T, u64) {
+        let before = counter.with(Cell::get);
+        let out = f();
+        (out, counter.with(Cell::get) - before)
     }
 
     /// Runs `f` and returns its result with the counts validations it
     /// made.
     pub(crate) fn counting_validations<T>(f: impl FnOnce() -> T) -> (T, u64) {
-        let before = VALIDATIONS.with(Cell::get);
-        let out = f();
-        (out, VALIDATIONS.with(Cell::get) - before)
+        counting(&VALIDATIONS, f)
     }
 
     const SCRIPT: &str = "ml:\n\
@@ -1591,33 +1589,31 @@ pub(crate) mod tests {
 
     #[test]
     fn testset_spec_validation() {
-        assert!(TestsetSpec {
-            truth: vec![],
-            classes: 2,
-            lazy: false
-        }
-        .validate()
-        .is_err());
-        assert!(TestsetSpec {
-            truth: vec![0],
-            classes: 0,
-            lazy: false
-        }
-        .validate()
-        .is_err());
-        assert!(TestsetSpec {
-            truth: vec![0, 3],
-            classes: 3,
-            lazy: false
-        }
-        .validate()
-        .is_err());
+        let check = |truth: Vec<u32>, classes| {
+            MeasuredTestset::from_spec(TestsetSpec {
+                truth,
+                classes,
+                lazy: false,
+            })
+            .map(|_| ())
+            .map_err(|e| e.to_string())
+        };
+        assert_eq!(check(vec![], 2).unwrap_err(), "testset must be non-empty");
+        assert_eq!(check(vec![0], 0).unwrap_err(), "classes must be positive");
+        assert_eq!(
+            check(vec![0], MAX_CLASSES + 1).unwrap_err(),
+            "classes 65537 exceeds the limit of 65536"
+        );
+        assert_eq!(
+            check(vec![0, 3], 3).unwrap_err(),
+            "testset label 3 out of class range 0..3"
+        );
         let ok = TestsetSpec {
             truth: vec![0, 2],
             classes: 3,
             lazy: true,
         };
-        assert!(ok.validate().is_ok());
+        assert!(MeasuredTestset::from_spec(ok.clone()).is_ok());
         // The digest separates labels, classes, and labeling mode.
         let mut full = ok.clone();
         full.lazy = false;
@@ -1626,6 +1622,17 @@ pub(crate) mod tests {
         assert_ne!(ok.digest(), full.digest());
         assert_ne!(ok.digest(), wide.digest());
         assert_eq!(ok.digest(), ok.clone().digest());
+        // It folds the labels' wire form, packed or decimal, as encoded.
+        for truth in [vec![0, 2, 63], vec![0, 64, 7, 100_000, u32::MAX]] {
+            let spec = TestsetSpec {
+                truth,
+                classes: 9,
+                lazy: true,
+            };
+            let wire = encode_u32_vec(&spec.truth);
+            let want = fnv1a64(&[wire.as_bytes(), b"|", &9u32.to_le_bytes(), &[1]]);
+            assert_eq!(spec.digest(), want);
+        }
     }
 
     /// Known answers: both digests are on disk (journal, snapshot,

@@ -836,11 +836,12 @@ fn decode_body<'a, T>(
     decode_document(text, decode).map_err(|e| ServeError::BadRequest(e.to_string()))
 }
 
-/// An uploaded testset spec: `{"labels": <array|packed string>,
-/// "labeling": "full"|"lazy", "classes": <u32>}`. `labeling` defaults to
-/// `full` (so does a `labeling` that is no string); `classes` defaults
-/// to `max(label) + 1`.
-fn testset_spec(fields: TestsetFields<'_>) -> Result<TestsetSpec, ServeError> {
+/// An uploaded testset, `{"labels": <array|packed string>, "labeling":
+/// "full"|"lazy", "classes": <u32>}`, checked
+/// ([`MeasuredTestset::from_spec`]). `labeling` defaults to `full` (so
+/// does a `labeling` that is no string); `classes` defaults to
+/// `max(label) + 1`.
+fn testset_spec(fields: TestsetFields<'_>) -> Result<MeasuredTestset, ServeError> {
     let truth = fields
         .labels
         .ok_or_else(|| ServeError::BadRequest("testset is missing field `labels`".into()))?
@@ -860,13 +861,11 @@ fn testset_spec(fields: TestsetFields<'_>) -> Result<TestsetSpec, ServeError> {
         Some(classes) => classes
             .ok_or_else(|| ServeError::BadRequest("testset `classes` must be a u32".into()))?,
     };
-    let spec = TestsetSpec {
+    MeasuredTestset::from_spec(TestsetSpec {
         truth,
         classes,
         lazy,
-    };
-    spec.validate()?;
-    Ok(spec)
+    })
 }
 
 /// The testset section of registration/status responses.
@@ -883,8 +882,9 @@ fn testset_json(measured: &MeasuredTestset, meets_estimate: bool) -> Value {
     ])
 }
 
-/// A register body as its route reads it: name, script and testset spec.
-type RegisterBody<'a> = (Cow<'a, str>, Cow<'a, str>, Option<TestsetSpec>);
+/// A register body as its route reads it: name, script and checked
+/// testset.
+type RegisterBody<'a> = (Cow<'a, str>, Cow<'a, str>, Option<MeasuredTestset>);
 
 /// A register body, `{"name", "script"[, "testset"]}`, refused in order:
 /// UTF-8, syntax anywhere, `name`, `script`, then the testset spec.
@@ -902,7 +902,7 @@ fn register_body(body: &[u8]) -> Result<RegisterBody<'_>, ServeError> {
 
 fn register_project(registry: &Registry, request: &Request) -> Result<Response, ServeError> {
     let (name, script, testset) = register_body(&request.body)?;
-    let slot = registry.register(&name, &script, testset)?;
+    let slot = registry.register_measured(&name, &script, testset)?;
     let slot = slot.lock().expect("project poisoned");
     let project = &slot.project;
     let mut fields = vec![
@@ -1196,7 +1196,7 @@ pub(crate) fn budget_body(project: &crate::registry::Project) -> Value {
 /// A fresh-testset body: empty, or `{"testset": <spec>}` (absent or
 /// `null` reads as no spec), refused in order: UTF-8, syntax anywhere,
 /// then the spec.
-fn fresh_testset_body(body: &[u8]) -> Result<Option<TestsetSpec>, ServeError> {
+fn fresh_testset_body(body: &[u8]) -> Result<Option<MeasuredTestset>, ServeError> {
     if body.is_empty() {
         return Ok(None);
     }
@@ -1722,7 +1722,7 @@ mod tests {
 
     /// Reference testset-spec reader: the tree walk [`testset_spec`]
     /// replaced.
-    fn parse_testset_spec_reference(value: &Value) -> Result<TestsetSpec, ServeError> {
+    fn parse_testset_spec_reference(value: &Value) -> Result<MeasuredTestset, ServeError> {
         let truth = value
             .get("labels")
             .ok_or_else(|| ServeError::BadRequest("testset is missing field `labels`".into()))
@@ -1745,13 +1745,11 @@ mod tests {
                 .and_then(|c| u32::try_from(c).ok())
                 .ok_or_else(|| ServeError::BadRequest("testset `classes` must be a u32".into()))?,
         };
-        let spec = TestsetSpec {
+        MeasuredTestset::from_spec(TestsetSpec {
             truth,
             classes,
             lazy,
-        };
-        spec.validate()?;
-        Ok(spec)
+        })
     }
 
     /// A register or fresh-testset body as the tree reader took it.
@@ -1762,7 +1760,7 @@ mod tests {
     }
 
     /// The `testset` member of a tree body: absent or `null` is none.
-    fn tree_testset(body: &Value) -> Result<Option<TestsetSpec>, ServeError> {
+    fn tree_testset(body: &Value) -> Result<Option<MeasuredTestset>, ServeError> {
         match body.get("testset") {
             None | Some(Value::Null) => Ok(None),
             Some(value) => parse_testset_spec_reference(value).map(Some),
@@ -1770,7 +1768,7 @@ mod tests {
     }
 
     /// What a register body decodes to.
-    type Registration = (String, String, Option<TestsetSpec>);
+    type Registration = (String, String, Option<MeasuredTestset>);
 
     /// Reference register-body reader: the tree walk [`register_body`]
     /// replaced.
@@ -1788,7 +1786,7 @@ mod tests {
 
     /// Reference fresh-testset-body reader: the tree walk
     /// [`fresh_testset_body`] replaced.
-    fn fresh_testset_body_reference(body: &[u8]) -> Result<Option<TestsetSpec>, ServeError> {
+    fn fresh_testset_body_reference(body: &[u8]) -> Result<Option<MeasuredTestset>, ServeError> {
         if body.is_empty() {
             return Ok(None);
         }
@@ -2164,6 +2162,163 @@ mod tests {
         ) {
             check_live_and_boot(seed, f1 == 1)?;
         }
+    }
+
+    /// POST `body` to `path`.
+    fn post(ctx: &Ctx, path: &str, body: &str) -> Response {
+        let request = Request {
+            method: "POST".into(),
+            path: path.into(),
+            body: body.as_bytes().to_vec(),
+            close: false,
+        };
+        let response = route(ctx, &request);
+        drop(group::take_pending());
+        response
+    }
+
+    /// A four-class `testset` member over `labels`.
+    fn testset_member(labels: &[u32], lazy: bool) -> String {
+        let labeling = if lazy { "lazy" } else { "full" };
+        let labels = encode_u32_vec(labels);
+        format!("{{\"labels\": \"{labels}\", \"labeling\": \"{labeling}\", \"classes\": 4}}")
+    }
+
+    /// Register project `name` with `script` and a testset through the
+    /// register route.
+    fn register_with(ctx: &Ctx, name: &str, script: &str, testset: &str) -> Response {
+        let script = Value::from(script).encode();
+        let body =
+            format!("{{\"name\": \"{name}\", \"script\": {script}, \"testset\": {testset}}}");
+        post(ctx, "/projects", &body)
+    }
+
+    /// A predictions commit body.
+    fn predictions_body(id: &str, old: &[u32], new: &[u32]) -> String {
+        let (old, new) = (encode_u32_vec(old), encode_u32_vec(new));
+        format!("{{\"commit_id\": \"{id}\", \"old\": \"{old}\", \"new\": \"{new}\"}}")
+    }
+
+    /// Labels `0, 1, 2, 3, 0, ...` over 64 items.
+    fn four_classes() -> Vec<u32> {
+        (0..64).map(|i| i % 4).collect()
+    }
+
+    /// A testset's truth is checked once per registration and once per
+    /// install, each through its route, and once per era blob a boot
+    /// reads.
+    #[test]
+    fn a_testset_is_checked_once_per_op_and_boot_era() {
+        use crate::registry::tests::{counting, TESTSET_CHECKS};
+        let disk = MemVfs::new();
+        let ctx = ctx_on(&disk);
+        let truth = four_classes();
+        let registered = || register_with(&ctx, "p", FRESH_SCRIPT, &testset_member(&truth, true));
+        let (response, checks) = counting(&TESTSET_CHECKS, registered);
+        assert_eq!((response.status, checks), (201, 1));
+        let install = format!("{{\"testset\": {}}}", testset_member(&truth[..32], false));
+        for era in 1..3 {
+            let installed = || post(&ctx, "/projects/p/testset", &install);
+            let (response, checks) = counting(&TESTSET_CHECKS, installed);
+            assert_eq!((response.status, checks), (200, 1), "era {era}");
+        }
+        // The era-0 blob, then one blob per replayed install.
+        let (_, checks) = counting(&TESTSET_CHECKS, || ctx_on(&disk));
+        assert_eq!(checks, 3);
+        // Past a snapshot at era 2: the era-0 blob and the snapshot's.
+        assert_eq!(post(&ctx, "/admin/persist", "").status, 200);
+        let (_, checks) = counting(&TESTSET_CHECKS, || ctx_on(&disk));
+        assert_eq!(checks, 2);
+    }
+
+    /// Each prediction vector is length- and range-checked once per
+    /// predictions commit, before the metric measurement (which does not
+    /// scan it again). A redelivery is answered from the recorded entry
+    /// and checks nothing; boot replay checks each journalled commit's
+    /// vectors once.
+    #[test]
+    fn each_prediction_vector_is_checked_once_per_commit() {
+        use crate::registry::tests::{counting, PREDICTION_CHECKS};
+        let disk = MemVfs::new();
+        let ctx = ctx_on(&disk);
+        let script = FRESH_SCRIPT.replace("n - o > 0.0", "f1(n) - f1(o) > -0.5");
+        let truth = four_classes();
+        let response = register_with(&ctx, "p", &script, &testset_member(&truth, false));
+        assert_eq!(response.status, 201);
+        let new: Vec<u32> = truth.iter().map(|&l| (l + u32::from(l == 3)) % 4).collect();
+        let body = predictions_body("c1", &truth, &new);
+        let committed = || post(&ctx, "/projects/p/commits/predictions", &body);
+        let (live, checks) = counting(&PREDICTION_CHECKS, committed);
+        assert_eq!((live.status, checks), (200, 2), "old and new, once each");
+        let (again, checks) = counting(&PREDICTION_CHECKS, committed);
+        assert_eq!((again.status, checks), (200, 0));
+        assert_eq!(again.body, live.body);
+        let (_, checks) = counting(&PREDICTION_CHECKS, || ctx_on(&disk));
+        assert_eq!(checks, 2);
+    }
+
+    /// Requests that break two rules get the refusal of the rule their
+    /// step checks first, and a refused vector spends no label.
+    #[test]
+    fn two_rule_requests_keep_their_refusal_order() {
+        let ctx = ctx_on(&MemVfs::new());
+        let refusal = |response: Response| {
+            let body = String::from_utf8(response.body).unwrap();
+            (
+                response.status,
+                Value::parse(&body).unwrap().get("error").cloned(),
+            )
+        };
+        let error = |status, reason: &str| (status, Some(Value::from(reason)));
+        let truth = four_classes();
+        // A bad testset and a bad script: the testset's 400.
+        let response = register_with(&ctx, "x", "not a ci script", &testset_member(&[0, 5], true));
+        let want = error(400, "testset label 5 out of class range 0..4");
+        assert_eq!(refusal(response), want);
+        // A bad testset sent to a counts project: 400 before 409.
+        ctx.registry.register("c", FRESH_SCRIPT, None).unwrap();
+        let response = post(
+            &ctx,
+            "/projects/c/testset",
+            "{\"testset\": {\"labels\": []}}",
+        );
+        assert_eq!(refusal(response), error(400, "testset must be non-empty"));
+        // A retired era and an out-of-range vector: the era's refusal
+        // (`ServeError::Gone`, answered 409) before the vector's 400.
+        let once = FRESH_SCRIPT.replace("steps      : 8", "steps      : 1");
+        let member = testset_member(&truth, false);
+        assert_eq!(register_with(&ctx, "once", &once, &member).status, 201);
+        let body = predictions_body("c1", &truth, &truth);
+        assert_eq!(
+            post(&ctx, "/projects/once/commits/predictions", &body).status,
+            200
+        );
+        let mut out_of_range = truth.clone();
+        out_of_range[7] = 9;
+        let body = predictions_body("c2", &truth, &out_of_range);
+        let response = post(&ctx, "/projects/once/commits/predictions", &body);
+        let want = error(409, "testset era is retired; install a fresh testset");
+        assert_eq!(refusal(response), want);
+        // A vector both short and out of range: the length reason.
+        assert_eq!(
+            register_with(&ctx, "lazy", FRESH_SCRIPT, &testset_member(&truth, true)).status,
+            201
+        );
+        let body = predictions_body("c1", &truth, &out_of_range[1..]);
+        let response = post(&ctx, "/projects/lazy/commits/predictions", &body);
+        let want = error(
+            400,
+            "new prediction vector has 63 items but the testset has 64",
+        );
+        assert_eq!(refusal(response), want);
+        // A lazy pool that gets a bad vector spends no label.
+        let body = predictions_body("c1", &truth, &out_of_range);
+        let response = post(&ctx, "/projects/lazy/commits/predictions", &body);
+        let want = error(400, "new prediction 9 out of class range 0..4");
+        assert_eq!(refusal(response), want);
+        let slot = ctx.registry.get("lazy").unwrap();
+        let measured = slot.lock().unwrap().project.measured().cloned().unwrap();
+        assert_eq!((measured.oracle_spend(), measured.labeled_count()), (0, 0));
     }
 
     /// Projects in the budget states a receipt reports: fresh, one step

@@ -116,7 +116,7 @@
 pub mod group;
 
 use crate::error::ServeError;
-use crate::json::{decode_u32_vec, encode_u32_vec, JsonError, JsonWriter, Kind, Reader, Value};
+use crate::json::{decode_u32_vec, encode_u32_vec, JsonError, JsonWriter, Kind, Reader};
 use crate::obs::trace::{self, Stage};
 use crate::obs::OutcomeCounters;
 use crate::record::{
@@ -136,6 +136,7 @@ use group::SharedJournal;
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -213,33 +214,54 @@ fn digest_hex(digest: u64) -> String {
     format!("{digest:016x}")
 }
 
-/// Serialize a testset spec into its durable blob form.
-fn testset_blob_json(era: u32, spec: &TestsetSpec) -> Value {
-    Value::object([
-        ("version", Value::from(1u64)),
-        ("era", Value::from(era)),
-        (
-            "labeling",
-            Value::from(if spec.lazy { "lazy" } else { "full" }),
-        ),
-        ("classes", Value::from(spec.classes)),
-        ("labels", Value::from(encode_u32_vec(&spec.truth))),
-    ])
+/// The durable blob of era `era`'s testset, its labels packed once.
+fn testset_blob(era: u32, truth: &[u32], classes: u32, lazy: bool) -> String {
+    let labels = encode_u32_vec(truth);
+    let mut w = JsonWriter::pretty(128 + labels.len());
+    w.begin_object();
+    w.key("version").u64(1);
+    w.key("era").u64(era.into());
+    w.key("labeling").string(if lazy { "lazy" } else { "full" });
+    w.key("classes").u64(classes.into());
+    w.key("labels").string(&labels);
+    w.end_object();
+    w.finish()
 }
 
-/// Load and validate the testset blob of one era.
-fn read_testset_blob(vfs: &dyn Vfs, dir: &Path, era: u32) -> Result<TestsetSpec, ServeError> {
+/// Write era `era`'s testset blob into `dir` (atomic), from the truth
+/// `m` holds.
+fn write_testset_blob(vfs: &dyn Vfs, dir: &Path, era: u32, m: &MeasuredTestset) -> io::Result<()> {
+    let blob = testset_blob(era, m.truth(), m.classes(), m.lazy());
+    write_atomic(vfs, &dir.join(testset_blob_name(era)), blob.as_bytes())
+}
+
+/// Load the testset blob of one era, checked
+/// ([`MeasuredTestset::from_spec`]), and refuse it unless its digest is
+/// the one `anchor` recorded.
+fn read_testset_blob(
+    vfs: &dyn Vfs,
+    dir: &Path,
+    era: u32,
+    (recorded, anchor): (u64, &str),
+) -> Result<MeasuredTestset, ServeError> {
     let path = dir.join(testset_blob_name(era));
     let text = vfs
         .read_to_string(&path)
         .map_err(|e| corrupt(&path, format!("missing testset blob: {e}")))?;
-    testset_from_blob(&path, era, &text)
+    let measured = testset_from_blob(&path, era, &text)?;
+    if measured.digest() != recorded {
+        return Err(corrupt(
+            &path,
+            format!("testset blob does not match {anchor}"),
+        ));
+    }
+    Ok(measured)
 }
 
-/// The testset spec the text of era `era`'s blob holds, checked in a
-/// fixed order: syntax, `version`, `era`, `labeling`, `classes`,
-/// `labels`, then the spec itself.
-fn testset_from_blob(path: &Path, era: u32, text: &str) -> Result<TestsetSpec, ServeError> {
+/// The testset the text of era `era`'s blob holds, checked in a fixed
+/// order: syntax, `version`, `era`, `labeling`, `classes`, `labels`,
+/// then the testset itself ([`MeasuredTestset::from_spec`]).
+fn testset_from_blob(path: &Path, era: u32, text: &str) -> Result<MeasuredTestset, ServeError> {
     let blob = decode_document(text, decode_testset).map_err(|e| corrupt(path, e.to_string()))?;
     if blob.version != Some(1) {
         return Err(corrupt(path, "unsupported testset blob version"));
@@ -260,39 +282,33 @@ fn testset_from_blob(path: &Path, era: u32, text: &str) -> Result<TestsetSpec, S
         Some(WireVector::Text(text)) => decode_u32_vec(&text).map_err(|e| corrupt(path, e))?,
         _ => return Err(corrupt(path, "missing `labels`")),
     };
-    let spec = TestsetSpec {
+    MeasuredTestset::from_spec(TestsetSpec {
         truth,
         classes,
         lazy,
-    };
-    spec.validate()
-        .map_err(|e| corrupt(path, format!("invalid testset: {e}")))?;
-    Ok(spec)
+    })
+    .map_err(|e| corrupt(path, format!("invalid testset: {e}")))
 }
 
 /// The registration record `project.json` of `project`. A server-side
 /// testset is named by its labeling, class count and the digest that
 /// anchors the era-0 blob.
 fn registration_record(project: &Project) -> String {
-    let mut fields = vec![
-        ("version", Value::from(1u64)),
-        ("name", Value::from(project.name())),
-        ("script", Value::from(project.script_text())),
-    ];
+    let mut w = JsonWriter::pretty(256 + project.script_text().len());
+    w.begin_object();
+    w.key("version").u64(1);
+    w.key("name").string(project.name());
+    w.key("script").string(project.script_text());
     if let Some(measured) = project.measured() {
-        fields.push((
-            "testset",
-            Value::object([
-                (
-                    "labeling",
-                    Value::from(if measured.lazy() { "lazy" } else { "full" }),
-                ),
-                ("classes", Value::from(measured.classes())),
-                ("digest", Value::from(digest_hex(measured.digest()))),
-            ]),
-        ));
+        w.key("testset").begin_object();
+        w.key("labeling")
+            .string(if measured.lazy() { "lazy" } else { "full" });
+        w.key("classes").u64(measured.classes().into());
+        w.key("digest").string(&digest_hex(measured.digest()));
+        w.end_object();
     }
-    Value::object(fields).pretty()
+    w.end_object();
+    w.finish()
 }
 
 /// A registration record as boot reads it: name, script and, when the
@@ -427,11 +443,7 @@ impl ProjectStore {
         // the registration record, whose digest field then anchors the
         // blob's integrity (a tampered blob fails the next boot).
         if let Some(measured) = project.measured() {
-            write_atomic(
-                vfs.as_ref(),
-                &dir.join(testset_blob_name(0)),
-                testset_blob_json(0, &measured.spec()).pretty().as_bytes(),
-            )?;
+            write_testset_blob(vfs.as_ref(), dir, 0, measured)?;
         }
         // The testset blob above was fsynced inline, and the directory
         // sync below covers its rename along with the record's, so the
@@ -506,20 +518,11 @@ impl ProjectStore {
         let (name, script, recorded) = read_registration(&record_path, &text)?;
         // A testset record means the era-0 blob must exist and match the
         // digest the (fsynced) registration record anchored.
-        let testset = match recorded {
-            None => None,
-            Some(recorded) => {
-                let spec = read_testset_blob(vfs.as_ref(), dir, 0)?;
-                if spec.digest() != recorded {
-                    return Err(corrupt(
-                        &dir.join(testset_blob_name(0)),
-                        "testset blob does not match the registration record's digest",
-                    ));
-                }
-                Some(spec)
-            }
-        };
-        let mut project = Project::register_with_testset(&name, &script, estimator, testset)
+        let anchor = "the registration record's digest";
+        let testset = recorded
+            .map(|recorded| read_testset_blob(vfs.as_ref(), dir, 0, (recorded, anchor)))
+            .transpose()?;
+        let mut project = Project::register_measured(&name, &script, estimator, testset)
             .map_err(|e| corrupt(&record_path, format!("registration replay failed: {e}")))?;
 
         let snapshot_path = dir.join("snapshot.json");
@@ -656,23 +659,6 @@ impl ProjectStore {
                 fail_next_append: false,
             },
         ))
-    }
-
-    /// Persist the blob for a new era's server-side testset (atomic, its
-    /// directory entry synced; called *before* the journal op that
-    /// activates the era).
-    ///
-    /// # Errors
-    ///
-    /// I/O failures.
-    pub fn write_testset_blob(&self, era: u32, spec: &TestsetSpec) -> Result<(), ServeError> {
-        write_atomic(
-            self.vfs.as_ref(),
-            &self.dir.join(testset_blob_name(era)),
-            testset_blob_json(era, spec).pretty().as_bytes(),
-        )?;
-        self.vfs.sync_dir(&self.dir)?;
-        Ok(())
     }
 
     /// Start the live segment `journal.<ops so far>.log`, its directory
@@ -1044,13 +1030,11 @@ fn load_snapshot(
         // Era 0's pool is the one registration just built from the same
         // blob, still unlabelled: reuse it instead of reading it again.
         if era != 0 {
-            let measured = MeasuredTestset::from_spec(read_testset_blob(vfs, dir, era)?)
-                .map_err(|e| corrupt(path, format!("invalid testset: {e}")))?;
-            project.set_measured(Some(measured));
-        }
-        if project.testset_digest() != Some(recorded) {
+            let anchor = (recorded, "the snapshot's digest");
+            project.set_measured(Some(read_testset_blob(vfs, dir, era, anchor)?));
+        } else if project.testset_digest() != Some(recorded) {
             return Err(corrupt(
-                &dir.join(testset_blob_name(era)),
+                &dir.join(testset_blob_name(0)),
                 "testset blob does not match the snapshot's digest",
             ));
         }
@@ -1254,14 +1238,8 @@ fn replay_op<'a>(
                 Some(Some(recorded_digest)) => {
                     let era =
                         u32::try_from(recorded).map_err(|_| bad("era out of range".into()))?;
-                    let spec = read_testset_blob(vfs, dir, era)?;
-                    if spec.digest() != recorded_digest {
-                        return Err(corrupt(
-                            &dir.join(testset_blob_name(era)),
-                            "testset blob does not match the journalled digest",
-                        ));
-                    }
-                    Some(spec)
+                    let anchor = (recorded_digest, "the journalled digest");
+                    Some(read_testset_blob(vfs, dir, era, anchor)?)
                 }
                 Some(None) => return Err(bad("bad `testset_digest`".into())),
             };
@@ -1388,20 +1366,24 @@ impl ProjectSlot {
     }
 
     /// The durable step of a `fresh_testset` op: run the gate step
-    /// (`Project::fresh_era`), persist a new server-side testset as the
-    /// era's blob (atomic, before the journal op that activates it), and
-    /// journal the era bump with the blob's digest.
+    /// (`Project::fresh_era`) with an already checked testset, persist a
+    /// new server-side testset as the era's blob (atomic, before the
+    /// journal op that activates it), and journal the era bump with the
+    /// blob's digest.
     ///
     /// # Errors
     ///
     /// As `Project::fresh_era`, and I/O failures.
-    pub fn fresh_testset(&mut self, testset: Option<TestsetSpec>) -> Result<u32, ServeError> {
+    pub fn fresh_testset(&mut self, testset: Option<MeasuredTestset>) -> Result<u32, ServeError> {
         self.journalled(|project, savepoint, store| {
             let era = project.fresh_era(testset, savepoint)?;
-            // An orphaned blob from a crash past here is harmless: the
-            // journal never references it, and a retry overwrites it.
+            // The blob lands, its directory entry synced, before the
+            // journal op that activates the era. An orphaned blob from a
+            // crash past here is harmless: the journal never references
+            // it, and a retry overwrites it.
             if let Some(measured) = project.measured() {
-                store.write_testset_blob(era, &measured.spec())?;
+                write_testset_blob(store.vfs.as_ref(), &store.dir, era, measured)?;
+                store.vfs.sync_dir(&store.dir)?;
             }
             Ok((era, fresh_testset_line(era, project.testset_digest())))
         })
@@ -1668,6 +1650,7 @@ impl Registry {
     ///
     /// # Errors
     ///
+    /// An invalid testset ([`MeasuredTestset::from_spec`], 400),
     /// [`ServeError::Conflict`] on duplicate names with differing
     /// scripts (or a registration still in flight), validation and I/O
     /// failures otherwise.
@@ -1677,7 +1660,18 @@ impl Registry {
         script_text: &str,
         testset: Option<TestsetSpec>,
     ) -> Result<Arc<Mutex<ProjectSlot>>, ServeError> {
-        let project = Project::register_with_testset(name, script_text, &self.estimator, testset)?;
+        let testset = testset.map(MeasuredTestset::from_spec).transpose()?;
+        self.register_measured(name, script_text, testset)
+    }
+
+    /// [`Registry::register`] with a checked testset (the register route).
+    pub(crate) fn register_measured(
+        &self,
+        name: &str,
+        script_text: &str,
+        testset: Option<MeasuredTestset>,
+    ) -> Result<Arc<Mutex<ProjectSlot>>, ServeError> {
+        let project = Project::register_measured(name, script_text, &self.estimator, testset)?;
         let testset_digest = project.testset_digest();
         // Reserve the name. The `registering` set covers the window in
         // which the store is created on disk; the map is the long-term
@@ -1796,6 +1790,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
     use crate::record::hostile::{container_paths, edited, edits, members_at, value_at, Edit};
     use crate::record::{parse_digest_hex, per_class_counts};
     use crate::registry::serving_estimator;
@@ -2739,7 +2734,8 @@ mod tests {
                 Err(ServeError::Conflict(_))
             ));
             // …and installs a differently-sized pool with one.
-            assert_eq!(slot.fresh_testset(Some(lazy_spec(150))).unwrap(), 1);
+            let bigger = MeasuredTestset::from_spec(lazy_spec(150)).unwrap();
+            assert_eq!(slot.fresh_testset(Some(bigger)).unwrap(), 1);
             slot.submit_predictions(&pred_submission("c2", 150, 80, 140))
                 .unwrap();
         }
@@ -2758,7 +2754,7 @@ mod tests {
             counts_slot
                 .lock()
                 .unwrap()
-                .fresh_testset(Some(lazy_spec(10))),
+                .fresh_testset(MeasuredTestset::from_spec(lazy_spec(10)).ok()),
             Err(ServeError::Conflict(_))
         ));
     }
@@ -2953,14 +2949,8 @@ mod tests {
                 .and_then(Value::as_str)
                 .and_then(parse_digest_hex)
                 .ok_or_else(|| corrupt(path, "missing or bad `testset_digest`"))?;
-            let measured = MeasuredTestset::from_spec(read_testset_blob(vfs, dir, era)?)
-                .map_err(|e| corrupt(path, format!("invalid testset: {e}")))?;
-            if measured.digest() != recorded {
-                return Err(corrupt(
-                    &dir.join(testset_blob_name(era)),
-                    "testset blob does not match the snapshot's digest",
-                ));
-            }
+            let anchor = (recorded, "the snapshot's digest");
+            let measured = read_testset_blob(vfs, dir, era, anchor)?;
             let lazy = measured.lazy();
             project.set_measured(Some(measured));
             // Fully-labelled pools are complete from construction; only lazy
@@ -3326,12 +3316,12 @@ mod tests {
         let dir = Path::new("/hostile/projects/proj");
         let path = dir.join("snapshot.json");
         let (mut pulled, mut reference) = (base_project(kind), base_project(kind));
-        if let Some(measured) = pulled.measured() {
+        if let Some(m) = pulled.measured() {
             for era in 0..3 {
                 write_atomic(
                     &disk,
                     &dir.join(testset_blob_name(era)),
-                    testset_blob_json(era, &measured.spec()).pretty().as_bytes(),
+                    testset_blob(era, m.truth(), m.classes(), m.lazy()).as_bytes(),
                 )
                 .unwrap();
             }
@@ -3583,7 +3573,7 @@ mod tests {
         path: &Path,
         era: u32,
         text: &str,
-    ) -> Result<TestsetSpec, ServeError> {
+    ) -> Result<MeasuredTestset, ServeError> {
         let blob = Value::parse(text).map_err(|e| corrupt(path, e.to_string()))?;
         if blob.get("version").and_then(Value::as_u64) != Some(1) {
             return Err(corrupt(path, "unsupported testset blob version"));
@@ -3606,14 +3596,12 @@ mod tests {
             .and_then(Value::as_str)
             .ok_or_else(|| corrupt(path, "missing `labels`"))
             .and_then(|text| decode_u32_vec(text).map_err(|e| corrupt(path, e)))?;
-        let spec = TestsetSpec {
+        MeasuredTestset::from_spec(TestsetSpec {
             truth,
             classes,
             lazy,
-        };
-        spec.validate()
-            .map_err(|e| corrupt(path, format!("invalid testset: {e}")))?;
-        Ok(spec)
+        })
+        .map_err(|e| corrupt(path, format!("invalid testset: {e}")))
     }
 
     /// Reference journal-line replay: the tree walk [`replay_op`]
@@ -3710,14 +3698,8 @@ mod tests {
                             .ok_or_else(|| bad("bad `testset_digest`".into()))?;
                         let era =
                             u32::try_from(recorded).map_err(|_| bad("era out of range".into()))?;
-                        let spec = read_testset_blob(vfs, dir, era)?;
-                        if spec.digest() != recorded_digest {
-                            return Err(corrupt(
-                                &dir.join(testset_blob_name(era)),
-                                "testset blob does not match the journalled digest",
-                            ));
-                        }
-                        Some(spec)
+                        let anchor = (recorded_digest, "the journalled digest");
+                        Some(read_testset_blob(vfs, dir, era, anchor)?)
                     }
                 };
                 let new_era = project
@@ -3736,7 +3718,11 @@ mod tests {
 
     /// The base testset every era's blob of a `kind` project holds.
     fn base_spec(kind: u32) -> Option<TestsetSpec> {
-        base_project(kind).measured().map(MeasuredTestset::spec)
+        base_project(kind).measured().map(|m| TestsetSpec {
+            truth: m.truth().to_vec(),
+            classes: m.classes(),
+            lazy: m.lazy(),
+        })
     }
 
     /// A disk holding eras 0–3 of a `kind` project's testset blob.
@@ -3747,7 +3733,7 @@ mod tests {
                 write_atomic(
                     &disk,
                     &dir.join(testset_blob_name(era)),
-                    testset_blob_json(era, &spec).pretty().as_bytes(),
+                    testset_blob(era, &spec.truth, spec.classes, spec.lazy).as_bytes(),
                 )
                 .unwrap();
             }
@@ -3944,7 +3930,8 @@ mod tests {
             lazy,
         };
         let path = Path::new("/p/testset.1.json");
-        let text = edited(&testset_blob_json(era, &spec).pretty(), edits, compact);
+        let blob = testset_blob(era, &spec.truth, spec.classes, spec.lazy);
+        let text = edited(&blob, edits, compact);
         let pull = testset_from_blob(path, read_as, &text);
         let tree = testset_from_blob_reference(path, read_as, &text);
         prop_assert_eq!(
