@@ -354,9 +354,9 @@ pub struct Predictions<'a> {
 
 impl<'a> Predictions<'a> {
     /// Check `old` and `new` against a pool of `len` items and `classes`
-    /// classes in one pass: an OR over both vectors bounds every
-    /// prediction. Only when that does not settle it (a fault, or a class
-    /// count that is not a power of two) is each vector scanned again.
+    /// classes: each vector's length, then its values, each vector read
+    /// once by an OR and, when that does not settle it (a fault, or a
+    /// class count that is not a power of two), once more by its maximum.
     ///
     /// # Errors
     ///
@@ -370,9 +370,6 @@ impl<'a> Predictions<'a> {
     ) -> std::result::Result<Self, String> {
         #[cfg(test)]
         tests::PREDICTION_SCANS.with(|scans| scans.set(scans.get() + 2));
-        let bounded = old.len() == len
-            && new.len() == len
-            && old.iter().zip(new).fold(0, |any, (&o, &n)| any | o | n) < classes;
         let fault = |model: &str, values: &[u32]| {
             let got = values.len();
             if got != len {
@@ -386,12 +383,10 @@ impl<'a> Predictions<'a> {
                 values[item]
             ))
         };
-        if !bounded {
-            if let Some(fault) = fault("old", old).or_else(|| fault("new", new)) {
-                return Err(fault);
-            }
+        match fault("old", old).or_else(|| fault("new", new)) {
+            Some(fault) => Err(fault),
+            None => Ok(Predictions { old, new, classes }),
         }
-        Ok(Predictions { old, new, classes })
     }
 }
 
@@ -432,8 +427,19 @@ impl<'a> Measurement<'a> {
         new: &'a [u32],
     ) -> Result<Self> {
         let want = testset.len();
-        if let Some(got) = [old.len(), new.len()].into_iter().find(|&got| got != want) {
-            return Err(EngineError::PredictionLengthMismatch { got, want }.into());
+        if old.len() != want {
+            return Err(EngineError::PredictionLengthMismatch {
+                got: old.len(),
+                want,
+            }
+            .into());
+        }
+        if new.len() != want {
+            return Err(EngineError::PredictionLengthMismatch {
+                got: new.len(),
+                want,
+            }
+            .into());
         }
         Ok(Measurement {
             testset,

@@ -712,7 +712,7 @@ impl Project {
         script_text: &str,
         estimator: &SampleSizeEstimator,
     ) -> Result<Project, ServeError> {
-        Self::register_measured(name, script_text, estimator, None)
+        Self::register_with_testset(name, script_text, estimator, None)
     }
 
     /// [`Project::register`] with an optional server-side testset: the
@@ -722,22 +722,11 @@ impl Project {
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadRequest`] for invalid testsets
-    /// ([`MeasuredTestset::from_spec`]), names or scripts, in that order.
+    /// [`ServeError::BadRequest`] for an invalid name, script or
+    /// estimate, or a metric condition the testset's class count cannot
+    /// meet, in that order. The testset comes checked
+    /// ([`MeasuredTestset::from_spec`]).
     pub fn register_with_testset(
-        name: &str,
-        script_text: &str,
-        estimator: &SampleSizeEstimator,
-        testset: Option<TestsetSpec>,
-    ) -> Result<Project, ServeError> {
-        let testset = testset.map(MeasuredTestset::from_spec).transpose()?;
-        Self::register_measured(name, script_text, estimator, testset)
-    }
-
-    /// [`Project::register_with_testset`] with a checked testset (the
-    /// register route and boot): the name, the script, its estimate and
-    /// the metric condition against the testset's class count.
-    pub(crate) fn register_measured(
         name: &str,
         script_text: &str,
         estimator: &SampleSizeEstimator,
@@ -1013,10 +1002,8 @@ impl Project {
     ///
     /// # Errors
     ///
-    /// An invalid testset ([`MeasuredTestset::from_spec`], 400), then as
-    /// `Project::fresh_era`.
-    pub fn fresh_testset(&mut self, testset: Option<TestsetSpec>) -> Result<u32, ServeError> {
-        let testset = testset.map(MeasuredTestset::from_spec).transpose()?;
+    /// As `Project::fresh_era`.
+    pub fn fresh_testset(&mut self, testset: Option<MeasuredTestset>) -> Result<u32, ServeError> {
         self.fresh_era(testset, &mut self.savepoint())
     }
 
@@ -1413,8 +1400,13 @@ pub(crate) mod tests {
     fn predictions_gate_derives_counts_and_matches_counts_gate() {
         let estimator = serving_estimator();
         let (spec, old, new) = pred_fixture(100, 50, 90);
-        let mut pred_project =
-            Project::register_with_testset("pred", SCRIPT, &estimator, Some(spec)).unwrap();
+        let mut pred_project = Project::register_with_testset(
+            "pred",
+            SCRIPT,
+            &estimator,
+            Some(MeasuredTestset::from_spec(spec).unwrap()),
+        )
+        .unwrap();
         let (receipt, counts) = pred_project
             .submit_predictions(&PredictionsSubmission {
                 commit_id: "c1".into(),
@@ -1448,8 +1440,13 @@ pub(crate) mod tests {
         let estimator = serving_estimator();
         let (mut spec, old, new) = pred_fixture(100, 50, 90);
         spec.lazy = true;
-        let mut p =
-            Project::register_with_testset("lazy", &script, &estimator, Some(spec)).unwrap();
+        let mut p = Project::register_with_testset(
+            "lazy",
+            &script,
+            &estimator,
+            Some(MeasuredTestset::from_spec(spec).unwrap()),
+        )
+        .unwrap();
         let (receipt, counts) = p
             .submit_predictions(&PredictionsSubmission {
                 commit_id: "c1".into(),
@@ -1528,7 +1525,13 @@ pub(crate) mod tests {
     fn predictions_validation_rejects_bad_vectors_without_spending() {
         let estimator = serving_estimator();
         let (spec, old, _) = pred_fixture(100, 50, 90);
-        let mut p = Project::register_with_testset("p", SCRIPT, &estimator, Some(spec)).unwrap();
+        let mut p = Project::register_with_testset(
+            "p",
+            SCRIPT,
+            &estimator,
+            Some(MeasuredTestset::from_spec(spec).unwrap()),
+        )
+        .unwrap();
         // Wrong length.
         let err = p
             .submit_predictions(&PredictionsSubmission {
@@ -1667,7 +1670,13 @@ pub(crate) mod tests {
         let estimator = serving_estimator();
         let (mut spec, old, new) = pred_fixture(100, 50, 90);
         spec.lazy = true;
-        let mut p = Project::register_with_testset("p", &script, &estimator, Some(spec)).unwrap();
+        let mut p = Project::register_with_testset(
+            "p",
+            &script,
+            &estimator,
+            Some(MeasuredTestset::from_spec(spec).unwrap()),
+        )
+        .unwrap();
         let sub = PredictionsSubmission {
             commit_id: "c1".into(),
             old,
@@ -1687,8 +1696,13 @@ pub(crate) mod tests {
     fn install_testset_starts_a_fresh_era() {
         let estimator = serving_estimator();
         let (spec, old, new) = pred_fixture(100, 50, 30);
-        let mut p =
-            Project::register_with_testset("p", SCRIPT, &estimator, Some(spec.clone())).unwrap();
+        let mut p = Project::register_with_testset(
+            "p",
+            SCRIPT,
+            &estimator,
+            Some(MeasuredTestset::from_spec(spec.clone()).unwrap()),
+        )
+        .unwrap();
         // Exhaust the 2-step budget.
         for (i, preds) in [&new, &old].into_iter().enumerate() {
             p.submit_predictions(&PredictionsSubmission {
@@ -1700,7 +1714,11 @@ pub(crate) mod tests {
         }
         assert!(p.is_retired());
         let (bigger, old2, new2) = pred_fixture(200, 100, 180);
-        assert_eq!(p.fresh_testset(Some(bigger)).unwrap(), 1);
+        assert_eq!(
+            p.fresh_testset(Some(MeasuredTestset::from_spec(bigger).unwrap()))
+                .unwrap(),
+            1
+        );
         assert_eq!(p.measured().unwrap().len(), 200);
         let (receipt, counts) = p
             .submit_predictions(&PredictionsSubmission {
@@ -1714,7 +1732,7 @@ pub(crate) mod tests {
         // Counts-mode projects cannot install a server-side testset.
         let mut counts_only = Project::register("c", SCRIPT, &estimator).unwrap();
         assert!(matches!(
-            counts_only.fresh_testset(Some(spec)),
+            counts_only.fresh_testset(Some(MeasuredTestset::from_spec(spec).unwrap())),
             Err(ServeError::Conflict(_))
         ));
     }
@@ -1734,8 +1752,13 @@ pub(crate) mod tests {
             classes: 2,
             lazy: false,
         };
-        let mut pred_project =
-            Project::register_with_testset("f1p", &script, &estimator, Some(spec)).unwrap();
+        let mut pred_project = Project::register_with_testset(
+            "f1p",
+            &script,
+            &estimator,
+            Some(MeasuredTestset::from_spec(spec).unwrap()),
+        )
+        .unwrap();
         // New model perfect, old model always answers class 0.
         let (receipt, counts) = pred_project
             .submit_predictions(&PredictionsSubmission {
@@ -1805,8 +1828,13 @@ pub(crate) mod tests {
             classes: 1,
             lazy: false,
         };
-        let err = Project::register_with_testset("q", &f1_script, &estimator, Some(one_class))
-            .unwrap_err();
+        let err = Project::register_with_testset(
+            "q",
+            &f1_script,
+            &estimator,
+            Some(MeasuredTestset::from_spec(one_class).unwrap()),
+        )
+        .unwrap_err();
         assert!(
             matches!(&err, ServeError::BadRequest(m) if m.contains("2 classes")),
             "{err}"
@@ -1817,8 +1845,13 @@ pub(crate) mod tests {
             classes: 3,
             lazy: false,
         };
-        let err = Project::register_with_testset("r", &topk_script, &estimator, Some(narrow))
-            .unwrap_err();
+        let err = Project::register_with_testset(
+            "r",
+            &topk_script,
+            &estimator,
+            Some(MeasuredTestset::from_spec(narrow).unwrap()),
+        )
+        .unwrap_err();
         assert!(
             matches!(&err, ServeError::BadRequest(m) if m.contains("topk(5)")),
             "{err}"
@@ -1860,7 +1893,13 @@ pub(crate) mod tests {
             classes: 3,
             lazy: true,
         };
-        let mut p = Project::register_with_testset("tk", &script, &estimator, Some(spec)).unwrap();
+        let mut p = Project::register_with_testset(
+            "tk",
+            &script,
+            &estimator,
+            Some(MeasuredTestset::from_spec(spec).unwrap()),
+        )
+        .unwrap();
         // New model: right on the top-2 classes, wrong on class 2.
         let new: Vec<u32> = truth.iter().map(|&t| if t == 2 { 0 } else { t }).collect();
         let (receipt, counts) = p

@@ -2359,8 +2359,13 @@ mod tests {
             classes: 2,
             lazy: true,
         };
-        let mut project =
-            Project::register_with_testset("q", script, &estimator, Some(spec)).unwrap();
+        let mut project = Project::register_with_testset(
+            "q",
+            script,
+            &estimator,
+            Some(MeasuredTestset::from_spec(spec).unwrap()),
+        )
+        .unwrap();
         let preds = |correct: usize| (0..100).map(|i| u32::from(i >= correct)).collect();
         project
             .submit_predictions(&PredictionsSubmission {

@@ -522,7 +522,7 @@ impl ProjectStore {
         let testset = recorded
             .map(|recorded| read_testset_blob(vfs.as_ref(), dir, 0, (recorded, anchor)))
             .transpose()?;
-        let mut project = Project::register_measured(&name, &script, estimator, testset)
+        let mut project = Project::register_with_testset(&name, &script, estimator, testset)
             .map_err(|e| corrupt(&record_path, format!("registration replay failed: {e}")))?;
 
         let snapshot_path = dir.join("snapshot.json");
@@ -1671,7 +1671,7 @@ impl Registry {
         script_text: &str,
         testset: Option<MeasuredTestset>,
     ) -> Result<Arc<Mutex<ProjectSlot>>, ServeError> {
-        let project = Project::register_measured(name, script_text, &self.estimator, testset)?;
+        let project = Project::register_with_testset(name, script_text, &self.estimator, testset)?;
         let testset_digest = project.testset_digest();
         // Reserve the name. The `registering` set covers the window in
         // which the store is created on disk; the map is the long-term
@@ -3250,6 +3250,7 @@ mod tests {
                 None,
             ),
         };
+        let testset = testset.map(|spec| MeasuredTestset::from_spec(spec).unwrap());
         Project::register_with_testset("proj", &script, &estimator, testset).unwrap()
     }
 
@@ -3832,7 +3833,7 @@ mod tests {
                 Some(spec) => {
                     let digest = spec.digest();
                     let era = project
-                        .fresh_testset(Some(spec))
+                        .fresh_testset(Some(MeasuredTestset::from_spec(spec).unwrap()))
                         .unwrap_or(project.era() + 1);
                     fresh_testset_line(era, Some(digest))
                 }

@@ -20,7 +20,9 @@ use easeml_ci_core::{
     SampleSizeEstimator, Testset, Tribool,
 };
 use easeml_serve::json::{encode_u32_vec, Value};
-use easeml_serve::registry::{serving_estimator, PredictionsSubmission, Project, TestsetSpec};
+use easeml_serve::registry::{
+    serving_estimator, MeasuredTestset, PredictionsSubmission, Project, TestsetSpec,
+};
 use easeml_serve::server::{ServeConfig, Server, ServerHandle};
 use easeml_serve::{Client, ServeError};
 use proptest::prelude::*;
@@ -435,6 +437,7 @@ proptest! {
             .map(|j| (easeml_par::splitmix64(seed, j as u64) % 3) as u32)
             .collect();
         let spec = TestsetSpec { truth: truth.clone(), classes: 3, lazy: false };
+        let testset = MeasuredTestset::from_spec(spec).unwrap();
         let mut engine = CiEngine::with_estimator(
             script,
             Testset::fully_labeled(truth.clone()),
@@ -446,7 +449,7 @@ proptest! {
             "gate-eq",
             &script_text,
             &serving_estimator(),
-            Some(spec.clone()),
+            Some(testset.clone()),
         )
         .unwrap();
 
@@ -481,7 +484,7 @@ proptest! {
                     prop_assert_eq!(text, gone_text(&refusal));
                     let old = engine.old_predictions().to_vec();
                     engine.install_testset(Testset::fully_labeled(truth.clone()), old).unwrap();
-                    project.fresh_testset(Some(spec.clone())).unwrap();
+                    project.fresh_testset(Some(testset.clone())).unwrap();
                     era_receipts.clear();
                 }
                 (e, s) => prop_assert!(false, "engine {:?} vs served {:?}", e, s),
@@ -537,9 +540,13 @@ fn engine_and_server_agree_on_an_exact_interval_edge() {
         classes: 2,
         lazy: false,
     };
-    let mut project =
-        Project::register_with_testset("edge", &script_text, &serving_estimator(), Some(spec))
-            .unwrap();
+    let mut project = Project::register_with_testset(
+        "edge",
+        &script_text,
+        &serving_estimator(),
+        Some(MeasuredTestset::from_spec(spec).unwrap()),
+    )
+    .unwrap();
     let engine_receipt = engine
         .submit(&ModelCommit::new("edge", new.clone()))
         .unwrap();
