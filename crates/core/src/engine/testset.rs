@@ -138,10 +138,10 @@ impl Testset {
         was_known
     }
 
-    /// Every item's label slot (0 where the label is unknown), read
-    /// beside [`Testset::known_mask`].
+    /// Every item's label slot (0 where the label is unknown); a fully
+    /// labelled pool's slots are its ground truth.
     #[must_use]
-    pub(crate) fn label_slots(&self) -> &[u32] {
+    pub fn label_slots(&self) -> &[u32] {
         &self.labels
     }
 

@@ -13,7 +13,7 @@
 //! in one byte per readiness event costs no rescans and never blocks the
 //! event thread.
 
-use crate::json::Value;
+use crate::json::{JsonWriter, Value};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -273,10 +273,10 @@ pub struct Response {
 }
 
 impl Response {
-    /// A JSON response.
+    /// A JSON response of one object whose members `members` writes.
     #[must_use]
-    pub fn json(status: u16, value: &Value) -> Response {
-        Response::json_text(status, value.encode())
+    pub(crate) fn json_object(status: u16, members: impl FnOnce(&mut JsonWriter)) -> Response {
+        Response::json_text(status, JsonWriter::object(members))
     }
 
     /// A JSON response from an already rendered document.
@@ -310,7 +310,7 @@ impl Response {
     /// A JSON error payload `{"error": message}`.
     #[must_use]
     pub fn error(status: u16, message: &str) -> Response {
-        Response::json(status, &Value::object([("error", Value::from(message))]))
+        Response::json_object(status, |w| w.key("error").string(message))
     }
 
     /// A JSON error payload with a stable machine-readable reason code:
@@ -319,13 +319,10 @@ impl Response {
     /// on `reason` instead of parsing prose.
     #[must_use]
     pub fn error_with_reason(status: u16, reason: &str, message: &str) -> Response {
-        Response::json(
-            status,
-            &Value::object([
-                ("error", Value::from(message)),
-                ("reason", Value::from(reason)),
-            ]),
-        )
+        Response::json_object(status, |w| {
+            w.key("error").string(message);
+            w.key("reason").string(reason);
+        })
     }
 
     /// Attach a `Retry-After` hint (seconds).
@@ -826,7 +823,7 @@ mod tests {
 
     #[test]
     fn response_round_trips_through_its_bytes() {
-        let resp = Response::json(200, &Value::object([("ok", Value::from(true))]));
+        let resp = Response::json_object(200, |w| w.key("ok").bool(true));
         let bytes = resp.to_bytes();
         let text = String::from_utf8(bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));

@@ -277,6 +277,16 @@ impl JsonWriter {
         }
     }
 
+    /// A compact document of one object whose members `members` writes.
+    #[must_use]
+    pub(crate) fn object(members: impl FnOnce(&mut JsonWriter)) -> String {
+        let mut w = JsonWriter::compact();
+        w.begin_object();
+        members(&mut w);
+        w.end_object();
+        w.finish()
+    }
+
     /// The finished document; pretty documents end in a newline.
     #[must_use]
     pub(crate) fn finish(mut self) -> String {

@@ -19,7 +19,7 @@
 //! slow-log line on stderr and an entry in a fixed-size [`TraceRing`]
 //! served by `GET /admin/trace`.
 
-use crate::json::Value;
+use crate::json::JsonWriter;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -184,24 +184,19 @@ impl TraceRec {
 
     /// The `/admin/trace` JSON shape: id/route/status/total plus one
     /// `<stage>_us` field per non-zero stage.
-    #[must_use]
-    pub fn to_json(&self) -> Value {
-        let mut pairs: Vec<(String, Value)> = vec![
-            ("id".to_string(), Value::from(self.id)),
-            ("route".to_string(), Value::from(self.route)),
-            ("status".to_string(), Value::from(u64::from(self.status))),
-            ("total_us".to_string(), Value::from(self.total_ns() / 1_000)),
-        ];
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("id").u64(self.id);
+        w.key("route").string(self.route);
+        w.key("status").u64(self.status.into());
+        w.key("total_us").u64(self.total_ns() / 1_000);
         for stage in STAGES {
             let stage_ns = self.stages_ns[stage.index()];
             if stage_ns > 0 {
-                pairs.push((
-                    format!("{}_us", stage.name()),
-                    Value::from(stage_ns / 1_000),
-                ));
+                w.key(&format!("{}_us", stage.name())).u64(stage_ns / 1_000);
             }
         }
-        Value::object(pairs)
+        w.end_object();
     }
 
     /// One structured slow-log line (key=value, microsecond units), the

@@ -50,7 +50,7 @@ use crate::obs::trace::{self, Stage};
 use easeml_ci_core::dsl::Formula;
 use easeml_ci_core::{
     evaluate_formula, validate_metric_formula, CiScript, CommitEstimates, CommitHistory,
-    CommitReceipt, EstimatorConfig, Gate, GateSavepoint, LabelOracle, MeasuredCounts, Measurement,
+    CommitReceipt, EstimatorConfig, Gate, GateSavepoint, MeasuredCounts, Measurement,
     PerClassCounts, Predictions, SampleSizeEstimate, SampleSizeEstimator, Testset,
     VariableEstimates, VecOracle,
 };
@@ -114,16 +114,16 @@ impl TestsetSpec {
     }
 }
 
-/// The serving side of a measured testset era: the ground truth behind
-/// a [`VecOracle`], the lazily-filling label pool, and the class count
-/// predictions are checked against. Only [`MeasuredTestset::from_spec`]
-/// builds one, so holding one proves its testset was checked.
+/// The serving side of a measured testset era: the label pool, the
+/// class count predictions are checked against, and a lazy pool's truth
+/// behind a [`VecOracle`]. Only [`MeasuredTestset::from_spec`] builds
+/// one, so holding one proves its testset was checked.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MeasuredTestset {
-    oracle: VecOracle,
+    /// `None` for a fully labelled pool, whose truth is its label slots.
+    oracle: Option<VecOracle>,
     pool: Testset,
     classes: u32,
-    lazy: bool,
     /// [`TestsetSpec::digest`] of the spec, computed once at build.
     digest: u64,
 }
@@ -158,16 +158,16 @@ impl MeasuredTestset {
             return Err(ServeError::BadRequest(reason));
         }
         let digest = spec.digest();
-        let pool = if spec.lazy {
-            Testset::unlabeled(spec.truth.len())
+        let (pool, oracle) = if spec.lazy {
+            let size = spec.truth.len();
+            (Testset::unlabeled(size), Some(VecOracle::new(spec.truth)))
         } else {
-            Testset::fully_labeled(spec.truth.clone())
+            (Testset::fully_labeled(spec.truth), None)
         };
         Ok(MeasuredTestset {
-            oracle: VecOracle::new(spec.truth),
+            oracle,
             pool,
-            classes: spec.classes,
-            lazy: spec.lazy,
+            classes,
             digest,
         })
     }
@@ -176,7 +176,9 @@ impl MeasuredTestset {
     /// blob records.
     #[must_use]
     pub fn truth(&self) -> &[u32] {
-        self.oracle.truth()
+        self.oracle
+            .as_ref()
+            .map_or(self.pool.label_slots(), VecOracle::truth)
     }
 
     /// Content digest of the era's testset (see [`TestsetSpec::digest`]).
@@ -207,7 +209,7 @@ impl MeasuredTestset {
     /// mode).
     #[must_use]
     pub fn lazy(&self) -> bool {
-        self.lazy
+        self.oracle.is_some()
     }
 
     /// Items whose label has been spent (or was known up front).
@@ -234,7 +236,9 @@ impl MeasuredTestset {
     /// Labels the oracle has served this era.
     #[cfg(test)]
     pub(crate) fn oracle_spend(&self) -> u64 {
-        self.oracle.labels_served()
+        self.oracle
+            .as_ref()
+            .map_or(0, easeml_ci_core::LabelOracle::labels_served)
     }
 
     /// Forget the labels a measurement pulled (its
@@ -254,7 +258,7 @@ impl MeasuredTestset {
     /// maps this to a corrupt-snapshot error).
     pub fn restore_labels(&mut self, indices: &[usize]) -> Result<(), ServeError> {
         for &i in indices {
-            let Some(&label) = self.oracle.truth().get(i) else {
+            let Some(&label) = self.truth().get(i) else {
                 return Err(ServeError::BadRequest(format!(
                     "labeled index {i} out of range for testset of {}",
                     self.pool.len()
@@ -303,11 +307,7 @@ impl MeasuredTestset {
         tests::PREDICTION_CHECKS.with(|count| count.set(count.get() + 2));
         let predictions = Predictions::check(old, new, self.pool.len(), self.classes)
             .map_err(ServeError::BadRequest)?;
-        let oracle: Option<&mut (dyn LabelOracle + 'static)> = if self.lazy {
-            Some(&mut self.oracle)
-        } else {
-            None
-        };
+        let oracle = self.oracle.as_mut().map(|o| o as _);
         let mut measurement = Measurement::checked(&mut self.pool, oracle, predictions);
         let measured = measurement.measure(condition, self.classes);
         fresh.extend_from_slice(measurement.fresh_labels());
@@ -406,7 +406,11 @@ impl EvalCounts {
                 )));
             }
         }
-        let labeled = pc.labeled();
+        let sum = |name: &str, vec: &[u64]| {
+            let sum = vec.iter().try_fold(0u64, |sum, &n| sum.checked_add(n));
+            sum.ok_or_else(|| ServeError::BadRequest(format!("per_class {name} sum overflows u64")))
+        };
+        let labeled = sum("support", &pc.support)?;
         if labeled > self.samples {
             return Err(ServeError::BadRequest(format!(
                 "per_class support sums to {labeled} labelled items but only {} \
@@ -414,8 +418,8 @@ impl EvalCounts {
                 self.samples
             )));
         }
-        let new_mass: u64 = pc.new_pred.iter().sum();
-        let old_mass: u64 = pc.old_pred.iter().sum();
+        let new_mass = sum("new_pred", &pc.new_pred)?;
+        let old_mass = sum("old_pred", &pc.old_pred)?;
         if new_mass != labeled || old_mass != labeled {
             return Err(ServeError::BadRequest(format!(
                 "per_class prediction mass (new {new_mass}, old {old_mass}) must \
@@ -698,6 +702,14 @@ pub fn validate_project_name(name: &str) -> Result<(), ServeError> {
     Ok(())
 }
 
+/// Refuse a testset that `script`'s metric condition can never be
+/// measured over (f1 over one class, topk(k) past the class count), at
+/// registration and at every fresh era, before the first submission.
+fn measurable(script: &CiScript, measured: &MeasuredTestset) -> Result<(), ServeError> {
+    validate_metric_formula(script.condition(), measured.classes())
+        .map_err(|e| ServeError::BadRequest(e.to_string()))
+}
+
 impl Project {
     /// Register a project: validate the name, parse the CI script through
     /// the standard YAML/DSL pipeline, and run the sample-size estimator
@@ -737,12 +749,8 @@ impl Project {
             .map_err(|e| ServeError::BadRequest(format!("invalid CI script: {e}")))?;
         let estimate = trace::time(Stage::Estimate, || estimator.estimate(&script))
             .map_err(|e| ServeError::BadRequest(format!("cannot estimate sample size: {e}")))?;
-        // A metric condition that the uploaded testset can never satisfy
-        // (f1 over one class, topk(k) past the class count) must fail at
-        // registration, not on the first submission.
         if let Some(measured) = &measured {
-            validate_metric_formula(script.condition(), measured.classes())
-                .map_err(|e| ServeError::BadRequest(e.to_string()))?;
+            measurable(&script, measured)?;
         }
         Ok(Project {
             name: name.to_owned(),
@@ -1020,6 +1028,8 @@ impl Project {
     /// * an op that does not match the project's mode: a testset for a
     ///   counts project, or none for a predictions project
     ///   ([`ServeError::Conflict`]);
+    /// * a testset whose class count the metric condition cannot be
+    ///   measured over, with registration's reason (400);
     /// * an era counter at `u32::MAX` ([`Gate::fresh_era`], 400 `era
     ///   counter overflow`).
     ///
@@ -1043,7 +1053,8 @@ impl Project {
                         .into(),
                 ))
             }
-            _ => {}
+            (Some(testset), Some(_)) => measurable(&self.script, testset)?,
+            (None, None) => {}
         }
         let era = self.gate.fresh_era()?;
         if testset.is_some() {
@@ -1203,7 +1214,7 @@ pub fn serving_estimator() -> SampleSizeEstimator {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use easeml_ci_core::{AlarmReason, LabelOracle, Tribool};
+    use easeml_ci_core::{AlarmReason, Tribool};
     use std::cell::Cell;
     use std::thread::LocalKey;
 
@@ -1502,14 +1513,13 @@ pub(crate) mod tests {
                     let a = served
                         .measure_recording(condition, &old, &new, &mut fresh)
                         .unwrap();
-                    let oracle: Option<&mut (dyn LabelOracle + 'static)> =
-                        lazy.then_some(&mut direct.oracle as _);
+                    let oracle = direct.oracle.as_mut().map(|o| o as _);
                     let mut m = Measurement::new(&mut direct.pool, oracle, &old, &new).unwrap();
                     let b = m.measure(condition, classes).unwrap();
                     assert_eq!(fresh, m.fresh_labels(), "lazy={lazy} condition={text}");
                     assert_eq!(a, b, "lazy={lazy} classes={classes} condition={text}");
                     assert_eq!(served.pool, direct.pool);
-                    assert_eq!(served.oracle.labels_served(), direct.oracle.labels_served());
+                    assert_eq!(served.oracle_spend(), direct.oracle_spend());
                     // Handing the fresh labels back restores the pool.
                     served.unset_labels(&fresh);
                     assert_eq!(

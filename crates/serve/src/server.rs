@@ -55,7 +55,7 @@
 
 use crate::error::ServeError;
 use crate::http::{Request, Response};
-use crate::json::{JsonError, JsonWriter, Reader, Value};
+use crate::json::{JsonError, JsonWriter, Reader};
 use crate::net::{NetConfig, ReqMeta, WakeHub};
 use crate::obs::trace::{self, Stage, TraceRec};
 use crate::obs::{Counter, GateOutcome, ServeObs};
@@ -710,10 +710,7 @@ fn route(ctx: &Ctx, request: &Request) -> Response {
             ctx.stop.store(true, Ordering::SeqCst);
             ctx.hub.wake();
             let _ = TcpStream::connect(ctx.addr);
-            Ok(Response::json(
-                200,
-                &Value::object([("stopping", Value::from(true))]),
-            ))
+            Ok(Response::json_object(200, |w| w.key("stopping").bool(true)))
         }
         _ => Err(ServeError::NotFound(format!(
             "no route for {method} {}",
@@ -738,47 +735,32 @@ fn route(ctx: &Ctx, request: &Request) -> Response {
 fn healthz(ctx: &Ctx) -> Response {
     let stats = &ctx.stats;
     let read_only = stats.read_only();
-    Response::json(
-        200,
-        &Value::object([
-            (
-                "status",
-                Value::from(if read_only { "degraded" } else { "ok" }),
-            ),
-            ("ready", Value::from(!read_only)),
-            ("read_only", Value::from(read_only)),
-            ("projects", Value::from(ctx.registry.len())),
-            (
-                "inflight",
-                Value::from(stats.inflight.load(Ordering::SeqCst)),
-            ),
-            ("max_inflight", Value::from(stats.max_inflight)),
-            ("shed_total", Value::from(stats.shed_total.get())),
-            (
-                "journal_append_failures",
-                Value::from(stats.journal_failures_total.get()),
-            ),
-        ]),
-    )
+    Response::json_object(200, |w| {
+        w.key("status")
+            .string(if read_only { "degraded" } else { "ok" });
+        w.key("ready").bool(!read_only);
+        w.key("read_only").bool(read_only);
+        w.key("projects").u64(ctx.registry.len() as u64);
+        let inflight = stats.inflight.load(Ordering::SeqCst);
+        w.key("inflight").u64(inflight as u64);
+        w.key("max_inflight").u64(stats.max_inflight as u64);
+        w.key("shed_total").u64(stats.shed_total.get());
+        let failures = stats.journal_failures_total.get();
+        w.key("journal_append_failures").u64(failures);
+    })
 }
 
 /// `/admin/trace`: the slow threshold plus the ring of recent
 /// slow-request traces, oldest first.
 fn admin_trace(ctx: &Ctx) -> Response {
-    let entries: Vec<Value> = ctx
-        .obs
-        .ring
-        .entries()
-        .iter()
-        .map(TraceRec::to_json)
-        .collect();
-    Response::json(
-        200,
-        &Value::object([
-            ("slow_request_ms", Value::from(ctx.obs.slow_request_ms)),
-            ("entries", Value::Array(entries)),
-        ]),
-    )
+    Response::json_object(200, |w| {
+        w.key("slow_request_ms").u64(ctx.obs.slow_request_ms);
+        w.key("entries").begin_array();
+        for rec in ctx.obs.ring.entries() {
+            rec.write_json(w);
+        }
+        w.end_array();
+    })
 }
 
 fn with_project<T>(
@@ -793,36 +775,60 @@ fn with_project<T>(
     f(&mut slot)
 }
 
-fn budget_json(project: &crate::registry::Project) -> Value {
-    Value::object([
-        ("steps", Value::from(project.script().steps())),
-        ("used", Value::from(project.steps_used())),
-        ("remaining", Value::from(project.steps_remaining())),
-        ("era", Value::from(project.era())),
-        ("retired", Value::from(project.is_retired())),
-        ("fresh_testset_required", Value::from(project.is_retired())),
-    ])
+/// The `budget` member of every project body and receipt.
+fn write_budget(w: &mut JsonWriter, project: &Project) {
+    w.key("budget").begin_object();
+    w.key("steps").u64(project.script().steps().into());
+    w.key("used").u64(project.steps_used().into());
+    w.key("remaining").u64(project.steps_remaining().into());
+    w.key("era").u64(project.era().into());
+    w.key("retired").bool(project.is_retired());
+    w.key("fresh_testset_required").bool(project.is_retired());
+    w.end_object();
 }
 
-fn estimate_json(project: &crate::registry::Project) -> Value {
+/// The `estimate` member of the registration and status bodies.
+fn write_estimate(w: &mut JsonWriter, project: &Project) {
     let estimate = project.estimate();
     let strategy = match &estimate.provenance {
         EstimateProvenance::Baseline => "baseline",
         EstimateProvenance::Optimized(_) => "optimized",
     };
     let report = effort(estimate.labeled_samples, &CostModel::paper_default());
-    Value::object([
-        ("labeled", Value::from(estimate.labeled_samples)),
-        ("unlabeled", Value::from(estimate.unlabeled_samples)),
-        ("total", Value::from(estimate.total_samples())),
-        ("strategy", Value::from(strategy)),
-        ("person_days", Value::from(report.person_days)),
-    ])
+    w.key("estimate").begin_object();
+    w.key("labeled").u64(estimate.labeled_samples);
+    w.key("unlabeled").u64(estimate.unlabeled_samples);
+    w.key("total").u64(estimate.total_samples());
+    w.key("strategy").string(strategy);
+    w.key("person_days").number(report.person_days);
+    w.end_object();
+}
+
+/// The `testset` member of the registration, status and fresh-testset
+/// bodies, present when the project holds a server-side testset.
+fn write_testset(w: &mut JsonWriter, project: &Project) {
+    let Some(measured) = project.measured() else {
+        return;
+    };
+    let meets_estimate = measured.len() as u64 >= project.estimate().total_samples();
+    w.key("testset").begin_object();
+    w.key("size").u64(measured.len() as u64);
+    w.key("labeling")
+        .string(if measured.lazy() { "lazy" } else { "full" });
+    w.key("classes").u64(measured.classes().into());
+    w.key("labeled").u64(measured.labeled_count() as u64);
+    w.key("meets_estimate").bool(meets_estimate);
+    w.end_object();
 }
 
 fn list_projects(registry: &Registry) -> Response {
-    let names: Vec<Value> = registry.names().into_iter().map(Value::from).collect();
-    Response::json(200, &Value::object([("projects", Value::Array(names))]))
+    Response::json_object(200, |w| {
+        w.key("projects").begin_array();
+        for name in registry.names() {
+            w.string(&name);
+        }
+        w.end_array();
+    })
 }
 
 /// Decode a request body with `decode`, after the refusals every JSON
@@ -868,20 +874,6 @@ fn testset_spec(fields: TestsetFields<'_>) -> Result<MeasuredTestset, ServeError
     })
 }
 
-/// The testset section of registration/status responses.
-fn testset_json(measured: &MeasuredTestset, meets_estimate: bool) -> Value {
-    Value::object([
-        ("size", Value::from(measured.len())),
-        (
-            "labeling",
-            Value::from(if measured.lazy() { "lazy" } else { "full" }),
-        ),
-        ("classes", Value::from(measured.classes())),
-        ("labeled", Value::from(measured.labeled_count())),
-        ("meets_estimate", Value::from(meets_estimate)),
-    ])
-}
-
 /// A register body as its route reads it: name, script and checked
 /// testset.
 type RegisterBody<'a> = (Cow<'a, str>, Cow<'a, str>, Option<MeasuredTestset>);
@@ -905,55 +897,38 @@ fn register_project(registry: &Registry, request: &Request) -> Result<Response, 
     let slot = registry.register_measured(&name, &script, testset)?;
     let slot = slot.lock().expect("project poisoned");
     let project = &slot.project;
-    let mut fields = vec![
-        ("project", Value::from(&*name)),
-        (
-            "condition",
-            Value::from(project.script().condition().to_string()),
-        ),
-        ("reliability", Value::from(project.script().reliability())),
-        (
-            "adaptivity",
-            Value::from(project.script().adaptivity().to_string()),
-        ),
-        ("mode", Value::from(project.script().mode().to_string())),
-        ("estimate", estimate_json(project)),
-        ("budget", budget_json(project)),
-    ];
-    if let Some(measured) = project.measured() {
-        let meets = measured.len() as u64 >= project.estimate().total_samples();
-        fields.push(("testset", testset_json(measured, meets)));
-    }
-    Ok(Response::json(201, &Value::object(fields)))
+    let script = project.script();
+    Ok(Response::json_object(201, |w| {
+        w.key("project").string(&name);
+        w.key("condition").string(&script.condition().to_string());
+        w.key("reliability").number(script.reliability());
+        w.key("adaptivity").string(&script.adaptivity().to_string());
+        w.key("mode").string(&script.mode().to_string());
+        write_estimate(w, project);
+        write_budget(w, project);
+        write_testset(w, project);
+    }))
 }
 
 pub(crate) fn project_status(registry: &Registry, name: &str) -> Result<Response, ServeError> {
     with_project(registry, name, |slot| {
-        Ok(Response::json(200, &status_json(&slot.project)))
+        Ok(Response::json_text(200, status_body(&slot.project)))
     })
 }
 
 /// The `/projects/{name}` body.
-pub(crate) fn status_json(project: &crate::registry::Project) -> Value {
-    let mut fields = vec![
-        ("project", Value::from(project.name())),
-        (
-            "condition",
-            Value::from(project.script().condition().to_string()),
-        ),
-        ("estimate", estimate_json(project)),
-        ("budget", budget_json(project)),
-        ("commits", Value::from(project.history().len())),
-        (
-            "labels_total",
-            Value::from(project.history().total_labels_requested()),
-        ),
-    ];
-    if let Some(measured) = project.measured() {
-        let meets = measured.len() as u64 >= project.estimate().total_samples();
-        fields.push(("testset", testset_json(measured, meets)));
-    }
-    Value::object(fields)
+pub(crate) fn status_body(project: &Project) -> String {
+    JsonWriter::object(|w| {
+        w.key("project").string(project.name());
+        let condition = project.script().condition().to_string();
+        w.key("condition").string(&condition);
+        write_estimate(w, project);
+        write_budget(w, project);
+        w.key("commits").u64(project.history().len() as u64);
+        let labels = project.history().total_labels_requested();
+        w.key("labels_total").u64(labels);
+        write_testset(w, project);
+    })
 }
 
 /// The `easeml_gate_outcomes_total{outcome=...}` label for a decision.
@@ -1029,11 +1004,9 @@ fn submit_commit(ctx: &Ctx, name: &str, request: &Request) -> Result<Response, S
         ctx.obs
             .metrics
             .gate_outcome(&mut slot.outcomes, name, gate_outcome(&receipt));
-        let mut w = JsonWriter::compact();
-        w.begin_object();
-        write_receipt_fields(&mut w, &receipt, &slot.project);
-        w.end_object();
-        Ok(Response::json_text(200, w.finish()))
+        Ok(Response::json_object(200, |w| {
+            write_receipt_fields(w, &receipt, &slot.project);
+        }))
     })
 }
 
@@ -1081,23 +1054,21 @@ fn submit_predictions(ctx: &Ctx, name: &str, request: &Request) -> Result<Respon
 /// clients).
 fn predictions_receipt(receipt: &CommitReceipt, counts: &EvalCounts, project: &Project) -> String {
     let labeled_total = project.measured().map_or(0, MeasuredTestset::labeled_count);
-    let mut w = JsonWriter::compact();
-    w.begin_object();
-    write_receipt_fields(&mut w, receipt, project);
-    w.key("measurement").begin_object();
-    w.key("samples").u64(counts.samples);
-    w.key("new_correct").u64(counts.new_correct);
-    w.key("old_correct").u64(counts.old_correct);
-    w.key("changed").u64(counts.changed);
-    w.key("labels_spent").u64(counts.labels);
-    w.key("labeled_total").u64(labeled_total as u64);
-    if let Some(pc) = &counts.per_class {
-        w.key("per_class");
-        write_per_class(&mut w, pc);
-    }
-    w.end_object();
-    w.end_object();
-    w.finish()
+    JsonWriter::object(|w| {
+        write_receipt_fields(w, receipt, project);
+        w.key("measurement").begin_object();
+        w.key("samples").u64(counts.samples);
+        w.key("new_correct").u64(counts.new_correct);
+        w.key("old_correct").u64(counts.old_correct);
+        w.key("changed").u64(counts.changed);
+        w.key("labels_spent").u64(counts.labels);
+        w.key("labeled_total").u64(labeled_total as u64);
+        if let Some(pc) = &counts.per_class {
+            w.key("per_class");
+            write_per_class(w, pc);
+        }
+        w.end_object();
+    })
 }
 
 /// The fields of a commit receipt, shared by both commit routes.
@@ -1117,14 +1088,7 @@ fn write_receipt_fields(w: &mut JsonWriter, receipt: &CommitReceipt, project: &P
         None => w.key("alarm").null(),
     }
     w.key("labels").u64(receipt.estimates.labels_requested);
-    w.key("budget").begin_object();
-    w.key("steps").u64(project.script().steps().into());
-    w.key("used").u64(project.steps_used().into());
-    w.key("remaining").u64(project.steps_remaining().into());
-    w.key("era").u64(project.era().into());
-    w.key("retired").bool(project.is_retired());
-    w.key("fresh_testset_required").bool(project.is_retired());
-    w.end_object();
+    write_budget(w, project);
 }
 
 fn alarm_str(reason: AlarmReason) -> &'static str {
@@ -1134,24 +1098,6 @@ fn alarm_str(reason: AlarmReason) -> &'static str {
     }
 }
 
-/// The receipt as a [`Value`] tree: the test reference for
-/// [`write_receipt_fields`].
-#[cfg(test)]
-fn receipt_json(receipt: &CommitReceipt, budget: &Value) -> Value {
-    Value::object([
-        ("commit_id", Value::from(receipt.commit_id.as_str())),
-        ("step", Value::from(receipt.step)),
-        ("era", Value::from(receipt.era)),
-        ("signal", Value::from(receipt.signal)),
-        ("accepted", Value::from(receipt.accepted)),
-        ("outcome", Value::from(tribool_str(receipt.outcome))),
-        ("passed", Value::from(receipt.passed)),
-        ("alarm", Value::from(receipt.alarm.map(alarm_str))),
-        ("labels", Value::from(receipt.estimates.labels_requested)),
-        ("budget", budget.clone()),
-    ])
-}
-
 pub(crate) fn project_history(registry: &Registry, name: &str) -> Result<Response, ServeError> {
     with_project(registry, name, |slot| {
         Ok(Response::json_text(200, history_body(name, &slot.project)))
@@ -1159,38 +1105,33 @@ pub(crate) fn project_history(registry: &Registry, name: &str) -> Result<Respons
 }
 
 /// The `/projects/{name}/history` body, rendered in one pass.
-pub(crate) fn history_body(name: &str, project: &crate::registry::Project) -> String {
-    let entries = project.history().entries();
-    let mut w = JsonWriter::compact();
-    w.begin_object();
-    w.key("project").string(name);
-    w.key("entries").begin_array();
-    for e in entries {
-        w.begin_object();
-        write_history_entry_fields(&mut w, e);
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    w.finish()
+pub(crate) fn history_body(name: &str, project: &Project) -> String {
+    JsonWriter::object(|w| {
+        w.key("project").string(name);
+        w.key("entries").begin_array();
+        for e in project.history().entries() {
+            w.begin_object();
+            write_history_entry_fields(w, e);
+            w.end_object();
+        }
+        w.end_array();
+    })
 }
 
 pub(crate) fn project_budget(registry: &Registry, name: &str) -> Result<Response, ServeError> {
     with_project(registry, name, |slot| {
-        Ok(Response::json(200, &budget_body(&slot.project)))
+        Ok(Response::json_text(200, budget_body(&slot.project)))
     })
 }
 
 /// The `/projects/{name}/budget` body.
-pub(crate) fn budget_body(project: &crate::registry::Project) -> Value {
-    Value::object([
-        ("project", Value::from(project.name())),
-        ("budget", budget_json(project)),
-        (
-            "labels_total",
-            Value::from(project.history().total_labels_requested()),
-        ),
-    ])
+pub(crate) fn budget_body(project: &Project) -> String {
+    JsonWriter::object(|w| {
+        w.key("project").string(project.name());
+        write_budget(w, project);
+        let labels = project.history().total_labels_requested();
+        w.key("labels_total").u64(labels);
+    })
 }
 
 /// A fresh-testset body: empty, or `{"testset": <spec>}` (absent or
@@ -1215,48 +1156,41 @@ fn fresh_testset(
     let testset = fresh_testset_body(&request.body)?;
     with_project(registry, name, |slot| {
         let era = slot.fresh_testset(testset)?;
-        let mut fields = vec![
-            ("project", Value::from(name)),
-            ("era", Value::from(era)),
-            ("budget", budget_json(&slot.project)),
-        ];
-        if let Some(measured) = slot.project.measured() {
-            let meets = measured.len() as u64 >= slot.project.estimate().total_samples();
-            fields.push(("testset", testset_json(measured, meets)));
-        }
-        Ok(Response::json(200, &Value::object(fields)))
+        Ok(Response::json_object(200, |w| {
+            w.key("project").string(name);
+            w.key("era").u64(era.into());
+            write_budget(w, &slot.project);
+            write_testset(w, &slot.project);
+        }))
     })
 }
 
 fn cache_stats() -> Response {
-    let counters = |stats: easeml_ci_core::CacheStats| {
-        Value::object([
-            ("hits", Value::from(stats.hits)),
-            ("misses", Value::from(stats.misses)),
-            ("entries", Value::from(stats.entries)),
-        ])
-    };
-    Response::json(
-        200,
-        &Value::object([
-            ("bounds", counters(BoundsCache::global().stats())),
-            ("plan", counters(PlanCache::global().stats())),
-        ]),
-    )
+    Response::json_object(200, |w| {
+        for (cache, stats) in [
+            ("bounds", BoundsCache::global().stats()),
+            ("plan", PlanCache::global().stats()),
+        ] {
+            w.key(cache).begin_object();
+            w.key("hits").u64(stats.hits);
+            w.key("misses").u64(stats.misses);
+            w.key("entries").u64(stats.entries as u64);
+            w.end_object();
+        }
+    })
 }
 
 fn persist_all(ctx: &Ctx) -> Result<Response, ServeError> {
     ctx.registry.snapshot_all()?;
-    Ok(Response::json(
-        200,
-        &Value::object([("persisted", Value::from(true))]),
-    ))
+    Ok(Response::json_object(200, |w| {
+        w.key("persisted").bool(true)
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{decode_u32_vec, encode_u32_vec, u32_vec_from_value};
+    use crate::json::{decode_u32_vec, encode_u32_vec, u32_vec_from_value, Value};
     use crate::record::hostile::{edited, edits, Edit};
     use crate::registry::{fnv1a64, PredictionsSubmission};
     use crate::vfs::MemVfs;
@@ -2321,6 +2255,102 @@ mod tests {
         assert_eq!((measured.oracle_spend(), measured.labeled_count()), (0, 0));
     }
 
+    /// A fresh testset whose class count the metric condition cannot be
+    /// measured over is refused with registration's reason, before the
+    /// era moves: nothing is journalled, and the era's pool still gates.
+    #[test]
+    fn a_fresh_testset_the_condition_cannot_measure_is_refused() {
+        let disk = MemVfs::new();
+        let ctx = ctx_on(&disk);
+        let script = FRESH_SCRIPT.replace("n - o > 0.0", "f1(n) - f1(o) > -0.5");
+        let member = |labels: &[u32], classes: u32| {
+            let labels = encode_u32_vec(labels);
+            format!("{{\"labels\": \"{labels}\", \"classes\": {classes}}}")
+        };
+        let one_class = member(&[0; 64], 1);
+        let registered = register_with(&ctx, "one", &script, &one_class);
+        assert_eq!(registered.status, 400);
+        let reason = String::from_utf8(registered.body).unwrap();
+        assert!(
+            reason.contains("f1(...) needs at least 2 classes"),
+            "{reason}"
+        );
+        let two_classes: Vec<u32> = (0..64).map(|i| i % 2).collect();
+        let response = register_with(&ctx, "p", &script, &member(&two_classes, 2));
+        assert_eq!(response.status, 201);
+        let install = format!("{{\"testset\": {one_class}}}");
+        let response = post(&ctx, "/projects/p/testset", &install);
+        assert_eq!(response.status, 400);
+        assert_eq!(String::from_utf8(response.body).unwrap(), reason);
+        let journal = Path::new("/live/projects/p/journal.0.log");
+        assert_eq!(disk.read_to_string(journal).unwrap_or_default(), "");
+        for ctx in [&ctx, &ctx_on(&disk)] {
+            let slot = ctx.registry.get("p").unwrap();
+            let slot = slot.lock().unwrap();
+            let measured = slot.project.measured().unwrap();
+            assert_eq!((slot.project.era(), measured.classes()), (0, 2));
+        }
+        let body = predictions_body("c1", &two_classes, &two_classes);
+        let response = post(&ctx, "/projects/p/commits/predictions", &body);
+        assert_eq!(response.status, 200);
+    }
+
+    /// Per-class counts whose sums pass `u64::MAX` are a 400, not a
+    /// panic or a wrapped sum: 2,049 classes of 2^53 each (every entry
+    /// at the wire's integer cap) fit in one body.
+    #[test]
+    fn per_class_sums_past_u64_are_refused() {
+        let disk = MemVfs::new();
+        let ctx = ctx_on(&disk);
+        let script = FRESH_SCRIPT.replace("n - o > 0.0", "f1(n) - f1(o) > -0.5");
+        ctx.registry.register("p", &script, None).unwrap();
+        let cap = 1u64 << 53;
+        let vector = |n: u64| numbers_json(&[n; 2049]);
+        let body = format!(
+            "{{\"commit_id\": \"c1\", \"samples\": {cap}, \"new_correct\": 0, \
+             \"old_correct\": 0, \"changed\": 0, \"per_class\": {{\"classes\": 2049, \
+             \"support\": {}, \"new_tp\": {}, \"old_tp\": {}, \"new_pred\": {}, \
+             \"old_pred\": {}}}}}",
+            vector(cap),
+            vector(0),
+            vector(0),
+            vector(cap),
+            vector(cap)
+        );
+        assert!(body.len() < crate::http::MAX_BODY_BYTES, "{}", body.len());
+        let response = post_counts(&ctx, body.as_bytes());
+        assert_eq!(response.status, 400);
+        let text = String::from_utf8(response.body).unwrap();
+        assert_eq!(text, "{\"error\":\"per_class support sum overflows u64\"}");
+        let journal = Path::new("/live/projects/p/journal.0.log");
+        assert_eq!(disk.read_to_string(journal).unwrap_or_default(), "");
+    }
+
+    /// The receipt as a [`Value`] tree: the test reference for
+    /// [`write_receipt_fields`].
+    fn receipt_json(receipt: &CommitReceipt, project: &Project) -> Value {
+        let budget = Value::object([
+            ("steps", Value::from(project.script().steps())),
+            ("used", Value::from(project.steps_used())),
+            ("remaining", Value::from(project.steps_remaining())),
+            ("era", Value::from(project.era())),
+            ("retired", Value::from(project.is_retired())),
+            ("fresh_testset_required", Value::from(project.is_retired())),
+        ]);
+        Value::object([
+            ("commit_id", Value::from(receipt.commit_id.as_str())),
+            ("step", Value::from(receipt.step)),
+            ("era", Value::from(receipt.era)),
+            ("signal", Value::from(receipt.signal)),
+            ("accepted", Value::from(receipt.accepted)),
+            ("outcome", Value::from(tribool_str(receipt.outcome))),
+            ("passed", Value::from(receipt.passed)),
+            ("alarm", Value::from(receipt.alarm.map(alarm_str))),
+            ("labels", Value::from(receipt.estimates.labels_requested)),
+            ("budget", budget),
+        ])
+    }
+
     /// Projects in the budget states a receipt reports: fresh, one step
     /// spent, retired, and a lazy predictions pool with labels spent.
     fn projects() -> Vec<Project> {
@@ -2434,7 +2464,7 @@ mod tests {
                 w.begin_object();
                 write_receipt_fields(&mut w, &receipt, &project);
                 w.end_object();
-                let reference = receipt_json(&receipt, &budget_json(&project));
+                let reference = receipt_json(&receipt, &project);
                 proptest::prop_assert_eq!(w.finish(), reference.encode());
 
                 let Value::Object(mut fields) = reference else { unreachable!() };
@@ -2457,5 +2487,268 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// GET `path`.
+    fn get(ctx: &Ctx, path: &str) -> Response {
+        let request = Request {
+            method: "GET".into(),
+            path: path.into(),
+            body: Vec::new(),
+            close: false,
+        };
+        route(ctx, &request)
+    }
+
+    /// Every deterministic route body, by its `store/testdata/` file name,
+    /// each from one request through [`route`]:
+    ///
+    /// - `counts`: a counts project (registration, status after two
+    ///   commits, a fresh era);
+    /// - `f1`: a lazy 4-class F1 predictions project (registration,
+    ///   status after two commits spent labels, a fresh era over a fully
+    ///   labelled testset);
+    /// - the project list, `/admin/persist`, a 404 whose message needs
+    ///   escapes, the degraded 503 and `/admin/shutdown`.
+    fn route_bodies() -> Vec<(&'static str, Vec<u8>)> {
+        let ctx = ctx_on(&MemVfs::new());
+        let mut out = Vec::new();
+        let script = FRESH_SCRIPT.replace("steps      : 8", "steps      : 200");
+        let body = format!(
+            "{{\"name\": \"counts\", \"script\": {}}}",
+            Value::from(&*script)
+        );
+        out.push(("counts.register.json", post(&ctx, "/projects", &body)));
+        for (id, new_correct) in [("c1", 70), ("c2", 40)] {
+            let body = format!(
+                "{{\"commit_id\": \"{id}\", \"samples\": 100, \"new_correct\": {new_correct}, \
+                 \"old_correct\": 50, \"changed\": 30, \"labels\": 100}}"
+            );
+            assert_eq!(post(&ctx, "/projects/counts/commits", &body).status, 200);
+        }
+        out.push(("counts.status.json", get(&ctx, "/projects/counts")));
+        out.push((
+            "counts.testset.json",
+            post(&ctx, "/projects/counts/testset", ""),
+        ));
+
+        let script = FRESH_SCRIPT
+            .replace("n - o > 0.0", "f1(n) - f1(o) > -0.5")
+            .replace("steps      : 8", "steps      : 10");
+        let truth: Vec<u32> = (0..48u32).map(|i| (i * 7) % 4).collect();
+        let member = testset_member(&truth, true);
+        out.push((
+            "f1.register.json",
+            register_with(&ctx, "f1", &script, &member),
+        ));
+        let flip = |every: u32| -> Vec<u32> {
+            let flipped = |(&t, i): (&u32, u32)| if i % every == 0 { (t + 1) % 4 } else { t };
+            truth.iter().zip(0u32..).map(flipped).collect()
+        };
+        for (id, old, new) in [("p1", 3, 5), ("p2", 5, 2)] {
+            let body = predictions_body(id, &flip(old), &flip(new));
+            assert_eq!(
+                post(&ctx, "/projects/f1/commits/predictions", &body).status,
+                200
+            );
+        }
+        out.push(("f1.status.json", get(&ctx, "/projects/f1")));
+        let install = format!("{{\"testset\": {}}}", testset_member(&truth[..32], false));
+        out.push((
+            "f1.testset.json",
+            post(&ctx, "/projects/f1/testset", &install),
+        ));
+
+        out.push(("projects.json", get(&ctx, "/projects")));
+        out.push(("persist.json", post(&ctx, "/admin/persist", "")));
+        out.push(("error.404.json", get(&ctx, "/no/such\"route\\\u{1}")));
+        ctx.stats.read_only.store(true, Ordering::SeqCst);
+        out.push(("error.503.json", post(&ctx, "/projects", "{}")));
+        out.push(("shutdown.json", post(&ctx, "/admin/shutdown", "")));
+        out.into_iter()
+            .map(|(name, response)| (name, response.body))
+            .collect()
+    }
+
+    /// The bytes of [`route_bodies`], captured while these bodies were
+    /// still encoded from `Value` trees. Clients read and diff them, so
+    /// none may move.
+    const PINNED_ROUTE_BODIES: &[(&str, &str)] = &[
+        (
+            "counts.register.json",
+            include_str!("store/testdata/counts.register.json"),
+        ),
+        (
+            "counts.status.json",
+            include_str!("store/testdata/counts.status.json"),
+        ),
+        (
+            "counts.testset.json",
+            include_str!("store/testdata/counts.testset.json"),
+        ),
+        (
+            "f1.register.json",
+            include_str!("store/testdata/f1.register.json"),
+        ),
+        (
+            "f1.status.json",
+            include_str!("store/testdata/f1.status.json"),
+        ),
+        (
+            "f1.testset.json",
+            include_str!("store/testdata/f1.testset.json"),
+        ),
+        (
+            "projects.json",
+            include_str!("store/testdata/projects.json"),
+        ),
+        ("persist.json", include_str!("store/testdata/persist.json")),
+        (
+            "error.404.json",
+            include_str!("store/testdata/error.404.json"),
+        ),
+        (
+            "error.503.json",
+            include_str!("store/testdata/error.503.json"),
+        ),
+        (
+            "shutdown.json",
+            include_str!("store/testdata/shutdown.json"),
+        ),
+    ];
+
+    #[test]
+    fn route_bodies_are_pinned() {
+        let got = route_bodies();
+        assert_eq!(
+            got.iter().map(|(name, _)| *name).collect::<Vec<_>>(),
+            PINNED_ROUTE_BODIES
+                .iter()
+                .map(|(name, _)| *name)
+                .collect::<Vec<_>>()
+        );
+        for ((name, bytes), (_, want)) in got.iter().zip(PINNED_ROUTE_BODIES) {
+            assert_eq!(std::str::from_utf8(bytes).unwrap(), *want, "{name} moved");
+        }
+    }
+
+    /// The members of a JSON object body, in order.
+    fn members(body: &[u8]) -> Vec<(String, Value)> {
+        match Value::parse(std::str::from_utf8(body).unwrap()).unwrap() {
+            Value::Object(members) => members,
+            other => panic!("not an object: {other}"),
+        }
+    }
+
+    /// The member keys of a JSON object, in order.
+    fn keys(members: &[(String, Value)]) -> Vec<&str> {
+        members.iter().map(|(key, _)| key.as_str()).collect()
+    }
+
+    /// `/healthz`, `/cache/stats` and `/admin/trace` carry live counters
+    /// and timings: their keys come in a fixed order, and each value is
+    /// the one its source reports.
+    #[test]
+    fn live_bodies_keep_their_key_order_and_sources() {
+        let ctx = ctx_on(&MemVfs::new());
+        ctx.registry.register("p", FRESH_SCRIPT, None).unwrap();
+        ctx.stats.shed_total.inc();
+        ctx.stats.note_durable_failure();
+        let health = members(&get(&ctx, "/healthz").body);
+        assert_eq!(
+            keys(&health),
+            [
+                "status",
+                "ready",
+                "read_only",
+                "projects",
+                "inflight",
+                "max_inflight",
+                "shed_total",
+                "journal_append_failures"
+            ]
+        );
+        let want = [
+            Value::from("ok"),
+            Value::from(true),
+            Value::from(false),
+            Value::from(ctx.registry.len()),
+            Value::from(ctx.stats.inflight.load(Ordering::SeqCst)),
+            Value::from(ctx.stats.max_inflight),
+            Value::from(ctx.stats.shed_total.get()),
+            Value::from(ctx.stats.journal_failures_total.get()),
+        ];
+        let values: Vec<Value> = health.into_iter().map(|(_, value)| value).collect();
+        assert_eq!(values, want);
+        assert_eq!(want[3..], [1u64, 0, 4, 1, 1].map(Value::from));
+
+        // The global caches move under concurrent tests: each counter
+        // lies between the readings taken before and after the body.
+        let before = [BoundsCache::global().stats(), PlanCache::global().stats()];
+        let stats = members(&get(&ctx, "/cache/stats").body);
+        let after = [BoundsCache::global().stats(), PlanCache::global().stats()];
+        assert_eq!(keys(&stats), ["bounds", "plan"]);
+        for (((_, cache), before), after) in stats.iter().zip(before).zip(after) {
+            let Value::Object(counters) = cache else {
+                panic!("{cache}")
+            };
+            assert_eq!(keys(counters), ["hits", "misses", "entries"]);
+            let bounds = [
+                (before.hits, after.hits),
+                (before.misses, after.misses),
+                (before.entries as u64, after.entries as u64),
+            ];
+            for ((key, value), (low, high)) in counters.iter().zip(bounds) {
+                let value = value.as_u64().unwrap();
+                assert!((low.min(high)..=low.max(high)).contains(&value), "{key}");
+            }
+        }
+
+        let mut stages_ns = [0; trace::STAGE_COUNT];
+        stages_ns[Stage::Parse.index()] = 2_500;
+        stages_ns[Stage::Handler.index()] = 40_999;
+        stages_ns[Stage::DurableWait.index()] = (1 << 60) + 7_000;
+        let rec = TraceRec {
+            id: (1 << 53) + 1,
+            route: "commit",
+            status: 409,
+            stages_ns,
+        };
+        ctx.obs.ring.push(rec.clone());
+        let body = get(&ctx, "/admin/trace").body;
+        let trace = members(&body);
+        assert_eq!(keys(&trace), ["slow_request_ms", "entries"]);
+        assert_eq!(trace[0].1, Value::from(ctx.obs.slow_request_ms));
+        let entries = trace[1].1.as_array().unwrap();
+        assert_eq!(entries.len(), 1);
+        let Value::Object(entry) = &entries[0] else {
+            panic!("{}", entries[0])
+        };
+        assert_eq!(
+            keys(entry),
+            [
+                "id",
+                "route",
+                "status",
+                "total_us",
+                "parse_us",
+                "handler_us",
+                "durable_wait_us"
+            ]
+        );
+        let want = [
+            Value::from(rec.id),
+            Value::from(rec.route),
+            Value::from(u64::from(rec.status)),
+            Value::from(rec.total_ns() / 1_000),
+            Value::from(2u64),
+            Value::from(40u64),
+            Value::from(((1u64 << 60) + 7_000) / 1_000),
+        ];
+        let values: Vec<Value> = entry.iter().map(|(_, value)| value.clone()).collect();
+        assert_eq!(values, want);
+        // Past 2^53 an id renders as the float it reads back as.
+        let text = std::str::from_utf8(&body).unwrap();
+        assert!(text.contains("\"id\":9007199254740992,"), "{text}");
     }
 }

@@ -3336,9 +3336,9 @@ mod tests {
                 prop_assert_eq!(pull, tree);
                 let bodies = |p: &Project| {
                     [
-                        crate::server::status_json(p).encode(),
+                        crate::server::status_body(p),
                         crate::server::history_body("proj", p),
-                        crate::server::budget_body(p).encode(),
+                        crate::server::budget_body(p),
                         render_snapshot(pull, p),
                     ]
                 };
@@ -3866,9 +3866,9 @@ mod tests {
         if pull.is_ok() {
             let bodies = |p: &Project| {
                 [
-                    crate::server::status_json(p).encode(),
+                    crate::server::status_body(p),
                     crate::server::history_body("proj", p),
-                    crate::server::budget_body(p).encode(),
+                    crate::server::budget_body(p),
                     render_snapshot(0, p),
                 ]
             };
