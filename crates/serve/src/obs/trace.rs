@@ -52,7 +52,12 @@ pub enum Stage {
     Measure,
     /// Journal record append (buffer build + write).
     JournalAppend,
-    /// `sync_data` calls issued by the request.
+    /// `sync_data` and `sync_dir` calls made on the request's own
+    /// thread: a registration's record and directory syncs, snapshot
+    /// seals, segment creation, and an off-loop handler's own
+    /// group-commit round. The event loop runs its rounds outside any
+    /// request, so this stage does not time them;
+    /// `easeml_group_commit_flush_seconds` does.
     Fsync,
     /// Snapshot serialization + atomic write (every Nth commit).
     Snapshot,
