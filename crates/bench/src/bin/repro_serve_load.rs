@@ -413,6 +413,26 @@ fn read_histogram(
     })
 }
 
+/// The samples of `name{labels}` recorded after the scrape `base` and by
+/// the scrape `end`: `end`'s histogram less `base`'s, bucket by bucket
+/// (`base = None` reads `end` alone). `None` when none landed between.
+fn read_histogram_since(
+    base: Option<&Exposition>,
+    end: &Exposition,
+    name: &str,
+    labels: &[(&str, &str)],
+) -> Option<HistogramSnapshot> {
+    let mut h = read_histogram(end, name, labels)?;
+    if let Some(before) = base.and_then(|base| read_histogram(base, name, labels)) {
+        for (n, b) in h.counts.iter_mut().zip(&before.counts) {
+            *n -= b;
+        }
+        h.count -= before.count;
+        h.sum -= before.sum;
+    }
+    (h.count > 0).then_some(h)
+}
+
 /// A server-side histogram's count, p50 and p99 (µs) and total (ms).
 #[derive(Default)]
 struct ServerQuantiles {
@@ -423,9 +443,15 @@ struct ServerQuantiles {
 }
 
 impl ServerQuantiles {
-    /// Read `name{labels}` off a scrape; `None` when absent or empty.
-    fn read(expo: &Exposition, name: &str, labels: &[(&str, &str)]) -> Option<ServerQuantiles> {
-        let h = read_histogram(expo, name, labels)?;
+    /// Read `name{labels}` over the samples [`read_histogram_since`]
+    /// keeps; `None` when there are none.
+    fn read(
+        base: Option<&Exposition>,
+        end: &Exposition,
+        name: &str,
+        labels: &[(&str, &str)],
+    ) -> Option<ServerQuantiles> {
+        let h = read_histogram_since(base, end, name, labels)?;
         Some(ServerQuantiles {
             count: h.count,
             p50_us: h.quantile(0.50)? / 1e3,
@@ -443,16 +469,19 @@ impl ServerQuantiles {
     }
 }
 
-/// Each stage's quantiles from the scrape's
-/// `easeml_request_stage_seconds`. Stages that never recorded are
-/// skipped.
-fn stage_breakdown(expo: &Exposition) -> Vec<(&'static str, ServerQuantiles)> {
+/// Each stage's quantiles from `easeml_request_stage_seconds`, over the
+/// samples recorded after `base` and by `end`. Stages that recorded
+/// none are skipped.
+fn stage_breakdown(
+    base: Option<&Exposition>,
+    end: &Exposition,
+) -> Vec<(&'static str, ServerQuantiles)> {
     STAGES
         .iter()
         .filter_map(|stage| {
             let stage = stage.name();
-            let q =
-                ServerQuantiles::read(expo, "easeml_request_stage_seconds", &[("stage", stage)]);
+            let labels = [("stage", stage)];
+            let q = ServerQuantiles::read(base, end, "easeml_request_stage_seconds", &labels);
             Some((stage, q?))
         })
         .collect()
@@ -675,7 +704,8 @@ struct DurabilityMode {
 /// commit workloads. Registration latencies (all plan-warm: the scripts
 /// were estimated in the main phase) feed the per-mode registration
 /// percentile; the two scrapes bracket the commit storm so the
-/// fsyncs-per-commit ratio excludes registration I/O.
+/// fsyncs-per-commit ratio and every server histogram exclude
+/// registration I/O.
 fn run_durability_level(
     durability: Durability,
     quick: bool,
@@ -755,16 +785,17 @@ fn run_durability_level(
     // The latency targets are stated against these stage histograms;
     // the route-duration quantiles below are the stricter whole-handler
     // numbers, reported alongside.
-    let stages = stage_breakdown(&end)
+    let stages = stage_breakdown(Some(&baseline), &end)
         .into_iter()
         .filter(|(stage, _)| matches!(*stage, "gate" | "measure" | "journal_append" | "fsync"))
         .collect();
+    let since = |name, labels: &[_]| ServerQuantiles::read(Some(&baseline), &end, name, labels);
     let route = |route| {
-        ServerQuantiles::read(&end, "easeml_request_duration_seconds", &[("route", route)])
+        since("easeml_request_duration_seconds", &[("route", route)])
             .unwrap_or_else(|| panic!("{route} route histogram"))
     };
     let (counts_server, predictions_server) = (route("commit"), route("commit_predictions"));
-    let round_flush = ServerQuantiles::read(&end, "easeml_group_commit_flush_seconds", &[]);
+    let round_flush = since("easeml_group_commit_flush_seconds", &[]);
     let _ = std::fs::remove_dir_all(server.stop());
 
     let commits = commits as u64;
@@ -951,7 +982,7 @@ fn main() {
             "curated counter {name}{labels:?} must be non-zero after load (got {value:?})"
         );
     }
-    let stages = stage_breakdown(&expo);
+    let stages = stage_breakdown(None, &expo);
     assert!(
         ["gate", "journal_append", "handler", "response_write"]
             .iter()
@@ -1661,5 +1692,42 @@ mod tests {
         assert!(read_histogram(&expo, "easeml_staged_seconds", &[("stage", "fsync")]).is_none());
         assert!(read_histogram(&expo, "easeml_absent_seconds", &[]).is_none());
         assert!(read_histogram(&expo, "easeml_empty_seconds", &[]).is_none());
+    }
+
+    /// The difference of two scrapes of a histogram is the histogram of
+    /// the samples recorded between them.
+    #[test]
+    fn read_histogram_since_keeps_the_samples_between_two_scrapes() {
+        let help = "A test histogram.";
+        let labelled = [("stage", "fsync")];
+        let metrics = Metrics::new();
+        let h = metrics.histogram_with("easeml_staged_seconds", help, Edges::time(), &labelled);
+        let between = Metrics::new();
+        let only = between.histogram_with("easeml_staged_seconds", help, Edges::time(), &labelled);
+        let last = *Edges::time().bounds().last().unwrap();
+        for ns in [1, 1_414, 2_500, 70_000, last + 1] {
+            h.record(ns);
+        }
+        let base = expo::parse(&metrics.render()).unwrap();
+        let name = "easeml_staged_seconds";
+        assert!(read_histogram_since(Some(&base), &base, name, &labelled).is_none());
+        for ns in [1_000, 2_500, 2_500, 9_999_999, last * 3] {
+            h.record(ns);
+            only.record(ns);
+        }
+        let end = expo::parse(&metrics.render()).unwrap();
+        let since = read_histogram_since(Some(&base), &end, name, &labelled).unwrap();
+        assert_eq!(since, only.snapshot());
+        for q in [0.50, 0.99] {
+            assert_eq!(since.quantile(q), only.snapshot().quantile(q), "q{q}");
+        }
+        // A series the base scrape lacks is read whole; no base reads `end`.
+        let empty = expo::parse(&Metrics::new().render()).unwrap();
+        let whole = read_histogram(&end, name, &labelled);
+        assert_eq!(
+            read_histogram_since(Some(&empty), &end, name, &labelled),
+            whole
+        );
+        assert_eq!(read_histogram_since(None, &end, name, &labelled), whole);
     }
 }

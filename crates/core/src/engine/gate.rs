@@ -9,12 +9,33 @@
 
 use super::evaluator::CommitEstimates;
 use super::history::{CommitHistory, HistoryEntry};
-use super::sink::AlarmReason;
 use super::CommitReceipt;
 use crate::error::EngineError;
 use crate::logic::{Mode, Tribool};
 use crate::script::CiScript;
 use easeml_bounds::Adaptivity;
+use std::fmt;
+
+/// Why the gate asked for a fresh testset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum AlarmReason {
+    /// The pre-declared step budget `H` is used up.
+    BudgetExhausted,
+    /// Hybrid (`firstChange`) adaptivity: a commit passed, so the
+    /// current testset must retire early (§3.4).
+    PassedInHybrid,
+}
+
+impl fmt::Display for AlarmReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AlarmReason::BudgetExhausted => write!(f, "step budget exhausted"),
+            AlarmReason::PassedInHybrid => {
+                write!(f, "a commit passed under firstChange adaptivity")
+            }
+        }
+    }
+}
 
 /// The state [`Gate::rollback`] restores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -267,6 +288,14 @@ mod tests {
 
     fn record(g: &mut Gate, id: &str, outcome: Tribool) -> Result<CommitReceipt, EngineError> {
         g.step(id, || Ok((outcome, CommitEstimates::default())))
+    }
+
+    #[test]
+    fn alarm_reason_display() {
+        assert!(AlarmReason::BudgetExhausted.to_string().contains("budget"));
+        assert!(AlarmReason::PassedInHybrid
+            .to_string()
+            .contains("firstChange"));
     }
 
     #[test]

@@ -18,6 +18,11 @@
 //!    era's statistical power is spent;
 //! 4. advance the accepted model on a pass.
 //!
+//! The [`CommitReceipt`] is the engine's only output. It carries the
+//! developer's view (`signal`, withheld under `adaptivity: none`) next to
+//! the integration team's (`outcome`, `passed`, `alarm`); the caller
+//! decides who reads which.
+//!
 //! The serving layer's projects measure through the same core and record
 //! their commits through the same [`Gate`], so the in-process engine and
 //! the served gate cannot drift, even where a statistic lands exactly on
@@ -28,16 +33,14 @@
 mod evaluator;
 mod gate;
 mod history;
-mod sink;
 mod testset;
 
 pub use evaluator::{
     clause_label_demand, formula_label_demand, validate_metric_formula, CommitEstimates,
     LabelDemand, MeasuredCounts, Measurement, PerClassCounts, Predictions,
 };
-pub use gate::{Gate, GateSavepoint};
+pub use gate::{AlarmReason, Gate, GateSavepoint};
 pub use history::{CommitHistory, HistoryEntry};
-pub use sink::{AlarmReason, CiEvent, CollectingSink, MailboxSink, NotificationSink, NullSink};
 pub use testset::{LabelOracle, Testset, VecOracle};
 
 use crate::dsl::{classify_clause, Clause, ClauseShape, LinearForm, Var};
@@ -137,7 +140,6 @@ pub struct CiEngine {
     layout: Layout,
     testset: Testset,
     oracle: Option<Box<dyn LabelOracle>>,
-    sink: Box<dyn NotificationSink>,
     old_predictions: Vec<u32>,
     gate: Gate,
 }
@@ -207,7 +209,6 @@ impl CiEngine {
             layout,
             testset,
             oracle: None,
-            sink: Box::new(NullSink),
             old_predictions,
         })
     }
@@ -216,13 +217,6 @@ impl CiEngine {
     #[must_use]
     pub fn with_oracle(mut self, oracle: Box<dyn LabelOracle>) -> Self {
         self.oracle = Some(oracle);
-        self
-    }
-
-    /// Install a notification sink (alarm + third-party result channel).
-    #[must_use]
-    pub fn with_sink(mut self, sink: Box<dyn NotificationSink>) -> Self {
-        self.sink = sink;
         self
     }
 
@@ -341,18 +335,6 @@ impl CiEngine {
         if receipt.passed {
             self.old_predictions = commit.predictions.clone();
         }
-        self.sink.notify(&CiEvent::CommitTested {
-            commit_id: commit.id.clone(),
-            outcome: receipt.outcome,
-            passed: receipt.passed,
-            step: receipt.step,
-        });
-        if let Some(reason) = receipt.alarm {
-            self.sink.notify(&CiEvent::NewTestsetAlarm {
-                reason,
-                steps_used: receipt.step,
-            });
-        }
         Ok(receipt)
     }
 
@@ -376,12 +358,6 @@ impl CiEngine {
         self.gate.fresh_era()?;
         self.layout = layout;
         let released = std::mem::replace(&mut self.testset, testset);
-        self.sink.notify(&CiEvent::TestsetReleased {
-            size: released.len(),
-        });
-        self.sink.notify(&CiEvent::TestsetInstalled {
-            size: self.testset.len(),
-        });
         self.old_predictions = old_predictions;
         Ok(released)
     }

@@ -61,9 +61,12 @@ pub enum LeafBound {
 ///   testset mass of the k most frequent classes (the statistic is a
 ///   mean over that `ρ_k` fraction of the points).
 ///
-/// The defaults (`0.5` each) are the conservative knobs used when a
-/// deployment registers a script before its testset composition is
-/// known; the serve layer can tighten them from the actual testset.
+/// The defaults (`0.5` each) are used when a script is sized before its
+/// testset composition is known. They are conservative only for a
+/// testset whose positive-class rate (top-k mass) is at least `0.5`:
+/// `n` grows as `β²`, so a smaller rate needs a larger pool than the
+/// default sizes. Nothing re-sizes a gate from the testset it receives;
+/// the serve layer sizes every `f1`/`topk` gate at these defaults.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricSensitivity {
     /// Positive-class rate `π₊ ∈ (0, 1]` backing the F1 sensitivity.

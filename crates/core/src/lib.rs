@@ -75,9 +75,9 @@ pub use cache::{
 };
 pub use engine::{
     clause_label_demand, formula_label_demand, validate_metric_formula, AlarmReason, CiEngine,
-    CiEvent, CollectingSink, CommitEstimates, CommitHistory, CommitReceipt, Gate, GateSavepoint,
-    HistoryEntry, LabelDemand, LabelOracle, MailboxSink, MeasuredCounts, Measurement, ModelCommit,
-    NotificationSink, NullSink, PerClassCounts, Predictions, Testset, VecOracle,
+    CommitEstimates, CommitHistory, CommitReceipt, Gate, GateSavepoint, HistoryEntry, LabelDemand,
+    LabelOracle, MeasuredCounts, Measurement, ModelCommit, PerClassCounts, Predictions, Testset,
+    VecOracle,
 };
 pub use error::{CiError, EngineError, ParseError, Result, ScriptError};
 pub use estimator::{

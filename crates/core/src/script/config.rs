@@ -100,8 +100,8 @@ impl CiScript {
                     builder = builder.mode(mode);
                 }
                 "adaptivity" => {
-                    // `none -> email@example.com` routes results to a
-                    // third party the developer cannot read.
+                    // `none -> email@example.com` names the third party
+                    // that reads results the developer cannot.
                     let (kind, notify) = match item.value.split_once("->") {
                         Some((k, addr)) => (k.trim(), Some(addr.trim().to_owned())),
                         None => (item.value.as_str(), None),
@@ -182,7 +182,9 @@ impl CiScript {
         self.script_path.as_deref()
     }
 
-    /// Third-party notification address for `adaptivity: none`.
+    /// Third-party notification address of `adaptivity: none -> addr`.
+    /// It is parsed and rendered back by [`CiScript::to_script_text`];
+    /// nothing in the workspace delivers to it.
     #[must_use]
     pub fn notify(&self) -> Option<&str> {
         self.notify.as_deref()
@@ -296,7 +298,7 @@ impl CiScriptBuilder {
     }
 
     /// Set the third-party notification address used with
-    /// `adaptivity: none`.
+    /// `adaptivity: none` (recorded only; see [`CiScript::notify`]).
     #[must_use]
     pub fn notify(mut self, address: impl Into<String>) -> Self {
         self.notify = Some(address.into());
@@ -322,10 +324,6 @@ impl CiScriptBuilder {
         }
         if self.steps == 0 {
             return Err(CiError::Semantic("steps must be at least 1".into()));
-        }
-        if self.adaptivity == Adaptivity::None && self.notify.is_none() {
-            // Permitted — results are simply recorded without an email
-            // side channel — but full adaptivity must not carry one.
         }
         Ok(CiScript {
             condition,

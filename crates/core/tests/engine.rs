@@ -3,11 +3,9 @@
 
 use easeml_bounds::Adaptivity;
 use easeml_ci_core::{
-    AlarmReason, CiEngine, CiError, CiEvent, CiScript, CollectingSink, EngineError, Mode,
-    ModelCommit, SampleSizeEstimator, Testset, Tribool, VecOracle,
+    AlarmReason, CiEngine, CiError, CiScript, EngineError, Mode, ModelCommit, SampleSizeEstimator,
+    Testset, Tribool, VecOracle,
 };
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// A script whose tolerance is loose enough that small synthetic
 /// testsets satisfy the estimator.
@@ -61,26 +59,19 @@ fn full_adaptivity_releases_signal_and_updates_old_model() {
 }
 
 #[test]
-fn none_adaptivity_withholds_signal_but_notifies_sink() {
+fn none_adaptivity_withholds_signal_but_receipt_keeps_outcome() {
     let script = loose_script(Adaptivity::None, 8, Mode::FpFree);
-    let n = pool(&script);
-    let sink = Rc::new(RefCell::new(CollectingSink::new()));
-    let engine =
-        CiEngine::new(script, Testset::fully_labeled(vec![1u32; n]), vec![0u32; n]).unwrap();
-    let mut engine = engine.with_sink(Box::new(Rc::clone(&sink)));
+    let (mut engine, n) = engine_with_pool(script);
 
     let bad = ModelCommit::new("bad", vec![0u32; n]);
     let receipt = engine.submit(&bad).unwrap();
     // Developer sees nothing; the repository accepts the commit anyway.
     assert_eq!(receipt.signal, None);
     assert!(receipt.accepted);
+    // The integration team's view of the receipt holds the true outcome.
     assert!(!receipt.passed);
-    // The third-party channel received the true outcome.
-    let events = sink.borrow().events().to_vec();
-    assert!(matches!(
-        events[0],
-        CiEvent::CommitTested { passed: false, .. }
-    ));
+    assert_eq!(receipt.outcome, Tribool::False);
+    assert_eq!(receipt.step, 1);
     // The *active* model only advances on a pass, so the failing commit
     // does not displace it even though the repository accepted it.
     assert_eq!(engine.old_predictions(), vec![0u32; n]);
@@ -125,11 +116,7 @@ fn budget_exhaustion_raises_alarm_and_blocks() {
 #[test]
 fn install_testset_starts_new_era_and_releases_old() {
     let script = loose_script(Adaptivity::Full, 1, Mode::FpFree);
-    let n = pool(&script);
-    let sink = Rc::new(RefCell::new(CollectingSink::new()));
-    let mut engine = CiEngine::new(script, Testset::fully_labeled(vec![1u32; n]), vec![0u32; n])
-        .unwrap()
-        .with_sink(Box::new(Rc::clone(&sink)));
+    let (mut engine, n) = engine_with_pool(script);
 
     let bad = ModelCommit::new("bad", vec![0u32; n]);
     let receipt = engine.submit(&bad).unwrap();
@@ -137,25 +124,20 @@ fn install_testset_starts_new_era_and_releases_old() {
     assert_eq!(engine.era(), 0);
 
     let released = engine
-        .install_testset(Testset::fully_labeled(vec![1u32; n]), vec![0u32; n])
+        .install_testset(Testset::fully_labeled(vec![1u32; n + 1]), vec![0u32; n + 1])
         .unwrap();
+    // The old pool comes back to the caller; the new one is installed.
     assert_eq!(released.len(), n);
+    assert_eq!(engine.testset_len(), n + 1);
     assert_eq!(engine.era(), 1);
     assert_eq!(engine.steps_used(), 0);
     assert!(!engine.is_retired());
     // New era accepts commits again; history spans eras.
     engine
-        .submit(&ModelCommit::new("retry", vec![1u32; n]))
+        .submit(&ModelCommit::new("retry", vec![1u32; n + 1]))
         .unwrap();
     assert_eq!(engine.history().len(), 2);
     assert_eq!(engine.history().entries()[1].era, 1);
-    let events = sink.borrow().events().to_vec();
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, CiEvent::TestsetReleased { .. })));
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, CiEvent::TestsetInstalled { .. })));
 }
 
 #[test]

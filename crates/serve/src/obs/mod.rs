@@ -142,10 +142,47 @@ struct Family {
     series: Vec<(Vec<(String, String)>, Series)>,
 }
 
+impl Family {
+    fn expect_kind(&self, kind: Kind) {
+        assert_eq!(
+            self.kind, kind,
+            "metric {} re-registered as a different type",
+            self.name
+        );
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     families: Vec<Family>,
     index: HashMap<&'static str, usize>,
+}
+
+impl Inner {
+    /// The family `name`, created empty on first use; panics when it
+    /// exists under another kind.
+    fn family(&mut self, name: &'static str, help: &'static str, kind: Kind) -> &mut Family {
+        let families = &mut self.families;
+        let fi = *self.index.entry(name).or_insert_with(|| {
+            families.push(Family {
+                name,
+                help,
+                kind,
+                series: Vec::new(),
+            });
+            families.len() - 1
+        });
+        let family = &mut self.families[fi];
+        family.expect_kind(kind);
+        family
+    }
+}
+
+fn owned_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
+    labels
+        .iter()
+        .map(|(k, v)| ((*k).to_string(), (*v).to_string()))
+        .collect()
 }
 
 /// The metrics registry: families of labeled series, rendered as
@@ -210,18 +247,12 @@ impl Metrics {
         make: impl FnOnce() -> Series,
         extract: impl Fn(&Series) -> Option<T>,
     ) -> T {
-        let owned: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| ((*k).to_string(), (*v).to_string()))
-            .collect();
+        let owned = owned_labels(labels);
         if let Some(found) = {
             let inner = self.inner.read().expect("metrics registry poisoned");
             inner.index.get(name).and_then(|&fi| {
                 let family = &inner.families[fi];
-                assert_eq!(
-                    family.kind, kind,
-                    "metric {name} re-registered as a different type"
-                );
+                family.expect_kind(kind);
                 family
                     .series
                     .iter()
@@ -232,25 +263,7 @@ impl Metrics {
             return found;
         }
         let mut inner = self.inner.write().expect("metrics registry poisoned");
-        let fi = match inner.index.get(name) {
-            Some(&fi) => fi,
-            None => {
-                let fi = inner.families.len();
-                inner.families.push(Family {
-                    name,
-                    help,
-                    kind,
-                    series: Vec::new(),
-                });
-                inner.index.insert(name, fi);
-                fi
-            }
-        };
-        let family = &mut inner.families[fi];
-        assert_eq!(
-            family.kind, kind,
-            "metric {name} re-registered as a different type"
-        );
+        let family = inner.family(name, help, kind);
         if let Some((_, existing)) = family.series.iter().find(|(l, _)| *l == owned) {
             return extract(existing).expect("series type matches family kind");
         }
@@ -364,30 +377,9 @@ impl Metrics {
         labels: &[(&str, &str)],
         f: Box<dyn Fn() -> f64 + Send + Sync>,
     ) {
-        let owned: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| ((*k).to_string(), (*v).to_string()))
-            .collect();
+        let owned = owned_labels(labels);
         let mut inner = self.inner.write().expect("metrics registry poisoned");
-        let fi = match inner.index.get(name) {
-            Some(&fi) => fi,
-            None => {
-                let fi = inner.families.len();
-                inner.families.push(Family {
-                    name,
-                    help,
-                    kind,
-                    series: Vec::new(),
-                });
-                inner.index.insert(name, fi);
-                fi
-            }
-        };
-        let family = &mut inner.families[fi];
-        assert_eq!(
-            family.kind, kind,
-            "metric {name} re-registered as a different type"
-        );
+        let family = inner.family(name, help, kind);
         if let Some(slot) = family.series.iter_mut().find(|(l, _)| *l == owned) {
             slot.1 = Series::Func(f);
         } else {
