@@ -592,16 +592,24 @@ impl<'a> Measurement<'a> {
     /// The first item of `range` whose prediction, or known label, falls
     /// outside `0..classes` (`range.end` when none does). Unknown label
     /// slots hold 0. Predictions checked against at most `classes`
-    /// classes ([`Measurement::checked`]) are not scanned again.
+    /// classes ([`Measurement::checked`]) are not scanned again, nor are
+    /// the label slots when the pool's [`Testset::label_bound`] is below
+    /// `classes`.
     fn first_out_of_class(&self, classes: u32, mut range: Range<usize>) -> usize {
         let end = range.end;
-        let labels = &self.testset.label_slots()[range.clone()];
+        let labels_unchecked = self.testset.label_bound() >= classes;
         let unchecked = self.bound.is_none_or(|bound| bound > classes);
         #[cfg(test)]
-        if unchecked {
-            tests::PREDICTION_SCANS.with(|scans| scans.set(scans.get() + 2));
+        {
+            if labels_unchecked {
+                tests::LABEL_SCANS.with(|scans| scans.set(scans.get() + 1));
+            }
+            if unchecked {
+                tests::PREDICTION_SCANS.with(|scans| scans.set(scans.get() + 2));
+            }
         }
-        let flagged = first_at_or_above(labels, classes).is_some()
+        let labels = &self.testset.label_slots()[range.clone()];
+        let flagged = labels_unchecked && first_at_or_above(labels, classes).is_some()
             || unchecked
                 && [&self.old[range.clone()], &self.new[range.clone()]]
                     .iter()
@@ -767,6 +775,8 @@ mod tests {
         /// Prediction vectors scanned for their class range on this
         /// thread.
         pub(super) static PREDICTION_SCANS: Cell<u64> = const { Cell::new(0) };
+        /// Label slots scanned for their class range on this thread.
+        pub(super) static LABEL_SCANS: Cell<u64> = const { Cell::new(0) };
     }
 
     /// 10 items; labels all 0. Old model predicts 0 except items 8, 9
@@ -1583,20 +1593,24 @@ mod tests {
     }
 
     /// A checked pair is scanned once, by its check: a metric measurement
-    /// over it reads only the labels. Unchecked vectors are scanned at
-    /// that boundary instead.
+    /// over it reads neither vector again, nor the labels of a pool whose
+    /// label bound is below the class count. Unchecked vectors are
+    /// scanned at that boundary instead, and so are the labels of a pool
+    /// that may hold one out of range, which still fails loudly.
     #[test]
     fn a_checked_metric_measurement_scans_each_vector_once() {
         let (labels, old, new) = fixture();
         let f1 = crate::dsl::parse_formula("f1(n) - f1(o) > -0.5 +/- 0.1").unwrap();
         let scans = || PREDICTION_SCANS.with(Cell::get);
-        let start = scans();
+        let label_scans = || LABEL_SCANS.with(Cell::get);
+        let (start, label_start) = (scans(), label_scans());
         let mut testset = Testset::fully_labeled(labels.clone());
         let predictions = Predictions::check(&old, &new, 10, 2).unwrap();
         let checked = Measurement::checked(&mut testset, None, predictions)
             .measure(&f1, 2)
             .unwrap();
         assert_eq!(scans() - start, 2, "old and new, once each");
+        assert_eq!(label_scans() - label_start, 0, "labels within the bound");
         let mut testset = Testset::fully_labeled(labels);
         let unchecked = Measurement::new(&mut testset, None, &old, &new)
             .unwrap()
@@ -1612,6 +1626,31 @@ mod tests {
             .measure(&f1, 2)
             .unwrap();
         assert_eq!(scans() - start, 8);
+        assert_eq!(label_scans() - label_start, 0);
+        // A pool whose bound reaches the class count is scanned, and its
+        // out-of-class label refused at its item.
+        let mut labels = vec![0; 10];
+        labels[6] = 2;
+        let mut testset = Testset::fully_labeled(labels);
+        let predictions = Predictions::check(&old, &new, 10, 2).unwrap();
+        let err = Measurement::checked(&mut testset, None, predictions)
+            .measure(&f1, 2)
+            .unwrap_err();
+        assert!(err.to_string().contains("label 2"), "{err}");
+        assert!(err.to_string().contains("item 6"), "{err}");
+        assert_eq!((scans() - start, label_scans() - label_start), (10, 1));
+        // A lazy pool that once held the label keeps a bound that reaches
+        // the class count after it is unset: its slots are scanned, and
+        // find every label in range.
+        let mut testset = Testset::unlabeled(10);
+        testset.set_label(6, 2);
+        testset.unset_label(6);
+        let mut oracle = VecOracle::new(vec![1; 10]);
+        let predictions = Predictions::check(&old, &new, 10, 2).unwrap();
+        Measurement::checked(&mut testset, Some(&mut oracle), predictions)
+            .measure(&f1, 2)
+            .unwrap();
+        assert_eq!((scans() - start, label_scans() - label_start), (12, 2));
     }
 
     #[test]

@@ -18,12 +18,25 @@ use crate::error::{EngineError, Result};
 /// (bit `i % 64` of word `i / 64` is set iff item `i`'s label is known),
 /// which [`Testset::set_label`] and [`Testset::unset_label`] keep up to
 /// date, so the measurement pass reads both as they are. Unknown items
-/// hold label 0, so equal pools compare equal.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// hold label 0, so equal pools compare equal. The pool also keeps a
+/// witness of its label range, [`Testset::label_bound`], so a
+/// measurement need not rescan labels it already knows are in range.
+#[derive(Debug, Clone, Eq)]
 pub struct Testset {
     labels: Vec<u32>,
     known_mask: Vec<u64>,
     known: usize,
+    /// No label slot holds more: the largest label ever set, 0 before
+    /// any. Unsetting a label leaves it, since the slot drops to 0.
+    label_bound: u32,
+}
+
+/// Pools compare by their labels; the label bound is a witness that
+/// depends on which labels were set and unset before.
+impl PartialEq for Testset {
+    fn eq(&self, other: &Testset) -> bool {
+        self.labels == other.labels && self.known_mask == other.known_mask
+    }
 }
 
 impl Testset {
@@ -38,6 +51,7 @@ impl Testset {
             }
         }
         Testset {
+            label_bound: labels.iter().copied().max().unwrap_or(0),
             labels,
             known_mask,
             known,
@@ -52,6 +66,7 @@ impl Testset {
             labels: vec![0; size],
             known_mask: vec![0; size.div_ceil(64)],
             known: 0,
+            label_bound: 0,
         }
     }
 
@@ -118,6 +133,7 @@ impl Testset {
             self.known_mask[index / 64] |= 1u64 << (index % 64);
         }
         self.labels[index] = label;
+        self.label_bound = self.label_bound.max(label);
         fresh
     }
 
@@ -143,6 +159,14 @@ impl Testset {
     #[must_use]
     pub fn label_slots(&self) -> &[u32] {
         &self.labels
+    }
+
+    /// An upper bound on every label slot: the largest label ever set
+    /// (0 for a pool that never held one). A bound below a class count
+    /// proves every known label lies in that class range.
+    #[must_use]
+    pub fn label_bound(&self) -> u32 {
+        self.label_bound
     }
 
     /// The known mask: bit `i % 64` of word `i / 64` is set iff item
@@ -257,6 +281,26 @@ mod tests {
         assert_eq!(t.labeled_count(), 1);
         assert_eq!(t.label(1), Some(7));
         assert_eq!(t.label(0), None);
+    }
+
+    /// The label bound covers every slot: it is the largest label of a
+    /// full pool, rises as labels are set, and stays when a label is
+    /// unset (the slot drops to 0). Pools still compare by their labels.
+    #[test]
+    fn label_bound_covers_every_slot() {
+        assert_eq!(Testset::fully_labeled(vec![0, 3, 1]).label_bound(), 3);
+        assert_eq!(Testset::fully_labeled(Vec::new()).label_bound(), 0);
+        let mut t = Testset::unlabeled(3);
+        assert_eq!(t.label_bound(), 0);
+        t.set_label(0, 2);
+        t.set_label(1, 9);
+        t.set_label(1, 4);
+        assert_eq!(t.label_bound(), 9);
+        t.unset_label(1);
+        t.unset_label(0);
+        assert_eq!(t.label_bound(), 9);
+        assert!(t.label_slots().iter().all(|&l| l <= t.label_bound()));
+        assert_eq!(t, Testset::unlabeled(3));
     }
 
     #[test]

@@ -22,10 +22,9 @@
 //! the depth cap) and accept exactly the same documents.
 //!
 //! Packed vectors (`#` plus one [`encode_u32_vec`] character per item)
-//! are decoded by one pass (`decode_packed_into`) that hands every byte
-//! to its caller as it decodes it: the predictions route folds its
-//! redelivery digest through that hook, so each vector's bytes are read
-//! once on the way in.
+//! are decoded by one pass (`decode_packed_into`) that checks the
+//! alphabet and writes the items; the predictions route keys the pair
+//! by XXH64 over the strings where they lie, not through this pass.
 //!
 //! Numbers are stored as `f64` and rendered without a fractional part
 //! when they are integral (`3`, not `3.0`), which keeps sample sizes and
@@ -573,7 +572,7 @@ pub(crate) fn encode_u32_vec_into(items: &[u32], mut sink: impl FnMut(&[u8])) {
 pub fn decode_u32_vec(text: &str) -> Result<Vec<u32>, String> {
     if let Some(packed) = text.strip_prefix('#') {
         let mut items = Vec::new();
-        decode_packed_into(packed, &mut items, |_| {})?;
+        decode_packed_into(packed, &mut items)?;
         Ok(items)
     } else if text.is_empty() {
         Ok(Vec::new())
@@ -588,24 +587,17 @@ pub fn decode_u32_vec(text: &str) -> Result<Vec<u32>, String> {
 }
 
 /// Decode the characters of a `#`-packed vector (the text after the
-/// `#`) onto `out`, handing every byte to `each` on the way: one pass
-/// over the bytes checks the alphabet, writes the items and lets the
-/// caller digest what it decodes (the predictions route folds the
-/// redelivery digest through `each`).
+/// `#`) onto `out`: one pass over the bytes checks the alphabet and
+/// writes the items.
 ///
 /// # Errors
 ///
 /// A message naming the first character outside the alphabet; `out`
 /// then holds a partial decode.
-pub(crate) fn decode_packed_into(
-    packed: &str,
-    out: &mut Vec<u32>,
-    mut each: impl FnMut(u8),
-) -> Result<(), String> {
+pub(crate) fn decode_packed_into(packed: &str, out: &mut Vec<u32>) -> Result<(), String> {
     let mut seen = 0u8;
     out.reserve(packed.len());
     out.extend(packed.bytes().map(|b| {
-        each(b);
         let v = PACK_DECODE[usize::from(b)];
         seen |= v;
         u32::from(v)
@@ -1729,13 +1721,13 @@ mod tests {
                 .unwrap(),
             vec![3, 64]
         );
-        // The packed pass hands every byte it decodes to its caller.
-        let (mut items, mut bytes) = (Vec::new(), Vec::new());
-        decode_packed_into(&packed[1..], &mut items, |b| bytes.push(b)).unwrap();
-        assert_eq!((items, bytes), (small, packed.as_bytes()[1..].to_vec()));
+        // The packed pass decodes the text after the `#` onto its output.
+        let mut items = vec![7];
+        decode_packed_into(&packed[1..], &mut items).unwrap();
+        assert_eq!(items, [vec![7], small].concat());
         let mut items = Vec::new();
         assert_eq!(
-            decode_packed_into("0!", &mut items, |_| {}),
+            decode_packed_into("0!", &mut items),
             Err("invalid packed-vector character `!`".into())
         );
     }

@@ -44,6 +44,7 @@
 
 pub mod error;
 pub mod fault;
+mod hash;
 pub mod http;
 pub mod json;
 mod net;

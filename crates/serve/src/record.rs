@@ -233,7 +233,10 @@ pub(crate) struct CommitRecord<'a> {
     pub accepted: Option<bool>,
     /// The point estimates of a history entry, in [`ESTIMATES`] order.
     pub estimates: [Option<Option<f64>>; 4],
+    /// A history entry's prediction-pair key, FNV-1a (written before
+    /// XXH64 keyed pairs) or XXH64.
     pub pred_digest: Option<Option<u64>>,
+    pub pred_xxh64: Option<Option<u64>>,
     /// The blob digest of a `fresh_testset` op.
     pub testset_digest: Option<Option<u64>>,
 }
@@ -261,6 +264,7 @@ pub(crate) fn commit_members<'a>(
             "diff" if seen.first(9) => c.estimates[3] = nullable(r, Reader::try_number)?,
             "labels" if seen.first(10) => c.labels = nullable(r, read_u64)?,
             "pred_digest" if seen.first(11) => c.pred_digest = nullable(r, read_digest)?,
+            "pred_xxh64" if seen.first(21) => c.pred_xxh64 = nullable(r, read_digest)?,
             "per_class" if seen.first(12) => c.per_class = decode_per_class(r)?,
             "op" if seen.first(13) => c.op = r.try_str()?,
             "samples" if seen.first(14) => c.samples = read_u64(r)?,

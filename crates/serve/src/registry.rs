@@ -21,11 +21,15 @@
 //! A predictions commit's two vectors arrive as `#`-packed strings, JSON
 //! arrays or decimal CSV strings; [`PackedPredictions`] holds them in the
 //! canonical packed form with their redelivery digest. A `#`-packed
-//! string is read once: one pass checks its alphabet, decodes its items
-//! and folds its bytes into the FNV-1a digest of `old | "|" | new`. The
-//! route and restart replay share that pass, so the digest, the journal
-//! line and the receipt are the same bytes whichever encoding the client
-//! chose.
+//! string is decoded in one pass that checks its alphabet and decodes
+//! its items; the pair is then keyed by XXH64,
+//! `xxh64(new, seed = xxh64(old, 0))` over the two wire strings where
+//! they lie ([`PackedPredictions::digest`]). The route and restart replay
+//! share that decode, so the digest, the journal line and the receipt are
+//! the same bytes whichever encoding the client chose. The testset digest
+//! stays FNV-1a ([`TestsetSpec::digest`]), and a history entry restored
+//! from a snapshot written before XXH64 keeps its FNV-1a pair key
+//! (`PairKey`).
 //!
 //! Both feeds converge on the same [`EvalCounts`] and the same gate code
 //! path: point estimates, then the condition over confidence intervals,
@@ -45,6 +49,7 @@
 //! foundation of the journal's determinism contract (see [`crate::store`]).
 
 use crate::error::ServeError;
+use crate::hash::{self, pair_digest};
 use crate::json::{decode_packed_into, decode_u32_vec, encode_u32_vec, encode_u32_vec_into};
 use crate::obs::trace::{self, Stage};
 use easeml_ci_core::dsl::Formula;
@@ -55,30 +60,7 @@ use easeml_ci_core::{
     VariableEstimates, VecOracle,
 };
 use std::borrow::Cow;
-
-/// FNV-1a 64 offset basis: the state before any byte.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// One FNV-1a 64 step: fold `byte` into `hash`.
-fn fnv1a_step(hash: u64, byte: u8) -> u64 {
-    (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-}
-
-/// Fold `bytes` into FNV-1a 64 state `hash`.
-fn fnv1a_fold(hash: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(hash, |hash, &byte| fnv1a_step(hash, byte))
-}
-
-/// FNV-1a 64 over a sequence of byte slices — the digest primitive of
-/// the serving layer's testset blobs and prediction-redelivery keys.
-#[must_use]
-pub(crate) fn fnv1a64(parts: &[&[u8]]) -> u64 {
-    parts
-        .iter()
-        .fold(FNV_OFFSET, |hash, part| fnv1a_fold(hash, part))
-}
+use std::cell::OnceCell;
 
 /// The largest class count a testset may declare. Metric commits
 /// allocate per-class tables of this length, so an unbounded count would
@@ -107,10 +89,12 @@ impl TestsetSpec {
     /// labels' wire form ([`encode_u32_vec`]), folded as it is encoded.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut hash = FNV_OFFSET;
-        encode_u32_vec_into(&self.truth, |bytes| hash = fnv1a_fold(hash, bytes));
-        let hash = fnv1a_fold(fnv1a_step(hash, b'|'), &self.classes.to_le_bytes());
-        fnv1a_step(hash, u8::from(self.lazy))
+        let mut fnv = hash::Fnv1a::new();
+        encode_u32_vec_into(&self.truth, |bytes| fnv.write(bytes));
+        fnv.write(b"|");
+        fnv.write(&self.classes.to_le_bytes());
+        fnv.write(&[u8::from(self.lazy)]);
+        fnv.finish()
     }
 }
 
@@ -507,7 +491,7 @@ impl PredictionsSubmission {
     #[must_use]
     pub fn packed(&self) -> PackedPredictions<'static> {
         let (old, new) = (encode_u32_vec(&self.old), encode_u32_vec(&self.new));
-        let digest = fnv1a64(&[old.as_bytes(), b"|", new.as_bytes()]);
+        let digest = pair_digest(&old, &new);
         PackedPredictions {
             old: Cow::Owned(old),
             new: Cow::Owned(new),
@@ -546,24 +530,20 @@ impl<'a> WireVector<'a> {
         }
     }
 
-    /// The items and the canonical wire string, with the wire folded
-    /// into FNV-1a state `hash`. A `#`-packed string already *is* that
-    /// string, and one pass over its bytes checks the alphabet, decodes
-    /// the items and folds the digest; other strings and arrays are
-    /// decoded, encoded and then folded.
-    fn decode(self, what: &str, hash: u64) -> Result<(Cow<'a, str>, Vec<u32>, u64), String> {
+    /// The items and the canonical wire string. A `#`-packed string
+    /// already *is* that string: one pass over its bytes checks the
+    /// alphabet and decodes the items. Other strings and arrays are
+    /// decoded, then encoded.
+    fn decode(self, what: &str) -> Result<(Cow<'a, str>, Vec<u32>), String> {
         let items = match self {
             WireVector::Text(text) if text.starts_with('#') => {
-                let (mut items, mut hash) = (Vec::new(), fnv1a_step(hash, b'#'));
-                decode_packed_into(&text[1..], &mut items, |b| hash = fnv1a_step(hash, b))
-                    .map_err(|e| format!("{what}: {e}"))?;
-                return Ok((text, items, hash));
+                let mut items = Vec::new();
+                decode_packed_into(&text[1..], &mut items).map_err(|e| format!("{what}: {e}"))?;
+                return Ok((text, items));
             }
             other => other.items(what)?,
         };
-        let wire = encode_u32_vec(&items);
-        let hash = fnv1a_fold(hash, wire.as_bytes());
-        Ok((Cow::Owned(wire), items, hash))
+        Ok((Cow::Owned(encode_u32_vec(&items)), items))
     }
 }
 
@@ -583,10 +563,10 @@ pub struct PackedPredictions<'a> {
 }
 
 impl<'a> PackedPredictions<'a> {
-    /// Decode both vectors of a predictions commit, old first, carrying
-    /// one FNV-1a state across `old | "|" | new`: each vector's bytes
-    /// are read once (see [`WireVector`]). Returns the wire pair and the
-    /// old and new items.
+    /// Decode both vectors of a predictions commit, old first (see
+    /// [`WireVector`]), then key the wire pair by
+    /// [`PackedPredictions::digest`]. Returns the wire pair and the old
+    /// and new items.
     ///
     /// # Errors
     ///
@@ -596,8 +576,9 @@ impl<'a> PackedPredictions<'a> {
         old: WireVector<'a>,
         new: WireVector<'a>,
     ) -> Result<(PackedPredictions<'a>, Vec<u32>, Vec<u32>), String> {
-        let (old, old_items, hash) = old.decode("old", FNV_OFFSET)?;
-        let (new, new_items, digest) = new.decode("new", fnv1a_step(hash, b'|'))?;
+        let (old, old_items) = old.decode("old")?;
+        let (new, new_items) = new.decode("new")?;
+        let digest = pair_digest(&old, &new);
         Ok((PackedPredictions { old, new, digest }, old_items, new_items))
     }
 
@@ -613,10 +594,14 @@ impl<'a> PackedPredictions<'a> {
         &self.new
     }
 
-    /// Content digest of the prediction pair, `fnv1a64(old | "|" | new)`
-    /// over the packed bytes — the redelivery-dedup key (the *vectors*
-    /// identify a resubmission; derived counts may drift as the label
-    /// pool fills between delivery attempts).
+    /// Content digest of the prediction pair,
+    /// `xxh64(new, seed = xxh64(old, 0))` over the two canonical wire
+    /// strings — the redelivery-dedup key (the *vectors* identify a
+    /// resubmission; derived counts may drift as the label pool fills
+    /// between delivery attempts). XXH64 reads eight bytes per lane
+    /// step in four independent lanes, where the byte-serial FNV-1a of
+    /// older snapshots (`PairKey::Fnv1a`) needs a dependent multiply
+    /// per byte.
     #[must_use]
     pub fn digest(&self) -> u64 {
         self.digest
@@ -673,17 +658,48 @@ pub struct Project {
     /// a testset (the project then accepts predictions submissions).
     measured: Option<MeasuredTestset>,
     /// Per-history-entry redelivery keys, always exactly as long as the
-    /// gate's history: the predictions digest (`None` for counts-based
-    /// entries), the dedup key of the predictions gate, and the per-class
-    /// confusion counts (`None` for plain accuracy/difference
-    /// conditions) that restart replay and redelivery dedup re-check
-    /// F1/top-k verdicts against.
+    /// gate's history: the prediction-pair key ([`PairKey::None`] for
+    /// counts-based entries), the dedup key of the predictions gate, and
+    /// the per-class confusion counts (`None` for plain
+    /// accuracy/difference conditions) that restart replay and
+    /// redelivery dedup re-check F1/top-k verdicts against.
     entry_keys: Vec<EntryKey>,
 }
 
-/// A history entry's predictions digest and per-class confusion counts
+/// A history entry's prediction-pair key and per-class confusion counts
 /// (see [`Project`]'s `entry_keys`).
-pub(crate) type EntryKey = (Option<u64>, Option<PerClassCounts>);
+pub(crate) type EntryKey = (PairKey, Option<PerClassCounts>);
+
+/// The redelivery key a history entry recorded for its prediction pair.
+/// `snapshot.json` writes an XXH64 key under `pred_xxh64` and an FNV-1a
+/// one under `pred_digest`, so a key keeps its digest across restarts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PairKey {
+    /// A counts entry: no vectors.
+    None,
+    /// FNV-1a 64 of `old | "|" | new` ([`hash::fnv1a_pair_digest`]),
+    /// from a snapshot written before XXH64 keyed pairs.
+    Fnv1a(u64),
+    /// [`PackedPredictions::digest`].
+    Xxh64(u64),
+}
+
+impl PairKey {
+    /// Whether this key was recorded for `packed`. A legacy FNV-1a key
+    /// is compared with the pair's FNV-1a digest, which `legacy`
+    /// computes the first time such a key is met and keeps for the
+    /// next.
+    fn matches(self, packed: &PackedPredictions<'_>, legacy: &OnceCell<u64>) -> bool {
+        match self {
+            PairKey::None => false,
+            PairKey::Xxh64(key) => key == packed.digest(),
+            PairKey::Fnv1a(key) => {
+                let fnv = || hash::fnv1a_pair_digest(packed.old_wire(), packed.new_wire());
+                key == *legacy.get_or_init(fnv)
+            }
+        }
+    }
+}
 
 /// Project names become directory names and URL path segments, so they
 /// are restricted to a conservative slug alphabet.
@@ -910,8 +926,10 @@ impl Project {
             Ok::<_, ServeError>(decision)
         })?;
         let counts = decided.expect("the gate step decided");
-        let digest = feed.packed().map(PackedPredictions::digest);
-        self.entry_keys.push((digest, counts.per_class.clone()));
+        let key = feed
+            .packed()
+            .map_or(PairKey::None, |packed| PairKey::Xxh64(packed.digest()));
+        self.entry_keys.push((key, counts.per_class.clone()));
         Ok((receipt, counts))
     }
 
@@ -937,7 +955,10 @@ impl Project {
     ///   re-measuring the same vectors later could legitimately
     ///   attribute more exact per-model credit — a dedup on counts would
     ///   miss, re-spend a budget step, and (worse) double-charge labels.
-    ///   Dedup therefore happens *before* any measurement.
+    ///   Dedup therefore happens *before* any measurement. An entry
+    ///   restored with a legacy FNV-1a key is compared by the pair's
+    ///   FNV-1a digest, computed at most once per lookup and only when a
+    ///   same-id entry carries such a key ([`PairKey::matches`]).
     pub(crate) fn duplicate<'a>(
         &self,
         op: Admitted<'_, 'a>,
@@ -960,12 +981,13 @@ impl Project {
                 (index, Cow::Borrowed(counts))
             }
             Feed::Vectors(packed, ..) => {
+                let legacy = OnceCell::new();
                 let index = self.gate.find_in_era(|i, e| {
                     e.commit_id == commit_id
                         && self
                             .entry_keys
                             .get(i)
-                            .is_some_and(|k| k.0 == Some(packed.digest()))
+                            .is_some_and(|k| k.0.matches(packed, &legacy))
                 })?;
                 (index, Cow::Owned(self.counts_at(index)))
             }
@@ -1130,11 +1152,11 @@ impl Project {
         self.measured.as_ref().map(MeasuredTestset::digest)
     }
 
-    /// The predictions digest recorded for history entry `index`
-    /// (`None` for counts-based entries).
+    /// The prediction-pair key recorded for history entry `index`
+    /// ([`PairKey::None`] for counts-based entries).
     #[must_use]
-    pub(crate) fn pred_digest(&self, index: usize) -> Option<u64> {
-        self.entry_keys.get(index).and_then(|k| k.0)
+    pub(crate) fn pair_key(&self, index: usize) -> PairKey {
+        self.entry_keys.get(index).map_or(PairKey::None, |k| k.0)
     }
 
     /// The per-class confusion counts recorded for history entry `index`
@@ -1643,13 +1665,19 @@ pub(crate) mod tests {
                 lazy: true,
             };
             let wire = encode_u32_vec(&spec.truth);
-            let want = fnv1a64(&[wire.as_bytes(), b"|", &9u32.to_le_bytes(), &[1]]);
-            assert_eq!(spec.digest(), want);
+            let mut want = hash::Fnv1a::new();
+            for part in [wire.as_bytes(), b"|", &9u32.to_le_bytes(), &[1]] {
+                want.write(part);
+            }
+            assert_eq!(spec.digest(), want.finish());
         }
     }
 
-    /// Known answers: both digests are on disk (journal, snapshot,
-    /// `project.json`), so their values must never move.
+    /// Known answers: every digest is on disk (`snapshot.json`,
+    /// `project.json`, the era blobs), so their values must never move.
+    /// The FNV-1a pair values are the `pred_digest` keys of snapshots
+    /// written before XXH64 keyed pairs; the XXH64 ones were computed
+    /// by an independent implementation of the published algorithm.
     #[test]
     fn digests_match_known_answers() {
         let packed = PredictionsSubmission {
@@ -1667,9 +1695,15 @@ pub(crate) mod tests {
             classes: 5,
             lazy: true,
         };
-        assert_eq!(packed.digest(), 0xccb9_89fb_021f_86c8);
-        assert_eq!(csv.digest(), 0x71aa_aaed_341f_c777);
+        let fnv1a = |s: &PredictionsSubmission| {
+            let packed = s.packed();
+            hash::fnv1a_pair_digest(packed.old_wire(), packed.new_wire())
+        };
+        assert_eq!(fnv1a(&packed), 0xccb9_89fb_021f_86c8);
+        assert_eq!(fnv1a(&csv), 0x71aa_aaed_341f_c777);
         assert_eq!(spec.digest(), 0x48c0_2a93_7c9e_f04d);
+        assert_eq!(packed.digest(), 0x0eac_7ba9_95ff_3d84);
+        assert_eq!(csv.digest(), 0x1bce_0819_51ad_f3f3);
         let measured = MeasuredTestset::from_spec(spec.clone()).unwrap();
         assert_eq!(measured.digest(), spec.digest());
     }
@@ -2043,10 +2077,11 @@ pub(crate) mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
 
-        /// The fused pass digests exactly what `fnv1a64` reads over the
-        /// canonical wire pair, whatever form each vector came in.
+        /// The decode pass keys exactly `xxh64(new, xxh64(old, 0))` over
+        /// the canonical wire pair, whatever form each vector came in,
+        /// and a legacy FNV-1a key of that pair is its FNV-1a digest.
         #[test]
-        fn fused_digest_matches_fnv1a64(
+        fn decoded_digest_matches_xxh64_of_the_wire_pair(
             seeds in (0u64..u64::MAX, 0u64..u64::MAX),
             forms in (0u8..3, 0u8..3),
         ) {
@@ -2063,10 +2098,18 @@ pub(crate) mod tests {
             proptest::prop_assert_eq!((&old_items, &new_items), (&old, &new));
             proptest::prop_assert_eq!(&old_wire, &encode_u32_vec(&old));
             proptest::prop_assert_eq!(&new_wire, &encode_u32_vec(&new));
-            let reference = fnv1a64(&[old_wire.as_bytes(), b"|", new_wire.as_bytes()]);
+            let reference = hash::xxh64(new_wire.as_bytes(), hash::xxh64(old_wire.as_bytes(), 0));
             proptest::prop_assert_eq!(digest, reference);
             let submission = PredictionsSubmission { commit_id: "c".into(), old, new };
             proptest::prop_assert_eq!(submission.digest(), reference);
+            let packed = submission.packed();
+            let legacy = OnceCell::new();
+            let mut fnv = hash::Fnv1a::new();
+            fnv.write(format!("{old_wire}|{new_wire}").as_bytes());
+            proptest::prop_assert!(PairKey::Fnv1a(fnv.finish()).matches(&packed, &legacy));
+            proptest::prop_assert!(PairKey::Xxh64(reference).matches(&packed, &legacy));
+            proptest::prop_assert!(!PairKey::Xxh64(fnv.finish()).matches(&packed, &legacy));
+            proptest::prop_assert!(!PairKey::None.matches(&packed, &legacy));
         }
     }
 }

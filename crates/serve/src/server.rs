@@ -1016,8 +1016,9 @@ type PredictionsInput<'a> = (Cow<'a, str>, PackedPredictions<'a>, Vec<u32>, Vec<
 
 /// A predictions commit body, `{"commit_id", "old", "new"}`, refused in
 /// that order. The commit id and every escape-free vector string are
-/// borrowed from the request, and each vector is decoded in one pass
-/// with the redelivery digest ([`PackedPredictions::decode`]).
+/// borrowed from the request, each vector is decoded in one pass, and
+/// the pair is keyed by its redelivery digest
+/// ([`PackedPredictions::decode`]).
 fn predictions_submission(body: &[u8]) -> Result<PredictionsInput<'_>, ServeError> {
     let body = decode_body(body, |r| commit_members(r, "commit_id"))?;
     let commit_id = body
@@ -1190,9 +1191,10 @@ fn persist_all(ctx: &Ctx) -> Result<Response, ServeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::xxh64;
     use crate::json::{decode_u32_vec, encode_u32_vec, u32_vec_from_value, Value};
     use crate::record::hostile::{edited, edits, Edit};
-    use crate::registry::{fnv1a64, PredictionsSubmission};
+    use crate::registry::PredictionsSubmission;
     use crate::vfs::MemVfs;
     use easeml_ci_core::{CommitEstimates, PerClassCounts, Tribool};
     use proptest::test_runner::TestCaseError;
@@ -1275,7 +1277,7 @@ mod tests {
     /// The tree path the route took before it decoded its body in one
     /// pull pass: parse the whole body into a [`Value`], take each
     /// member, decode each vector, encode arrays and CSV strings to their
-    /// wire string, digest the pair.
+    /// wire string, key the pair by `xxh64(new, xxh64(old, 0))`.
     fn decode_with_the_tree(body: &[u8]) -> Result<Decoded, String> {
         let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
         let body = Value::parse(text).map_err(|e| e.to_string())?;
@@ -1301,7 +1303,7 @@ mod tests {
         };
         let (old, old_wire) = vector("old")?;
         let (new, new_wire) = vector("new")?;
-        let digest = fnv1a64(&[old_wire.as_bytes(), b"|", new_wire.as_bytes()]);
+        let digest = xxh64(new_wire.as_bytes(), xxh64(old_wire.as_bytes(), 0));
         Ok((commit_id, old, new, old_wire, new_wire, digest))
     }
 

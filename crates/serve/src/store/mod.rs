@@ -81,6 +81,16 @@
 //! registration is acknowledged, and an era's testset blob before the
 //! journal op that activates it.
 //!
+//! Each history entry of a snapshot carries its redelivery key under
+//! the member of its digest: `"pred_xxh64": "<hex>"` for a predictions
+//! entry (XXH64 of the wire pair, see
+//! [`PackedPredictions::digest`]), `"pred_digest": null` for a counts
+//! entry. `pred_digest` keeps meaning FNV-1a: an entry restored from a
+//! snapshot written before XXH64 keyed pairs holds its FNV-1a key there,
+//! and every later snapshot writes it back there, so an upgraded data
+//! dir keeps deduplicating those commits. An absent member reads as no
+//! key; an entry with a key under both members is corrupt.
+//!
 //! # Snapshot cadence
 //!
 //! A snapshot holds the project's whole history, so writing one every
@@ -124,7 +134,7 @@ use crate::record::{
     read_u64, walk_object, Ints, ESTIMATES, PER_CLASS_VECTORS,
 };
 use crate::registry::{
-    CommitSubmission, EntryKey, EvalCounts, Feed, MeasuredTestset, PackedPredictions,
+    CommitSubmission, EntryKey, EvalCounts, Feed, MeasuredTestset, PackedPredictions, PairKey,
     PredictionsSubmission, Project, Savepoint, TestsetSpec, WireVector,
 };
 use crate::vfs::{write_atomic, RealVfs, Vfs};
@@ -892,10 +902,12 @@ fn render_snapshot(journal_ops: u64, project: &Project) -> String {
         write_history_entry_fields(&mut w, e);
         // The predictions-redelivery dedup key and the per-class counts
         // behind an F1/top-k verdict must survive the snapshot: entries
-        // it covers are never replayed.
-        match project.pred_digest(i) {
-            Some(digest) => w.key("pred_digest").string(&digest_hex(digest)),
-            None => w.key("pred_digest").null(),
+        // it covers are never replayed. A key is written under the
+        // member of its digest, so a legacy FNV-1a key stays one.
+        match project.pair_key(i) {
+            PairKey::None => w.key("pred_digest").null(),
+            PairKey::Fnv1a(digest) => w.key("pred_digest").string(&digest_hex(digest)),
+            PairKey::Xxh64(digest) => w.key("pred_xxh64").string(&digest_hex(digest)),
         }
         if let Some(pc) = project.per_class_at(i) {
             w.key("per_class");
@@ -1111,10 +1123,14 @@ fn decode_entry(r: &mut Reader<'_>) -> Result<Result<(HistoryEntry, EntryKey), S
             .as_deref()
             .and_then(tribool_parse)
             .ok_or_else(|| bad("outcome"))?;
-        let digest = e
-            .pred_digest
-            .map(|d| d.ok_or_else(|| bad("pred_digest")))
-            .transpose()?;
+        let fnv1a = e.pred_digest.map(|d| d.ok_or_else(|| bad("pred_digest")));
+        let xxh64 = e.pred_xxh64.map(|d| d.ok_or_else(|| bad("pred_xxh64")));
+        let key = match (fnv1a.transpose()?, xxh64.transpose()?) {
+            (None, None) => PairKey::None,
+            (Some(digest), None) => PairKey::Fnv1a(digest),
+            (None, Some(digest)) => PairKey::Xxh64(digest),
+            (Some(_), Some(_)) => return Err("both `pred_digest` and `pred_xxh64`".to_owned()),
+        };
         let per_class = e.per_class.transpose()?;
         let (step, era) = (u32_of(e.step, "step")?, u32_of(e.era, "era")?);
         let mut values = [None; 4];
@@ -1138,7 +1154,7 @@ fn decode_entry(r: &mut Reader<'_>) -> Result<Result<(HistoryEntry, EntryKey), S
             passed: e.passed.ok_or_else(|| bad("passed"))?,
             accepted: e.accepted.ok_or_else(|| bad("accepted"))?,
         };
-        Ok((entry, (digest, per_class)))
+        Ok((entry, (key, per_class)))
     })())
 }
 
@@ -1842,6 +1858,31 @@ mod tests {
         let (again, validations) = counting_validations(|| slot.submit(&submission("c1", 90)));
         assert_eq!(validations, 1);
         assert_eq!(fresh.unwrap(), again.unwrap());
+        assert_eq!(slot.project.steps_used(), 1);
+    }
+
+    /// A fresh predictions commit keys its pair once, by XXH64, and runs
+    /// no FNV-1a; so does its redelivery, whose same-id entry holds an
+    /// XXH64 key.
+    #[test]
+    fn a_predictions_commit_digests_its_pair_once() {
+        use crate::hash::tests::{FNV_DIGESTS, PAIR_DIGESTS};
+        use crate::registry::tests::counting;
+        let (script, spec) = pinned_f1();
+        let commit = pinned_f1_commits(&spec.truth).remove(0);
+        let registry = Registry::open_with(
+            Path::new("/digest-once"),
+            serving_estimator(),
+            Arc::new(MemVfs::new()),
+        )
+        .unwrap();
+        let slot = registry.register("f1", &script, Some(spec)).unwrap();
+        let mut slot = slot.lock().unwrap();
+        for round in ["fresh", "redelivery"] {
+            let commit = || slot.submit_predictions(&commit).unwrap();
+            let ((_, pairs), fnv) = counting(&FNV_DIGESTS, || counting(&PAIR_DIGESTS, commit));
+            assert_eq!((pairs, fnv), (1, 0), "{round}");
+        }
         assert_eq!(slot.project.steps_used(), 1);
     }
 
@@ -3015,16 +3056,22 @@ mod tests {
                 .and_then(Value::as_str)
                 .and_then(tribool_parse)
                 .ok_or_else(|| bad("bad `outcome`"))?;
-            let digest = match entry.get("pred_digest") {
-                None | Some(Value::Null) => None,
-                Some(v) => Some(
-                    v.as_str()
-                        .and_then(parse_digest_hex)
-                        .ok_or_else(|| bad("bad `pred_digest`"))?,
-                ),
+            let digest = |key: &str| match entry.get(key) {
+                None | Some(Value::Null) => Ok(None),
+                Some(v) => v
+                    .as_str()
+                    .and_then(parse_digest_hex)
+                    .map(Some)
+                    .ok_or_else(|| bad(&format!("bad `{key}`"))),
+            };
+            let key = match (digest("pred_digest")?, digest("pred_xxh64")?) {
+                (None, None) => PairKey::None,
+                (Some(digest), None) => PairKey::Fnv1a(digest),
+                (None, Some(digest)) => PairKey::Xxh64(digest),
+                (Some(_), Some(_)) => return Err(bad("both `pred_digest` and `pred_xxh64`")),
             };
             let per_class = per_class_reference(entry.get("per_class")).map_err(|e| bad(&e))?;
-            entry_keys.push((digest, per_class));
+            entry_keys.push((key, per_class));
             history.push(HistoryEntry {
                 commit_id,
                 step: num_u32("step")?,
@@ -3092,10 +3139,12 @@ mod tests {
                 let Value::Object(mut fields) = entry_json_reference(e) else {
                     unreachable!("entry_json_reference builds an object")
                 };
-                fields.push((
-                    "pred_digest".into(),
-                    Value::from(project.pred_digest(i).map(digest_hex)),
-                ));
+                let (member, digest) = match project.pair_key(i) {
+                    PairKey::None => ("pred_digest", None),
+                    PairKey::Fnv1a(digest) => ("pred_digest", Some(digest)),
+                    PairKey::Xxh64(digest) => ("pred_xxh64", Some(digest)),
+                };
+                fields.push((member.into(), Value::from(digest.map(digest_hex))));
                 if let Some(pc) = project.per_class_at(i) {
                     fields.push(("per_class".into(), per_class_json_reference(pc)));
                 }
@@ -3193,7 +3242,7 @@ mod tests {
         ]
     }
 
-    type Row = (HistoryEntry, Option<u64>, Option<PerClassCounts>);
+    type Row = (HistoryEntry, PairKey, Option<PerClassCounts>);
 
     fn history_row() -> impl Strategy<Value = Row> {
         (
@@ -3201,7 +3250,11 @@ mod tests {
             (0u32..=u32::MAX, 0u32..=u32::MAX, 0u32..3, 0u32..4),
             (estimate(), estimate(), estimate(), estimate()),
             prop_oneof![0u64..20_000, 0u64..=u64::MAX],
-            prop_oneof![Just(None), (0u64..=u64::MAX).prop_map(Some)],
+            prop_oneof![
+                Just(PairKey::None),
+                (0u64..=u64::MAX).prop_map(PairKey::Fnv1a),
+                (0u64..=u64::MAX).prop_map(PairKey::Xxh64),
+            ],
             per_class(),
         )
             .prop_map(
@@ -3368,14 +3421,15 @@ mod tests {
     }
 
     /// The snapshot of a `kind` project restored from `rows`, hostile
-    /// edits applied, gets the tree reference's verdict.
+    /// edits applied, gets the tree reference's verdict. With `both`,
+    /// the first entry keyed by XXH64 also carries a legacy
+    /// `pred_digest`, which no writer produces.
     fn check_snapshot_case(
         kind: u32,
         rows: Vec<Row>,
         (journal_ops, steps_used, era, retired): (u64, u32, u32, u32),
         labeled: &[usize],
-        edits: &[Edit],
-        compact: bool,
+        (edits, compact, both): (&[Edit], bool, bool),
     ) -> Result<(), TestCaseError> {
         // Label counts past 2^53 render inexactly, and the loaders
         // refuse them: keep them exact so that most documents load.
@@ -3389,8 +3443,12 @@ mod tests {
             (steps_used, era, retired == 1),
             labeled,
         );
-        let text = edited(&render_snapshot(journal_ops, &project), edits, compact);
-        check_against_reference(kind, &text)
+        let mut text = render_snapshot(journal_ops, &project);
+        if both {
+            let planted = "\"pred_digest\": \"0123456789abcdef\", \"pred_xxh64\": ";
+            text = text.replacen("\"pred_xxh64\": ", planted, 1);
+        }
+        check_against_reference(kind, &edited(&text, edits, compact))
     }
 
     proptest! {
@@ -3404,8 +3462,10 @@ mod tests {
             labeled in prop::collection::vec(0usize..40, 0..12),
             edits in edits(2),
             compact in 0u32..2,
+            both in 0u32..4,
         ) {
-            check_snapshot_case(kind, rows, counters, &labeled, &edits, compact == 1)?;
+            let hostile = (&edits[..], compact == 1, both == 0);
+            check_snapshot_case(kind, rows, counters, &labeled, hostile)?;
         }
     }
 
@@ -3423,8 +3483,10 @@ mod tests {
             labeled in prop::collection::vec(0usize..40, 0..12),
             edits in edits(2),
             compact in 0u32..2,
+            both in 0u32..4,
         ) {
-            check_snapshot_case(kind, rows, counters, &labeled, &edits, compact == 1)?;
+            let hostile = (&edits[..], compact == 1, both == 0);
+            check_snapshot_case(kind, rows, counters, &labeled, hostile)?;
         }
     }
 
@@ -3462,7 +3524,13 @@ mod tests {
                     passed: i % 2 == 0,
                     accepted: i == 1,
                 };
-                (entry, Some(u64::from(i) << 40 | 0xabc), Some(pc))
+                let digest = u64::from(i) << 40 | 0xabc;
+                let key = if i == 1 {
+                    PairKey::Fnv1a(digest)
+                } else {
+                    PairKey::Xxh64(digest)
+                };
+                (entry, key, Some(pc))
             })
             .collect();
         let project = restored_project(3, rows, (3, 0, false), &[0, 5, 39]);
@@ -3515,6 +3583,25 @@ mod tests {
         );
         assert!(
             matches!(&pull, Err(ServeError::Corrupt { reason, .. }) if reason == "missing or non-integer `era`"),
+            "{pull:?}"
+        );
+        // An entry keyed under both members is corrupt: no writer puts a
+        // pair key under both digests.
+        let planted = "\"pred_digest\": \"0123456789abcdef\", \"pred_xxh64\": ";
+        let both = text.replacen("\"pred_xxh64\": ", planted, 1);
+        assert_ne!(both, text);
+        check_against_reference(3, &both).unwrap();
+        let pull = load_snapshot(
+            &MemVfs::new(),
+            Path::new("/p"),
+            Path::new("/p/snapshot.json"),
+            &both,
+            &mut base_project(3),
+        );
+        assert!(
+            matches!(&pull, Err(ServeError::Corrupt { path, reason })
+                if path.ends_with("snapshot.json")
+                    && reason == "history[0]: both `pred_digest` and `pred_xxh64`"),
             "{pull:?}"
         );
     }
@@ -4055,6 +4142,28 @@ mod tests {
         (script, spec)
     }
 
+    /// The three commits of the pinned `f1` project over `truth`: each
+    /// vector is the truth with every `k`-th label moved to the next
+    /// class.
+    fn pinned_f1_commits(truth: &[u32]) -> Vec<PredictionsSubmission> {
+        let flip = |every: u32| -> Vec<u32> {
+            truth
+                .iter()
+                .zip(0u32..)
+                .map(|(&t, i)| if i % every == 0 { (t + 1) % 4 } else { t })
+                .collect()
+        };
+        [("p", 3, 5), (ESCAPED_ID, 5, 2), ("p", 2, 7)]
+            .into_iter()
+            .enumerate()
+            .map(|(k, (id, old, new))| PredictionsSubmission {
+                commit_id: format!("{id}{k}"),
+                old: flip(old),
+                new: flip(new),
+            })
+            .collect()
+    }
+
     /// The pinned `counts` project's script.
     fn pinned_counts_script() -> String {
         SCRIPT.replace("steps      : 3", "steps      : 200")
@@ -4100,32 +4209,17 @@ mod tests {
         let registry = open().unwrap();
 
         let (script, spec) = pinned_f1();
-        let truth = spec.truth.clone();
+        let commits = pinned_f1_commits(&spec.truth);
         let slot = registry.register("f1", &script, Some(spec)).unwrap();
         let mut slot = slot.lock().unwrap();
         slot.snapshot().unwrap();
         out.push(("f1.snapshot.empty.json", read("f1", "snapshot.json")));
-        let flip = |every: u32| -> Vec<u32> {
-            truth
-                .iter()
-                .zip(0u32..)
-                .map(|(&t, i)| if i % every == 0 { (t + 1) % 4 } else { t })
-                .collect()
-        };
-        for (k, (id, old, new)) in [("p", 3, 5), (ESCAPED_ID, 5, 2), ("p", 2, 7)]
-            .into_iter()
-            .enumerate()
-        {
-            let submission = PredictionsSubmission {
-                commit_id: format!("{id}{k}"),
-                old: flip(old),
-                new: flip(new),
-            };
-            slot.submit_predictions(&submission).unwrap();
+        for submission in &commits {
+            slot.submit_predictions(submission).unwrap();
         }
         slot.snapshot().unwrap();
         drop(slot);
-        out.push(("f1.snapshot.json", read("f1", "snapshot.json")));
+        out.push(("f1.snapshot.xxh64.json", read("f1", "snapshot.json")));
         out.push(("f1.journal.log", vfs.journal_written("f1")));
         out.push((
             "f1.history.json",
@@ -4188,15 +4282,18 @@ mod tests {
     /// The bytes of [`pinned_artifacts`], captured before snapshots and
     /// `/history` moved to the streaming writer. Restart recovery reads
     /// snapshots and journals back, and clients diff `/history`, so none
-    /// of them may move.
+    /// of them may move. `f1.snapshot.xxh64.json` keys its entries by
+    /// XXH64 (`pred_xxh64`); `f1.snapshot.json`, the same project's
+    /// snapshot from before XXH64 keyed pairs (FNV-1a `pred_digest`
+    /// keys), stays as the legacy fixture older data dirs boot from.
     const PINNED: &[(&str, &str)] = &[
         (
             "f1.snapshot.empty.json",
             include_str!("testdata/f1.snapshot.empty.json"),
         ),
         (
-            "f1.snapshot.json",
-            include_str!("testdata/f1.snapshot.json"),
+            "f1.snapshot.xxh64.json",
+            include_str!("testdata/f1.snapshot.xxh64.json"),
         ),
         ("f1.journal.log", include_str!("testdata/f1.journal.log")),
         ("f1.history.json", include_str!("testdata/f1.history.json")),
@@ -4304,6 +4401,100 @@ mod tests {
             include_bytes!("testdata/counts.snapshot.json")
         );
         assert!(!disk.exists(&path("counts", "journal.log")));
+    }
+
+    /// A data dir whose snapshot keys its entries by FNV-1a (written
+    /// before XXH64 keyed pairs: the unedited `f1.snapshot.json` pin)
+    /// still deduplicates them. Each recorded commit, redelivered with
+    /// the vectors that made it, answers its recorded receipt and spends
+    /// no step, label or journal byte; the lookup runs FNV-1a once per
+    /// same-id legacy entry it meets. A snapshot writes the legacy keys
+    /// back under `pred_digest`, byte for byte, and after a reboot they
+    /// still deduplicate. A new commit under a legacy id is keyed by
+    /// XXH64 and found without FNV-1a.
+    #[test]
+    fn legacy_fnv1a_keys_deduplicate_across_restarts() {
+        use crate::hash::{fnv1a_pair_digest, tests::FNV_DIGESTS};
+        use crate::registry::tests::counting;
+        let legacy = include_str!("testdata/f1.snapshot.json");
+        let (script, spec) = pinned_f1();
+        let commits = pinned_f1_commits(&spec.truth);
+        // The receipts the pinned commits were answered with.
+        let fresh = Registry::open_with(
+            Path::new("/fresh"),
+            serving_estimator(),
+            Arc::new(MemVfs::new()),
+        )
+        .unwrap();
+        let slot = fresh.register("f1", &script, Some(spec.clone())).unwrap();
+        let mut slot = slot.lock().unwrap();
+        let recorded: Vec<CommitReceipt> = commits
+            .iter()
+            .map(|c| slot.submit_predictions(c).unwrap().0)
+            .collect();
+        drop(slot);
+        for commit in &commits {
+            let packed = commit.packed();
+            let key = fnv1a_pair_digest(packed.old_wire(), packed.new_wire());
+            let member = format!("\"pred_digest\": \"{}\"", digest_hex(key));
+            assert!(legacy.contains(&member), "{member}");
+        }
+
+        let root = Path::new("/legacy");
+        let dir = root.join("projects/f1");
+        let disk = MemVfs::new();
+        let open = || Registry::open_with(root, serving_estimator(), Arc::new(disk.clone()));
+        open().unwrap().register("f1", &script, Some(spec)).unwrap();
+        write_atomic(&disk, &dir.join("snapshot.json"), legacy.as_bytes()).unwrap();
+        for boot in 0..2 {
+            let registry = open().unwrap();
+            let slot = registry.get("f1").unwrap();
+            let mut slot = slot.lock().unwrap();
+            let labeled = slot.project.measured().unwrap().labeled_count();
+            for (commit, want) in commits.iter().zip(&recorded) {
+                let ((receipt, _), fnv) =
+                    counting(&FNV_DIGESTS, || slot.submit_predictions(commit).unwrap());
+                assert_eq!(&receipt, want, "boot {boot}");
+                assert_eq!(fnv, 1, "boot {boot}: one same-id legacy entry");
+            }
+            assert_eq!(slot.project.steps_used(), 3);
+            assert_eq!(slot.project.measured().unwrap().labeled_count(), labeled);
+            assert_eq!(segment_files(&disk, &dir), Vec::<String>::new());
+            slot.snapshot().unwrap();
+            let snapshot = disk.file_bytes(&dir.join("snapshot.json")).unwrap();
+            assert_eq!(std::str::from_utf8(&snapshot).unwrap(), legacy);
+        }
+
+        // A new pair under the first legacy id: one FNV-1a comparison
+        // misses, the commit steps and is keyed by XXH64.
+        let registry = open().unwrap();
+        let slot = registry.get("f1").unwrap();
+        let mut slot = slot.lock().unwrap();
+        let mut other = commits[0].clone();
+        other.new.clone_from(&other.old);
+        let ((receipt, _), fnv) =
+            counting(&FNV_DIGESTS, || slot.submit_predictions(&other).unwrap());
+        assert_eq!((receipt.step, fnv), (4, 1));
+        slot.snapshot().unwrap();
+        let snapshot = disk.file_bytes(&dir.join("snapshot.json")).unwrap();
+        let snapshot = std::str::from_utf8(&snapshot).unwrap();
+        let member = format!("\"pred_xxh64\": \"{}\"", digest_hex(other.digest()));
+        assert!(snapshot.contains(&member), "{snapshot}");
+        assert_eq!(snapshot.matches("\"pred_digest\": \"").count(), 3);
+        drop(slot);
+        drop(registry);
+        let registry = open().unwrap();
+        let slot = registry.get("f1").unwrap();
+        let mut slot = slot.lock().unwrap();
+        // The newest same-id entry matches first: no FNV-1a.
+        let ((again, _), fnv) = counting(&FNV_DIGESTS, || slot.submit_predictions(&other).unwrap());
+        assert_eq!((again, fnv), (receipt, 0));
+        // Past it, the legacy entry is compared once.
+        let ((first, _), fnv) = counting(&FNV_DIGESTS, || {
+            slot.submit_predictions(&commits[0]).unwrap()
+        });
+        assert_eq!((first, fnv), (recorded[0].clone(), 1));
+        assert_eq!(slot.project.steps_used(), 4);
     }
 
     /// [`SCRIPT`] with a budget for 1,000 commits.

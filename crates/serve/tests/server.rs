@@ -1205,7 +1205,7 @@ fn testset_class_count_is_capped() {
 
 /// The same prediction vectors posted as a `#` string, a JSON array and
 /// a CSV string leave byte-identical receipts, journal lines and
-/// snapshots (which record each entry's `pred_digest`): a `#` string is
+/// snapshots (which record each entry's `pred_xxh64` key): a `#` string is
 /// journalled as received, the other two are encoded to exactly it. A
 /// redelivery in another encoding dedups, and a malformed `#` string is
 /// a 400 that journals nothing and spends no labels.
@@ -1348,7 +1348,7 @@ fn predictions_wire_encodings_are_interchangeable() {
 
     drop(client);
     // The journals as written, read before the shutdown snapshot seals
-    // them; that snapshot records every entry's `pred_digest`.
+    // them; that snapshot records every entry's `pred_xxh64` key.
     let journals = ["hash", "array", "csv"].map(|name| journal(name).unwrap());
     assert_eq!(journals[1], journals[0], "array journal");
     assert_eq!(journals[2], journals[0], "csv journal");
@@ -1360,7 +1360,8 @@ fn predictions_wire_encodings_are_interchangeable() {
     assert_eq!(read("csv"), read("hash"), "snapshot.json");
     let snapshot =
         String::from_utf8(std::fs::read(dir.join("projects/hash/snapshot.json")).unwrap()).unwrap();
-    assert!(snapshot.contains("pred_digest"), "{snapshot}");
+    assert!(snapshot.contains("\"pred_xxh64\": \""), "{snapshot}");
+    assert!(!snapshot.contains("pred_digest"), "{snapshot}");
 }
 
 /// One commit sent as a `#` string, as a `#` string written entirely in
